@@ -1,0 +1,119 @@
+"""Golden digests of observable behaviour on fixed seeded inputs.
+
+Each item is one SHA-256 over a text the toolkit produces: choice sets,
+seeded traces, reach graphs, literal successors, check verdicts, and the
+compiled ROADMAP W3 system. Every corpus system is renumbered first, so
+uids do not depend on which tests ran before. A refactor must keep every
+digest. A change meant to alter one rewrites the file with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and names the changed items and the reason in CHANGES.md.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from mobilemem.core import canonicalize, renumber
+from mobilemem.corpus import (
+    random_reducible_process,
+    random_timed_system,
+    random_untimed_system,
+)
+from mobilemem.compiler import eliminate_timers
+from mobilemem.engine import choice_describe, maximal_choices, run, step_choices
+from mobilemem.explore import (
+    check_embedding,
+    check_timer_elimination,
+    check_translation,
+    explore_ambients,
+    explore_membranes,
+    explore_untimed,
+)
+from mobilemem.sysfile import SystemFile, parse_system, render_system
+from mobilemem.translate import generate_rules, literal_successors, translate
+from mobilemem.untimed import u_maximal_choices, u_renumber, u_run
+
+GOLDEN = Path(__file__).with_name("golden.json")
+SEEDS = range(40)
+AMBIENT_SEEDS = range(20)
+
+W3_T3 = """mms 1 timed
+output skin
+skin:inf[ ; h:3[ a:3, c:3 ] m:3[ ~a:3 ] ]
+endo h m : a | c , ~a | => c:+3 |
+"""
+
+
+def _timed(seed):
+    config, rules = random_timed_system(seed)
+    return renumber(config), rules
+
+
+def _untimed(seed):
+    config, rules = random_untimed_system(seed)
+    return u_renumber(config), rules
+
+
+def _lines(choices) -> str:
+    return "\n".join(choice_describe(ch) for ch in choices)
+
+
+def _json(data) -> str:
+    return json.dumps(data, sort_keys=True)
+
+
+def items():
+    """(name, text) pairs in a fixed order, each built when it is reached."""
+    for seed in SEEDS:
+        config, rules = _timed(seed)
+        yield f"maximal_choices/{seed}", _lines(maximal_choices(config, rules))
+        yield f"step_choices/{seed}", _lines(step_choices(config, rules))
+        yield f"run/{seed}", run(config, rules, 8, "random", seed).to_jsonl()
+        yield f"explore_membranes/{seed}", _json(explore_membranes(config, rules, 4).to_json())
+        yield f"prop2/{seed}", _json(check_timer_elimination(config, rules, 6).to_json())
+    for seed in SEEDS:
+        config, rules = _untimed(seed)
+        yield f"u_maximal_choices/{seed}", _lines(u_maximal_choices(config, rules))
+        yield f"u_run/{seed}", u_run(config, rules, 8, "random", seed).to_jsonl()
+        yield f"explore_untimed/{seed}", _json(explore_untimed(config, rules, 4).to_json())
+        yield f"prop1/{seed}", _json(check_embedding(config, rules, 6).to_json())
+    for seed in AMBIENT_SEEDS:
+        process = random_reducible_process(seed)
+        pairs = literal_successors(translate(process), generate_rules(process, strict=True))
+        yield f"literal_successors/{seed}", "\n".join(
+            f"{choice_describe(ch)} => {canonicalize(cfg)}" for ch, cfg in pairs
+        )
+        yield f"explore_ambients/{seed}", _json(explore_ambients(process, 4).to_json())
+        if seed < 10:
+            yield f"prop45/{seed}", _json(check_translation(process, 4).to_json())
+
+    sf = parse_system(W3_T3)
+    uconfig, urules = eliminate_timers(sf.config, sf.rules)
+    yield "compiled_w3_t3", render_system(
+        SystemFile(False, uconfig.output_label, uconfig, urules, compiled=True)
+    )
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_digests():
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    names = []
+    for name, text in items():
+        names.append(name)
+        assert name in want, f"item {name} has no golden digest"
+        assert _digest(text) == want[name], f"first item that differs: {name}"
+    assert names == list(want), "golden items were added or removed"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    digests = {name: _digest(text) for name, text in items()}
+    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
