@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .core import INF, Timer, decrement, timer_str
+from .lexer import tokenize
 
 
 @dataclass(frozen=True)
@@ -387,54 +388,9 @@ _PUNCT = {":", "[", "]", "(", ")", "|", ".", "~"}
 _KEYWORDS = {"in", "out", "inf"}
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise AmbientSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("eof", "", line, col))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text, _PUNCT, AmbientSyntaxError)
         self.pos = 0
 
     def peek(self):

@@ -124,18 +124,35 @@ def _cmd_explore(args) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _corpus_arg(text: str) -> tuple[int, int]:
     try:
-        seed, count = text.split(",")
-        return int(seed), int(count)
+        seed, count = (int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError("--corpus expects 'seed,count'")
+        raise argparse.ArgumentTypeError(f"expected 'seed,count', got {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, got {count}")
+    return seed, count
 
 
 def _cmd_check(args) -> int:
     verdicts = []
     if args.corpus:
-        seed, count = _corpus_arg(args.corpus)
+        seed, count = args.corpus
         for i in range(count):
             if args.prop == "prop1":
                 config, rules = corpus.random_untimed_system(seed + i)
@@ -192,7 +209,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sim", help="simulate a membrane system")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--selector", choices=["first", "random"], default="random")
     p.add_argument("--trace", help="write a JSON-lines trace here")
@@ -217,22 +234,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("explore", help="bounded exhaustive exploration")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(0), required=True)
     p.add_argument("--graph", help="write the reach graph as JSON here")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--max-nodes", type=_at_least(1), default=DEFAULT_NODE_CAP)
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("check", help="equivalence and correspondence checks")
     p.add_argument("prop", choices=["prop1", "prop2", "prop45"])
     p.add_argument("file", nargs="?")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--corpus", help="seed,count of random systems instead of a file")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--depth", type=_at_least(0), required=True)
+    p.add_argument("--corpus", type=_corpus_arg,
+                   help="seed,count of random systems instead of a file")
+    p.add_argument("--max-nodes", type=_at_least(1), default=DEFAULT_NODE_CAP)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("output", help="run to halt (or budget) and read the output membrane")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_output)
 

@@ -24,6 +24,7 @@ timed counterpart.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Sequence
 
 from .core import (
@@ -111,21 +112,12 @@ def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuratio
     def lift_prods(prods) -> tuple:
         return tuple((sym, Fresh(INF) if isinstance(spec, Fresh) else spec) for sym, spec in prods)
 
-    lifted_rules = []
-    for rule in rules:
-        if isinstance(rule, RewriteRule):
-            lifted_rules.append(RewriteRule(rule.at, rule.lhs, lift_prods(rule.rhs), rule.name))
-        elif isinstance(rule, EndoRule):
-            lifted_rules.append(
-                EndoRule(rule.h, rule.m, rule.u, rule.v, rule.v2,
-                         lift_prods(rule.w), lift_prods(rule.w2), rule.name)
-            )
-        else:
-            lifted_rules.append(
-                ExoRule(rule.h, rule.m, rule.u, rule.v, rule.v2,
-                        lift_prods(rule.w), lift_prods(rule.w2), rule.name)
-            )
-    return Configuration(lift(config.skin), config.output_label), tuple(lifted_rules)
+    lifted_rules = tuple(
+        replace(rule, rhs=lift_prods(rule.rhs)) if isinstance(rule, RewriteRule)
+        else replace(rule, w=lift_prods(rule.w), w2=lift_prods(rule.w2))
+        for rule in rules
+    )
+    return Configuration(lift(config.skin), config.output_label), lifted_rules
 
 
 # ---------------------------------------------------------------------------

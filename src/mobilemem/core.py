@@ -201,12 +201,6 @@ class Configuration:
     skin: MembraneNode
     output_label: str = "skin"
 
-    def find(self, uid: int) -> MembraneNode | None:
-        for node in self.skin.walk():
-            if node.uid == uid:
-                return node
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Rules
@@ -237,8 +231,8 @@ def _slot_tuple(u: Multiset, v: Multiset) -> tuple:
 
 
 @dataclass(frozen=True)
-class EndoRule:
-    """Mutual endocytosis: an elementary ``h`` enters a sibling ``m``.
+class MoveRule:
+    """Fields shared by the two movement rules.
 
     The active side consumes ``u + v`` inside ``h``; the passive side
     consumes ``dual(u) + v2`` inside ``m``. ``w`` is produced inside the
@@ -270,34 +264,13 @@ class EndoRule:
 
 
 @dataclass(frozen=True)
-class ExoRule:
-    """Mutual exocytosis: an elementary ``h`` exits its parent ``m``.
+class EndoRule(MoveRule):
+    """Mutual endocytosis: an elementary ``h`` enters a sibling ``m``."""
 
-    The active side consumes ``u + v`` inside the child ``h``; the passive
-    side consumes ``dual(u) + v2`` inside the parent ``m``.
-    """
 
-    h: str
-    m: str
-    u: Multiset
-    v: Multiset = Multiset()
-    v2: Multiset = Multiset()
-    w: tuple = ()
-    w2: tuple = ()
-    name: str = ""
-    keep_active_timer: bool = False
-
-    @property
-    def u_bar(self) -> Multiset:
-        return Multiset([dual(s) for s in self.u])
-
-    @property
-    def active_slots(self) -> tuple:
-        return _slot_tuple(self.u, self.v)
-
-    @property
-    def passive_slots(self) -> tuple:
-        return _slot_tuple(self.u_bar, self.v2)
+@dataclass(frozen=True)
+class ExoRule(MoveRule):
+    """Mutual exocytosis: an elementary ``h`` exits its parent ``m``."""
 
 
 @dataclass(frozen=True)
@@ -406,7 +379,7 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
                 violations.append(f"object {sym} has invalid timer {t!r}")
     for rule in rules:
         name = rule.name or type(rule).__name__
-        if isinstance(rule, (EndoRule, ExoRule)):
+        if isinstance(rule, MoveRule):
             if not rule.u:
                 violations.append(f"rule {name}: trigger multiset u is empty")
             _check_prods("w", rule.w, rule.active_slots, violations, name)

@@ -28,7 +28,9 @@ finite-timer object always has the tick to fall back on. An instance all of
 whose bound objects carry timer ``INF`` has no such fallback and is never
 refusable, so on systems with only infinite timers the two notions agree.
 ``successors`` and the explorer enumerate ``step_choices``; this is what
-makes the timer-elimination equivalence checkable.
+makes the timer-elimination equivalence checkable. Both come from
+``choices.enumerate_choices``, which holds the one conflict rule and its
+three modes (saturated, forced-only, any) for every relation.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from .choices import addable, availability, enumerate_choices
 from .core import (
     DELTA,
     DELTA_NAME,
@@ -47,6 +50,7 @@ from .core import (
     Fresh,
     Carry,
     MembraneNode,
+    MoveRule,
     Multiset,
     RewriteRule,
     Rule,
@@ -82,13 +86,20 @@ class Instance:
 
     @property
     def is_move(self) -> bool:
-        return isinstance(self.rule, (EndoRule, ExoRule))
+        return isinstance(self.rule, MoveRule)
 
     def bound(self) -> Iterator[tuple[int, ObjClass]]:
         for cls in self.active_classes:
             yield self.active_uid, cls
         for cls in self.passive_classes:
             yield self.passive_uid, cls
+
+    def needs(self) -> dict:
+        """``(uid, class) -> count`` of the objects this instance binds."""
+        need: dict = {}
+        for key in self.bound():
+            need[key] = need.get(key, 0) + 1
+        return need
 
     def forced(self) -> bool:
         """No bound object could tick instead: all bound timers are INF."""
@@ -211,72 +222,12 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
 # ---------------------------------------------------------------------------
 # Choice enumeration
 
-def _availability(config: Configuration) -> dict:
-    avail: dict = {}
-    for node in config.skin.walk():
-        for cls, n in node.content.items():
-            avail[(node.uid, cls)] = n
-    return avail
-
-
-def _needs(inst: Instance) -> dict:
-    need: dict = {}
-    for uid, cls in inst.bound():
-        need[(uid, cls)] = need.get((uid, cls), 0) + 1
-    return need
-
-
-def _addable(inst: Instance, avail, usage, actives, passives) -> bool:
-    if inst.is_move:
-        if inst.active_uid in actives or inst.active_uid in passives:
-            return False
-        if inst.passive_uid in actives:
-            return False
-    for key, n in _needs(inst).items():
-        if avail.get(key, 0) - usage.get(key, 0) < n:
-            return False
-    return True
-
-
-def _enumerate_choices(config: Configuration, rules: Sequence[Rule], saturated: bool) -> list[StepChoice]:
-    instances = find_instances(config, rules)
-    avail = _availability(config)
-    results: list[StepChoice] = []
-
-    def leaf_ok(usage, actives, passives) -> bool:
-        for inst in instances:
-            if saturated or inst.forced():
-                if _addable(inst, avail, usage, actives, passives):
-                    return False
-        return True
-
-    def dfs(k: int, usage: dict, actives: frozenset, passives: frozenset, chosen: list):
-        if k == len(instances):
-            if leaf_ok(usage, actives, passives):
-                results.append(tuple(chosen))
-            return
-        inst = instances[k]
-        dfs(k + 1, usage, actives, passives, chosen)
-        while _addable(inst, avail, usage, actives, passives):
-            usage = dict(usage)
-            for key, n in _needs(inst).items():
-                usage[key] = usage.get(key, 0) + n
-            if inst.is_move:
-                actives = actives | {inst.active_uid}
-                passives = passives | {inst.passive_uid}
-            chosen = chosen + [inst]
-            dfs(k + 1, usage, actives, passives, chosen)
-            if inst.is_move:
-                break  # an active membrane moves at most once
-
-    dfs(0, {}, frozenset(), frozenset(), [])
-    return sorted(set(results), key=lambda ch: tuple(i.sort_key() for i in ch))
-
-
 def maximal_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
     """Saturated choices: conflict-free and no further instance applies to
     the unused residue. When nothing applies, the single empty choice."""
-    return _enumerate_choices(config, rules, saturated=True)
+    return enumerate_choices(
+        find_instances(config, rules), Instance.needs, availability(config), lambda inst: True
+    )
 
 
 def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
@@ -284,7 +235,9 @@ def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoic
     residue admits no instance binding only INF-timer objects. Superset of
     ``maximal_choices``; the difference is finite-timer objects ticking
     instead of joining an enabled move."""
-    return _enumerate_choices(config, rules, saturated=False)
+    return enumerate_choices(
+        find_instances(config, rules), Instance.needs, availability(config), Instance.forced
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +314,7 @@ def _validate_choice(config: Configuration, choice: StepChoice, nodes: dict) -> 
                 raise StaleChoiceError("conflicting membrane roles in choice")
             actives.add(inst.active_uid)
             passives.add(inst.passive_uid)
-        for key, n in _needs(inst).items():
+        for key, n in inst.needs().items():
             usage[key] = usage.get(key, 0) + n
     for (uid, cls), n in usage.items():
         node = nodes.get(uid)
@@ -386,7 +339,7 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     consumed = produced_count = 0
     # Phase 1: consume, produce, move, decrement actives.
     for inst in choice:
-        for (uid, cls), n in _needs(inst).items():
+        for (uid, cls), n in inst.needs().items():
             nodes[uid].content[cls] -= n
             if nodes[uid].content[cls] == 0:
                 del nodes[uid].content[cls]
@@ -636,20 +589,18 @@ def residual_instances(
     """Instances still applicable after setting aside the choice's bound
     objects and membrane roles. Empty on every saturated choice; with
     ``forced_only`` empty on every legal choice."""
-    avail = _availability(config)
+    avail = availability(config)
     usage: dict = {}
     actives: set = set()
     passives: set = set()
     for inst in choice:
-        for key, n in _needs(inst).items():
+        for key, n in inst.needs().items():
             usage[key] = usage.get(key, 0) + n
         if inst.is_move:
             actives.add(inst.active_uid)
             passives.add(inst.passive_uid)
-    leftovers = []
-    for inst in find_instances(config, rules):
-        if forced_only and not inst.forced():
-            continue
-        if _addable(inst, avail, usage, frozenset(actives), frozenset(passives)):
-            leftovers.append(inst)
-    return leftovers
+    return [
+        inst for inst in find_instances(config, rules)
+        if (not forced_only or inst.forced())
+        and addable(inst, inst.needs(), avail, usage, actives, passives)
+    ]

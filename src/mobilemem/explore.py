@@ -366,8 +366,8 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     reordered-preimage phenomenon as an informative note."""
     p = amb.normalize(p)
     default_rules = _generate_rules(p)
-    strict_report = check_correspondence_PQ(p, depth)
     try:
+        strict_report = check_correspondence_PQ(p, depth)
         ambient_graph = explore_ambients(p, depth, max_nodes)
         membrane_graph = explore_membranes(_translate(p), default_rules, depth, max_nodes)
     except BudgetExceeded as err:

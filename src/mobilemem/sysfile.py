@@ -25,7 +25,7 @@ timer. Rule names are positional (``r0``, ``r1``, ...) and not serialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .core import (
@@ -37,6 +37,7 @@ from .core import (
     ExoRule,
     Fresh,
     MembraneNode,
+    MoveRule,
     Multiset,
     RewriteRule,
     Rule,
@@ -46,6 +47,7 @@ from .core import (
     renumber,
     timer_str,
 )
+from .lexer import tokenize
 from .untimed import UConfig, UNode, u_renumber
 
 
@@ -70,58 +72,9 @@ class SystemFile:
 _PUNCT = {"[", "]", ";", ",", "|", ":", "+", "-", "*", "~"}
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("=>", i):
-            tokens.append(("=>", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch in "_$":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_$"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("eof", "", line, col))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text, _PUNCT, ParseError, ("=>",), "_$")
         self.pos = 0
 
     def peek(self, ahead: int = 0):
@@ -322,8 +275,7 @@ class _Parser:
         rules = self.rules(timed)
         if strict:
             rules = tuple(
-                type(r)(r.h, r.m, r.u, r.v, r.v2, r.w, r.w2, r.name, True)
-                if isinstance(r, (EndoRule, ExoRule)) else r
+                replace(r, keep_active_timer=True) if isinstance(r, MoveRule) else r
                 for r in rules
             )
         if timed:

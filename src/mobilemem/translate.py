@@ -47,6 +47,7 @@ from .core import (
 )
 from . import ambient as amb
 from .ambient import Amb, Capability, Prefix, Process
+from .choices import availability, enumerate_choices
 from .engine import Instance, find_instances
 
 SKIN_LABEL = "skin"
@@ -195,59 +196,30 @@ def literal_successors(
     movement instances fires simultaneously (matching a reduction step that
     composes independent movements), with no clock. Deduplicated by
     canonical key."""
-    from .engine import _addable, _availability, _needs
-
     instances = [i for i in find_instances(config, rules) if i.is_move]
-    avail = _availability(config)
     seen: dict[str, tuple[tuple, Configuration]] = {}
-
-    def explore(k: int, usage: dict, actives: frozenset, passives: frozenset, chosen: tuple):
-        if chosen:
-            result = _literal_apply(config, chosen)
-            seen.setdefault(canonicalize(result), (chosen, result))
-        for idx in range(k, len(instances)):
-            inst = instances[idx]
-            if not _addable(inst, avail, usage, actives, passives):
-                continue
-            usage2 = dict(usage)
-            for key, n in _needs(inst).items():
-                usage2[key] = usage2.get(key, 0) + n
-            explore(idx + 1, usage2, actives | {inst.active_uid},
-                    passives | {inst.passive_uid}, chosen + (inst,))
-
-    explore(0, {}, frozenset(), frozenset(), ())
+    for choice in enumerate_choices(instances, Instance.needs, availability(config), lambda inst: False):
+        if choice:
+            result = _literal_apply(config, choice)
+            seen.setdefault(canonicalize(result), (choice, result))
     return [seen[k] for k in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------
 # Correspondence: ambient reductions map to membrane reductions
 
-def _ambient_reachable(p: Process, depth: int) -> list[tuple[Process, int]]:
-    from collections import deque
-
-    start = amb.normalize(p)
-    seen = {amb.canonical_key(start): (start, 0)}
-    queue = deque([(start, 0)])
-    while queue:
-        current, d = queue.popleft()
-        if d >= depth:
-            continue
-        for succ in amb.reduce_step(current):
-            key = amb.canonical_key(succ)
-            if key not in seen:
-                seen[key] = (succ, d + 1)
-                queue.append((succ, d + 1))
-    return sorted(seen.values(), key=lambda pair: amb.canonical_key(pair[0]))
-
-
 def check_correspondence_PQ(p: Process, depth: int = 1) -> dict:
     """For every non-time ambient reduction P' -> Q' reachable within
     ``depth``, the literal membrane relation takes translate(P') to a
     configuration with the same canonical key as translate(Q')."""
+    from .explore import explore_ambients  # explore imports this module
+
     rules = generate_rules(p, strict=True)
+    graph = explore_ambients(p, max(depth - 1, 0))
     edges = 0
     misses: list[dict] = []
-    for state, d in _ambient_reachable(p, depth - 1 if depth > 0 else 0):
+    for key in sorted(graph.nodes):
+        state = graph.objects[key]
         if not amb.redexes(state):
             continue  # its one successor is the clock tick
         membrane_keys = {

@@ -9,7 +9,10 @@ bottom-up. There are no clock phases.
 
 This module is intentionally not a wrapper over the timed engine: the
 embedding and timer-elimination checks compare the two interpreters against
-each other, which only means something if they are independent code.
+each other, which only means something if they are independent code. Only
+the conflict rule is shared: ``choices.py`` holds it, with its three modes,
+and sees nothing of an instance but its membranes, the objects it binds
+and its sort key; matching and application stay here.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from .choices import availability, enumerate_choices
 from .core import (
     DELTA_NAME,
     Configuration,
     EndoRule,
     ExoRule,
+    MoveRule,
     Multiset,
     RewriteRule,
     Rule,
@@ -118,7 +123,7 @@ class UInstance:
 
     @property
     def is_move(self) -> bool:
-        return isinstance(self.rule, (EndoRule, ExoRule))
+        return isinstance(self.rule, MoveRule)
 
     def lhs_active(self) -> Multiset:
         if isinstance(self.rule, RewriteRule):
@@ -193,48 +198,11 @@ def _u_needs(inst: UInstance) -> dict:
     return need
 
 
-def _u_addable(inst, avail, usage, actives, passives) -> bool:
-    if inst.is_move:
-        if inst.active_uid in actives or inst.active_uid in passives:
-            return False
-        if inst.passive_uid in actives:
-            return False
-    for key, n in _u_needs(inst).items():
-        if avail.get(key, 0) - usage.get(key, 0) < n:
-            return False
-    return True
-
-
 def u_maximal_choices(config: UConfig, rules: Sequence[Rule]) -> list[tuple]:
     """All maximal conflict-free instance multisets (classic parallelism)."""
-    instances = u_find_instances(config, rules)
-    avail: dict = {}
-    for node in config.skin.walk():
-        for sym, n in node.content.items():
-            avail[(node.uid, sym)] = n
-    results: list[tuple] = []
-
-    def dfs(k, usage, actives, passives, chosen):
-        if k == len(instances):
-            if not any(_u_addable(i, avail, usage, actives, passives) for i in instances):
-                results.append(tuple(chosen))
-            return
-        inst = instances[k]
-        dfs(k + 1, usage, actives, passives, chosen)
-        while _u_addable(inst, avail, usage, actives, passives):
-            usage = dict(usage)
-            for key, n in _u_needs(inst).items():
-                usage[key] = usage.get(key, 0) + n
-            if inst.is_move:
-                actives = actives | {inst.active_uid}
-                passives = passives | {inst.passive_uid}
-            chosen = chosen + [inst]
-            dfs(k + 1, usage, actives, passives, chosen)
-            if inst.is_move:
-                break  # an active membrane moves at most once
-
-    dfs(0, {}, frozenset(), frozenset(), [])
-    return sorted(set(results), key=lambda ch: tuple(i.sort_key() for i in ch))
+    return enumerate_choices(
+        u_find_instances(config, rules), _u_needs, availability(config), lambda inst: True
+    )
 
 
 # ---------------------------------------------------------------------------

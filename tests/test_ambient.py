@@ -44,6 +44,8 @@ def test_parse_errors_carry_positions():
     with pytest.raises(AmbientSyntaxError) as err:
         parse_ambient("n:4[ in:1 ]")
     assert err.value.line == 1
+    with pytest.raises(AmbientSyntaxError, match=r"^2:4: unexpected character '\$'$"):
+        parse_ambient("n:4[]\n  b$:1[]")  # '$' belongs to .mms names only
     with pytest.raises(AmbientSyntaxError):
         parse_ambient("n:-3[]")
     with pytest.raises(AmbientSyntaxError):

@@ -134,3 +134,21 @@ def test_cli_runs_as_a_subprocess(tmp_path, s1_file):
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sim", "{s1}", "--steps", "-1"], "--steps"),
+    (["output", "{s1}", "--steps", "-1"], "--steps"),
+    (["explore", "{s1}", "--depth", "-1"], "--depth"),
+    (["check", "prop2", "{s1}", "--depth", "-2"], "--depth"),
+    (["explore", "{s1}", "--depth", "1", "--max-nodes", "-5"], "--max-nodes"),
+    (["check", "prop2", "{s1}", "--depth", "1", "--max-nodes", "0"], "--max-nodes"),
+    (["check", "prop2", "--depth", "1", "--corpus", "0,0"], "--corpus"),
+    (["check", "prop2", "--depth", "1", "--corpus", "0,-3"], "--corpus"),
+    (["check", "prop2", "--depth", "1", "--corpus", "3"], "--corpus"),
+])
+def test_out_of_range_arguments_exit_3_naming_the_flag(s1_file, capsys, argv, flag):
+    assert main([arg.format(s1=s1_file) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err

@@ -390,6 +390,34 @@ def test_against_reference_interpreter():
         assert want == got, f"seed {seed}"
 
 
+def _ref_choice_set(choices):
+    return sorted(sorted((r, a, -1 if p is None else p, ab, pb) for r, a, p, ab, pb in ch) for ch in choices)
+
+
+def _engine_choice_set(choices):
+    def binds(classes):
+        return tuple((s.name, s.is_co, t) for s, t in classes)
+
+    return sorted(
+        sorted(
+            (i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid,
+             binds(i.active_classes), binds(i.passive_classes))
+            for i in ch
+        )
+        for ch in choices
+    )
+
+
+def test_choice_sets_match_reference_interpreter():
+    for seed in range(40):
+        cfg, rules = random_timed_system(seed)
+        root = ref.from_config(cfg)
+        assert _engine_choice_set(maximal_choices(cfg, rules)) == _ref_choice_set(
+            ref.choices(root, rules, saturated=True)), f"maximal, seed {seed}"
+        assert _engine_choice_set(step_choices(cfg, rules)) == _ref_choice_set(
+            ref.choices(root, rules, saturated=False)), f"step, seed {seed}"
+
+
 def test_reference_agrees_on_worked_example():
     want = ref.successor_renders(ref.from_config(s1()), [E1])
     got = {ref.render(ref.from_config(nxt)) for _ch, nxt in successors(s1(), [E1])}

@@ -122,6 +122,8 @@ def test_bad_inputs_have_positions():
     with pytest.raises(ParseError) as err:
         parse_system("mms 1 timed\noutput skin\nskin:inf[ a ]\n")
     assert err.value.line == 3
+    with pytest.raises(ParseError, match=r"^4:8: unexpected character '@'$"):
+        parse_system("mms 1 timed\noutput skin\nskin:inf[]\nrw h : @ => b:+1\n")
 
 
 def test_products_require_timer_spec_in_timed_mode():

@@ -1,3 +1,11 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+import reference as ref
+
+from mobilemem.compiler import embed_infinite
+from mobilemem.corpus import random_untimed_system
 from mobilemem.core import EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol
 from mobilemem.untimed import (
     UConfig,
@@ -86,3 +94,18 @@ def test_successors_dedup():
     ]))
     succ = u_successors(cfg, [RULE])
     assert len(succ) == 1
+
+
+def test_choice_sets_match_reference_on_the_embedding():
+    for seed in range(40):
+        cfg, rules = random_untimed_system(seed)
+        timed_cfg, timed_rules = embed_infinite(cfg, rules)
+        want = sorted(
+            sorted((r, a, -1 if p is None else p) for r, a, p, _ab, _pb in ch)
+            for ch in ref.choices(ref.from_config(timed_cfg), timed_rules, True)
+        )
+        got = sorted(
+            sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ch)
+            for ch in u_maximal_choices(cfg, rules)
+        )
+        assert got == want, f"seed {seed}"
