@@ -15,6 +15,19 @@ a finished choice, the ``blocks`` predicate of ``enumerate_choices``:
 * none: every conflict-free choice (``translate.literal_successors``,
   which drops the empty one).
 
+The search decides the count of each instance in table order. Instance
+*j* can displace instance *k* when it binds a ``(uid, class)`` key that
+*k* binds, or when both are moves and *j*'s active membrane is *k*'s
+active or passive one, or *j*'s passive membrane is *k*'s active one.
+When a blocking instance *k* still fits and no later instance can
+displace it, the search does not stop adding *k*: later instances only
+take objects and roles *k* does not need, so *k* would still fit at every
+leaf below, and none of them is a finished choice. Independent instances
+therefore cost one branch each, not a subset each (the pruning used to
+list maximal independent sets, Tsukiyama et al. 1977, here over
+multisets). The search keeps one mutable state and an explicit stack, so
+its depth is not bounded by Python's recursion limit.
+
 Instances are seen only through ``active_uid``, ``passive_uid``,
 ``is_move``, ``sort_key`` and the needs map ``(uid, class) -> count``
 that the caller computes, so the timed and untimed interpreters share no
@@ -45,6 +58,28 @@ def addable(inst, need: dict, avail: dict, usage: dict, actives, passives) -> bo
     return all(avail.get(key, 0) - usage.get(key, 0) >= n for key, n in need.items())
 
 
+def _settled(table: list, blocking: list) -> list[bool]:
+    """Per instance: it blocks and no later instance can displace it. One
+    backward pass over the keys and roles of the instances seen so far."""
+    later_keys: set = set()
+    later_actives: set = set()
+    later_passives: set = set()
+    out = [False] * len(table)
+    for k in range(len(table) - 1, -1, -1):
+        inst, need = table[k]
+        displaced = any(key in later_keys for key in need) or inst.is_move and (
+            inst.active_uid in later_actives
+            or inst.passive_uid in later_actives
+            or inst.active_uid in later_passives
+        )
+        out[k] = blocking[k] and not displaced
+        later_keys.update(need)
+        if inst.is_move:
+            later_actives.add(inst.active_uid)
+            later_passives.add(inst.passive_uid)
+    return out
+
+
 def enumerate_choices(
     instances: Sequence, needs: Callable, avail: dict, blocks: Callable
 ) -> list[tuple]:
@@ -52,25 +87,54 @@ def enumerate_choices(
     sorted by the instances' sort keys. Moves join at most once; other
     instances as often as their objects allow."""
     table = [(inst, needs(inst)) for inst in instances]
-    blockers = [(inst, need) for inst, need in table if blocks(inst)]
+    blocking = [bool(blocks(inst)) for inst, _need in table]
+    settled = _settled(table, blocking)
+    blockers = [row for row, b in zip(table, blocking) if b]
+    usage: dict = {}
+    actives: set = set()
+    passives: dict = {}  # uid -> number of chosen moves it is passive in
+    chosen: list = []
     results: list[tuple] = []
 
-    def dfs(k: int, usage: dict, actives: frozenset, passives: frozenset, chosen: tuple):
+    def add(inst, need: dict, sign: int) -> None:
+        for key, n in need.items():
+            usage[key] = usage.get(key, 0) + sign * n
+        if inst.is_move:
+            p = inst.passive_uid
+            if sign > 0:
+                actives.add(inst.active_uid)
+                passives[p] = passives.get(p, 0) + 1
+            else:
+                actives.remove(inst.active_uid)
+                passives[p] -= 1
+                if not passives[p]:
+                    del passives[p]
+
+    # A frame is [k, copies of instance k added, whether k fits beside them
+    # or None before that is known]; with k == len(table) every count is
+    # decided and the frame is a leaf.
+    stack = [[0, 0, None]]
+    while stack:
+        frame = stack[-1]
+        k, copies, fits = frame
         if k == len(table):
             if not any(addable(i, n, avail, usage, actives, passives) for i, n in blockers):
-                results.append(chosen)
-            return
+                results.append(tuple(chosen))
+            stack.pop()
+            continue
         inst, need = table[k]
-        dfs(k + 1, usage, actives, passives, chosen)
-        while addable(inst, need, avail, usage, actives, passives):
-            usage = dict(usage)
-            for key, n in need.items():
-                usage[key] = usage.get(key, 0) + n
-            chosen = chosen + (inst,)
-            if inst.is_move:
-                dfs(k + 1, usage, actives | {inst.active_uid}, passives | {inst.passive_uid}, chosen)
-                break  # an active membrane moves at most once
-            dfs(k + 1, usage, actives, passives, chosen)
-
-    dfs(0, {}, frozenset(), frozenset(), ())
+        if fits is None:
+            fits = frame[2] = addable(inst, need, avail, usage, actives, passives)
+            if not (fits and settled[k]):
+                stack.append([k + 1, 0, None])  # stop at this many copies
+                continue
+        if fits:
+            add(inst, need, 1)
+            chosen.append(inst)
+            frame[1], frame[2] = copies + 1, None
+            continue
+        for _ in range(copies):
+            add(inst, need, -1)
+            chosen.pop()
+        stack.pop()
     return sorted(results, key=lambda ch: tuple(i.sort_key() for i in ch))

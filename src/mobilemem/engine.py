@@ -184,39 +184,46 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     """Every applicable rule instance, exhaustive up to binding equivalence.
 
     Moves need an elementary active membrane in the stated position, and
-    every bound timer (objects and both membranes) greater than 0.
+    every bound timer (objects and both membranes) greater than 0. One walk
+    over the tree, with the rules indexed by the label they dispatch on:
+    moves by their active label, rewrites by their host label (``None``
+    for every host).
     """
-    found: list[Instance] = []
+    moves: dict = {}
+    rewrites: dict = {}
     for idx, rule in enumerate(rules):
-        if isinstance(rule, EndoRule):
-            for parent in config.skin.walk():
-                for active in parent.children:
-                    if active.label != rule.h or not active.elementary or not active.timer > 0:
-                        continue
-                    for passive in parent.children:
-                        if passive is active or passive.label != rule.m or not passive.timer > 0:
-                            continue
-                        for ac in _slot_bindings(rule.active_slots, active.content):
-                            for pc in _slot_bindings(rule.passive_slots, passive.content):
-                                found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
-        elif isinstance(rule, ExoRule):
-            for passive in config.skin.walk():
-                if passive.label != rule.m or not passive.timer > 0:
-                    continue
-                for active in passive.children:
-                    if active.label != rule.h or not active.elementary or not active.timer > 0:
-                        continue
-                    for ac in _slot_bindings(rule.active_slots, active.content):
-                        for pc in _slot_bindings(rule.passive_slots, passive.content):
-                            found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
+        if isinstance(rule, MoveRule):
+            moves.setdefault(rule.h, []).append((idx, rule))
         elif isinstance(rule, RewriteRule):
-            for host in config.skin.walk():
-                if rule.at is not None and host.label != rule.at:
+            rewrites.setdefault(rule.at, []).append((idx, rule))
+    everywhere = rewrites.get(None, [])
+    found: list[Instance] = []
+
+    def pair(idx, rule, active, passive):
+        for ac in _slot_bindings(rule.active_slots, active.content):
+            for pc in _slot_bindings(rule.passive_slots, passive.content):
+                found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
+
+    for parent in config.skin.walk():
+        for idx, rule in rewrites.get(parent.label, []) + everywhere:
+            for ac in _slot_bindings(rule.active_slots, parent.content):
+                found.append(Instance(idx, rule, parent.uid, None, ac))
+        siblings: dict = {}  # the children an endo rule can enter, by label
+        for child in parent.children:
+            if child.timer > 0:
+                siblings.setdefault(child.label, []).append(child)
+        for active in parent.children:
+            if not active.elementary or not active.timer > 0:
+                continue
+            for idx, rule in moves.get(active.label, []):
+                if isinstance(rule, ExoRule):
+                    if parent.label == rule.m and parent.timer > 0:
+                        pair(idx, rule, active, parent)
                     continue
-                for ac in _slot_bindings(rule.active_slots, host.content):
-                    found.append(Instance(idx, rule, host.uid, None, ac))
-    found = sorted(set(found), key=Instance.sort_key)
-    return found
+                for passive in siblings.get(rule.m, []):
+                    if passive is not active:
+                        pair(idx, rule, active, passive)
+    return sorted(set(found), key=Instance.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 
+from mobilemem.choices import addable
+from mobilemem.cli import main
+from mobilemem.compiler import embed_infinite
 from mobilemem.core import (
     INF,
     Carry,
@@ -31,6 +35,8 @@ from mobilemem.engine import (
     successors,
 )
 from mobilemem.corpus import random_soak_system, random_timed_system
+from mobilemem.sysfile import SystemFile, render_system
+from mobilemem.untimed import erase_timers, u_maximal_choices
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
 DELTA = Symbol("delta")
@@ -408,17 +414,175 @@ def _engine_choice_set(choices):
     )
 
 
+def _shared_passive_behind_a_rewrite():
+    """p and r both enter q, which may itself enter s; two rewrites share
+    w's objects, so the search backtracks over the first one between the
+    two moves into q."""
+    cfg = Configuration(mem("skin", INF, [], [
+        mem("p", INF, [(a, INF)]),
+        mem("q", INF, [(a.dual(), INF), (b.dual(), INF), (c, INF)]),
+        mem("r", INF, [(b, INF)]),
+        mem("s", INF, [(c.dual(), INF)]),
+        mem("w", INF, [(x, INF), (x, INF)]),
+    ]))
+    rules = [
+        EndoRule("p", "q", Multiset([a])),
+        RewriteRule("w", Multiset([x]), ((y, Fresh(1)),)),
+        EndoRule("r", "q", Multiset([b])),
+        EndoRule("q", "s", Multiset([c])),
+        RewriteRule("w", Multiset([x]), ((d, Fresh(1)),)),
+    ]
+    return cfg, rules
+
+
 def test_choice_sets_match_reference_interpreter():
-    for seed in range(40):
-        cfg, rules = random_timed_system(seed)
+    systems = [random_timed_system(seed) for seed in range(40)] + [_shared_passive_behind_a_rewrite()]
+    for i, (cfg, rules) in enumerate(systems):
         root = ref.from_config(cfg)
         assert _engine_choice_set(maximal_choices(cfg, rules)) == _ref_choice_set(
-            ref.choices(root, rules, saturated=True)), f"maximal, seed {seed}"
+            ref.choices(root, rules, saturated=True)), f"maximal, system {i}"
         assert _engine_choice_set(step_choices(cfg, rules)) == _ref_choice_set(
-            ref.choices(root, rules, saturated=False)), f"step, seed {seed}"
+            ref.choices(root, rules, saturated=False)), f"step, system {i}"
 
 
 def test_reference_agrees_on_worked_example():
     want = ref.successor_renders(ref.from_config(s1()), [E1])
     got = {ref.render(ref.from_config(nxt)) for _ch, nxt in successors(s1(), [E1])}
     assert want == got
+
+
+_LABELS = ("p", "q", "r")
+_SYMS = (a, b)
+_TIMERS = (1, 2, INF, INF, INF, 0)  # mostly INF, so that many instances are forced
+
+
+@st.composite
+def crowded_systems(draw):
+    """Flat systems of at most 6 membranes over 2-3 labels and 1-2 symbols,
+    where moves share passive membranes, a label is active in one rule and
+    passive in another, and rewrites compete with moves for objects.
+    Membranes hold objects that the rules on their label bind."""
+    labels = _LABELS[:draw(st.integers(2, 3))]
+    syms = _SYMS[:draw(st.integers(1, 2))]
+    endo = st.builds(
+        lambda h, m, u: EndoRule(h, m, Multiset([u])),
+        st.sampled_from(labels), st.sampled_from(labels), st.sampled_from(syms),
+    )
+    exo = st.builds(  # flat: the only parent is the skin
+        lambda h, u: ExoRule(h, "skin", Multiset([u])), st.sampled_from(labels), st.sampled_from(syms),
+    )
+    rewrite = st.builds(
+        lambda at, lhs: RewriteRule(at, Multiset(lhs), ((x, Fresh(1)),)),
+        st.sampled_from(labels),
+        st.lists(st.sampled_from(syms + tuple(s.dual() for s in syms)), min_size=1, max_size=2),
+    )
+    rules = draw(st.lists(st.one_of(endo, endo, rewrite, exo), min_size=2, max_size=3))
+    wanted = {label: [] for label in labels + ("skin",)}
+    for rule in rules:
+        if isinstance(rule, RewriteRule):
+            wanted[rule.at] += list(rule.lhs)
+        else:
+            wanted[rule.h] += list(rule.u)
+            wanted[rule.m] += list(rule.u_bar)
+
+    def objects(label):
+        return [
+            (sym, draw(st.sampled_from(_TIMERS)))
+            for sym in sorted(set(wanted[label]), key=str)
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+
+    used = [label for label in labels if wanted[label]]
+    kids = []
+    for label in used + draw(st.lists(st.sampled_from(used), max_size=5 - len(used))):
+        kids.append(mem(label, draw(st.sampled_from(_TIMERS)), objects(label)))
+    return Configuration(mem("skin", INF, objects("skin"), kids)), rules
+
+
+def _reference_size(root, rules):
+    """Count vectors the reference enumerates: moves 0..1, rewrites up to
+    every object in the tree."""
+    total = sum(sum(node["objs"].values()) for node, _p in ref.walk(root))
+    size = 1
+    for ridx, *_rest in ref.find_instances(root, rules):
+        size *= 2 if isinstance(rules[ridx], (EndoRule, ExoRule)) else total + 1
+    return size
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(crowded_systems())
+def test_choice_sets_match_reference_on_crowded_systems(system):
+    cfg, rules = system
+    root = ref.from_config(cfg)
+    assume(_reference_size(root, rules) <= 256)
+    assert _engine_choice_set(maximal_choices(cfg, rules)) == _ref_choice_set(
+        ref.choices(root, rules, saturated=True))
+    assert _engine_choice_set(step_choices(cfg, rules)) == _ref_choice_set(
+        ref.choices(root, rules, saturated=False))
+    ucfg = erase_timers(cfg)
+    timed_cfg, timed_rules = embed_infinite(ucfg, rules)
+    want = sorted(
+        sorted((r, act, -1 if pas is None else pas) for r, act, pas, _ab, _pb in ch)
+        for ch in ref.choices(ref.from_config(timed_cfg), timed_rules, True)
+    )
+    got = sorted(
+        sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ch)
+        for ch in u_maximal_choices(ucfg, rules)
+    )
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Independent instances (ROADMAP W1): n pairs h_i{a_i} next to m_i{~a_i}.
+# The endo rule takes each h_i into its m_i, swapping a_i for b_i; the exo
+# rule takes it back out. Every instance is forced and independent, so
+# there is one saturated choice, and every step flips every pair.
+
+def _pairs(n, flipped):
+    kids = []
+    for i in range(n):
+        ai, bi = Symbol(f"a{i}"), Symbol(f"b{i}")
+        if flipped:
+            kids.append(mem(f"m{i}", INF, [(bi.dual(), INF)], [mem(f"h{i}", INF, [(bi, INF)])]))
+        else:
+            kids += [mem(f"h{i}", INF, [(ai, INF)]), mem(f"m{i}", INF, [(ai.dual(), INF)])]
+    return Configuration(mem("skin", INF, [], kids))
+
+
+def _pair_rules(n):
+    rules = []
+    for i in range(n):
+        ai, bi = Symbol(f"a{i}"), Symbol(f"b{i}")
+        rules.append(EndoRule(f"h{i}", f"m{i}", Multiset([ai]),
+                              w=((bi, Fresh(INF)),), w2=((bi.dual(), Fresh(INF)),)))
+        rules.append(ExoRule(f"h{i}", f"m{i}", Multiset([bi]),
+                             w=((ai, Fresh(INF)),), w2=((ai.dual(), Fresh(INF)),)))
+    return rules
+
+
+def test_independent_instances_cost_per_instance(monkeypatch):
+    n, steps = 40, 20
+    calls = {"n": 0, "budget": 4 * n}
+    def counted(*args):
+        calls["n"] += 1
+        if calls["n"] > calls["budget"]:
+            raise AssertionError(f"more than {calls['budget']} conflict tests")
+        return addable(*args)
+
+    monkeypatch.setattr("mobilemem.choices.addable", counted)
+    cfg, rules = _pairs(n, False), _pair_rules(n)
+    assert len(maximal_choices(cfg, rules)) == 1
+    calls.update(n=0, budget=4 * n * steps)
+    trace = run(cfg, rules, steps)
+    keys = [canonicalize(cfg), canonicalize(_pairs(n, True))]
+    assert [r.key for r in trace.records] == [keys[i % 2] for i in range(1, steps + 1)]
+
+
+def test_wide_input_has_one_choice_and_simulates(tmp_path, capsys):
+    n = 1200
+    cfg, rules = _pairs(n, False), _pair_rules(n)
+    assert len(maximal_choices(cfg, rules)) == 1
+    path = tmp_path / "wide.mms"
+    path.write_text(render_system(SystemFile(True, "skin", cfg, tuple(rules))))
+    assert main(["sim", str(path), "--steps", "1"]) == 0
+    capsys.readouterr()
