@@ -2,7 +2,8 @@
 
 Each item is one SHA-256 over a text the toolkit produces: choice sets,
 seeded traces, reach graphs, literal successors, check verdicts, and the
-compiled ROADMAP W3 system. Every corpus system is renumbered first, so
+compiled ROADMAP W3 system; the ambient items cover both the seeded
+reducible processes and ``corpus.hand_processes()``. Every corpus system is renumbered first, so
 uids do not depend on which tests ran before. A refactor must keep every
 digest. A change meant to alter one rewrites the file with
 
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from mobilemem.core import canonicalize, renumber
 from mobilemem.corpus import (
+    hand_processes,
     random_reducible_process,
     random_timed_system,
     random_untimed_system,
@@ -81,20 +83,25 @@ def items():
         yield f"explore_untimed/{seed}", _json(explore_untimed(config, rules, 4).to_json())
         yield f"prop1/{seed}", _json(check_embedding(config, rules, 6).to_json())
     for seed in AMBIENT_SEEDS:
-        process = random_reducible_process(seed)
-        pairs = literal_successors(translate(process), generate_rules(process, strict=True))
-        yield f"literal_successors/{seed}", "\n".join(
-            f"{choice_describe(ch)} => {canonicalize(cfg)}" for ch, cfg in pairs
-        )
-        yield f"explore_ambients/{seed}", _json(explore_ambients(process, 4).to_json())
-        if seed < 10:
-            yield f"prop45/{seed}", _json(check_translation(process, 4).to_json())
+        yield from _ambient_items(str(seed), random_reducible_process(seed), seed < 10)
 
     sf = parse_system(W3_T3)
     uconfig, urules = eliminate_timers(sf.config, sf.rules)
     yield "compiled_w3_t3", render_system(
         SystemFile(False, uconfig.output_label, uconfig, urules, compiled=True)
     )
+    for i, process in enumerate(hand_processes()):
+        yield from _ambient_items(f"hand/{i}", process, True)
+
+
+def _ambient_items(tag, process, with_prop45):
+    pairs = literal_successors(translate(process), generate_rules(process, strict=True))
+    yield f"literal_successors/{tag}", "\n".join(
+        f"{choice_describe(ch)} => {canonicalize(cfg)}" for ch, cfg in pairs
+    )
+    yield f"explore_ambients/{tag}", _json(explore_ambients(process, 4).to_json())
+    if with_prop45:
+        yield f"prop45/{tag}", _json(check_translation(process, 4).to_json())
 
 
 def _digest(text: str) -> str:
