@@ -191,10 +191,10 @@ def _cmd_output(args) -> int:
     sf = _load_system(args.file)
     if sf.timed:
         trace = run(sf.config, sf.rules, args.steps, "random", args.seed)
-        reading = output_reading(trace.configs[-1])
+        reading = output_reading(trace.final)
     else:
         trace = u_run(sf.config, sf.rules, args.steps, "random", args.seed)
-        reading = u_output_reading(trace.configs[-1])
+        reading = u_output_reading(trace.final)
     _emit({
         "halted": trace.halted,
         "steps": len(trace.records),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 INF = float("inf")
@@ -103,9 +103,6 @@ class Multiset:
         """Sorted ``(item, count)`` pairs."""
         return self._items
 
-    def distinct(self) -> Iterator:
-        return iter(self._counts)
-
     def __iter__(self) -> Iterator:
         for item, n in self._items:
             for _ in range(n):
@@ -152,9 +149,6 @@ class Multiset:
         for item, n in other._counts.items():
             counts[item] -= n
         return Multiset._from_counts(counts)
-
-    def remove(self, item, n: int = 1) -> "Multiset":
-        return self.difference(Multiset({item: n}))
 
 
 _uid_counter = itertools.count(1)
@@ -297,14 +291,13 @@ Rule = Union[EndoRule, ExoRule, RewriteRule]
 # ---------------------------------------------------------------------------
 # Canonicalization and readings
 
-def canonical_render(node: MembraneNode, with_timers: bool = True) -> str:
+def canonical_render(node: MembraneNode) -> str:
     """Deterministic rendering, invariant under sibling and entry order."""
     objs = []
     for (sym, t), n in node.content.items():
-        text = f"{sym}:{timer_str(t)}" if with_timers else str(sym)
-        objs.extend([text] * n)
-    kids = sorted(canonical_render(c, with_timers) for c in node.children)
-    head = f"{node.label}:{timer_str(node.timer)}" if with_timers else node.label
+        objs.extend([f"{sym}:{timer_str(t)}"] * n)
+    kids = sorted(canonical_render(c) for c in node.children)
+    head = f"{node.label}:{timer_str(node.timer)}"
     return head + "{" + ",".join(objs) + "}[" + " ".join(kids) + "]"
 
 
@@ -312,11 +305,6 @@ def canonicalize(config: Configuration) -> str:
     """Canonical key: equal keys iff configurations are equal up to sibling
     membrane order and multiset entry order. uids are excluded."""
     return canonical_render(config.skin) + "|out=" + config.output_label
-
-
-def erase_timers_key(config: Configuration) -> str:
-    """Canonical key after forgetting every timer."""
-    return canonical_render(config.skin, with_timers=False) + "|out=" + config.output_label
 
 
 def output_reading(config: Configuration) -> Multiset:
@@ -389,10 +377,6 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
                 violations.append(f"rule {name}: rewrite left side is empty")
             _check_prods("rhs", rule.rhs, rule.active_slots, violations, name)
     return violations
-
-
-def replace_node(node: MembraneNode, **changes) -> MembraneNode:
-    return replace(node, **changes)
 
 
 def renumber(config: Configuration) -> Configuration:

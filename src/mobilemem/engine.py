@@ -30,14 +30,17 @@ refusable, so on systems with only infinite timers the two notions agree.
 ``successors`` and the explorer enumerate ``step_choices``; this is what
 makes the timer-elimination equivalence checkable. Both come from
 ``choices.enumerate_choices``, which holds the one conflict rule and its
-three modes (saturated, forced-only, any) for every relation.
+three modes (saturated, forced-only, any) for every relation. Moves,
+dissolution and the rebuilt tree come from ``tree.Tree``, which the
+untimed step and the literal relation use too.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .choices import addable, availability, enumerate_choices
 from .core import (
@@ -59,6 +62,7 @@ from .core import (
     decrement,
     timer_str,
 )
+from .tree import Tree
 
 
 class StaleChoiceError(ValueError):
@@ -250,19 +254,6 @@ def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoic
 # ---------------------------------------------------------------------------
 # Step application
 
-class _WorkNode:
-    __slots__ = ("label", "timer", "content", "children", "parent", "produced", "uid")
-
-    def __init__(self, node: MembraneNode, parent: int | None):
-        self.label = node.label
-        self.timer = node.timer
-        self.content = {cls: n for cls, n in node.content.items()}
-        self.children = [c.uid for c in node.children]
-        self.parent = parent
-        self.produced: dict = {}
-        self.uid = node.uid
-
-
 @dataclass(frozen=True)
 class StepStats:
     consumed: int = 0
@@ -296,7 +287,7 @@ def _resolve_products(prods: Iterable, slot_classes: tuple) -> list[ObjClass]:
     return out
 
 
-def _validate_choice(config: Configuration, choice: StepChoice, nodes: dict) -> None:
+def _validate_choice(choice: StepChoice, nodes: dict) -> None:
     usage: dict = {}
     actives: set = set()
     passives: set = set()
@@ -304,19 +295,15 @@ def _validate_choice(config: Configuration, choice: StepChoice, nodes: dict) -> 
         active = nodes.get(inst.active_uid)
         if active is None:
             raise StaleChoiceError(f"no membrane with uid {inst.active_uid}")
-        if isinstance(inst.rule, EndoRule):
-            passive = nodes.get(inst.passive_uid)
-            if passive is None or active.parent != passive.parent or active.parent is None:
-                raise StaleChoiceError("endo participants are not siblings here")
-            if active.children or not active.timer > 0 or not passive.timer > 0:
-                raise StaleChoiceError("endo structural precondition fails")
-        elif isinstance(inst.rule, ExoRule):
-            passive = nodes.get(inst.passive_uid)
-            if passive is None or active.parent != passive.uid:
-                raise StaleChoiceError("exo active is not a child of its passive")
-            if active.children or not active.timer > 0 or not passive.timer > 0:
-                raise StaleChoiceError("exo structural precondition fails")
         if inst.is_move:
+            passive = nodes.get(inst.passive_uid)
+            if isinstance(inst.rule, EndoRule):
+                if passive is None or active.parent is not passive.parent or active.parent is None:
+                    raise StaleChoiceError("endo participants are not siblings here")
+            elif passive is None or active.parent is not passive:
+                raise StaleChoiceError("exo active is not a child of its passive")
+            if active.children or not active.src.timer > 0 or not passive.src.timer > 0:
+                raise StaleChoiceError("move structural precondition fails")
             if inst.active_uid in actives or inst.active_uid in passives or inst.passive_uid in actives:
                 raise StaleChoiceError("conflicting membrane roles in choice")
             actives.add(inst.active_uid)
@@ -333,150 +320,93 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     """Apply one chosen step and the clock phases; see the module docstring
     for the phase order. Raises StaleChoiceError on a choice that was not
     produced for this configuration."""
-    nodes: dict[int, _WorkNode] = {}
-
-    def load(node: MembraneNode, parent: int | None):
-        nodes[node.uid] = _WorkNode(node, parent)
-        for child in node.children:
-            load(child, node.uid)
-
-    load(config.skin, None)
-    _validate_choice(config, choice, nodes)
+    tree = Tree(config.skin)
+    nodes = tree.nodes
+    _validate_choice(choice, nodes)
 
     consumed = produced_count = 0
+    produced: dict = {}  # uid -> {class: count} made in phase 1
+    timers: dict = {}  # active uid -> its timer after the step
+
+    def give(uid: int, prods: Iterable, slot_classes: tuple) -> None:
+        nonlocal produced_count
+        content = nodes[uid].content
+        made = produced.setdefault(uid, {})
+        for cls in _resolve_products(prods, slot_classes):
+            content[cls] = content.get(cls, 0) + 1
+            made[cls] = made.get(cls, 0) + 1
+            produced_count += 1
+
     # Phase 1: consume, produce, move, decrement actives.
     for inst in choice:
         for (uid, cls), n in inst.needs().items():
-            nodes[uid].content[cls] -= n
-            if nodes[uid].content[cls] == 0:
-                del nodes[uid].content[cls]
+            content = nodes[uid].content
+            content[cls] -= n
+            if not content[cls]:
+                del content[cls]
             consumed += n
-    actives: set = set()
-    moves: list[tuple[str, int, int]] = []
     for inst in choice:
         rule = inst.rule
         if isinstance(rule, RewriteRule):
-            host = nodes[inst.active_uid]
-            for cls in _resolve_products(rule.rhs, inst.active_classes):
-                host.content[cls] = host.content.get(cls, 0) + 1
-                host.produced[cls] = host.produced.get(cls, 0) + 1
-                produced_count += 1
+            give(inst.active_uid, rule.rhs, inst.active_classes)
         else:
-            active = nodes[inst.active_uid]
-            passive = nodes[inst.passive_uid]
-            for cls in _resolve_products(rule.w, inst.active_classes):
-                active.content[cls] = active.content.get(cls, 0) + 1
-                active.produced[cls] = active.produced.get(cls, 0) + 1
-                produced_count += 1
-            for cls in _resolve_products(rule.w2, inst.passive_classes):
-                passive.content[cls] = passive.content.get(cls, 0) + 1
-                passive.produced[cls] = passive.produced.get(cls, 0) + 1
-                produced_count += 1
-            actives.add(inst.active_uid)
-            if not rule.keep_active_timer:
-                active.timer = decrement(active.timer)
-            moves.append(("endo" if isinstance(rule, EndoRule) else "exo", inst.active_uid, inst.passive_uid))
+            give(inst.active_uid, rule.w, inst.active_classes)
+            give(inst.passive_uid, rule.w2, inst.passive_classes)
+            timer = nodes[inst.active_uid].src.timer
+            timers[inst.active_uid] = timer if rule.keep_active_timer else decrement(timer)
 
     detached: list[tuple[int, str, str]] = []
     detached_objects = 0
-    for kind, a_uid, p_uid in moves:
-        active = nodes[a_uid]
-        old_parent = nodes[active.parent]
-        old_parent.children.remove(a_uid)
-        if kind == "endo":
-            nodes[p_uid].children.append(a_uid)
-            active.parent = p_uid
-        else:
-            passive = nodes[p_uid]
-            if passive.parent is None:
+    for inst in choice:
+        if isinstance(inst.rule, EndoRule):
+            tree.endo(inst.active_uid, inst.passive_uid)
+        elif isinstance(inst.rule, ExoRule):
+            gone = tree.exo(inst.active_uid)
+            if gone is not None:
+                label = gone.src.label
                 frozen = MembraneNode(
-                    active.label, active.timer,
-                    Multiset(active.content), (), uid=a_uid,
+                    label, timers[inst.active_uid], Multiset(gone.content), (), uid=inst.active_uid
                 )
-                detached.append((a_uid, active.label, canonical_render(frozen)))
-                detached_objects += sum(active.content.values())
-                del nodes[a_uid]
-            else:
-                nodes[passive.parent].children.append(a_uid)
-                active.parent = passive.parent
+                detached.append((inst.active_uid, label, canonical_render(frozen)))
+                detached_objects += sum(gone.content.values())
 
     # Phases 2 and 3: expire timer-0 objects, tick the remaining unbound
-    # pre-existing objects; phase-1 products are skipped in both.
+    # pre-existing objects; phase-1 products are skipped in both. Then the
+    # phase-4 marker on every non-skin, non-active membrane at timer 0.
     expired = 0
-    for node in nodes.values():
-        new_content: dict = {}
-
-        def put(cls, n):
-            if n:
-                new_content[cls] = new_content.get(cls, 0) + n
-
-        for cls, total in node.content.items():
-            prod = node.produced.get(cls, 0)
-            orig = total - prod
-            put(cls, prod)
-            sym, t = cls
-            if orig:
-                if _is_delta(cls):
-                    put(cls, orig)  # markers take part in phase 4, not in time
-                elif t == 0:
-                    expired += orig
-                elif t == INF:
-                    put(cls, orig)
-                else:
-                    put((sym, t - 1), orig)
-        node.content = new_content
-
-    # Phase 4: timer-0 dissolution marker, then bottom-up dissolution.
-    delta_consumed = 0
     marker = (DELTA, INF)
-    for node in list(nodes.values()):
-        if node.parent is not None and node.uid not in actives and node.timer == 0:
-            node.content[marker] = node.content.get(marker, 0) + 1
+    for uid, node in nodes.items():
+        made = produced.get(uid, {})
+        content = dict(made)
+        for cls, total in node.content.items():
+            orig = total - made.get(cls, 0)
+            if not orig:
+                continue
+            sym, t = cls
+            if t == INF or _is_delta(cls):  # markers take part in phase 4, not in time
+                content[cls] = content.get(cls, 0) + orig
+            elif t == 0:
+                expired += orig
+            else:
+                content[(sym, t - 1)] = content.get((sym, t - 1), 0) + orig
+        if node.parent is not None and uid not in timers and node.src.timer == 0:
+            content[marker] = content.get(marker, 0) + 1
+        node.content = content
 
-    def post_order(uid: int) -> list[int]:
-        out: list[int] = []
-        for child in list(nodes[uid].children):
-            out.extend(post_order(child))
-        out.append(uid)
-        return out
+    # Phase 4: bottom-up dissolution.
+    delta_consumed = tree.dissolve(_is_delta)
 
-    for uid in post_order(config.skin.uid):
-        node = nodes[uid]
-        deltas = sum(n for cls, n in node.content.items() if _is_delta(cls))
-        if not deltas:
-            continue
-        delta_consumed += deltas
-        node.content = {cls: n for cls, n in node.content.items() if not _is_delta(cls)}
-        if node.parent is None:
-            continue  # the skin swallows markers and never dissolves
-        parent = nodes[node.parent]
-        for cls, n in node.content.items():
-            parent.content[cls] = parent.content.get(cls, 0) + n
-        for child_uid in node.children:
-            nodes[child_uid].parent = parent.uid
-            parent.children.append(child_uid)
-        parent.children.remove(uid)
-        del nodes[uid]
+    # Phase 5, while freezing: tick every surviving non-active membrane
+    # (timer-0 ones dissolved in phase 4; INF - 1 == INF).
+    def make(node, children: tuple) -> MembraneNode:
+        src = node.src
+        if src.uid in timers:
+            timer = timers[src.uid]
+        else:
+            timer = src.timer if node.parent is None else src.timer - 1
+        return MembraneNode(src.label, timer, Multiset(node.content), children, uid=src.uid)
 
-    # Phase 5: tick every surviving non-active membrane.
-    for node in nodes.values():
-        if node.parent is None or node.uid in actives:
-            continue
-        if node.timer == INF:
-            continue
-        if node.timer > 0:
-            node.timer -= 1
-        else:  # pragma: no cover - timer-0 non-actives dissolved in phase 4
-            raise AssertionError("undissolved timer-0 membrane")
-
-    def rebuild(uid: int) -> MembraneNode:
-        node = nodes[uid]
-        return MembraneNode(
-            node.label, node.timer, Multiset(node.content),
-            tuple(rebuild(c) for c in node.children), uid=uid,
-        )
-
-    new_config = Configuration(rebuild(config.skin.uid), config.output_label)
+    new_config = Configuration(tree.freeze(make), config.output_label)
     stats = StepStats(consumed, produced_count, expired, delta_consumed, detached_objects)
     return StepResult(new_config, tuple(detached), stats)
 
@@ -489,12 +419,18 @@ def apply_step(config: Configuration, choice: StepChoice) -> Configuration:
 def successors(config: Configuration, rules: Sequence[Rule]) -> list[tuple[StepChoice, Configuration]]:
     """Distinct next configurations over all legal choices, deduplicated by
     canonical key (one representative choice per key)."""
-    seen: dict[str, tuple[StepChoice, Configuration]] = {}
-    for choice in step_choices(config, rules):
-        result = step(config, choice).config
-        key = canonicalize(result)
-        if key not in seen:
-            seen[key] = (choice, result)
+    return distinct_successors(
+        config, step_choices(config, rules), lambda c, ch: step(c, ch).config, canonicalize
+    )
+
+
+def distinct_successors(config, choices: Iterable, apply: Callable, key: Callable) -> list[tuple]:
+    """``(choice, apply(config, choice))`` for the first choice reaching
+    each ``key``, in key order; shared by every successor relation."""
+    seen: dict = {}
+    for choice in choices:
+        result = apply(config, choice)
+        seen.setdefault(key(result), (choice, result))
     return [seen[k] for k in sorted(seen)]
 
 
@@ -525,8 +461,8 @@ class Trace:
     selector: str
     seed: int | None
     steps_requested: int
+    final: object = None  # the last configuration reached
     records: list = field(default_factory=list)
-    configs: list = field(default_factory=list)
 
     @property
     def halted(self) -> bool:
@@ -557,28 +493,35 @@ def run(
     (seeded); identical seeds give identical traces. Stops early, flagging
     halt, when the only choice reproduces the current configuration.
     """
+
+    def apply(current, choice):
+        result = step(current, choice)
+        return result.config, result.detached
+
+    return simulate(
+        config, steps, selector, seed, lambda c: maximal_choices(c, rules), apply, canonicalize
+    )
+
+
+def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: Callable, key: Callable) -> Trace:
+    """The simulation loop of ``run`` and ``untimed.u_run``: ``choices(c)``
+    lists the choices, ``apply(c, choice)`` gives (next configuration,
+    detached archive) and ``key(c)`` the canonical key."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if selector not in ("first", "random"):
         raise ValueError(f"unknown selector {selector!r}")
-    rng = None
-    if selector == "random":
-        import random as _random
-
-        rng = _random.Random(seed)
-    trace = Trace(canonicalize(config), selector, seed, steps)
-    trace.configs.append(config)
-    current = config
+    rng = random.Random(seed) if selector == "random" else None
+    trace = Trace(key(config), selector, seed, steps, config)
     current_key = trace.initial_key
     for index in range(1, steps + 1):
-        choices = maximal_choices(current, rules)
-        choice = choices[0] if rng is None else rng.choice(choices)
-        result = step(current, choice)
-        key = canonicalize(result.config)
-        halted = len(choices) == 1 and key == current_key
-        trace.records.append(StepRecord(index, choice, key, halted, result.detached))
-        trace.configs.append(result.config)
-        current, current_key = result.config, key
+        options = choices(trace.final)
+        choice = options[0] if rng is None else rng.choice(options)
+        trace.final, detached = apply(trace.final, choice)
+        new_key = key(trace.final)
+        halted = len(options) == 1 and new_key == current_key
+        trace.records.append(StepRecord(index, choice, new_key, halted, detached))
+        current_key = new_key
         if halted:
             break
     return trace

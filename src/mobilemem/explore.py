@@ -93,12 +93,6 @@ class ReachGraph:
     objects: dict = field(default_factory=dict)    # key -> state object
     truncated: bool = False
 
-    def per_depth_keys(self) -> dict[int, set]:
-        out: dict[int, set] = {}
-        for record in self.nodes.values():
-            out.setdefault(record.depth, set()).add(record.key)
-        return out
-
     def to_json(self) -> dict:
         return {
             "root": self.root,

@@ -28,7 +28,6 @@ decrements the moving membrane.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterator, Sequence
 
 from .core import (
@@ -48,7 +47,8 @@ from .core import (
 from . import ambient as amb
 from .ambient import Amb, Capability, Prefix, Process
 from .choices import availability, enumerate_choices
-from .engine import Instance, find_instances
+from .engine import Instance, distinct_successors, find_instances
+from .tree import Tree
 
 SKIN_LABEL = "skin"
 
@@ -128,65 +128,32 @@ def _literal_apply(config: Configuration, instances: Sequence[Instance]) -> Conf
     objects are replaced by the right-hand sides (carried timers unchanged),
     active membranes move, and no timer anywhere is touched. No clock
     phases, no dissolution."""
+    tree = Tree(config.skin)
 
-    class Node:
-        __slots__ = ("src", "children", "content", "parent")
-
-        def __init__(self, src: MembraneNode, parent):
-            self.src = src
-            self.children = [c.uid for c in src.children]
-            self.content = src.content
-            self.parent = parent
-
-    nodes: dict[int, Node] = {}
-
-    def load(node: MembraneNode, parent):
-        nodes[node.uid] = Node(node, parent)
-        for child in node.children:
-            load(child, node.uid)
-
-    load(config.skin, None)
-
-    def products(prods, classes):
-        out = []
+    def swap(uid, classes, prods):
+        content = tree.nodes[uid].content
+        for cls in classes:
+            content[cls] -= 1
+            if not content[cls]:
+                del content[cls]
         for sym, spec in prods:
-            if isinstance(spec, Fresh):
-                out.append((sym, spec.timer))
-            else:
-                out.append((sym, classes[spec.slot][1]))
-        return out
+            cls = (sym, spec.timer if isinstance(spec, Fresh) else classes[spec.slot][1])
+            content[cls] = content.get(cls, 0) + 1
 
     for inst in instances:
-        active = nodes[inst.active_uid]
-        passive = nodes[inst.passive_uid]
-        active.content = active.content.difference(Multiset(list(inst.active_classes)))
-        passive.content = passive.content.difference(Multiset(list(inst.passive_classes)))
-        for cls in products(inst.rule.w, inst.active_classes):
-            active.content = active.content.add(cls)
-        for cls in products(inst.rule.w2, inst.passive_classes):
-            passive.content = passive.content.add(cls)
+        swap(inst.active_uid, inst.active_classes, inst.rule.w)
+        swap(inst.passive_uid, inst.passive_classes, inst.rule.w2)
     for inst in instances:
-        active = nodes[inst.active_uid]
-        nodes[active.parent].children.remove(inst.active_uid)
         if isinstance(inst.rule, EndoRule):
-            nodes[inst.passive_uid].children.append(inst.active_uid)
-            active.parent = inst.passive_uid
+            tree.endo(inst.active_uid, inst.passive_uid)
         else:
-            grandparent = nodes[inst.passive_uid].parent
-            if grandparent is None:
-                del nodes[inst.active_uid]  # out of the skin: detached
-            else:
-                nodes[grandparent].children.append(inst.active_uid)
-                active.parent = grandparent
+            tree.exo(inst.active_uid)  # out of the skin: detached and dropped
 
-    def rebuild(uid: int) -> MembraneNode:
-        node = nodes[uid]
-        return replace(
-            node.src, content=node.content,
-            children=tuple(rebuild(c) for c in node.children),
-        )
+    def make(node, children):
+        src = node.src
+        return MembraneNode(src.label, src.timer, Multiset(node.content), children, uid=src.uid)
 
-    return Configuration(rebuild(config.skin.uid), config.output_label)
+    return Configuration(tree.freeze(make), config.output_label)
 
 
 def literal_successors(
@@ -197,12 +164,8 @@ def literal_successors(
     composes independent movements), with no clock. Deduplicated by
     canonical key."""
     instances = [i for i in find_instances(config, rules) if i.is_move]
-    seen: dict[str, tuple[tuple, Configuration]] = {}
-    for choice in enumerate_choices(instances, Instance.needs, availability(config), lambda inst: False):
-        if choice:
-            result = _literal_apply(config, choice)
-            seen.setdefault(canonicalize(result), (choice, result))
-    return [seen[k] for k in sorted(seen)]
+    choices = enumerate_choices(instances, Instance.needs, availability(config), lambda inst: False)
+    return distinct_successors(config, [ch for ch in choices if ch], _literal_apply, canonicalize)
 
 
 # ---------------------------------------------------------------------------

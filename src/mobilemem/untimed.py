@@ -9,16 +9,19 @@ bottom-up. There are no clock phases.
 
 This module is intentionally not a wrapper over the timed engine: the
 embedding and timer-elimination checks compare the two interpreters against
-each other, which only means something if they are independent code. Only
-the conflict rule is shared: ``choices.py`` holds it, with its three modes,
-and sees nothing of an instance but its membranes, the objects it binds
-and its sort key; matching and application stay here.
+each other, which only means something where they are independent code.
+Instance matching and the consuming and producing of rule sides are
+written here. Shared with the timed engine are the conflict rule
+(``choices.py``, which sees nothing of an instance but its membranes, the
+objects it binds and its sort key), the structural edit of a step
+(``tree.py``: membrane moves, bottom-up dissolution, rebuilding), and the
+run loop and successor deduplication of ``engine``. What is shared is
+checked against ``tests/reference.py`` rather than by the embedding.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -35,6 +38,8 @@ from .core import (
     Symbol,
     fresh_uid,
 )
+from .engine import distinct_successors, simulate
+from .tree import Tree
 
 
 @dataclass(frozen=True)
@@ -208,44 +213,29 @@ def u_maximal_choices(config: UConfig, rules: Sequence[Rule]) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Application
 
-class _UWork:
-    __slots__ = ("label", "content", "children", "parent", "uid")
-
-    def __init__(self, node: UNode, parent):
-        self.label = node.label
-        self.content = {sym: n for sym, n in node.content.items()}
-        self.children = [c.uid for c in node.children]
-        self.parent = parent
-        self.uid = node.uid
+def _is_marker(sym: Symbol) -> bool:
+    return sym.name == DELTA_NAME and not sym.is_co
 
 
 def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     """Fire the instances simultaneously, then dissolve marker-holding
     membranes bottom-up. Returns (configuration, detached archive)."""
-    nodes: dict[int, _UWork] = {}
-
-    def load(node: UNode, parent):
-        nodes[node.uid] = _UWork(node, parent)
-        for child in node.children:
-            load(child, node.uid)
-
-    load(config.skin, None)
+    tree = Tree(config.skin)
 
     def consume(uid, syms: Multiset):
-        node = nodes[uid]
+        content = tree.nodes[uid].content
         for sym, n in syms.items():
-            if node.content.get(sym, 0) < n:
+            if content.get(sym, 0) < n:
                 raise ValueError(f"stale untimed choice: {sym} x{n} missing in {uid}")
-            node.content[sym] -= n
-            if not node.content[sym]:
-                del node.content[sym]
+            content[sym] -= n
+            if not content[sym]:
+                del content[sym]
 
     def produce(uid, prods):
-        node = nodes[uid]
+        content = tree.nodes[uid].content
         for sym, _spec in prods:
-            node.content[sym] = node.content.get(sym, 0) + 1
+            content[sym] = content.get(sym, 0) + 1
 
-    moves = []
     for inst in choice:
         rule = inst.rule
         if isinstance(rule, RewriteRule):
@@ -256,94 +246,32 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
             consume(inst.passive_uid, rule.u_bar.union(rule.v2))
             produce(inst.active_uid, rule.w)
             produce(inst.passive_uid, rule.w2)
-            moves.append(("endo" if isinstance(rule, EndoRule) else "exo", inst.active_uid, inst.passive_uid))
 
     detached = []
-    for kind, a_uid, p_uid in moves:
-        active = nodes[a_uid]
-        nodes[active.parent].children.remove(a_uid)
-        if kind == "endo":
-            nodes[p_uid].children.append(a_uid)
-            active.parent = p_uid
-        else:
-            passive = nodes[p_uid]
-            if passive.parent is None:
-                frozen = UNode(active.label, Multiset(active.content), (), uid=a_uid)
-                detached.append((a_uid, active.label, u_render(frozen)))
-                del nodes[a_uid]
-            else:
-                nodes[passive.parent].children.append(a_uid)
-                active.parent = passive.parent
+    for inst in choice:
+        if isinstance(inst.rule, EndoRule):
+            tree.endo(inst.active_uid, inst.passive_uid)
+        elif isinstance(inst.rule, ExoRule):
+            gone = tree.exo(inst.active_uid)
+            if gone is not None:
+                frozen = UNode(gone.src.label, Multiset(gone.content), (), uid=inst.active_uid)
+                detached.append((inst.active_uid, gone.src.label, u_render(frozen)))
 
-    def is_marker(sym: Symbol) -> bool:
-        return sym.name == DELTA_NAME and not sym.is_co
-
-    def post_order(uid):
-        out = []
-        for child in list(nodes[uid].children):
-            out.extend(post_order(child))
-        out.append(uid)
-        return out
-
-    for uid in post_order(config.skin.uid):
-        node = nodes[uid]
-        if not any(is_marker(sym) for sym in node.content):
-            continue
-        node.content = {sym: n for sym, n in node.content.items() if not is_marker(sym)}
-        if node.parent is None:
-            continue
-        parent = nodes[node.parent]
-        for sym, n in node.content.items():
-            parent.content[sym] = parent.content.get(sym, 0) + n
-        for child_uid in node.children:
-            nodes[child_uid].parent = parent.uid
-            parent.children.append(child_uid)
-        parent.children.remove(uid)
-        del nodes[uid]
-
-    def rebuild(uid) -> UNode:
-        node = nodes[uid]
-        return UNode(node.label, Multiset(node.content), tuple(rebuild(c) for c in node.children), uid=uid)
-
-    return UConfig(rebuild(config.skin.uid), config.output_label), tuple(detached)
+    tree.dissolve(_is_marker)
+    skin = tree.freeze(
+        lambda node, children: UNode(node.src.label, Multiset(node.content), children, uid=node.src.uid)
+    )
+    return UConfig(skin, config.output_label), tuple(detached)
 
 
 def u_successors(config: UConfig, rules: Sequence[Rule]) -> list[tuple[tuple, UConfig]]:
-    seen: dict[str, tuple] = {}
-    for choice in u_maximal_choices(config, rules):
-        result, _det = u_apply(config, choice)
-        key = u_canonicalize(result)
-        if key not in seen:
-            seen[key] = (choice, result)
-    return [seen[k] for k in sorted(seen)]
+    return distinct_successors(
+        config, u_maximal_choices(config, rules), lambda c, ch: u_apply(c, ch)[0], u_canonicalize
+    )
 
 
 def u_run(config: UConfig, rules: Sequence[Rule], steps: int, selector: str = "first", seed=None):
     """Untimed simulation loop with the same trace schema as the timed one."""
-    from .engine import Trace, StepRecord
-
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    rng = None
-    if selector == "random":
-        import random as _random
-
-        rng = _random.Random(seed)
-    elif selector != "first":
-        raise ValueError(f"unknown selector {selector!r}")
-    trace = Trace(u_canonicalize(config), selector, seed, steps)
-    trace.configs.append(config)
-    current = config
-    current_key = trace.initial_key
-    for index in range(1, steps + 1):
-        choices = u_maximal_choices(current, rules)
-        choice = choices[0] if rng is None else rng.choice(choices)
-        result, detached = u_apply(current, choice)
-        key = u_canonicalize(result)
-        halted = len(choices) == 1 and key == current_key
-        trace.records.append(StepRecord(index, choice, key, halted, detached))
-        trace.configs.append(result)
-        current, current_key = result, key
-        if halted:
-            break
-    return trace
+    return simulate(
+        config, steps, selector, seed, lambda c: u_maximal_choices(c, rules), u_apply, u_canonicalize
+    )

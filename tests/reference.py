@@ -131,14 +131,25 @@ def _usage_ok(root, counts, instances, rules):
     return need, set(actives), passives
 
 
+def count_bounds(root, rules, instances):
+    """Most copies of each instance a choice can hold: 1 for a move; for a
+    rewrite, the copies its host's objects cover, class by class. Any
+    higher count fails ``_usage_ok``."""
+    by_uid = {node["uid"]: node for node, _p in walk(root)}
+    bounds = []
+    for ridx, a_uid, _p_uid, ab, _pb in instances:
+        if isinstance(rules[ridx], (EndoRule, ExoRule)):
+            bounds.append(1)
+        else:
+            objs = by_uid[a_uid]["objs"]
+            bounds.append(min(objs[cls] // ab.count(cls) for cls in ab))
+    return bounds
+
+
 def choices(root, rules, saturated):
     instances = find_instances(root, rules)
-    total_objs = sum(sum(node["objs"].values()) for node, _p in walk(root))
-    bounds = []
-    for ridx, *_rest in instances:
-        bounds.append(1 if isinstance(rules[ridx], (EndoRule, ExoRule)) else total_objs)
     results = []
-    for counts in product(*(range(b + 1) for b in bounds)):
+    for counts in product(*(range(b + 1) for b in count_bounds(root, rules, instances))):
         state = _usage_ok(root, counts, instances, rules)
         if state is None:
             continue

@@ -122,9 +122,12 @@ def test_criterion_maximality_soak():
     for seed in range(20):
         cfg, rules = corpus.random_soak_system(seed)
         trace = run(cfg, rules, 50, selector="random", seed=seed)
-        for idx, record in enumerate(trace.records):
-            assert residual_instances(trace.configs[idx], record.choice, rules) == [], \
+        current = cfg
+        for record in trace.records:
+            assert residual_instances(current, record.choice, rules) == [], \
                 f"seed {seed} step {record.index}"
+            current = apply_step(current, record.choice)
+            assert canonicalize(current) == record.key, f"seed {seed} step {record.index}"
         total += len(trace.records)
     assert total == 1000
     _timed(f"maximality audit over {total} steps", 30.0, t0)

@@ -54,7 +54,7 @@ def test_multiset_laws():
 
 
 def test_multiset_no_zero_entries():
-    m = Multiset({a: 2}).remove(a, 2)
+    m = Multiset({a: 2}).difference(Multiset([a, a]))
     assert a not in m
     assert list(m.items()) == []
 

@@ -319,7 +319,7 @@ def test_run_zero_steps():
     cfg = s1()
     trace = run(cfg, [E1], 0)
     assert trace.records == []
-    assert trace.configs == [cfg]
+    assert trace.final == cfg
 
 
 def test_run_executes_the_forced_endo():
@@ -344,8 +344,11 @@ def test_equal_seeds_equal_traces():
 def test_maximality_audit_on_soak():
     cfg, rules = random_soak_system(1)
     trace = run(cfg, rules, 25, selector="random", seed=9)
-    for idx, record in enumerate(trace.records):
-        assert residual_instances(trace.configs[idx], record.choice, rules) == []
+    current = cfg
+    for record in trace.records:
+        assert residual_instances(current, record.choice, rules) == []
+        current = step(current, record.choice).config
+        assert canonicalize(current) == record.key
 
 
 def _object_count(cfg):
@@ -500,12 +503,10 @@ def crowded_systems(draw):
 
 
 def _reference_size(root, rules):
-    """Count vectors the reference enumerates: moves 0..1, rewrites up to
-    every object in the tree."""
-    total = sum(sum(node["objs"].values()) for node, _p in ref.walk(root))
+    """Count vectors the reference enumerates: 0..bound per instance."""
     size = 1
-    for ridx, *_rest in ref.find_instances(root, rules):
-        size *= 2 if isinstance(rules[ridx], (EndoRule, ExoRule)) else total + 1
+    for bound in ref.count_bounds(root, rules, ref.find_instances(root, rules)):
+        size *= bound + 1
     return size
 
 

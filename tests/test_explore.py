@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,6 @@ from mobilemem.core import (
     Multiset,
     Symbol,
     mem,
-    replace_node,
 )
 from mobilemem.explore import (
     BudgetExceeded,
@@ -120,10 +120,10 @@ def test_check_embedding_catches_a_dropped_inf():
     rule = EndoRule("h", "m", Multiset([a]), w=((c, Fresh(INF)),), name="E")
     timed_config, timed_rules = embed_infinite(u, [rule])
     h_node = next(n for n in timed_config.skin.walk() if n.label == "h")
-    mutated_skin = replace_node(
+    mutated_skin = replace(
         timed_config.skin,
         children=tuple(
-            replace_node(ch, timer=5) if ch.uid == h_node.uid else ch
+            replace(ch, timer=5) if ch.uid == h_node.uid else ch
             for ch in timed_config.skin.children
         ),
     )

@@ -14,6 +14,7 @@ from mobilemem.untimed import (
     u_find_instances,
     u_maximal_choices,
     u_output_reading,
+    u_render,
     u_run,
     u_successors,
     umem,
@@ -85,7 +86,7 @@ def test_output_reading_and_run():
     trace = u_run(cfg, [RULE], 5, selector="random", seed=1)
     assert trace.records[0].key == "skin{}[m{}[h{c}[]]]|out=skin"
     assert trace.halted  # nothing applies afterwards
-    assert u_output_reading(trace.configs[-1]) == Multiset()
+    assert u_output_reading(trace.final) == Multiset()
 
 
 def test_successors_dedup():
@@ -109,3 +110,39 @@ def test_choice_sets_match_reference_on_the_embedding():
             for ch in u_maximal_choices(cfg, rules)
         )
         assert got == want, f"seed {seed}"
+
+
+def _erased_render(node):
+    """``u_render`` of a reference membrane after dropping its timers."""
+    syms = sorted((name, co) for (name, co, _t), n in node["objs"].items() for _ in range(n))
+    objs = ",".join(("~" if co else "") + name for name, co in syms)
+    kids = " ".join(sorted(_erased_render(kid) for kid in node["kids"]))
+    return node["label"] + "{" + objs + "}[" + kids + "]"
+
+
+def _cascade_and_exit():
+    """q's marker dissolves it into p while p's own marker dissolves p into
+    the skin, in one step in which h leaves through the skin; q's b either
+    marks q or becomes c."""
+    q = umem("q", [b])
+    cfg = UConfig(umem("skin", [a.dual()], [umem("h", [a]), umem("p", [c], [q])]))
+    rules = [
+        ExoRule("h", "skin", Multiset([a]), name="out"),
+        RewriteRule("p", Multiset([c]), ((DELTA, Fresh(INF)),), name="dp"),
+        RewriteRule("q", Multiset([b]), ((DELTA, Fresh(INF)), (a, Fresh(INF))), name="dq"),
+        RewriteRule("q", Multiset([b]), ((c, Fresh(INF)),), name="keep"),
+    ]
+    return cfg, rules
+
+
+def test_successors_match_reference_on_the_embedding():
+    systems = [random_untimed_system(seed) for seed in range(60)] + [_cascade_and_exit()]
+    for i, (cfg, rules) in enumerate(systems):
+        timed_cfg, timed_rules = embed_infinite(cfg, rules)
+        root = ref.from_config(timed_cfg)
+        want = {
+            _erased_render(ref.apply_step(root, ch, timed_rules)[0])
+            for ch in ref.choices(root, timed_rules, saturated=True)
+        }
+        got = {u_render(nxt.skin) for _ch, nxt in u_successors(cfg, rules)}
+        assert got == want, f"system {i}"
