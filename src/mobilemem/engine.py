@@ -397,13 +397,17 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     delta_consumed = tree.dissolve(_is_delta)
 
     # Phase 5, while freezing: tick every surviving non-active membrane
-    # (timer-0 ones dissolved in phase 4; INF - 1 == INF).
+    # (INF - 1 == INF).
     def make(node, children: tuple) -> MembraneNode:
         src = node.src
         if src.uid in timers:
             timer = timers[src.uid]
-        else:
-            timer = src.timer if node.parent is None else src.timer - 1
+        elif node.parent is None:
+            timer = src.timer
+        elif src.timer > 0:
+            timer = src.timer - 1
+        else:  # pragma: no cover - timer-0 non-actives dissolved in phase 4
+            raise AssertionError("undissolved timer-0 membrane")
         return MembraneNode(src.label, timer, Multiset(node.content), children, uid=src.uid)
 
     new_config = Configuration(tree.freeze(make), config.output_label)

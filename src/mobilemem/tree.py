@@ -27,7 +27,7 @@ from typing import Callable
 class Work:
     __slots__ = ("src", "content", "children", "parent")
 
-    def __init__(self, src, parent: "Work | None"):
+    def __init__(self, src, parent: Work | None):
         self.src = src
         self.content = dict(src.content.items())
         self.children: dict = {}
