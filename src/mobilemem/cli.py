@@ -31,6 +31,13 @@ from . import corpus
 from .core import output_reading
 
 
+#: Most rules ``compile`` writes out. Every timed move rule expands to one
+#: untimed rule per counter vector, about T^5 for a two-slot rule with
+#: lifetimes T (ROADMAP W3: 248,897 rules at T=12). ``check prop2`` matches
+#: the compact families directly and has no such limit.
+MAX_COMPILED_RULES = 100_000
+
+
 class UsageError(Exception):
     pass
 
@@ -83,6 +90,13 @@ def _cmd_compile(args) -> int:
     if not sf.timed:
         raise UsageError("compile expects a timed system")
     uconfig, urules = eliminate_timers(sf.config, sf.rules)
+    if len(urules) > MAX_COMPILED_RULES:
+        message = f"the compiled system has {len(urules):,} rules, over the {MAX_COMPILED_RULES:,} compile writes"
+        schemas = urules.schemas()
+        if schemas:
+            widest = max(schemas, key=len)
+            message += f"; timed rule {widest.rule.name} alone expands to {len(widest):,}"
+        raise UsageError(message)
     out = SystemFile(False, uconfig.output_label, uconfig, urules, 1, compiled=True)
     _write_out(render_system(out), args.output)
     return 0

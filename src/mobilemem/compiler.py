@@ -9,9 +9,10 @@ evolution and output.
 generated rule families: counter ticks, kill rules that remove an object
 when its counter reaches the symbol's lifetime, membrane kill rules that
 emit the dissolution marker, and for every endo/exo rule one untimed rule
-per admissible counter vector. ``lifetime(a)`` is the maximum timer with
-which ``a`` is ever created (initial configuration or fresh right-hand
-sides).
+per admissible counter vector. Each such family grows as the product of
+the lifetimes involved, so it is kept as a ``MoveSchema`` whose members
+are built only when read. ``lifetime(a)`` is the maximum timer with which
+``a`` is ever created (initial configuration or fresh right-hand sides).
 
 The construction is exact when every creation site of a symbol uses that
 one characteristic timer, and when no two moves share a passive membrane in
@@ -24,8 +25,12 @@ timed counterpart.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
-from typing import Sequence
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from itertools import product
+from math import prod
+from typing import Iterator
 
 from .core import (
     DELTA,
@@ -36,6 +41,7 @@ from .core import (
     ExoRule,
     Fresh,
     MembraneNode,
+    MoveRule,
     Multiset,
     RewriteRule,
     Rule,
@@ -169,10 +175,11 @@ def _check_input(config: Configuration, rules: Sequence[Rule], label_timers: dic
             raise CompileError(f"rule creates {s} with timer inf")
 
 
-def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UConfig, tuple]:
+def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UConfig, CompiledRules]:
     """Untimed system with the same evolution and output, per the counter
     construction. The skin and any INF-timer membrane get no counter and no
-    kill family."""
+    kill family. The rules come back as a ``CompiledRules`` sequence: each
+    move family stays a schema until a member is read."""
     label_timers = _label_timers(config)
     _check_input(config, rules, label_timers)
 
@@ -232,65 +239,100 @@ def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UCon
         ))
 
     for rule in rules:
-        out.extend(_move_family(rule, lifetimes, label_timers))
-    return uconfig, tuple(out)
+        schema = _move_schema(rule, lifetimes, label_timers)
+        if schema is not None:
+            out.append(schema)
+    return uconfig, CompiledRules(out)
 
 
-def _counter_ranges(slots, lifetimes) -> list[list[int]] | None:
-    ranges = []
-    for sym in slots:
-        life = lifetimes.get(sym)
-        if life is None or life == 0:
-            return None  # the symbol never exists with a positive timer
-        ranges.append(list(range(life)))
-    return ranges
+@dataclass(frozen=True)
+class MoveSchema(Sequence):
+    """The untimed family of one timed endo/exo rule, kept as the rule, the
+    lifetimes of its active and passive slots and the timers of ``h`` and
+    ``m`` (``None`` where the membrane has no counter).
 
+    It reads as the sequence of its members, one per counter vector over
+    the axes (active slots, passive slots, ``h``, ``m``), last axis
+    fastest. Member ``i`` is built on demand by mixed-radix decoding of
+    ``i``. In a member, carried objects advance their counter by one, fresh
+    objects start at 0, the active membrane's counter advances, and the
+    passive membrane's counter is bound and advanced, which also enforces
+    the "passive timer greater than 0" precondition."""
 
-def _move_family(rule, lifetimes, label_timers) -> list[Rule]:
-    """Untimed rules for one timed endo/exo rule, enumerated over all
-    admissible counter vectors. Carried objects advance their counter by
-    one; fresh objects start at 0; the active membrane's counter advances;
-    the passive membrane's counter is bound and advanced, which also
-    enforces the "passive timer greater than 0" precondition."""
-    from itertools import product
+    rule: MoveRule
+    active_lives: tuple
+    passive_lives: tuple
+    h_timer: int | None
+    m_timer: int | None
+    # (side, counter for each value) per axis; side 0 reads the active
+    # membrane, side 1 the passive one
+    _axes: tuple = field(init=False, repr=False, compare=False)
+    _len: int = field(init=False, repr=False, compare=False)
 
-    active_slots = rule.active_slots
-    passive_slots = rule.passive_slots
-    a_ranges = _counter_ranges(active_slots, lifetimes)
-    p_ranges = _counter_ranges(passive_slots, lifetimes)
-    if a_ranges is None or p_ranges is None:
-        return []
+    def __post_init__(self):
+        rule = self.rule
+        axes = [(0, str(s), life) for s, life in zip(rule.active_slots, self.active_lives)]
+        axes += [(1, str(s), life) for s, life in zip(rule.passive_slots, self.passive_lives)]
+        if self.h_timer is not None:
+            axes.append((0, rule.h, self.h_timer))
+        if self.m_timer is not None:
+            axes.append((1, rule.m, self.m_timer))
+        axes = tuple((side, tuple(make_counter(base, j) for j in range(life))) for side, base, life in axes)
+        object.__setattr__(self, "_axes", axes)
+        object.__setattr__(self, "_len", prod(len(counters) for _side, counters in axes))
 
-    def mem_range(label) -> list[int] | None:
-        t_mem = label_timers.get(label)
-        if t_mem is None or t_mem == INF:
-            return None  # no counter for unknown or untimed membranes
-        return list(range(int(t_mem)))
+    def __len__(self) -> int:
+        return self._len
 
-    h_range = mem_range(rule.h)
-    m_range = mem_range(rule.m)
-    out: list[Rule] = []
-    axes = a_ranges + p_ranges + ([h_range] if h_range is not None else []) + (
-        [m_range] if m_range is not None else []
-    )
-    for vector in product(*axes):
-        pos = 0
-        a_vec = vector[pos:pos + len(active_slots)]; pos += len(active_slots)
-        p_vec = vector[pos:pos + len(passive_slots)]; pos += len(passive_slots)
-        t3 = None
-        t6 = None
-        if h_range is not None:
-            t3 = vector[pos]; pos += 1
-        if m_range is not None:
-            t6 = vector[pos]; pos += 1
+    def __getitem__(self, i: int) -> MoveRule:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("move schema index out of range")
+        vector = []
+        for _side, counters in reversed(self._axes):
+            i, j = divmod(i, len(counters))
+            vector.append(j)
+        return self._member(vector[::-1])
+
+    def __iter__(self) -> Iterator[MoveRule]:
+        for vector in product(*(range(len(counters)) for _side, counters in self._axes)):
+            yield self._member(vector)
+
+    def present(self, active: Multiset, passive: Multiset) -> Iterator[int]:
+        """Indices of the members whose counters all occur in the two
+        contents: every member whose left sides the two contents hold is
+        among them."""
+        contents = (active, passive)
+        values = []
+        for side, counters in self._axes:
+            here = [j for j, counter in enumerate(counters) if counter in contents[side]]
+            if not here:
+                return
+            values.append(here)
+        radices = [len(counters) for _side, counters in self._axes]
+        for vector in product(*values):
+            i = 0
+            for radix, j in zip(radices, vector):
+                i = i * radix + j
+            yield i
+
+    def _member(self, vector) -> MoveRule:
+        rule = self.rule
+        n_active, n_passive = len(self.active_lives), len(self.passive_lives)
+        a_vec = vector[:n_active]
+        p_vec = vector[n_active:n_active + n_passive]
+        rest = list(vector[n_active + n_passive:])
+        t3 = rest.pop(0) if self.h_timer is not None else None
+        t6 = rest.pop(0) if self.m_timer is not None else None
 
         v = rule.v
-        for sym, j in zip(active_slots, a_vec):
+        for sym, j in zip(rule.active_slots, a_vec):
             v = v.add(make_counter(str(sym), j))
         if t3 is not None:
             v = v.add(make_counter(rule.h, t3))
         v2 = rule.v2
-        for sym, j in zip(passive_slots, p_vec):
+        for sym, j in zip(rule.passive_slots, p_vec):
             v2 = v2.add(make_counter(str(sym), j))
         if t6 is not None:
             v2 = v2.add(make_counter(rule.m, t6))
@@ -314,8 +356,72 @@ def _move_family(rule, lifetimes, label_timers) -> list[Rule]:
 
         name = f"{rule.name or 'move'}:{','.join(map(str, vector))}"
         cls = EndoRule if isinstance(rule, EndoRule) else ExoRule
-        out.append(cls(rule.h, rule.m, rule.u, v, v2, tuple(w), tuple(w2), name=name))
-    return out
+        return cls(rule.h, rule.m, rule.u, v, v2, tuple(w), tuple(w2), name=name)
+
+
+class CompiledRules(Sequence):
+    """The rules of a compiled system: tick and kill rewrites as they are,
+    and one ``MoveSchema`` per timed move rule. It reads as the flat
+    expanded list (length, indexing, iteration), while ``parts`` gives each
+    rewrite or schema with the flat index of its first rule, so a matcher
+    can walk the schemas without expanding them."""
+
+    __slots__ = ("_parts", "_starts", "_len")
+
+    def __init__(self, items):
+        parts, start = [], 0
+        for item in items:
+            parts.append((start, item))
+            start += len(item) if isinstance(item, MoveSchema) else 1
+        self._parts = tuple(parts)
+        self._starts = tuple(s for s, _item in parts)
+        self._len = start
+
+    @property
+    def parts(self) -> tuple:
+        return self._parts
+
+    def schemas(self) -> list[MoveSchema]:
+        return [item for _start, item in self._parts if isinstance(item, MoveSchema)]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(self._len)))
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("compiled rule index out of range")
+        start, item = self._parts[bisect_right(self._starts, i) - 1]
+        return item[i - start] if isinstance(item, MoveSchema) else item
+
+    def __iter__(self) -> Iterator[Rule]:
+        for _start, item in self._parts:
+            if isinstance(item, MoveSchema):
+                yield from item
+            else:
+                yield item
+
+
+def _move_schema(rule, lifetimes, label_timers) -> MoveSchema | None:
+    """The schema of one timed move rule, or None when its family is empty
+    (a slot whose symbol never exists with a positive timer)."""
+
+    def lives(slots):
+        out = tuple(lifetimes.get(sym) for sym in slots)
+        return None if None in out or 0 in out else out
+
+    def mem_timer(label) -> int | None:
+        t_mem = label_timers.get(label)
+        return None if t_mem is None or t_mem == INF else int(t_mem)  # no counter
+
+    active_lives, passive_lives = lives(rule.active_slots), lives(rule.passive_slots)
+    if active_lives is None or passive_lives is None:
+        return None
+    schema = MoveSchema(rule, active_lives, passive_lives, mem_timer(rule.h), mem_timer(rule.m))
+    return schema if len(schema) else None
 
 
 # ---------------------------------------------------------------------------

@@ -420,21 +420,25 @@ def apply_step(config: Configuration, choice: StepChoice) -> Configuration:
     return step(config, choice).config
 
 
-def successors(config: Configuration, rules: Sequence[Rule]) -> list[tuple[StepChoice, Configuration]]:
+def successors(config: Configuration, rules: Sequence[Rule]) -> list[tuple[StepChoice, Configuration, str]]:
     """Distinct next configurations over all legal choices, deduplicated by
-    canonical key (one representative choice per key)."""
+    canonical key (one representative choice per key), as ``(choice,
+    configuration, key)``."""
     return distinct_successors(
         config, step_choices(config, rules), lambda c, ch: step(c, ch).config, canonicalize
     )
 
 
 def distinct_successors(config, choices: Iterable, apply: Callable, key: Callable) -> list[tuple]:
-    """``(choice, apply(config, choice))`` for the first choice reaching
-    each ``key``, in key order; shared by every successor relation."""
+    """``(choice, apply(config, choice), key)`` for the first choice
+    reaching each ``key``, in key order; shared by every successor
+    relation, whose callers reuse the key instead of computing it again."""
     seen: dict = {}
     for choice in choices:
         result = apply(config, choice)
-        seen.setdefault(key(result), (choice, result))
+        k = key(result)
+        if k not in seen:
+            seen[k] = (choice, result, k)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -104,8 +104,8 @@ class ReachGraph:
         }
 
 
-def _bfs(root, key_fn: Callable, succ_fn: Callable, meta_fn: Callable, depth: int, max_nodes: int) -> ReachGraph:
-    root_key = key_fn(root)
+def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, max_nodes: int) -> ReachGraph:
+    """``succ_fn(state)`` lists ``(edge label, successor, its key)``."""
     graph = ReachGraph(root=root_key, depth=depth)
     graph.nodes[root_key] = meta_fn(root, root_key, 0)
     graph.objects[root_key] = root
@@ -117,8 +117,7 @@ def _bfs(root, key_fn: Callable, succ_fn: Callable, meta_fn: Callable, depth: in
             state = graph.objects[key]
             succ = succ_fn(state)
             dst_keys = []
-            for label, nxt in succ:
-                nxt_key = key_fn(nxt)
+            for label, nxt, nxt_key in succ:
                 dst_keys.append(nxt_key)
                 graph.edges.append((key, label, nxt_key))
                 if nxt_key not in graph.nodes:
@@ -143,7 +142,7 @@ def explore_membranes(
     """BFS over the timed engine's legal step choices."""
 
     def succ(state):
-        return [(choice_describe(choice), cfg) for choice, cfg in successors(state, rules)]
+        return [(choice_describe(choice), cfg, key) for choice, cfg, key in successors(state, rules)]
 
     def meta(state, key, d):
         reading = tuple(sorted(str(s) for s in output_reading(state)))
@@ -153,7 +152,7 @@ def explore_membranes(
         )
         return NodeRecord(key, d, False, sum(1 for _ in state.skin.walk()), reading, per_mem)
 
-    return _bfs(config, canonicalize, succ, meta, depth, max_nodes)
+    return _bfs(config, canonicalize(config), succ, meta, depth, max_nodes)
 
 
 def explore_untimed(
@@ -166,16 +165,16 @@ def explore_untimed(
 
     def succ(state):
         out = []
-        for choice, cfg in u_successors(state, rules):
+        for choice, cfg, key in u_successors(state, rules):
             label = " + ".join(i.describe() for i in choice) if choice else "(empty)"
-            out.append((label, cfg))
+            out.append((label, cfg, key))
         return out
 
     def meta(state, key, d):
         reading = tuple(sorted(str(s) for s in u_output_reading(state)))
         return NodeRecord(key, d, False, sum(1 for _ in state.skin.walk()), reading)
 
-    return _bfs(config, u_canonicalize, succ, meta, depth, max_nodes)
+    return _bfs(config, u_canonicalize(config), succ, meta, depth, max_nodes)
 
 
 def explore_ambients(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> ReachGraph:
@@ -185,13 +184,13 @@ def explore_ambients(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> ReachG
     def succ(state):
         moved = bool(amb.redexes(state))
         label = "move" if moved else "time"
-        return [(label, q) for q in amb.reduce_step(state)]
+        return [(label, q, amb.canonical_key(q)) for q in amb.reduce_step(state)]
 
     def meta(state, key, d):
         count = sum(1 for _ in _amb_walk(state))
         return NodeRecord(key, d, False, count, ())
 
-    return _bfs(p, amb.canonical_key, succ, meta, depth, max_nodes)
+    return _bfs(p, amb.canonical_key(p), succ, meta, depth, max_nodes)
 
 
 def _amb_walk(p):
@@ -377,7 +376,7 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
             continue
         image = _translate(state)
         erased_successors = {
-            u_canonicalize(erase_timers(cfg)) for _c, cfg in successors(image, default_rules)
+            u_canonicalize(erase_timers(cfg)) for _c, cfg, _k in successors(image, default_rules)
         }
         for succ in amb.reduce_step(state):
             pq_edges += 1

@@ -158,7 +158,7 @@ def _literal_apply(config: Configuration, instances: Sequence[Instance]) -> Conf
 
 def literal_successors(
     config: Configuration, rules: Sequence[Rule]
-) -> list[tuple[tuple, Configuration]]:
+) -> list[tuple[tuple, Configuration, str]]:
     """The translation-level reduction: any nonempty conflict-free set of
     movement instances fires simultaneously (matching a reduction step that
     composes independent movements), with no clock. Deduplicated by
@@ -186,7 +186,7 @@ def check_correspondence_PQ(p: Process, depth: int = 1) -> dict:
         if not amb.redexes(state):
             continue  # its one successor is the clock tick
         membrane_keys = {
-            canonicalize(cfg) for _i, cfg in literal_successors(translate(state), rules)
+            key for _i, _cfg, key in literal_successors(translate(state), rules)
         }
         for succ in amb.reduce_step(state):
             edges += 1
@@ -307,8 +307,7 @@ def check_preimage_reordering(p: Process) -> dict:
     if not targets:
         report["degenerate"] = True
         return report
-    for _inst, n_config in targets:
-        n_key = canonicalize(n_config)
+    for _inst, n_config, n_key in targets:
         preimages = preimage_processes(n_config)
         fresh = []
         for q in preimages:

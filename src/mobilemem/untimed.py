@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .choices import availability, enumerate_choices
 from .core import (
@@ -125,20 +125,14 @@ class UInstance:
     rule: Rule
     active_uid: int
     passive_uid: int | None
+    # the multisets the rule consumes in the active and passive membranes,
+    # worked out once per rule by the matcher
+    lhs_active: Multiset = field(default=Multiset(), compare=False, repr=False)
+    lhs_passive: Multiset = field(default=Multiset(), compare=False, repr=False)
 
     @property
     def is_move(self) -> bool:
         return isinstance(self.rule, MoveRule)
-
-    def lhs_active(self) -> Multiset:
-        if isinstance(self.rule, RewriteRule):
-            return self.rule.lhs
-        return self.rule.u.union(self.rule.v)
-
-    def lhs_passive(self) -> Multiset:
-        if isinstance(self.rule, RewriteRule):
-            return Multiset()
-        return self.rule.u_bar.union(self.rule.v2)
 
     def sort_key(self):
         return (self.rule_index, self.active_uid, -1 if self.passive_uid is None else self.passive_uid)
@@ -154,51 +148,90 @@ class UInstance:
             "rule": self.rule.name or f"r{self.rule_index}",
             "active": self.active_uid,
             "passive": self.passive_uid,
-            "active_bindings": [[str(s), None] for s in self.lhs_active()],
-            "passive_bindings": [[str(s), None] for s in self.lhs_passive()],
+            "active_bindings": [[str(s), None] for s in self.lhs_active],
+            "passive_bindings": [[str(s), None] for s in self.lhs_passive],
         }
 
 
+def _parts(rules: Sequence) -> Iterable[tuple]:
+    """(flat index, rule or schema) pairs. A compiled rule sequence
+    (``compiler.CompiledRules``) lists each move family as one schema
+    whose ``present(active, passive)`` proposes member offsets and whose
+    ``[offset]`` builds a member; any other sequence lists its rules."""
+    parts = getattr(rules, "parts", None)
+    return enumerate(rules) if parts is None else parts
+
+
 def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
+    """Every rule instance that fits the configuration, in (rule index,
+    active uid, passive uid) order. A schema is a candidate filter: for
+    each active/passive pair whose labels fit, only the members whose
+    counters the two membranes hold are tested, each exactly as the flat
+    rule at its index would be."""
+    nodes = list(config.skin.walk())
+    by_label: dict[str, list] = {}
+    for node in nodes:
+        by_label.setdefault(node.label, []).append(node)
+    sibling_labels = []
+    for parent in nodes:
+        if parent.children:
+            index: dict[str, list] = {}
+            for child in parent.children:
+                index.setdefault(child.label, []).append(child)
+            sibling_labels.append(index)
+    sides: dict[int, list] = {}  # flat index -> [rule, lhs active, lhs passive once needed]
     found = []
-    for idx, rule in enumerate(rules):
-        if isinstance(rule, EndoRule):
-            for parent in config.skin.walk():
-                for active in parent.children:
-                    if active.label != rule.h or not active.elementary:
-                        continue
-                    if not active.content.contains(rule.u.union(rule.v)):
-                        continue
-                    for passive in parent.children:
-                        if passive is active or passive.label != rule.m:
-                            continue
-                        if passive.content.contains(rule.u_bar.union(rule.v2)):
-                            found.append(UInstance(idx, rule, active.uid, passive.uid))
-        elif isinstance(rule, ExoRule):
-            for passive in config.skin.walk():
-                if passive.label != rule.m:
+    for base, item in _parts(rules):
+        if isinstance(item, RewriteRule):
+            hosts = nodes if item.at is None else by_label.get(item.at, ())
+            for host in hosts:
+                if host.content.contains(item.lhs):
+                    found.append(UInstance(base, item, host.uid, None, item.lhs))
+            continue
+        rule = item if isinstance(item, MoveRule) else item.rule
+        for active, passive in _move_pairs(rule, by_label, sibling_labels):
+            offsets = (0,) if item is rule else item.present(active.content, passive.content)
+            for offset in offsets:
+                idx = base + offset
+                entry = sides.get(idx)
+                if entry is None:
+                    member = rule if item is rule else item[offset]
+                    entry = sides[idx] = [member, member.u.union(member.v), None]
+                member, lhs_a, lhs_p = entry
+                if not active.content.contains(lhs_a):
                     continue
-                if not passive.content.contains(rule.u_bar.union(rule.v2)):
-                    continue
-                for active in passive.children:
-                    if active.label != rule.h or not active.elementary:
-                        continue
-                    if active.content.contains(rule.u.union(rule.v)):
-                        found.append(UInstance(idx, rule, active.uid, passive.uid))
-        elif isinstance(rule, RewriteRule):
-            for host in config.skin.walk():
-                if rule.at is not None and host.label != rule.at:
-                    continue
-                if host.content.contains(rule.lhs):
-                    found.append(UInstance(idx, rule, host.uid, None))
+                if lhs_p is None:
+                    lhs_p = entry[2] = member.u_bar.union(member.v2)
+                if passive.content.contains(lhs_p):
+                    found.append(UInstance(idx, member, active.uid, passive.uid, lhs_a, lhs_p))
     return sorted(set(found), key=UInstance.sort_key)
+
+
+def _move_pairs(rule: MoveRule, by_label: dict, sibling_labels: list) -> Iterator[tuple]:
+    """(active, passive) membrane pairs whose labels and nesting fit the
+    move: an elementary ``h`` beside an ``m`` for endo, inside one for exo."""
+    if isinstance(rule, EndoRule):
+        for index in sibling_labels:
+            passives = index.get(rule.m)
+            if not passives:
+                continue
+            for active in index.get(rule.h, ()):
+                if active.elementary:
+                    for passive in passives:
+                        if passive is not active:
+                            yield active, passive
+    else:
+        for passive in by_label.get(rule.m, ()):
+            for active in passive.children:
+                if active.label == rule.h and active.elementary:
+                    yield active, passive
 
 
 def _u_needs(inst: UInstance) -> dict:
     need: dict = {}
-    for sym in inst.lhs_active():
+    for sym in inst.lhs_active:
         need[(inst.active_uid, sym)] = need.get((inst.active_uid, sym), 0) + 1
-    for sym in inst.lhs_passive():
+    for sym in inst.lhs_passive:
         need[(inst.passive_uid, sym)] = need.get((inst.passive_uid, sym), 0) + 1
     return need
 
@@ -238,12 +271,11 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
 
     for inst in choice:
         rule = inst.rule
+        consume(inst.active_uid, inst.lhs_active)
         if isinstance(rule, RewriteRule):
-            consume(inst.active_uid, rule.lhs)
             produce(inst.active_uid, rule.rhs)
         else:
-            consume(inst.active_uid, rule.u.union(rule.v))
-            consume(inst.passive_uid, rule.u_bar.union(rule.v2))
+            consume(inst.passive_uid, inst.lhs_passive)
             produce(inst.active_uid, rule.w)
             produce(inst.passive_uid, rule.w2)
 
@@ -264,7 +296,7 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     return UConfig(skin, config.output_label), tuple(detached)
 
 
-def u_successors(config: UConfig, rules: Sequence[Rule]) -> list[tuple[tuple, UConfig]]:
+def u_successors(config: UConfig, rules: Sequence[Rule]) -> list[tuple[tuple, UConfig, str]]:
     return distinct_successors(
         config, u_maximal_choices(config, rules), lambda c, ch: u_apply(c, ch)[0], u_canonicalize
     )

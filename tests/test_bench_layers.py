@@ -1,12 +1,15 @@
-"""The benchmark's tracer wraps public functions by module and name; a
-rename must fail here rather than in a benchmark run."""
+"""The benchmark's tracer wraps public functions by module and name, and
+its workloads check their results; a rename or a wrong result must fail
+here rather than in a benchmark run."""
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracing import LAYERS  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 def test_every_traced_layer_resolves():
@@ -15,3 +18,11 @@ def test_every_traced_layer_resolves():
         if not callable(getattr(importlib.import_module(f"mobilemem.{mod}"), fn, None))
     ]
     assert not missing, f"bench/tracing.py LAYERS names no function: {missing}"
+
+
+def test_compile_deep_output_expands_to_the_known_family():
+    # the benchmark's own correctness check of the compiled W3 system,
+    # on the inputs of seed 1 as bench/run.py builds them
+    deep = WORKLOADS["compile-deep"]
+    inputs = deep.make_inputs(random.Random(f"{deep.name}:1"))
+    assert deep.verify(inputs)

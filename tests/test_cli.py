@@ -55,6 +55,28 @@ def test_compile_then_check(tmp_path, s1_file, capsys):
     assert verdict["verdict"] == "pass"
 
 
+W3_T12 = """mms 1 timed
+output skin
+skin:inf[ ; h:12[ a:12, c:12 ] m:12[ ~a:12 ] ]
+endo h m : a | c , ~a | => c:+12 |
+"""
+
+
+def test_compile_refuses_an_oversized_family_that_check_still_covers(tmp_path, capsys):
+    # ROADMAP W3 at T=12 expands to 12^5 + 5 * 13 = 248,897 rules
+    path = tmp_path / "w3.mms"
+    path.write_text(W3_T12)
+    out = tmp_path / "w3u.mms"
+    assert main(["compile", str(path), "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "248,897 rules" in err and "timed rule r0 alone expands to 248,832" in err
+    assert not out.exists()
+    assert main(["check", "prop2", str(path), "--depth", "14"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "pass"
+    assert verdict["details"]["timed_nodes"] == verdict["details"]["compiled_nodes"] == 104
+
+
 def test_embed_then_check(tmp_path, capsys):
     path = tmp_path / "u.mms"
     path.write_text(

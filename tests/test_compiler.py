@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mobilemem.core import (
@@ -20,7 +22,11 @@ from mobilemem.compiler import (
     parse_counter,
     project,
 )
-from mobilemem.untimed import UConfig, u_canonicalize, umem
+from mobilemem.core import renumber
+from mobilemem.corpus import random_timed_system
+from mobilemem.explore import explore_untimed
+from mobilemem.sysfile import parse_system
+from mobilemem.untimed import UConfig, u_canonicalize, u_find_instances, umem
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 
@@ -152,3 +158,76 @@ def test_counter_soundness_checker():
     assert counter_soundness_violations(orphan, {"h"})
     missing_label = UConfig(umem("skin", [], [umem("h", [])]))
     assert counter_soundness_violations(missing_label, {"h"})
+
+
+def w3(T):
+    """ROADMAP W3: one two-slot endo rule whose family has T^5 members."""
+    return parse_system(
+        f"mms 1 timed\noutput skin\nskin:inf[ ; h:{T}[ a:{T}, c:{T} ] m:{T}[ ~a:{T} ] ]\n"
+        f"endo h m : a | c , ~a | => c:+{T} |\n"
+    )
+
+
+def test_compiled_rules_read_as_the_expanded_family():
+    rng = random.Random(5)
+    for T, size in [(2, 47), (3, 263), (4, 1049), (5, 3155)]:
+        sf = w3(T)
+        _ucfg, compiled = eliminate_timers(sf.config, sf.rules)
+        flat = list(compiled)
+        assert len(compiled) == len(flat) == T ** 5 + 5 * (T + 1) == size
+        for i in [0, len(flat) - 1] + rng.sample(range(len(flat)), 40):
+            assert compiled[i] == flat[i]
+            assert compiled[i - len(flat)] == flat[i]
+        assert compiled[3:9] == tuple(flat[3:9])
+        with pytest.raises(IndexError):
+            compiled[len(flat)]
+
+
+def test_schema_matcher_equals_the_expanded_family():
+    # a schema proposes only members whose counters are present; the flat
+    # tuple of the same rules takes the rule-by-rule path
+    cases = [(renumber(cfg), rules, 6) for cfg, rules in map(random_timed_system, range(40))]
+    cases += [(w3(T).config, w3(T).rules, T + 2) for T in range(2, 6)]
+    for config, rules, depth in cases:
+        ucfg, compiled = eliminate_timers(config, rules)
+        flat = tuple(compiled)
+        for state in explore_untimed(ucfg, compiled, depth).objects.values():
+            got = u_find_instances(state, compiled)
+            want = u_find_instances(state, flat)
+            assert got == want
+            assert [(i.lhs_active, i.lhs_passive) for i in got] == [
+                (i.lhs_active, i.lhs_passive) for i in want
+            ]
+
+
+def test_schema_matcher_on_crowded_counters():
+    # reachable states rarely hold one symbol under several counters; here
+    # every membrane does, for a W3 rule and one binding ``a`` twice
+    T = 2
+    sf = w3(T)
+    twice = parse_system(
+        f"mms 1 timed\noutput skin\nskin:inf[ ; h:{T}[ a:{T}, c:{T} ] m:{T}[ ~a:{T} ] ]\n"
+        f"endo h m : a a | c , ~a ~a | => c:+{T} |\nexo h m : a | , ~a | => |\n"
+    )
+    rng = random.Random(7)
+    ctr = make_counter
+
+    def objects(*bases):
+        out = []
+        for base in bases:
+            for _ in range(rng.randint(0, 3)):
+                out += [Symbol(base.lstrip("~"), base.startswith("~")), ctr(base, rng.randrange(T + 1))]
+        return out
+
+    def membrane(label, *bases):
+        labels = [ctr(label, rng.randrange(T + 1)) for _ in range(rng.randint(0, 2))]
+        return objects(*bases) + labels
+
+    for system in (sf, twice):
+        _ucfg, compiled = eliminate_timers(system.config, system.rules)
+        flat = tuple(compiled)
+        for _ in range(60):
+            h = umem("h", membrane("h", "a", "c"))
+            m = umem("m", membrane("m", "~a"), [umem("h", membrane("h", "a"))])
+            state = UConfig(umem("skin", [], [h, m, umem("h", membrane("h", "a", "c"))]))
+            assert u_find_instances(state, compiled) == u_find_instances(state, flat)

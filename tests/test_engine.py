@@ -52,7 +52,7 @@ E1 = EndoRule("h", "m", Multiset([a]), w=((c, Fresh(7)),), name="E1")
 
 
 def keys(pairs):
-    return sorted(canonicalize(cfg) for _ch, cfg in pairs)
+    return sorted(canonicalize(cfg) for _ch, cfg, _key in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def test_successors_dedup_equivalent_bindings():
         mem("h", 3, [(a, 2), (a, 2)]), mem("m", INF, [(a.dual(), 4)]),
     ]))
     succ = successors(cfg, [E1])
-    moves = [ch for ch, _cfg in succ if ch]
+    moves = [ch for ch, _cfg, _key in succ if ch]
     assert len(moves) == 1
 
 
@@ -381,7 +381,7 @@ def test_conservation_bookkeeping():
 def test_tree_shape_and_skin_preserved():
     for seed in range(8):
         cfg, rules = random_timed_system(seed)
-        for _choice, nxt in successors(cfg, rules):
+        for _choice, nxt, _key in successors(cfg, rules):
             uids = [node.uid for node in nxt.skin.walk()]
             assert len(uids) == len(set(uids))
             assert nxt.skin.uid == cfg.skin.uid
@@ -395,7 +395,7 @@ def test_against_reference_interpreter():
     for seed in range(15):
         cfg, rules = random_timed_system(seed)
         want = ref.successor_renders(ref.from_config(cfg), rules)
-        got = {ref.render(ref.from_config(nxt)) for _ch, nxt in successors(cfg, rules)}
+        got = {ref.render(ref.from_config(nxt)) for _ch, nxt, _key in successors(cfg, rules)}
         assert want == got, f"seed {seed}"
 
 
@@ -450,7 +450,7 @@ def test_choice_sets_match_reference_interpreter():
 
 def test_reference_agrees_on_worked_example():
     want = ref.successor_renders(ref.from_config(s1()), [E1])
-    got = {ref.render(ref.from_config(nxt)) for _ch, nxt in successors(s1(), [E1])}
+    got = {ref.render(ref.from_config(nxt)) for _ch, nxt, _key in successors(s1(), [E1])}
     assert want == got
 
 

@@ -87,6 +87,31 @@ def test_exploration_is_deterministic():
     assert json.dumps(g1.to_json(), sort_keys=True) == json.dumps(g2.to_json(), sort_keys=True)
 
 
+def test_explorer_reuses_the_successor_key(monkeypatch):
+    # the successor relation already keys every configuration it steps to;
+    # the explorer keys only the root itself
+    import mobilemem.engine as engine
+    import mobilemem.explore as explore
+    from mobilemem.core import canonicalize, renumber
+
+    calls = {"canonicalize": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "canonicalize", counted("canonicalize", canonicalize))
+    monkeypatch.setattr(explore, "canonicalize", engine.canonicalize)
+    monkeypatch.setattr(engine, "step", counted("step", engine.step))
+    roots = 40
+    for seed in range(roots):
+        config, rules = random_timed_system(seed)
+        explore_membranes(renumber(config), rules, 4)
+    assert calls["canonicalize"] == roots + calls["step"]
+
+
 def test_budget_exceeded_carries_partial_graph():
     with pytest.raises(BudgetExceeded) as err:
         explore_membranes(s1(), [E1], 4, max_nodes=2)

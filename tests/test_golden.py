@@ -97,7 +97,7 @@ def items():
 def _ambient_items(tag, process, with_prop45):
     pairs = literal_successors(translate(process), generate_rules(process, strict=True))
     yield f"literal_successors/{tag}", "\n".join(
-        f"{choice_describe(ch)} => {canonicalize(cfg)}" for ch, cfg in pairs
+        f"{choice_describe(ch)} => {canonicalize(cfg)}" for ch, cfg, _key in pairs
     )
     yield f"explore_ambients/{tag}", _json(explore_ambients(process, 4).to_json())
     if with_prop45:

@@ -132,7 +132,7 @@ def test_literal_successor_is_exact():
     p = reorder_demo_process()
     rules = generate_rules(p, strict=True)
     succ = literal_successors(translate(p), rules)
-    assert [canonicalize(cfg) for _i, cfg in succ] == [
+    assert [canonicalize(cfg) for _i, cfg, _key in succ] == [
         "skin:inf{}[m:6{}[n:4{in_k:2,out_s:3}[]]]|out=skin"
     ]
 
@@ -186,6 +186,6 @@ def test_three_capability_chain_has_many_preimages():
 def test_preimage_enumeration_counts():
     p = parse_ambient("n:5[ in:3 m ] | m:5[ ~in:3 m ]")
     rules = generate_rules(p, strict=True)
-    ((_i, n_config),) = literal_successors(translate(p), rules)
+    ((_i, n_config, _key),) = literal_successors(translate(p), rules)
     # the moved membrane is empty: exactly one preimage shape
     assert len(preimage_processes(n_config)) == 1

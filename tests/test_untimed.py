@@ -42,6 +42,15 @@ def test_endo_fires_and_is_forced():
     assert u_canonicalize(nxt) == "skin{}[m{}[h{c}[]]]|out=skin"
 
 
+def test_only_elementary_membranes_move():
+    inner = umem("k", [])
+    cfg = UConfig(umem("skin", [], [
+        umem("h", [a], [inner]), umem("m", [a.dual()], [umem("h", [a], [inner])]),
+    ]))
+    rules = [RULE, ExoRule("h", "m", Multiset([a]), name="X")]
+    assert u_find_instances(cfg, rules) == []
+
+
 def test_two_independent_moves_fire_together():
     cfg = UConfig(umem("skin", [], [
         umem("h", [a]), umem("m", [a.dual()]),
@@ -144,5 +153,5 @@ def test_successors_match_reference_on_the_embedding():
             _erased_render(ref.apply_step(root, ch, timed_rules)[0])
             for ch in ref.choices(root, timed_rules, saturated=True)
         }
-        got = {u_render(nxt.skin) for _ch, nxt in u_successors(cfg, rules)}
+        got = {u_render(nxt.skin) for _ch, nxt, _key in u_successors(cfg, rules)}
         assert got == want, f"system {i}"
