@@ -1,10 +1,12 @@
 """Golden digests of observable behaviour on fixed seeded inputs.
 
 Each item is one SHA-256 over a text the toolkit produces: choice sets,
-seeded traces, reach graphs, literal successors, check verdicts, and the
-compiled ROADMAP W3 system; the ambient items cover both the seeded
-reducible processes and ``corpus.hand_processes()``. Every corpus system is renumbered first, so
-uids do not depend on which tests ran before. A refactor must keep every
+seeded traces, reach graphs, literal successors, check verdicts, the
+compiled ROADMAP W3 system, and the demos' standard output. The ambient
+items cover both the seeded reducible processes and
+``corpus.hand_processes()``, prop45 at depths 0, 2 and 4. Every corpus
+system is renumbered first, so uids do not depend on which tests ran
+before. A refactor must keep every
 digest. A change meant to alter one rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -14,6 +16,8 @@ and names the changed items and the reason in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,6 +43,7 @@ from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.untimed import u_maximal_choices, u_renumber, u_run
 
 GOLDEN = Path(__file__).with_name("golden.json")
+ROOT = GOLDEN.parents[1]
 SEEDS = range(40)
 AMBIENT_SEEDS = range(20)
 
@@ -92,6 +97,15 @@ def items():
     )
     for i, process in enumerate(hand_processes()):
         yield from _ambient_items(f"hand/{i}", process, True)
+    # prop45 at depth 0 reduces the root alone; depth 2 is the shallowest
+    # where both correspondence passes walk edges
+    shallow = [(str(seed), random_reducible_process(seed)) for seed in AMBIENT_SEEDS]
+    shallow += [(f"hand/{i}", process) for i, process in enumerate(hand_processes())]
+    for depth in (0, 2):
+        for tag, process in shallow:
+            yield f"prop45_depth{depth}/{tag}", _json(check_translation(process, depth).to_json())
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        yield f"demo/{demo.stem}", _demo_stdout(demo)
 
 
 def _ambient_items(tag, process, with_prop45):
@@ -102,6 +116,16 @@ def _ambient_items(tag, process, with_prop45):
     yield f"explore_ambients/{tag}", _json(explore_ambients(process, 4).to_json())
     if with_prop45:
         yield f"prop45/{tag}", _json(check_translation(process, 4).to_json())
+
+
+def _demo_stdout(path: Path) -> str:
+    """A demo's standard output, run in its own interpreter so that no
+    uid counter depends on what ran before."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(path)], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
 
 
 def _digest(text: str) -> str:
