@@ -14,6 +14,7 @@ from mobilemem import (
     check_correspondence_PQ,
     check_preimage_reordering,
     check_translation,
+    explore_ambients,
     generate_rules,
     parse_ambient,
     translate,
@@ -32,7 +33,7 @@ for rule in generate_rules(process):
           f"{'/'.join(str(s) for s in rule.u)} against its dual")
 
 print("\nforward correspondence (every ambient move has a membrane match):")
-report = check_correspondence_PQ(process, 2)
+report = check_correspondence_PQ(explore_ambients(process, 2))
 print(f"  {report['edges']} movement edges checked, "
       f"{'all matched' if report['ok'] else report['misses']}")
 

@@ -25,7 +25,7 @@ equality check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .core import INF, Timer, decrement, timer_str
 from .lexer import tokenize
@@ -134,38 +134,19 @@ def soup(p: Process) -> list[Process]:
     return [p]
 
 
-def ambient_names(p: Process) -> set[str]:
-    names: set[str] = set()
-
-    def walk(q: Process):
+def subterms(p: Process) -> Iterator[Process]:
+    """Every subterm of ``p``, ``p`` first, in pre-order; iterative, so
+    nesting depth is not bounded by the recursion limit."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        yield q
         if isinstance(q, Amb):
-            names.add(q.name)
-            walk(q.body)
+            stack.append(q.body)
         elif isinstance(q, Prefix):
-            walk(q.cont)
+            stack.append(q.cont)
         elif isinstance(q, Par):
-            for x in q.parts:
-                walk(x)
-
-    walk(p)
-    return names
-
-
-def capabilities(p: Process) -> list[Capability]:
-    caps: list[Capability] = []
-
-    def walk(q: Process):
-        if isinstance(q, Prefix):
-            caps.append(q.cap)
-            walk(q.cont)
-        elif isinstance(q, Amb):
-            walk(q.body)
-        elif isinstance(q, Par):
-            for x in q.parts:
-                walk(x)
-
-    walk(p)
-    return caps
+            stack.extend(reversed(q.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +188,16 @@ class Redex:
         return f"{self.kind}:{self.mover}->{self.target}@{where}"
 
 
-def _in_prefix_slots(body_parts: list[Process], target: str) -> list[int]:
-    out = []
-    for c, comp in enumerate(body_parts):
-        if (
-            isinstance(comp, Prefix)
-            and comp.cap.kind == "in"
-            and not comp.cap.co
-            and comp.cap.target == target
-            and comp.cap.timer > 0
-        ):
-            out.append(c)
-    return out
+def _prefix_slots(body_parts: list[Process], kind: str, target: str) -> list[int]:
+    """Slots of live positive ``kind`` prefixes aimed at ``target``."""
+    return [
+        c for c, comp in enumerate(body_parts)
+        if isinstance(comp, Prefix)
+        and comp.cap.kind == kind
+        and not comp.cap.co
+        and comp.cap.target == target
+        and comp.cap.timer > 0
+    ]
 
 
 def _local_redexes(parts: list[Process], path: tuple) -> list[tuple]:
@@ -238,7 +217,7 @@ def _local_redexes(parts: list[Process], path: tuple) -> list[tuple]:
                         continue
                     if mover.tag != "a" or not mover.timer > 0:
                         continue
-                    for c in _in_prefix_slots(soup(mover.body), comp.name):
+                    for c in _prefix_slots(soup(mover.body), "in", comp.name):
                         redex = Redex("in", path, mover.name, comp.name, (i, j))
                         found.append((redex, ("in", i, j, c)))
         # R-Out: body is exactly the mover plus one matching co-out prefix.
@@ -252,24 +231,10 @@ def _local_redexes(parts: list[Process], path: tuple) -> list[tuple]:
                 cap = co.cap
                 if not (cap.kind == "out" and cap.co and cap.target == comp.name and cap.timer > 0):
                     continue
-                for c in _out_prefix_slots(soup(mover.body), comp.name):
+                for c in _prefix_slots(soup(mover.body), "out", comp.name):
                     redex = Redex("out", path, mover.name, comp.name, (j,))
                     found.append((redex, ("out", j, a_idx, co_idx, c)))
     return found
-
-
-def _out_prefix_slots(body_parts: list[Process], target: str) -> list[int]:
-    out = []
-    for c, comp in enumerate(body_parts):
-        if (
-            isinstance(comp, Prefix)
-            and comp.cap.kind == "out"
-            and not comp.cap.co
-            and comp.cap.target == target
-            and comp.cap.timer > 0
-        ):
-            out.append(c)
-    return out
 
 
 def redexes(p: Process) -> list[Redex]:
@@ -287,27 +252,25 @@ def redexes(p: Process) -> list[Redex]:
     return found
 
 
-def _fire_in(parts: list[Process], i: int, j: int, c: int) -> list[Process]:
+def _fire_in(parts: list[Process], i: int, j: int, c: int) -> Amb:
+    """The target with the mover inside; both leave the soup."""
     mover, target = parts[i], parts[j]
     mbody = soup(mover.body)
     prefix = mbody[c]
     new_mover = Amb(mover.name, mover.timer, par(*(mbody[:c] + mbody[c + 1:]), prefix.cont), "p")
     co = soup(target.body)[0]
-    new_target = Amb(target.name, target.timer, par(new_mover, co.cont), target.tag)
-    rest = [x for k, x in enumerate(parts) if k not in (i, j)]
-    return rest + [new_target]
+    return Amb(target.name, target.timer, par(new_mover, co.cont), target.tag)
 
 
 def _fire_out(parts: list[Process], j: int, a_idx: int, co_idx: int, c: int) -> list[Process]:
+    """The emptied parent and the mover beside it, replacing the parent."""
     parent = parts[j]
     body = soup(parent.body)
     mover, co = body[a_idx], body[co_idx]
     mbody = soup(mover.body)
     prefix = mbody[c]
     new_mover = Amb(mover.name, mover.timer, par(*(mbody[:c] + mbody[c + 1:]), prefix.cont), "p")
-    new_parent = Amb(parent.name, parent.timer, co.cont, parent.tag)
-    rest = [x for k, x in enumerate(parts) if k != j]
-    return rest + [new_parent, new_mover]
+    return [Amb(parent.name, parent.timer, co.cont, parent.tag), new_mover]
 
 
 def _soup_variants(parts: list[Process]) -> list[tuple[int, list[Process]]]:
@@ -336,16 +299,10 @@ def _soup_variants(parts: list[Process]) -> list[tuple[int, list[Process]]]:
                 comps = [x for _c, x in combo]
                 for _redex, data in fired:
                     if data[0] == "in":
-                        _kind, i, j, c = data
-                        sub = _fire_in(parts, i, j, c)
-                        comps.append(sub[-1])
-                        count += 1
+                        comps.append(_fire_in(parts, *data[1:]))
                     else:
-                        _kind, j, a_idx, co_idx, c = data
-                        sub = _fire_out(parts, j, a_idx, co_idx, c)
-                        comps.extend(sub[-2:])
-                        count += 1
-                results.append((count, comps))
+                        comps.extend(_fire_out(parts, *data[1:]))
+                results.append((count + len(fired), comps))
             return
         choose(rdx_idx + 1, used, fired)
         redex, data = local[rdx_idx]

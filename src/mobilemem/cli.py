@@ -26,7 +26,7 @@ from .explore import (
 )
 from .ambient import AmbientSyntaxError, parse_ambient
 from .translate import TranslateError, generate_rules, translate
-from .sysfile import ParseError, SystemFile, parse_system, render_system
+from .sysfile import InvalidSystemError, ParseError, SystemFile, parse_system, render_system
 from . import corpus
 from .core import output_reading
 
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ParseError, AmbientSyntaxError, TranslateError, CompileError) as err:
+    except (ParseError, InvalidSystemError, AmbientSyntaxError, TranslateError, CompileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except BudgetExceeded as err:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 INF = float("inf")
 
@@ -331,25 +331,27 @@ def per_membrane_readings(config: Configuration) -> tuple:
 # ---------------------------------------------------------------------------
 # Validation
 
-def _check_prods(side: str, prods: tuple, slots: tuple, out: list, rule_name: str) -> None:
-    for sym, spec in prods:
-        if isinstance(spec, Carry):
-            if not 0 <= spec.slot < len(slots):
-                out.append(f"rule {rule_name}: carry slot {spec.slot} out of range in {side}")
-            elif slots[spec.slot] != sym:
-                out.append(
-                    f"rule {rule_name}: carry slot {spec.slot} binds {slots[spec.slot]},"
-                    f" not {sym}, in {side}"
-                )
+def _check_prods(side: str, prods: tuple, slots_of: Callable[[], tuple], out: list, rule_name: str) -> None:
+    """``slots_of`` builds the side's slot tuple, which sorts a multiset, so
+    it is called only when a product carries a timer."""
+    carried = [(sym, spec.slot) for sym, spec in prods if isinstance(spec, Carry)]
+    slots = slots_of() if carried else ()
+    for sym, slot in carried:
+        if not 0 <= slot < len(slots):
+            out.append(f"rule {rule_name}: carry slot {slot} out of range in {side}")
+        elif slots[slot] != sym:
+            out.append(f"rule {rule_name}: carry slot {slot} binds {slots[slot]}, not {sym}, in {side}")
 
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_$]+$")
 
 
 def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
-    """Static well-formedness check; returns a list of violations (empty = ok)."""
+    """Static well-formedness check; returns a list of violations (empty = ok).
+    Untimed configurations are accepted too: their nodes have no timer and
+    hold bare symbols, which count as timer ``inf`` here."""
     violations: list[str] = []
-    if config.skin.timer != INF:
+    if getattr(config.skin, "timer", INF) != INF:
         violations.append("skin membrane must have timer inf")
     seen_uids: set[int] = set()
     for node in config.skin.walk():
@@ -358,7 +360,8 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
         seen_uids.add(node.uid)
         if not node.label or not _NAME_RE.match(node.label):
             violations.append(f"membrane label {node.label!r} is not a plain name")
-        for (sym, t), _n in node.content.items():
+        for entry, _n in node.content.items():
+            sym, t = entry if isinstance(entry, tuple) else (entry, INF)
             if not _NAME_RE.match(sym.name):
                 violations.append(f"object name {sym.name!r} is not a plain name")
             if sym.name == DELTA_NAME:
@@ -370,12 +373,12 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
         if isinstance(rule, MoveRule):
             if not rule.u:
                 violations.append(f"rule {name}: trigger multiset u is empty")
-            _check_prods("w", rule.w, rule.active_slots, violations, name)
-            _check_prods("w2", rule.w2, rule.passive_slots, violations, name)
+            _check_prods("w", rule.w, lambda: rule.active_slots, violations, name)
+            _check_prods("w2", rule.w2, lambda: rule.passive_slots, violations, name)
         elif isinstance(rule, RewriteRule):
             if not rule.lhs:
                 violations.append(f"rule {name}: rewrite left side is empty")
-            _check_prods("rhs", rule.rhs, rule.active_slots, violations, name)
+            _check_prods("rhs", rule.rhs, lambda: rule.active_slots, violations, name)
     return violations
 
 

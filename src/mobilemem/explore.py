@@ -19,7 +19,8 @@ Three checks constitute the toolkit's oracle:
   image (timer-erased against full engine steps, exact against the literal
   one-rule relation), and every reachable membrane state has some ambient
   preimage. Preimages the ambient side cannot reach are reported as
-  informative, not failing.
+  informative, not failing. The ambient side is explored once, within the
+  node cap; both forward passes walk that graph's ``move`` edges.
 """
 
 from __future__ import annotations
@@ -187,21 +188,10 @@ def explore_ambients(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> ReachG
         return [(label, q, amb.canonical_key(q)) for q in amb.reduce_step(state)]
 
     def meta(state, key, d):
-        count = sum(1 for _ in _amb_walk(state))
+        count = sum(isinstance(q, amb.Amb) for q in amb.subterms(state))
         return NodeRecord(key, d, False, count, ())
 
     return _bfs(p, amb.canonical_key(p), succ, meta, depth, max_nodes)
-
-
-def _amb_walk(p):
-    if isinstance(p, amb.Amb):
-        yield p
-        yield from _amb_walk(p.body)
-    elif isinstance(p, amb.Par):
-        for part in p.parts:
-            yield from _amb_walk(part)
-    elif isinstance(p, amb.Prefix):
-        yield from _amb_walk(p.cont)
 
 
 # ---------------------------------------------------------------------------
@@ -356,33 +346,39 @@ def check_timer_elimination(
 
 def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdict:
     """Both correspondence directions for the ambient translation, plus the
-    reordered-preimage phenomenon as an informative note."""
+    reordered-preimage phenomenon as an informative note. One ambient graph
+    serves both forward passes, which walk its ``move`` edges: those from
+    states at depth below ``depth`` (the root alone at depth 0 for the
+    exact pass, none for the erased one)."""
     p = amb.normalize(p)
     default_rules = _generate_rules(p)
     try:
-        strict_report = check_correspondence_PQ(p, depth)
         ambient_graph = explore_ambients(p, depth, max_nodes)
         membrane_graph = explore_membranes(_translate(p), default_rules, depth, max_nodes)
     except BudgetExceeded as err:
         return Verdict("prop45", None, {"reason": str(err)})
+    strict_report = check_correspondence_PQ(ambient_graph)
+
+    images: dict[str, Configuration] = {}
+
+    def image(key: str) -> Configuration:
+        if key not in images:
+            images[key] = _translate(ambient_graph.objects[key])
+        return images[key]
 
     pq_misses = []
     pq_edges = 0
-    for state_key, record in ambient_graph.nodes.items():
-        state = ambient_graph.objects[state_key]
-        if not amb.redexes(state):
-            continue
-        if record.depth >= depth:
-            continue
-        image = _translate(state)
-        erased_successors = {
-            u_canonicalize(erase_timers(cfg)) for _c, cfg, _k in successors(image, default_rules)
-        }
-        for succ in amb.reduce_step(state):
-            pq_edges += 1
-            want = u_canonicalize(erase_timers(_translate(succ)))
-            if want not in erased_successors:
-                pq_misses.append({"state": state_key, "reduct": amb.canonical_key(succ)})
+    erased_successors: dict[str, set] = {}
+    for state_key, label, reduct_key in ambient_graph.edges:
+        if label != "move":
+            continue  # only movement reductions are matched
+        if state_key not in erased_successors:
+            erased_successors[state_key] = {
+                u_canonicalize(erase_timers(cfg)) for _c, cfg, _k in successors(image(state_key), default_rules)
+            }
+        pq_edges += 1
+        if u_canonicalize(erase_timers(image(reduct_key))) not in erased_successors[state_key]:
+            pq_misses.append({"state": state_key, "reduct": reduct_key})
 
     mn_misses = []
     preimage_notes = []

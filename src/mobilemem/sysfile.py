@@ -46,6 +46,7 @@ from .core import (
     dual,
     renumber,
     timer_str,
+    validate,
 )
 from .lexer import tokenize
 from .untimed import UConfig, UNode, u_renumber
@@ -56,6 +57,15 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
+
+
+class InvalidSystemError(ValueError):
+    """A file that parses but describes an ill-formed system; carries every
+    violation ``core.validate`` found."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid system: " + "; ".join(violations))
+        self.violations = violations
 
 
 @dataclass
@@ -286,8 +296,13 @@ class _Parser:
 
 
 def parse_system(text: str) -> SystemFile:
-    """Parse an .mms file; positioned ParseError on bad syntax."""
-    return _Parser(text).system()
+    """Parse an .mms file; positioned ParseError on bad syntax,
+    InvalidSystemError listing every violation of ``core.validate``."""
+    sf = _Parser(text).system()
+    violations = validate(sf.config, sf.rules)
+    if violations:
+        raise InvalidSystemError(violations)
+    return sf
 
 
 # ---------------------------------------------------------------------------

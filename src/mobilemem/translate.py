@@ -24,6 +24,10 @@ generated rules' right-hand sides; against it the translation commutes
 with reduction on the nose. The default engine relation (full steps)
 matches only after erasing timers, since the engine ticks bystanders and
 decrements the moving membrane.
+
+``check_correspondence_PQ`` does not explore: it walks the movement edges
+of an ambient reach graph built by ``explore.explore_ambients``, the same
+graph ``explore.check_translation`` uses for its timer-erased pass.
 """
 
 from __future__ import annotations
@@ -70,13 +74,14 @@ def cap_from_symbol(sym: Symbol, timer: Timer) -> Capability | None:
 
 def translate(p: Process) -> Configuration:
     """Membrane image of a process, wrapped in the synthetic skin."""
-    if SKIN_LABEL in amb.ambient_names(p):
+    p = amb.normalize(p)
+    if any(isinstance(q, Amb) and q.name == SKIN_LABEL for q in amb.subterms(p)):
         raise TranslateError(f"ambient name {SKIN_LABEL!r} is reserved for the synthetic skin")
 
     def region(q: Process) -> tuple[list, list]:
         objects: list = []
         children: list = []
-        for comp in amb.soup(amb.normalize(q)):
+        for comp in amb.soup(q):
             if isinstance(comp, Prefix):
                 objects.append(((cap_symbol(comp.cap)), comp.cap.timer))
                 inner_objs, inner_kids = region(comp.cont)
@@ -100,8 +105,8 @@ def generate_rules(p: Process, strict: bool = False) -> tuple[Rule, ...]:
     """Movement rules for every (mover, target) name pair with a positive
     capability aimed at the target. ``strict`` keeps the moving membrane's
     timer unchanged, matching the generated rules' literal right sides."""
-    names = sorted(amb.ambient_names(p))
-    targets = sorted({c.target for c in amb.capabilities(p) if not c.co})
+    names = sorted({q.name for q in amb.subterms(p) if isinstance(q, Amb)})
+    targets = sorted({q.cap.target for q in amb.subterms(p) if isinstance(q, Prefix) and not q.cap.co})
     rules: list[Rule] = []
     for m in targets:
         if m not in names:
@@ -171,32 +176,41 @@ def literal_successors(
 # ---------------------------------------------------------------------------
 # Correspondence: ambient reductions map to membrane reductions
 
-def check_correspondence_PQ(p: Process, depth: int = 1) -> dict:
-    """For every non-time ambient reduction P' -> Q' reachable within
-    ``depth``, the literal membrane relation takes translate(P') to a
-    configuration with the same canonical key as translate(Q')."""
-    from .explore import explore_ambients  # explore imports this module
+def check_correspondence_PQ(graph) -> dict:
+    """For every non-time ambient reduction P' -> Q' from a state of the
+    complete ambient reach ``graph`` (an ``explore.ReachGraph``) at depth
+    at most max(graph.depth - 1, 0), the literal membrane relation takes
+    translate(P') to a configuration with the same canonical key as
+    translate(Q'). The graph's recorded ``move`` edges are the reductions;
+    a depth-0 graph has none, so its root is reduced here. Each state is
+    translated once."""
+    root = graph.objects[graph.root]
+    rules = generate_rules(root, strict=True)
+    moves: dict[str, list[str]] = {}
+    for src, label, dst in graph.edges:
+        if label == "move":
+            moves.setdefault(src, []).append(dst)
+    images: dict[str, Configuration] = {}
+    if graph.depth == 0 and amb.redexes(root):
+        for succ in amb.reduce_step(root):
+            key = amb.canonical_key(succ)
+            images[key] = translate(succ)
+            moves.setdefault(graph.root, []).append(key)
 
-    rules = generate_rules(p, strict=True)
-    graph = explore_ambients(p, max(depth - 1, 0))
+    def image(key: str) -> Configuration:
+        if key not in images:
+            images[key] = translate(graph.objects[key])
+        return images[key]
+
     edges = 0
     misses: list[dict] = []
-    for key in sorted(graph.nodes):
-        state = graph.objects[key]
-        if not amb.redexes(state):
-            continue  # its one successor is the clock tick
-        membrane_keys = {
-            key for _i, _cfg, key in literal_successors(translate(state), rules)
-        }
-        for succ in amb.reduce_step(state):
+    for key in sorted(moves):
+        membrane_keys = {k for _i, _cfg, k in literal_successors(image(key), rules)}
+        for dst in moves[key]:
             edges += 1
-            want = canonicalize(translate(succ))
+            want = canonicalize(image(dst))
             if want not in membrane_keys:
-                misses.append({
-                    "process": amb.canonical_key(state),
-                    "reduct": amb.canonical_key(succ),
-                    "wanted": want,
-                })
+                misses.append({"process": key, "reduct": dst, "wanted": want})
     return {"edges": edges, "misses": misses, "ok": not misses}
 
 

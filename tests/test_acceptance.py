@@ -36,7 +36,7 @@ from mobilemem.translate import (
     generate_rules,
     translate,
 )
-from mobilemem.explore import check_embedding, check_timer_elimination, check_translation
+from mobilemem.explore import check_embedding, check_timer_elimination, check_translation, explore_ambients
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.cli import main
 from mobilemem import corpus
@@ -205,7 +205,7 @@ def test_criterion_correspondence():
         verdict = check_translation(p, 2)
         assert verdict.ok, (i, verdict.details)
         assert verdict.details["pq_erased"]["misses"] == [], i
-        strict = check_correspondence_PQ(p, 2)
+        strict = check_correspondence_PQ(explore_ambients(p, 2))
         assert strict["ok"], (i, strict)
     _timed("movement correspondence, 11 processes, depth 2", 60.0, t0)
 

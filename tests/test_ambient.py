@@ -8,7 +8,6 @@ from mobilemem.ambient import (
     Prefix,
     ZERO,
     canonical_key,
-    capabilities,
     congruent,
     erase_tags,
     par,
@@ -17,12 +16,17 @@ from mobilemem.ambient import (
     redexes,
     reduce_step,
     render_process,
+    subterms,
 )
 from mobilemem.corpus import random_process, random_reducible_process, reorder_demo_process
 
 
 def cap(kind, t, target, co=False):
     return Capability(kind, co, target, t)
+
+
+def _capabilities(p):
+    return [q.cap for q in subterms(p) if isinstance(q, Prefix)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +190,10 @@ def test_no_passive_tags_after_clock_tick_with_live_ambients():
 def test_capability_count_never_grows_under_movement():
     for seed in range(40):
         p = random_reducible_process(seed)
-        before = len(capabilities(p))
+        before = len(_capabilities(p))
         for q in reduce_step(p):
             if redexes(p):
-                assert len(capabilities(q)) < before
+                assert len(_capabilities(q)) < before
 
 
 def test_simultaneous_firing_equals_sequential_firing():

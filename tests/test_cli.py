@@ -142,6 +142,13 @@ def test_usage_and_parse_errors_exit_3(tmp_path, capsys):
     assert main(["frobnicate"]) == 3  # unknown subcommand
 
 
+def test_invalid_system_exits_3_naming_the_violation(tmp_path, capsys):
+    resting = tmp_path / "resting.mms"
+    resting.write_text("mms 1 timed\noutput skin\nskin:inf[ delta:1 ; h:3[ a:2 ] ]\n")
+    assert main(["sim", str(resting), "--steps", "2"]) == 3
+    assert "dissolution marker at rest inside skin" in capsys.readouterr().err
+
+
 def test_check_prop1_rejects_timed_input(s1_file):
     assert main(["check", "prop1", s1_file, "--depth", "2"]) == 3
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from mobilemem.explore import (
 )
 from mobilemem.compiler import embed_infinite
 from mobilemem.untimed import UConfig, umem
-from mobilemem.ambient import parse_ambient
+from mobilemem.ambient import canonical_key, parse_ambient
 from mobilemem.corpus import (
     random_timed_system,
     random_untimed_system,
@@ -228,6 +229,49 @@ def test_check_translation_demo():
     assert verdict.details["reordering"]["reordering_found"]
     assert verdict.details["pq_exact"]["ok"]
     assert verdict.details["mn"]["misses"] == []
+
+
+def _w4(k):
+    """ROADMAP W4: k independent enter handshakes."""
+    return parse_ambient(" | ".join(f"n{i}:9[ in:5 m{i} ] | m{i}:9[ ~in:5 m{i} ]" for i in range(k)))
+
+
+def test_check_translation_explores_the_ambient_side_once(monkeypatch):
+    import mobilemem.explore as explore
+
+    calls = []
+    real = explore.explore_ambients
+    monkeypatch.setattr(explore, "explore_ambients", lambda *args: calls.append(args) or real(*args))
+    for depth in range(4):
+        calls.clear()
+        assert check_translation(_w4(2), depth).ok
+        assert len(calls) == 1, depth
+
+
+def test_check_translation_keeps_the_node_budget(monkeypatch):
+    # every ambient reduction goes through the budgeted exploration, which
+    # stops at the third new node after the root's one reduce_step call
+    import mobilemem.ambient as ambient
+
+    calls = []
+    real = ambient.reduce_step
+    monkeypatch.setattr(ambient, "reduce_step", lambda p: calls.append(p) or real(p))
+    max_nodes = 3
+    verdict = check_translation(_w4(4), 3, max_nodes)
+    assert verdict.ok is None
+    assert len(calls) <= max_nodes
+
+
+def test_correspondence_translates_each_state_once(monkeypatch):
+    # the package's ``translate`` function shadows the module of that name
+    translate = importlib.import_module("mobilemem.translate")
+    graph = explore_ambients(_w4(3), 3)
+    seen = []
+    real = translate.translate
+    monkeypatch.setattr(translate, "translate", lambda p: seen.append(canonical_key(p)) or real(p))
+    report = translate.check_correspondence_PQ(graph)
+    assert report["ok"] and report["edges"] == sum(label == "move" for _s, label, _d in graph.edges)
+    assert len(seen) == len(set(seen))
 
 
 def test_verdict_exit_codes():

@@ -12,7 +12,7 @@ from mobilemem.core import (
     canonicalize,
 )
 from mobilemem.untimed import u_canonicalize
-from mobilemem.sysfile import ParseError, SystemFile, parse_system, render_system
+from mobilemem.sysfile import InvalidSystemError, ParseError, SystemFile, parse_system, render_system
 from mobilemem.corpus import random_timed_system, random_untimed_system
 
 a, b = Symbol("a"), Symbol("b")
@@ -136,3 +136,16 @@ def test_products_require_timer_spec_in_timed_mode():
         "mms 1 timed\noutput skin\nskin:inf[]\nrw h : a => delta\n"
     )
     assert sf.rules[0].rhs[0][0].name == "delta"
+
+
+def test_load_lists_every_violation():
+    text = "mms 1 timed\noutput skin\nskin:inf[ delta:1 ; h:3[ a:2 ] ]\nrw h : => a:+1\n"
+    with pytest.raises(InvalidSystemError) as err:
+        parse_system(text)
+    assert err.value.violations == [
+        "dissolution marker at rest inside skin",
+        "rule r0: rewrite left side is empty",
+    ]
+    untimed = "mms 1 untimed\noutput skin\nskin[ ; h[ delta ] ]\n"
+    with pytest.raises(InvalidSystemError, match="marker at rest inside h"):
+        parse_system(untimed)

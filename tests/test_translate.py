@@ -9,6 +9,7 @@ from mobilemem.ambient import (
     congruent,
     par,
     parse_ambient,
+    subterms,
 )
 from mobilemem.translate import (
     TranslateError,
@@ -23,6 +24,11 @@ from mobilemem.translate import (
     translate,
 )
 from mobilemem.corpus import hand_processes, random_process, reorder_demo_process
+from mobilemem.explore import explore_ambients
+
+
+def _capabilities(p):
+    return [q.cap for q in subterms(p) if isinstance(q, Prefix)]
 
 
 def test_capability_symbols_respect_duality():
@@ -90,12 +96,10 @@ def test_congruence_soundness():
 
 
 def test_timer_preservation():
-    from mobilemem.ambient import capabilities
-
     for seed in range(40):
         p = random_process(seed)
         config = translate(p)
-        want_caps = sorted((str(cap_symbol(c)), c.timer) for c in capabilities(p))
+        want_caps = sorted((str(cap_symbol(c)), c.timer) for c in _capabilities(p))
         got_caps = sorted(
             (str(sym), t)
             for node in config.skin.walk()
@@ -138,14 +142,14 @@ def test_literal_successor_is_exact():
 
 
 def test_correspondence_demo_and_vacuous():
-    report = check_correspondence_PQ(reorder_demo_process(), 1)
+    report = check_correspondence_PQ(explore_ambients(reorder_demo_process(), 1))
     assert report["ok"] and report["edges"] == 1
-    assert check_correspondence_PQ(ZERO, 3)["ok"]
+    assert check_correspondence_PQ(explore_ambients(ZERO, 3))["ok"]
 
 
 def test_correspondence_hand_corpus():
     for i, p in enumerate(hand_processes()):
-        report = check_correspondence_PQ(p, 2)
+        report = check_correspondence_PQ(explore_ambients(p, 2))
         assert report["ok"], (i, report)
 
 
