@@ -252,25 +252,24 @@ def redexes(p: Process) -> list[Redex]:
     return found
 
 
+def _spend(mover: Amb, c: int) -> Amb:
+    """The mover, now passive, with the prefix in body slot ``c`` fired."""
+    mbody = soup(mover.body)
+    return Amb(mover.name, mover.timer, par(*(mbody[:c] + mbody[c + 1:]), mbody[c].cont), "p")
+
+
 def _fire_in(parts: list[Process], i: int, j: int, c: int) -> Amb:
     """The target with the mover inside; both leave the soup."""
-    mover, target = parts[i], parts[j]
-    mbody = soup(mover.body)
-    prefix = mbody[c]
-    new_mover = Amb(mover.name, mover.timer, par(*(mbody[:c] + mbody[c + 1:]), prefix.cont), "p")
+    target = parts[j]
     co = soup(target.body)[0]
-    return Amb(target.name, target.timer, par(new_mover, co.cont), target.tag)
+    return Amb(target.name, target.timer, par(_spend(parts[i], c), co.cont), target.tag)
 
 
 def _fire_out(parts: list[Process], j: int, a_idx: int, co_idx: int, c: int) -> list[Process]:
     """The emptied parent and the mover beside it, replacing the parent."""
     parent = parts[j]
     body = soup(parent.body)
-    mover, co = body[a_idx], body[co_idx]
-    mbody = soup(mover.body)
-    prefix = mbody[c]
-    new_mover = Amb(mover.name, mover.timer, par(*(mbody[:c] + mbody[c + 1:]), prefix.cont), "p")
-    return [Amb(parent.name, parent.timer, co.cont, parent.tag), new_mover]
+    return [Amb(parent.name, parent.timer, body[co_idx].cont, parent.tag), _spend(body[a_idx], c)]
 
 
 def _soup_variants(parts: list[Process]) -> list[tuple[int, list[Process]]]:
