@@ -19,7 +19,9 @@ expired capability never fires.
 
 Parallel composition is kept in normal form (flattened, no ``0`` parts,
 parts canonically sorted), which makes structural congruence a syntactic
-equality check.
+equality check. Process nodes are frozen and list their immediate
+subterms as ``children``, so each stores its canonical key on first use
+(``core.stored_render``) and ``par`` sorts by keys computed once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .core import INF, Timer, decrement, timer_str
+from .core import INF, Timer, decrement, render_slot, stored_render, timer_str, walk_tree
 from .lexer import tokenize
 
 
@@ -42,8 +44,12 @@ class Capability:
         return f"{'~' if self.co else ''}{self.kind}:{timer_str(self.timer)} {self.target}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zero:
+    _render: str | None = render_slot()
+
+    children = ()
+
     def __str__(self) -> str:
         return "0"
 
@@ -51,37 +57,57 @@ class Zero:
 ZERO = Zero()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prefix:
     cap: Capability
     cont: "Process" = ZERO
+    _render: str | None = render_slot()
+
+    @property
+    def children(self) -> tuple:
+        return (self.cont,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Amb:
     name: str
     timer: Timer
     body: "Process" = ZERO
     tag: str = "a"  # "a" active, "p" passive
+    _render: str | None = render_slot()
+
+    @property
+    def children(self) -> tuple:
+        return (self.body,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par:
     parts: tuple
+    _render: str | None = render_slot()
+
+    @property
+    def children(self) -> tuple:
+        return self.parts
 
 
 Process = Union[Zero, Prefix, Amb, Par]
 
 
-def canonical_key(p: Process) -> str:
-    """Deterministic rendering with tags; equal keys iff congruent."""
+def _key_one(p: Process) -> str:
     if isinstance(p, Zero):
         return "0"
     if isinstance(p, Prefix):
-        return f"{p.cap}.{canonical_key(p.cont)}"
+        return f"{p.cap}.{p.cont._render}"
     if isinstance(p, Amb):
-        return f"{p.name}:{timer_str(p.timer)}^{p.tag}[{canonical_key(p.body)}]"
-    return "(" + " | ".join(canonical_key(x) for x in p.parts) + ")"
+        return f"{p.name}:{timer_str(p.timer)}^{p.tag}[{p.body._render}]"
+    return "(" + " | ".join([x._render for x in p.parts]) + ")"
+
+
+def canonical_key(p: Process) -> str:
+    """Deterministic rendering with tags; equal keys iff congruent. Stored
+    in each node on first use."""
+    return stored_render(p, _key_one)
 
 
 def par(*parts: Process) -> Process:
@@ -137,16 +163,7 @@ def soup(p: Process) -> list[Process]:
 def subterms(p: Process) -> Iterator[Process]:
     """Every subterm of ``p``, ``p`` first, in pre-order; iterative, so
     nesting depth is not bounded by the recursion limit."""
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        yield q
-        if isinstance(q, Amb):
-            stack.append(q.body)
-        elif isinstance(q, Prefix):
-            stack.append(q.cont)
-        elif isinstance(q, Par):
-            stack.extend(reversed(q.parts))
+    return walk_tree(p)
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +329,30 @@ def _soup_variants(parts: list[Process]) -> list[tuple[int, list[Process]]]:
     return results
 
 
-def reduce_step(p: Process) -> list[Process]:
+class Reducts(list):
+    """The one-step reducts of a process. ``moved`` tells movement reducts
+    from the clock tick, so the caller need not search for redexes again."""
+
+    __slots__ = ("moved",)
+
+    def __init__(self, reducts, moved: bool):
+        super().__init__(reducts)
+        self.moved = moved
+
+
+def reduce_step(p: Process) -> Reducts:
     """All one-step reducts: every nonempty independent redex set fired
-    simultaneously, or the single clock tick when no redex exists."""
+    simultaneously, in key order, or the single clock tick when no redex
+    exists."""
     p = normalize(p)
     seen: dict[str, Process] = {}
-    any_redex = False
     for count, comps in _soup_variants(soup(p)):
-        if count == 0:
-            continue
-        any_redex = True
-        result = par(*comps)
-        seen.setdefault(canonical_key(result), result)
-    if not any_redex:
-        tick = normalize(phi_delta(p))
-        return [tick]
-    return [seen[k] for k in sorted(seen)]
+        if count:
+            result = par(*comps)
+            seen.setdefault(canonical_key(result), result)
+    if not seen:
+        return Reducts([normalize(phi_delta(p))], moved=False)
+    return Reducts([seen[k] for k in sorted(seen)], moved=True)
 
 
 # ---------------------------------------------------------------------------

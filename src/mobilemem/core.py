@@ -83,17 +83,26 @@ class Multiset:
                 raise ValueError("negative multiplicity")
             if n:
                 counts[item] = counts.get(item, 0) + n
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_items", tuple(sorted(counts.items())))
-        object.__setattr__(self, "_hash", hash(self._items))
+        self._counts = counts
+        self._items = tuple(sorted(counts.items()))
+        self._hash = None  # computed on first use
 
     @classmethod
     def _from_counts(cls, counts: dict) -> "Multiset":
         ms = cls.__new__(cls)
-        clean = {k: n for k, n in counts.items() if n}
-        object.__setattr__(ms, "_counts", clean)
-        object.__setattr__(ms, "_items", tuple(sorted(clean.items())))
-        object.__setattr__(ms, "_hash", hash(ms._items))
+        ms._counts = clean = {k: n for k, n in counts.items() if n}
+        ms._items = tuple(sorted(clean.items()))
+        ms._hash = None
+        return ms
+
+    @classmethod
+    def _of_sorted(cls, items: tuple) -> "Multiset":
+        """From ``(item, count)`` pairs already sorted, with distinct items
+        and positive counts."""
+        ms = cls.__new__(cls)
+        ms._items = items
+        ms._counts = dict(items)
+        ms._hash = None
         return ms
 
     def count(self, item) -> int:
@@ -121,6 +130,8 @@ class Multiset:
         return isinstance(other, Multiset) and self._items == other._items
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._items)
         return self._hash
 
     def __repr__(self) -> str:
@@ -158,13 +169,51 @@ def fresh_uid() -> int:
     return next(_uid_counter)
 
 
-@dataclass(frozen=True)
+def walk_tree(node) -> Iterator:
+    """``node`` and every node below it (through ``children``) in
+    pre-order, children left to right; iterative, so nesting depth is not
+    bounded by the recursion limit."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.children:
+            stack.extend(reversed(node.children))
+
+
+def render_slot():
+    """The dataclass field in which a frozen tree node keeps its render,
+    filled by ``stored_render`` or by whoever builds the node."""
+    return field(default=None, init=False, compare=False, repr=False)
+
+
+def stored_render(node, render_one: Callable) -> str:
+    """``node``'s render, computed once: ``render_one(n)`` builds one
+    node's render from its own fields and its children's stored renders,
+    and is stored in the ``_render`` slot of every node below ``node``
+    that lacks it, children first. Frozen nodes never change, so the
+    stored render stays valid and subtrees shared between configurations
+    are rendered once."""
+    if node._render is None:
+        order = []
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            order.append(n)
+            stack.extend([c for c in n.children if c._render is None])
+        for n in reversed(order):
+            object.__setattr__(n, "_render", render_one(n))
+    return node._render
+
+
+@dataclass(frozen=True, slots=True)
 class MembraneNode:
     """A membrane: label, remaining lifetime, contents, child membranes.
 
     ``uid`` is an engine-assigned identity used by traces and rule
     instances; it is excluded from canonical keys. Labels need not be
-    unique, and a node is elementary iff it has no children.
+    unique, and a node is elementary iff it has no children. ``_render``
+    holds ``canonical_render(node)`` once it has been computed.
     """
 
     label: str
@@ -172,15 +221,13 @@ class MembraneNode:
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
+    _render: str | None = render_slot()
 
     @property
     def elementary(self) -> bool:
         return not self.children
 
-    def walk(self) -> Iterator["MembraneNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    walk = walk_tree
 
 
 def mem(label: str, timer: Timer, objects: Iterable = (), children: Iterable = ()) -> MembraneNode:
@@ -291,14 +338,20 @@ Rule = Union[EndoRule, ExoRule, RewriteRule]
 # ---------------------------------------------------------------------------
 # Canonicalization and readings
 
-def canonical_render(node: MembraneNode) -> str:
-    """Deterministic rendering, invariant under sibling and entry order."""
+def render_one(node: MembraneNode) -> str:
+    """One node's canonical render from its fields and the stored renders
+    of its children."""
     objs = []
     for (sym, t), n in node.content.items():
         objs.extend([f"{sym}:{timer_str(t)}"] * n)
-    kids = sorted(canonical_render(c) for c in node.children)
-    head = f"{node.label}:{timer_str(node.timer)}"
-    return head + "{" + ",".join(objs) + "}[" + " ".join(kids) + "]"
+    kids = " ".join(sorted([c._render for c in node.children])) if node.children else ""
+    return f"{node.label}:{timer_str(node.timer)}{{{','.join(objs)}}}[{kids}]"
+
+
+def canonical_render(node: MembraneNode) -> str:
+    """Deterministic rendering, invariant under sibling and entry order;
+    stored in each node on first use (see ``stored_render``)."""
+    return stored_render(node, render_one)
 
 
 def canonicalize(config: Configuration) -> str:

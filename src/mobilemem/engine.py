@@ -33,6 +33,14 @@ makes the timer-elimination equivalence checkable. Both come from
 three modes (saturated, forced-only, any) for every relation. Moves,
 dissolution and the rebuilt tree come from ``tree.Tree``, which the
 untimed step and the literal relation use too.
+
+A step loads only the membranes its choice names and their ancestors.
+Every other subtree takes no part in phase 1, so the step applies phases
+2, 3 and 5 to it straight from its frozen nodes through ``Tree``'s
+``settle`` hook, with one tick rule (``_older``) for both kinds of node;
+a subtree holding a timer-0 membrane is loaded, since that membrane
+dissolves in phase 4. Every node the step builds gets its canonical
+render as it is built, so keying the result costs one join.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from .core import (
     canonicalize,
     canonical_render,
     decrement,
+    render_one,
     timer_str,
 )
 from .tree import Tree
@@ -298,9 +307,9 @@ def _validate_choice(choice: StepChoice, nodes: dict) -> None:
         if inst.is_move:
             passive = nodes.get(inst.passive_uid)
             if isinstance(inst.rule, EndoRule):
-                if passive is None or active.parent is not passive.parent or active.parent is None:
+                if passive is None or active.parent != passive.parent or active.parent is None:
                     raise StaleChoiceError("endo participants are not siblings here")
-            elif passive is None or active.parent is not passive:
+            elif passive is None or active.parent != inst.passive_uid:
                 raise StaleChoiceError("exo active is not a child of its passive")
             if active.children or not active.src.timer > 0 or not passive.src.timer > 0:
                 raise StaleChoiceError("move structural precondition fails")
@@ -316,11 +325,57 @@ def _validate_choice(choice: StepChoice, nodes: dict) -> None:
             raise StaleChoiceError(f"binding {cls} x{n} unavailable in membrane {uid}")
 
 
+def _older(cls: ObjClass) -> ObjClass | None:
+    """Phases 2 and 3 for one pre-existing unbound object: its class one
+    tick later (``INF`` and markers unchanged), or ``None`` when it
+    expires at timer 0. Distinct classes stay distinct and keep their
+    order, so a sorted multiset stays sorted."""
+    t = cls[1]
+    if t == INF or _is_delta(cls):  # markers take part in phase 4, not in time
+        return cls
+    if t == 0:
+        return None
+    return (cls[0], t - 1)
+
+
 def step(config: Configuration, choice: StepChoice) -> StepResult:
     """Apply one chosen step and the clock phases; see the module docstring
     for the phase order. Raises StaleChoiceError on a choice that was not
-    produced for this configuration."""
-    tree = Tree(config.skin)
+    produced for this configuration. Subtrees the choice does not touch
+    go through ``settle`` (see the module docstring)."""
+    expired = 0
+    # uid -> the settled subtree, or None, of each child that settle met
+    # inside a subtree it then gave back to be loaded; the load asks again
+    retry: dict = {}
+
+    def settle(node: MembraneNode) -> MembraneNode | None:
+        nonlocal expired
+        if retry and node.uid in retry:
+            return retry.pop(node.uid)
+        if node.timer == 0:
+            return None
+        kids = []
+        for child in node.children:
+            kid = settle(child)
+            if kid is None:
+                retry.update((k.uid, k) for k in kids)
+                retry[child.uid] = None
+                return None
+            kids.append(kid)
+        items = []
+        for cls, n in node.content.items():
+            older = _older(cls)
+            if older is None:
+                expired += n
+            else:
+                items.append((older, n))
+        ticked = MembraneNode(
+            node.label, node.timer - 1, Multiset._of_sorted(tuple(items)), tuple(kids), uid=node.uid
+        )
+        object.__setattr__(ticked, "_render", render_one(ticked))
+        return ticked
+
+    tree = Tree(config.skin, choice, settle)
     nodes = tree.nodes
     _validate_choice(choice, nodes)
 
@@ -370,10 +425,10 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
                 detached.append((inst.active_uid, label, canonical_render(frozen)))
                 detached_objects += sum(gone.content.values())
 
-    # Phases 2 and 3: expire timer-0 objects, tick the remaining unbound
-    # pre-existing objects; phase-1 products are skipped in both. Then the
-    # phase-4 marker on every non-skin, non-active membrane at timer 0.
-    expired = 0
+    # Phases 2 and 3 on the work nodes: expire timer-0 objects, tick the
+    # remaining unbound pre-existing objects; phase-1 products are skipped
+    # in both. Then the phase-4 marker on every non-skin, non-active
+    # membrane at timer 0.
     marker = (DELTA, INF)
     for uid, node in nodes.items():
         made = produced.get(uid, {})
@@ -382,13 +437,11 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
             orig = total - made.get(cls, 0)
             if not orig:
                 continue
-            sym, t = cls
-            if t == INF or _is_delta(cls):  # markers take part in phase 4, not in time
-                content[cls] = content.get(cls, 0) + orig
-            elif t == 0:
+            older = _older(cls)
+            if older is None:
                 expired += orig
             else:
-                content[(sym, t - 1)] = content.get((sym, t - 1), 0) + orig
+                content[older] = content.get(older, 0) + orig
         if node.parent is not None and uid not in timers and node.src.timer == 0:
             content[marker] = content.get(marker, 0) + 1
         node.content = content
@@ -408,7 +461,9 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
             timer = src.timer - 1
         else:  # pragma: no cover - timer-0 non-actives dissolved in phase 4
             raise AssertionError("undissolved timer-0 membrane")
-        return MembraneNode(src.label, timer, Multiset(node.content), children, uid=src.uid)
+        built = MembraneNode(src.label, timer, Multiset(node.content), children, uid=src.uid)
+        object.__setattr__(built, "_render", render_one(built))
+        return built
 
     new_config = Configuration(tree.freeze(make), config.output_label)
     stats = StepStats(consumed, produced_count, expired, delta_consumed, detached_objects)

@@ -183,9 +183,9 @@ def explore_ambients(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> ReachG
     p = amb.normalize(p)
 
     def succ(state):
-        moved = bool(amb.redexes(state))
-        label = "move" if moved else "time"
-        return [(label, q, amb.canonical_key(q)) for q in amb.reduce_step(state)]
+        reducts = amb.reduce_step(state)
+        label = "move" if reducts.moved else "time"
+        return [(label, q, amb.canonical_key(q)) for q in reducts]
 
     def meta(state, key, d):
         count = sum(isinstance(q, amb.Amb) for q in amb.subterms(state))

@@ -132,8 +132,9 @@ def _literal_apply(config: Configuration, instances: Sequence[Instance]) -> Conf
     """Fire the instances simultaneously and change nothing else: consumed
     objects are replaced by the right-hand sides (carried timers unchanged),
     active membranes move, and no timer anywhere is touched. No clock
-    phases, no dissolution."""
-    tree = Tree(config.skin)
+    phases, no dissolution. Subtrees no instance touches are shared with
+    ``config``."""
+    tree = Tree(config.skin, instances, lambda node: node)
 
     def swap(uid, classes, prods):
         content = tree.nodes[uid].content
@@ -191,8 +192,8 @@ def check_correspondence_PQ(graph) -> dict:
         if label == "move":
             moves.setdefault(src, []).append(dst)
     images: dict[str, Configuration] = {}
-    if graph.depth == 0 and amb.redexes(root):
-        for succ in amb.reduce_step(root):
+    if graph.depth == 0 and (reducts := amb.reduce_step(root)).moved:
+        for succ in reducts:
             key = amb.canonical_key(succ)
             images[key] = translate(succ)
             moves.setdefault(graph.root, []).append(key)
@@ -312,10 +313,10 @@ def check_preimage_reordering(p: Process) -> dict:
     p = amb.normalize(p)
     rules = generate_rules(p, strict=True)
     config = translate(p)
-    reducts = amb.reduce_step(p) if amb.redexes(p) else []
+    reducts = amb.reduce_step(p)
     # tag-erased comparison: the phenomenon is about prefix order, and a
     # preimage differing from a reduct only in tags is not a reordering
-    reduct_keys = {amb.canonical_key(amb.erase_tags(q)) for q in reducts}
+    reduct_keys = {amb.canonical_key(amb.erase_tags(q)) for q in reducts if reducts.moved}
     report: dict = {"targets": [], "reordering_found": False, "degenerate": False}
     targets = literal_successors(config, rules)
     if not targets:

@@ -37,28 +37,30 @@ from .core import (
     Rule,
     Symbol,
     fresh_uid,
+    render_slot,
+    stored_render,
+    walk_tree,
 )
 from .engine import distinct_successors, simulate
 from .tree import Tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UNode:
-    """A membrane without timers: label, symbol multiset, children."""
+    """A membrane without timers: label, symbol multiset, children.
+    ``_render`` holds ``u_render(node)`` once it has been computed."""
 
     label: str
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
+    _render: str | None = render_slot()
 
     @property
     def elementary(self) -> bool:
         return not self.children
 
-    def walk(self) -> Iterator["UNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    walk = walk_tree
 
 
 def umem(label: str, objects=(), children=()) -> UNode:
@@ -71,12 +73,17 @@ class UConfig:
     output_label: str = "skin"
 
 
-def u_render(node: UNode) -> str:
+def _u_render_one(node: UNode) -> str:
     objs = []
     for sym, n in node.content.items():
         objs.extend([str(sym)] * n)
-    kids = sorted(u_render(c) for c in node.children)
+    kids = sorted([c._render for c in node.children])
     return node.label + "{" + ",".join(objs) + "}[" + " ".join(kids) + "]"
+
+
+def u_render(node: UNode) -> str:
+    """Canonical render of an untimed membrane, stored once computed."""
+    return stored_render(node, _u_render_one)
 
 
 def u_canonicalize(config: UConfig) -> str:
@@ -252,8 +259,10 @@ def _is_marker(sym: Symbol) -> bool:
 
 def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     """Fire the instances simultaneously, then dissolve marker-holding
-    membranes bottom-up. Returns (configuration, detached archive)."""
-    tree = Tree(config.skin)
+    membranes bottom-up. Returns (configuration, detached archive).
+    Subtrees no instance touches stay as they are and are shared with
+    ``config``: without a clock they cannot change."""
+    tree = Tree(config.skin, choice, lambda node: node)
 
     def consume(uid, syms: Multiset):
         content = tree.nodes[uid].content

@@ -40,6 +40,29 @@ def render(node):
     return f"{node['label']}:{timer}{objs}{kids}"
 
 
+def membranes(root):
+    """``(uid, parent uid, label, timer, objects)`` of every membrane: the
+    tree compared membrane by membrane, uids included."""
+    return {
+        (node["uid"], None if parent is None else parent["uid"], node["label"], node["timer"],
+         frozenset(node["objs"].items()))
+        for node, parent in walk(root)
+    }
+
+
+def from_choice(choice):
+    """An engine choice (``Instance`` objects) in this module's form."""
+
+    def binds(classes):
+        return tuple((sym.name, sym.is_co, t) for sym, t in classes)
+
+    return tuple(
+        (inst.rule_index, inst.active_uid, inst.passive_uid,
+         binds(inst.active_classes), binds(inst.passive_classes))
+        for inst in choice
+    )
+
+
 def walk(node, parent=None):
     yield node, parent
     for child in node["kids"]:
@@ -180,7 +203,10 @@ def choices(root, rules, saturated):
     return results
 
 
-def apply_step(root, choice, rules):
+def apply_step(root, choice, rules, literal=False):
+    """The step's tree, the detached membranes and the step's counts.
+    ``literal`` fires the instances and stops: carried timers are not
+    ticked, no timer moves and nothing expires or dissolves."""
     import copy
 
     root = copy.deepcopy(root)
@@ -193,13 +219,17 @@ def apply_step(root, choice, rules):
     produced = {node_uid: {} for node_uid in by_uid}
     actives = set()
     moves = []
+    stats = dict.fromkeys(("consumed", "produced", "expired", "delta_consumed", "detached_objects"), 0)
+    tick = (lambda t: t) if literal else (lambda t: INF if t == INF else t - 1)
 
     def give(uid, cls):
+        stats["produced"] += 1
         node = by_uid[uid]
         node["objs"][cls] = node["objs"].get(cls, 0) + 1
         produced[uid][cls] = produced[uid].get(cls, 0) + 1
 
     def take(uid, cls):
+        stats["consumed"] += 1
         node = by_uid[uid]
         node["objs"][cls] -= 1
         if not node["objs"][cls]:
@@ -216,17 +246,15 @@ def apply_step(root, choice, rules):
             if isinstance(spec, Fresh):
                 give(a_uid, (sym.name, sym.is_co, spec.timer))
             else:
-                t = ab[spec.slot][2]
-                give(a_uid, (sym.name, sym.is_co, INF if t == INF else t - 1))
+                give(a_uid, (sym.name, sym.is_co, tick(ab[spec.slot][2])))
         if isinstance(rule, (EndoRule, ExoRule)):
             for sym, spec in rule.w2:
                 if isinstance(spec, Fresh):
                     give(p_uid, (sym.name, sym.is_co, spec.timer))
                 else:
-                    t = pb[spec.slot][2]
-                    give(p_uid, (sym.name, sym.is_co, INF if t == INF else t - 1))
+                    give(p_uid, (sym.name, sym.is_co, tick(pb[spec.slot][2])))
             actives.add(a_uid)
-            if not rule.keep_active_timer and by_uid[a_uid]["timer"] != INF:
+            if not literal and not rule.keep_active_timer and by_uid[a_uid]["timer"] != INF:
                 by_uid[a_uid]["timer"] -= 1
             moves.append((type(rule), a_uid, p_uid))
 
@@ -244,6 +272,9 @@ def apply_step(root, choice, rules):
             else:
                 grand["kids"].append(active)
                 parents[a_uid] = grand
+    stats["detached_objects"] = sum(n for node in detached for n in node["objs"].values())
+    if literal:
+        return root, detached, stats
 
     for node, _p in walk(root):
         fresh = {}
@@ -257,7 +288,7 @@ def apply_step(root, choice, rules):
                 if (name, co) == DELTA_KEY:
                     fresh[cls] = fresh.get(cls, 0) + old
                 elif t == 0:
-                    pass
+                    stats["expired"] += old
                 elif t == INF:
                     fresh[cls] = fresh.get(cls, 0) + old
                 else:
@@ -275,7 +306,7 @@ def apply_step(root, choice, rules):
         if not marked:
             return
         for cls in marked:
-            del node["objs"][cls]
+            stats["delta_consumed"] += node["objs"].pop(cls)
         parent = next(p for n, p in walk(root) if n is node)
         if parent is None:
             return
@@ -291,12 +322,12 @@ def apply_step(root, choice, rules):
             continue
         if node["timer"] not in (INF, 0):
             node["timer"] -= 1
-    return root, detached
+    return root, detached, stats
 
 
 def successor_renders(root, rules):
     out = set()
     for choice in choices(root, rules, saturated=False):
-        new_root, _det = apply_step(root, choice, rules)
+        new_root, _det, _stats = apply_step(root, choice, rules)
         out.add(render(new_root))
     return out

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -17,15 +18,18 @@ from mobilemem.core import (
     EndoRule,
     ExoRule,
     Fresh,
+    MembraneNode,
     Multiset,
     RewriteRule,
     Symbol,
+    canonical_render,
     canonicalize,
     mem,
 )
 from mobilemem.engine import (
     StaleChoiceError,
     apply_step,
+    choice_describe,
     find_instances,
     maximal_choices,
     residual_instances,
@@ -454,6 +458,111 @@ def test_reference_agrees_on_worked_example():
     assert want == got
 
 
+# ---------------------------------------------------------------------------
+# The settle boundary: a step loads only the membranes its choice names and
+# their ancestors, and ticks every other subtree from its frozen nodes. Each
+# step is compared with the reference's full rebuild membrane by membrane,
+# uids and parents included, with its counts and its detached archive.
+
+def _ref_detached(node):
+    content = Multiset({(Symbol(name, co), t): n for (name, co, t), n in node["objs"].items()})
+    frozen = MembraneNode(node["label"], node["timer"], content, (), uid=node["uid"])
+    return node["uid"], node["label"], canonical_render(frozen)
+
+
+def _assert_steps_match_reference(cfg, rules) -> int:
+    """Every legal choice of ``cfg`` stepped by the engine and by the
+    reference; returns the number of choices compared."""
+    root = ref.from_config(cfg)
+    choices = step_choices(cfg, rules)
+    for choice in choices:
+        got = step(cfg, choice)
+        want_root, want_detached, want_stats = ref.apply_step(root, ref.from_choice(choice), rules)
+        where = choice_describe(choice)
+        assert ref.membranes(ref.from_config(got.config)) == ref.membranes(want_root), where
+        assert got.detached == tuple(_ref_detached(node) for node in want_detached), where
+        assert asdict(got.stats) == want_stats, where
+    return len(choices)
+
+
+def test_step_matches_reference_per_membrane_on_the_corpus():
+    assert sum(_assert_steps_match_reference(*random_timed_system(seed)) for seed in range(60)) > 60
+
+
+def _pair(*bystanders, skin=()):
+    """h may enter m beside the given bystanders, which no rule touches;
+    its ``a:2`` may also sit the step out, which touches nothing."""
+    kids = [mem("h", 3, [(a, 2)]), mem("m", 4, [(a.dual(), INF)]), *bystanders]
+    return Configuration(mem("skin", INF, skin, kids)), [EndoRule("h", "m", Multiset([a]))]
+
+
+def test_settle_loads_a_timer_zero_membrane_two_levels_down():
+    # b is untouched; d, under c under b, is at timer 0 and dissolves, so
+    # b, c and d are loaded while f (settled before c) and e are not
+    e = mem("e", 2, [(x, 3)])
+    d_ = mem("d", 0, [(x, 1), (y, 0)], [e])
+    f = mem("f", 2, [(x, 1), (y, 0)])
+    b_ = mem("b", 5, [(x, 2)], [f, mem("c", 3, [(y, 1)], [d_]), mem("g", 1, [(y, 2)])])
+    cfg, rules = _pair(b_)
+    assert _assert_steps_match_reference(cfg, rules) == 2
+    after = step(cfg, maximal_choices(cfg, rules)[0]).config
+    c_after = next(node for node in after.skin.walk() if node.label == "c")
+    assert [kid.label for kid in c_after.children] == ["e"]
+    assert step(cfg, ()).stats.expired == 2
+
+
+def test_settle_counts_expiries_in_untouched_subtrees():
+    z = mem("z", 4, [(x, 0), (x, 0), (y, 2)], [mem("w", 3, [(y, 0)], [mem("v", 2, [(x, 0)])])])
+    cfg, rules = _pair(z)
+    _assert_steps_match_reference(cfg, rules)
+    assert step(cfg, maximal_choices(cfg, rules)[0]).stats.expired == 4
+
+
+def test_settle_beside_an_exo_through_the_skin():
+    h = mem("h", 3, [(a, INF), (x, 2)])
+    z = mem("z", 4, [(x, 1)], [mem("w", 2, [(y, 0)])])
+    cfg = Configuration(mem("skin", INF, [(a.dual(), INF)], [h, z, mem("k", 0, [(x, 1)])]))
+    rules = [ExoRule("h", "skin", Multiset([a]))]
+    _assert_steps_match_reference(cfg, rules)
+    result = step(cfg, maximal_choices(cfg, rules)[0])
+    assert [uid for uid, _label, _render in result.detached] == [h.uid]
+
+
+def test_settle_below_the_passive_membrane_of_an_endo():
+    m = mem("m", 4, [(a.dual(), INF)], [
+        mem("k", 3, [(x, 1)], [mem("j", 2, [(y, 1)])]), mem("l", 0, [(x, 2)], [mem("i", 1, [])]),
+    ])
+    cfg = Configuration(mem("skin", INF, [], [mem("h", 3, [(a, INF)]), m]))
+    _assert_steps_match_reference(cfg, [EndoRule("h", "m", Multiset([a]))])
+
+
+def test_settle_below_a_rewrite_that_dissolves_its_host():
+    k = mem("k", 5, [(p, INF)], [mem("j", 2, [(y, 1)], [mem("i", 1, [(x, 1)])])])
+    cfg = Configuration(mem("skin", INF, [], [k, mem("z", 3, [(x, 1)])]))
+    rules = [RewriteRule("k", Multiset([p]), ((DELTA, Fresh(INF)),), name="D")]
+    _assert_steps_match_reference(cfg, rules)
+    after = step(cfg, maximal_choices(cfg, rules)[0])
+    assert after.stats.delta_consumed == 1
+    assert sorted(kid.label for kid in after.config.skin.children) == ["j", "z"]
+
+
+def test_walk_is_iterative_pre_order():
+    def recursive(node):
+        yield node
+        for child in node.children:
+            yield from recursive(child)
+
+    for seed in range(10):
+        skin = random_timed_system(seed)[0].skin
+        assert [n.uid for n in skin.walk()] == [n.uid for n in recursive(skin)]
+    # 10,000 levels: level k holds a leaf, then level k + 1
+    node = mem("n", INF)
+    for k in range(10_000):
+        node = mem("n", INF, [], [mem("leaf", INF), node])
+    labels = [n.label for n in node.walk()]
+    assert len(labels) == 20_001 and labels == ["n", "leaf"] * 10_000 + ["n"]
+
+
 _LABELS = ("p", "q", "r")
 _SYMS = (a, b)
 _TIMERS = (1, 2, INF, INF, INF, 0)  # mostly INF, so that many instances are forced
@@ -531,6 +640,44 @@ def test_choice_sets_match_reference_on_crowded_systems(system):
         for ch in u_maximal_choices(ucfg, rules)
     )
     assert got == want
+
+
+@st.composite
+def nested_systems(draw):
+    """Trees up to three levels under the skin, with membranes and objects
+    at timers 0, 1, 2 and INF, moves at any level and rewrites that carry a
+    timer or emit the dissolution marker, so that most choices leave whole
+    subtrees untouched and some of those subtrees hold timer-0 membranes."""
+    timers = st.sampled_from((0, 1, 2, INF))
+    symbols = st.sampled_from((a, b, a.dual(), b.dual(), x))
+
+    def tree(depth):
+        objects = draw(st.lists(st.tuples(symbols, timers), max_size=3))
+        kids = [tree(depth + 1) for _ in range(draw(st.integers(0, 2))) if depth < 3]
+        return mem(draw(st.sampled_from(_LABELS)), draw(timers), objects, kids)
+
+    skin = mem("skin", INF, draw(st.lists(st.tuples(symbols, timers), max_size=2)),
+               [tree(1) for _ in range(draw(st.integers(1, 4)))])
+    move = st.builds(
+        lambda kind, h, m, u: kind(h, m, Multiset([u])),
+        st.sampled_from((EndoRule, ExoRule)), st.sampled_from(_LABELS),
+        st.sampled_from(_LABELS + ("skin",)), st.sampled_from(_SYMS),
+    )
+    rewrite = st.builds(
+        lambda at, u, rhs: RewriteRule(at, Multiset([u]), rhs(u)),
+        st.sampled_from(_LABELS), symbols,
+        st.sampled_from((
+            lambda u: ((DELTA, Fresh(INF)),), lambda u: ((x, Fresh(1)),), lambda u: ((u, Carry(0)),),
+        )),
+    )
+    return Configuration(skin), draw(st.lists(st.one_of(move, rewrite), min_size=1, max_size=3))
+
+
+@given(nested_systems())
+def test_steps_match_reference_on_nested_systems(system):
+    cfg, rules = system
+    assume(_reference_size(ref.from_config(cfg), rules) <= 64)
+    _assert_steps_match_reference(cfg, rules)
 
 
 # ---------------------------------------------------------------------------

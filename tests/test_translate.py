@@ -1,6 +1,14 @@
+import sys
+from pathlib import Path
+
 import pytest
 
+sys.path.insert(0, str(Path(__file__).parent))
+import reference as ref
+
+from mobilemem.choices import availability, enumerate_choices
 from mobilemem.core import Symbol, canonicalize
+from mobilemem.engine import Instance, find_instances
 from mobilemem.ambient import (
     Amb,
     Capability,
@@ -22,8 +30,9 @@ from mobilemem.translate import (
     preimage_processes,
     some_preimage,
     translate,
+    _literal_apply,
 )
-from mobilemem.corpus import hand_processes, random_process, reorder_demo_process
+from mobilemem.corpus import hand_processes, random_process, random_reducible_process, reorder_demo_process
 from mobilemem.explore import explore_ambients
 
 
@@ -193,3 +202,23 @@ def test_preimage_enumeration_counts():
     ((_i, n_config, _key),) = literal_successors(translate(p), rules)
     # the moved membrane is empty: exactly one preimage shape
     assert len(preimage_processes(n_config)) == 1
+
+
+def test_literal_apply_matches_reference_per_membrane():
+    # the literal relation shares every subtree its instances leave
+    # untouched; compared membrane by membrane, uids and parents included
+    processes = [random_reducible_process(seed) for seed in range(60)] + hand_processes() + [
+        parse_ambient("n:5[ in:3 m ] | m:5[ ~in:3 m ] | b:7[ c:6[ d:5[ in:4 e ] ] | e:6[] ]"),
+        parse_ambient("p:9[ q:8[ out:4 p ] | ~out:4 p | r:7[ s:6[] ] ] | k:5[ j:4[] ]"),
+    ]
+    compared = 0
+    for p in processes:
+        config, rules = translate(p), generate_rules(p, strict=True)
+        root = ref.from_config(config)
+        moves = [i for i in find_instances(config, rules) if i.is_move]
+        for choice in enumerate_choices(moves, Instance.needs, availability(config), lambda i: False):
+            if choice:
+                want, _detached, _stats = ref.apply_step(root, ref.from_choice(choice), rules, literal=True)
+                assert ref.membranes(ref.from_config(_literal_apply(config, choice))) == ref.membranes(want)
+                compared += 1
+    assert compared > 60

@@ -155,3 +155,45 @@ def test_successors_match_reference_on_the_embedding():
         }
         got = {u_render(nxt.skin) for _ch, nxt, _key in u_successors(cfg, rules)}
         assert got == want, f"system {i}"
+
+
+def _u_membranes(config):
+    """``(uid, parent uid, label, objects)`` of every untimed membrane."""
+
+    def objs(node):
+        return frozenset(((sym.name, sym.is_co), n) for sym, n in node.content.items())
+
+    out = {(config.skin.uid, None, config.skin.label, objs(config.skin))}
+    for node in config.skin.walk():
+        out.update((kid.uid, node.uid, kid.label, objs(kid)) for kid in node.children)
+    return out
+
+
+def _erased_membranes(root):
+    """``ref.membranes`` of an all-INF reference tree, timers dropped."""
+    return {
+        (uid, parent, label, frozenset(((name, co), n) for (name, co, _t), n in objs))
+        for uid, parent, label, _timer, objs in ref.membranes(root)
+    }
+
+
+def test_u_apply_matches_reference_per_membrane():
+    # u_apply shares every subtree its choice leaves untouched; compared
+    # membrane by membrane, uids and parents included, with the archive
+    compared = 0
+    systems = [random_untimed_system(seed) for seed in range(60)] + [_cascade_and_exit()]
+    for cfg, rules in systems:
+        timed_cfg, timed_rules = embed_infinite(cfg, rules)
+        root = ref.from_config(timed_cfg)
+        by_roles = {
+            tuple(sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ch)): ch
+            for ch in u_maximal_choices(cfg, rules)
+        }
+        for ref_choice in ref.choices(root, timed_rules, saturated=True):
+            roles = tuple(sorted((r, act, -1 if pas is None else pas) for r, act, pas, _ab, _pb in ref_choice))
+            got, detached = u_apply(cfg, by_roles[roles])
+            want, want_detached, _stats = ref.apply_step(root, ref_choice, timed_rules)
+            assert _u_membranes(got) == _erased_membranes(want)
+            assert detached == tuple((n["uid"], n["label"], _erased_render(n)) for n in want_detached)
+            compared += 1
+    assert compared > 60
