@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .core import INF, Timer, decrement, render_slot, stored_render, timer_str, walk_tree
+from .core import INF, Timer, decrement, rebuild_tree, render_slot, stored_render, timer_str, walk_tree
 from .lexer import tokenize
 
 
@@ -125,14 +125,24 @@ def par(*parts: Process) -> Process:
     return Par(tuple(sorted(flat, key=canonical_key)))
 
 
+def _rebuild(p: Process, tag: str | None) -> Process:
+    """``p`` rebuilt bottom-up with every parallel composition through
+    ``par``; ``tag``, when given, replaces every ambient's tag."""
+
+    def make(q: Process, built: tuple) -> Process:
+        if isinstance(q, Par):
+            return par(*built)
+        if isinstance(q, Amb):
+            return Amb(q.name, q.timer, built[0], tag or q.tag)
+        if isinstance(q, Prefix):
+            return Prefix(q.cap, built[0])
+        return q
+
+    return rebuild_tree(p, make)
+
+
 def normalize(p: Process) -> Process:
-    if isinstance(p, Par):
-        return par(*(normalize(x) for x in p.parts))
-    if isinstance(p, Amb):
-        return Amb(p.name, p.timer, normalize(p.body), p.tag)
-    if isinstance(p, Prefix):
-        return Prefix(p.cap, normalize(p.cont))
-    return p
+    return _rebuild(p, None)
 
 
 def congruent(p: Process, q: Process) -> bool:
@@ -142,13 +152,7 @@ def congruent(p: Process, q: Process) -> bool:
 
 def erase_tags(p: Process) -> Process:
     """The same process with every ambient re-tagged active."""
-    if isinstance(p, Par):
-        return par(*(erase_tags(x) for x in p.parts))
-    if isinstance(p, Amb):
-        return Amb(p.name, p.timer, erase_tags(p.body), "a")
-    if isinstance(p, Prefix):
-        return Prefix(p.cap, erase_tags(p.cont))
-    return p
+    return _rebuild(p, "a")
 
 
 def soup(p: Process) -> list[Process]:

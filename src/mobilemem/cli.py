@@ -97,7 +97,7 @@ def _cmd_compile(args) -> int:
             widest = max(schemas, key=len)
             message += f"; timed rule {widest.rule.name} alone expands to {len(widest):,}"
         raise UsageError(message)
-    out = SystemFile(False, uconfig.output_label, uconfig, urules, 1, compiled=True)
+    out = SystemFile(False, uconfig.output_label, uconfig, urules, compiled=True)
     _write_out(render_system(out), args.output)
     return 0
 
@@ -116,7 +116,7 @@ def _cmd_translate(args) -> int:
     process = parse_ambient(_read(args.file))
     config = translate(process)
     rules = generate_rules(process, strict=args.strict_def4)
-    out = SystemFile(True, config.output_label, config, rules, 1, strict=args.strict_def4)
+    out = SystemFile(True, config.output_label, config, rules, strict=args.strict_def4)
     _write_out(render_system(out), args.output)
     return 0
 

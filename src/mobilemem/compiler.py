@@ -47,6 +47,7 @@ from .core import (
     Rule,
     Symbol,
     Timer,
+    rebuild_tree,
 )
 from .untimed import UConfig, UNode
 
@@ -106,14 +107,9 @@ def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuratio
     """Timed twin of an untimed system: INF on every membrane, object, and
     fresh right-hand side; left sides match any timer."""
 
-    def lift(node: UNode) -> MembraneNode:
-        return MembraneNode(
-            node.label,
-            INF,
-            Multiset({(sym, INF): n for sym, n in node.content.items()}),
-            tuple(lift(c) for c in node.children),
-            uid=node.uid,
-        )
+    def lift(node: UNode, kids: tuple) -> MembraneNode:
+        content = Multiset({(sym, INF): n for sym, n in node.content.items()})
+        return MembraneNode(node.label, INF, content, kids, uid=node.uid)
 
     def lift_prods(prods) -> tuple:
         return tuple((sym, Fresh(INF) if isinstance(spec, Fresh) else spec) for sym, spec in prods)
@@ -123,7 +119,7 @@ def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuratio
         else replace(rule, w=lift_prods(rule.w), w2=lift_prods(rule.w2))
         for rule in rules
     )
-    return Configuration(lift(config.skin), config.output_label), lifted_rules
+    return Configuration(rebuild_tree(config.skin, lift), config.output_label), lifted_rules
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,7 @@ def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UCon
                 continue  # consumed-only symbol: its rules can never fire
             raise
 
-    def strip(node: MembraneNode) -> UNode:
+    def strip(node: MembraneNode, kids: tuple) -> UNode:
         counts: dict[Symbol, int] = {}
         for (sym, _t), n in node.content.items():
             counts[sym] = counts.get(sym, 0) + n
@@ -200,9 +196,9 @@ def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UCon
             counts[counter] = counts.get(counter, 0) + n
         if node.timer != INF:
             counts[make_counter(node.label, 0)] = 1
-        return UNode(node.label, Multiset(counts), tuple(strip(c) for c in node.children), uid=node.uid)
+        return UNode(node.label, Multiset(counts), kids, uid=node.uid)
 
-    uconfig = UConfig(strip(config.skin), config.output_label)
+    uconfig = UConfig(rebuild_tree(config.skin, strip), config.output_label)
 
     out: list[Rule] = []
     for sym, life in sorted(lifetimes.items(), key=lambda kv: str(kv[0])):
@@ -431,23 +427,17 @@ def project(config) -> UConfig:
     """Comparison lens: erase all timers and all counter objects, keeping
     the bare (label, object multiset) tree. Idempotent; accepts timed and
     untimed configurations."""
-    if isinstance(config, Configuration):
-        skin, out_label = config.skin, config.output_label
-        timed = True
-    else:
-        skin, out_label = config.skin, config.output_label
-        timed = False
+    timed = isinstance(config, Configuration)
 
-    def strip(node) -> UNode:
+    def strip(node, kids: tuple) -> UNode:
         counts: dict[Symbol, int] = {}
         for entry, n in node.content.items():
             sym = entry[0] if timed else entry
-            if parse_counter(sym) is not None:
-                continue
-            counts[sym] = counts.get(sym, 0) + n
-        return UNode(node.label, Multiset(counts), tuple(strip(c) for c in node.children), uid=node.uid)
+            if parse_counter(sym) is None:
+                counts[sym] = counts.get(sym, 0) + n
+        return UNode(node.label, Multiset(counts), kids, uid=node.uid)
 
-    return UConfig(strip(skin), out_label)
+    return UConfig(rebuild_tree(config.skin, strip), config.output_label)
 
 
 def counter_soundness_violations(config: UConfig, counter_labels: set[str]) -> list[str]:

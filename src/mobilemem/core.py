@@ -181,6 +181,33 @@ def walk_tree(node) -> Iterator:
             stack.extend(reversed(node.children))
 
 
+def rebuild_tree(node, make: Callable):
+    """``make(n, built)`` for ``node``, where ``built`` is the tuple of
+    what the same call gives for each of ``n``'s ``children``, left to
+    right. ``make`` runs once per occurrence, children first. Iterative,
+    so nesting depth is not bounded by the recursion limit: a node whose
+    children are pending waits on the stack as a (node, child count)
+    pair, and results wait on a positional stack, since a term may hold
+    one subterm object in several places."""
+    done: list = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            n, k = n
+            built = tuple(done[-k:])
+            del done[-k:]
+            done.append(make(n, built))
+            continue
+        kids = n.children
+        if kids:
+            stack.append((n, len(kids)))
+            stack.extend(reversed(kids))
+        else:
+            done.append(make(n, ()))
+    return done[0]
+
+
 def render_slot():
     """The dataclass field in which a frozen tree node keeps its render,
     filled by ``stored_render`` or by whoever builds the node."""
@@ -226,6 +253,10 @@ class MembraneNode:
     @property
     def elementary(self) -> bool:
         return not self.children
+
+    def with_children(self, children: tuple) -> "MembraneNode":
+        """A copy holding ``children``, with a fresh uid."""
+        return MembraneNode(self.label, self.timer, self.content, children)
 
     walk = walk_tree
 
@@ -435,17 +466,12 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
     return violations
 
 
-def renumber(config: Configuration) -> Configuration:
-    """Reassign uids 1..n in depth-first order. Parsers and translators
-    canonicalize uids this way so that equal sources give byte-equal traces
-    and graph labels within one process."""
-    counter = itertools.count(1)
-
-    def rebuild(node: MembraneNode) -> MembraneNode:
-        uid = next(counter)
-        return MembraneNode(
-            node.label, node.timer, node.content,
-            tuple(rebuild(c) for c in node.children), uid=uid,
-        )
-
-    return Configuration(rebuild(config.skin), config.output_label)
+def renumber(config):
+    """A copy of a timed or untimed configuration with uids 1..n in
+    pre-order. Parsers and translators canonicalize uids this way so that
+    equal sources give byte-equal traces and graph labels within one
+    process."""
+    skin = rebuild_tree(config.skin, type(config.skin).with_children)
+    for uid, node in enumerate(walk_tree(skin), 1):
+        object.__setattr__(node, "uid", uid)  # fresh nodes, not yet shared
+    return type(config)(skin, config.output_label)

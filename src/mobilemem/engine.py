@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .choices import addable, availability, enumerate_choices
@@ -161,28 +162,19 @@ def _slot_bindings(slots: Sequence, content: Multiset) -> list[tuple]:
     classes of ``content``, up to equality of the resulting slot tuple."""
     if not slots:
         return [()]
-    from itertools import combinations_with_replacement, permutations, product
-
     groups: dict = {}
     for pos, sym in enumerate(slots):
         groups.setdefault(sym, []).append(pos)
     per_symbol: list[tuple[list[int], list[tuple]]] = []
     for sym, positions in groups.items():
         classes = [(s, t) for (s, t), _n in content.items() if s == sym and t > 0]
-        if not classes:
-            return []
-        r = len(positions)
-        arrangements = set()
-        for combo in combinations_with_replacement(classes, r):
-            need: dict = {}
-            for cls in combo:
-                need[cls] = need.get(cls, 0) + 1
-            if any(content.count(cls) < n for cls, n in need.items()):
-                continue
-            arrangements.update(permutations(combo))
+        arrangements = [
+            combo for combo in product(classes, repeat=len(positions))
+            if all(content.count(cls) >= combo.count(cls) for cls in combo)
+        ]
         if not arrangements:
             return []
-        per_symbol.append((positions, sorted(arrangements)))
+        per_symbol.append((positions, arrangements))
     out = []
     for pick in product(*(arr for _pos, arr in per_symbol)):
         slot_classes: list = [None] * len(slots)
@@ -190,7 +182,7 @@ def _slot_bindings(slots: Sequence, content: Multiset) -> list[tuple]:
             for pos, cls in zip(positions, chosen):
                 slot_classes[pos] = cls
         out.append(tuple(slot_classes))
-    return sorted(set(out))
+    return sorted(out)
 
 
 def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instance]:

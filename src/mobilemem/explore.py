@@ -165,11 +165,7 @@ def explore_untimed(
     """BFS over the untimed engine's maximal choices."""
 
     def succ(state):
-        out = []
-        for choice, cfg, key in u_successors(state, rules):
-            label = " + ".join(i.describe() for i in choice) if choice else "(empty)"
-            out.append((label, cfg, key))
-        return out
+        return [(choice_describe(choice), cfg, key) for choice, cfg, key in u_successors(state, rules)]
 
     def meta(state, key, d):
         reading = tuple(sorted(str(s) for s in u_output_reading(state)))

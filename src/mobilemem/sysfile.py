@@ -44,12 +44,13 @@ from .core import (
     Symbol,
     Timer,
     dual,
+    rebuild_tree,
     renumber,
     timer_str,
     validate,
 )
 from .lexer import tokenize
-from .untimed import UConfig, UNode, u_renumber
+from .untimed import UConfig, UNode
 
 
 class ParseError(ValueError):
@@ -74,7 +75,6 @@ class SystemFile:
     output: str
     config: Union[Configuration, UConfig]
     rules: tuple
-    version: int = 1
     compiled: bool = False
     strict: bool = False
 
@@ -143,27 +143,36 @@ class _Parser:
 
     # -- membranes ----------------------------------------------------------
     def membrane(self, timed: bool):
-        label = self.ident("membrane label")
-        timer = INF
-        if timed:
-            self.expect(":", "':timer'")
-            timer = self.timer()
-        self.expect("[")
-        objects = []
-        if self.peek()[0] in ("~", "ident"):
-            objects.append(self.obj(timed))
-            while self.peek()[0] == ",":
-                self.next()
+        """One membrane and all it holds. Open membranes wait on an
+        explicit stack, so nesting depth is not bounded by the recursion
+        limit."""
+        stack: list[tuple] = []  # open membranes: (label, timer, objects, children)
+        while True:
+            label = self.ident("membrane label")
+            timer = INF
+            if timed:
+                self.expect(":", "':timer'")
+                timer = self.timer()
+            self.expect("[")
+            objects = []
+            if self.peek()[0] in ("~", "ident"):
                 objects.append(self.obj(timed))
-        children = []
-        if self.peek()[0] == ";":
-            self.next()
-        while self.peek()[0] != "]":
-            children.append(self.membrane(timed))
-        self.expect("]")
-        if timed:
-            return MembraneNode(label, timer, Multiset(objects), tuple(children))
-        return UNode(label, Multiset(objects), tuple(children))
+                while self.peek()[0] == ",":
+                    self.next()
+                    objects.append(self.obj(timed))
+            if self.peek()[0] == ";":
+                self.next()
+            stack.append((label, timer, objects, []))
+            while self.peek()[0] == "]":
+                self.next()
+                label, timer, objects, children = stack.pop()
+                if timed:
+                    node = MembraneNode(label, timer, Multiset(objects), tuple(children))
+                else:
+                    node = UNode(label, Multiset(objects), tuple(children))
+                if not stack:
+                    return node
+                stack[-1][3].append(node)
 
     def obj(self, timed: bool):
         sym = self.symbol()
@@ -288,11 +297,8 @@ class _Parser:
                 replace(r, keep_active_timer=True) if isinstance(r, MoveRule) else r
                 for r in rules
             )
-        if timed:
-            config = renumber(Configuration(skin, output))
-        else:
-            config = u_renumber(UConfig(skin, output))
-        return SystemFile(timed, output, config, rules, 1, compiled, strict)
+        config = renumber((Configuration if timed else UConfig)(skin, output))
+        return SystemFile(timed, output, config, rules, compiled, strict)
 
 
 def parse_system(text: str) -> SystemFile:
@@ -316,17 +322,19 @@ def _render_obj(entry, timed: bool) -> str:
 
 
 def _render_membrane(node, timed: bool) -> str:
-    head = f"{node.label}:{timer_str(node.timer)}" if timed else node.label
-    objs = []
-    for entry, n in node.content.items():
-        objs.extend([_render_obj(entry, timed)] * n)
-    kids = sorted(_render_membrane(c, timed) for c in node.children)
-    if not objs and not kids:
-        return head + "[]"
-    inner = ", ".join(sorted(objs))
-    if kids:
-        inner += " ; " + " ".join(kids)
-    return f"{head}[ {inner} ]"
+    def render(n, kids: tuple) -> str:
+        head = f"{n.label}:{timer_str(n.timer)}" if timed else n.label
+        objs = []
+        for entry, count in n.content.items():
+            objs.extend([_render_obj(entry, timed)] * count)
+        if not objs and not kids:
+            return head + "[]"
+        inner = ", ".join(sorted(objs))
+        if kids:
+            inner += " ; " + " ".join(sorted(kids))
+        return f"{head}[ {inner} ]"
+
+    return rebuild_tree(node, render)
 
 
 def _render_prods(prods, timed: bool) -> str:
@@ -365,7 +373,7 @@ def render_system(sf: SystemFile) -> str:
         flags += " compiled"
     if sf.strict:
         flags += " strict"
-    lines = [f"mms {sf.version} {flags}", f"output {sf.output}", ""]
+    lines = [f"mms 1 {flags}", f"output {sf.output}", ""]
     lines.append(_render_membrane(sf.config.skin, sf.timed))
     if sf.rules:
         lines.append("")

@@ -32,6 +32,7 @@ graph ``explore.check_translation`` uses for its timer-erased pass.
 
 from __future__ import annotations
 
+from itertools import permutations, product
 from typing import Iterator, Sequence
 
 from .core import (
@@ -46,6 +47,7 @@ from .core import (
     Symbol,
     Timer,
     canonicalize,
+    rebuild_tree,
     renumber,
 )
 from . import ambient as amb
@@ -78,25 +80,22 @@ def translate(p: Process) -> Configuration:
     if any(isinstance(q, Amb) and q.name == SKIN_LABEL for q in amb.subterms(p)):
         raise TranslateError(f"ambient name {SKIN_LABEL!r} is reserved for the synthetic skin")
 
-    def region(q: Process) -> tuple[list, list]:
-        objects: list = []
-        children: list = []
-        for comp in amb.soup(q):
-            if isinstance(comp, Prefix):
-                objects.append(((cap_symbol(comp.cap)), comp.cap.timer))
-                inner_objs, inner_kids = region(comp.cont)
-                objects.extend(inner_objs)
-                children.extend(inner_kids)
-            elif isinstance(comp, Amb):
-                inner_objs, inner_kids = region(comp.body)
-                children.append(
-                    MembraneNode(comp.name, comp.timer, Multiset(inner_objs), tuple(inner_kids))
-                )
-            else:  # pragma: no cover - soup() drops Zero and flattens Par
-                raise TranslateError(f"unexpected component {comp!r}")
-        return objects, children
+    def region(q: Process, built: tuple) -> tuple[list, list]:
+        """(objects, child membranes) of ``q``'s image; ``built`` holds
+        the pair of each immediate subterm, in fresh lists this call may
+        extend."""
+        if isinstance(q, Amb):
+            objs, kids = built[0]
+            return [], [MembraneNode(q.name, q.timer, Multiset(objs), tuple(kids))]
+        objs, kids = built[0] if built else ([], [])
+        for more_objs, more_kids in built[1:]:
+            objs.extend(more_objs)
+            kids.extend(more_kids)
+        if isinstance(q, Prefix):
+            objs.append((cap_symbol(q.cap), q.cap.timer))
+        return objs, kids
 
-    objs, kids = region(p)
+    objs, kids = rebuild_tree(p, region)
     skin = MembraneNode(SKIN_LABEL, INF, Multiset(objs), tuple(kids))
     return renumber(Configuration(skin, SKIN_LABEL))
 
@@ -227,8 +226,6 @@ def _chain(caps: Sequence[Capability], tail: Process) -> Process:
 
 def _arrangements(caps: list[Capability]) -> Iterator[list[list[Capability]]]:
     """All ways to arrange a capability multiset into ordered chains."""
-    from itertools import permutations
-
     n = len(caps)
     if n == 0:
         yield []
@@ -253,31 +250,29 @@ def preimage_processes(config: Configuration, limit: int = 2000) -> list[Process
     capability orderings (children stay parallel, never nested under a
     prefix). Empty when some object is not capability-shaped."""
 
-    def options(node: MembraneNode) -> list[Process] | None:
+    def options(node: MembraneNode, child_bodies: tuple) -> list[Process] | None:
         caps: list[Capability] = []
         for (sym, t), count in node.content.items():
             cap = cap_from_symbol(sym, t)
             if cap is None:
                 return None
             caps.extend([cap] * count)
-        child_options: list[list[Process]] = []
-        for child in node.children:
-            opts = options(child)
-            if opts is None:
-                return None
-            child_options.append([Amb(child.label, child.timer, body) for body in opts])
+        if any(bodies is None for bodies in child_bodies):
+            return None
+        child_options = [
+            [Amb(child.label, child.timer, body) for body in bodies]
+            for child, bodies in zip(node.children, child_bodies)
+        ]
         results: list[Process] = []
-        from itertools import product
-
         for chains in _arrangements(caps):
             chain_procs = [_chain(chain, amb.ZERO) for chain in chains]
-            for kids in product(*child_options) if child_options else [()]:
+            for kids in product(*child_options):
                 results.append(amb.par(*chain_procs, *kids))
                 if len(results) > limit:
                     return results
         return results
 
-    bodies = options(config.skin)
+    bodies = rebuild_tree(config.skin, options)
     if bodies is None:
         return []
     out: dict[str, Process] = {}
@@ -289,21 +284,20 @@ def preimage_processes(config: Configuration, limit: int = 2000) -> list[Process
 def some_preimage(config: Configuration) -> Process | None:
     """One canonical preimage: every capability its own parallel prefix."""
 
-    def build(node: MembraneNode) -> Process | None:
+    def build(node: MembraneNode, bodies: tuple) -> Process | None:
         parts: list[Process] = []
         for (sym, t), count in node.content.items():
             cap = cap_from_symbol(sym, t)
             if cap is None:
                 return None
             parts.extend([Prefix(cap, amb.ZERO)] * count)
-        for child in node.children:
-            body = build(child)
+        for child, body in zip(node.children, bodies):
             if body is None:
                 return None
             parts.append(Amb(child.label, child.timer, body))
         return amb.par(*parts)
 
-    return build(config.skin)
+    return rebuild_tree(config.skin, build)
 
 
 def check_preimage_reordering(p: Process) -> dict:

@@ -21,7 +21,6 @@ checked against ``tests/reference.py`` rather than by the embedding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +36,7 @@ from .core import (
     Rule,
     Symbol,
     fresh_uid,
+    rebuild_tree,
     render_slot,
     stored_render,
     walk_tree,
@@ -59,6 +59,10 @@ class UNode:
     @property
     def elementary(self) -> bool:
         return not self.children
+
+    def with_children(self, children: tuple) -> "UNode":
+        """A copy holding ``children``, with a fresh uid."""
+        return UNode(self.label, self.content, children)
 
     walk = walk_tree
 
@@ -98,29 +102,13 @@ def u_output_reading(config: UConfig) -> Multiset:
     return out
 
 
-def u_renumber(config: UConfig) -> UConfig:
-    """Uids 1..n in depth-first order; see core.renumber."""
-    counter = itertools.count(1)
-
-    def rebuild(node: UNode) -> UNode:
-        uid = next(counter)
-        return UNode(node.label, node.content, tuple(rebuild(c) for c in node.children), uid=uid)
-
-    return UConfig(rebuild(config.skin), config.output_label)
-
-
 def erase_timers(config: Configuration) -> UConfig:
     """Project a timed configuration onto the untimed state space."""
 
-    def strip(node) -> UNode:
-        return UNode(
-            node.label,
-            Multiset([sym for (sym, _t) in node.content]),
-            tuple(strip(c) for c in node.children),
-            uid=node.uid,
-        )
+    def strip(node, kids) -> UNode:
+        return UNode(node.label, Multiset([sym for (sym, _t) in node.content]), kids, uid=node.uid)
 
-    return UConfig(strip(config.skin), config.output_label)
+    return UConfig(rebuild_tree(config.skin, strip), config.output_label)
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,47 @@ def test_validate_flags_violations():
 
     good_rule = EndoRule("h", "m", Multiset([a]), w=((a, Carry(0)),))
     assert validate(ok, [good_rule]) == []
+
+
+def test_tree_maps_take_deep_nesting():
+    """Every map over a membrane tree or an ambient term runs through
+    ``core.rebuild_tree``, so nesting deeper than Python's default
+    recursion limit of 1,000 goes through each of them."""
+    from mobilemem import ambient as amb
+    from mobilemem.compiler import eliminate_timers, embed_infinite, project
+    from mobilemem.core import renumber
+    from mobilemem.sysfile import SystemFile, parse_system, render_system
+    from mobilemem.translate import some_preimage, translate
+    from mobilemem.untimed import UConfig, erase_timers, u_canonicalize, umem
+
+    depth = 1_500
+    timed, untimed = mem("m", 5, [(a, 3)]), umem("m", [a])
+    for _ in range(depth - 1):
+        timed, untimed = mem("m", 5, [(a, 3)], [timed]), umem("m", [a], [untimed])
+    config = renumber(Configuration(mem("skin", INF, [], [timed])))
+    uconfig = renumber(UConfig(umem("skin", [], [untimed])))
+    for cfg in (config, uconfig):
+        assert [n.uid for n in cfg.skin.walk()] == list(range(1, depth + 2))
+
+    erased = erase_timers(config)
+    assert u_canonicalize(erased) == u_canonicalize(uconfig)
+    lifted, _rules = embed_infinite(uconfig, ())
+    assert all(n.timer == INF and all(t == INF for (_s, t) in n.content) for n in lifted.skin.walk())
+    compiled, _rules = eliminate_timers(config, ())
+    assert u_canonicalize(project(compiled)) == u_canonicalize(project(config)) == u_canonicalize(erased)
+
+    for sf in (SystemFile(True, "skin", config, ()), SystemFile(False, "skin", uconfig, ())):
+        text = render_system(sf)
+        assert render_system(parse_system(text)) == text
+
+    cap = amb.Capability("in", False, "m", 3)
+    process = amb.Amb("n", 5, amb.Prefix(cap), "p")
+    for _ in range(depth - 1):
+        process = amb.Amb("n", 5, amb.Prefix(cap, process), "p")
+    image = translate(process)
+    assert sum(1 for _ in image.skin.walk()) == depth + 1
+    assert canonicalize(translate(some_preimage(image))) == canonicalize(image)
+    tags = [q.tag for q in amb.subterms(amb.normalize(process)) if isinstance(q, amb.Amb)]
+    assert tags == ["p"] * depth
+    tags = [q.tag for q in amb.subterms(amb.erase_tags(process)) if isinstance(q, amb.Amb)]
+    assert tags == ["a"] * depth

@@ -40,7 +40,7 @@ from mobilemem.explore import (
 )
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.translate import generate_rules, literal_successors, translate
-from mobilemem.untimed import u_maximal_choices, u_renumber, u_run
+from mobilemem.untimed import u_maximal_choices, u_run
 
 GOLDEN = Path(__file__).with_name("golden.json")
 ROOT = GOLDEN.parents[1]
@@ -61,7 +61,7 @@ def _timed(seed):
 
 def _untimed(seed):
     config, rules = random_untimed_system(seed)
-    return u_renumber(config), rules
+    return renumber(config), rules
 
 
 def _lines(choices) -> str:
