@@ -39,12 +39,21 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 
-def availability(config) -> dict:
-    """``(uid, class) -> count`` over every membrane of the tree."""
+def availability(config, instances: Sequence) -> dict:
+    """``(uid, class) -> count`` over the membranes the instances bind,
+    active and passive: the only keys ``addable`` reads for them. The walk
+    stops once it has met all of them."""
+    wanted = {inst.active_uid for inst in instances}
+    wanted.update([inst.passive_uid for inst in instances])
+    wanted.discard(None)  # a rewrite has no passive membrane
     avail: dict = {}
     for node in config.skin.walk():
-        for cls, n in node.content.items():
-            avail[(node.uid, cls)] = n
+        if not wanted:
+            break
+        if node.uid in wanted:
+            wanted.remove(node.uid)
+            for cls, n in node.content.items():
+                avail[(node.uid, cls)] = n
     return avail
 
 

@@ -369,14 +369,25 @@ Rule = Union[EndoRule, ExoRule, RewriteRule]
 # ---------------------------------------------------------------------------
 # Canonicalization and readings
 
+def render_objects(content: Multiset) -> str:
+    """The objects part of a node's canonical render."""
+    objs = []
+    for (sym, t), n in content.items():
+        objs.extend([f"{sym}:{timer_str(t)}"] * n)
+    return ",".join(objs)
+
+
+def render_node(label: str, timer: Timer, objects: str, children: tuple) -> str:
+    """A node's canonical render from its label, timer, objects part and
+    the stored renders of its children."""
+    kids = " ".join(sorted([c._render for c in children])) if children else ""
+    return f"{label}:{timer_str(timer)}{{{objects}}}[{kids}]"
+
+
 def render_one(node: MembraneNode) -> str:
     """One node's canonical render from its fields and the stored renders
     of its children."""
-    objs = []
-    for (sym, t), n in node.content.items():
-        objs.extend([f"{sym}:{timer_str(t)}"] * n)
-    kids = " ".join(sorted([c._render for c in node.children])) if node.children else ""
-    return f"{node.label}:{timer_str(node.timer)}{{{','.join(objs)}}}[{kids}]"
+    return render_node(node.label, node.timer, render_objects(node.content), node.children)
 
 
 def canonical_render(node: MembraneNode) -> str:
@@ -466,12 +477,18 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
     return violations
 
 
+def number_fresh(skin):
+    """Give the nodes of a tree just built, and not yet shared, uids 1..n
+    in pre-order; returns ``skin``."""
+    for uid, node in enumerate(walk_tree(skin), 1):
+        object.__setattr__(node, "uid", uid)
+    return skin
+
+
 def renumber(config):
     """A copy of a timed or untimed configuration with uids 1..n in
-    pre-order. Parsers and translators canonicalize uids this way so that
-    equal sources give byte-equal traces and graph labels within one
-    process."""
+    pre-order. The parser canonicalizes uids this way, and the translator
+    numbers the tree it builds the same way, so that equal sources give
+    byte-equal traces and graph labels within one process."""
     skin = rebuild_tree(config.skin, type(config.skin).with_children)
-    for uid, node in enumerate(walk_tree(skin), 1):
-        object.__setattr__(node, "uid", uid)  # fresh nodes, not yet shared
-    return type(config)(skin, config.output_label)
+    return type(config)(number_fresh(skin), config.output_label)

@@ -39,7 +39,10 @@ Every other subtree takes no part in phase 1, so the step applies phases
 2, 3 and 5 to it straight from its frozen nodes through ``Tree``'s
 ``settle`` hook, with one tick rule (``_older``) for both kinds of node;
 a subtree holding a timer-0 membrane is loaded, since that membrane
-dissolves in phase 4. Every node the step builds gets its canonical
+dissolves in phase 4. The tick of a contents multiset is worked out once
+per step (ticked contents, expiring objects, objects render) and shared
+by every untouched membrane holding equal contents; the expiries still
+count once per membrane. Every node the step builds gets its canonical
 render as it is built, so keying the result costs one join.
 """
 
@@ -69,6 +72,8 @@ from .core import (
     canonicalize,
     canonical_render,
     decrement,
+    render_node,
+    render_objects,
     render_one,
     timer_str,
 )
@@ -190,18 +195,26 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
 
     Moves need an elementary active membrane in the stated position, and
     every bound timer (objects and both membranes) greater than 0. One walk
-    over the tree, with the rules indexed by the label they dispatch on:
-    moves by their active label, rewrites by their host label (``None``
-    for every host).
+    over the tree, with the rules indexed once by the label they dispatch
+    on: moves by their active label, rewrites by their host label (``rw *``
+    rewrites under every label, and alone for labels no rewrite names).
+    Only children that an endo rule enters are bucketed by label, and only
+    children whose label has a move rule are tried as active membranes.
     """
     moves: dict = {}
     rewrites: dict = {}
+    entered: set = set()  # labels an endo rule enters
     for idx, rule in enumerate(rules):
         if isinstance(rule, MoveRule):
             moves.setdefault(rule.h, []).append((idx, rule))
+            if isinstance(rule, EndoRule):
+                entered.add(rule.m)
         elif isinstance(rule, RewriteRule):
             rewrites.setdefault(rule.at, []).append((idx, rule))
-    everywhere = rewrites.get(None, [])
+    everywhere = rewrites.pop(None, [])
+    if everywhere:
+        for at in rewrites.values():
+            at.extend(everywhere)
     found: list[Instance] = []
 
     def pair(idx, rule, active, passive):
@@ -210,22 +223,24 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
                 found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
 
     for parent in config.skin.walk():
-        for idx, rule in rewrites.get(parent.label, []) + everywhere:
+        for idx, rule in rewrites.get(parent.label, everywhere):
             for ac in _slot_bindings(rule.active_slots, parent.content):
                 found.append(Instance(idx, rule, parent.uid, None, ac))
+        if not parent.children:
+            continue
         siblings: dict = {}  # the children an endo rule can enter, by label
         for child in parent.children:
-            if child.timer > 0:
+            if child.label in entered and child.timer > 0:
                 siblings.setdefault(child.label, []).append(child)
         for active in parent.children:
-            if not active.elementary or not active.timer > 0:
+            if active.label not in moves or active.children or not active.timer > 0:
                 continue
-            for idx, rule in moves.get(active.label, []):
+            for idx, rule in moves[active.label]:
                 if isinstance(rule, ExoRule):
                     if parent.label == rule.m and parent.timer > 0:
                         pair(idx, rule, active, parent)
                     continue
-                for passive in siblings.get(rule.m, []):
+                for passive in siblings.get(rule.m, ()):
                     if passive is not active:
                         pair(idx, rule, active, passive)
     return sorted(set(found), key=Instance.sort_key)
@@ -237,9 +252,8 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
 def maximal_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
     """Saturated choices: conflict-free and no further instance applies to
     the unused residue. When nothing applies, the single empty choice."""
-    return enumerate_choices(
-        find_instances(config, rules), Instance.needs, availability(config), lambda inst: True
-    )
+    found = find_instances(config, rules)
+    return enumerate_choices(found, Instance.needs, availability(config, found), lambda inst: True)
 
 
 def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
@@ -247,9 +261,8 @@ def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoic
     residue admits no instance binding only INF-timer objects. Superset of
     ``maximal_choices``; the difference is finite-timer objects ticking
     instead of joining an enabled move."""
-    return enumerate_choices(
-        find_instances(config, rules), Instance.needs, availability(config), Instance.forced
-    )
+    found = find_instances(config, rules)
+    return enumerate_choices(found, Instance.needs, availability(config, found), Instance.forced)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +352,9 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     # uid -> the settled subtree, or None, of each child that settle met
     # inside a subtree it then gave back to be loaded; the load asks again
     retry: dict = {}
+    # contents -> (ticked contents, objects expiring, their objects render):
+    # untouched membranes with equal contents tick the same way
+    ticks: dict = {}
 
     def settle(node: MembraneNode) -> MembraneNode | None:
         nonlocal expired
@@ -354,17 +370,22 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
                 retry[child.uid] = None
                 return None
             kids.append(kid)
-        items = []
-        for cls, n in node.content.items():
-            older = _older(cls)
-            if older is None:
-                expired += n
-            else:
-                items.append((older, n))
-        ticked = MembraneNode(
-            node.label, node.timer - 1, Multiset._of_sorted(tuple(items)), tuple(kids), uid=node.uid
-        )
-        object.__setattr__(ticked, "_render", render_one(ticked))
+        tick = ticks.get(node.content)
+        if tick is None:
+            items = []
+            gone = 0
+            for cls, n in node.content.items():
+                older = _older(cls)
+                if older is None:
+                    gone += n
+                else:
+                    items.append((older, n))
+            content = Multiset._of_sorted(tuple(items))
+            tick = ticks[node.content] = (content, gone, render_objects(content))
+        content, gone, objects = tick
+        expired += gone
+        ticked = MembraneNode(node.label, node.timer - 1, content, tuple(kids), uid=node.uid)
+        object.__setattr__(ticked, "_render", render_node(ticked.label, ticked.timer, objects, ticked.children))
         return ticked
 
     tree = Tree(config.skin, choice, settle)
@@ -594,7 +615,8 @@ def residual_instances(
     """Instances still applicable after setting aside the choice's bound
     objects and membrane roles. Empty on every saturated choice; with
     ``forced_only`` empty on every legal choice."""
-    avail = availability(config)
+    found = find_instances(config, rules)
+    avail = availability(config, found)
     usage: dict = {}
     actives: set = set()
     passives: set = set()
@@ -605,7 +627,7 @@ def residual_instances(
             actives.add(inst.active_uid)
             passives.add(inst.passive_uid)
     return [
-        inst for inst in find_instances(config, rules)
+        inst for inst in found
         if (not forced_only or inst.forced())
         and addable(inst, inst.needs(), avail, usage, actives, passives)
     ]

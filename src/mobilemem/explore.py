@@ -51,7 +51,7 @@ from .translate import (
     check_preimage_reordering,
     generate_rules as _generate_rules,
     some_preimage,
-    translate as _translate,
+    _image,
 )
 
 DEFAULT_NODE_CAP = 100_000
@@ -350,7 +350,7 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     default_rules = _generate_rules(p)
     try:
         ambient_graph = explore_ambients(p, depth, max_nodes)
-        membrane_graph = explore_membranes(_translate(p), default_rules, depth, max_nodes)
+        membrane_graph = explore_membranes(_image(p), default_rules, depth, max_nodes)
     except BudgetExceeded as err:
         return Verdict("prop45", None, {"reason": str(err)})
     strict_report = check_correspondence_PQ(ambient_graph)
@@ -359,7 +359,7 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
 
     def image(key: str) -> Configuration:
         if key not in images:
-            images[key] = _translate(ambient_graph.objects[key])
+            images[key] = _image(ambient_graph.objects[key])
         return images[key]
 
     pq_misses = []

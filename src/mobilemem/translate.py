@@ -47,8 +47,8 @@ from .core import (
     Symbol,
     Timer,
     canonicalize,
+    number_fresh,
     rebuild_tree,
-    renumber,
 )
 from . import ambient as amb
 from .ambient import Amb, Capability, Prefix, Process
@@ -76,7 +76,12 @@ def cap_from_symbol(sym: Symbol, timer: Timer) -> Capability | None:
 
 def translate(p: Process) -> Configuration:
     """Membrane image of a process, wrapped in the synthetic skin."""
-    p = amb.normalize(p)
+    return _image(amb.normalize(p))
+
+
+def _image(p: Process) -> Configuration:
+    """``translate`` of a process already in normal form, as every state of
+    an ambient reach graph is; uids are 1..n in pre-order."""
     if any(isinstance(q, Amb) and q.name == SKIN_LABEL for q in amb.subterms(p)):
         raise TranslateError(f"ambient name {SKIN_LABEL!r} is reserved for the synthetic skin")
 
@@ -97,7 +102,7 @@ def translate(p: Process) -> Configuration:
 
     objs, kids = rebuild_tree(p, region)
     skin = MembraneNode(SKIN_LABEL, INF, Multiset(objs), tuple(kids))
-    return renumber(Configuration(skin, SKIN_LABEL))
+    return Configuration(number_fresh(skin), SKIN_LABEL)
 
 
 def generate_rules(p: Process, strict: bool = False) -> tuple[Rule, ...]:
@@ -169,7 +174,7 @@ def literal_successors(
     composes independent movements), with no clock. Deduplicated by
     canonical key."""
     instances = [i for i in find_instances(config, rules) if i.is_move]
-    choices = enumerate_choices(instances, Instance.needs, availability(config), lambda inst: False)
+    choices = enumerate_choices(instances, Instance.needs, availability(config, instances), lambda inst: False)
     return distinct_successors(config, [ch for ch in choices if ch], _literal_apply, canonicalize)
 
 
@@ -194,12 +199,12 @@ def check_correspondence_PQ(graph) -> dict:
     if graph.depth == 0 and (reducts := amb.reduce_step(root)).moved:
         for succ in reducts:
             key = amb.canonical_key(succ)
-            images[key] = translate(succ)
+            images[key] = _image(succ)
             moves.setdefault(graph.root, []).append(key)
 
     def image(key: str) -> Configuration:
         if key not in images:
-            images[key] = translate(graph.objects[key])
+            images[key] = _image(graph.objects[key])
         return images[key]
 
     edges = 0

@@ -233,9 +233,8 @@ def _u_needs(inst: UInstance) -> dict:
 
 def u_maximal_choices(config: UConfig, rules: Sequence[Rule]) -> list[tuple]:
     """All maximal conflict-free instance multisets (classic parallelism)."""
-    return enumerate_choices(
-        u_find_instances(config, rules), _u_needs, availability(config), lambda inst: True
-    )
+    found = u_find_instances(config, rules)
+    return enumerate_choices(found, _u_needs, availability(config, found), lambda inst: True)
 
 
 # ---------------------------------------------------------------------------

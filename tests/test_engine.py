@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 
-from mobilemem.choices import addable
+from mobilemem import engine
+from mobilemem.choices import addable, availability
 from mobilemem.cli import main
 from mobilemem.compiler import embed_infinite
 from mobilemem.core import (
@@ -407,18 +408,18 @@ def _ref_choice_set(choices):
     return sorted(sorted((r, a, -1 if p is None else p, ab, pb) for r, a, p, ab, pb in ch) for ch in choices)
 
 
-def _engine_choice_set(choices):
+def _engine_row(inst):
+    """An engine instance in the reference's tuple form, ``-1`` for no
+    passive membrane."""
     def binds(classes):
         return tuple((s.name, s.is_co, t) for s, t in classes)
 
-    return sorted(
-        sorted(
-            (i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid,
-             binds(i.active_classes), binds(i.passive_classes))
-            for i in ch
-        )
-        for ch in choices
-    )
+    return (inst.rule_index, inst.active_uid, -1 if inst.passive_uid is None else inst.passive_uid,
+            binds(inst.active_classes), binds(inst.passive_classes))
+
+
+def _engine_choice_set(choices):
+    return sorted(sorted(_engine_row(i) for i in ch) for ch in choices)
 
 
 def _shared_passive_behind_a_rewrite():
@@ -544,6 +545,26 @@ def test_settle_below_a_rewrite_that_dissolves_its_host():
     after = step(cfg, maximal_choices(cfg, rules)[0])
     assert after.stats.delta_consumed == 1
     assert sorted(kid.label for kid in after.config.skin.children) == ["j", "z"]
+
+
+def test_settle_ticks_equal_contents_once_and_counts_every_expiry():
+    # untouched bystanders share two contents, one with two timer-0 objects;
+    # n holds children with the same contents, and k, at timer 0, dissolves,
+    # so it is loaded while its child w is settled
+    shared, plain = [(x, 0), (x, 0), (y, 2)], [(x, 3), (y, INF)]
+    bystanders = [mem("z", 3 + i % 3, shared if i % 2 else plain) for i in range(12)]
+    bystanders += [mem("n", 5, shared, [mem("w", 4, shared), mem("w", 2, plain)]) for _ in range(3)]
+    bystanders.append(mem("k", 0, shared, [mem("w", 4, shared)]))
+    cfg, rules = _pair(*bystanders)
+    assert _assert_steps_match_reference(cfg, rules) == 2
+    # 6 z, 3 n, 3 w under n, k and the w under k: 14 shared contents, each
+    # losing two objects; a memo counting each content once gives far fewer
+    for choice in step_choices(cfg, rules):
+        assert step(cfg, choice).stats.expired == 28
+    after = step(cfg, ()).config
+    assert "k" not in {node.label for node in after.skin.walk()}
+    ticked = {id(node.content) for node in after.skin.walk() if node.label in ("n", "w", "z")}
+    assert len(ticked) == 2  # each distinct content ticked once, and shared
 
 
 def test_walk_is_iterative_pre_order():
@@ -734,3 +755,107 @@ def test_wide_input_has_one_choice_and_simulates(tmp_path, capsys):
     path.write_text(render_system(SystemFile(True, "skin", cfg, tuple(rules))))
     assert main(["sim", str(path), "--steps", "1"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Wide trees (ROADMAP W2): one busy pair among many bystanders that no rule
+# names, with rewrites on labels that do not occur. An untouched bystander
+# costs one tick per distinct content, and matching and availability read
+# only the membranes rules can bind.
+
+def _wide(bystanders, contents, ticks=0):
+    """W1's pair after ``ticks`` steps beside ``bystanders`` membranes over
+    7 labels, each holding one of ``contents`` aged by ``ticks``."""
+    def aged(objects):
+        return [(sym, t if t == INF else t - ticks) for sym, t in objects]
+
+    pair = _pairs(1, ticks % 2 == 1).skin.children
+    kids = [mem(f"z{i % 7}", 50 + i % 3 - ticks, aged(contents[i % len(contents)])) for i in range(bystanders)]
+    rules = _pair_rules(1) + [RewriteRule(f"absent{i}", Multiset([x]), ((y, Fresh(5)),)) for i in range(8)]
+    return Configuration(mem("skin", INF, [], [*pair, *kids])), rules
+
+
+def test_untouched_bystanders_tick_once_per_distinct_content(monkeypatch):
+    contents = [[(x, 40)] * 5, [(x, 41)] * 5, [(x, 40), (y, 30)], [(y, INF), (x, 45)], [(x, 42), (x, 43)]]
+    classes = sum(len(Multiset(objects).items()) for objects in contents)
+    calls = {"n": 0}
+    older = engine._older
+
+    def counted(cls):
+        calls["n"] += 1
+        return older(cls)
+
+    monkeypatch.setattr("mobilemem.engine._older", counted)
+    config, rules = _wide(200, contents)
+    for _ in range(10):
+        found = find_instances(config, rules)
+        bound = {i.active_uid for i in found} | {i.passive_uid for i in found if i.is_move}
+        assert len(bound) == 2 and {uid for uid, _cls in availability(config, found)} <= bound
+        calls["n"] = 0
+        config = step(config, maximal_choices(config, rules)[0]).config
+        assert calls["n"] <= classes, f"{calls['n']} ticks for {classes} distinct content classes"
+    assert canonicalize(config) == canonicalize(_wide(200, contents, ticks=10)[0])
+
+
+def _engine_instances(config, rules):
+    return sorted(_engine_row(i) for i in find_instances(config, rules))
+
+
+def _ref_instances(config, rules):
+    return sorted(
+        (r, act, -1 if pas is None else pas, ab, pb)
+        for r, act, pas, ab, pb in ref.find_instances(ref.from_config(config), rules)
+    )
+
+
+def _entered_and_left_only():
+    """t is entered by an endo and named by no other rule; o is left by an
+    exo and is the active label of none; z is named by no rule at all; an
+    ``rw *`` rewrite binds in every membrane."""
+    config = Configuration(mem("skin", INF, [(x, 2)], [
+        mem("h", 3, [(a, 2), (a, INF), (x, 1)]),
+        mem("t", 4, [(a.dual(), INF), (x, 3)]),
+        mem("t", 0, [(a.dual(), INF)]),
+        mem("o", 5, [(b.dual(), INF)], [mem("h", 2, [(b, 1), (x, 0)]), mem("z", 1, [(x, 2)])]),
+        mem("z", 2, [(x, 1), (y, INF)], [mem("z", 0, [(x, 4)]), mem("t", 3, [(a.dual(), 1)])]),
+    ]))
+    rules = [
+        EndoRule("h", "t", Multiset([a])),
+        RewriteRule(None, Multiset([x]), ((y, Fresh(1)),)),
+        ExoRule("h", "o", Multiset([b])),
+        RewriteRule("h", Multiset([x]), ()),
+    ]
+    return config, rules
+
+
+@st.composite
+def systems_with_bystanders(draw):
+    """Nested systems plus an ``rw *`` rewrite at a drawn rule index and a
+    ``z`` subtree, a label no rule names, beside the others."""
+    config, rules = draw(nested_systems())
+    z = mem("z", draw(st.sampled_from((0, 1, INF))), [(a, 1), (x, INF)], [mem("z", 2, [(b, 2), (x, 1)])])
+    skin = config.skin
+    skin = MembraneNode(skin.label, skin.timer, skin.content, skin.children + (z,), uid=skin.uid)
+    everywhere = RewriteRule(None, Multiset([draw(st.sampled_from((a, b, x)))]), ((y, Fresh(1)),))
+    rules = list(rules)
+    rules.insert(draw(st.integers(0, len(rules))), everywhere)
+    return Configuration(skin), rules
+
+
+def test_matcher_equals_reference_on_hand_made_and_corpus_systems():
+    config, rules = _entered_and_left_only()
+    got = _engine_instances(config, rules)
+    assert got == _ref_instances(config, rules)
+    kinds = {rules[row[0]].__class__ for row in got}
+    assert kinds == {EndoRule, ExoRule, RewriteRule}
+    everywhere = [RewriteRule(None, Multiset([a]), ((x, Fresh(1)),))]
+    for seed in range(60):
+        config, rules = random_timed_system(seed)
+        for extended in (rules, everywhere + list(rules), list(rules) + everywhere):
+            assert _engine_instances(config, extended) == _ref_instances(config, extended), f"seed {seed}"
+
+
+@given(systems_with_bystanders())
+def test_matcher_equals_reference_beside_bystanders(system):
+    config, rules = system
+    assert _engine_instances(config, rules) == _ref_instances(config, rules)

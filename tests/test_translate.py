@@ -216,9 +216,34 @@ def test_literal_apply_matches_reference_per_membrane():
         config, rules = translate(p), generate_rules(p, strict=True)
         root = ref.from_config(config)
         moves = [i for i in find_instances(config, rules) if i.is_move]
-        for choice in enumerate_choices(moves, Instance.needs, availability(config), lambda i: False):
+        for choice in enumerate_choices(moves, Instance.needs, availability(config, moves), lambda i: False):
             if choice:
                 want, _detached, _stats = ref.apply_step(root, ref.from_choice(choice), rules, literal=True)
                 assert ref.membranes(ref.from_config(_literal_apply(config, choice))) == ref.membranes(want)
                 compared += 1
     assert compared > 60
+
+
+def test_translation_numbers_uids_in_pre_order_and_normalizes_once(monkeypatch):
+    # translate numbers the tree it builds in place, and the correspondence
+    # walk translates graph states, already normal, without normalizing
+    import mobilemem.ambient as amb_module
+
+    processes = [random_reducible_process(seed) for seed in range(20)] + hand_processes()
+    for p in processes:
+        config = translate(p)
+        assert [node.uid for node in config.skin.walk()] == list(range(1, len(list(config.skin.walk())) + 1))
+    graphs = [explore_ambients(p, 3) for p in processes]
+    reports = [check_correspondence_PQ(graph) for graph in graphs]
+    calls = {"n": 0}
+    normalize = amb_module.normalize
+
+    def counted(p):
+        calls["n"] += 1
+        return normalize(p)
+
+    monkeypatch.setattr(amb_module, "normalize", counted)
+    assert [check_correspondence_PQ(graph) for graph in graphs] == reports
+    assert calls["n"] == 0
+    translate(processes[0])
+    assert calls["n"] == 1
