@@ -141,8 +141,25 @@ def _rebuild(p: Process, tag: str | None) -> Process:
     return rebuild_tree(p, make)
 
 
+def _is_normal(p: Process) -> bool:
+    """Whether ``p`` is already in normal form: every parallel composition
+    holds two or more parts, none of them ``0`` or parallel, in key order.
+    Reads the parts' keys, stored once computed, and builds no term."""
+    for q in walk_tree(p):
+        if isinstance(q, Par):
+            if len(q.parts) < 2 or any(isinstance(x, (Par, Zero)) for x in q.parts):
+                return False
+            keys = [canonical_key(x) for x in q.parts]
+            if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
+                return False
+    return True
+
+
 def normalize(p: Process) -> Process:
-    return _rebuild(p, None)
+    """The normal form of ``p``: ``p`` itself when it is normal already,
+    as parsed terms, reducts and reach-graph states are, otherwise a copy
+    rebuilt through ``par``."""
+    return p if _is_normal(p) else _rebuild(p, None)
 
 
 def congruent(p: Process, q: Process) -> bool:
@@ -354,8 +371,8 @@ def reduce_step(p: Process) -> Reducts:
         if count:
             result = par(*comps)
             seen.setdefault(canonical_key(result), result)
-    if not seen:
-        return Reducts([normalize(phi_delta(p))], moved=False)
+    if not seen:  # the tick of a normal term is normal
+        return Reducts([phi_delta(p)], moved=False)
     return Reducts([seen[k] for k in sorted(seen)], moved=True)
 
 

@@ -15,18 +15,29 @@ a finished choice, the ``blocks`` predicate of ``enumerate_choices``:
 * none: every conflict-free choice (``translate.literal_successors``,
   which drops the empty one).
 
-The search decides the count of each instance in table order. Instance
-*j* can displace instance *k* when it binds a ``(uid, class)`` key that
-*k* binds, or when both are moves and *j*'s active membrane is *k*'s
-active or passive one, or *j*'s passive membrane is *k*'s active one.
-When a blocking instance *k* still fits and no later instance can
-displace it, the search does not stop adding *k*: later instances only
-take objects and roles *k* does not need, so *k* would still fit at every
-leaf below, and none of them is a finished choice. Independent instances
-therefore cost one branch each, not a subset each (the pruning used to
-list maximal independent sets, Tsukiyama et al. 1977, here over
-multisets). The search keeps one mutable state and an explicit stack, so
-its depth is not bounded by Python's recursion limit.
+The search decides the count of each instance in turn: the moves first,
+then the other instances, each group in table order. Instance *j* can
+displace instance *k* when it binds a ``(uid, class)`` key that *k*
+binds, or when both are moves and *j*'s active membrane is *k*'s active
+or passive one, or *j*'s passive membrane is *k*'s active one. When a
+blocking instance *k* still fits and no later instance can displace it,
+the search does not stop adding *k*: later instances only take objects
+and roles *k* does not need, so *k* would still fit at every leaf below,
+and none of them is a finished choice. Independent instances therefore
+cost one branch each, not a subset each (the pruning used to list
+maximal independent sets, Tsukiyama et al. 1977, here over multisets).
+
+Moves go first because they are the most constraining (Haralick & Elliott
+1980): a move takes membrane roles as well as objects, and once every
+move is decided a rewrite is displaced only by a later rewrite that binds
+one of its keys. In a compiled system the counter ticks come before the
+moves in table order and share objects with them: decided first, each
+tick doubles the leaves; decided after the moves, each settles in one
+branch. The order changes which branches are walked, not which count
+vectors are finished choices: each finished choice is put back into table
+order, and the list is sorted, so the result is the same in any order. The search keeps one mutable state
+and an explicit stack, so its depth is not bounded by Python's recursion
+limit.
 
 Instances are seen only through ``active_uid``, ``passive_uid``,
 ``is_move``, ``sort_key`` and the needs map ``(uid, class) -> count``
@@ -95,14 +106,18 @@ def enumerate_choices(
     """Every conflict-free choice after which no blocking instance fits,
     sorted by the instances' sort keys. Moves join at most once; other
     instances as often as their objects allow."""
-    table = [(inst, needs(inst)) for inst in instances]
+    moving = [inst.is_move for inst in instances]
+    # positions in ``instances``, in the order the search decides them
+    order = [i for i, move in enumerate(moving) if move]
+    order += [i for i, move in enumerate(moving) if not move]
+    table = [(instances[i], needs(instances[i])) for i in order]
     blocking = [bool(blocks(inst)) for inst, _need in table]
     settled = _settled(table, blocking)
     blockers = [row for row, b in zip(table, blocking) if b]
     usage: dict = {}
     actives: set = set()
     passives: dict = {}  # uid -> number of chosen moves it is passive in
-    chosen: list = []
+    chosen: list = []  # positions in ``instances`` of the instances added
     results: list[tuple] = []
 
     def add(inst, need: dict, sign: int) -> None:
@@ -128,7 +143,7 @@ def enumerate_choices(
         k, copies, fits = frame
         if k == len(table):
             if not any(addable(i, n, avail, usage, actives, passives) for i, n in blockers):
-                results.append(tuple(chosen))
+                results.append(tuple([instances[i] for i in sorted(chosen)]))
             stack.pop()
             continue
         inst, need = table[k]
@@ -139,7 +154,7 @@ def enumerate_choices(
                 continue
         if fits:
             add(inst, need, 1)
-            chosen.append(inst)
+            chosen.append(order[k])
             frame[1], frame[2] = copies + 1, None
             continue
         for _ in range(copies):

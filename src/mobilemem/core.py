@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 INF = float("inf")
 
@@ -40,9 +41,11 @@ def timer_str(t: Timer) -> str:
     return "inf" if t == INF else str(int(t))
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """An object name, possibly the co-form ``~name``."""
+class Symbol(NamedTuple):
+    """An object name, possibly the co-form ``~name``. A named tuple, so
+    that the hashing, equality and ordering every content and needs map
+    runs on it are the tuple's own, in C; its ``repr``, order and hash
+    are those of the ``(name, is_co)`` pair."""
 
     name: str
     is_co: bool = False
@@ -322,15 +325,18 @@ class MoveRule:
     name: str = ""
     keep_active_timer: bool = False
 
-    @property
+    # Worked out once per rule on first read and kept in the instance's
+    # ``__dict__``; equality and hashing stay on the fields.
+
+    @cached_property
     def u_bar(self) -> Multiset:
         return Multiset([dual(s) for s in self.u])
 
-    @property
+    @cached_property
     def active_slots(self) -> tuple:
         return _slot_tuple(self.u, self.v)
 
-    @property
+    @cached_property
     def passive_slots(self) -> tuple:
         return _slot_tuple(self.u_bar, self.v2)
 
@@ -358,7 +364,7 @@ class RewriteRule:
     rhs: tuple = ()
     name: str = ""
 
-    @property
+    @cached_property
     def active_slots(self) -> tuple:
         return tuple(self.lhs)
 
@@ -456,7 +462,7 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
         if not node.label or not _NAME_RE.match(node.label):
             violations.append(f"membrane label {node.label!r} is not a plain name")
         for entry, _n in node.content.items():
-            sym, t = entry if isinstance(entry, tuple) else (entry, INF)
+            sym, t = (entry, INF) if isinstance(entry, Symbol) else entry
             if not _NAME_RE.match(sym.name):
                 violations.append(f"object name {sym.name!r} is not a plain name")
             if sym.name == DELTA_NAME:

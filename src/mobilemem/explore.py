@@ -47,11 +47,11 @@ from .compiler import (
 )
 from . import ambient as amb
 from .translate import (
-    check_correspondence_PQ,
     check_preimage_reordering,
     generate_rules as _generate_rules,
     some_preimage,
-    _image,
+    _correspondence,
+    _Images,
 )
 
 DEFAULT_NODE_CAP = 100_000
@@ -350,17 +350,11 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     default_rules = _generate_rules(p)
     try:
         ambient_graph = explore_ambients(p, depth, max_nodes)
-        membrane_graph = explore_membranes(_image(p), default_rules, depth, max_nodes)
+        images = _Images(ambient_graph)  # each state translated once, for every pass
+        membrane_graph = explore_membranes(images[ambient_graph.root], default_rules, depth, max_nodes)
     except BudgetExceeded as err:
         return Verdict("prop45", None, {"reason": str(err)})
-    strict_report = check_correspondence_PQ(ambient_graph)
-
-    images: dict[str, Configuration] = {}
-
-    def image(key: str) -> Configuration:
-        if key not in images:
-            images[key] = _image(ambient_graph.objects[key])
-        return images[key]
+    strict_report = _correspondence(ambient_graph, images)
 
     pq_misses = []
     pq_edges = 0
@@ -370,10 +364,10 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
             continue  # only movement reductions are matched
         if state_key not in erased_successors:
             erased_successors[state_key] = {
-                u_canonicalize(erase_timers(cfg)) for _c, cfg, _k in successors(image(state_key), default_rules)
+                u_canonicalize(erase_timers(cfg)) for _c, cfg, _k in successors(images[state_key], default_rules)
             }
         pq_edges += 1
-        if u_canonicalize(erase_timers(image(reduct_key))) not in erased_successors[state_key]:
+        if u_canonicalize(erase_timers(images[reduct_key])) not in erased_successors[state_key]:
             pq_misses.append({"state": state_key, "reduct": reduct_key})
 
     mn_misses = []

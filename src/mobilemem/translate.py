@@ -27,7 +27,8 @@ decrements the moving membrane.
 
 ``check_correspondence_PQ`` does not explore: it walks the movement edges
 of an ambient reach graph built by ``explore.explore_ambients``, the same
-graph ``explore.check_translation`` uses for its timer-erased pass.
+graph ``explore.check_translation`` uses for its timer-erased pass, and
+there both passes read one map of the states' images (``_Images``).
 """
 
 from __future__ import annotations
@@ -181,6 +182,20 @@ def literal_successors(
 # ---------------------------------------------------------------------------
 # Correspondence: ambient reductions map to membrane reductions
 
+class _Images(dict):
+    """Canonical key -> ``_image`` of that state of an ambient reach graph,
+    each state translated on first lookup only; shared by the passes of
+    one check over the graph."""
+
+    def __init__(self, graph):
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, key: str) -> Configuration:
+        image = self[key] = _image(self.graph.objects[key])
+        return image
+
+
 def check_correspondence_PQ(graph) -> dict:
     """For every non-time ambient reduction P' -> Q' from a state of the
     complete ambient reach ``graph`` (an ``explore.ReachGraph``) at depth
@@ -189,31 +204,31 @@ def check_correspondence_PQ(graph) -> dict:
     translate(Q'). The graph's recorded ``move`` edges are the reductions;
     a depth-0 graph has none, so its root is reduced here. Each state is
     translated once."""
+    return _correspondence(graph, _Images(graph))
+
+
+def _correspondence(graph, images: _Images) -> dict:
+    """``check_correspondence_PQ`` reading the states' images from
+    ``images``, which the caller may go on using."""
     root = graph.objects[graph.root]
     rules = generate_rules(root, strict=True)
     moves: dict[str, list[str]] = {}
     for src, label, dst in graph.edges:
         if label == "move":
             moves.setdefault(src, []).append(dst)
-    images: dict[str, Configuration] = {}
     if graph.depth == 0 and (reducts := amb.reduce_step(root)).moved:
         for succ in reducts:
             key = amb.canonical_key(succ)
             images[key] = _image(succ)
             moves.setdefault(graph.root, []).append(key)
 
-    def image(key: str) -> Configuration:
-        if key not in images:
-            images[key] = _image(graph.objects[key])
-        return images[key]
-
     edges = 0
     misses: list[dict] = []
     for key in sorted(moves):
-        membrane_keys = {k for _i, _cfg, k in literal_successors(image(key), rules)}
+        membrane_keys = {k for _i, _cfg, k in literal_successors(images[key], rules)}
         for dst in moves[key]:
             edges += 1
-            want = canonicalize(image(dst))
+            want = canonicalize(images[dst])
             if want not in membrane_keys:
                 misses.append({"process": key, "reduct": dst, "wanted": want})
     return {"edges": edges, "misses": misses, "ok": not misses}

@@ -17,6 +17,13 @@ objects it binds and its sort key), the structural edit of a step
 (``tree.py``: membrane moves, bottom-up dissolution, rebuilding), and the
 run loop and successor deduplication of ``engine``. What is shared is
 checked against ``tests/reference.py`` rather than by the embedding.
+
+The matcher indexes the rewrites once per call by one left-side symbol,
+the largest; a membrane tests only the rewrites keyed by a symbol it
+holds. In a compiled system the key of a tick or kill rule is its
+counter, so a state costs per counter present rather than per generated
+rewrite, and move families are read through their schemas (see
+``u_find_instances``).
 """
 
 from __future__ import annotations
@@ -159,14 +166,39 @@ def _parts(rules: Sequence) -> Iterable[tuple]:
 
 def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
     """Every rule instance that fits the configuration, in (rule index,
-    active uid, passive uid) order. A schema is a candidate filter: for
-    each active/passive pair whose labels fit, only the members whose
-    counters the two membranes hold are tested, each exactly as the flat
-    rule at its index would be."""
+    active uid, passive uid) order.
+
+    Rewrites are indexed once per call by one left-side symbol, the
+    largest (in a compiled system, the counter: it tells apart the ticks
+    of one object), so a host tests only the rewrites whose key symbol it
+    holds, each then checked against ``at`` and its whole left side; a
+    rewrite with an empty left side is tested on every host. A schema is
+    a candidate filter: for each active/passive pair whose labels fit,
+    only the members whose counters the two membranes hold are tested,
+    each exactly as the flat rule at its index would be."""
     nodes = list(config.skin.walk())
     by_label: dict[str, list] = {}
     for node in nodes:
         by_label.setdefault(node.label, []).append(node)
+    rewrites: dict = {}  # key symbol (None: empty left side) -> [(flat index, rewrite)]
+    moves = []
+    for base, item in _parts(rules):
+        if isinstance(item, RewriteRule):
+            key = item.lhs.items()[-1][0] if item.lhs else None
+            rewrites.setdefault(key, []).append((base, item))
+        else:
+            moves.append((base, item))
+    everywhere = rewrites.pop(None, ())
+    found = []
+    for host in nodes:
+        content = host.content
+        for sym, _n in content.items():
+            for base, rule in rewrites.get(sym, ()):
+                if (rule.at is None or rule.at == host.label) and content.contains(rule.lhs):
+                    found.append(UInstance(base, rule, host.uid, None, rule.lhs))
+        for base, rule in everywhere:
+            if rule.at is None or rule.at == host.label:
+                found.append(UInstance(base, rule, host.uid, None, rule.lhs))
     sibling_labels = []
     for parent in nodes:
         if parent.children:
@@ -175,14 +207,7 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
                 index.setdefault(child.label, []).append(child)
             sibling_labels.append(index)
     sides: dict[int, list] = {}  # flat index -> [rule, lhs active, lhs passive once needed]
-    found = []
-    for base, item in _parts(rules):
-        if isinstance(item, RewriteRule):
-            hosts = nodes if item.at is None else by_label.get(item.at, ())
-            for host in hosts:
-                if host.content.contains(item.lhs):
-                    found.append(UInstance(base, item, host.uid, None, item.lhs))
-            continue
+    for base, item in moves:
         rule = item if isinstance(item, MoveRule) else item.rule
         for active, passive in _move_pairs(rule, by_label, sibling_labels):
             offsets = (0,) if item is rule else item.present(active.content, passive.content)

@@ -5,11 +5,14 @@ from mobilemem.ambient import (
     Amb,
     AmbientSyntaxError,
     Capability,
+    Par,
     Prefix,
     ZERO,
+    _rebuild,
     canonical_key,
     congruent,
     erase_tags,
+    normalize,
     par,
     parse_ambient,
     phi_delta,
@@ -215,3 +218,30 @@ def test_simultaneous_firing_equals_sequential_firing():
 def test_erase_tags():
     p = Amb("n", 3, Amb("k", 2, ZERO, tag="p"), tag="p")
     assert erase_tags(p) == Amb("n", 3, Amb("k", 2, ZERO))
+
+
+def test_normalize_keeps_normal_terms_and_rebuilds_the_rest():
+    # reducts and parsed terms are normal and come back as they are; a
+    # hand-built composition is rebuilt through par, and reduces as its
+    # normal form does
+    for seed in range(20):
+        frontier = [random_reducible_process(seed), random_process(seed)]
+        for _ in range(3):
+            assert all(normalize(q) is q for q in frontier), seed
+            frontier = [r for q in frontier for r in reduce_step(q)]
+    x = Amb("x", 3, Prefix(cap("in", 2, "y")))
+    y = Amb("y", 4, Prefix(cap("in", 3, "y", co=True)))
+    odd = [
+        Par((y, x)),
+        Par((x, ZERO, y)),
+        Par((x,)),
+        Par((Par((y, x)), ZERO)),
+        Amb("n", 5, Par((y, Par((x,))))),
+        Prefix(cap("out", 1, "n"), Par((ZERO, ZERO))),
+    ]
+    for p in odd:
+        q = normalize(p)
+        assert q is not p and q == _rebuild(p, None)
+        assert normalize(q) is q
+        assert [canonical_key(r) for r in reduce_step(p)] == [canonical_key(r) for r in reduce_step(q)]
+        assert redexes(p) == redexes(q)

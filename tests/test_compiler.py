@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,11 @@ from mobilemem.core import renumber
 from mobilemem.corpus import random_timed_system
 from mobilemem.explore import explore_untimed
 from mobilemem.sysfile import parse_system
-from mobilemem.untimed import UConfig, u_canonicalize, u_find_instances, umem
+from mobilemem.untimed import UConfig, u_canonicalize, u_find_instances, u_maximal_choices, umem
+import mobilemem.choices as choices_module
+
+sys.path.insert(0, str(Path(__file__).parent))
+import reference as ref  # noqa: E402
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 
@@ -231,3 +237,52 @@ def test_schema_matcher_on_crowded_counters():
             m = umem("m", membrane("m", "~a"), [umem("h", membrane("h", "a"))])
             state = UConfig(umem("skin", [], [h, m, umem("h", membrane("h", "a", "c"))]))
             assert u_find_instances(state, compiled) == u_find_instances(state, flat)
+
+
+def _compiled_states(config, rules, depth):
+    """(compiled rules, reach-graph states) of the compiled twin."""
+    ucfg, compiled = eliminate_timers(config, rules)
+    return compiled, list(explore_untimed(ucfg, compiled, depth).objects.values())
+
+
+def _rows(choice):
+    return sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in choice)
+
+
+def test_compiled_choices_equal_the_reference():
+    # the moves-first search and the rewrite index against the naive
+    # count-vector enumeration, on the all-INF image of every compiled
+    # state; choices compared as multisets of (rule, active, passive)
+    cases = [(w3(T).config, w3(T).rules) for T in (2, 3)]
+    cases += [random_timed_system(seed) for seed in range(40)]
+    for n, (config, rules) in enumerate(cases):
+        compiled, states = _compiled_states(config, rules, 4)
+        _cfg, lifted = embed_infinite(states[0], compiled)
+        for state in states:
+            timed, _rules = embed_infinite(state, ())
+            want = sorted(
+                sorted((r, act, -1 if pas is None else pas) for r, act, pas, _ab, _pb in ch)
+                for ch in ref.choices(ref.from_config(timed), lifted, True)
+            )
+            got = u_maximal_choices(state, compiled)
+            assert sorted(_rows(ch) for ch in got) == want, n
+            # whatever order the search decides them in, a choice lists its
+            # instances in table order
+            assert all([i.sort_key() for i in ch] == sorted(i.sort_key() for i in ch) for ch in got), n
+
+
+def test_choice_search_costs_per_instance_and_result(monkeypatch):
+    # with the moves decided first, the five counter ticks of the first
+    # W3 state settle one branch each instead of doubling the leaves: the
+    # fit tests stay within a small multiple of instances plus choices
+    calls = []
+    addable = choices_module.addable
+    monkeypatch.setattr(choices_module, "addable", lambda *args: calls.append(1) or addable(*args))
+    compiled, states = _compiled_states(w3(4).config, w3(4).rules, 6)
+    worst = 0.0
+    for state in states:
+        calls.clear()
+        found = u_find_instances(state, compiled)
+        returned = u_maximal_choices(state, compiled)
+        worst = max(worst, len(calls) / (len(found) + len(returned)))
+    assert worst <= 5, worst  # 3.6 with moves first; 20.4 decided in table order

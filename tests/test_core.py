@@ -19,6 +19,7 @@ from mobilemem.core import (
     per_membrane_readings,
     validate,
 )
+from mobilemem.untimed import UConfig, umem
 
 a, b = Symbol("a"), Symbol("b")
 
@@ -137,6 +138,40 @@ def test_validate_flags_violations():
 
     good_rule = EndoRule("h", "m", Multiset([a]), w=((a, Carry(0)),))
     assert validate(ok, [good_rule]) == []
+
+
+def test_symbol_reads_and_orders_as_its_name_and_co_bit():
+    co_a = Symbol("a", True)
+    assert repr(a) == "Symbol(name='a', is_co=False)"
+    assert repr(co_a) == "Symbol(name='a', is_co=True)"
+    assert (str(a), str(co_a)) == ("a", "~a")
+    assert sorted([Symbol("b", True), b, co_a, a]) == [a, co_a, b, Symbol("b", True)]
+    assert a < co_a < b and not co_a < a
+    assert hash(dual(dual(a))) == hash(Symbol("a")) and dual(dual(a)) == Symbol("a", False)
+    assert len({a, Symbol("a"), dual(co_a), co_a}) == 2
+
+
+def test_move_rule_slots_are_built_once_and_stay_out_of_equality():
+    rule = EndoRule("h", "m", Multiset([a, b]), v=Multiset([b]), v2=Multiset([a]))
+    twin = EndoRule("h", "m", Multiset([a, b]), v=Multiset([b]), v2=Multiset([a]))
+    assert rule.active_slots == (a, b, b) and rule.passive_slots == (a.dual(), b.dual(), a)
+    assert rule.u_bar == Multiset([a.dual(), b.dual()])
+    assert rule.active_slots is rule.active_slots and rule.passive_slots is rule.passive_slots
+    assert rule == twin and hash(rule) == hash(twin) and repr(rule) == repr(twin)
+    assert rule != EndoRule("h", "m", Multiset([a, b]), v=Multiset([b]))
+
+
+def test_validate_tells_bare_symbols_from_timed_pairs():
+    # an untimed membrane holds bare symbols, which are tuples too: they
+    # must not be read as (symbol, timer) pairs
+    untimed = UConfig(umem("skin", [a, Symbol("b", True)], [umem("h", [Symbol("a", True)])]))
+    assert validate(untimed) == []
+    assert any("marker" in v for v in validate(UConfig(umem("skin", [Symbol("delta")]))))
+    assert any("plain name" in v for v in validate(UConfig(umem("skin", [Symbol("in m", True)]))))
+    for t in (-1, 1.5, "3"):
+        bad = Configuration(mem("skin", INF, [], [mem("h", 2, [(a, t)])]))
+        assert validate(bad) == [f"object a has invalid timer {t!r}"]
+    assert validate(Configuration(mem("skin", INF, [(Symbol("a", True), 0), (b, INF)]))) == []
 
 
 def test_tree_maps_take_deep_nesting():

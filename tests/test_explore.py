@@ -25,6 +25,7 @@ from mobilemem.compiler import embed_infinite
 from mobilemem.untimed import UConfig, umem
 from mobilemem.ambient import canonical_key, parse_ambient
 from mobilemem.corpus import (
+    random_reducible_process,
     random_timed_system,
     random_untimed_system,
     reorder_demo_process,
@@ -267,14 +268,34 @@ def test_correspondence_translates_each_state_once(monkeypatch):
     translate = importlib.import_module("mobilemem.translate")
     graph = explore_ambients(_w4(3), 3)
     seen = []
-    real = translate.translate
-    monkeypatch.setattr(translate, "translate", lambda p: seen.append(canonical_key(p)) or real(p))
+    real = translate._image
+    monkeypatch.setattr(translate, "_image", lambda p: seen.append(canonical_key(p)) or real(p))
     report = translate.check_correspondence_PQ(graph)
     assert report["ok"] and report["edges"] == sum(label == "move" for _s, label, _d in graph.edges)
-    assert len(seen) == len(set(seen))
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_verdict_exit_codes():
     v = check_timer_elimination(s1(), [E1], 2)
     assert v.exit_code == 0
     assert v.to_json()["verdict"] == "pass"
+
+
+def test_check_translation_translates_each_state_once(monkeypatch):
+    # both forward passes and the membrane-side root read one map of
+    # images; the reordering note translates its own preimages, so it is
+    # left out here
+    import mobilemem.explore as explore
+
+    translate = importlib.import_module("mobilemem.translate")
+    seen = []
+    real = translate._image
+    for module in (translate, explore):  # every module that may call it
+        if hasattr(module, "_image"):
+            monkeypatch.setattr(module, "_image", lambda p: seen.append(canonical_key(p)) or real(p))
+    monkeypatch.setattr(explore, "check_preimage_reordering", lambda p: {})
+    for seed in range(10):
+        seen.clear()
+        verdict = check_translation(random_reducible_process(seed), 4)
+        assert verdict.details["pq_erased"]["edges"] > 0, seed
+        assert sorted(seen) == sorted(set(seen)), seed

@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from mobilemem.corpus import random_untimed_system
 from mobilemem.core import EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol
 from mobilemem.untimed import (
     UConfig,
+    UInstance,
     u_apply,
     u_canonicalize,
     u_find_instances,
@@ -197,3 +199,39 @@ def test_u_apply_matches_reference_per_membrane():
             assert detached == tuple((n["uid"], n["label"], _erased_render(n)) for n in want_detached)
             compared += 1
     assert compared > 60
+
+
+def test_rewrite_index_equals_the_rule_by_rule_loop():
+    # rewrites are looked up by their largest left-side symbol; every kind
+    # of left side must still match exactly where a plain loop matches it
+    co_a, co_c, x = a.dual(), c.dual(), Symbol("x")
+    rewrites = [
+        RewriteRule("h", Multiset([a]), ((b, Fresh(INF)),), name="at-h"),
+        RewriteRule(None, Multiset([b]), (), name="star"),
+        RewriteRule(None, Multiset([a, c]), (), name="two"),
+        RewriteRule(None, Multiset([a, a]), (), name="twice"),
+        RewriteRule(None, Multiset([co_a, b]), (), name="co-first"),
+        RewriteRule("m", Multiset([a, co_c]), (), name="co-key"),
+        RewriteRule("z", Multiset(), (), name="empty"),
+    ]
+    rules = [RULE] + rewrites  # a move first, so rewrite indices start at 1
+    rng = random.Random(11)
+    configs = [UConfig(umem("skin", [x], [umem("z", [x, x]), umem("m", [])]))]  # no key symbol held
+    for _ in range(200):
+        kids = [
+            umem(rng.choice("hmz"), [rng.choice([a, b, c, co_a, co_c, x]) for _ in range(rng.randint(0, 5))])
+            for _ in range(rng.randint(0, 4))
+        ]
+        configs.append(UConfig(umem("skin", [rng.choice([a, c, x])], kids)))
+    for config in configs:
+        want = sorted(
+            (UInstance(idx, rule, host.uid, None, rule.lhs)
+             for idx, rule in enumerate(rules) if isinstance(rule, RewriteRule)
+             for host in config.skin.walk()
+             if rule.at in (None, host.label) and host.content.contains(rule.lhs)),
+            key=UInstance.sort_key,
+        )
+        got = [inst for inst in u_find_instances(config, rules) if not inst.is_move]
+        assert got == want
+        assert [i.lhs_active for i in got] == [i.lhs_active for i in want]
+    assert not [i for i in u_find_instances(configs[0], rules) if i.rule.name != "empty"]
