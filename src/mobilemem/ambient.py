@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .core import INF, Timer, decrement, rebuild_tree, render_slot, stored_render, timer_str, walk_tree
-from .lexer import tokenize
+from .core import Timer, decrement, rebuild_tree, render_slot, stored_render, timer_str, walk_tree
+from .lexer import Cursor, PositionedError
 
 
 @dataclass(frozen=True)
@@ -379,39 +379,16 @@ def reduce_step(p: Process) -> Reducts:
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-class AmbientSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
+class AmbientSyntaxError(PositionedError):
+    """Bad ``.amb`` syntax, at a ``line:col`` position."""
 
 
 _PUNCT = {":", "[", "]", "(", ")", "|", ".", "~"}
 _KEYWORDS = {"in", "out", "inf"}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text, _PUNCT, AmbientSyntaxError)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        _kind, _val, line, col = self.peek()
-        raise AmbientSyntaxError(message, line, col)
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise AmbientSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
+class _Parser(Cursor):
+    error = AmbientSyntaxError
 
     def parse(self) -> Process:
         p = self.process()
@@ -426,16 +403,9 @@ class _Parser:
             parts.append(self.term())
         return par(*parts)
 
-    def timer(self) -> Timer:
-        tok = self.next()
-        if tok[0] == "int":
-            return int(tok[1])
-        if tok[0] == "ident" and tok[1] == "inf":
-            return INF
-        raise AmbientSyntaxError("expected a timer (natural number or inf)", tok[2], tok[3])
-
     def term(self) -> Process:
-        kind, val, line, col = self.peek()
+        tok = self.peek()
+        kind, val = tok[0], tok[1]
         if kind == "int" and val == "0":
             self.next()
             return ZERO
@@ -446,17 +416,17 @@ class _Parser:
             return p
         if kind == "~":
             self.next()
-            tok = self.expect("ident")
-            if tok[1] not in ("in", "out"):
-                raise AmbientSyntaxError("expected in or out after ~", tok[2], tok[3])
-            return self.prefix(tok[1], co=True)
+            word = self.expect("ident")
+            if word[1] not in ("in", "out"):
+                self.fail("expected in or out after ~", word)
+            return self.prefix(word[1], co=True)
         if kind == "ident" and val in ("in", "out"):
             self.next()
             return self.prefix(val, co=False)
         if kind == "ident":
             self.next()
             if val in _KEYWORDS:
-                raise AmbientSyntaxError(f"{val!r} is reserved", line, col)
+                self.fail(f"{val!r} is reserved", tok)
             self.expect(":")
             t = self.timer()
             self.expect("[")
@@ -466,14 +436,14 @@ class _Parser:
             body = self.process()
             self.expect("]")
             return Amb(val, t, body)
-        raise AmbientSyntaxError(f"unexpected token {val!r}", line, col)
+        self.fail(f"unexpected token {val!r}", tok)
 
     def prefix(self, kind: str, co: bool) -> Process:
         self.expect(":")
         t = self.timer()
         tok = self.expect("ident")
         if tok[1] in _KEYWORDS:
-            raise AmbientSyntaxError(f"{tok[1]!r} cannot name an ambient", tok[2], tok[3])
+            self.fail(f"{tok[1]!r} cannot name an ambient", tok)
         cap = Capability(kind, co, tok[1], t)
         if self.peek()[0] == ".":
             self.next()
@@ -484,7 +454,7 @@ class _Parser:
 def parse_ambient(text: str) -> Process:
     """Parse the concrete syntax into a normal-form process, all tags
     active. Raises AmbientSyntaxError with a position on bad input."""
-    return _Parser(text).parse()
+    return _Parser(text, _PUNCT).parse()
 
 
 def render_process(p: Process) -> str:

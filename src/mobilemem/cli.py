@@ -194,11 +194,8 @@ def _cmd_check(args) -> int:
     else:
         raise UsageError("check needs a file or --corpus seed,count")
     _emit([v.to_json() for v in verdicts] if len(verdicts) > 1 else verdicts[0].to_json())
-    if any(v.ok is False for v in verdicts):
-        return 1
-    if any(v.ok is None for v in verdicts):
-        return 2
-    return 0
+    codes = {v.exit_code for v in verdicts}  # a failure outranks an inconclusive verdict
+    return 1 if 1 in codes else max(codes)
 
 
 def _cmd_output(args) -> int:

@@ -1,8 +1,20 @@
-"""The positioned tokenizer shared by the ``.mms`` and ``.amb`` parsers."""
+"""The positioned tokenizer and token cursor shared by the ``.mms`` and
+``.amb`` parsers."""
 
 from __future__ import annotations
 
-from typing import Callable, Collection
+from typing import Callable, Collection, NoReturn
+
+from .core import INF, Timer
+
+
+class PositionedError(ValueError):
+    """Bad input at ``line:col``; the message starts with that position."""
+
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{line}:{col}: {message}")
+        self.line = line
+        self.col = col
 
 
 def tokenize(
@@ -68,3 +80,43 @@ def tokenize(
         raise error(f"unexpected character {ch!r}", line, col)
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+class Cursor:
+    """A parser's place in the tokens of one text. A subclass names the
+    ``PositionedError`` it raises as ``error``. ``next`` does not move
+    past the ``eof`` token, so ``peek`` always has a token to show."""
+
+    error: type[PositionedError] = PositionedError
+
+    def __init__(self, text: str, punct: Collection[str], operators: tuple[str, ...] = (), ident_extra: str = "_"):
+        self.tokens = tokenize(text, punct, self.error, operators, ident_extra)
+        self.pos = 0
+
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        return tok
+
+    def fail(self, message: str, tok: tuple | None = None) -> NoReturn:
+        """Raise ``error`` at ``tok``, by default at the next token."""
+        _kind, _val, line, col = tok or self.peek()
+        raise self.error(message, line, col)
+
+    def expect(self, kind: str, what: str = "") -> tuple:
+        tok = self.next()
+        if tok[0] != kind:
+            self.fail(f"expected {what or kind!r}, found {tok[1]!r}", tok)
+        return tok
+
+    def timer(self) -> Timer:
+        tok = self.next()
+        if tok[0] == "int":
+            return int(tok[1])
+        if tok[0] == "ident" and tok[1] == "inf":
+            return INF
+        self.fail("expected a timer (natural number or inf)", tok)

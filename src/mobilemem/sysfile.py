@@ -42,22 +42,18 @@ from .core import (
     RewriteRule,
     Rule,
     Symbol,
-    Timer,
     dual,
     rebuild_tree,
     renumber,
     timer_str,
     validate,
 )
-from .lexer import tokenize
+from .lexer import Cursor, PositionedError
 from .untimed import UConfig, UNode
 
 
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
+class ParseError(PositionedError):
+    """Bad ``.mms`` syntax, at a ``line:col`` position."""
 
 
 class InvalidSystemError(ValueError):
@@ -82,28 +78,8 @@ class SystemFile:
 _PUNCT = {"[", "]", ";", ",", "|", ":", "+", "-", "*", "~"}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text, _PUNCT, ParseError, ("=>",), "_$")
-        self.pos = 0
-
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        _k, _v, line, col = self.peek()
-        raise ParseError(message, line, col)
-
-    def expect(self, kind: str, what: str = ""):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what or kind!r}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
+class _Parser(Cursor):
+    error = ParseError
 
     def ident(self, what: str = "identifier") -> str:
         return self.expect("ident", what)[1]
@@ -112,10 +88,10 @@ class _Parser:
     def header(self) -> tuple[bool, bool, bool]:
         tok = self.expect("ident", "mms header")
         if tok[1] != "mms":
-            raise ParseError("file must start with 'mms'", tok[2], tok[3])
+            self.fail("file must start with 'mms'", tok)
         version = self.expect("int", "format version")
         if version[1] != "1":
-            raise ParseError(f"unsupported version {version[1]}", version[2], version[3])
+            self.fail(f"unsupported version {version[1]}", version)
         mode = self.ident("'timed' or 'untimed'")
         if mode not in ("timed", "untimed"):
             self.fail("expected 'timed' or 'untimed'")
@@ -125,14 +101,6 @@ class _Parser:
             compiled = compiled or flag == "compiled"
             strict = strict or flag == "strict"
         return mode == "timed", compiled, strict
-
-    def timer(self) -> Timer:
-        tok = self.next()
-        if tok[0] == "int":
-            return int(tok[1])
-        if tok[0] == "ident" and tok[1] == "inf":
-            return INF
-        raise ParseError("expected a timer (natural number or inf)", tok[2], tok[3])
 
     def symbol(self) -> Symbol:
         co = False
@@ -211,11 +179,11 @@ class _Parser:
                     continue
                 self.fail(f"product {sym} needs ':+timer' or ':-'")
             self.next()
-            kind2, _v2, line2, col2 = self.peek()
-            if kind2 == "+":
+            tok = self.peek()
+            if tok[0] == "+":
                 self.next()
                 prods.append((sym, Fresh(self.timer())))
-            elif kind2 == "-":
+            elif tok[0] == "-":
                 self.next()
                 skip = used.get(sym, 0)
                 slot = None
@@ -227,13 +195,11 @@ class _Parser:
                             break
                         seen += 1
                 if slot is None:
-                    raise ParseError(
-                        f"no left occurrence of {sym} left to carry", line2, col2
-                    )
+                    self.fail(f"no left occurrence of {sym} left to carry", tok)
                 used[sym] = skip + 1
                 prods.append((sym, Carry(slot)))
             else:
-                raise ParseError("expected '+timer' or '-' after ':'", line2, col2)
+                self.fail("expected '+timer' or '-' after ':'")
 
     def move_rule(self, keyword: str, timed: bool, index: int) -> Rule:
         h = self.ident("active label")
@@ -279,14 +245,14 @@ class _Parser:
             elif tok[1] == "rw":
                 out.append(self.rw_rule(timed, len(out)))
             else:
-                raise ParseError(f"expected a rule keyword, found {tok[1]!r}", tok[2], tok[3])
+                self.fail(f"expected a rule keyword, found {tok[1]!r}", tok)
         return tuple(out)
 
     def system(self) -> SystemFile:
         timed, compiled, strict = self.header()
         tok = self.expect("ident", "'output'")
         if tok[1] != "output":
-            raise ParseError("expected 'output <label>'", tok[2], tok[3])
+            self.fail("expected 'output <label>'", tok)
         output = self.ident("output label")
         skin = self.membrane(timed)
         if timed and skin.timer != INF:
@@ -304,7 +270,7 @@ class _Parser:
 def parse_system(text: str) -> SystemFile:
     """Parse an .mms file; positioned ParseError on bad syntax,
     InvalidSystemError listing every violation of ``core.validate``."""
-    sf = _Parser(text).system()
+    sf = _Parser(text, _PUNCT, ("=>",), "_$").system()
     violations = validate(sf.config, sf.rules)
     if violations:
         raise InvalidSystemError(violations)

@@ -16,6 +16,11 @@ Because prefix order is erased the translation is not injective: a
 membrane configuration reached by one movement step can be the image of a
 process the ambient semantics cannot reach (its capabilities reordered).
 ``check_preimage_reordering`` demonstrates this on a given process.
+``preimage_processes`` and ``some_preimage`` are one fold over the
+membrane tree that differ only in how a membrane's capabilities are
+arranged into prefix chains: in every way, each multiset of chains once
+(``_arrangements``), or one chain per capability. A membrane keeps at
+most ``PREIMAGE_CAP`` bodies; the list says ``truncated`` when more exist.
 
 Two membrane-side transition relations are used by the correspondence
 checks. The literal relation applies exactly one generated rule and
@@ -33,7 +38,8 @@ there both passes read one map of the states' images (``_Images``).
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from collections import Counter
+from itertools import product
 from typing import Iterator, Sequence
 
 from .core import (
@@ -237,87 +243,96 @@ def _correspondence(graph, images: _Images) -> dict:
 # ---------------------------------------------------------------------------
 # Preimages and the reordering phenomenon
 
-def _chain(caps: Sequence[Capability], tail: Process) -> Process:
-    out = tail
-    for cap in reversed(caps):
-        out = Prefix(cap, out)
-    return out
+#: Most distinct bodies the preimage search keeps for one membrane; when a
+#: membrane has more, its list and every list above it are ``truncated``.
+PREIMAGE_CAP = 2000
 
 
-def _arrangements(caps: list[Capability]) -> Iterator[list[list[Capability]]]:
-    """All ways to arrange a capability multiset into ordered chains."""
-    n = len(caps)
-    if n == 0:
+class Preimages(list):
+    """Preimage bodies in canonical-key order. ``truncated`` tells that the
+    search stopped at ``PREIMAGE_CAP`` here or below, so more exist."""
+
+    __slots__ = ("truncated",)
+
+    def __init__(self, bodies, truncated: bool):
+        super().__init__(bodies)
+        self.truncated = truncated
+
+
+def _arrangements(caps: Counter) -> Iterator[list[Process]]:
+    """Every multiset of prefix chains that uses up ``caps``, exactly once
+    each. The chains of one arrangement come out in nondecreasing order
+    of their capabilities' ranks, each drawn from what the earlier ones
+    left. A search state (chains closed, the last closed chain's ranks,
+    the ranks drawn so far, counts left) either closes the chain being
+    drawn, if it is no smaller than the last one, or draws once more."""
+    if not caps:
         yield []
         return
-    seen = set()
-    for perm in permutations(range(n)):
-        for mask in range(1 << (n - 1)):
-            chains: list[list[Capability]] = [[]]
-            for idx, pos in enumerate(perm):
-                chains[-1].append(caps[pos])
-                if idx < n - 1 and mask & (1 << idx):
-                    chains.append([])
-            sig = tuple(tuple((c.kind, c.co, c.target, c.timer) for c in ch) for ch in chains)
-            sig = tuple(sorted(sig))
-            if sig not in seen:
-                seen.add(sig)
-                yield chains
+    kinds = sorted(caps, key=str)
+    stack = [((), (), (), tuple(caps[c] for c in kinds))]
+    while stack:
+        closed, floor, chain, left = stack.pop()
+        # ``chain`` is still a proper prefix of ``floor``: it may not close,
+        # and its next rank may not be below ``floor``'s
+        short = len(chain) < len(floor) and chain == floor[:len(chain)]
+        nxt = []
+        if chain and not short:
+            proc = amb.ZERO
+            for rank in reversed(chain):
+                proc = Prefix(kinds[rank], proc)
+            if not any(left):
+                yield [*closed, proc]
+                continue
+            nxt.append(((*closed, proc), chain, (), left))
+        for rank in range(floor[len(chain)] if short else 0, len(kinds)):
+            if left[rank]:
+                nxt.append((closed, floor, (*chain, rank), (*left[:rank], left[rank] - 1, *left[rank + 1:])))
+        stack.extend(reversed(nxt))
 
 
-def preimage_processes(config: Configuration, limit: int = 2000) -> list[Process]:
-    """Processes Q with translate(Q) equal to ``config``, searching over
-    capability orderings (children stay parallel, never nested under a
-    prefix). Empty when some object is not capability-shaped."""
+def _preimages(config: Configuration, arrange) -> Preimages:
+    """The distinct bodies Q with translate(Q) equal to ``config``
+    (children stay parallel, never nested under a prefix): ``arrange``
+    turns one membrane's capability ``Counter`` into lists of prefix
+    chains, and each child takes every body found for it. Empty when
+    some object is not capability-shaped."""
 
-    def options(node: MembraneNode, child_bodies: tuple) -> list[Process] | None:
-        caps: list[Capability] = []
+    def bodies(node: MembraneNode, built: tuple) -> Preimages:
+        caps: Counter = Counter()
         for (sym, t), count in node.content.items():
-            cap = cap_from_symbol(sym, t)
-            if cap is None:
-                return None
-            caps.extend([cap] * count)
-        if any(bodies is None for bodies in child_bodies):
-            return None
-        child_options = [
-            [Amb(child.label, child.timer, body) for body in bodies]
-            for child, bodies in zip(node.children, child_bodies)
+            caps[cap_from_symbol(sym, t)] += count
+        if None in caps or not all(built):
+            return Preimages([], False)
+        kids = [
+            [Amb(child.label, child.timer, body) for body in b]
+            for child, b in zip(node.children, built)
         ]
-        results: list[Process] = []
-        for chains in _arrangements(caps):
-            chain_procs = [_chain(chain, amb.ZERO) for chain in chains]
-            for kids in product(*child_options):
-                results.append(amb.par(*chain_procs, *kids))
-                if len(results) > limit:
-                    return results
-        return results
+        found: dict[str, Process] = {}
+        truncated = any(b.truncated for b in built)
+        for body in (amb.par(*chains, *parts) for chains in arrange(caps) for parts in product(*kids)):
+            key = amb.canonical_key(body)
+            if key not in found:
+                if len(found) == PREIMAGE_CAP:
+                    truncated = True
+                    break
+                found[key] = body
+        return Preimages([found[k] for k in sorted(found)], truncated)
 
-    bodies = rebuild_tree(config.skin, options)
-    if bodies is None:
-        return []
-    out: dict[str, Process] = {}
-    for body in bodies:
-        out.setdefault(amb.canonical_key(body), body)
-    return [out[k] for k in sorted(out)]
+    return rebuild_tree(config.skin, bodies)
+
+
+def preimage_processes(config: Configuration) -> Preimages:
+    """Processes Q with translate(Q) equal to ``config``, over every
+    arrangement of each membrane's capabilities into prefix chains.
+    Empty when some object is not capability-shaped."""
+    return _preimages(config, _arrangements)
 
 
 def some_preimage(config: Configuration) -> Process | None:
     """One canonical preimage: every capability its own parallel prefix."""
-
-    def build(node: MembraneNode, bodies: tuple) -> Process | None:
-        parts: list[Process] = []
-        for (sym, t), count in node.content.items():
-            cap = cap_from_symbol(sym, t)
-            if cap is None:
-                return None
-            parts.extend([Prefix(cap, amb.ZERO)] * count)
-        for child, body in zip(node.children, bodies):
-            if body is None:
-                return None
-            parts.append(Amb(child.label, child.timer, body))
-        return amb.par(*parts)
-
-    return rebuild_tree(config.skin, build)
+    found = _preimages(config, lambda caps: [[Prefix(cap, amb.ZERO) for cap in caps.elements()]])
+    return found[0] if found else None
 
 
 def check_preimage_reordering(p: Process) -> dict:
@@ -329,7 +344,8 @@ def check_preimage_reordering(p: Process) -> dict:
     config = translate(p)
     reducts = amb.reduce_step(p)
     # tag-erased comparison: the phenomenon is about prefix order, and a
-    # preimage differing from a reduct only in tags is not a reordering
+    # preimage differing from a reduct only in tags is not a reordering;
+    # preimages are built with every ambient active already
     reduct_keys = {amb.canonical_key(amb.erase_tags(q)) for q in reducts if reducts.moved}
     report: dict = {"targets": [], "reordering_found": False, "degenerate": False}
     targets = literal_successors(config, rules)
@@ -338,16 +354,10 @@ def check_preimage_reordering(p: Process) -> dict:
         return report
     for _inst, n_config, n_key in targets:
         preimages = preimage_processes(n_config)
-        fresh = []
-        for q in preimages:
-            assert canonicalize(translate(q)) == n_key
-            if amb.canonical_key(amb.erase_tags(q)) not in reduct_keys:
-                fresh.append(q)
-        entry = {
-            "n_key": n_key,
-            "preimages": len(preimages),
-            "unreachable_preimages": [amb.canonical_key(q) for q in fresh],
-        }
+        fresh = [key for key in map(amb.canonical_key, preimages) if key not in reduct_keys]
+        entry = {"n_key": n_key, "preimages": len(preimages), "unreachable_preimages": fresh}
+        if preimages.truncated:
+            entry["truncated"] = True
         report["targets"].append(entry)
         if fresh:
             report["reordering_found"] = True

@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
+import time
 
 import pytest
 
+from mobilemem import cli
 from mobilemem.cli import main
+from mobilemem.explore import Verdict
 from mobilemem.sysfile import parse_system
 
 S1_TEXT = """mms 1 timed
@@ -154,9 +159,6 @@ def test_check_prop1_rejects_timed_input(s1_file):
 
 
 def test_cli_runs_as_a_subprocess(tmp_path, s1_file):
-    import subprocess
-    import sys
-
     done = subprocess.run(
         [sys.executable, "-m", "mobilemem", "check", "prop2", s1_file, "--depth", "3"],
         capture_output=True, text=True,
@@ -181,3 +183,65 @@ def test_out_of_range_arguments_exit_3_naming_the_flag(s1_file, capsys, argv, fl
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert "Traceback" not in err
+
+
+SHARED_TEXT = """mms 1 timed
+output skin
+skin:inf[ ; h:3[ a:2 ] k:3[ a:2 ] m:2[ ~a:2, ~a:2 ] ]
+endo h m : a | , ~a | =>  |
+endo k m : a | , ~a | =>  |
+"""
+
+
+def test_failing_and_inconclusive_checks_exit_1_and_2(tmp_path, s1_file, capsys):
+    # two movers that may share one target in a timed step fight over its
+    # counter once compiled: prop2 fails
+    shared = tmp_path / "shared.mms"
+    shared.write_text(SHARED_TEXT)
+    assert main(["check", "prop2", str(shared), "--depth", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+    assert main(["check", "prop2", s1_file, "--depth", "3", "--max-nodes", "1"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+    assert main(["explore", s1_file, "--depth", "3", "--max-nodes", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: exploration exceeded")
+
+
+@pytest.mark.parametrize("oks, code", [
+    ((True, True), 0), ((True, None), 2), ((None, False), 1), ((False, None), 1),
+])
+def test_check_exit_code_ranks_a_failure_over_an_inconclusive_verdict(monkeypatch, capsys, oks, code):
+    verdicts = iter([Verdict("prop2", ok) for ok in oks])
+    monkeypatch.setattr(cli, "check_timer_elimination", lambda *args: next(verdicts))
+    assert main(["check", "prop2", "--depth", "1", "--corpus", "0,2"]) == code
+
+
+def _w6(tmp_path, c):
+    """ROADMAP W6: one ambient holding c equal capabilities."""
+    path = tmp_path / f"w6_{c}.amb"
+    path.write_text("n:9[ " + " | ".join(["in:5 m"] * c) + " ] | m:9[ ~in:5 m ]\n")
+    return str(path)
+
+
+def _check_prop45(path, timeout):
+    return subprocess.run(
+        [sys.executable, "-m", "mobilemem", "check", "prop45", path, "--depth", "2"],
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_prop45_lists_each_arrangement_of_equal_capabilities_once(tmp_path):
+    # the 10 capabilities' preimages are the 30 partitions of the 9 left
+    # after the move, not 9! orderings
+    done = _check_prop45(_w6(tmp_path, 10), 30)
+    assert done.returncode == 0
+    (target,) = json.loads(done.stdout)["details"]["reordering"]["targets"]
+    assert target["preimages"] == 30 and "truncated" not in target
+
+
+def test_prop45_preimage_note_says_when_it_is_cut(tmp_path):
+    start = time.perf_counter()
+    done = _check_prop45(_w6(tmp_path, 30), 60)
+    assert done.returncode == 0
+    assert time.perf_counter() - start < 5
+    (target,) = json.loads(done.stdout)["details"]["reordering"]["targets"]
+    assert target["truncated"] is True and target["preimages"] == 2000

@@ -40,7 +40,7 @@ from mobilemem.engine import (
     successors,
 )
 from mobilemem.corpus import random_soak_system, random_timed_system
-from mobilemem.sysfile import SystemFile, render_system
+from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.untimed import erase_timers, u_maximal_choices
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
@@ -545,6 +545,16 @@ def test_settle_below_a_rewrite_that_dissolves_its_host():
     after = step(cfg, maximal_choices(cfg, rules)[0])
     assert after.stats.delta_consumed == 1
     assert sorted(kid.label for kid in after.config.skin.children) == ["j", "z"]
+
+
+def test_the_skin_drops_its_own_marker_and_keeps_the_rest():
+    # the skin cannot dissolve: a delta a rewrite puts there is dropped,
+    # and the skin keeps its other objects and its children
+    sf = parse_system("mms 1 timed\noutput skin\nskin:inf[ p:inf, y:2 ; k:3[ x:1 ] ]\nrw skin : p => delta\n")
+    _assert_steps_match_reference(sf.config, sf.rules)
+    after = step(sf.config, maximal_choices(sf.config, sf.rules)[0])
+    assert after.stats.delta_consumed == 1
+    assert canonicalize(after.config) == "skin:inf{y:1}[k:2{x:0}[]]|out=skin"
 
 
 def test_settle_ticks_equal_contents_once_and_counts_every_expiry():

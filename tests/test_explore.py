@@ -1,6 +1,8 @@
 import importlib
 import json
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +25,7 @@ from mobilemem.explore import (
 )
 from mobilemem.compiler import embed_infinite
 from mobilemem.untimed import UConfig, umem
-from mobilemem.ambient import canonical_key, parse_ambient
+from mobilemem.ambient import canonical_key, normalize, parse_ambient
 from mobilemem.corpus import (
     random_reducible_process,
     random_timed_system,
@@ -283,8 +285,8 @@ def test_verdict_exit_codes():
 
 def test_check_translation_translates_each_state_once(monkeypatch):
     # both forward passes and the membrane-side root read one map of
-    # images; the reordering note translates its own preimages, so it is
-    # left out here
+    # images; the reordering note translates the root once more and none
+    # of the preimages it finds
     import mobilemem.explore as explore
 
     translate = importlib.import_module("mobilemem.translate")
@@ -293,9 +295,124 @@ def test_check_translation_translates_each_state_once(monkeypatch):
     for module in (translate, explore):  # every module that may call it
         if hasattr(module, "_image"):
             monkeypatch.setattr(module, "_image", lambda p: seen.append(canonical_key(p)) or real(p))
-    monkeypatch.setattr(explore, "check_preimage_reordering", lambda p: {})
     for seed in range(10):
         seen.clear()
-        verdict = check_translation(random_reducible_process(seed), 4)
+        p = random_reducible_process(seed)
+        verdict = check_translation(p, 4)
         assert verdict.details["pq_erased"]["edges"] > 0, seed
-        assert sorted(seen) == sorted(set(seen)), seed
+        repeats = Counter(seen) - Counter(set(seen))
+        assert repeats == Counter([canonical_key(normalize(p))]), seed
+        assert set(seen) <= set(explore_ambients(p, 4).nodes), seed
+
+
+# ---------------------------------------------------------------------------
+# Each check's failure branches, reached through test-side fakes
+
+def test_check_translation_reports_a_missed_exact_reduction(monkeypatch):
+    translate = importlib.import_module("mobilemem.translate")
+    monkeypatch.setattr(translate, "literal_successors", lambda config, rules: [])
+    verdict = check_translation(reorder_demo_process(), 2)
+    assert verdict.ok is False
+    (miss,) = verdict.details["pq_exact"]["misses"]
+    assert set(miss) == {"process", "reduct", "wanted"}
+    assert not verdict.details["pq_erased"]["misses"] and not verdict.details["mn"]["misses"]
+
+
+def test_check_translation_reports_a_missed_erased_reduction(monkeypatch):
+    import mobilemem.explore as explore
+
+    monkeypatch.setattr(explore, "successors", lambda state, rules: [])
+    verdict = check_translation(reorder_demo_process(), 2)
+    assert verdict.ok is False
+    (miss,) = verdict.details["pq_erased"]["misses"]
+    assert set(miss) == {"state", "reduct"}
+    assert verdict.details["pq_exact"]["ok"] and not verdict.details["mn"]["misses"]
+
+
+def test_check_translation_reports_a_membrane_state_without_preimage(monkeypatch):
+    import mobilemem.explore as explore
+
+    monkeypatch.setattr(explore, "some_preimage", lambda state: None)
+    verdict = check_translation(reorder_demo_process(), 2)
+    assert verdict.ok is False
+    misses = verdict.details["mn"]["misses"]
+    assert len(misses) == verdict.details["mn"]["nodes"] and set(misses[0]) == {"state"}
+    assert verdict.details["pq_exact"]["ok"] and not verdict.details["pq_erased"]["misses"]
+
+
+def test_check_timer_elimination_reports_unsound_counters(monkeypatch):
+    import mobilemem.explore as explore
+
+    monkeypatch.setattr(explore, "counter_soundness_violations", lambda config, labels: ["fake"])
+    verdict = check_timer_elimination(s1(), [E1], 2)
+    assert verdict.ok is False
+    (witness,) = verdict.details["witnesses"]
+    assert witness["counter_soundness"][0]["problems"] == ["fake"]
+
+
+def test_check_timer_elimination_reports_a_membrane_count_mismatch(monkeypatch):
+    # projections keep their keys, but each compiled one claims one
+    # membrane fewer than its timed twin
+    import mobilemem.explore as explore
+
+    project, key = explore.project, explore.u_canonicalize
+
+    def counted(config):
+        proj = project(config)
+        walk = list(proj.skin.walk())[isinstance(config, UConfig):]
+        return SimpleNamespace(key=key(proj), skin=SimpleNamespace(walk=lambda: iter(walk)))
+
+    monkeypatch.setattr(explore, "project", counted)
+    monkeypatch.setattr(explore, "u_canonicalize", lambda x: x.key if isinstance(x, SimpleNamespace) else key(x))
+    verdict = check_timer_elimination(s1(), [E1], 2)
+    assert verdict.ok is False
+    (witness,) = verdict.details["witnesses"]
+    assert set(witness) == {"membrane_count_mismatch"}
+
+
+def _embedding_pair():
+    u = UConfig(umem("skin", [], [umem("h", [a]), umem("m", [a.dual()])]))
+    return u, [EndoRule("h", "m", Multiset([a]), w=((c, Fresh(INF)),), name="E")]
+
+
+def _altered_membrane_graphs(monkeypatch, alter):
+    import mobilemem.explore as explore
+
+    real = explore.explore_membranes
+
+    def altered(*args):
+        graph = real(*args)
+        alter(graph)
+        return graph
+
+    monkeypatch.setattr(explore, "explore_membranes", altered)
+
+
+def test_check_embedding_reports_unequal_node_sets():
+    u, rules = _embedding_pair()
+    timed_config, _timed_rules = embed_infinite(u, rules)
+    verdict = check_embedding(u, rules, 2, embedded=(timed_config, ()))
+    assert verdict.ok is False
+    witness = verdict.details["witnesses"][0]
+    assert witness["missing_in_embedding"] and not witness["extra_in_embedding"]
+
+
+def test_check_embedding_reports_unequal_depths(monkeypatch):
+    def deeper(graph):
+        for key, record in graph.nodes.items():
+            record.depth += key != graph.root
+
+    _altered_membrane_graphs(monkeypatch, deeper)
+    u, rules = _embedding_pair()
+    verdict = check_embedding(u, rules, 2)
+    assert verdict.ok is False
+    assert verdict.details["witnesses"][0]["depth_mismatch"]
+
+
+def test_check_embedding_reports_unequal_edges(monkeypatch):
+    _altered_membrane_graphs(monkeypatch, lambda graph: graph.edges.pop())
+    u, rules = _embedding_pair()
+    verdict = check_embedding(u, rules, 2)
+    assert verdict.ok is False
+    (witness,) = verdict.details["witnesses"]
+    assert len(witness["missing_edges"]) == 1 and not witness["extra_edges"]

@@ -1,4 +1,7 @@
+import random
 import sys
+from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -7,19 +10,21 @@ sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 
 from mobilemem.choices import availability, enumerate_choices
-from mobilemem.core import Symbol, canonicalize
+from mobilemem.core import INF, Configuration, Symbol, canonicalize, mem
 from mobilemem.engine import Instance, find_instances
 from mobilemem.ambient import (
     Amb,
     Capability,
     Prefix,
     ZERO,
+    canonical_key,
     congruent,
     par,
     parse_ambient,
     subterms,
 )
 from mobilemem.translate import (
+    PREIMAGE_CAP,
     TranslateError,
     cap_from_symbol,
     cap_symbol,
@@ -30,6 +35,7 @@ from mobilemem.translate import (
     preimage_processes,
     some_preimage,
     translate,
+    _arrangements,
     _literal_apply,
 )
 from mobilemem.corpus import hand_processes, random_process, random_reducible_process, reorder_demo_process
@@ -202,6 +208,76 @@ def test_preimage_enumeration_counts():
     ((_i, n_config, _key),) = literal_successors(translate(p), rules)
     # the moved membrane is empty: exactly one preimage shape
     assert len(preimage_processes(n_config)) == 1
+
+
+def test_every_preimage_translates_back_to_its_target():
+    # the property the reordering note relies on, for every literal
+    # successor of every seeded and hand-made process
+    checked = 0
+    for p in [random_reducible_process(seed) for seed in range(20)] + hand_processes():
+        rules = generate_rules(p, strict=True)
+        for _inst, n_config, n_key in literal_successors(translate(p), rules):
+            preimages = preimage_processes(n_config)
+            assert preimages and not preimages.truncated
+            for q in preimages:
+                assert canonicalize(translate(q)) == n_key
+                checked += 1
+    assert checked > 40
+
+
+def _chains_brute_force(caps):
+    """Every arrangement of ``caps`` into chains, as a sorted tuple of
+    chains: each ordering of the list, cut at each subset of its gaps."""
+    n = len(caps)
+    out = set()
+    for order in permutations(caps):
+        for mask in range(1 << max(n - 1, 0)):
+            chains, chain = [], []
+            for idx, cap in enumerate(order):
+                chain.append(cap)
+                if idx == n - 1 or mask >> idx & 1:
+                    chains.append(tuple(chain))
+                    chain = []
+            out.add(tuple(sorted(chains, key=str)))
+    return out
+
+
+def _chain_caps(proc):
+    caps = []
+    while isinstance(proc, Prefix):
+        caps.append(proc.cap)
+        proc = proc.cont
+    assert proc == ZERO
+    return tuple(caps)
+
+
+def test_arrangements_list_each_multiset_of_chains_once():
+    rng = random.Random(7)
+    for _ in range(200):
+        caps = [
+            Capability(rng.choice(["in", "out"]), rng.random() < 0.3, rng.choice("mk"), rng.choice([1, 2, INF]))
+            for _ in range(rng.randint(0, 5))
+        ]
+        got = [tuple(sorted(map(_chain_caps, chains), key=str)) for chains in _arrangements(Counter(caps))]
+        assert len(got) == len(set(got)), caps
+        assert set(got) == _chains_brute_force(caps), caps
+
+
+def test_preimage_search_stops_at_the_cap_and_says_so():
+    # c equal capabilities split into chains as the partitions of c; the
+    # search keeps PREIMAGE_CAP bodies per membrane and marks every list
+    # above a full one truncated
+    for c, count in [(1, 1), (4, 5), (8, 22), (29, None)]:
+        caps = " | ".join(["in:5 m"] * c)
+        found = preimage_processes(translate(parse_ambient(f"k:9[ n:9[ {caps} ] ]")))
+        if count is None:
+            assert len(found) == PREIMAGE_CAP and found.truncated
+        else:
+            assert len(found) == count and not found.truncated
+        assert found == sorted(found, key=canonical_key)
+    assert preimage_processes(translate(parse_ambient("n:9[]"))) == [parse_ambient("n:9[]")]
+    plain = Configuration(mem("skin", INF, [], [mem("n", 9, [(Symbol("plain"), 3)])]))
+    assert preimage_processes(plain) == [] and some_preimage(plain) is None
 
 
 def test_literal_apply_matches_reference_per_membrane():
