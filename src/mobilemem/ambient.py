@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .core import Timer, decrement, rebuild_tree, render_slot, stored_render, timer_str, walk_tree
+from .core import Timer, decrement, memo_slot, rebuild_tree, stored_render, timer_str, walk_tree
 from .lexer import Cursor, PositionedError
 
 
@@ -46,7 +46,7 @@ class Capability:
 
 @dataclass(frozen=True, slots=True)
 class Zero:
-    _render: str | None = render_slot()
+    _render: str | None = memo_slot()
 
     children = ()
 
@@ -61,7 +61,7 @@ ZERO = Zero()
 class Prefix:
     cap: Capability
     cont: "Process" = ZERO
-    _render: str | None = render_slot()
+    _render: str | None = memo_slot()
 
     @property
     def children(self) -> tuple:
@@ -74,7 +74,7 @@ class Amb:
     timer: Timer
     body: "Process" = ZERO
     tag: str = "a"  # "a" active, "p" passive
-    _render: str | None = render_slot()
+    _render: str | None = memo_slot()
 
     @property
     def children(self) -> tuple:
@@ -84,7 +84,7 @@ class Amb:
 @dataclass(frozen=True, slots=True)
 class Par:
     parts: tuple
-    _render: str | None = render_slot()
+    _render: str | None = memo_slot()
 
     @property
     def children(self) -> tuple:

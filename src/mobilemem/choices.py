@@ -50,10 +50,11 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 
-def availability(config, instances: Sequence) -> dict:
+def availability(config, instances: Sequence, read: Callable | None = None) -> dict:
     """``(uid, class) -> count`` over the membranes the instances bind,
     active and passive: the only keys ``addable`` reads for them. The walk
-    stops once it has met all of them."""
+    stops once it has met all of them. ``read(content)``, when given, is a
+    content as the instances' classes name its objects."""
     wanted = {inst.active_uid for inst in instances}
     wanted.update([inst.passive_uid for inst in instances])
     wanted.discard(None)  # a rewrite has no passive membrane
@@ -63,7 +64,8 @@ def availability(config, instances: Sequence) -> dict:
             break
         if node.uid in wanted:
             wanted.remove(node.uid)
-            for cls, n in node.content.items():
+            content = node.content if read is None else read(node.content)
+            for cls, n in content.items():
                 avail[(node.uid, cls)] = n
     return avail
 

@@ -184,14 +184,15 @@ def walk_tree(node) -> Iterator:
             stack.extend(reversed(node.children))
 
 
-def rebuild_tree(node, make: Callable):
+def rebuild_tree(node, make: Callable, whole: Callable | None = None):
     """``make(n, built)`` for ``node``, where ``built`` is the tuple of
     what the same call gives for each of ``n``'s ``children``, left to
     right. ``make`` runs once per occurrence, children first. Iterative,
     so nesting depth is not bounded by the recursion limit: a node whose
     children are pending waits on the stack as a (node, child count)
     pair, and results wait on a positional stack, since a term may hold
-    one subterm object in several places."""
+    one subterm object in several places. A node for which ``whole(n)``
+    holds is not entered: ``make(n, ())`` stands for its whole subtree."""
     done: list = []
     stack = [node]
     while stack:
@@ -203,7 +204,7 @@ def rebuild_tree(node, make: Callable):
             done.append(make(n, built))
             continue
         kids = n.children
-        if kids:
+        if kids and (whole is None or not whole(n)):
             stack.append((n, len(kids)))
             stack.extend(reversed(kids))
         else:
@@ -211,9 +212,10 @@ def rebuild_tree(node, make: Callable):
     return done[0]
 
 
-def render_slot():
-    """The dataclass field in which a frozen tree node keeps its render,
-    filled by ``stored_render`` or by whoever builds the node."""
+def memo_slot():
+    """A dataclass field in which a frozen tree node keeps a value worked
+    out once from its subtree (its render, say), filled on first use or
+    by whoever builds the node."""
     return field(default=None, init=False, compare=False, repr=False)
 
 
@@ -238,12 +240,15 @@ def stored_render(node, render_one: Callable) -> str:
 
 @dataclass(frozen=True, slots=True)
 class MembraneNode:
-    """A membrane: label, remaining lifetime, contents, child membranes.
+    """A membrane: label, lifetime, contents, child membranes. Timers are
+    remaining timers, or deadlines in a clocked configuration (see
+    ``Configuration``).
 
     ``uid`` is an engine-assigned identity used by traces and rule
     instances; it is excluded from canonical keys. Labels need not be
     unique, and a node is elementary iff it has no children. ``_render``
-    holds ``canonical_render(node)`` once it has been computed.
+    holds ``canonical_render(node)`` and ``_least`` holds
+    ``least_timer(node)`` once they have been computed.
     """
 
     label: str
@@ -251,7 +256,8 @@ class MembraneNode:
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
-    _render: str | None = render_slot()
+    _render: str | None = memo_slot()
+    _least: Timer | None = memo_slot()
 
     @property
     def elementary(self) -> bool:
@@ -271,10 +277,84 @@ def mem(label: str, timer: Timer, objects: Iterable = (), children: Iterable = (
 
 @dataclass(frozen=True)
 class Configuration:
-    """A membrane tree plus the output membrane label."""
+    """A membrane tree plus the output membrane label.
+
+    ``clock`` is ``None`` for a configuration at rest, whose timers are
+    remaining timers. The states of a run are clocked instead: a finite
+    timer is stored as its deadline, the remaining timer plus ``clock``,
+    so a step leaves whatever it does not touch as it is (see
+    ``engine.step``); at clock 0 the two forms coincide. ``at_rest``
+    turns a clocked configuration back, and every key and every output
+    reads remaining timers.
+    """
 
     skin: MembraneNode
     output_label: str = "skin"
+    clock: int | None = None
+
+
+def least_timer(node: MembraneNode) -> Timer:
+    """The least timer in ``node``'s subtree, its own and its objects'
+    included; ``INF`` when none is finite. Kept in the ``_least`` slot of
+    every node below ``node`` that lacks it, children first."""
+    if node._least is None:
+        rebuild_tree(node, _fill_least, _has_least)
+    return node._least
+
+
+def _fill_least(node: MembraneNode, _built: tuple) -> None:
+    if node._least is None:
+        least = node.timer
+        for (_sym, t), _n in node.content.items():
+            if t < least:
+                least = t
+        for child in node.children:
+            if child._least < least:
+                least = child._least
+        object.__setattr__(node, "_least", least)
+
+
+def _has_least(node: MembraneNode) -> bool:
+    return node._least is not None
+
+
+def shifted(content: Multiset, by: int) -> Multiset:
+    """``content`` with every finite object timer moved by ``by``; ``INF``
+    stays. Moving every finite timer alike keeps the sorted order."""
+    return Multiset._of_sorted(tuple([((sym, t + by), n) for (sym, t), n in content.items()]))
+
+
+def at_rest(config: Configuration) -> Configuration:
+    """``config`` with remaining timers: each finite timer of a clocked
+    configuration less its clock. Subtrees with no finite timer are
+    shared, uids are kept, equal contents are shifted once, and every
+    node built gets its render, as the step's nodes do."""
+    clock = config.clock
+    if clock is None:
+        return config
+    skin = config.skin
+    if clock and least_timer(skin) != INF:
+        contents: dict = {}  # a clocked content's sorted pairs -> the content at rest
+
+        def make(node: MembraneNode, children: tuple) -> MembraneNode:
+            if node._least == INF:
+                return node
+            content = contents.get(node.content._items)
+            if content is None:
+                content = contents[node.content._items] = shifted(node.content, -clock)
+            rest = MembraneNode(node.label, node.timer - clock, content, children, uid=node.uid)
+            object.__setattr__(rest, "_least", node._least - clock)
+            object.__setattr__(rest, "_render", render_one(rest))
+            return rest
+
+        skin = rebuild_tree(skin, make, _timeless)
+    return Configuration(skin, config.output_label)
+
+
+def _timeless(node: MembraneNode) -> bool:
+    """No finite timer in ``node``'s subtree, which reads the same at
+    every clock; ``least_timer`` has been filled in below it."""
+    return node._least == INF
 
 
 # ---------------------------------------------------------------------------
@@ -375,37 +455,77 @@ Rule = Union[EndoRule, ExoRule, RewriteRule]
 # ---------------------------------------------------------------------------
 # Canonicalization and readings
 
-def render_objects(content: Multiset) -> str:
-    """The objects part of a node's canonical render."""
+def render_objects(content: Multiset, clock: int = 0) -> str:
+    """The objects part of a node's canonical render, timers less
+    ``clock``."""
     objs = []
     for (sym, t), n in content.items():
-        objs.extend([f"{sym}:{timer_str(t)}"] * n)
+        objs.extend([f"{sym}:{timer_str(t - clock)}"] * n)
     return ",".join(objs)
 
 
-def render_node(label: str, timer: Timer, objects: str, children: tuple) -> str:
+def render_node(label: str, timer: Timer, objects: str, kids: Iterable[str]) -> str:
     """A node's canonical render from its label, timer, objects part and
-    the stored renders of its children."""
-    kids = " ".join(sorted([c._render for c in children])) if children else ""
-    return f"{label}:{timer_str(timer)}{{{objects}}}[{kids}]"
+    the renders of its children."""
+    return f"{label}:{timer_str(timer)}{{{objects}}}[{' '.join(sorted(kids)) if kids else ''}]"
 
 
 def render_one(node: MembraneNode) -> str:
     """One node's canonical render from its fields and the stored renders
-    of its children."""
-    return render_node(node.label, node.timer, render_objects(node.content), node.children)
+    of its children, stored first where missing."""
+    return render_node(node.label, node.timer, render_objects(node.content), [
+        c._render or canonical_render(c) for c in node.children
+    ])
 
 
 def canonical_render(node: MembraneNode) -> str:
     """Deterministic rendering, invariant under sibling and entry order;
-    stored in each node on first use (see ``stored_render``)."""
+    stored in each node on first use (see ``stored_render``). Timers are
+    printed as stored: remaining timers at rest."""
     return stored_render(node, render_one)
+
+
+def render_at(node: MembraneNode, clock: int | None) -> str:
+    """``canonical_render`` of ``node`` read at ``clock``: each finite
+    timer printed as its deadline less the clock. A subtree with no finite
+    timer prints the same at every clock and keeps its stored render; the
+    others are rendered afresh, each distinct content's objects once."""
+    if not clock or least_timer(node) == INF:
+        return canonical_render(node)
+    order = []  # the membranes with children to render afresh, parents first
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        stack.extend([c for c in n.children if c.children and c._least != INF])
+    # sorted (class, count) pairs -> their objects part at this clock; the
+    # pairs hash and compare in C, unlike the multisets that hold them
+    objects: dict = {}
+    done: dict = {}  # id of a node in ``order`` -> its render
+    for n in reversed(order):
+        kids = []
+        for c in n.children:
+            if c._least == INF:
+                kids.append(c._render or canonical_render(c))
+            elif c.children:
+                kids.append(done[id(c)])
+            else:
+                items = c.content._items
+                objs = objects.get(items)
+                if objs is None:
+                    objs = objects[items] = render_objects(c.content, clock)
+                t = c.timer  # ``render_node`` of a leaf, inlined on the hot path
+                kids.append(f"{c.label}:{'inf' if t == INF else int(t - clock)}{{{objs}}}[]")
+        done[id(n)] = render_node(n.label, n.timer - clock, render_objects(n.content, clock), kids)
+    return done[id(node)]
 
 
 def canonicalize(config: Configuration) -> str:
     """Canonical key: equal keys iff configurations are equal up to sibling
-    membrane order and multiset entry order. uids are excluded."""
-    return canonical_render(config.skin) + "|out=" + config.output_label
+    membrane order and multiset entry order. uids are excluded, and a
+    clocked configuration prints remaining timers, so its key is the key
+    of its ``at_rest`` form."""
+    return render_at(config.skin, config.clock) + "|out=" + config.output_label
 
 
 def output_reading(config: Configuration) -> Multiset:

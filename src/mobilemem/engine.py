@@ -34,16 +34,24 @@ three modes (saturated, forced-only, any) for every relation. Moves,
 dissolution and the rebuilt tree come from ``tree.Tree``, which the
 untimed step and the literal relation use too.
 
-A step loads only the membranes its choice names and their ancestors.
-Every other subtree takes no part in phase 1, so the step applies phases
-2, 3 and 5 to it straight from its frozen nodes through ``Tree``'s
-``settle`` hook, with one tick rule (``_older``) for both kinds of node;
-a subtree holding a timer-0 membrane is loaded, since that membrane
-dissolves in phase 4. The tick of a contents multiset is worked out once
-per step (ticked contents, expiring objects, objects render) and shared
-by every untouched membrane holding equal contents; the expiries still
-count once per membrane. Every node the step builds gets its canonical
-render as it is built, so keying the result costs one join.
+The states of a run are clocked (``core.Configuration``): a finite timer
+is stored as a deadline, its remaining timer plus the step clock, so the
+tick of phases 3 and 5 changes nothing stored. A step on a clocked
+configuration gives one at the next clock and loads, as work nodes of
+``tree.Tree``, only the membranes its choice names, their ancestors, and
+the subtrees in which some timer reaches 0 at this clock, since there an
+object expires or a membrane dissolves. Each frozen node keeps the least
+timer of its subtree (``core.least_timer``), and ``Tree``'s keep-or-load
+test reads it. Every other subtree keeps its deadlines and is carried
+into the next configuration as the same object, so a step costs what it
+touches, not the size of the tree. Work nodes hold remaining timers
+while the phases run, and freezing stores the next clock's deadlines: a
+product or a ticked object gets its new remaining timer plus the next
+clock, which leaves an untouched deadline as it was. On a configuration
+at rest ``step`` runs the same step from clock 0 and returns its
+``at_rest`` form, so the explorer and the checks see remaining timers
+throughout; ``run`` enters the clocked form at clock 0, where deadlines
+and remaining timers coincide.
 """
 
 from __future__ import annotations
@@ -69,12 +77,13 @@ from .core import (
     Multiset,
     RewriteRule,
     Rule,
+    at_rest,
     canonicalize,
     canonical_render,
     decrement,
-    render_node,
-    render_objects,
+    least_timer,
     render_one,
+    shifted,
     timer_str,
 )
 from .tree import Tree
@@ -190,6 +199,24 @@ def _slot_bindings(slots: Sequence, content: Multiset) -> list[tuple]:
     return sorted(out)
 
 
+def _reader(config: Configuration) -> Callable | None:
+    """``None`` when ``config`` stores remaining timers; for a clocked
+    one, ``read(content)``: the content with remaining timers, as
+    instances bind it, each distinct content shifted once."""
+    clock = config.clock
+    if not clock:
+        return None
+    memo: dict = {}
+
+    def read(content: Multiset) -> Multiset:
+        got = memo.get(content)
+        if got is None:
+            got = memo[content] = shifted(content, -clock)
+        return got
+
+    return read
+
+
 def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instance]:
     """Every applicable rule instance, exhaustive up to binding equivalence.
 
@@ -200,7 +227,11 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     rewrites under every label, and alone for labels no rewrite names).
     Only children that an endo rule enters are bucketed by label, and only
     children whose label has a move rule are tried as active membranes.
+    Bindings name remaining timers, in a clocked configuration too: only
+    the contents of membranes a rule binds are read at its clock.
     """
+    clock = config.clock or 0
+    read = _reader(config)
     moves: dict = {}
     rewrites: dict = {}
     entered: set = set()  # labels an endo rule enters
@@ -218,26 +249,32 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     found: list[Instance] = []
 
     def pair(idx, rule, active, passive):
-        for ac in _slot_bindings(rule.active_slots, active.content):
-            for pc in _slot_bindings(rule.passive_slots, passive.content):
+        held, met = active.content, passive.content
+        if read is not None:
+            held, met = read(held), read(met)
+        for ac in _slot_bindings(rule.active_slots, held):
+            for pc in _slot_bindings(rule.passive_slots, met):
                 found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
 
     for parent in config.skin.walk():
-        for idx, rule in rewrites.get(parent.label, everywhere):
-            for ac in _slot_bindings(rule.active_slots, parent.content):
-                found.append(Instance(idx, rule, parent.uid, None, ac))
+        hosted = rewrites.get(parent.label, everywhere)
+        if hosted:
+            content = parent.content if read is None else read(parent.content)
+            for idx, rule in hosted:
+                for ac in _slot_bindings(rule.active_slots, content):
+                    found.append(Instance(idx, rule, parent.uid, None, ac))
         if not parent.children:
             continue
         siblings: dict = {}  # the children an endo rule can enter, by label
         for child in parent.children:
-            if child.label in entered and child.timer > 0:
+            if child.label in entered and child.timer > clock:
                 siblings.setdefault(child.label, []).append(child)
         for active in parent.children:
-            if active.label not in moves or active.children or not active.timer > 0:
+            if active.label not in moves or active.children or not active.timer > clock:
                 continue
             for idx, rule in moves[active.label]:
                 if isinstance(rule, ExoRule):
-                    if parent.label == rule.m and parent.timer > 0:
+                    if parent.label == rule.m and parent.timer > clock:
                         pair(idx, rule, active, parent)
                     continue
                 for passive in siblings.get(rule.m, ()):
@@ -253,7 +290,8 @@ def maximal_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepCh
     """Saturated choices: conflict-free and no further instance applies to
     the unused residue. When nothing applies, the single empty choice."""
     found = find_instances(config, rules)
-    return enumerate_choices(found, Instance.needs, availability(config, found), lambda inst: True)
+    avail = availability(config, found, _reader(config))
+    return enumerate_choices(found, Instance.needs, avail, lambda inst: True)
 
 
 def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
@@ -262,7 +300,8 @@ def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoic
     ``maximal_choices``; the difference is finite-timer objects ticking
     instead of joining an enabled move."""
     found = find_instances(config, rules)
-    return enumerate_choices(found, Instance.needs, availability(config, found), Instance.forced)
+    avail = availability(config, found, _reader(config))
+    return enumerate_choices(found, Instance.needs, avail, Instance.forced)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +340,7 @@ def _resolve_products(prods: Iterable, slot_classes: tuple) -> list[ObjClass]:
     return out
 
 
-def _validate_choice(choice: StepChoice, nodes: dict) -> None:
+def _validate_choice(choice: StepChoice, nodes: dict, clock: int) -> None:
     usage: dict = {}
     actives: set = set()
     passives: set = set()
@@ -316,7 +355,7 @@ def _validate_choice(choice: StepChoice, nodes: dict) -> None:
                     raise StaleChoiceError("endo participants are not siblings here")
             elif passive is None or active.parent != inst.passive_uid:
                 raise StaleChoiceError("exo active is not a child of its passive")
-            if active.children or not active.src.timer > 0 or not passive.src.timer > 0:
+            if active.children or not active.src.timer > clock or not passive.src.timer > clock:
                 raise StaleChoiceError("move structural precondition fails")
             if inst.active_uid in actives or inst.active_uid in passives or inst.passive_uid in actives:
                 raise StaleChoiceError("conflicting membrane roles in choice")
@@ -346,55 +385,23 @@ def _older(cls: ObjClass) -> ObjClass | None:
 def step(config: Configuration, choice: StepChoice) -> StepResult:
     """Apply one chosen step and the clock phases; see the module docstring
     for the phase order. Raises StaleChoiceError on a choice that was not
-    produced for this configuration. Subtrees the choice does not touch
-    go through ``settle`` (see the module docstring)."""
-    expired = 0
-    # uid -> the settled subtree, or None, of each child that settle met
-    # inside a subtree it then gave back to be loaded; the load asks again
-    retry: dict = {}
-    # contents -> (ticked contents, objects expiring, their objects render):
-    # untouched membranes with equal contents tick the same way
-    ticks: dict = {}
-
-    def settle(node: MembraneNode) -> MembraneNode | None:
-        nonlocal expired
-        if retry and node.uid in retry:
-            return retry.pop(node.uid)
-        if node.timer == 0:
-            return None
-        kids = []
-        for child in node.children:
-            kid = settle(child)
-            if kid is None:
-                retry.update((k.uid, k) for k in kids)
-                retry[child.uid] = None
-                return None
-            kids.append(kid)
-        tick = ticks.get(node.content)
-        if tick is None:
-            items = []
-            gone = 0
-            for cls, n in node.content.items():
-                older = _older(cls)
-                if older is None:
-                    gone += n
-                else:
-                    items.append((older, n))
-            content = Multiset._of_sorted(tuple(items))
-            tick = ticks[node.content] = (content, gone, render_objects(content))
-        content, gone, objects = tick
-        expired += gone
-        ticked = MembraneNode(node.label, node.timer - 1, content, tuple(kids), uid=node.uid)
-        object.__setattr__(ticked, "_render", render_node(ticked.label, ticked.timer, objects, ticked.children))
-        return ticked
-
-    tree = Tree(config.skin, choice, settle)
+    produced for this configuration. A clocked configuration gives one at
+    the next clock, sharing every subtree that the choice does not touch
+    and in which no timer reaches 0; one at rest gives one at rest."""
+    clock = config.clock or 0
+    least_timer(config.skin)  # filled below the skin for the keep test
+    tree = Tree(config.skin, choice, lambda node: node._least > clock)
     nodes = tree.nodes
-    _validate_choice(choice, nodes)
+    expired = 0
+    if clock:  # work nodes hold remaining timers until they freeze
+        for work in nodes.values():
+            if work.src._least != INF:
+                work.content = {(sym, t - clock): n for (sym, t), n in work.content.items()}
+    _validate_choice(choice, nodes, clock)
 
     consumed = produced_count = 0
     produced: dict = {}  # uid -> {class: count} made in phase 1
-    timers: dict = {}  # active uid -> its timer after the step
+    timers: dict = {}  # active uid -> its remaining timer after the step
 
     def give(uid: int, prods: Iterable, slot_classes: tuple) -> None:
         nonlocal produced_count
@@ -420,7 +427,7 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
         else:
             give(inst.active_uid, rule.w, inst.active_classes)
             give(inst.passive_uid, rule.w2, inst.passive_classes)
-            timer = nodes[inst.active_uid].src.timer
+            timer = nodes[inst.active_uid].src.timer - clock
             timers[inst.active_uid] = timer if rule.keep_active_timer else decrement(timer)
 
     detached: list[tuple[int, str, str]] = []
@@ -455,30 +462,51 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
                 expired += orig
             else:
                 content[older] = content.get(older, 0) + orig
-        if node.parent is not None and uid not in timers and node.src.timer == 0:
+        if node.parent is not None and uid not in timers and node.src.timer == clock:
             content[marker] = content.get(marker, 0) + 1
         node.content = content
 
     # Phase 4: bottom-up dissolution.
     delta_consumed = tree.dissolve(_is_delta)
 
-    # Phase 5, while freezing: tick every surviving non-active membrane
-    # (INF - 1 == INF).
+    # Phase 5, while freezing: every surviving non-active membrane ticks,
+    # which keeps its deadline; the skin and the actives get their new
+    # remaining timer plus the next clock, and so does every object left
+    # (INF + n == INF).
+    later = clock + 1
+
     def make(node, children: tuple) -> MembraneNode:
         src = node.src
         if src.uid in timers:
-            timer = timers[src.uid]
+            timer = timers[src.uid] + later
         elif node.parent is None:
+            timer = src.timer + 1  # the skin does not tick
+        elif src.timer > clock:
             timer = src.timer
-        elif src.timer > 0:
-            timer = src.timer - 1
         else:  # pragma: no cover - timer-0 non-actives dissolved in phase 4
             raise AssertionError("undissolved timer-0 membrane")
-        built = MembraneNode(src.label, timer, Multiset(node.content), children, uid=src.uid)
-        object.__setattr__(built, "_render", render_one(built))
+        # ``core.least_timer`` worked out in the same pass: every child's
+        # is known, kept from below the skin or built here
+        least = timer
+        items = []
+        for (sym, t), n in node.content.items():
+            t += later
+            if t < least:
+                least = t
+            items.append(((sym, t), n))
+        items.sort()
+        for child in children:
+            if child._least < least:
+                least = child._least
+        built = MembraneNode(src.label, timer, Multiset._of_sorted(tuple(items)), children, uid=src.uid)
+        object.__setattr__(built, "_least", least)
+        if least == INF:  # no finite timer below: its render holds at every clock
+            object.__setattr__(built, "_render", render_one(built))
         return built
 
-    new_config = Configuration(tree.freeze(make), config.output_label)
+    new_config = Configuration(tree.freeze(make), config.output_label, later)
+    if config.clock is None:
+        new_config = at_rest(new_config)
     stats = StepStats(consumed, produced_count, expired, delta_consumed, detached_objects)
     return StepResult(new_config, tuple(detached), stats)
 
@@ -537,8 +565,16 @@ class Trace:
     selector: str
     seed: int | None
     steps_requested: int
-    final: object = None  # the last configuration reached
+    reached: object = None  # the last configuration reached, clocked in a timed run
     records: list = field(default_factory=list)
+
+    @property
+    def final(self):
+        """The last configuration reached, at rest: a clocked one is turned
+        back (``core.at_rest``) once, on first read."""
+        if getattr(self.reached, "clock", None) is not None:
+            self.reached = at_rest(self.reached)
+        return self.reached
 
     @property
     def halted(self) -> bool:
@@ -567,13 +603,17 @@ def run(
 
     ``selector`` is ``first`` (canonically least choice) or ``random``
     (seeded); identical seeds give identical traces. Stops early, flagging
-    halt, when the only choice reproduces the current configuration.
+    halt, when the only choice reproduces the current configuration. The
+    run steps clocked configurations, entered at clock 0 as they are;
+    records and keys read remaining timers, and ``Trace.final`` is at rest.
     """
 
     def apply(current, choice):
         result = step(current, choice)
         return result.config, result.detached
 
+    if config.clock is None:
+        config = Configuration(config.skin, config.output_label, 0)
     return simulate(
         config, steps, selector, seed, lambda c: maximal_choices(c, rules), apply, canonicalize
     )
@@ -588,18 +628,19 @@ def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: 
     if selector not in ("first", "random"):
         raise ValueError(f"unknown selector {selector!r}")
     rng = random.Random(seed) if selector == "random" else None
-    trace = Trace(key(config), selector, seed, steps, config)
-    current_key = trace.initial_key
+    trace = Trace(key(config), selector, seed, steps)
+    current, current_key = config, trace.initial_key
     for index in range(1, steps + 1):
-        options = choices(trace.final)
+        options = choices(current)
         choice = options[0] if rng is None else rng.choice(options)
-        trace.final, detached = apply(trace.final, choice)
-        new_key = key(trace.final)
+        current, detached = apply(current, choice)
+        new_key = key(current)
         halted = len(options) == 1 and new_key == current_key
         trace.records.append(StepRecord(index, choice, new_key, halted, detached))
         current_key = new_key
         if halted:
             break
+    trace.reached = current
     return trace
 
 
@@ -616,7 +657,7 @@ def residual_instances(
     objects and membrane roles. Empty on every saturated choice; with
     ``forced_only`` empty on every legal choice."""
     found = find_instances(config, rules)
-    avail = availability(config, found)
+    avail = availability(config, found, _reader(config))
     usage: dict = {}
     actives: set = set()
     passives: set = set()

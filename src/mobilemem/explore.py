@@ -354,7 +354,7 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
         membrane_graph = explore_membranes(images[ambient_graph.root], default_rules, depth, max_nodes)
     except BudgetExceeded as err:
         return Verdict("prop45", None, {"reason": str(err)})
-    strict_report = _correspondence(ambient_graph, images)
+    strict_report = _correspondence(images)
 
     pq_misses = []
     pq_edges = 0
@@ -384,7 +384,10 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
                 "preimage": amb.canonical_key(candidate),
             })
 
-    reordering = check_preimage_reordering(p)
+    root = ambient_graph.root
+    reordering = check_preimage_reordering(
+        p, targets=images.literal(root), moves=[images.states[k] for k in images.moves.get(root, [])],
+    )
     ok = strict_report["ok"] and not pq_misses and not mn_misses
     details = {
         "pq_exact": strict_report,

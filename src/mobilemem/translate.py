@@ -145,7 +145,7 @@ def _literal_apply(config: Configuration, instances: Sequence[Instance]) -> Conf
     active membranes move, and no timer anywhere is touched. No clock
     phases, no dissolution. Subtrees no instance touches are shared with
     ``config``."""
-    tree = Tree(config.skin, instances, lambda node: node)
+    tree = Tree(config.skin, instances)
 
     def swap(uid, classes, prods):
         content = tree.nodes[uid].content
@@ -191,15 +191,38 @@ def literal_successors(
 class _Images(dict):
     """Canonical key -> ``_image`` of that state of an ambient reach graph,
     each state translated on first lookup only; shared by the passes of
-    one check over the graph."""
+    one check over the graph, with what they all read: the strict rules
+    of the root, the movement edges (``moves``: state key -> reduct keys)
+    and each image's literal successors, worked out once. A depth-0 graph
+    has no edges, so its root is reduced here."""
 
     def __init__(self, graph):
         super().__init__()
-        self.graph = graph
+        self.states = graph.objects  # key -> process
+        root = self.states[graph.root]
+        self.rules = generate_rules(root, strict=True)
+        self.moves: dict[str, list[str]] = {}
+        for src, label, dst in graph.edges:
+            if label == "move":
+                self.moves.setdefault(src, []).append(dst)
+        if graph.depth == 0 and (reducts := amb.reduce_step(root)).moved:
+            self.states = dict(self.states)
+            for succ in reducts:
+                key = amb.canonical_key(succ)
+                self.states.setdefault(key, succ)
+                self.moves.setdefault(graph.root, []).append(key)
+        self._literal: dict = {}
 
     def __missing__(self, key: str) -> Configuration:
-        image = self[key] = _image(self.graph.objects[key])
+        image = self[key] = _image(self.states[key])
         return image
+
+    def literal(self, key: str) -> list:
+        """``literal_successors`` of the image of state ``key``."""
+        found = self._literal.get(key)
+        if found is None:
+            found = self._literal[key] = literal_successors(self[key], self.rules)
+        return found
 
 
 def check_correspondence_PQ(graph) -> dict:
@@ -210,29 +233,17 @@ def check_correspondence_PQ(graph) -> dict:
     translate(Q'). The graph's recorded ``move`` edges are the reductions;
     a depth-0 graph has none, so its root is reduced here. Each state is
     translated once."""
-    return _correspondence(graph, _Images(graph))
+    return _correspondence(_Images(graph))
 
 
-def _correspondence(graph, images: _Images) -> dict:
-    """``check_correspondence_PQ`` reading the states' images from
-    ``images``, which the caller may go on using."""
-    root = graph.objects[graph.root]
-    rules = generate_rules(root, strict=True)
-    moves: dict[str, list[str]] = {}
-    for src, label, dst in graph.edges:
-        if label == "move":
-            moves.setdefault(src, []).append(dst)
-    if graph.depth == 0 and (reducts := amb.reduce_step(root)).moved:
-        for succ in reducts:
-            key = amb.canonical_key(succ)
-            images[key] = _image(succ)
-            moves.setdefault(graph.root, []).append(key)
-
+def _correspondence(images: _Images) -> dict:
+    """``check_correspondence_PQ`` over the graph of ``images``, which
+    the caller may go on using."""
     edges = 0
     misses: list[dict] = []
-    for key in sorted(moves):
-        membrane_keys = {k for _i, _cfg, k in literal_successors(images[key], rules)}
-        for dst in moves[key]:
+    for key in sorted(images.moves):
+        membrane_keys = {k for _i, _cfg, k in images.literal(key)}
+        for dst in images.moves[key]:
             edges += 1
             want = canonicalize(images[dst])
             if want not in membrane_keys:
@@ -335,20 +346,26 @@ def some_preimage(config: Configuration) -> Process | None:
     return found[0] if found else None
 
 
-def check_preimage_reordering(p: Process) -> dict:
+def check_preimage_reordering(
+    p: Process, *, targets: list | None = None, moves: list | None = None
+) -> dict:
     """Demonstrates non-injectivity of the translation on prefix order: a
     membrane reduct N of translate(p) has a preimage Q (capabilities
-    reordered) that is not among p's one-step reducts."""
+    reordered) that is not among p's one-step reducts. A caller that
+    holds them may hand over ``targets``, the literal successors of
+    translate(p) under its strict rules, and ``moves``, p's movement
+    reducts (none when p can only tick)."""
     p = amb.normalize(p)
-    rules = generate_rules(p, strict=True)
-    config = translate(p)
-    reducts = amb.reduce_step(p)
+    if targets is None:
+        targets = literal_successors(_image(p), generate_rules(p, strict=True))
+    if moves is None:
+        reducts = amb.reduce_step(p)
+        moves = reducts if reducts.moved else []
     # tag-erased comparison: the phenomenon is about prefix order, and a
     # preimage differing from a reduct only in tags is not a reordering;
     # preimages are built with every ambient active already
-    reduct_keys = {amb.canonical_key(amb.erase_tags(q)) for q in reducts if reducts.moved}
+    reduct_keys = {amb.canonical_key(amb.erase_tags(q)) for q in moves}
     report: dict = {"targets": [], "reordering_found": False, "degenerate": False}
-    targets = literal_successors(config, rules)
     if not targets:
         report["degenerate"] = True
         return report

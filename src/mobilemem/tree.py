@@ -4,22 +4,21 @@ Mutual endocytosis, mutual exocytosis and dissolution move membranes the
 same way with or without timers, so the timed step, the untimed step and
 the literal relation of the ambient translation all edit the tree here:
 
-* ``Tree(skin, choice, settle)`` loads it. Work nodes are made only for
+* ``Tree(skin, choice, keep)`` loads it. Work nodes are made only for
   the skin, the membranes the choice names (active, passive or rewrite
   host; an instance is seen only through ``active_uid`` and
-  ``passive_uid``) and their ancestors. Every other child subtree
-  goes to the caller's ``settle(node)``, which returns the subtree's
-  final frozen node, kept as it is, or ``None`` to load that membrane as
-  a work node too and settle its children in turn. A work node's
-  contents become a dict, its children an insertion-ordered dict of work
-  nodes and settled frozen nodes, and ``src`` keeps the frozen node it
-  was loaded from;
+  ``passive_uid``) and their ancestors. Every other child subtree is
+  kept as the frozen node it is, unless the caller's ``keep(node)``
+  says no: then that membrane is loaded as a work node too, and its
+  children are tested in turn. A work node's contents become a dict,
+  its children an insertion-ordered dict of work nodes and kept frozen
+  nodes, and ``src`` keeps the frozen node it was loaded from;
 * ``endo`` and ``exo`` re-parent one membrane (exo through the skin
   removes it and hands it back to be archived);
 * ``dissolve`` empties every marker-holding work node into its parent,
-  bottom-up; a settled subtree holds no marker;
+  bottom-up; a kept subtree holds no marker;
 * ``freeze`` rebuilds the work nodes through the caller's node
-  constructor, with settled subtrees in place.
+  constructor, with kept subtrees in place.
 
 A moved or released membrane goes to the end of its new parent's
 children, so child order, which reach graphs show, is the order of edits.
@@ -35,9 +34,10 @@ from typing import Callable, Iterable
 class Work:
     """``parent`` is the parent's uid, ``None`` for the skin and for a
     membrane gone out of the skin; no work node refers back up, so a work
-    tree holds no reference cycle and is freed as soon as it is dropped."""
+    tree holds no reference cycle and is freed as soon as it is dropped.
+    ``frozen`` holds the node ``freeze`` built from it."""
 
-    __slots__ = ("src", "content", "children", "parent")
+    __slots__ = ("src", "content", "children", "parent", "frozen")
 
     def __init__(self, src, parent: int | None):
         self.src = src
@@ -77,7 +77,7 @@ def _named(skin, choice) -> set:
 
 
 class Tree:
-    def __init__(self, skin, choice: Iterable, settle: Callable):
+    def __init__(self, skin, choice: Iterable, keep: Callable | None = None):
         self.root = Work(skin, None)
         self.nodes = {skin.uid: self.root}  # uid -> work node, skin included
         load = _named(skin, choice)
@@ -85,8 +85,8 @@ class Tree:
         while stack:
             work = stack.pop()
             for child in work.src.children:
-                kid = None if child.uid in load else settle(child)
-                if kid is None:
+                kid = child
+                if child.uid in load or keep is not None and not keep(child):
                     kid = self.nodes[child.uid] = Work(child, work.src.uid)
                     stack.append(kid)
                 work.children[child.uid] = kid
@@ -142,12 +142,19 @@ class Tree:
         return dropped
 
     def freeze(self, make: Callable):
-        """The tree rebuilt bottom-up as ``make(work, children)``; settled
-        subtrees are passed through unchanged."""
-
-        def build(work: Work):
-            return make(work, tuple([
-                build(kid) if type(kid) is Work else kid for kid in work.children.values()
-            ]))
-
-        return build(self.root)
+        """The tree rebuilt bottom-up as ``make(work, children)``; kept
+        subtrees are passed through unchanged. Iterative: in reversed
+        pre-order every work node comes after its children."""
+        order = []
+        stack = [self.root]
+        while stack:
+            work = stack.pop()
+            order.append(work)
+            if work.children:
+                stack.extend([kid for kid in work.children.values() if type(kid) is Work])
+        for work in reversed(order):
+            kids = work.children
+            work.frozen = make(work, tuple([
+                kid.frozen if type(kid) is Work else kid for kid in kids.values()
+            ]) if kids else ())
+        return self.root.frozen

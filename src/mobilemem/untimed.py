@@ -43,8 +43,8 @@ from .core import (
     Rule,
     Symbol,
     fresh_uid,
+    memo_slot,
     rebuild_tree,
-    render_slot,
     stored_render,
     walk_tree,
 )
@@ -61,7 +61,7 @@ class UNode:
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
-    _render: str | None = render_slot()
+    _render: str | None = memo_slot()
 
     @property
     def elementary(self) -> bool:
@@ -274,7 +274,7 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     membranes bottom-up. Returns (configuration, detached archive).
     Subtrees no instance touches stay as they are and are shared with
     ``config``: without a clock they cannot change."""
-    tree = Tree(config.skin, choice, lambda node: node)
+    tree = Tree(config.skin, choice)
 
     def consume(uid, syms: Multiset):
         content = tree.nodes[uid].content

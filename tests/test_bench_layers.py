@@ -26,3 +26,24 @@ def test_compile_deep_output_expands_to_the_known_family():
     deep = WORKLOADS["compile-deep"]
     inputs = deep.make_inputs(random.Random(f"{deep.name}:1"))
     assert deep.verify(inputs)
+
+
+def test_a_traced_wide_run_records_one_step_span_per_step():
+    # ``run`` keeps calling ``engine.step``, ``engine.maximal_choices`` and
+    # ``core.canonicalize`` by module-global lookup, so the tracer's
+    # wrappers see every step of a clocked run
+    from tracing import Tracer
+
+    wide = WORKLOADS["sim-wide"]
+    ops = wide.load(wide.make_inputs(random.Random(f"{wide.name}:1")))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        results = [op() for op in ops]
+    finally:
+        tracer.uninstall()
+    assert all(ok for ok, _units in results)
+    steps = sum(units for _ok, units in results)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("engine.step") == names.count("engine.find_instances") == steps > 0
+    assert names.count("core.canonicalize") == steps + len(ops)

@@ -1,5 +1,6 @@
+import random
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from mobilemem.core import (
     Multiset,
     RewriteRule,
     Symbol,
+    at_rest,
     canonical_render,
     canonicalize,
     mem,
@@ -39,7 +41,9 @@ from mobilemem.engine import (
     step_choices,
     successors,
 )
-from mobilemem.corpus import random_soak_system, random_timed_system
+from mobilemem.corpus import random_reducible_process, random_soak_system, random_timed_system
+from mobilemem.explore import explore_membranes
+from mobilemem.translate import generate_rules, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.untimed import erase_timers, u_maximal_choices
 
@@ -460,10 +464,11 @@ def test_reference_agrees_on_worked_example():
 
 
 # ---------------------------------------------------------------------------
-# The settle boundary: a step loads only the membranes its choice names and
-# their ancestors, and ticks every other subtree from its frozen nodes. Each
-# step is compared with the reference's full rebuild membrane by membrane,
-# uids and parents included, with its counts and its detached archive.
+# The keep boundary: a step loads only the membranes its choice names, their
+# ancestors and the subtrees in which some timer reaches 0, and keeps every
+# other subtree as it is. Each step is compared with the reference's full
+# rebuild membrane by membrane, uids and parents included, with its counts
+# and its detached archive.
 
 def _ref_detached(node):
     content = Multiset({(Symbol(name, co), t): n for (name, co, t), n in node["objs"].items()})
@@ -499,7 +504,7 @@ def _pair(*bystanders, skin=()):
 
 def test_settle_loads_a_timer_zero_membrane_two_levels_down():
     # b is untouched; d, under c under b, is at timer 0 and dissolves, so
-    # b, c and d are loaded while f (settled before c) and e are not
+    # b, c and d are loaded, and so is f, whose y:0 expires; e and g are kept
     e = mem("e", 2, [(x, 3)])
     d_ = mem("d", 0, [(x, 1), (y, 0)], [e])
     f = mem("f", 2, [(x, 1), (y, 0)])
@@ -560,7 +565,7 @@ def test_the_skin_drops_its_own_marker_and_keeps_the_rest():
 def test_settle_ticks_equal_contents_once_and_counts_every_expiry():
     # untouched bystanders share two contents, one with two timer-0 objects;
     # n holds children with the same contents, and k, at timer 0, dissolves,
-    # so it is loaded while its child w is settled
+    # so it is loaded with its child w
     shared, plain = [(x, 0), (x, 0), (y, 2)], [(x, 3), (y, INF)]
     bystanders = [mem("z", 3 + i % 3, shared if i % 2 else plain) for i in range(12)]
     bystanders += [mem("n", 5, shared, [mem("w", 4, shared), mem("w", 2, plain)]) for _ in range(3)]
@@ -807,6 +812,44 @@ def test_untouched_bystanders_tick_once_per_distinct_content(monkeypatch):
     assert canonicalize(config) == canonicalize(_wide(200, contents, ticks=10)[0])
 
 
+_CONTENTS = [[(x, 40)] * 5, [(x, 41)] * 5, [(x, 40), (y, 30)], [(y, INF), (x, 45)]]
+
+
+def test_a_clocked_step_builds_what_it_touches_whatever_the_width(monkeypatch):
+    # finite timers are deadlines, so a step rebuilds the skin and the busy
+    # pair and carries every bystander over as the same object
+    init = MembraneNode.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    per_width = []
+    for width in (200, 800):
+        config, rules = _wide(width, _CONTENTS)
+        config = Configuration(config.skin, config.output_label, 0)
+        counts = []
+        for _ in range(4):
+            before = {node.uid: node for node in config.skin.children}
+            monkeypatch.setattr(MembraneNode, "__init__", counted)
+            built.clear()
+            choice = maximal_choices(config, rules)[0]
+            result = step(config, choice)
+            canonicalize(result.config)
+            monkeypatch.setattr(MembraneNode, "__init__", init)
+            counts.append(len(built))
+            after = result.config
+            assert after.clock == config.clock + 1
+            kept = [node for node in after.skin.children if node.label.startswith("z")]
+            assert len(kept) == width and all(node is before[node.uid] for node in kept)
+            config = after
+        per_width.append(counts)
+    assert per_width[0] == per_width[1] and max(per_width[0]) <= 3, per_width
+    assert canonicalize(config) == canonicalize(_wide(800, _CONTENTS, ticks=4)[0])
+    assert canonicalize(at_rest(config)) == canonicalize(config)
+
+
 def _engine_instances(config, rules):
     return sorted(_engine_row(i) for i in find_instances(config, rules))
 
@@ -869,3 +912,108 @@ def test_matcher_equals_reference_on_hand_made_and_corpus_systems():
 def test_matcher_equals_reference_beside_bystanders(system):
     config, rules = system
     assert _engine_instances(config, rules) == _ref_instances(config, rules)
+
+
+# ---------------------------------------------------------------------------
+# Clocked runs (ROADMAP item 5): ``run`` steps configurations whose finite
+# timers are deadlines against a step clock. Its trace, its final
+# configuration and every step on the way must equal those of the public
+# at-rest ``step`` and ``canonicalize`` called in a loop.
+
+def _assert_run_matches_stepping_at_rest(config, rules, steps, selector, seed=None):
+    trace = run(config, rules, steps, selector=selector, seed=seed)
+    rng = random.Random(seed) if selector == "random" else None
+    want = engine.Trace(canonicalize(config), selector, seed, steps)
+    rest, clocked, key = config, Configuration(config.skin, config.output_label, 0), want.initial_key
+    for index in range(1, steps + 1):
+        options = maximal_choices(rest, rules)
+        assert maximal_choices(clocked, rules) == options
+        choice = options[0] if rng is None else rng.choice(options)
+        result, ahead = step(rest, choice), step(clocked, choice)
+        assert (ahead.detached, ahead.stats) == (result.detached, result.stats)
+        assert result.config.clock is None and ahead.config.clock == index
+        new_key = canonicalize(result.config)
+        assert canonicalize(ahead.config) == new_key
+        assert at_rest(ahead.config) == result.config  # uids and child order included
+        halted = len(options) == 1 and new_key == key
+        want.records.append(engine.StepRecord(index, choice, new_key, halted, result.detached))
+        rest, clocked, key = result.config, ahead.config, new_key
+        if halted:
+            break
+    assert trace.to_jsonl() == want.to_jsonl()
+    assert trace.final == rest and canonicalize(trace.final) == canonicalize(rest)
+    assert [n.uid for n in trace.final.skin.walk()] == [n.uid for n in rest.skin.walk()]
+
+
+def test_clocked_run_matches_stepping_at_rest_on_the_corpus():
+    for seed in range(40):
+        config, rules = random_timed_system(seed)
+        _assert_run_matches_stepping_at_rest(config, rules, 8, "first")
+        _assert_run_matches_stepping_at_rest(config, rules, 8, "random", seed)
+    # h gets its ``a`` in step 1, when m has one tick left; in step 2 m is
+    # at 0, so h may not enter it, however m's deadline compares with 0
+    config = Configuration(mem("skin", INF, [], [
+        mem("h", 5, [(c, INF)]), mem("m", 1, [(a.dual(), INF)]), mem("k", 3, [(a, 2)]),
+    ]))
+    rules = [RewriteRule("h", Multiset([c]), ((a, Fresh(INF)),)), EndoRule("h", "m", Multiset([a]))]
+    _assert_run_matches_stepping_at_rest(config, rules, 4, "first")
+
+
+def test_clocked_run_matches_stepping_at_rest_on_strict_translations():
+    # generate_rules(strict=True) keeps the active membrane's timer: its
+    # deadline moves up by one per step instead of staying put
+    for seed in range(20):
+        process = random_reducible_process(seed)
+        config, rules = translate(process), generate_rules(process, strict=True)
+        assert all(rule.keep_active_timer for rule in rules)
+        _assert_steps_match_reference(config, rules)
+        _assert_run_matches_stepping_at_rest(config, rules, 8, "first")
+        _assert_run_matches_stepping_at_rest(config, rules, 8, "random", seed)
+
+
+@given(nested_systems(), st.booleans(), st.sampled_from(("first", "random")), st.integers(0, 9))
+def test_clocked_run_matches_stepping_at_rest_on_nested_systems(system, keep, selector, seed):
+    # timer-0 objects and membranes, dissolution markers, exo through the
+    # skin (detached renders), and moves that keep the active timer
+    config, rules = system
+    rules = [replace(r, keep_active_timer=keep) if isinstance(r, (EndoRule, ExoRule)) else r for r in rules]
+    if _reference_size(ref.from_config(config), rules) <= 64:
+        _assert_steps_match_reference(config, rules)
+    _assert_run_matches_stepping_at_rest(config, rules, 6, selector, seed)
+
+
+def test_deep_chains_run_and_explore_without_recursion():
+    n = 1500
+    a_chain = mem("p", INF, [(a, INF)])
+    for _ in range(n - 1):
+        a_chain = mem("p", INF, [(a, INF)], [a_chain])
+    config = Configuration(mem("skin", INF, [], [a_chain]))
+    rules = [RewriteRule(None, Multiset([a]), ((b, Fresh(3)),))]
+
+    def chain(label, timer, obj):
+        return f"{label}:{timer}{{{obj}}}[" * n + "]" * n
+
+    trace = run(config, rules, 2)
+    assert [r.key for r in trace.records] == [
+        f"skin:inf{{}}[{chain('p', 'inf', f'b:{t}')}]|out=skin" for t in (3, 2)
+    ]
+    assert canonicalize(trace.final) == trace.records[-1].key
+    graph = explore_membranes(config, rules, 1)
+    assert set(graph.nodes) == {canonicalize(config), trace.records[0].key}
+
+    # a finite chain beside W1's pair, which flips every step
+    x_chain = mem("q", 50, [(x, 40)])
+    for _ in range(n - 1):
+        x_chain = mem("q", 50, [(x, 40)], [x_chain])
+    config = Configuration(mem("skin", INF, [], [*_pairs(1, False).skin.children, x_chain]))
+    rules = _pair_rules(1)
+    trace = run(config, rules, 2)
+    flipped = "m0:inf{~b0:inf}[h0:inf{b0:inf}[]]"
+    apart = "h0:inf{a0:inf}[] m0:inf{~a0:inf}[]"
+    assert [r.key for r in trace.records] == [
+        f"skin:inf{{}}[{flipped} {chain('q', 49, 'x:39')}]|out=skin",
+        f"skin:inf{{}}[{apart} {chain('q', 48, 'x:38')}]|out=skin",
+    ]
+    assert canonicalize(trace.final) == trace.records[-1].key
+    graph = explore_membranes(config, rules, 1)
+    assert set(graph.nodes) == {canonicalize(config), trace.records[0].key}
