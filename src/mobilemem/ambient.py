@@ -459,23 +459,24 @@ def parse_ambient(text: str) -> Process:
 
 def render_process(p: Process) -> str:
     """Source text for an initial (all-active) process; round-trips
-    through parse_ambient."""
+    through parse_ambient. Built on ``core.rebuild_tree``, so nesting
+    depth is not bounded by the recursion limit."""
+    return rebuild_tree(p, _source_one)
+
+
+def _source_one(p: Process, built: tuple) -> str:
+    """One term's source text from its children's."""
     if isinstance(p, Zero):
         return "0"
     if isinstance(p, Prefix):
-        head = str(p.cap)
         if isinstance(p.cont, Zero):
-            return head
-        cont = render_process(p.cont)
-        if isinstance(p.cont, Par):
-            cont = f"({cont})"
-        return f"{head} . {cont}"
+            return str(p.cap)
+        cont = f"({built[0]})" if isinstance(p.cont, Par) else built[0]
+        return f"{p.cap} . {cont}"
     if isinstance(p, Amb):
         if p.tag != "a":
             raise ValueError("only initial (all-active) processes have a source form")
         if isinstance(p.body, Zero):
             return f"{p.name}:{timer_str(p.timer)}[]"
-        return f"{p.name}:{timer_str(p.timer)}[ {render_process(p.body)} ]"
-    return " | ".join(
-        f"({render_process(x)})" if isinstance(x, Par) else render_process(x) for x in p.parts
-    )
+        return f"{p.name}:{timer_str(p.timer)}[ {built[0]} ]"
+    return " | ".join(f"({text})" if isinstance(x, Par) else text for x, text in zip(p.parts, built))

@@ -1,6 +1,8 @@
 """Seeded generators for randomized checks.
 
-All generators are deterministic in their seed. The timed-system generator
+All generators are deterministic in their seed. The membrane systems they
+build number their uids 1..n in pre-order, so a seed's traces do not
+depend on what the process built before. The timed-system generator
 stays inside the timer-elimination construction's exactness envelope: every
 symbol has one characteristic creation timer, membrane labels are unique,
 and each label occurs as the passive side of at most one rule.
@@ -23,6 +25,7 @@ from .core import (
     RewriteRule,
     Rule,
     Symbol,
+    number_fresh,
 )
 from .untimed import UConfig, UNode
 from . import ambient as amb
@@ -47,7 +50,7 @@ def _assemble_untimed(nodes, contents) -> UConfig:
         label, _parent = nodes[idx]
         kids = tuple(built[j] for j in range(len(nodes)) if nodes[j][1] == idx)
         built[idx] = UNode(label, Multiset(contents[idx]), kids)
-    return UConfig(built[0], "skin")
+    return UConfig(number_fresh(built[0]), "skin")
 
 
 def _assemble_timed(nodes, timers, contents) -> Configuration:
@@ -56,7 +59,7 @@ def _assemble_timed(nodes, timers, contents) -> Configuration:
         label, _parent = nodes[idx]
         kids = tuple(built[j] for j in range(len(nodes)) if nodes[j][1] == idx)
         built[idx] = MembraneNode(label, timers[idx], Multiset(contents[idx]), kids)
-    return Configuration(built[0], "skin")
+    return Configuration(number_fresh(built[0]), "skin")
 
 
 def _structure_slots(nodes):
@@ -209,7 +212,7 @@ def random_soak_system(seed: int) -> tuple[Configuration, tuple[Rule, ...]]:
     if rng.random() < 0.5:
         children.append(MembraneNode("spare", rng.randint(2, 6), Multiset([(Symbol("z"), 3)])))
     skin = MembraneNode("skin", INF, Multiset(), tuple(children))
-    return Configuration(skin, "skin"), tuple(rules)
+    return Configuration(number_fresh(skin), "skin"), tuple(rules)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ at rest ``step`` runs the same step from clock 0 and returns its
 ``at_rest`` form, so the explorer and the checks see remaining timers
 throughout; ``run`` enters the clocked form at clock 0, where deadlines
 and remaining timers coincide.
+
+A run renders a key only where it is read. The trace's initial key is
+rendered at once; each ``StepRecord`` holds its configuration and renders
+its key on first read. A step halts the run when it had the only choice
+and reproduced the configuration before it. Equal configurations have
+equal least remaining timers, and a clocked configuration keeps its least
+timer in the skin's slot, so ``simulate`` compares those first: when they
+differ the step does not halt and no key is rendered; when they agree,
+as they always do when every timer is ``INF``, the two keys decide.
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ from .core import (
     Multiset,
     RewriteRule,
     Rule,
+    Timer,
     at_rest,
     canonicalize,
     canonical_render,
@@ -228,7 +238,9 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     Only children that an endo rule enters are bucketed by label, and only
     children whose label has a move rule are tried as active membranes.
     Bindings name remaining timers, in a clocked configuration too: only
-    the contents of membranes a rule binds are read at its clock.
+    the contents of membranes a rule binds are read at its clock. A leaf
+    is tried as an active or passive membrane from its parent's loop, and
+    the walk enters it only when its label hosts a rewrite.
     """
     clock = config.clock or 0
     read = _reader(config)
@@ -256,7 +268,9 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
             for pc in _slot_bindings(rule.passive_slots, met):
                 found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
 
-    for parent in config.skin.walk():
+    stack = [config.skin]
+    while stack:
+        parent = stack.pop()
         hosted = rewrites.get(parent.label, everywhere)
         if hosted:
             content = parent.content if read is None else read(parent.content)
@@ -269,6 +283,8 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
         for child in parent.children:
             if child.label in entered and child.timer > clock:
                 siblings.setdefault(child.label, []).append(child)
+            if child.children or everywhere or child.label in rewrites:
+                stack.append(child)
         for active in parent.children:
             if active.label not in moves or active.children or not active.timer > clock:
                 continue
@@ -541,13 +557,36 @@ def distinct_successors(config, choices: Iterable, apply: Callable, key: Callabl
 # ---------------------------------------------------------------------------
 # Simulation runs and traces
 
-@dataclass(frozen=True)
 class StepRecord:
-    index: int
-    choice: StepChoice
-    key: str
-    halted: bool
-    detached: tuple
+    """One step of a trace: its index, the choice fired, the canonical key
+    of the configuration reached, whether the run halted there, and the
+    membranes it archived. A record made by ``simulate`` holds its
+    configuration and the run's key function instead of the key, renders
+    ``key`` on first read, keeps the string and drops the configuration."""
+
+    __slots__ = ("index", "choice", "halted", "detached", "_key", "_unread")
+
+    def __init__(self, index: int, choice: StepChoice, key: str, halted: bool, detached: tuple):
+        self.index = index
+        self.choice = choice
+        self.halted = halted
+        self.detached = detached
+        self._key = key
+        self._unread = None  # (key function, configuration) until ``key`` is read
+
+    @classmethod
+    def unread(cls, index: int, choice: StepChoice, config, key: Callable, detached: tuple) -> "StepRecord":
+        """A record, not halted, whose key is ``key(config)`` when read."""
+        record = cls(index, choice, None, False, detached)
+        record._unread = (key, config)
+        return record
+
+    @property
+    def key(self) -> str:
+        if self._unread is not None:
+            key, config = self._unread
+            self._key, self._unread = key(config), None
+        return self._key
 
     def to_json(self) -> dict:
         return {
@@ -606,6 +645,8 @@ def run(
     halt, when the only choice reproduces the current configuration. The
     run steps clocked configurations, entered at clock 0 as they are;
     records and keys read remaining timers, and ``Trace.final`` is at rest.
+    Record keys are rendered on first read, through ``canonicalize`` as
+    this module holds it when ``run`` is called.
     """
 
     def apply(current, choice):
@@ -622,26 +663,39 @@ def run(
 def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: Callable, key: Callable) -> Trace:
     """The simulation loop of ``run`` and ``untimed.u_run``: ``choices(c)``
     lists the choices, ``apply(c, choice)`` gives (next configuration,
-    detached archive) and ``key(c)`` the canonical key."""
+    detached archive) and ``key(c)`` the canonical key. The initial key is
+    rendered at once, each record's key when it is read. A step halts the
+    run when it had the only choice and its key equals the one before;
+    keys are compared only when the two least remaining timers agree
+    (``_least_remaining``), as those of equal configurations do."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if selector not in ("first", "random"):
         raise ValueError(f"unknown selector {selector!r}")
     rng = random.Random(seed) if selector == "random" else None
     trace = Trace(key(config), selector, seed, steps)
-    current, current_key = config, trace.initial_key
+    current, least = config, _least_remaining(config)
     for index in range(1, steps + 1):
         options = choices(current)
         choice = options[0] if rng is None else rng.choice(options)
         current, detached = apply(current, choice)
-        new_key = key(current)
-        halted = len(options) == 1 and new_key == current_key
-        trace.records.append(StepRecord(index, choice, new_key, halted, detached))
-        current_key = new_key
-        if halted:
+        record = StepRecord.unread(index, choice, current, key, detached)
+        before, least = least, _least_remaining(current)
+        if len(options) == 1 and least == before:
+            record.halted = record.key == (trace.records[-1].key if trace.records else trace.initial_key)
+        trace.records.append(record)
+        if record.halted:
             break
     trace.reached = current
     return trace
+
+
+def _least_remaining(config) -> Timer | None:
+    """The least remaining timer in a clocked configuration, read from the
+    skin's ``_least`` slot, which ``step`` fills; ``None`` for any other
+    configuration, whose keys are always compared."""
+    clock = getattr(config, "clock", None)
+    return None if clock is None else least_timer(config.skin) - clock
 
 
 # ---------------------------------------------------------------------------

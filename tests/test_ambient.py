@@ -66,6 +66,14 @@ def test_render_roundtrip_on_random_processes():
         assert congruent(again, p), seed
 
 
+def test_render_of_a_deep_nesting_does_not_recurse():
+    n = 5000
+    p = Amb("n", 1)
+    for _ in range(n - 1):
+        p = Amb("n", 1, p)
+    assert render_process(p) == "n:1[ " * (n - 1) + "n:1[]" + " ]" * (n - 1)
+
+
 def test_congruence():
     p = parse_ambient("n:1[] | m:2[]")
     q = parse_ambient("m:2[] | n:1[]")

@@ -31,7 +31,10 @@ def test_compile_deep_output_expands_to_the_known_family():
 def test_a_traced_wide_run_records_one_step_span_per_step():
     # ``run`` keeps calling ``engine.step``, ``engine.maximal_choices`` and
     # ``core.canonicalize`` by module-global lookup, so the tracer's
-    # wrappers see every step of a clocked run
+    # wrappers see every step of a clocked run. Record keys are rendered
+    # when read and no step can halt (the least remaining timer falls each
+    # step), so an op renders two keys: the initial one and the final one
+    # it reads.
     from tracing import Tracer
 
     wide = WORKLOADS["sim-wide"]
@@ -46,4 +49,4 @@ def test_a_traced_wide_run_records_one_step_span_per_step():
     steps = sum(units for _ok, units in results)
     names = [span[0] for span in tracer.spans]
     assert names.count("engine.step") == names.count("engine.find_instances") == steps > 0
-    assert names.count("core.canonicalize") == steps + len(ops)
+    assert names.count("core.canonicalize") == 2 * len(ops)

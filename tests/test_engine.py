@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from dataclasses import asdict, replace
@@ -41,7 +42,12 @@ from mobilemem.engine import (
     step_choices,
     successors,
 )
-from mobilemem.corpus import random_reducible_process, random_soak_system, random_timed_system
+from mobilemem.corpus import (
+    random_reducible_process,
+    random_soak_system,
+    random_timed_system,
+    random_untimed_system,
+)
 from mobilemem.explore import explore_membranes
 from mobilemem.translate import generate_rules, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
@@ -901,10 +907,14 @@ def test_matcher_equals_reference_on_hand_made_and_corpus_systems():
     assert got == _ref_instances(config, rules)
     kinds = {rules[row[0]].__class__ for row in got}
     assert kinds == {EndoRule, ExoRule, RewriteRule}
+    # without ``rw *`` the walk enters a leaf only for its label's rewrites
+    labelled = [rule for rule in rules if not isinstance(rule, RewriteRule) or rule.at is not None]
+    assert _engine_instances(config, labelled) == _ref_instances(config, labelled)
     everywhere = [RewriteRule(None, Multiset([a]), ((x, Fresh(1)),))]
+    at_p = [RewriteRule("p", Multiset([a]), ((x, Fresh(1)),))]
     for seed in range(60):
         config, rules = random_timed_system(seed)
-        for extended in (rules, everywhere + list(rules), list(rules) + everywhere):
+        for extended in (rules, everywhere + list(rules), list(rules) + everywhere, list(rules) + at_p):
             assert _engine_instances(config, extended) == _ref_instances(config, extended), f"seed {seed}"
 
 
@@ -943,6 +953,7 @@ def _assert_run_matches_stepping_at_rest(config, rules, steps, selector, seed=No
     assert trace.to_jsonl() == want.to_jsonl()
     assert trace.final == rest and canonicalize(trace.final) == canonicalize(rest)
     assert [n.uid for n in trace.final.skin.walk()] == [n.uid for n in rest.skin.walk()]
+    return trace
 
 
 def test_clocked_run_matches_stepping_at_rest_on_the_corpus():
@@ -980,6 +991,70 @@ def test_clocked_run_matches_stepping_at_rest_on_nested_systems(system, keep, se
     if _reference_size(ref.from_config(config), rules) <= 64:
         _assert_steps_match_reference(config, rules)
     _assert_run_matches_stepping_at_rest(config, rules, 6, selector, seed)
+
+
+def test_clocked_run_halts_exactly_where_stepping_at_rest_does():
+    # a run compares two keys only when the least remaining timers agree
+    h = lambda *objects: Configuration(mem("skin", INF, [], [mem("h", INF, objects)]))
+    # a finite-timer system that reproduces itself halts at step 1
+    trace = _assert_run_matches_stepping_at_rest(
+        h((a, 3)), [RewriteRule("h", Multiset([a]), ((a, Fresh(3)),))], 4, "first")
+    assert [r.halted for r in trace.records] == [True]
+    # equal least remaining timers, different configurations: no halt
+    flip = [RewriteRule("h", Multiset([a]), ((b, Fresh(3)),)), RewriteRule("h", Multiset([b]), ((a, Fresh(3)),))]
+    trace = _assert_run_matches_stepping_at_rest(h((a, 3)), flip, 4, "first")
+    assert [r.halted for r in trace.records] == [False] * 4
+    # all timers INF: W1's shape halts one step after its pair saturates
+    trace = _assert_run_matches_stepping_at_rest(_pairs(1, False), [EndoRule("h0", "m0", Multiset([Symbol("a0")]))], 4, "first")
+    assert [r.halted for r in trace.records] == [False, True]
+
+
+def _counted_renders(monkeypatch) -> list:
+    """Every ``core.canonicalize`` call made through a package module, as
+    the benchmark's tracer sees them, appended to the list returned."""
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return canonicalize(config)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mobilemem") and getattr(module, "canonicalize", None) is canonicalize:
+            monkeypatch.setattr(module, "canonicalize", counted)
+    return calls
+
+
+def test_a_run_renders_the_keys_that_are_read(monkeypatch, tmp_path, capsys):
+    # the initial key at once, a record's key on its first read; no step of
+    # W2 can halt, since the bystanders' least remaining timer falls each step
+    config, rules = _wide(200, _CONTENTS)
+    final = canonicalize(_wide(200, _CONTENTS, ticks=10)[0])
+    renders = _counted_renders(monkeypatch)
+    trace = run(config, rules, 10)
+    assert len(trace.records) == 10 and len(renders) == 1
+    assert trace.records[-1].key == final and len(renders) == 2
+    assert trace.records[-1].key == final and len(renders) == 2
+    jsonl = trace.to_jsonl()
+    assert len(renders) == 11 and jsonl.endswith(f'"key": "{final}", "step": 10}}\n')
+    monkeypatch.undo()
+
+    path = tmp_path / "wide.mms"
+    path.write_text(render_system(SystemFile(True, "skin", config, tuple(rules))))
+    renders = _counted_renders(monkeypatch)
+    assert main(["sim", str(path), "--steps", "10"]) == 0
+    assert len(renders) == 2
+    assert json.loads(capsys.readouterr().out) == {"steps": 10, "halted": False, "final": final}
+
+
+def test_corpus_traces_do_not_depend_on_what_was_built_before():
+    def traces():
+        return [run(*random_timed_system(seed), 8, "random", seed).to_jsonl() for seed in range(20)]
+
+    before = traces()
+    for seed in range(100, 150):
+        random_timed_system(seed)
+        random_untimed_system(seed)
+    assert traces() == before
 
 
 def test_deep_chains_run_and_explore_without_recursion():
