@@ -22,11 +22,18 @@ parts canonically sorted), which makes structural congruence a syntactic
 equality check. Process nodes are frozen and list their immediate
 subterms as ``children``, so each stores its canonical key on first use
 (``core.stored_render``) and ``par`` sorts by keys computed once.
+
+No function here recurses, so nesting depth is not bounded by the
+recursion limit. The tick is a ``core.rebuild_tree`` fold that enters no
+prefix and no expiring ambient; ``redexes`` walks soups on a stack;
+``reduce_step`` is one bottom-up fold that builds each ambient's reducts
+once; the parser keeps its open terms on a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Union
 
 from .core import Timer, decrement, memo_slot, rebuild_tree, stored_render, timer_str, walk_tree
@@ -191,19 +198,28 @@ def subterms(p: Process) -> Iterator[Process]:
 # Global time progress
 
 def phi_delta(p: Process) -> Process:
-    """One tick of the universal clock over the whole term."""
-    if isinstance(p, Zero):
-        return p
+    """One tick of the universal clock over the whole term: a fold that
+    enters neither prefixes nor expiring ambients."""
+    return rebuild_tree(p, _tick_one, _tick_whole)
+
+
+def _tick_whole(p: Process) -> bool:
+    """Whether the tick leaves what ``p`` holds untouched: a prefix's
+    continuation, an expiring ambient's body."""
+    return isinstance(p, Prefix) or isinstance(p, Amb) and p.timer == 0
+
+
+def _tick_one(p: Process, built: tuple) -> Process:
     if isinstance(p, Prefix):
         if p.cap.timer == 0:
             return p.cont
         cap = Capability(p.cap.kind, p.cap.co, p.cap.target, decrement(p.cap.timer))
         return Prefix(cap, p.cont)
     if isinstance(p, Amb):
-        if p.timer == 0:
-            return p.body
-        return Amb(p.name, decrement(p.timer), phi_delta(p.body), "a")
-    return par(*(phi_delta(x) for x in p.parts))
+        return p.body if p.timer == 0 else Amb(p.name, decrement(p.timer), built[0], "a")
+    if isinstance(p, Par):
+        return par(*built)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -226,128 +242,96 @@ class Redex:
         return f"{self.kind}:{self.mover}->{self.target}@{where}"
 
 
-def _prefix_slots(body_parts: list[Process], kind: str, target: str) -> list[int]:
-    """Slots of live positive ``kind`` prefixes aimed at ``target``."""
+def _live(p: Process, kind: str, co: bool, target: str) -> bool:
+    """Whether ``p`` is a prefix ``kind target``, a co-capability when
+    ``co``, with a positive timer."""
+    return isinstance(p, Prefix) and p.cap.timer > 0 and (p.cap.kind, p.cap.co, p.cap.target) == (kind, co, target)
+
+
+def _spent(mover: Process, kind: str, target: str) -> list[Amb]:
+    """An active, live ambient made passive with one live ``kind target``
+    prefix of its body fired: one result per such prefix, none for any
+    other component."""
+    if not isinstance(mover, Amb) or mover.tag != "a" or not mover.timer > 0:
+        return []
+    body = soup(mover.body)
     return [
-        c for c, comp in enumerate(body_parts)
-        if isinstance(comp, Prefix)
-        and comp.cap.kind == kind
-        and not comp.cap.co
-        and comp.cap.target == target
-        and comp.cap.timer > 0
+        Amb(mover.name, mover.timer, par(*body[:c], *body[c + 1:], x.cont), "p")
+        for c, x in enumerate(body) if _live(x, kind, False, target)
     ]
 
 
-def _local_redexes(parts: list[Process], path: tuple) -> list[tuple]:
-    """(redex, firing data) pairs whose participants are components of this
-    soup. R-In takes two sibling slots; R-Out takes one."""
+def _local_redexes(parts: list[Process], path: tuple) -> list[tuple[Redex, list[Process]]]:
+    """The redexes whose participants are components of this soup, each
+    with the components it leaves in place of its slots. R-In takes the
+    mover's and the target's slots and leaves the target holding the
+    spent mover; R-Out takes the parent's slot and leaves the emptied
+    parent with the spent mover beside it."""
     found = []
     for j, comp in enumerate(parts):
         if not isinstance(comp, Amb) or not comp.timer > 0:
             continue
-        # R-In target: body is exactly one matching co-in prefix.
+        # R-In target: body is exactly one matching co-in prefix, so the
+        # target itself has no in-prefix to spend and never moves into itself.
         body = soup(comp.body)
-        if len(body) == 1 and isinstance(body[0], Prefix):
-            cap = body[0].cap
-            if cap.kind == "in" and cap.co and cap.target == comp.name and cap.timer > 0:
-                for i, mover in enumerate(parts):
-                    if i == j or not isinstance(mover, Amb):
-                        continue
-                    if mover.tag != "a" or not mover.timer > 0:
-                        continue
-                    for c in _prefix_slots(soup(mover.body), "in", comp.name):
-                        redex = Redex("in", path, mover.name, comp.name, (i, j))
-                        found.append((redex, ("in", i, j, c)))
+        if len(body) == 1 and _live(body[0], "in", True, comp.name):
+            for i, mover in enumerate(parts):
+                for spent in _spent(mover, "in", comp.name):
+                    left = Amb(comp.name, comp.timer, par(spent, body[0].cont), comp.tag)
+                    found.append((Redex("in", path, mover.name, comp.name, (i, j)), [left]))
         # R-Out: body is exactly the mover plus one matching co-out prefix.
         if len(body) == 2:
-            for a_idx, co_idx in ((0, 1), (1, 0)):
-                mover, co = body[a_idx], body[co_idx]
-                if not isinstance(mover, Amb) or not isinstance(co, Prefix):
-                    continue
-                if mover.tag != "a" or not mover.timer > 0:
-                    continue
-                cap = co.cap
-                if not (cap.kind == "out" and cap.co and cap.target == comp.name and cap.timer > 0):
-                    continue
-                for c in _prefix_slots(soup(mover.body), "out", comp.name):
-                    redex = Redex("out", path, mover.name, comp.name, (j,))
-                    found.append((redex, ("out", j, a_idx, co_idx, c)))
+            for mover, co in (body, body[::-1]):
+                if _live(co, "out", True, comp.name):
+                    for spent in _spent(mover, "out", comp.name):
+                        left = [Amb(comp.name, comp.timer, co.cont, comp.tag), spent]
+                        found.append((Redex("out", path, mover.name, comp.name, (j,)), left))
     return found
 
 
 def redexes(p: Process) -> list[Redex]:
-    """Every movement opportunity anywhere in the term."""
-    p = normalize(p)
+    """Every movement opportunity anywhere in the term, soup by soup in
+    pre-order, on an explicit stack."""
     found: list[Redex] = []
-
-    def walk(parts: list[Process], path: tuple):
-        found.extend(r for r, _f in _local_redexes(parts, path))
-        for idx, comp in enumerate(parts):
-            if isinstance(comp, Amb):
-                walk(soup(comp.body), path + (idx,))
-
-    walk(soup(p), ())
+    stack = [(soup(normalize(p)), ())]
+    while stack:
+        parts, path = stack.pop()
+        found.extend(r for r, _left in _local_redexes(parts, path))
+        stack.extend(reversed([
+            (soup(comp.body), path + (i,)) for i, comp in enumerate(parts) if isinstance(comp, Amb)
+        ]))
     return found
 
 
-def _spend(mover: Amb, c: int) -> Amb:
-    """The mover, now passive, with the prefix in body slot ``c`` fired."""
-    mbody = soup(mover.body)
-    return Amb(mover.name, mover.timer, par(*(mbody[:c] + mbody[c + 1:]), mbody[c].cont), "p")
+def _fired_soups(parts: list[Process], variants: tuple) -> list[list[Process]]:
+    """The components of every result of firing a nonempty independent
+    set of redexes within this soup and below. ``variants[k]`` lists
+    component k unchanged first, then each result of firing inside it.
+    The independent sets of local redexes are grown one redex at a time,
+    each with the components its redexes leave and the slots they take."""
+    sets: list[tuple[tuple, frozenset]] = [((), frozenset())]
+    for redex, left in _local_redexes(parts, ()):
+        slots = frozenset(redex.slots)
+        sets += [(fired + tuple(left), used | slots) for fired, used in sets if not used & slots]
+    out = []
+    for fired, used in sets:
+        combos = product(*[v for k, v in enumerate(variants) if k not in used])
+        if not fired:
+            next(combos)  # product starts with every component unchanged: nothing fired
+        out.extend([*combo, *fired] for combo in combos)
+    return out
 
 
-def _fire_in(parts: list[Process], i: int, j: int, c: int) -> Amb:
-    """The target with the mover inside; both leave the soup."""
-    target = parts[j]
-    co = soup(target.body)[0]
-    return Amb(target.name, target.timer, par(_spend(parts[i], c), co.cont), target.tag)
-
-
-def _fire_out(parts: list[Process], j: int, a_idx: int, co_idx: int, c: int) -> list[Process]:
-    """The emptied parent and the mover beside it, replacing the parent."""
-    parent = parts[j]
-    body = soup(parent.body)
-    return [Amb(parent.name, parent.timer, body[co_idx].cont, parent.tag), _spend(body[a_idx], c)]
-
-
-def _soup_variants(parts: list[Process]) -> list[tuple[int, list[Process]]]:
-    """All (fired count, components) results of firing an independent set
-    of redexes within this soup and below. Count 0 is the unchanged soup."""
-    local = _local_redexes(parts, ())
-
-    def inner_variants(comp: Process) -> list[tuple[int, Process]]:
-        if not isinstance(comp, Amb):
-            return [(0, comp)]
-        out = []
-        for cnt, new_body in _soup_variants(soup(comp.body)):
-            out.append((cnt, comp if cnt == 0 else Amb(comp.name, comp.timer, par(*new_body), comp.tag)))
-        return out
-
-    results: list[tuple[int, list[Process]]] = []
-
-    def choose(rdx_idx: int, used: frozenset, fired: list):
-        if rdx_idx == len(local):
-            from itertools import product
-
-            free = [k for k in range(len(parts)) if k not in used]
-            options = [inner_variants(parts[k]) for k in free]
-            for combo in product(*options) if options else [()]:
-                count = sum(c for c, _x in combo)
-                comps = [x for _c, x in combo]
-                for _redex, data in fired:
-                    if data[0] == "in":
-                        comps.append(_fire_in(parts, *data[1:]))
-                    else:
-                        comps.extend(_fire_out(parts, *data[1:]))
-                results.append((count + len(fired), comps))
-            return
-        choose(rdx_idx + 1, used, fired)
-        redex, data = local[rdx_idx]
-        if not used & set(redex.slots):
-            choose(rdx_idx + 1, used | set(redex.slots), fired + [(redex, data)])
-
-    choose(0, frozenset(), [])
-    return results
+def _variants_one(p: Process, built: tuple) -> tuple:
+    """For each component of ``p`` as a soup, the list of that component
+    unchanged and then each result of firing inside it. An ambient's
+    results are built here once, from its body's soup."""
+    if isinstance(p, Amb):
+        inner = _fired_soups(soup(p.body), built[0])
+        return ([p, *(Amb(p.name, p.timer, par(*comps), p.tag) for comps in inner)],)
+    if isinstance(p, Par):
+        return tuple(v for (v,) in built)
+    return ([p],) if isinstance(p, Prefix) else ()
 
 
 class Reducts(list):
@@ -367,10 +351,9 @@ def reduce_step(p: Process) -> Reducts:
     exists."""
     p = normalize(p)
     seen: dict[str, Process] = {}
-    for count, comps in _soup_variants(soup(p)):
-        if count:
-            result = par(*comps)
-            seen.setdefault(canonical_key(result), result)
+    for comps in _fired_soups(soup(p), rebuild_tree(p, _variants_one, lambda q: isinstance(q, Prefix))):
+        result = par(*comps)
+        seen.setdefault(canonical_key(result), result)
     if not seen:  # the tick of a normal term is normal
         return Reducts([phi_delta(p)], moved=False)
     return Reducts([seen[k] for k in sorted(seen)], moved=True)
@@ -388,43 +371,53 @@ _KEYWORDS = {"in", "out", "inf"}
 
 
 class _Parser(Cursor):
+    """``process := term ('|' term)*``, ``term := 0 | '(' process ')' |
+    ['~'] (in|out) ':' timer name ['.' term] | name ':' timer '[' [process]
+    ']'``, read on one explicit stack instead of a descent. The stack holds
+    open compositions, as (closing token, ambient head or None, parts so
+    far), and prefixes waiting for their continuation, as their capability."""
+
     error = AmbientSyntaxError
 
     def parse(self) -> Process:
-        p = self.process()
-        if self.peek()[0] != "eof":
-            self.fail(f"trailing input {self.peek()[1]!r}")
-        return p
+        stack: list = [("eof", None, [])]
+        while True:
+            term = self.term(stack)
+            while term is not None:  # a finished term closes what it completes
+                while isinstance(stack[-1], Capability):
+                    term = Prefix(stack.pop(), term)
+                closer, head, parts = stack[-1]
+                parts.append(term)
+                if self.peek()[0] == "|":
+                    self.next()
+                    term = None
+                elif closer == "eof":
+                    if self.peek()[0] != "eof":
+                        self.fail(f"trailing input {self.peek()[1]!r}")
+                    return par(*parts)
+                else:
+                    self.expect(closer)
+                    stack.pop()
+                    term = par(*parts) if head is None else Amb(*head, par(*parts))
 
-    def process(self) -> Process:
-        parts = [self.term()]
-        while self.peek()[0] == "|":
-            self.next()
-            parts.append(self.term())
-        return par(*parts)
-
-    def term(self) -> Process:
-        tok = self.peek()
+    def term(self, stack: list) -> Process | None:
+        """The next term when it is complete at once; ``None`` when it
+        opened a composition or a prefix on ``stack`` instead."""
+        tok = self.next()
         kind, val = tok[0], tok[1]
         if kind == "int" and val == "0":
-            self.next()
             return ZERO
         if kind == "(":
-            self.next()
-            p = self.process()
-            self.expect(")")
-            return p
+            stack.append((")", None, []))
+            return None
         if kind == "~":
-            self.next()
             word = self.expect("ident")
             if word[1] not in ("in", "out"):
                 self.fail("expected in or out after ~", word)
-            return self.prefix(word[1], co=True)
-        if kind == "ident" and val in ("in", "out"):
-            self.next()
-            return self.prefix(val, co=False)
-        if kind == "ident":
-            self.next()
+            val = word[1]
+        elif kind != "ident":
+            self.fail(f"unexpected token {val!r}", tok)
+        elif val not in ("in", "out"):  # an ambient
             if val in _KEYWORDS:
                 self.fail(f"{val!r} is reserved", tok)
             self.expect(":")
@@ -433,22 +426,19 @@ class _Parser(Cursor):
             if self.peek()[0] == "]":
                 self.next()
                 return Amb(val, t, ZERO)
-            body = self.process()
-            self.expect("]")
-            return Amb(val, t, body)
-        self.fail(f"unexpected token {val!r}", tok)
-
-    def prefix(self, kind: str, co: bool) -> Process:
-        self.expect(":")
+            stack.append(("]", (val, t), []))
+            return None
+        self.expect(":")  # a prefix
         t = self.timer()
-        tok = self.expect("ident")
-        if tok[1] in _KEYWORDS:
-            self.fail(f"{tok[1]!r} cannot name an ambient", tok)
-        cap = Capability(kind, co, tok[1], t)
-        if self.peek()[0] == ".":
-            self.next()
-            return Prefix(cap, self.term())
-        return Prefix(cap, ZERO)
+        name = self.expect("ident")
+        if name[1] in _KEYWORDS:
+            self.fail(f"{name[1]!r} cannot name an ambient", name)
+        cap = Capability(val, kind == "~", name[1], t)
+        if self.peek()[0] != ".":
+            return Prefix(cap, ZERO)
+        self.next()
+        stack.append(cap)
+        return None
 
 
 def parse_ambient(text: str) -> Process:

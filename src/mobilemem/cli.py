@@ -122,19 +122,27 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    if args.file.endswith(".amb"):
-        graph = explore_ambients(parse_ambient(_read(args.file)), args.depth, args.max_nodes)
-    else:
-        sf = _load_system(args.file)
-        if sf.timed:
-            graph = explore_membranes(sf.config, sf.rules, args.depth, args.max_nodes)
+    """A node budget that runs out still prints, and writes, the graph
+    explored so far, then exits 2."""
+    try:
+        if args.file.endswith(".amb"):
+            graph = explore_ambients(parse_ambient(_read(args.file)), args.depth, args.max_nodes)
         else:
-            graph = explore_untimed(sf.config, sf.rules, args.depth, args.max_nodes)
+            sf = _load_system(args.file)
+            if sf.timed:
+                graph = explore_membranes(sf.config, sf.rules, args.depth, args.max_nodes)
+            else:
+                graph = explore_untimed(sf.config, sf.rules, args.depth, args.max_nodes)
+        over = None
+    except BudgetExceeded as err:
+        graph, over = err.graph, err
     if args.graph:
         Path(args.graph).write_text(
             json.dumps(graph.to_json(), indent=2, sort_keys=True), encoding="utf-8"
         )
     _emit({"nodes": len(graph.nodes), "edges": len(graph.edges), "truncated": graph.truncated})
+    if over is not None:
+        raise over
     return 0
 
 

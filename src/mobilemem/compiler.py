@@ -87,20 +87,23 @@ def _rule_products(rules: Sequence[Rule]):
 def lifetime(sym: Symbol, config: Configuration, rules: Sequence[Rule]) -> int:
     """Maximum timer with which ``sym`` is ever created; errors when the
     maximum is infinite or the symbol is never created."""
-    timers: list[Timer] = []
-    for node in config.skin.walk():
-        for (s, t), _n in node.content.items():
-            if s == sym:
-                timers.append(t)
-    for s, spec in _rule_products(rules):
-        if s == sym and isinstance(spec, Fresh):
-            timers.append(spec.timer)
-    if not timers:
+    top = _creation_timers(config, rules).get(sym)
+    if top is None:
         raise CompileError(f"lifetime({sym}) undefined: the symbol is never created")
-    top = max(timers)
     if top == INF:
         raise CompileError(f"infinite lifetime: {sym} is created with timer inf")
     return int(top)
+
+
+def _creation_timers(config: Configuration, rules: Sequence[Rule]) -> dict[Symbol, Timer]:
+    """Every created symbol's largest creation timer, over the initial
+    contents and the rules' fresh products, in one pass."""
+    top: dict[Symbol, Timer] = {}
+    created = [key for node in config.skin.walk() for key, _n in node.content.items()]
+    created += [(s, spec.timer) for s, spec in _rule_products(rules) if isinstance(spec, Fresh)]
+    for s, t in created:
+        top[s] = max(t, top.get(s, t))
+    return top
 
 
 def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuration, tuple]:
@@ -179,14 +182,10 @@ def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UCon
     label_timers = _label_timers(config)
     _check_input(config, rules, label_timers)
 
-    lifetimes: dict[Symbol, int] = {}
-    for sym in _alphabet(config, rules):
-        try:
-            lifetimes[sym] = lifetime(sym, config, rules)
-        except CompileError as err:
-            if "never created" in str(err):
-                continue  # consumed-only symbol: its rules can never fire
-            raise
+    # _check_input has rejected every infinite creation timer; a symbol
+    # that is consumed but never created has no lifetime, and the rules
+    # that need it can never fire
+    lifetimes = {sym: int(t) for sym, t in _creation_timers(config, rules).items()}
 
     def strip(node: MembraneNode, kids: tuple) -> UNode:
         counts: dict[Symbol, int] = {}

@@ -111,18 +111,25 @@ class Tree:
         self.nodes[work.parent].children[uid] = work
         return None
 
-    def dissolve(self, is_marker: Callable) -> int:
-        """Bottom-up, drop the markers of every work node that holds one and
-        release its contents and children into its parent; the skin keeps
-        everything but its markers. Returns the number of markers dropped."""
+    def _order(self) -> list[Work]:
+        """Every work node, the root first, in pre-order (children right to
+        left), on an explicit stack; reversed, each node follows all of its
+        children."""
         order = []
         stack = [self.root]
         while stack:
             work = stack.pop()
             order.append(work)
-            stack.extend([kid for kid in work.children.values() if type(kid) is Work])
+            if work.children:
+                stack.extend([kid for kid in work.children.values() if type(kid) is Work])
+        return order
+
+    def dissolve(self, is_marker: Callable) -> int:
+        """Bottom-up, drop the markers of every work node that holds one and
+        release its contents and children into its parent; the skin keeps
+        everything but its markers. Returns the number of markers dropped."""
         dropped = 0
-        for work in reversed(order):  # post-order, children left to right
+        for work in reversed(self._order()):  # post-order, children left to right
             markers = [key for key in work.content if is_marker(key)]
             if not markers:
                 continue
@@ -145,14 +152,7 @@ class Tree:
         """The tree rebuilt bottom-up as ``make(work, children)``; kept
         subtrees are passed through unchanged. Iterative: in reversed
         pre-order every work node comes after its children."""
-        order = []
-        stack = [self.root]
-        while stack:
-            work = stack.pop()
-            order.append(work)
-            if work.children:
-                stack.extend([kid for kid in work.children.values() if type(kid) is Work])
-        for work in reversed(order):
+        for work in reversed(self._order()):
             kids = work.children
             work.frozen = make(work, tuple([
                 kid.frozen if type(kid) is Work else kid for kid in kids.values()

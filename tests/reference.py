@@ -4,11 +4,14 @@ Same documented semantics as the engine, written separately and naively:
 plain-dict membranes, brute-force slot assignment via cartesian products,
 choice enumeration by explicit count vectors, and sequential phase
 application. Slow, simple, and structurally unlike the engine on purpose.
+The ambient half keeps the plain recursive time progress, redex search and
+reduct enumeration that ``mobilemem.ambient`` replaced with folds.
 """
 
 from itertools import product
 
-from mobilemem.core import INF, EndoRule, ExoRule, Fresh, RewriteRule
+from mobilemem import ambient as amb
+from mobilemem.core import INF, EndoRule, ExoRule, Fresh, RewriteRule, decrement
 
 DELTA_KEY = ("delta", False)
 
@@ -331,3 +334,154 @@ def successor_renders(root, rules):
         new_root, _det, _stats = apply_step(root, choice, rules)
         out.add(render(new_root))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Timed safe mobile ambients: the recursive time progress, redex search and
+# reduct enumeration, written as plain recursions over the process term.
+
+def amb_phi_delta(p):
+    """One tick of the universal clock over the whole term."""
+    if isinstance(p, amb.Zero):
+        return p
+    if isinstance(p, amb.Prefix):
+        if p.cap.timer == 0:
+            return p.cont
+        cap = amb.Capability(p.cap.kind, p.cap.co, p.cap.target, decrement(p.cap.timer))
+        return amb.Prefix(cap, p.cont)
+    if isinstance(p, amb.Amb):
+        if p.timer == 0:
+            return p.body
+        return amb.Amb(p.name, decrement(p.timer), amb_phi_delta(p.body), "a")
+    return amb.par(*(amb_phi_delta(x) for x in p.parts))
+
+
+def _amb_prefix_slots(body_parts, kind, target):
+    """Slots of live positive ``kind`` prefixes aimed at ``target``."""
+    return [
+        c for c, comp in enumerate(body_parts)
+        if isinstance(comp, amb.Prefix)
+        and comp.cap.kind == kind
+        and not comp.cap.co
+        and comp.cap.target == target
+        and comp.cap.timer > 0
+    ]
+
+
+def _amb_local_redexes(parts, path):
+    """(redex, firing data) pairs whose participants are components of this
+    soup. R-In takes two sibling slots; R-Out takes one."""
+    found = []
+    for j, comp in enumerate(parts):
+        if not isinstance(comp, amb.Amb) or not comp.timer > 0:
+            continue
+        body = amb.soup(comp.body)
+        if len(body) == 1 and isinstance(body[0], amb.Prefix):
+            cap = body[0].cap
+            if cap.kind == "in" and cap.co and cap.target == comp.name and cap.timer > 0:
+                for i, mover in enumerate(parts):
+                    if i == j or not isinstance(mover, amb.Amb):
+                        continue
+                    if mover.tag != "a" or not mover.timer > 0:
+                        continue
+                    for c in _amb_prefix_slots(amb.soup(mover.body), "in", comp.name):
+                        redex = amb.Redex("in", path, mover.name, comp.name, (i, j))
+                        found.append((redex, ("in", i, j, c)))
+        if len(body) == 2:
+            for a_idx, co_idx in ((0, 1), (1, 0)):
+                mover, co = body[a_idx], body[co_idx]
+                if not isinstance(mover, amb.Amb) or not isinstance(co, amb.Prefix):
+                    continue
+                if mover.tag != "a" or not mover.timer > 0:
+                    continue
+                cap = co.cap
+                if not (cap.kind == "out" and cap.co and cap.target == comp.name and cap.timer > 0):
+                    continue
+                for c in _amb_prefix_slots(amb.soup(mover.body), "out", comp.name):
+                    redex = amb.Redex("out", path, mover.name, comp.name, (j,))
+                    found.append((redex, ("out", j, a_idx, co_idx, c)))
+    return found
+
+
+def amb_redexes(p):
+    """Every movement opportunity anywhere in the term."""
+    p = amb.normalize(p)
+    found = []
+
+    def walk(parts, path):
+        found.extend(r for r, _f in _amb_local_redexes(parts, path))
+        for idx, comp in enumerate(parts):
+            if isinstance(comp, amb.Amb):
+                walk(amb.soup(comp.body), path + (idx,))
+
+    walk(amb.soup(p), ())
+    return found
+
+
+def _amb_spend(mover, c):
+    mbody = amb.soup(mover.body)
+    return amb.Amb(mover.name, mover.timer, amb.par(*(mbody[:c] + mbody[c + 1:]), mbody[c].cont), "p")
+
+
+def _amb_fire_in(parts, i, j, c):
+    target = parts[j]
+    co = amb.soup(target.body)[0]
+    return amb.Amb(target.name, target.timer, amb.par(_amb_spend(parts[i], c), co.cont), target.tag)
+
+
+def _amb_fire_out(parts, j, a_idx, co_idx, c):
+    parent = parts[j]
+    body = amb.soup(parent.body)
+    return [amb.Amb(parent.name, parent.timer, body[co_idx].cont, parent.tag), _amb_spend(body[a_idx], c)]
+
+
+def _amb_soup_variants(parts):
+    """All (fired count, components) results of firing an independent set
+    of redexes within this soup and below. Count 0 is the unchanged soup."""
+    local = _amb_local_redexes(parts, ())
+
+    def inner_variants(comp):
+        if not isinstance(comp, amb.Amb):
+            return [(0, comp)]
+        out = []
+        for cnt, new_body in _amb_soup_variants(amb.soup(comp.body)):
+            out.append((cnt, comp if cnt == 0 else amb.Amb(comp.name, comp.timer, amb.par(*new_body), comp.tag)))
+        return out
+
+    results = []
+
+    def choose(rdx_idx, used, fired):
+        if rdx_idx == len(local):
+            free = [k for k in range(len(parts)) if k not in used]
+            options = [inner_variants(parts[k]) for k in free]
+            for combo in product(*options) if options else [()]:
+                count = sum(c for c, _x in combo)
+                comps = [x for _c, x in combo]
+                for _redex, data in fired:
+                    if data[0] == "in":
+                        comps.append(_amb_fire_in(parts, *data[1:]))
+                    else:
+                        comps.extend(_amb_fire_out(parts, *data[1:]))
+                results.append((count + len(fired), comps))
+            return
+        choose(rdx_idx + 1, used, fired)
+        redex, data = local[rdx_idx]
+        if not used & set(redex.slots):
+            choose(rdx_idx + 1, used | set(redex.slots), fired + [(redex, data)])
+
+    choose(0, frozenset(), [])
+    return results
+
+
+def amb_reduce_step(p):
+    """(reduct keys in order, moved): every nonempty independent redex set
+    fired at once, or the clock tick when there is no redex."""
+    p = amb.normalize(p)
+    seen = {}
+    for count, comps in _amb_soup_variants(amb.soup(p)):
+        if count:
+            result = amb.par(*comps)
+            seen.setdefault(amb.canonical_key(result), result)
+    if not seen:
+        return [amb.canonical_key(amb_phi_delta(p))], False
+    return sorted(seen), True

@@ -1,5 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+sys.path.insert(0, str(Path(__file__).parent))
+import reference as ref
 from mobilemem.core import INF
 from mobilemem.ambient import (
     Amb,
@@ -21,7 +27,9 @@ from mobilemem.ambient import (
     render_process,
     subterms,
 )
-from mobilemem.corpus import random_process, random_reducible_process, reorder_demo_process
+from mobilemem.corpus import hand_processes, random_process, random_reducible_process, reorder_demo_process
+from mobilemem.explore import check_translation, explore_ambients
+from mobilemem.translate import translate
 
 
 def cap(kind, t, target, co=False):
@@ -253,3 +261,67 @@ def test_normalize_keeps_normal_terms_and_rebuilds_the_rest():
         assert normalize(q) is q
         assert [canonical_key(r) for r in reduce_step(p)] == [canonical_key(r) for r in reduce_step(q)]
         assert redexes(p) == redexes(q)
+
+
+def test_reduction_agrees_with_the_recursive_oracle():
+    # tests/reference.py keeps the recursive time progress, redex search
+    # and reduct enumeration; on every corpus process and each of its
+    # reducts, the folds give the same reducts, tick and redex count
+    roots = [random_process(seed) for seed in range(300)]
+    roots += [random_reducible_process(seed) for seed in range(100)]
+    roots += hand_processes()
+    roots += [parse_ambient(text) for text in (  # redexes that compete for a slot
+        "n:9[ in:5 m | in:5 m | in:5 m ] | m:9[ ~in:5 m ]",
+        "a:5[ in:3 m ] | b:5[ in:3 m . in:2 k ] | m:5[ ~in:3 m ] | k:4[ ~in:3 k ]",
+        "a:5[ in:3 m | in:3 k ] | m:5[ ~in:3 m ] | m:6[ ~in:3 m ] | k:5[ ~in:3 k ]",
+        "m:8[ n:6[ out:3 m | out:2 m ] | ~out:4 m ] | k:3[ in:2 m ] | m:7[ ~in:2 m ]",
+    )]
+    moved = 0
+    for root in roots:
+        for p in [root, *reduce_step(root)]:
+            reducts = reduce_step(p)
+            assert ([canonical_key(q) for q in reducts], reducts.moved) == ref.amb_reduce_step(p), canonical_key(p)
+            assert phi_delta(p) == ref.amb_phi_delta(p)
+            assert redexes(p) == ref.amb_redexes(p)
+            moved += reducts.moved
+    assert moved > 100
+
+
+# ---------------------------------------------------------------------------
+# Deep inputs
+
+DEEP = 2000  # twice the default recursion limit
+
+
+def _deep_processes():
+    """A nest of DEEP ambients with a redex at the bottom, and a chain of
+    DEEP prefixes under one ambient whose first prefix can fire."""
+    nest = par(Amb("k", 3, Prefix(cap("in", 2, "m"))), Amb("m", 3, Prefix(cap("in", 2, "m", co=True))))
+    for _ in range(DEEP - 1):
+        nest = Amb("n", 3, nest)
+    chain = ZERO
+    for _ in range(DEEP):
+        chain = Prefix(cap("in", 2, "m"), chain)
+    chain = par(Amb("k", 3, chain), Amb("m", 3, Prefix(cap("in", 2, "m", co=True))))
+    return {"nest": nest, "chain": chain}
+
+
+@pytest.mark.parametrize("shape", ["nest", "chain"])
+def test_deep_processes_reduce_translate_and_check_without_recursion(shape, tmp_path):
+    p = _deep_processes()[shape]
+    text = render_process(p)
+    assert canonical_key(parse_ambient(text)) == canonical_key(p)  # == on frozen nodes recurses
+    assert len(redexes(p)) == 1
+    (q,) = reduce_step(p)
+    assert "^p[" in canonical_key(q) and "^p[" not in canonical_key(phi_delta(q))
+    assert len(explore_ambients(p, 2).nodes) == 3  # the move, then the tick
+    assert check_translation(p, 1).ok is True
+    assert translate(p).skin.children
+    path = tmp_path / f"{shape}.amb"
+    path.write_text(text)
+    for command, options in ((["translate"], []), (["explore"], ["--depth", "1"]), (["check", "prop45"], ["--depth", "1"])):
+        done = subprocess.run(
+            [sys.executable, "-m", "mobilemem", *command, str(path), *options],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0 and "Traceback" not in done.stderr, (command, done.stderr[-500:])

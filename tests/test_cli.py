@@ -202,8 +202,16 @@ def test_failing_and_inconclusive_checks_exit_1_and_2(tmp_path, s1_file, capsys)
     assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
     assert main(["check", "prop2", s1_file, "--depth", "3", "--max-nodes", "1"]) == 2
     assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
-    assert main(["explore", s1_file, "--depth", "3", "--max-nodes", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: exploration exceeded")
+    # an explore over budget still prints and writes the graph it reached
+    graph_file = tmp_path / "partial.json"
+    assert main(["explore", s1_file, "--depth", "3", "--max-nodes", "1", "--graph", str(graph_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: exploration exceeded")
+    summary = json.loads(out)
+    assert summary["truncated"] is True and summary["nodes"] == 1 and summary["edges"] >= 1
+    graph = json.loads(graph_file.read_text())
+    assert graph["truncated"] is True
+    assert graph["stats"] == {"nodes": summary["nodes"], "edges": summary["edges"]}
 
 
 @pytest.mark.parametrize("oks, code", [
