@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
 
-from .core import Timer, decrement, memo_slot, rebuild_tree, stored_render, timer_str, walk_tree
+from .core import FrozenTree, Timer, decrement, memo_slot, rebuild_tree, stored_render, timer_str, walk_tree
 from .lexer import Cursor, PositionedError
 
 
@@ -51,11 +51,14 @@ class Capability:
         return f"{'~' if self.co else ''}{self.kind}:{timer_str(self.timer)} {self.target}"
 
 
-@dataclass(frozen=True, slots=True)
-class Zero:
+@dataclass(frozen=True, slots=True, eq=False)
+class Zero(FrozenTree):
     _render: str | None = memo_slot()
 
     children = ()
+
+    def _fields(self) -> tuple:
+        return ()
 
     def __str__(self) -> str:
         return "0"
@@ -64,34 +67,43 @@ class Zero:
 ZERO = Zero()
 
 
-@dataclass(frozen=True, slots=True)
-class Prefix:
+@dataclass(frozen=True, slots=True, eq=False)
+class Prefix(FrozenTree):
     cap: Capability
     cont: "Process" = ZERO
     _render: str | None = memo_slot()
+
+    def _fields(self) -> tuple:
+        return (self.cap,)
 
     @property
     def children(self) -> tuple:
         return (self.cont,)
 
 
-@dataclass(frozen=True, slots=True)
-class Amb:
+@dataclass(frozen=True, slots=True, eq=False)
+class Amb(FrozenTree):
     name: str
     timer: Timer
     body: "Process" = ZERO
     tag: str = "a"  # "a" active, "p" passive
     _render: str | None = memo_slot()
 
+    def _fields(self) -> tuple:
+        return (self.name, self.timer, self.tag)
+
     @property
     def children(self) -> tuple:
         return (self.body,)
 
 
-@dataclass(frozen=True, slots=True)
-class Par:
+@dataclass(frozen=True, slots=True, eq=False)
+class Par(FrozenTree):
     parts: tuple
     _render: str | None = memo_slot()
+
+    def _fields(self) -> tuple:
+        return ()
 
     @property
     def children(self) -> tuple:

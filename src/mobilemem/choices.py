@@ -49,24 +49,25 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from .tree import index_of
+
 
 def availability(config, instances: Sequence, read: Callable | None = None) -> dict:
     """``(uid, class) -> count`` over the membranes the instances bind,
-    active and passive: the only keys ``addable`` reads for them. The walk
-    stops once it has met all of them. ``read(content)``, when given, is a
-    content as the instances' classes name its objects."""
+    active and passive: the only keys ``addable`` reads for them, each
+    membrane read by uid from the configuration's index. ``read(content)``,
+    when given, is a content as the instances' classes name its objects."""
     wanted = {inst.active_uid for inst in instances}
     wanted.update([inst.passive_uid for inst in instances])
-    wanted.discard(None)  # a rewrite has no passive membrane
+    skin = config.skin
+    node = index_of(skin).node
     avail: dict = {}
-    for node in config.skin.walk():
-        if not wanted:
-            break
-        if node.uid in wanted:
-            wanted.remove(node.uid)
-            content = node.content if read is None else read(node.content)
+    for uid in wanted:  # None is a rewrite's passive membrane
+        membrane = skin if uid == skin.uid else node.get(uid)
+        if membrane is not None:
+            content = membrane.content if read is None else read(membrane.content)
             for cls, n in content.items():
-                avail[(node.uid, cls)] = n
+                avail[(uid, cls)] = n
     return avail
 
 

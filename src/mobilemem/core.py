@@ -212,6 +212,37 @@ def rebuild_tree(node, make: Callable, whole: Callable | None = None):
     return done[0]
 
 
+class FrozenTree:
+    """Structural equality and hashing for frozen tree nodes, on explicit
+    stacks, so nesting depth is not bounded by the recursion limit. Two
+    nodes are equal when they have one type, equal ``_fields()`` (every
+    compared field but the children) and pairwise equal ``children``; the
+    hash folds a node's type and fields with its children's hashes. A
+    subclass is a dataclass made with ``eq=False``, which keeps these."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._fields() != b._fields() or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        return rebuild_tree(self, _hash_one)
+
+
+def _hash_one(node, built: tuple) -> int:
+    return hash((type(node), node._fields(), built))
+
+
 def memo_slot():
     """A dataclass field in which a frozen tree node keeps a value worked
     out once from its subtree (its render, say), filled on first use or
@@ -238,8 +269,8 @@ def stored_render(node, render_one: Callable) -> str:
     return node._render
 
 
-@dataclass(frozen=True, slots=True)
-class MembraneNode:
+@dataclass(frozen=True, slots=True, eq=False)
+class MembraneNode(FrozenTree):
     """A membrane: label, lifetime, contents, child membranes. Timers are
     remaining timers, or deadlines in a clocked configuration (see
     ``Configuration``).
@@ -248,7 +279,8 @@ class MembraneNode:
     instances; it is excluded from canonical keys. Labels need not be
     unique, and a node is elementary iff it has no children. ``_render``
     holds ``canonical_render(node)`` and ``_least`` holds
-    ``least_timer(node)`` once they have been computed.
+    ``least_timer(node)`` once they have been computed; a skin's
+    ``_index`` holds its ``tree.Index``.
     """
 
     label: str
@@ -258,6 +290,10 @@ class MembraneNode:
     uid: int = field(default_factory=fresh_uid)
     _render: str | None = memo_slot()
     _least: Timer | None = memo_slot()
+    _index: object = memo_slot()
+
+    def _fields(self) -> tuple:
+        return (self.label, self.timer, self.content, self.uid)
 
     @property
     def elementary(self) -> bool:

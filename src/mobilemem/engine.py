@@ -44,7 +44,15 @@ object expires or a membrane dissolves. Each frozen node keeps the least
 timer of its subtree (``core.least_timer``), and ``Tree``'s keep-or-load
 test reads it. Every other subtree keeps its deadlines and is carried
 into the next configuration as the same object, so a step costs what it
-touches, not the size of the tree. Work nodes hold remaining timers
+touches, not the size of the tree. So is the membrane index
+(``tree.index_of``) from which matching, availability and the work tree
+read membranes, by uid and by label: a clocked step's result derives its
+index from its source's by the step's own edits, on first read
+(``tree.carry_index``). The least timer of the children a loaded
+membrane keeps is read from its source's slot where it can be
+(``_kept_lows``), so a step reads no membrane it does not touch.
+``simulate`` drops each state's index once the next state has its own,
+so the records of a run keep none. Work nodes hold remaining timers
 while the phases run, and freezing stores the next clock's deadlines: a
 product or a ticked object gets its new remaining timer plus the next
 clock, which leaves an untouched deadline as it was. On a configuration
@@ -68,7 +76,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .choices import addable, availability, enumerate_choices
@@ -96,7 +106,7 @@ from .core import (
     shifted,
     timer_str,
 )
-from .tree import Tree
+from .tree import Tree, carry_index, drop_index, index_of
 
 
 class StaleChoiceError(ValueError):
@@ -227,31 +237,34 @@ def _reader(config: Configuration) -> Callable | None:
     return read
 
 
+_NONE: dict = {}  # an empty bucket, never written
+
+
 def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instance]:
     """Every applicable rule instance, exhaustive up to binding equivalence.
 
     Moves need an elementary active membrane in the stated position, and
-    every bound timer (objects and both membranes) greater than 0. One walk
-    over the tree, with the rules indexed once by the label they dispatch
-    on: moves by their active label, rewrites by their host label (``rw *``
-    rewrites under every label, and alone for labels no rewrite names).
-    Only children that an endo rule enters are bucketed by label, and only
-    children whose label has a move rule are tried as active membranes.
-    Bindings name remaining timers, in a clocked configuration too: only
-    the contents of membranes a rule binds are read at its clock. A leaf
-    is tried as an active or passive membrane from its parent's loop, and
-    the walk enters it only when its label hosts a rewrite.
+    every bound timer (objects and both membranes) greater than 0. The
+    rules are indexed once by the label they dispatch on: moves by their
+    active label, rewrites by their host label (``rw *`` rewrites under
+    every label, and alone for labels no rewrite names). Membranes are
+    read from the configuration's index (``tree.index_of``): actives,
+    their passive siblings and rewrite hosts from the buckets of the
+    labels rules name, so a membrane no rule can bind is not visited,
+    unless an ``rw *`` rule makes every membrane a host. Bindings name
+    remaining timers, in a clocked configuration too: only the contents
+    of membranes a rule binds are read at its clock.
     """
     clock = config.clock or 0
     read = _reader(config)
+    skin = config.skin
+    index = index_of(skin)
+    kids = index.kids
     moves: dict = {}
     rewrites: dict = {}
-    entered: set = set()  # labels an endo rule enters
     for idx, rule in enumerate(rules):
         if isinstance(rule, MoveRule):
             moves.setdefault(rule.h, []).append((idx, rule))
-            if isinstance(rule, EndoRule):
-                entered.add(rule.m)
         elif isinstance(rule, RewriteRule):
             rewrites.setdefault(rule.at, []).append((idx, rule))
     everywhere = rewrites.pop(None, [])
@@ -268,34 +281,37 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
             for pc in _slot_bindings(rule.passive_slots, met):
                 found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
 
-    stack = [config.skin]
-    while stack:
-        parent = stack.pop()
-        hosted = rewrites.get(parent.label, everywhere)
-        if hosted:
-            content = parent.content if read is None else read(parent.content)
-            for idx, rule in hosted:
-                for ac in _slot_bindings(rule.active_slots, content):
-                    found.append(Instance(idx, rule, parent.uid, None, ac))
-        if not parent.children:
-            continue
-        siblings: dict = {}  # the children an endo rule can enter, by label
-        for child in parent.children:
-            if child.label in entered and child.timer > clock:
-                siblings.setdefault(child.label, []).append(child)
-            if child.children or everywhere or child.label in rewrites:
-                stack.append(child)
-        for active in parent.children:
-            if active.label not in moves or active.children or not active.timer > clock:
-                continue
-            for idx, rule in moves[active.label]:
-                if isinstance(rule, ExoRule):
-                    if parent.label == rule.m and parent.timer > clock:
-                        pair(idx, rule, active, parent)
+    def host(node, hosted):
+        content = node.content if read is None else read(node.content)
+        for idx, rule in hosted:
+            for ac in _slot_bindings(rule.active_slots, content):
+                found.append(Instance(idx, rule, node.uid, None, ac))
+
+    if everywhere:
+        host(skin, rewrites.get(skin.label, everywhere))
+        for node in index.node.values():
+            host(node, rewrites.get(node.label, everywhere))
+    else:
+        if skin.label in rewrites:
+            host(skin, rewrites[skin.label])
+        for label, hosted in rewrites.items():
+            for members in kids.get(label, _NONE).values():
+                for node in members.values():
+                    host(node, hosted)
+    for label, movers in moves.items():
+        for at, actives in kids.get(label, _NONE).items():
+            parent = skin if at == skin.uid else index.node[at]
+            for active in actives.values():
+                if active.children or not active.timer > clock:
                     continue
-                for passive in siblings.get(rule.m, ()):
-                    if passive is not active:
-                        pair(idx, rule, active, passive)
+                for idx, rule in movers:
+                    if isinstance(rule, ExoRule):
+                        if parent.label == rule.m and parent.timer > clock:
+                            pair(idx, rule, active, parent)
+                        continue
+                    for passive in kids.get(rule.m, _NONE).get(at, _NONE).values():
+                        if passive is not active and passive.timer > clock:
+                            pair(idx, rule, active, passive)
     return sorted(set(found), key=Instance.sort_key)
 
 
@@ -398,6 +414,41 @@ def _older(cls: ObjClass) -> ObjClass | None:
     return (cls[0], t - 1)
 
 
+_least_of = attrgetter("_least")
+
+
+def _unexpired(clock: int, node: MembraneNode) -> bool:
+    """``Tree``'s keep test: no timer in ``node``'s subtree reaches
+    ``clock``. Monotone, as ``Tree`` needs: a child's least timer is never
+    below its parent's."""
+    return node._least > clock
+
+
+def _kept_lows(nodes: dict) -> dict:
+    """uid -> the least timer among the children a work node keeps as they
+    are, for each work node of a just-loaded tree where the source's
+    ``_least`` slot tells it: that least is below the source's own timer
+    and objects (or ``INF``), so a child holds it, and no child loaded as
+    a work node holds it, so a kept one does."""
+    keeping = [(uid, work) for uid, work in nodes.items() if len(work.children) > len(work.sub)]
+    if not keeping:
+        return {}
+    lost: dict = {}  # uid -> the least timer among its children loaded
+    for work in nodes.values():
+        if work.parent is not None and work.src._least < lost.get(work.parent, INF):
+            lost[work.parent] = work.src._least
+    lows = {}
+    for uid, work in keeping:
+        src = work.src
+        low = src._least
+        if low == INF or (
+            low < src.timer and lost.get(uid, INF) > low
+            and all(t > low for (_sym, t), _n in src.content.items())
+        ):
+            lows[uid] = low
+    return lows
+
+
 def step(config: Configuration, choice: StepChoice) -> StepResult:
     """Apply one chosen step and the clock phases; see the module docstring
     for the phase order. Raises StaleChoiceError on a choice that was not
@@ -406,8 +457,9 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     and in which no timer reaches 0; one at rest gives one at rest."""
     clock = config.clock or 0
     least_timer(config.skin)  # filled below the skin for the keep test
-    tree = Tree(config.skin, choice, lambda node: node._least > clock)
+    tree = Tree(config.skin, choice, partial(_unexpired, clock))
     nodes = tree.nodes
+    lows = _kept_lows(nodes)
     expired = 0
     if clock:  # work nodes hold remaining timers until they freeze
         for work in nodes.values():
@@ -484,6 +536,8 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
 
     # Phase 4: bottom-up dissolution.
     delta_consumed = tree.dissolve(_is_delta)
+    if delta_consumed:  # released children are read where they land
+        lows.clear()
 
     # Phase 5, while freezing: every surviving non-active membrane ticks,
     # which keeps its deadline; the skin and the actives get their new
@@ -502,7 +556,8 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
         else:  # pragma: no cover - timer-0 non-actives dissolved in phase 4
             raise AssertionError("undissolved timer-0 membrane")
         # ``core.least_timer`` worked out in the same pass: every child's
-        # is known, kept from below the skin or built here
+        # is known, kept from below the skin or built here, and the kept
+        # children's least is read from ``lows`` where it is known
         least = timer
         items = []
         for (sym, t), n in node.content.items():
@@ -511,18 +566,26 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
                 least = t
             items.append(((sym, t), n))
         items.sort()
-        for child in children:
-            if child._least < least:
-                least = child._least
+        if children:
+            low = lows.get(src.uid)
+            if low is None:
+                low = min(map(_least_of, children))
+            else:
+                for kid in node.sub.values():
+                    low = min(low, kid.frozen._least)
+            least = min(least, low)
         built = MembraneNode(src.label, timer, Multiset._of_sorted(tuple(items)), children, uid=src.uid)
         object.__setattr__(built, "_least", least)
         if least == INF:  # no finite timer below: its render holds at every clock
             object.__setattr__(built, "_render", render_one(built))
         return built
 
-    new_config = Configuration(tree.freeze(make), config.output_label, later)
+    skin = tree.freeze(make)
     if config.clock is None:
-        new_config = at_rest(new_config)
+        new_config = at_rest(Configuration(skin, config.output_label, later))
+    else:
+        carry_index(skin, tree)
+        new_config = Configuration(skin, config.output_label, later)
     stats = StepStats(consumed, produced_count, expired, delta_consumed, detached_objects)
     return StepResult(new_config, tuple(detached), stats)
 
@@ -551,6 +614,7 @@ def distinct_successors(config, choices: Iterable, apply: Callable, key: Callabl
         k = key(result)
         if k not in seen:
             seen[k] = (choice, result, k)
+    drop_index(config.skin)  # an explored state is expanded once
     return [seen[k] for k in sorted(seen)]
 
 
@@ -678,7 +742,9 @@ def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: 
     for index in range(1, steps + 1):
         options = choices(current)
         choice = options[0] if rng is None else rng.choice(options)
+        previous = current
         current, detached = apply(current, choice)
+        drop_index(previous.skin)  # records keep no index
         record = StepRecord.unread(index, choice, current, key, detached)
         before, least = least, _least_remaining(current)
         if len(options) == 1 and least == before:

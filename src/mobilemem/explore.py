@@ -58,11 +58,18 @@ DEFAULT_NODE_CAP = 100_000
 
 
 class BudgetExceeded(Exception):
-    """Node cap hit; carries the partial graph."""
+    """Node cap hit; carries the partial graph, the ``depth`` whose states
+    were being expanded and the ``frontier``, how many states that depth
+    holds."""
 
-    def __init__(self, graph: "ReachGraph"):
-        super().__init__(f"exploration exceeded {len(graph.nodes)} nodes")
+    def __init__(self, graph: "ReachGraph", depth: int, frontier: int):
+        super().__init__(
+            f"exploration exceeded {len(graph.nodes)} nodes while expanding depth {depth}"
+            f" (frontier of {frontier} states)"
+        )
         self.graph = graph
+        self.depth = depth
+        self.frontier = frontier
 
 
 @dataclass
@@ -112,6 +119,7 @@ def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, 
     graph.objects[root_key] = root
     frontier = deque([root_key])
     for level in range(depth):
+        width = len(frontier)
         next_frontier: deque = deque()
         while frontier:
             key = frontier.popleft()
@@ -124,7 +132,7 @@ def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, 
                 if nxt_key not in graph.nodes:
                     if len(graph.nodes) >= max_nodes:
                         graph.truncated = True
-                        raise BudgetExceeded(graph)
+                        raise BudgetExceeded(graph, level, width)
                     graph.nodes[nxt_key] = meta_fn(nxt, nxt_key, level + 1)
                     graph.objects[nxt_key] = nxt
                     next_frontier.append(nxt_key)

@@ -1,133 +1,215 @@
-"""The mutable work tree on which one step edits a membrane configuration.
+"""The mutable work tree on which one step edits a membrane configuration,
+and the membrane index every step reads.
 
 Mutual endocytosis, mutual exocytosis and dissolution move membranes the
 same way with or without timers, so the timed step, the untimed step and
 the literal relation of the ambient translation all edit the tree here:
 
-* ``Tree(skin, choice, keep)`` loads it. Work nodes are made only for
-  the skin, the membranes the choice names (active, passive or rewrite
-  host; an instance is seen only through ``active_uid`` and
-  ``passive_uid``) and their ancestors. Every other child subtree is
-  kept as the frozen node it is, unless the caller's ``keep(node)``
-  says no: then that membrane is loaded as a work node too, and its
-  children are tested in turn. A work node's contents become a dict,
-  its children an insertion-ordered dict of work nodes and kept frozen
-  nodes, and ``src`` keeps the frozen node it was loaded from;
+* ``index_of(skin)`` is the tree's ``Index``: each membrane by uid, its
+  parent's uid, and each parent's children, in order and by label. It is
+  kept in the skin's ``_index`` slot and built by one walk where missing;
+  a clocked step instead leaves its work tree there (``carry_index``), and
+  the next index is derived from its source's by that tree's edits when
+  first read (``Tree.next_index``);
+* ``Tree(skin, choice, keep)`` loads the work tree. Work nodes are made
+  only for the skin, the membranes the choice names (active, passive or
+  rewrite host; an instance is seen only through ``active_uid`` and
+  ``passive_uid``) and their ancestors, which the index's parent map
+  gives without a walk. Every other child subtree is kept as the frozen
+  node it is, unless the caller's ``keep(node)`` says no: then that
+  membrane is loaded as a work node too, and its children are tested in
+  turn. ``keep`` must be monotone (a child of a node it keeps is kept),
+  so the children of a loaded node that ``keep`` itself keeps are not
+  tested. A work node's contents become a dict, its children an
+  insertion-ordered dict of work nodes and kept frozen nodes, built in C,
+  and ``src`` keeps the frozen node it was loaded from;
 * ``endo`` and ``exo`` re-parent one membrane (exo through the skin
   removes it and hands it back to be archived);
 * ``dissolve`` empties every marker-holding work node into its parent,
   bottom-up; a kept subtree holds no marker;
 * ``freeze`` rebuilds the work nodes through the caller's node
-  constructor, with kept subtrees in place.
+  constructor, with kept subtrees in place. It, ``dissolve`` and the
+  work-node order behind both visit work nodes only.
 
 A moved or released membrane goes to the end of its new parent's
 children, so child order, which reach graphs show, is the order of edits.
 Consuming and producing objects, timers and rendering stay with the
-caller, which sees a work node only through these four fields.
+caller, which sees a work node only through ``src``, ``content``,
+``parent`` and ``children``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
+_NONE: dict = {}  # no children, never written
+
+
+class Index:
+    """The membranes of one frozen tree below its skin, keyed by uid:
+    ``node`` maps a uid to its frozen node and ``up`` to its parent's uid
+    (the skin's own is ``None``); ``children`` maps the uid of a membrane
+    with children, the skin's included, to a dict of them, uid -> child in
+    child order; ``kids[label][parent uid]`` holds the part of that dict
+    with that label. The index is kept in the skin and never refers to
+    it, so the two make no reference cycle. An index is never changed
+    once made, so a derived one shares whatever its edits leave alone."""
+
+    __slots__ = ("node", "up", "children", "kids")
+
+    def __init__(self, node: dict, up: dict, children: dict, kids: dict):
+        self.node = node
+        self.up = up
+        self.children = children
+        self.kids = kids
+
+
+def index_of(skin) -> Index:
+    """``skin``'s index, from its ``_index`` slot, or built by one walk
+    and kept there. A slot holding the work tree that froze ``skin``
+    (``carry_index``) gives the index derived from that tree's edits."""
+    index = skin._index
+    if type(index) is Tree:
+        index = index.next_index()
+        object.__setattr__(skin, "_index", index)
+    elif index is None:
+        node: dict = {}
+        up = {skin.uid: None}
+        children: dict = {}
+        kids: dict = {}
+        stack = [skin] if skin.children else []
+        while stack:
+            parent = stack.pop()
+            at = parent.uid
+            mine = children[at] = {}
+            for child in parent.children:
+                uid = child.uid
+                node[uid] = mine[uid] = child
+                up[uid] = at
+                by_parent = kids.get(child.label)
+                if by_parent is None:
+                    kids[child.label] = {at: {uid: child}}
+                elif at in by_parent:
+                    by_parent[at][uid] = child
+                else:
+                    by_parent[at] = {uid: child}
+                if child.children:
+                    stack.append(child)
+        index = Index(node, up, children, kids)
+        object.__setattr__(skin, "_index", index)
+    return index
+
+
+def carry_index(skin, tree: "Tree") -> None:
+    """Give ``skin``, which ``tree`` froze, the index ``tree.next_index``
+    derives from its source's, worked out when first read."""
+    object.__setattr__(skin, "_index", tree)
+
+
+def drop_index(skin) -> None:
+    """Forget the index kept in ``skin``; it is built again if needed."""
+    object.__setattr__(skin, "_index", None)
+
 
 class Work:
     """``parent`` is the parent's uid, ``None`` for the skin and for a
     membrane gone out of the skin; no work node refers back up, so a work
     tree holds no reference cycle and is freed as soon as it is dropped.
-    ``frozen`` holds the node ``freeze`` built from it."""
+    ``sub`` holds the work nodes among ``children``, and ``frozen`` the
+    node ``freeze`` built from it."""
 
-    __slots__ = ("src", "content", "children", "parent", "frozen")
+    __slots__ = ("src", "content", "children", "sub", "parent", "frozen")
 
-    def __init__(self, src, parent: int | None):
+    def __init__(self, src, parent: int | None, children: dict):
         self.src = src
-        self.content = dict(src.content.items())
-        self.children: dict = {}
+        self.content = dict(src.content._counts)
+        self.children = dict(children)
+        self.sub: dict = {}
         self.parent = parent
-
-
-def _named(skin, choice) -> set:
-    """The uids of the skin, of the membranes the choice names (each
-    instance's active membrane, the host for a rewrite, and its passive
-    one) and of all their ancestors. One pass over the frozen tree, which
-    records the parent only of membranes that have children."""
-    found = {skin.uid}
-    touched = {inst.active_uid for inst in choice}
-    touched.update(inst.passive_uid for inst in choice if inst.passive_uid is not None)
-    touched.discard(skin.uid)
-    if not touched:
-        return found
-    up: dict = {}  # uid of a membrane with children -> its parent's uid
-    left = len(touched)
-    stack = [skin]
-    while stack and left:
-        node = stack.pop()
-        for child in node.children:
-            if child.children:
-                up[child.uid] = node.uid
-                stack.append(child)
-            if child.uid in touched:
-                left -= 1
-                found.add(child.uid)
-                uid = node.uid
-                while uid not in found:
-                    found.add(uid)
-                    uid = up[uid]
-    return found
 
 
 class Tree:
     def __init__(self, skin, choice: Iterable, keep: Callable | None = None):
-        self.root = Work(skin, None)
+        self.index = index = index_of(skin)
+        self.root = Work(skin, None, index.children.get(skin.uid, _NONE))
         self.nodes = {skin.uid: self.root}  # uid -> work node, skin included
-        load = _named(skin, choice)
-        stack = [self.root]
+        # (uid, label, membrane, old parent uid, new parent uid or None)
+        # per re-parenting or removal, in the order made
+        self.moves: list = []
+        touched = {inst.active_uid for inst in choice}
+        touched.update([inst.passive_uid for inst in choice])
+        nodes, node_of, up = self.nodes, index.node, index.up
+        for uid in touched:
+            if uid in nodes or uid not in node_of:  # None, or stale: the caller reports it
+                continue
+            path = [uid]
+            uid = up[uid]
+            while uid not in nodes:
+                path.append(uid)
+                uid = up[uid]
+            for child in reversed(path):
+                self._load(node_of[child], nodes[uid])
+                uid = child
+        if keep is None:
+            return
+        stack = [work for work in nodes.values() if work.children and not keep(work.src)]
         while stack:
             work = stack.pop()
-            for child in work.src.children:
-                kid = child
-                if child.uid in load or keep is not None and not keep(child):
-                    kid = self.nodes[child.uid] = Work(child, work.src.uid)
-                    stack.append(kid)
-                work.children[child.uid] = kid
+            for kid in work.children.values():
+                if type(kid) is not Work and not keep(kid):
+                    stack.append(self._load(kid, work))
+
+    def _load(self, src, parent: Work) -> Work:
+        uid = src.uid
+        work = Work(src, parent.src.uid, self.index.children.get(uid, _NONE))
+        self.nodes[uid] = parent.children[uid] = parent.sub[uid] = work
+        return work
+
+    def _move(self, work: Work, to: int | None) -> None:
+        uid = work.src.uid
+        old = self.nodes[work.parent]
+        del old.children[uid], old.sub[uid]
+        self.moves.append((uid, work.src.label, work, work.parent, to))
+        work.parent = to
+        if to is None:
+            del self.nodes[uid]
+        else:
+            new = self.nodes[to]
+            new.children[uid] = new.sub[uid] = work
 
     def endo(self, uid: int, into: int) -> None:
         """Move membrane ``uid`` into membrane ``into``."""
-        work = self.nodes[uid]
-        del self.nodes[work.parent].children[uid]
-        work.parent = into
-        self.nodes[into].children[uid] = work
+        self._move(self.nodes[uid], into)
 
     def exo(self, uid: int) -> Work | None:
         """Move membrane ``uid`` out of its parent. Out of the skin it
         leaves the tree, and its work node is returned."""
         work = self.nodes[uid]
-        parent = self.nodes[work.parent]
-        del parent.children[uid]
-        work.parent = parent.parent
-        if work.parent is None:
-            del self.nodes[uid]
-            return work
-        self.nodes[work.parent].children[uid] = work
-        return None
+        self._move(work, self.nodes[work.parent].parent)
+        return work if work.parent is None else None
 
     def _order(self) -> list[Work]:
-        """Every work node, the root first, in pre-order (children right to
-        left), on an explicit stack; reversed, each node follows all of its
-        children."""
+        """Every work node, the root first, in pre-order (work children
+        right to left), on an explicit stack; reversed, each node follows
+        all of its children."""
         order = []
         stack = [self.root]
         while stack:
             work = stack.pop()
             order.append(work)
-            if work.children:
-                stack.extend([kid for kid in work.children.values() if type(kid) is Work])
+            if work.sub:
+                stack.extend(work.sub.values())
         return order
 
     def dissolve(self, is_marker: Callable) -> int:
         """Bottom-up, drop the markers of every work node that holds one and
         release its contents and children into its parent; the skin keeps
         everything but its markers. Returns the number of markers dropped."""
+        if not any([any(map(is_marker, work.content)) for work in self.nodes.values()]):
+            return 0
+        for work in self.nodes.values():
+            if len(work.sub) > 1:  # siblings dissolve left to right
+                work.sub = {uid: kid for uid, kid in work.children.items() if type(kid) is Work}
         dropped = 0
         for work in reversed(self._order()):  # post-order, children left to right
             markers = [key for key in work.content if is_marker(key)]
@@ -140,12 +222,17 @@ class Tree:
             parent = self.nodes[work.parent]
             for key, n in work.content.items():
                 parent.content[key] = parent.content.get(key, 0) + n
-            for uid, child in work.children.items():
-                if type(child) is Work:
-                    child.parent = work.parent
-                parent.children[uid] = child
-            del parent.children[work.src.uid]
-            del self.nodes[work.src.uid]
+            uid = work.src.uid
+            for kid_uid, kid in work.children.items():
+                if type(kid) is Work:
+                    kid.parent = work.parent
+                    parent.sub[kid_uid] = kid
+                    label = kid.src.label
+                else:
+                    label = kid.label
+                parent.children[kid_uid] = kid
+                self.moves.append((kid_uid, label, kid, uid, work.parent))
+            self._move(work, None)
         return dropped
 
     def freeze(self, make: Callable):
@@ -154,7 +241,55 @@ class Tree:
         pre-order every work node comes after its children."""
         for work in reversed(self._order()):
             kids = work.children
-            work.frozen = make(work, tuple([
-                kid.frozen if type(kid) is Work else kid for kid in kids.values()
-            ]) if kids else ())
-        return self.root.frozen
+            for uid, kid in work.sub.items():
+                kids[uid] = kid.frozen
+            work.frozen = make(work, tuple(kids.values()) if kids else ())
+        # the skin may keep this tree (``carry_index``), so the tree does
+        # not keep the skin
+        skin, self.root.frozen = self.root.frozen, None
+        return skin
+
+    def next_index(self) -> Index:
+        """The index of the tree ``freeze`` built, derived from the source's
+        by this tree's own edits: the moves and removals in the order made,
+        then every rebuilt node in place. Only the entries these touch are
+        copied; the dicts around them are copied in C."""
+        old = self.index
+        node, up, kids = dict(old.node), dict(old.up), dict(old.kids)
+        children = dict(old.children)
+        copied: dict = {}  # (label, parent uid) -> its entry, copied once
+        labels: set = set()  # labels whose parent map is copied
+
+        def entry(label, parent) -> dict:
+            got = copied.get((label, parent))
+            if got is None:
+                if label not in labels:
+                    labels.add(label)
+                    kids[label] = dict(kids.get(label, ()))
+                by_parent = kids[label]
+                got = copied[label, parent] = by_parent[parent] = dict(by_parent.get(parent, ()))
+            return got
+
+        for uid, label, kid, was, to in self.moves:
+            del entry(label, was)[uid]
+            if to is None:
+                del node[uid], up[uid]
+                children.pop(uid, None)
+            else:
+                entry(label, to)[uid] = kid  # a work node is replaced below
+                up[uid] = to
+        for uid, work in self.nodes.items():
+            if work.parent is not None:  # the root is the skin
+                built = node[uid] = work.frozen
+                entry(built.label, work.parent)[uid] = built
+            if work.children:  # its children as ``freeze`` left them
+                children[uid] = work.children
+            else:
+                children.pop(uid, None)
+        for (label, parent), got in copied.items():
+            if not got:
+                by_parent = kids[label]
+                del by_parent[parent]
+                if not by_parent:
+                    del kids[label]
+        return Index(node, up, children, kids)

@@ -14,9 +14,10 @@ Instance matching and the consuming and producing of rule sides are
 written here. Shared with the timed engine are the conflict rule
 (``choices.py``, which sees nothing of an instance but its membranes, the
 objects it binds and its sort key), the structural edit of a step
-(``tree.py``: membrane moves, bottom-up dissolution, rebuilding), and the
-run loop and successor deduplication of ``engine``. What is shared is
-checked against ``tests/reference.py`` rather than by the embedding.
+(``tree.py``: the membrane index, membrane moves, bottom-up dissolution,
+rebuilding), and the run loop and successor deduplication of ``engine``.
+What is shared is checked against ``tests/reference.py`` rather than by
+the embedding.
 
 The matcher indexes the rewrites once per call by one left-side symbol,
 the largest; a membrane tests only the rewrites keyed by a symbol it
@@ -37,6 +38,7 @@ from .core import (
     Configuration,
     EndoRule,
     ExoRule,
+    FrozenTree,
     MoveRule,
     Multiset,
     RewriteRule,
@@ -49,19 +51,24 @@ from .core import (
     walk_tree,
 )
 from .engine import distinct_successors, simulate
-from .tree import Tree
+from .tree import Tree, index_of
 
 
-@dataclass(frozen=True, slots=True)
-class UNode:
+@dataclass(frozen=True, slots=True, eq=False)
+class UNode(FrozenTree):
     """A membrane without timers: label, symbol multiset, children.
-    ``_render`` holds ``u_render(node)`` once it has been computed."""
+    ``_render`` holds ``u_render(node)`` once it has been computed, and a
+    skin's ``_index`` its ``tree.Index``."""
 
     label: str
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
     _render: str | None = memo_slot()
+    _index: object = memo_slot()
+
+    def _fields(self) -> tuple:
+        return (self.label, self.content, self.uid)
 
     @property
     def elementary(self) -> bool:
@@ -175,11 +182,10 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
     rewrite with an empty left side is tested on every host. A schema is
     a candidate filter: for each active/passive pair whose labels fit,
     only the members whose counters the two membranes hold are tested,
-    each exactly as the flat rule at its index would be."""
-    nodes = list(config.skin.walk())
-    by_label: dict[str, list] = {}
-    for node in nodes:
-        by_label.setdefault(node.label, []).append(node)
+    each exactly as the flat rule at its index would be. Hosts and move
+    partners are read from the configuration's index (``tree.index_of``),
+    which the choice search and the step read too."""
+    index = index_of(config.skin)
     rewrites: dict = {}  # key symbol (None: empty left side) -> [(flat index, rewrite)]
     moves = []
     for base, item in _parts(rules):
@@ -190,7 +196,7 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
             moves.append((base, item))
     everywhere = rewrites.pop(None, ())
     found = []
-    for host in nodes:
+    for host in (config.skin, *index.node.values()):
         content = host.content
         for sym, _n in content.items():
             for base, rule in rewrites.get(sym, ()):
@@ -199,17 +205,10 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
         for base, rule in everywhere:
             if rule.at is None or rule.at == host.label:
                 found.append(UInstance(base, rule, host.uid, None, rule.lhs))
-    sibling_labels = []
-    for parent in nodes:
-        if parent.children:
-            index: dict[str, list] = {}
-            for child in parent.children:
-                index.setdefault(child.label, []).append(child)
-            sibling_labels.append(index)
     sides: dict[int, list] = {}  # flat index -> [rule, lhs active, lhs passive once needed]
     for base, item in moves:
         rule = item if isinstance(item, MoveRule) else item.rule
-        for active, passive in _move_pairs(rule, by_label, sibling_labels):
+        for active, passive in _move_pairs(rule, config.skin, index.kids):
             offsets = (0,) if item is rule else item.present(active.content, passive.content)
             for offset in offsets:
                 idx = base + offset
@@ -227,23 +226,27 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
     return sorted(set(found), key=UInstance.sort_key)
 
 
-def _move_pairs(rule: MoveRule, by_label: dict, sibling_labels: list) -> Iterator[tuple]:
+def _move_pairs(rule: MoveRule, skin: UNode, kids: dict) -> Iterator[tuple]:
     """(active, passive) membrane pairs whose labels and nesting fit the
-    move: an elementary ``h`` beside an ``m`` for endo, inside one for exo."""
+    move: an elementary ``h`` beside an ``m`` for endo, inside one for
+    exo. ``kids`` is the index's children by label and parent uid."""
+    actives = kids.get(rule.h, {})
     if isinstance(rule, EndoRule):
-        for index in sibling_labels:
-            passives = index.get(rule.m)
-            if not passives:
+        passives = kids.get(rule.m, {})
+        for at, here in actives.items():
+            there = passives.get(at)
+            if not there:
                 continue
-            for active in index.get(rule.h, ()):
+            for active in here.values():
                 if active.elementary:
-                    for passive in passives:
+                    for passive in there.values():
                         if passive is not active:
                             yield active, passive
     else:
-        for passive in by_label.get(rule.m, ()):
-            for active in passive.children:
-                if active.label == rule.h and active.elementary:
+        hosts = [passive for members in kids.get(rule.m, {}).values() for passive in members.values()]
+        for passive in [skin] * (skin.label == rule.m) + hosts:
+            for active in actives.get(passive.uid, {}).values():
+                if active.elementary:
                     yield active, passive
 
 

@@ -1,4 +1,4 @@
-"""Hypothesis profiles.
+"""Hypothesis profiles and a call counter.
 
 ``tier1`` is the default: derandomized, so every run draws the same
 examples, with no example database and no deadline; the property tests
@@ -8,12 +8,52 @@ more of them; choose it before changing the engines with::
     HYPOTHESIS_PROFILE=deep PYTHONPATH=src python -m pytest -q tests/test_engine.py
 
 A test's own ``@settings`` still overrides the profile it names.
+
+``count_calls`` counts the calls of a package function, for tests that
+pin work counts.
 """
 
+import importlib
 import os
+import sys
+from types import SimpleNamespace
 
 from hypothesis import settings
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=100)
 settings.register_profile("deep", deadline=None, max_examples=5_000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+
+def count_calls(monkeypatch, target: str, items: bool = False) -> SimpleNamespace:
+    """Count the calls of ``target``, given as ``"module.attr"``, made
+    through any name a ``mobilemem`` module or a class defined in one binds
+    it to (``walk_tree`` is also ``MembraneNode.walk``, say). With
+    ``items``, count the items its results yield instead. The count is
+    the returned object's ``n``, which a test may reset."""
+    module_name, attr = target.rsplit(".", 1)
+    original = getattr(importlib.import_module(module_name), attr)
+    calls = SimpleNamespace(n=0)
+
+    def counting(results):
+        for item in results:
+            calls.n += 1
+            yield item
+
+    def counted(*args, **kwargs):
+        if items:
+            return counting(original(*args, **kwargs))
+        calls.n += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "mobilemem":
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+            elif isinstance(value, type) and value.__module__ == name:
+                for cls_key, cls_value in list(vars(value).items()):
+                    if cls_value is original:
+                        monkeypatch.setattr(value, cls_key, counted)
+    return calls

@@ -306,6 +306,17 @@ def _deep_processes():
     return {"nest": nest, "chain": chain}
 
 
+def test_deep_processes_compare_and_hash_without_recursion():
+    one, two = _deep_processes()["nest"], _deep_processes()["nest"]
+    assert one == two and not one != two and hash(one) == hash(two)
+    assert parse_ambient(render_process(one)) == one
+    assert one != _deep_processes()["chain"] and one != Amb("n", 2, one.body)
+    for seed in range(40):  # shallow terms: equal exactly when their keys are
+        p, q = random_process(seed), random_process(seed + 1)
+        assert p == parse_ambient(render_process(p)) and hash(p) == hash(parse_ambient(render_process(p)))
+        assert (p == q) == (canonical_key(p) == canonical_key(q))
+
+
 @pytest.mark.parametrize("shape", ["nest", "chain"])
 def test_deep_processes_reduce_translate_and_check_without_recursion(shape, tmp_path):
     p = _deep_processes()[shape]

@@ -206,7 +206,7 @@ def test_failing_and_inconclusive_checks_exit_1_and_2(tmp_path, s1_file, capsys)
     graph_file = tmp_path / "partial.json"
     assert main(["explore", s1_file, "--depth", "3", "--max-nodes", "1", "--graph", str(graph_file)]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: exploration exceeded")
+    assert err == "error: exploration exceeded 1 nodes while expanding depth 0 (frontier of 1 states)\n"
     summary = json.loads(out)
     assert summary["truncated"] is True and summary["nodes"] == 1 and summary["edges"] >= 1
     graph = json.loads(graph_file.read_text())

@@ -121,6 +121,15 @@ def test_budget_exceeded_carries_partial_graph():
         explore_membranes(s1(), [E1], 4, max_nodes=2)
     assert err.value.graph.truncated
     assert len(err.value.graph.nodes) >= 2
+    # s1's graph holds 1, 2, 3, 3 and 3 states at depths 0 to 4: the cap
+    # is met while the root is expanded, or the 2 states at depth 1, or
+    # the 3 at depth 2
+    assert (err.value.depth, err.value.frontier) == (0, 1)
+    for cap, depth, frontier in ((5, 1, 2), (6, 2, 3)):
+        with pytest.raises(BudgetExceeded) as err:
+            explore_membranes(s1(), [E1], 4, max_nodes=cap)
+        assert (err.value.depth, err.value.frontier) == (depth, frontier)
+    assert str(err.value) == "exploration exceeded 6 nodes while expanding depth 2 (frontier of 3 states)"
 
 
 def test_explore_ambients_examples():
