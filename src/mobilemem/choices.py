@@ -60,7 +60,7 @@ def availability(config, instances: Sequence, read: Callable | None = None) -> d
     wanted = {inst.active_uid for inst in instances}
     wanted.update([inst.passive_uid for inst in instances])
     skin = config.skin
-    node = index_of(skin).node
+    node = index_of(config).node
     avail: dict = {}
     for uid in wanted:  # None is a rewrite's passive membrane
         membrane = skin if uid == skin.uid else node.get(uid)

@@ -244,9 +244,9 @@ def _hash_one(node, built: tuple) -> int:
 
 
 def memo_slot():
-    """A dataclass field in which a frozen tree node keeps a value worked
-    out once from its subtree (its render, say), filled on first use or
-    by whoever builds the node."""
+    """A dataclass field in which a frozen tree node or configuration
+    keeps a value worked out once from it (its render, say), filled on
+    first use or by whoever builds it."""
     return field(default=None, init=False, compare=False, repr=False)
 
 
@@ -272,15 +272,14 @@ def stored_render(node, render_one: Callable) -> str:
 @dataclass(frozen=True, slots=True, eq=False)
 class MembraneNode(FrozenTree):
     """A membrane: label, lifetime, contents, child membranes. Timers are
-    remaining timers, or deadlines in a clocked configuration (see
-    ``Configuration``).
+    deadlines against the clock of the configuration that holds the node
+    (see ``Configuration``).
 
     ``uid`` is an engine-assigned identity used by traces and rule
     instances; it is excluded from canonical keys. Labels need not be
     unique, and a node is elementary iff it has no children. ``_render``
     holds ``canonical_render(node)`` and ``_least`` holds
-    ``least_timer(node)`` once they have been computed; a skin's
-    ``_index`` holds its ``tree.Index``.
+    ``least_timer(node)`` once they have been computed.
     """
 
     label: str
@@ -290,7 +289,6 @@ class MembraneNode(FrozenTree):
     uid: int = field(default_factory=fresh_uid)
     _render: str | None = memo_slot()
     _least: Timer | None = memo_slot()
-    _index: object = memo_slot()
 
     def _fields(self) -> tuple:
         return (self.label, self.timer, self.content, self.uid)
@@ -313,20 +311,20 @@ def mem(label: str, timer: Timer, objects: Iterable = (), children: Iterable = (
 
 @dataclass(frozen=True)
 class Configuration:
-    """A membrane tree plus the output membrane label.
+    """A membrane tree plus the output membrane label, at a step clock.
 
-    ``clock`` is ``None`` for a configuration at rest, whose timers are
-    remaining timers. The states of a run are clocked instead: a finite
-    timer is stored as its deadline, the remaining timer plus ``clock``,
-    so a step leaves whatever it does not touch as it is (see
-    ``engine.step``); at clock 0 the two forms coincide. ``at_rest``
-    turns a clocked configuration back, and every key and every output
-    reads remaining timers.
+    A finite timer is stored as its deadline, the remaining timer plus
+    ``clock``, so a step leaves whatever it does not touch as it is (see
+    ``engine.step``). A configuration at rest is one at clock 0, where
+    deadlines are remaining timers; ``at_rest`` turns any configuration
+    into that form, and every key and every output reads remaining
+    timers. ``_index`` holds the configuration's ``tree.Index``.
     """
 
     skin: MembraneNode
     output_label: str = "skin"
-    clock: int | None = None
+    clock: int = 0
+    _index: object = memo_slot()
 
 
 def least_timer(node: MembraneNode) -> Timer:
@@ -361,15 +359,15 @@ def shifted(content: Multiset, by: int) -> Multiset:
 
 
 def at_rest(config: Configuration) -> Configuration:
-    """``config`` with remaining timers: each finite timer of a clocked
-    configuration less its clock. Subtrees with no finite timer are
-    shared, uids are kept, equal contents are shifted once, and every
-    node built gets its render, as the step's nodes do."""
+    """``config`` at clock 0: each finite timer less its clock. Subtrees
+    with no finite timer are shared, uids are kept, equal contents are
+    shifted once, and every node built gets its render, as the step's
+    nodes do."""
     clock = config.clock
-    if clock is None:
+    if not clock:
         return config
     skin = config.skin
-    if clock and least_timer(skin) != INF:
+    if least_timer(skin) != INF:
         contents: dict = {}  # a clocked content's sorted pairs -> the content at rest
 
         def make(node: MembraneNode, children: tuple) -> MembraneNode:
@@ -517,11 +515,11 @@ def render_one(node: MembraneNode) -> str:
 def canonical_render(node: MembraneNode) -> str:
     """Deterministic rendering, invariant under sibling and entry order;
     stored in each node on first use (see ``stored_render``). Timers are
-    printed as stored: remaining timers at rest."""
+    printed as stored: remaining timers at clock 0."""
     return stored_render(node, render_one)
 
 
-def render_at(node: MembraneNode, clock: int | None) -> str:
+def render_at(node: MembraneNode, clock: int) -> str:
     """``canonical_render`` of ``node`` read at ``clock``: each finite
     timer printed as its deadline less the clock. A subtree with no finite
     timer prints the same at every clock and keeps its stored render; the
@@ -558,8 +556,8 @@ def render_at(node: MembraneNode, clock: int | None) -> str:
 
 def canonicalize(config: Configuration) -> str:
     """Canonical key: equal keys iff configurations are equal up to sibling
-    membrane order and multiset entry order. uids are excluded, and a
-    clocked configuration prints remaining timers, so its key is the key
+    membrane order and multiset entry order. uids are excluded, and
+    timers print as remaining timers, so a configuration's key is the key
     of its ``at_rest`` form."""
     return render_at(config.skin, config.clock) + "|out=" + config.output_label
 

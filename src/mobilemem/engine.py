@@ -34,38 +34,37 @@ three modes (saturated, forced-only, any) for every relation. Moves,
 dissolution and the rebuilt tree come from ``tree.Tree``, which the
 untimed step and the literal relation use too.
 
-The states of a run are clocked (``core.Configuration``): a finite timer
-is stored as a deadline, its remaining timer plus the step clock, so the
-tick of phases 3 and 5 changes nothing stored. A step on a clocked
-configuration gives one at the next clock and loads, as work nodes of
-``tree.Tree``, only the membranes its choice names, their ancestors, and
-the subtrees in which some timer reaches 0 at this clock, since there an
-object expires or a membrane dissolves. Each frozen node keeps the least
-timer of its subtree (``core.least_timer``), and ``Tree``'s keep-or-load
-test reads it. Every other subtree keeps its deadlines and is carried
-into the next configuration as the same object, so a step costs what it
-touches, not the size of the tree. So is the membrane index
-(``tree.index_of``) from which matching, availability and the work tree
-read membranes, by uid and by label: a clocked step's result derives its
-index from its source's by the step's own edits, on first read
-(``tree.carry_index``). The least timer of the children a loaded
-membrane keeps is read from its source's slot where it can be
-(``_kept_lows``), so a step reads no membrane it does not touch.
-``simulate`` drops each state's index once the next state has its own,
-so the records of a run keep none. Work nodes hold remaining timers
-while the phases run, and freezing stores the next clock's deadlines: a
-product or a ticked object gets its new remaining timer plus the next
-clock, which leaves an untouched deadline as it was. On a configuration
-at rest ``step`` runs the same step from clock 0 and returns its
-``at_rest`` form, so the explorer and the checks see remaining timers
-throughout; ``run`` enters the clocked form at clock 0, where deadlines
-and remaining timers coincide.
+Every configuration carries a step clock (``core.Configuration``): a
+finite timer is stored as a deadline, its remaining timer plus the
+clock, so the tick of phases 3 and 5 changes nothing stored; at clock 0,
+at rest, the two coincide. A step takes a configuration at clock c to
+one at clock c + 1, for ``run``, the explorer and the checks alike. It
+loads, as work nodes of ``tree.Tree``, only the membranes its choice
+names, their ancestors, and the subtrees in which some timer reaches 0
+at this clock, since there an object expires or a membrane dissolves.
+Each frozen node keeps the least timer of its subtree
+(``core.least_timer``), and ``Tree``'s keep-or-load test reads it. Every
+other subtree keeps its deadlines and is carried into the next
+configuration as the same object, so a step costs what it touches, not
+the size of the tree. So is the membrane index (``tree.index_of``) from
+which matching, availability and the work tree read membranes, by uid
+and by label: a step's result derives its index from its source's by the
+step's own edits, on first read (``tree.carry_index``). The least timer
+of the children a loaded membrane keeps is read from its source's slot
+where it can be (``_kept_lows``), so a step reads no membrane it does
+not touch. ``simulate`` drops the index of each state it steps to once
+the next one has its own, so a run's records keep none. Work nodes hold
+remaining timers while the phases run, and freezing stores the next
+clock's deadlines: a product or a ticked object gets its new remaining
+timer plus the next clock, which leaves an untouched deadline as it was.
+Keys and traces read remaining timers (``core.render_at``); readers of
+raw timers read ``core.at_rest``, as ``Trace.final`` does.
 
 A run renders a key only where it is read. The trace's initial key is
 rendered at once; each ``StepRecord`` holds its configuration and renders
 its key on first read. A step halts the run when it had the only choice
 and reproduced the configuration before it. Equal configurations have
-equal least remaining timers, and a clocked configuration keeps its least
+equal least remaining timers, and a timed configuration keeps its least
 timer in the skin's slot, so ``simulate`` compares those first: when they
 differ the step does not halt and no key is rendered; when they agree,
 as they always do when every timer is ``INF``, the two keys decide.
@@ -220,8 +219,8 @@ def _slot_bindings(slots: Sequence, content: Multiset) -> list[tuple]:
 
 
 def _reader(config: Configuration) -> Callable | None:
-    """``None`` when ``config`` stores remaining timers; for a clocked
-    one, ``read(content)``: the content with remaining timers, as
+    """``None`` at clock 0, where deadlines are remaining timers; at a
+    later clock, ``read(content)``: the content with remaining timers, as
     instances bind it, each distinct content shifted once."""
     clock = config.clock
     if not clock:
@@ -252,13 +251,13 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     their passive siblings and rewrite hosts from the buckets of the
     labels rules name, so a membrane no rule can bind is not visited,
     unless an ``rw *`` rule makes every membrane a host. Bindings name
-    remaining timers, in a clocked configuration too: only the contents
-    of membranes a rule binds are read at its clock.
+    remaining timers at any clock: only the contents of membranes a rule
+    binds are read at the configuration's clock.
     """
-    clock = config.clock or 0
+    clock = config.clock
     read = _reader(config)
     skin = config.skin
-    index = index_of(skin)
+    index = index_of(config)
     kids = index.kids
     moves: dict = {}
     rewrites: dict = {}
@@ -452,12 +451,12 @@ def _kept_lows(nodes: dict) -> dict:
 def step(config: Configuration, choice: StepChoice) -> StepResult:
     """Apply one chosen step and the clock phases; see the module docstring
     for the phase order. Raises StaleChoiceError on a choice that was not
-    produced for this configuration. A clocked configuration gives one at
-    the next clock, sharing every subtree that the choice does not touch
-    and in which no timer reaches 0; one at rest gives one at rest."""
-    clock = config.clock or 0
+    produced for this configuration. The result is at the next clock and
+    shares every subtree that the choice does not touch and in which no
+    timer reaches 0; its index is derived from ``config``'s."""
+    clock = config.clock
     least_timer(config.skin)  # filled below the skin for the keep test
-    tree = Tree(config.skin, choice, partial(_unexpired, clock))
+    tree = Tree(config, choice, partial(_unexpired, clock))
     nodes = tree.nodes
     lows = _kept_lows(nodes)
     expired = 0
@@ -580,12 +579,8 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
             object.__setattr__(built, "_render", render_one(built))
         return built
 
-    skin = tree.freeze(make)
-    if config.clock is None:
-        new_config = at_rest(Configuration(skin, config.output_label, later))
-    else:
-        carry_index(skin, tree)
-        new_config = Configuration(skin, config.output_label, later)
+    new_config = Configuration(tree.freeze(make), config.output_label, later)
+    carry_index(new_config, tree)
     stats = StepStats(consumed, produced_count, expired, delta_consumed, detached_objects)
     return StepResult(new_config, tuple(detached), stats)
 
@@ -614,7 +609,7 @@ def distinct_successors(config, choices: Iterable, apply: Callable, key: Callabl
         k = key(result)
         if k not in seen:
             seen[k] = (choice, result, k)
-    drop_index(config.skin)  # an explored state is expanded once
+    drop_index(config)  # an explored state is expanded once
     return [seen[k] for k in sorted(seen)]
 
 
@@ -668,14 +663,14 @@ class Trace:
     selector: str
     seed: int | None
     steps_requested: int
-    reached: object = None  # the last configuration reached, clocked in a timed run
+    reached: object = None  # the last configuration reached, at its clock in a timed run
     records: list = field(default_factory=list)
 
     @property
     def final(self):
-        """The last configuration reached, at rest: a clocked one is turned
-        back (``core.at_rest``) once, on first read."""
-        if getattr(self.reached, "clock", None) is not None:
+        """The last configuration reached, at rest: a timed one is turned
+        back to clock 0 (``core.at_rest``) once, on first read."""
+        if getattr(self.reached, "clock", 0):
             self.reached = at_rest(self.reached)
         return self.reached
 
@@ -707,8 +702,8 @@ def run(
     ``selector`` is ``first`` (canonically least choice) or ``random``
     (seeded); identical seeds give identical traces. Stops early, flagging
     halt, when the only choice reproduces the current configuration. The
-    run steps clocked configurations, entered at clock 0 as they are;
-    records and keys read remaining timers, and ``Trace.final`` is at rest.
+    run steps from ``config`` at its clock; records and keys read
+    remaining timers, and ``Trace.final`` is at rest.
     Record keys are rendered on first read, through ``canonicalize`` as
     this module holds it when ``run`` is called.
     """
@@ -717,8 +712,6 @@ def run(
         result = step(current, choice)
         return result.config, result.detached
 
-    if config.clock is None:
-        config = Configuration(config.skin, config.output_label, 0)
     return simulate(
         config, steps, selector, seed, lambda c: maximal_choices(c, rules), apply, canonicalize
     )
@@ -731,7 +724,8 @@ def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: 
     rendered at once, each record's key when it is read. A step halts the
     run when it had the only choice and its key equals the one before;
     keys are compared only when the two least remaining timers agree
-    (``_least_remaining``), as those of equal configurations do."""
+    (``_least_remaining``), as those of equal configurations do. Every
+    state's index but ``config``'s is dropped once the next state exists."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if selector not in ("first", "random"):
@@ -744,7 +738,8 @@ def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: 
         choice = options[0] if rng is None else rng.choice(options)
         previous = current
         current, detached = apply(current, choice)
-        drop_index(previous.skin)  # records keep no index
+        if previous is not config:
+            drop_index(previous)  # records keep no index
         record = StepRecord.unread(index, choice, current, key, detached)
         before, least = least, _least_remaining(current)
         if len(options) == 1 and least == before:
@@ -757,11 +752,12 @@ def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: 
 
 
 def _least_remaining(config) -> Timer | None:
-    """The least remaining timer in a clocked configuration, read from the
-    skin's ``_least`` slot, which ``step`` fills; ``None`` for any other
-    configuration, whose keys are always compared."""
-    clock = getattr(config, "clock", None)
-    return None if clock is None else least_timer(config.skin) - clock
+    """The least remaining timer in a timed configuration, read from the
+    skin's ``_least`` slot, which ``step`` fills; ``None`` for an untimed
+    one, whose keys are always compared."""
+    if isinstance(config, Configuration):
+        return least_timer(config.skin) - config.clock
+    return None
 
 
 # ---------------------------------------------------------------------------

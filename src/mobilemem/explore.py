@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import Configuration, Rule, canonicalize, per_membrane_readings, output_reading
+from .core import Configuration, Rule, at_rest, canonicalize, per_membrane_readings, output_reading
 from .engine import choice_describe, successors
 from .untimed import (
     UConfig,
@@ -94,6 +94,10 @@ class NodeRecord:
 
 @dataclass
 class ReachGraph:
+    """``objects`` maps a node's key to its state. A timed state stays at
+    its step clock, the root's plus its depth, so its nodes hold
+    deadlines: a reader of raw timers reads its ``core.at_rest`` form."""
+
     root: str
     depth: int
     nodes: dict = field(default_factory=dict)      # key -> NodeRecord
@@ -148,7 +152,7 @@ def explore_membranes(
     depth: int,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ReachGraph:
-    """BFS over the timed engine's legal step choices."""
+    """BFS over the timed engine's legal step choices, on clocked states."""
 
     def succ(state):
         return [(choice_describe(choice), cfg, key) for choice, cfg, key in successors(state, rules)]
@@ -381,8 +385,7 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     mn_misses = []
     preimage_notes = []
     for key in membrane_graph.nodes:
-        state = membrane_graph.objects[key]
-        candidate = some_preimage(state)
+        candidate = some_preimage(at_rest(membrane_graph.objects[key]))
         if candidate is None:
             mn_misses.append({"state": key})
             continue

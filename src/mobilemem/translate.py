@@ -145,7 +145,7 @@ def _literal_apply(config: Configuration, instances: Sequence[Instance]) -> Conf
     active membranes move, and no timer anywhere is touched. No clock
     phases, no dissolution. Subtrees no instance touches are shared with
     ``config``."""
-    tree = Tree(config.skin, instances)
+    tree = Tree(config, instances)
 
     def swap(uid, classes, prods):
         content = tree.nodes[uid].content

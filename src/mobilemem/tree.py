@@ -5,13 +5,13 @@ Mutual endocytosis, mutual exocytosis and dissolution move membranes the
 same way with or without timers, so the timed step, the untimed step and
 the literal relation of the ambient translation all edit the tree here:
 
-* ``index_of(skin)`` is the tree's ``Index``: each membrane by uid, its
-  parent's uid, and each parent's children, in order and by label. It is
-  kept in the skin's ``_index`` slot and built by one walk where missing;
-  a clocked step instead leaves its work tree there (``carry_index``), and
-  the next index is derived from its source's by that tree's edits when
-  first read (``Tree.next_index``);
-* ``Tree(skin, choice, keep)`` loads the work tree. Work nodes are made
+* ``index_of(config)`` is the configuration's ``Index``: each membrane
+  by uid, its parent's uid, and each parent's children, in order and by
+  label. It is kept in the configuration's ``_index`` slot and built by
+  one walk where missing; a timed step instead leaves its work tree
+  there (``carry_index``), and the next index is derived from its
+  source's by that tree's edits when first read (``Tree.next_index``);
+* ``Tree(config, choice, keep)`` loads the work tree. Work nodes are made
   only for the skin, the membranes the choice names (active, passive or
   rewrite host; an instance is seen only through ``active_uid`` and
   ``passive_uid``) and their ancestors, which the index's parent map
@@ -51,9 +51,8 @@ class Index:
     (the skin's own is ``None``); ``children`` maps the uid of a membrane
     with children, the skin's included, to a dict of them, uid -> child in
     child order; ``kids[label][parent uid]`` holds the part of that dict
-    with that label. The index is kept in the skin and never refers to
-    it, so the two make no reference cycle. An index is never changed
-    once made, so a derived one shares whatever its edits leave alone."""
+    with that label. An index is never changed once made, so a derived
+    one shares whatever its edits leave alone."""
 
     __slots__ = ("node", "up", "children", "kids")
 
@@ -64,15 +63,16 @@ class Index:
         self.kids = kids
 
 
-def index_of(skin) -> Index:
-    """``skin``'s index, from its ``_index`` slot, or built by one walk
-    and kept there. A slot holding the work tree that froze ``skin``
+def index_of(config) -> Index:
+    """``config``'s index, from its ``_index`` slot, or built by one walk
+    and kept there. A slot holding the work tree that froze the skin
     (``carry_index``) gives the index derived from that tree's edits."""
-    index = skin._index
+    index = config._index
     if type(index) is Tree:
         index = index.next_index()
-        object.__setattr__(skin, "_index", index)
+        object.__setattr__(config, "_index", index)
     elif index is None:
+        skin = config.skin
         node: dict = {}
         up = {skin.uid: None}
         children: dict = {}
@@ -96,19 +96,19 @@ def index_of(skin) -> Index:
                 if child.children:
                     stack.append(child)
         index = Index(node, up, children, kids)
-        object.__setattr__(skin, "_index", index)
+        object.__setattr__(config, "_index", index)
     return index
 
 
-def carry_index(skin, tree: "Tree") -> None:
-    """Give ``skin``, which ``tree`` froze, the index ``tree.next_index``
-    derives from its source's, worked out when first read."""
-    object.__setattr__(skin, "_index", tree)
+def carry_index(config, tree: "Tree") -> None:
+    """Give ``config`` the index ``tree.next_index`` derives from its
+    source's, worked out when first read; ``tree`` froze its skin."""
+    object.__setattr__(config, "_index", tree)
 
 
-def drop_index(skin) -> None:
-    """Forget the index kept in ``skin``; it is built again if needed."""
-    object.__setattr__(skin, "_index", None)
+def drop_index(config) -> None:
+    """Forget the index kept in ``config``; it is built again if needed."""
+    object.__setattr__(config, "_index", None)
 
 
 class Work:
@@ -129,8 +129,9 @@ class Work:
 
 
 class Tree:
-    def __init__(self, skin, choice: Iterable, keep: Callable | None = None):
-        self.index = index = index_of(skin)
+    def __init__(self, config, choice: Iterable, keep: Callable | None = None):
+        self.index = index = index_of(config)
+        skin = config.skin
         self.root = Work(skin, None, index.children.get(skin.uid, _NONE))
         self.nodes = {skin.uid: self.root}  # uid -> work node, skin included
         # (uid, label, membrane, old parent uid, new parent uid or None)
@@ -244,10 +245,7 @@ class Tree:
             for uid, kid in work.sub.items():
                 kids[uid] = kid.frozen
             work.frozen = make(work, tuple(kids.values()) if kids else ())
-        # the skin may keep this tree (``carry_index``), so the tree does
-        # not keep the skin
-        skin, self.root.frozen = self.root.frozen, None
-        return skin
+        return self.root.frozen
 
     def next_index(self) -> Index:
         """The index of the tree ``freeze`` built, derived from the source's

@@ -57,15 +57,13 @@ from .tree import Tree, index_of
 @dataclass(frozen=True, slots=True, eq=False)
 class UNode(FrozenTree):
     """A membrane without timers: label, symbol multiset, children.
-    ``_render`` holds ``u_render(node)`` once it has been computed, and a
-    skin's ``_index`` its ``tree.Index``."""
+    ``_render`` holds ``u_render(node)`` once it has been computed."""
 
     label: str
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
     _render: str | None = memo_slot()
-    _index: object = memo_slot()
 
     def _fields(self) -> tuple:
         return (self.label, self.content, self.uid)
@@ -87,8 +85,11 @@ def umem(label: str, objects=(), children=()) -> UNode:
 
 @dataclass(frozen=True)
 class UConfig:
+    """An untimed membrane tree, its output label and its ``tree.Index``."""
+
     skin: UNode
     output_label: str = "skin"
+    _index: object = memo_slot()
 
 
 def _u_render_one(node: UNode) -> str:
@@ -185,7 +186,7 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
     each exactly as the flat rule at its index would be. Hosts and move
     partners are read from the configuration's index (``tree.index_of``),
     which the choice search and the step read too."""
-    index = index_of(config.skin)
+    index = index_of(config)
     rewrites: dict = {}  # key symbol (None: empty left side) -> [(flat index, rewrite)]
     moves = []
     for base, item in _parts(rules):
@@ -277,7 +278,7 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     membranes bottom-up. Returns (configuration, detached archive).
     Subtrees no instance touches stay as they are and are shared with
     ``config``: without a clock they cannot change."""
-    tree = Tree(config.skin, choice)
+    tree = Tree(config, choice)
 
     def consume(uid, syms: Multiset):
         content = tree.nodes[uid].content

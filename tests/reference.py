@@ -17,14 +17,19 @@ DELTA_KEY = ("delta", False)
 
 
 def from_config(config):
+    """``config`` as plain-dict membranes with remaining timers: every
+    stored timer is a deadline, less the configuration's clock (``INF``
+    less a number stays ``INF``)."""
+    clock = config.clock
+
     def conv(node):
         objs = {}
         for (sym, t), n in node.content.items():
-            objs[(sym.name, sym.is_co, t)] = n
+            objs[(sym.name, sym.is_co, t - clock)] = n
         return {
             "uid": node.uid,
             "label": node.label,
-            "timer": node.timer,
+            "timer": node.timer - clock,
             "objs": objs,
             "kids": [conv(c) for c in node.children],
         }

@@ -14,6 +14,7 @@ from mobilemem.core import (
     ExoRule,
     Multiset,
     Symbol,
+    at_rest,
     canonicalize,
     mem,
 )
@@ -153,18 +154,14 @@ def test_criterion_timer_elimination():
         from mobilemem.explore import explore_membranes
 
         graph = explore_membranes(config, rules, 4)
-        live = [k for k, rec in graph.nodes.items() if rec.depth < 4]
-        if any(
-            node.timer == 0
-            for key in live
-            for node in graph.objects[key].skin.walk()
-            if node.label != "skin"
-        ):
+        # explored states hold deadlines; at rest they hold remaining timers
+        live = [at_rest(graph.objects[k]) for k, rec in graph.nodes.items() if rec.depth < 4]
+        if any(node.timer == 0 for state in live for node in state.skin.walk() if node.label != "skin"):
             dissolving += 1
         if any(
             t == 0
-            for key in live
-            for node in graph.objects[key].skin.walk()
+            for state in live
+            for node in state.skin.walk()
             for (_s, t), _n in node.content.items()
         ):
             expiring += 1

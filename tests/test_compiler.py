@@ -29,10 +29,10 @@ from mobilemem.corpus import random_timed_system
 from mobilemem.explore import explore_untimed
 from mobilemem.sysfile import parse_system
 from mobilemem.untimed import UConfig, u_canonicalize, u_find_instances, u_maximal_choices, umem
-import mobilemem.choices as choices_module
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref  # noqa: E402
+from conftest import count_calls  # noqa: E402
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 
@@ -275,14 +275,12 @@ def test_choice_search_costs_per_instance_and_result(monkeypatch):
     # with the moves decided first, the five counter ticks of the first
     # W3 state settle one branch each instead of doubling the leaves: the
     # fit tests stay within a small multiple of instances plus choices
-    calls = []
-    addable = choices_module.addable
-    monkeypatch.setattr(choices_module, "addable", lambda *args: calls.append(1) or addable(*args))
+    fits = count_calls(monkeypatch, "mobilemem.choices.addable")
     compiled, states = _compiled_states(w3(4).config, w3(4).rules, 6)
     worst = 0.0
     for state in states:
-        calls.clear()
+        fits.n = 0
         found = u_find_instances(state, compiled)
         returned = u_maximal_choices(state, compiled)
-        worst = max(worst, len(calls) / (len(found) + len(returned)))
+        worst = max(worst, fits.n / (len(found) + len(returned)))
     assert worst <= 5, worst  # 3.6 with moves first; 20.4 decided in table order

@@ -570,9 +570,8 @@ def test_siblings_dissolve_in_child_order():
     h2 = mem("h", INF, [(p, INF)], [mem("c2", INF)])
     config = Configuration(mem("skin", INF, [], [mem("k", INF), h2, h1]))
     rules = [RewriteRule("h", Multiset([p]), ((DELTA, Fresh(INF)),))]
-    for start in (config, Configuration(config.skin, config.output_label, 0)):
-        after = step(start, maximal_choices(start, rules)[0]).config
-        assert [kid.label for kid in after.skin.children] == ["k", "c2", "c1"]
+    after = step(config, maximal_choices(config, rules)[0]).config
+    assert [kid.label for kid in after.skin.children] == ["k", "c2", "c1"]
     untimed = erase_timers(config)
     after, _detached = u_apply(untimed, u_maximal_choices(untimed, rules)[0])
     assert [kid.label for kid in after.skin.children] == ["k", "c2", "c1"]
@@ -602,7 +601,7 @@ def test_settle_ticks_equal_contents_once_and_counts_every_expiry():
     # losing two objects; a memo counting each content once gives far fewer
     for choice in step_choices(cfg, rules):
         assert step(cfg, choice).stats.expired == 28
-    after = step(cfg, ()).config
+    after = at_rest(step(cfg, ()).config)
     assert "k" not in {node.label for node in after.skin.walk()}
     ticked = {id(node.content) for node in after.skin.walk() if node.label in ("n", "w", "z")}
     assert len(ticked) == 2  # each distinct content ticked once, and shared
@@ -837,32 +836,23 @@ _CONTENTS = [[(x, 40)] * 5, [(x, 41)] * 5, [(x, 40), (y, 30)], [(y, INF), (x, 45
 def test_a_clocked_step_builds_what_it_touches_whatever_the_width(monkeypatch):
     # finite timers are deadlines, so a step rebuilds the skin and the busy
     # pair and carries every bystander over as the same object
-    init = MembraneNode.__init__
-    built = []
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
     per_width = []
     for width in (200, 800):
         config, rules = _wide(width, _CONTENTS)
-        config = Configuration(config.skin, config.output_label, 0)
+        built = count_calls(monkeypatch, "mobilemem.core.MembraneNode")
         counts = []
         for _ in range(4):
             before = {node.uid: node for node in config.skin.children}
-            monkeypatch.setattr(MembraneNode, "__init__", counted)
-            built.clear()
-            choice = maximal_choices(config, rules)[0]
-            result = step(config, choice)
+            built.n = 0
+            result = step(config, maximal_choices(config, rules)[0])
             canonicalize(result.config)
-            monkeypatch.setattr(MembraneNode, "__init__", init)
-            counts.append(len(built))
+            counts.append(built.n)
             after = result.config
             assert after.clock == config.clock + 1
             kept = [node for node in after.skin.children if node.label.startswith("z")]
             assert len(kept) == width and all(node is before[node.uid] for node in kept)
             config = after
+        monkeypatch.undo()
         per_width.append(counts)
     assert per_width[0] == per_width[1] and max(per_width[0]) <= 3, per_width
     assert canonicalize(config) == canonicalize(_wide(800, _CONTENTS, ticks=4)[0])
@@ -1009,16 +999,16 @@ def _assert_index_carried(config, rules, selector, seed, steps=6) -> set:
     what the steps did: detached, dissolved."""
     rng = random.Random(seed)
     seen = set()
-    state = Configuration(config.skin, config.output_label, 0)
+    state = config
     for _ in range(steps):
-        assert _engine_instances(state, rules) == _ref_instances(at_rest(state), rules)
+        assert _engine_instances(state, rules) == _ref_instances(state, rules)
         options = maximal_choices(state, rules)
         result = step(state, options[0] if selector == "first" else rng.choice(options))
         state = result.config
-        assert state.skin._index is not None  # carried, not walked
-        carried = index_of(state.skin)
-        drop_index(state.skin)
-        assert _index_rows(carried) == _index_rows(index_of(state.skin))
+        assert state._index is not None  # carried, not walked
+        carried = index_of(state)
+        drop_index(state)
+        assert _index_rows(carried) == _index_rows(index_of(state))
         assert all(node._least == _fresh_least(node) for node in state.skin.walk())
         seen.update(["detached"] * bool(result.detached) + ["dissolved"] * bool(result.stats.delta_consumed))
     return seen
@@ -1051,27 +1041,29 @@ def test_the_carried_index_through_exits_dissolutions_and_rw_everywhere():
 # ---------------------------------------------------------------------------
 # Clocked runs (ROADMAP item 5): ``run`` steps configurations whose finite
 # timers are deadlines against a step clock. Its trace, its final
-# configuration and every step on the way must equal those of the public
-# at-rest ``step`` and ``canonicalize`` called in a loop.
+# configuration and every step on the way must equal those of ``step``
+# and ``canonicalize`` called in a loop, each step taken from the
+# previous result turned back to clock 0 (``at_rest``).
 
 def _assert_run_matches_stepping_at_rest(config, rules, steps, selector, seed=None):
     trace = run(config, rules, steps, selector=selector, seed=seed)
     rng = random.Random(seed) if selector == "random" else None
     want = engine.Trace(canonicalize(config), selector, seed, steps)
-    rest, clocked, key = config, Configuration(config.skin, config.output_label, 0), want.initial_key
+    rest, clocked, key = config, config, want.initial_key
     for index in range(1, steps + 1):
         options = maximal_choices(rest, rules)
         assert maximal_choices(clocked, rules) == options
         choice = options[0] if rng is None else rng.choice(options)
         result, ahead = step(rest, choice), step(clocked, choice)
         assert (ahead.detached, ahead.stats) == (result.detached, result.stats)
-        assert result.config.clock is None and ahead.config.clock == index
+        assert result.config.clock == 1 and ahead.config.clock == index
         new_key = canonicalize(result.config)
         assert canonicalize(ahead.config) == new_key
-        assert at_rest(ahead.config) == result.config  # uids and child order included
+        rest = at_rest(result.config)
+        assert rest.clock == 0 and at_rest(ahead.config) == rest  # uids and child order included
         halted = len(options) == 1 and new_key == key
         want.records.append(engine.StepRecord(index, choice, new_key, halted, result.detached))
-        rest, clocked, key = result.config, ahead.config, new_key
+        clocked, key = ahead.config, new_key
         if halted:
             break
     assert trace.to_jsonl() == want.to_jsonl()
@@ -1133,44 +1125,30 @@ def test_clocked_run_halts_exactly_where_stepping_at_rest_does():
     assert [r.halted for r in trace.records] == [False, True]
 
 
-def _counted_renders(monkeypatch) -> list:
-    """Every ``core.canonicalize`` call made through a package module, as
-    the benchmark's tracer sees them, appended to the list returned."""
-    calls = []
-
-    def counted(config):
-        calls.append(config)
-        return canonicalize(config)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mobilemem") and getattr(module, "canonicalize", None) is canonicalize:
-            monkeypatch.setattr(module, "canonicalize", counted)
-    return calls
-
-
 def test_a_run_renders_the_keys_that_are_read(monkeypatch, tmp_path, capsys):
     # the initial key at once, a record's key on its first read; no step of
     # W2 can halt, since the bystanders' least remaining timer falls each step
     config, rules = _wide(200, _CONTENTS)
     final = canonicalize(_wide(200, _CONTENTS, ticks=10)[0])
-    renders = _counted_renders(monkeypatch)
+    renders = count_calls(monkeypatch, "mobilemem.core.canonicalize")
     trace = run(config, rules, 10)
-    assert len(trace.records) == 10 and len(renders) == 1
-    assert trace.records[-1].key == final and len(renders) == 2
-    assert trace.records[-1].key == final and len(renders) == 2
+    assert len(trace.records) == 10 and renders.n == 1
+    assert trace.records[-1].key == final and renders.n == 2
+    assert trace.records[-1].key == final and renders.n == 2
     jsonl = trace.to_jsonl()
-    assert len(renders) == 11 and jsonl.endswith(f'"key": "{final}", "step": 10}}\n')
+    assert renders.n == 11 and jsonl.endswith(f'"key": "{final}", "step": 10}}\n')
     monkeypatch.undo()
 
     path = tmp_path / "wide.mms"
     path.write_text(render_system(SystemFile(True, "skin", config, tuple(rules))))
-    renders = _counted_renders(monkeypatch)
+    renders = count_calls(monkeypatch, "mobilemem.core.canonicalize")
     assert main(["sim", str(path), "--steps", "10"]) == 0
-    assert len(renders) == 2
+    assert renders.n == 2
     assert json.loads(capsys.readouterr().out) == {"steps": 10, "halted": False, "final": final}
 
 
 def _bytes_kept_per_step(config, rules, steps, selector, seed=None) -> float:
+    index = index_of(config)  # the caller's, which the run keeps
     gc.collect()
     tracemalloc.start()
     try:
@@ -1180,6 +1158,7 @@ def _bytes_kept_per_step(config, rules, steps, selector, seed=None) -> float:
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    assert config._index is index
     assert len(trace.records) == steps and not trace.halted
     return kept / steps
 
@@ -1187,7 +1166,8 @@ def _bytes_kept_per_step(config, rules, steps, selector, seed=None) -> float:
 def test_a_run_keeps_one_index_the_current_states():
     """A record holds its configuration until its key is read, but not that
     configuration's index: ``simulate`` drops each state's index once the
-    next state exists. Bytes kept per step by the trace,
+    next state exists, all but the caller's initial configuration's, which
+    is built before measuring. Bytes kept per step by the trace,
     measured with tracemalloc on Python 3.11 before indexes were carried:
     1,842 for 3,000 random steps of ``skin[h:inf{a:inf,a:inf}]`` under four
     competing ``rw h`` rules (several options every step, so no key is

@@ -25,13 +25,14 @@ from mobilemem.explore import (
 )
 from mobilemem.compiler import embed_infinite
 from mobilemem.untimed import UConfig, umem
-from mobilemem.ambient import canonical_key, normalize, parse_ambient
+from mobilemem.ambient import canonical_key, parse_ambient
 from mobilemem.corpus import (
     random_reducible_process,
     random_timed_system,
     random_untimed_system,
     reorder_demo_process,
 )
+from conftest import count_calls
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 E1 = EndoRule("h", "m", Multiset([a]), w=((c, Fresh(7)),), name="E1")
@@ -94,26 +95,15 @@ def test_exploration_is_deterministic():
 def test_explorer_reuses_the_successor_key(monkeypatch):
     # the successor relation already keys every configuration it steps to;
     # the explorer keys only the root itself
-    import mobilemem.engine as engine
-    import mobilemem.explore as explore
-    from mobilemem.core import canonicalize, renumber
+    from mobilemem.core import renumber
 
-    calls = {"canonicalize": 0, "step": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(engine, "canonicalize", counted("canonicalize", canonicalize))
-    monkeypatch.setattr(explore, "canonicalize", engine.canonicalize)
-    monkeypatch.setattr(engine, "step", counted("step", engine.step))
+    keys = count_calls(monkeypatch, "mobilemem.core.canonicalize")
+    steps = count_calls(monkeypatch, "mobilemem.engine.step")
     roots = 40
     for seed in range(roots):
         config, rules = random_timed_system(seed)
         explore_membranes(renumber(config), rules, 4)
-    assert calls["canonicalize"] == roots + calls["step"]
+    assert keys.n == roots + steps.n
 
 
 def test_budget_exceeded_carries_partial_graph():
@@ -248,6 +238,21 @@ def _w4(k):
     return parse_ambient(" | ".join(f"n{i}:9[ in:5 m{i} ] | m{i}:9[ ~in:5 m{i} ]" for i in range(k)))
 
 
+def test_explored_states_stay_at_their_step_clock(monkeypatch):
+    # the state at BFS level d sits at clock d, so exploring turns no
+    # state back to clock 0; prop45 does so once per membrane-graph node,
+    # for the preimage search, which reads remaining timers
+    from mobilemem.translate import generate_rules, translate
+
+    rests = count_calls(monkeypatch, "mobilemem.core.at_rest")
+    p = _w4(3)
+    graph = explore_membranes(translate(p), generate_rules(p), 3)
+    assert rests.n == 0
+    assert all(graph.objects[key].clock == record.depth for key, record in graph.nodes.items())
+    verdict = check_translation(p, 3)
+    assert verdict.ok and 0 < rests.n <= verdict.details["mn"]["nodes"]
+
+
 def test_check_translation_explores_the_ambient_side_once(monkeypatch):
     import mobilemem.explore as explore
 
@@ -295,25 +300,19 @@ def test_verdict_exit_codes():
 def test_check_translation_translates_each_state_once(monkeypatch):
     # both forward passes, the membrane-side root and the reordering note
     # read one map of images, and the note translates none of the
-    # preimages it finds: one translation per distinct state
-    import mobilemem.explore as explore
-
-    translate = importlib.import_module("mobilemem.translate")
-    seen = []
-    real = translate._image
-    for module in (translate, explore):  # every module that may call it
-        if hasattr(module, "_image"):
-            monkeypatch.setattr(module, "_image", lambda p: seen.append(canonical_key(p)) or real(p))
+    # preimages it finds: the root and each end of a move edge must be
+    # translated, so as many translations as those states means one each
+    images = count_calls(monkeypatch, "mobilemem.translate._image")
     calls = 0
     for seed in range(10):
-        seen.clear()
         p = random_reducible_process(seed)
+        graph = explore_ambients(p, 4)
+        needed = {graph.root} | {key for s, label, d in graph.edges if label == "move" for key in (s, d)}
+        images.n = 0
         verdict = check_translation(p, 4)
         assert verdict.details["pq_erased"]["edges"] > 0, seed
-        assert len(seen) == len(set(seen)), seed
-        assert canonical_key(normalize(p)) in seen, seed
-        assert set(seen) <= set(explore_ambients(p, 4).nodes), seed
-        calls += len(seen)
+        assert images.n == len(needed), seed
+        calls += images.n
     assert calls == 42  # the distinct states of the ten graphs' move edges
 
 
