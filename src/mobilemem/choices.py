@@ -40,9 +40,10 @@ and an explicit stack, so its depth is not bounded by Python's recursion
 limit.
 
 Instances are seen only through ``active_uid``, ``passive_uid``,
-``is_move``, ``sort_key`` and the needs map ``(uid, class) -> count``
-that the caller computes, so the timed and untimed interpreters share no
-matching or application code through this module.
+``is_move`` (stored on the instance), ``sort_key`` (only to sort two or
+more finished choices) and the needs map ``(uid, class) -> count`` that
+the caller computes, once per instance, so the timed and untimed
+interpreters share no matching or application code through this module.
 """
 
 from __future__ import annotations
@@ -164,4 +165,6 @@ def enumerate_choices(
             add(inst, need, -1)
             chosen.pop()
         stack.pop()
-    return sorted(results, key=lambda ch: tuple(i.sort_key() for i in ch))
+    if len(results) > 1:
+        results.sort(key=lambda ch: tuple([i.sort_key() for i in ch]))
+    return results

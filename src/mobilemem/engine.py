@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .choices import addable, availability, enumerate_choices
 from .core import (
@@ -115,37 +115,63 @@ class StaleChoiceError(ValueError):
 ObjClass = tuple  # (Symbol, timer)
 
 
-@dataclass(frozen=True)
 class Instance:
-    """One applicable rule occurrence with its object bindings.
+    """One applicable rule occurrence with its object bindings, never
+    changed once made.
 
     ``active_classes``/``passive_classes`` give the bound ``(symbol, timer)``
     occurrence class per left-hand-side slot. Rewrites bind only the active
-    side (their host membrane) and have no passive membrane.
+    side (their host membrane) and have no passive membrane. ``is_move`` is
+    worked out once, when the instance is made.
+
+    Two instances are equal when their rule indexes, rules, uids and
+    classes are. The hash covers the binding fields only: rule index, uids
+    and classes. Within one rule list the index names the rule, so leaving
+    the rule out makes only instances of different rule lists collide, and
+    it spares every set of instances a hash of the rule, a dataclass whose
+    fields are multisets and product tuples.
     """
 
-    rule_index: int
-    rule: Rule
-    active_uid: int
-    passive_uid: int | None
-    active_classes: tuple
-    passive_classes: tuple = ()
+    __slots__ = ("rule_index", "rule", "active_uid", "passive_uid", "active_classes", "passive_classes", "is_move")
 
-    @property
-    def is_move(self) -> bool:
-        return isinstance(self.rule, MoveRule)
+    def __init__(
+        self,
+        rule_index: int,
+        rule: Rule,
+        active_uid: int,
+        passive_uid: int | None,
+        active_classes: tuple,
+        passive_classes: tuple = (),
+    ):
+        self.rule_index = rule_index
+        self.rule = rule
+        self.active_uid = active_uid
+        self.passive_uid = passive_uid
+        self.active_classes = active_classes
+        self.passive_classes = passive_classes
+        self.is_move = isinstance(rule, MoveRule)
 
-    def bound(self) -> Iterator[tuple[int, ObjClass]]:
-        for cls in self.active_classes:
-            yield self.active_uid, cls
-        for cls in self.passive_classes:
-            yield self.passive_uid, cls
+    def _binding(self) -> tuple:
+        return (self.rule_index, self.active_uid, self.passive_uid, self.active_classes, self.passive_classes)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Instance:
+            return NotImplemented
+        return self._binding() == other._binding() and self.rule == other.rule
+
+    def __hash__(self) -> int:
+        return hash(self._binding())
+
+    def __repr__(self) -> str:
+        return f"Instance({self.describe()})"
 
     def needs(self) -> dict:
         """``(uid, class) -> count`` of the objects this instance binds."""
         need: dict = {}
-        for key in self.bound():
-            need[key] = need.get(key, 0) + 1
+        for uid, classes in ((self.active_uid, self.active_classes), (self.passive_uid, self.passive_classes)):
+            for cls in classes:
+                key = (uid, cls)
+                need[key] = need.get(key, 0) + 1
         return need
 
     def forced(self) -> bool:
@@ -158,8 +184,8 @@ class Instance:
             self.rule_index,
             self.active_uid,
             -1 if self.passive_uid is None else self.passive_uid,
-            tuple((str(s), t) for s, t in self.active_classes),
-            tuple((str(s), t) for s, t in self.passive_classes),
+            tuple([(str(s), t) for s, t in self.active_classes]),
+            tuple([(str(s), t) for s, t in self.passive_classes]),
         )
 
     def describe(self) -> str:
@@ -190,16 +216,32 @@ def choice_describe(choice: StepChoice) -> str:
 # ---------------------------------------------------------------------------
 # Instance matching
 
-def _slot_bindings(slots: Sequence, content: Multiset) -> list[tuple]:
+def _slot_bindings(plan: tuple, content: Multiset) -> list[tuple]:
     """All ways to bind the slot symbols to positive-timer occurrence
-    classes of ``content``, up to equality of the resulting slot tuple."""
-    if not slots:
-        return [()]
-    groups: dict = {}
-    for pos, sym in enumerate(slots):
-        groups.setdefault(sym, []).append(pos)
-    per_symbol: list[tuple[list[int], list[tuple]]] = []
-    for sym, positions in groups.items():
+    classes of ``content``, up to equality of the resulting slot tuple,
+    sorted. ``plan`` is the rule side's ``core.slot_plan``: when no symbol
+    fills two slots, a class bound in one slot is bound in no other, so
+    the bindings are the product of each slot's classes, in sorted order
+    since each factor is."""
+    slots, groups = plan
+    if groups is not None:
+        return _grouped_bindings(slots, groups, content)
+    items = content.items()
+    per_slot = []
+    for sym in slots:
+        classes = [cls for cls, _n in items if cls[0] == sym and cls[1] > 0]
+        if not classes:
+            return []
+        per_slot.append(classes)
+    return list(product(*per_slot))
+
+
+def _grouped_bindings(slots: tuple, groups: tuple, content: Multiset) -> list[tuple]:
+    """``_slot_bindings`` where some symbol fills several slots: each
+    symbol's arrangements of classes over its ``positions`` that
+    ``content`` holds enough of, combined across symbols."""
+    per_symbol: list[tuple[tuple, list[tuple]]] = []
+    for sym, positions in groups:
         classes = [(s, t) for (s, t), _n in content.items() if s == sym and t > 0]
         arrangements = [
             combo for combo in product(classes, repeat=len(positions))
@@ -252,7 +294,8 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     labels rules name, so a membrane no rule can bind is not visited,
     unless an ``rw *`` rule makes every membrane a host. Bindings name
     remaining timers at any clock: only the contents of membranes a rule
-    binds are read at the configuration's clock.
+    binds are read at the configuration's clock. Each rule side binds
+    its slots by the plan it works out once (``core.slot_plan``).
     """
     clock = config.clock
     read = _reader(config)
@@ -276,14 +319,14 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
         held, met = active.content, passive.content
         if read is not None:
             held, met = read(held), read(met)
-        for ac in _slot_bindings(rule.active_slots, held):
-            for pc in _slot_bindings(rule.passive_slots, met):
+        for ac in _slot_bindings(rule.active_plan, held):
+            for pc in _slot_bindings(rule.passive_plan, met):
                 found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
 
     def host(node, hosted):
         content = node.content if read is None else read(node.content)
         for idx, rule in hosted:
-            for ac in _slot_bindings(rule.active_slots, content):
+            for ac in _slot_bindings(rule.active_plan, content):
                 found.append(Instance(idx, rule, node.uid, None, ac))
 
     if everywhere:
@@ -371,11 +414,13 @@ def _resolve_products(prods: Iterable, slot_classes: tuple) -> list[ObjClass]:
     return out
 
 
-def _validate_choice(choice: StepChoice, nodes: dict, clock: int) -> None:
+def _validate_choice(choice: StepChoice, needs: list, nodes: dict, clock: int) -> None:
+    """Raise ``StaleChoiceError`` unless ``choice``, whose instances bind
+    ``needs``, fits the loaded work nodes."""
     usage: dict = {}
     actives: set = set()
     passives: set = set()
-    for inst in choice:
+    for inst, need in zip(choice, needs):
         active = nodes.get(inst.active_uid)
         if active is None:
             raise StaleChoiceError(f"no membrane with uid {inst.active_uid}")
@@ -392,7 +437,7 @@ def _validate_choice(choice: StepChoice, nodes: dict, clock: int) -> None:
                 raise StaleChoiceError("conflicting membrane roles in choice")
             actives.add(inst.active_uid)
             passives.add(inst.passive_uid)
-        for key, n in inst.needs().items():
+        for key, n in need.items():
             usage[key] = usage.get(key, 0) + n
     for (uid, cls), n in usage.items():
         node = nodes.get(uid)
@@ -464,7 +509,8 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
         for work in nodes.values():
             if work.src._least != INF:
                 work.content = {(sym, t - clock): n for (sym, t), n in work.content.items()}
-    _validate_choice(choice, nodes, clock)
+    needs = [inst.needs() for inst in choice]
+    _validate_choice(choice, needs, nodes, clock)
 
     consumed = produced_count = 0
     produced: dict = {}  # uid -> {class: count} made in phase 1
@@ -480,8 +526,8 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
             produced_count += 1
 
     # Phase 1: consume, produce, move, decrement actives.
-    for inst in choice:
-        for (uid, cls), n in inst.needs().items():
+    for need in needs:
+        for (uid, cls), n in need.items():
             content = nodes[uid].content
             content[cls] -= n
             if not content[cls]:

@@ -8,9 +8,9 @@ the literal relation of the ambient translation all edit the tree here:
 * ``index_of(config)`` is the configuration's ``Index``: each membrane
   by uid, its parent's uid, and each parent's children, in order and by
   label. It is kept in the configuration's ``_index`` slot and built by
-  one walk where missing; a timed step instead leaves its work tree
-  there (``carry_index``), and the next index is derived from its
-  source's by that tree's edits when first read (``Tree.next_index``);
+  one walk where missing; a timed or untimed step instead leaves its
+  work tree there (``carry_index``), and the next index is derived from
+  its source's by that tree's edits when first read (``Tree.next_index``);
 * ``Tree(config, choice, keep)`` loads the work tree. Work nodes are made
   only for the skin, the membranes the choice names (active, passive or
   rewrite host; an instance is seen only through ``active_uid`` and

@@ -51,7 +51,7 @@ from .core import (
     walk_tree,
 )
 from .engine import distinct_successors, simulate
-from .tree import Tree, index_of
+from .tree import Tree, carry_index, index_of
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -129,20 +129,54 @@ def erase_timers(config: Configuration) -> UConfig:
 # ---------------------------------------------------------------------------
 # Instances and choices
 
-@dataclass(frozen=True)
-class UInstance:
-    rule_index: int
-    rule: Rule
-    active_uid: int
-    passive_uid: int | None
-    # the multisets the rule consumes in the active and passive membranes,
-    # worked out once per rule by the matcher
-    lhs_active: Multiset = field(default=Multiset(), compare=False, repr=False)
-    lhs_passive: Multiset = field(default=Multiset(), compare=False, repr=False)
+_NOTHING = Multiset()
 
-    @property
-    def is_move(self) -> bool:
-        return isinstance(self.rule, MoveRule)
+
+class UInstance:
+    """One applicable untimed rule occurrence, never changed once made:
+    the rule, its index, its active and passive membranes, and the
+    multisets the rule consumes in them (``lhs_active``/``lhs_passive``),
+    worked out once per rule by the matcher. ``is_move`` is worked out
+    when the instance is made.
+
+    Two instances are equal when their rule indexes, rules and uids are;
+    the consumed multisets follow from the rule. The hash covers the
+    binding fields only, rule index and uids: within one rule list the
+    index names the rule, and leaving the rule out spares every set of
+    instances a hash of the rule's dataclass."""
+
+    __slots__ = ("rule_index", "rule", "active_uid", "passive_uid", "lhs_active", "lhs_passive", "is_move")
+
+    def __init__(
+        self,
+        rule_index: int,
+        rule: Rule,
+        active_uid: int,
+        passive_uid: int | None,
+        lhs_active: Multiset = _NOTHING,
+        lhs_passive: Multiset = _NOTHING,
+    ):
+        self.rule_index = rule_index
+        self.rule = rule
+        self.active_uid = active_uid
+        self.passive_uid = passive_uid
+        self.lhs_active = lhs_active
+        self.lhs_passive = lhs_passive
+        self.is_move = isinstance(rule, MoveRule)
+
+    def _binding(self) -> tuple:
+        return (self.rule_index, self.active_uid, self.passive_uid)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not UInstance:
+            return NotImplemented
+        return self._binding() == other._binding() and self.rule == other.rule
+
+    def __hash__(self) -> int:
+        return hash(self._binding())
+
+    def __repr__(self) -> str:
+        return f"UInstance({self.describe()})"
 
     def sort_key(self):
         return (self.rule_index, self.active_uid, -1 if self.passive_uid is None else self.passive_uid)
@@ -277,7 +311,8 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     """Fire the instances simultaneously, then dissolve marker-holding
     membranes bottom-up. Returns (configuration, detached archive).
     Subtrees no instance touches stay as they are and are shared with
-    ``config``: without a clock they cannot change."""
+    ``config``: without a clock they cannot change. The result's index
+    is derived from ``config``'s by the step's edits (``carry_index``)."""
     tree = Tree(config, choice)
 
     def consume(uid, syms: Multiset):
@@ -318,7 +353,9 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     skin = tree.freeze(
         lambda node, children: UNode(node.src.label, Multiset(node.content), children, uid=node.src.uid)
     )
-    return UConfig(skin, config.output_label), tuple(detached)
+    result = UConfig(skin, config.output_label)
+    carry_index(result, tree)
+    return result, tuple(detached)
 
 
 def u_successors(config: UConfig, rules: Sequence[Rule]) -> list[tuple[tuple, UConfig, str]]:

@@ -26,13 +26,24 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 def count_calls(monkeypatch, target: str, items: bool = False) -> SimpleNamespace:
-    """Count the calls of ``target``, given as ``"module.attr"``, made
-    through any name a ``mobilemem`` module or a class defined in one binds
-    it to (``walk_tree`` is also ``MembraneNode.walk``, say). With
-    ``items``, count the items its results yield instead. The count is
-    the returned object's ``n``, which a test may reset."""
+    """Count the calls of ``target``, given as ``"module.attr"`` or
+    ``"module.Class.attr"``, made through any name a ``mobilemem`` module
+    or a class defined in one binds it to (``walk_tree`` is also
+    ``MembraneNode.walk``, say). With ``items``, count the items its
+    results yield instead. The count is the returned object's ``n``,
+    which a test may reset."""
     module_name, attr = target.rsplit(".", 1)
-    original = getattr(importlib.import_module(module_name), attr)
+    owner, path = module_name, []
+    while owner not in sys.modules:
+        try:
+            importlib.import_module(owner)
+        except ModuleNotFoundError:
+            owner, name = owner.rsplit(".", 1)
+            path.insert(0, name)
+    owner = sys.modules[owner]
+    for name in path:
+        owner = getattr(owner, name)
+    original = getattr(owner, attr)
     calls = SimpleNamespace(n=0)
 
     def counting(results):

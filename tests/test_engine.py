@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 
 from mobilemem import engine
-from mobilemem.choices import addable, availability
+from mobilemem.choices import availability
 from mobilemem.cli import main
 from mobilemem.compiler import embed_infinite
 from mobilemem.core import (
@@ -32,6 +32,7 @@ from mobilemem.core import (
     canonicalize,
     mem,
     rebuild_tree,
+    slot_plan,
 )
 from mobilemem.engine import (
     StaleChoiceError,
@@ -55,7 +56,7 @@ from mobilemem.explore import explore_membranes
 from mobilemem.translate import generate_rules, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.tree import drop_index, index_of
-from mobilemem.untimed import erase_timers, u_apply, u_maximal_choices
+from mobilemem.untimed import erase_timers, u_apply, u_maximal_choices, u_run, u_successors
 from conftest import count_calls
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
@@ -771,20 +772,31 @@ def _pair_rules(n):
 
 def test_independent_instances_cost_per_instance(monkeypatch):
     n, steps = 40, 20
-    calls = {"n": 0, "budget": 4 * n}
-    def counted(*args):
-        calls["n"] += 1
-        if calls["n"] > calls["budget"]:
-            raise AssertionError(f"more than {calls['budget']} conflict tests")
-        return addable(*args)
-
-    monkeypatch.setattr("mobilemem.choices.addable", counted)
+    tests = count_calls(monkeypatch, "mobilemem.choices.addable")
     cfg, rules = _pairs(n, False), _pair_rules(n)
     assert len(maximal_choices(cfg, rules)) == 1
-    calls.update(n=0, budget=4 * n * steps)
+    assert tests.n <= 4 * n, f"{tests.n} conflict tests"
+    tests.n = 0
     trace = run(cfg, rules, steps)
+    assert tests.n <= 4 * n * steps, f"{tests.n} conflict tests"
     keys = [canonicalize(cfg), canonicalize(_pairs(n, True))]
     assert [r.key for r in trace.records] == [keys[i % 2] for i in range(1, steps + 1)]
+
+
+def test_matching_independent_pairs_derives_nothing_twice(monkeypatch):
+    # the slot plan is worked out once per rule, an instance hashes its
+    # bindings and not its rule, and a step reads each instance's needs once
+    n = 40
+    cfg, rules = _pairs(n, False), _pair_rules(n)
+    hashes = [count_calls(monkeypatch, f"mobilemem.core.{kind.__name__}.__hash__") for kind in (EndoRule, ExoRule)]
+    grouped = count_calls(monkeypatch, "mobilemem.engine._grouped_bindings")
+    assert len(find_instances(cfg, rules)) == n
+    assert [h.n for h in hashes] == [0, 0] and grouped.n == 0
+    needs = count_calls(monkeypatch, "mobilemem.engine.Instance.needs")
+    for state in (cfg, _pairs(n, True)):
+        needs.n = 0
+        assert len(run(state, rules, 1).records[0].choice) == n
+        assert needs.n <= 2 * n, f"{needs.n} needs maps for {n} instances"
 
 
 def test_wide_input_has_one_choice_and_simulates(tmp_path, capsys):
@@ -975,6 +987,47 @@ def test_matcher_equals_reference_beside_bystanders(system):
     assert _engine_instances(config, rules) == _ref_instances(config, rules)
 
 
+@st.composite
+def slots_and_contents(draw):
+    """Slot symbols, repeats and co-symbols included, and a content over
+    the same symbols with timer-0 and INF classes, stored at a drawn clock
+    as deadlines and read back through the matcher's ``_reader``."""
+    symbols = st.sampled_from((a, a.dual(), b, b.dual()))
+    slots = tuple(draw(st.lists(symbols, max_size=4)))
+    classes = st.tuples(symbols, st.sampled_from((0, 1, 2, INF)))
+    objects = draw(st.dictionaries(classes, st.integers(1, 3), max_size=6))
+    clock = draw(st.integers(0, 3))
+    stored = Multiset({(sym, t + clock): n for (sym, t), n in objects.items()})
+    read = engine._reader(Configuration(mem("skin", INF), clock=clock))
+    return slots, stored if read is None else read(stored)
+
+
+@given(slots_and_contents())
+def test_slot_bindings_equal_the_reference_on_both_paths(case):
+    slots, content = case
+    objs = {(sym.name, sym.is_co, t): n for (sym, t), n in content.items()}
+    want = ref.assignments(slots, objs)
+
+    def rows(bindings):
+        return [tuple((sym.name, sym.is_co, t) for sym, t in binding) for binding in bindings]
+
+    plan = slot_plan(slots)
+    assert (plan[1] is None) == (len(set(slots)) == len(slots))
+    assert rows(engine._slot_bindings(plan, content)) == want
+    # the general path on any slots, one group per slot where none repeats
+    groups = plan[1] or tuple((sym, (pos,)) for pos, sym in enumerate(slots))
+    assert rows(engine._grouped_bindings(slots, groups, content)) == want
+
+
+def test_matcher_equals_reference_on_independent_pairs_and_wide_trees():
+    cases = [(_pairs(6, flipped), _pair_rules(6)) for flipped in (False, True)]
+    cases.append(_wide(60, _CONTENTS))
+    for config, rules in cases:
+        for _ in range(3):  # clocked states too
+            assert _engine_instances(config, rules) == _ref_instances(config, rules)
+            config = step(config, maximal_choices(config, rules)[0]).config
+
+
 # The membrane index a clocked step carries to the next configuration.
 
 def _index_rows(index):
@@ -992,11 +1045,22 @@ def _fresh_least(node):
     return rebuild_tree(node, lambda n, built: min([n.timer, *[t for (_s, t), _n in n.content.items()], *built]))
 
 
+def _assert_carried_is_walked(state) -> None:
+    """``state`` carries an index from the step that made it, and that
+    index equals the one built by a walk, which then replaces it."""
+    assert state._index is not None  # carried, not walked
+    carried = index_of(state)
+    drop_index(state)
+    assert _index_rows(carried) == _index_rows(index_of(state))
+
+
 def _assert_index_carried(config, rules, selector, seed, steps=6) -> set:
     """Step ``config`` as ``run`` does and check, after every step, the
     index it carries against one built by a walk, the least timers kept
-    in the new nodes, and the matcher against the reference. Returns
-    what the steps did: detached, dissolved."""
+    in the new nodes, and the matcher against the reference; then the
+    same for the untimed steps of its erasure, each state's successors
+    (``u_successors``) and the one ``u_run`` takes. Returns what the
+    timed steps did: detached, dissolved."""
     rng = random.Random(seed)
     seen = set()
     state = config
@@ -1005,12 +1069,15 @@ def _assert_index_carried(config, rules, selector, seed, steps=6) -> set:
         options = maximal_choices(state, rules)
         result = step(state, options[0] if selector == "first" else rng.choice(options))
         state = result.config
-        assert state._index is not None  # carried, not walked
-        carried = index_of(state)
-        drop_index(state)
-        assert _index_rows(carried) == _index_rows(index_of(state))
+        _assert_carried_is_walked(state)
         assert all(node._least == _fresh_least(node) for node in state.skin.walk())
         seen.update(["detached"] * bool(result.detached) + ["dissolved"] * bool(result.stats.delta_consumed))
+    state = erase_timers(config)
+    for _ in range(steps):
+        for _choice, successor, _key in u_successors(state, rules):
+            _assert_carried_is_walked(successor)
+        state = u_run(state, rules, 1, selector, rng.randrange(10)).reached
+        _assert_carried_is_walked(state)
     return seen
 
 

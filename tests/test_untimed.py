@@ -4,9 +4,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
+from conftest import count_calls
 
 from mobilemem.compiler import embed_infinite
 from mobilemem.corpus import random_untimed_system
+from mobilemem.explore import explore_untimed
 from mobilemem.core import EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol
 from mobilemem.untimed import (
     UConfig,
@@ -235,3 +237,19 @@ def test_rewrite_index_equals_the_rule_by_rule_loop():
         assert got == want
         assert [i.lhs_active for i in got] == [i.lhs_active for i in want]
     assert not [i for i in u_find_instances(configs[0], rules) if i.rule.name != "empty"]
+
+
+def test_untimed_successors_derive_their_index_from_their_source(monkeypatch):
+    # a wide untimed system: a busy pair, a counter k stepping n0 -> n5, and
+    # 300 bystanders no rule names; only the root's index is built by a walk
+    n = [Symbol(f"n{i}") for i in range(6)]
+    kids = [umem("h", [a]), umem("m", [a.dual()]), umem("k", [n[0]])]
+    kids += [umem(f"z{i % 7}", [c] * 5) for i in range(300)]
+    rules = [RULE, ExoRule("h", "m", Multiset([c]), w=((a, Fresh(INF)),), name="X")]
+    rules += [RewriteRule("k", Multiset([n[i]]), ((n[i + 1], Fresh(INF)),)) for i in range(5)]
+    built = count_calls(monkeypatch, "mobilemem.tree.Index")
+    derived = count_calls(monkeypatch, "mobilemem.tree.Tree.next_index")
+    graph = explore_untimed(UConfig(umem("skin", [], kids)), rules, 5)
+    assert len(graph.objects) == 6
+    # the nodes at depths 1-4 are expanded; depth 5 ends the search
+    assert built.n - derived.n == 1 and derived.n == 4, (built.n, derived.n)
