@@ -53,11 +53,13 @@ from typing import Callable, Sequence
 from .tree import index_of
 
 
-def availability(config, instances: Sequence, read: Callable | None = None) -> dict:
+def availability(config, instances: Sequence) -> dict:
     """``(uid, class) -> count`` over the membranes the instances bind,
     active and passive: the only keys ``addable`` reads for them, each
-    membrane read by uid from the configuration's index. ``read(content)``,
-    when given, is a content as the instances' classes name its objects."""
+    membrane read by uid from the configuration's index. A configuration
+    at a clock (a timed one past clock 0) stores deadlines, and its
+    classes are named here by remaining timers, as instances bind them."""
+    clock = getattr(config, "clock", 0)
     wanted = {inst.active_uid for inst in instances}
     wanted.update([inst.passive_uid for inst in instances])
     skin = config.skin
@@ -66,8 +68,9 @@ def availability(config, instances: Sequence, read: Callable | None = None) -> d
     for uid in wanted:  # None is a rewrite's passive membrane
         membrane = skin if uid == skin.uid else node.get(uid)
         if membrane is not None:
-            content = membrane.content if read is None else read(membrane.content)
-            for cls, n in content.items():
+            for cls, n in membrane.content.items():
+                if clock:
+                    cls = (cls[0], cls[1] - clock)
                 avail[(uid, cls)] = n
     return avail
 

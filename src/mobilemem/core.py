@@ -419,19 +419,6 @@ def _slot_tuple(u: Multiset, v: Multiset) -> tuple:
     return tuple(u) + tuple(v)
 
 
-def slot_plan(slots: tuple) -> tuple:
-    """``(slots, groups)``, how the engine's matcher binds a rule side's
-    slot symbols: ``groups`` is ``None`` when no symbol fills two slots,
-    else ``(symbol, positions)`` per distinct symbol, in the order of its
-    first slot."""
-    positions: dict = {}
-    for pos, sym in enumerate(slots):
-        positions.setdefault(sym, []).append(pos)
-    if len(positions) == len(slots):
-        return slots, None
-    return slots, tuple((sym, tuple(at)) for sym, at in positions.items())
-
-
 @dataclass(frozen=True)
 class MoveRule:
     """Fields shared by the two movement rules.
@@ -467,14 +454,6 @@ class MoveRule:
     def passive_slots(self) -> tuple:
         return _slot_tuple(self.u_bar, self.v2)
 
-    @cached_property
-    def active_plan(self) -> tuple:
-        return slot_plan(self.active_slots)
-
-    @cached_property
-    def passive_plan(self) -> tuple:
-        return slot_plan(self.passive_slots)
-
 
 @dataclass(frozen=True)
 class EndoRule(MoveRule):
@@ -502,10 +481,6 @@ class RewriteRule:
     @cached_property
     def active_slots(self) -> tuple:
         return tuple(self.lhs)
-
-    @cached_property
-    def active_plan(self) -> tuple:
-        return slot_plan(self.active_slots)
 
 
 Rule = Union[EndoRule, ExoRule, RewriteRule]

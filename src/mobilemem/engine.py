@@ -53,12 +53,15 @@ step's own edits, on first read (``tree.carry_index``). The least timer
 of the children a loaded membrane keeps is read from its source's slot
 where it can be (``_kept_lows``), so a step reads no membrane it does
 not touch. ``simulate`` drops the index of each state it steps to once
-the next one has its own, so a run's records keep none. Work nodes hold
-remaining timers while the phases run, and freezing stores the next
-clock's deadlines: a product or a ticked object gets its new remaining
-timer plus the next clock, which leaves an untouched deadline as it was.
-Keys and traces read remaining timers (``core.render_at``); readers of
-raw timers read ``core.at_rest``, as ``Trace.final`` does.
+the next one has its own, so a run's records keep none. Work nodes keep
+deadlines from load to freeze. An instance binds remaining timers, and
+its bindings are turned into deadline keys once; a product is stored at
+its remaining timer plus the next clock; phases 2 and 3 only drop the
+objects whose deadline is the clock, since a tick leaves every other
+deadline as it was. The one remaining-timer form inside a step is the
+archive of a membrane that exits the skin. Keys and traces read
+remaining timers (``core.render_at``); readers of raw timers read
+``core.at_rest``, as ``Trace.final`` does.
 
 A run renders a key only where it is read. The trace's initial key is
 rendered at once; each ``StepRecord`` holds its configuration and renders
@@ -89,7 +92,6 @@ from .core import (
     EndoRule,
     ExoRule,
     Fresh,
-    Carry,
     MembraneNode,
     MoveRule,
     Multiset,
@@ -102,7 +104,6 @@ from .core import (
     decrement,
     least_timer,
     render_one,
-    shifted,
     timer_str,
 )
 from .tree import Tree, carry_index, drop_index, index_of
@@ -110,9 +111,6 @@ from .tree import Tree, carry_index, drop_index, index_of
 
 class StaleChoiceError(ValueError):
     """The choice refers to membranes or objects this configuration lacks."""
-
-
-ObjClass = tuple  # (Symbol, timer)
 
 
 class Instance:
@@ -216,66 +214,24 @@ def choice_describe(choice: StepChoice) -> str:
 # ---------------------------------------------------------------------------
 # Instance matching
 
-def _slot_bindings(plan: tuple, content: Multiset) -> list[tuple]:
-    """All ways to bind the slot symbols to positive-timer occurrence
-    classes of ``content``, up to equality of the resulting slot tuple,
-    sorted. ``plan`` is the rule side's ``core.slot_plan``: when no symbol
-    fills two slots, a class bound in one slot is bound in no other, so
-    the bindings are the product of each slot's classes, in sorted order
-    since each factor is."""
-    slots, groups = plan
-    if groups is not None:
-        return _grouped_bindings(slots, groups, content)
+def _slot_bindings(slots: tuple, content: Multiset, clock: int) -> list[tuple]:
+    """Every way to bind ``slots`` to classes of ``content``, a content
+    stored at ``clock``, whose deadline is after it, each class named by
+    its remaining timer, in slot order: the product of each slot's
+    classes. Where a symbol fills two slots, only the bindings that
+    ``content`` holds enough objects for are kept."""
     items = content.items()
     per_slot = []
     for sym in slots:
-        classes = [cls for cls, _n in items if cls[0] == sym and cls[1] > 0]
+        classes = [(s, t - clock) for (s, t), _n in items if s == sym and t > clock]
         if not classes:
             return []
         per_slot.append(classes)
-    return list(product(*per_slot))
-
-
-def _grouped_bindings(slots: tuple, groups: tuple, content: Multiset) -> list[tuple]:
-    """``_slot_bindings`` where some symbol fills several slots: each
-    symbol's arrangements of classes over its ``positions`` that
-    ``content`` holds enough of, combined across symbols."""
-    per_symbol: list[tuple[tuple, list[tuple]]] = []
-    for sym, positions in groups:
-        classes = [(s, t) for (s, t), _n in content.items() if s == sym and t > 0]
-        arrangements = [
-            combo for combo in product(classes, repeat=len(positions))
-            if all(content.count(cls) >= combo.count(cls) for cls in combo)
-        ]
-        if not arrangements:
-            return []
-        per_symbol.append((positions, arrangements))
-    out = []
-    for pick in product(*(arr for _pos, arr in per_symbol)):
-        slot_classes: list = [None] * len(slots)
-        for (positions, _), chosen in zip(per_symbol, pick):
-            for pos, cls in zip(positions, chosen):
-                slot_classes[pos] = cls
-        out.append(tuple(slot_classes))
-    return sorted(out)
-
-
-def _reader(config: Configuration) -> Callable | None:
-    """``None`` at clock 0, where deadlines are remaining timers; at a
-    later clock, ``read(content)``: the content with remaining timers, as
-    instances bind it, each distinct content shifted once."""
-    clock = config.clock
-    if not clock:
-        return None
-    memo: dict = {}
-
-    def read(content: Multiset) -> Multiset:
-        got = memo.get(content)
-        if got is None:
-            got = memo[content] = shifted(content, -clock)
-        return got
-
-    return read
+    bindings = list(product(*per_slot))
+    if len(set(slots)) == len(slots):
+        return bindings
+    held = {(s, t - clock): n for (s, t), n in items}
+    return [binding for binding in bindings if all(held[cls] >= binding.count(cls) for cls in binding)]
 
 
 _NONE: dict = {}  # an empty bucket, never written
@@ -292,13 +248,12 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     read from the configuration's index (``tree.index_of``): actives,
     their passive siblings and rewrite hosts from the buckets of the
     labels rules name, so a membrane no rule can bind is not visited,
-    unless an ``rw *`` rule makes every membrane a host. Bindings name
-    remaining timers at any clock: only the contents of membranes a rule
-    binds are read at the configuration's clock. Each rule side binds
-    its slots by the plan it works out once (``core.slot_plan``).
+    unless an ``rw *`` rule makes every membrane a host. Contents hold
+    deadlines, and bindings name remaining timers at any clock
+    (``_slot_bindings``). Each instance is built once, so the list is
+    sorted, not deduplicated.
     """
     clock = config.clock
-    read = _reader(config)
     skin = config.skin
     index = index_of(config)
     kids = index.kids
@@ -316,17 +271,13 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     found: list[Instance] = []
 
     def pair(idx, rule, active, passive):
-        held, met = active.content, passive.content
-        if read is not None:
-            held, met = read(held), read(met)
-        for ac in _slot_bindings(rule.active_plan, held):
-            for pc in _slot_bindings(rule.passive_plan, met):
+        for ac in _slot_bindings(rule.active_slots, active.content, clock):
+            for pc in _slot_bindings(rule.passive_slots, passive.content, clock):
                 found.append(Instance(idx, rule, active.uid, passive.uid, ac, pc))
 
     def host(node, hosted):
-        content = node.content if read is None else read(node.content)
         for idx, rule in hosted:
-            for ac in _slot_bindings(rule.active_plan, content):
+            for ac in _slot_bindings(rule.active_slots, node.content, clock):
                 found.append(Instance(idx, rule, node.uid, None, ac))
 
     if everywhere:
@@ -354,7 +305,7 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
                     for passive in kids.get(rule.m, _NONE).get(at, _NONE).values():
                         if passive is not active and passive.timer > clock:
                             pair(idx, rule, active, passive)
-    return sorted(set(found), key=Instance.sort_key)
+    return sorted(found, key=Instance.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +315,7 @@ def maximal_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepCh
     """Saturated choices: conflict-free and no further instance applies to
     the unused residue. When nothing applies, the single empty choice."""
     found = find_instances(config, rules)
-    avail = availability(config, found, _reader(config))
+    avail = availability(config, found)
     return enumerate_choices(found, Instance.needs, avail, lambda inst: True)
 
 
@@ -374,7 +325,7 @@ def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoic
     ``maximal_choices``; the difference is finite-timer objects ticking
     instead of joining an enabled move."""
     found = find_instances(config, rules)
-    avail = availability(config, found, _reader(config))
+    avail = availability(config, found)
     return enumerate_choices(found, Instance.needs, avail, Instance.forced)
 
 
@@ -397,26 +348,14 @@ class StepResult:
     stats: StepStats = StepStats()
 
 
-def _is_delta(cls: ObjClass) -> bool:
+def _is_delta(cls: tuple) -> bool:
     sym = cls[0]
     return sym.name == DELTA_NAME and not sym.is_co
 
 
-def _resolve_products(prods: Iterable, slot_classes: tuple) -> list[ObjClass]:
-    out = []
-    for sym, spec in prods:
-        if isinstance(spec, Fresh):
-            out.append((sym, spec.timer))
-        elif isinstance(spec, Carry):
-            out.append((sym, decrement(slot_classes[spec.slot][1])))
-        else:
-            raise TypeError(f"unknown timer spec {spec!r}")
-    return out
-
-
 def _validate_choice(choice: StepChoice, needs: list, nodes: dict, clock: int) -> None:
     """Raise ``StaleChoiceError`` unless ``choice``, whose instances bind
-    ``needs``, fits the loaded work nodes."""
+    ``needs`` (deadline keys at ``clock``), fits the loaded work nodes."""
     usage: dict = {}
     actives: set = set()
     passives: set = set()
@@ -442,20 +381,8 @@ def _validate_choice(choice: StepChoice, needs: list, nodes: dict, clock: int) -
     for (uid, cls), n in usage.items():
         node = nodes.get(uid)
         if node is None or node.content.get(cls, 0) < n:
-            raise StaleChoiceError(f"binding {cls} x{n} unavailable in membrane {uid}")
-
-
-def _older(cls: ObjClass) -> ObjClass | None:
-    """Phases 2 and 3 for one pre-existing unbound object: its class one
-    tick later (``INF`` and markers unchanged), or ``None`` when it
-    expires at timer 0. Distinct classes stay distinct and keep their
-    order, so a sorted multiset stays sorted."""
-    t = cls[1]
-    if t == INF or _is_delta(cls):  # markers take part in phase 4, not in time
-        return cls
-    if t == 0:
-        return None
-    return (cls[0], t - 1)
+            bound = (cls[0], cls[1] - clock)  # as the instance names it
+            raise StaleChoiceError(f"binding {bound} x{n} unavailable in membrane {uid}")
 
 
 _least_of = attrgetter("_least")
@@ -498,32 +425,21 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     for the phase order. Raises StaleChoiceError on a choice that was not
     produced for this configuration. The result is at the next clock and
     shares every subtree that the choice does not touch and in which no
-    timer reaches 0; its index is derived from ``config``'s."""
+    timer reaches 0; its index is derived from ``config``'s. Work nodes
+    hold deadlines from load to freeze: each instance's bindings are read
+    as deadline keys, products join at their remaining timer plus the
+    next clock, and an object whose deadline is the clock expires."""
     clock = config.clock
+    later = clock + 1
     least_timer(config.skin)  # filled below the skin for the keep test
     tree = Tree(config, choice, partial(_unexpired, clock))
     nodes = tree.nodes
     lows = _kept_lows(nodes)
-    expired = 0
-    if clock:  # work nodes hold remaining timers until they freeze
-        for work in nodes.values():
-            if work.src._least != INF:
-                work.content = {(sym, t - clock): n for (sym, t), n in work.content.items()}
-    needs = [inst.needs() for inst in choice]
+    needs = [{(uid, (sym, t + clock)): n for (uid, (sym, t)), n in inst.needs().items()} for inst in choice]
     _validate_choice(choice, needs, nodes, clock)
 
-    consumed = produced_count = 0
-    produced: dict = {}  # uid -> {class: count} made in phase 1
+    consumed = produced = 0
     timers: dict = {}  # active uid -> its remaining timer after the step
-
-    def give(uid: int, prods: Iterable, slot_classes: tuple) -> None:
-        nonlocal produced_count
-        content = nodes[uid].content
-        made = produced.setdefault(uid, {})
-        for cls in _resolve_products(prods, slot_classes):
-            content[cls] = content.get(cls, 0) + 1
-            made[cls] = made.get(cls, 0) + 1
-            produced_count += 1
 
     # Phase 1: consume, produce, move, decrement actives.
     for need in needs:
@@ -533,6 +449,24 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
             if not content[cls]:
                 del content[cls]
             consumed += n
+    # A membrane that exits the skin (the only passive that is the skin)
+    # is archived as phase 1 leaves it: its objects at their remaining
+    # timers, its products at their own.
+    leaving = {inst.active_uid for inst in choice if inst.passive_uid == config.skin.uid}
+    for uid in leaving:
+        work = nodes[uid]
+        work.content = {(sym, t - clock): n for (sym, t), n in work.content.items()}
+
+    def give(uid: int, prods: tuple, slot_classes: tuple) -> None:
+        nonlocal produced
+        content = nodes[uid].content
+        at = 0 if uid in leaving else later
+        for sym, spec in prods:
+            t = spec.timer if isinstance(spec, Fresh) else decrement(slot_classes[spec.slot][1])
+            cls = (sym, t + at)
+            content[cls] = content.get(cls, 0) + 1
+        produced += len(prods)
+
     for inst in choice:
         rule = inst.rule
         if isinstance(rule, RewriteRule):
@@ -558,26 +492,21 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
                 detached.append((inst.active_uid, label, canonical_render(frozen)))
                 detached_objects += sum(gone.content.values())
 
-    # Phases 2 and 3 on the work nodes: expire timer-0 objects, tick the
-    # remaining unbound pre-existing objects; phase-1 products are skipped
-    # in both. Then the phase-4 marker on every non-skin, non-active
-    # membrane at timer 0.
+    # Phases 2 and 3: an unbound pre-existing object whose deadline is the
+    # clock expires, and every other one ticks, which keeps its deadline;
+    # no product's deadline is the clock. Only nodes whose source holds a
+    # timer at the clock are read. Then the phase-4 marker on every
+    # non-skin, non-active membrane at timer 0.
+    expired = 0
     marker = (DELTA, INF)
     for uid, node in nodes.items():
-        made = produced.get(uid, {})
-        content = dict(made)
-        for cls, total in node.content.items():
-            orig = total - made.get(cls, 0)
-            if not orig:
-                continue
-            older = _older(cls)
-            if older is None:
-                expired += orig
-            else:
-                content[older] = content.get(older, 0) + orig
+        if node.src._least > clock:
+            continue
+        content = node.content
+        for cls in [cls for cls in content if cls[1] == clock]:
+            expired += content.pop(cls)
         if node.parent is not None and uid not in timers and node.src.timer == clock:
             content[marker] = content.get(marker, 0) + 1
-        node.content = content
 
     # Phase 4: bottom-up dissolution.
     delta_consumed = tree.dissolve(_is_delta)
@@ -586,10 +515,7 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
 
     # Phase 5, while freezing: every surviving non-active membrane ticks,
     # which keeps its deadline; the skin and the actives get their new
-    # remaining timer plus the next clock, and so does every object left
-    # (INF + n == INF).
-    later = clock + 1
-
+    # remaining timer plus the next clock.
     def make(node, children: tuple) -> MembraneNode:
         src = node.src
         if src.uid in timers:
@@ -603,14 +529,11 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
         # ``core.least_timer`` worked out in the same pass: every child's
         # is known, kept from below the skin or built here, and the kept
         # children's least is read from ``lows`` where it is known
+        items = sorted(node.content.items())
         least = timer
-        items = []
-        for (sym, t), n in node.content.items():
-            t += later
+        for (_sym, t), _n in items:
             if t < least:
                 least = t
-            items.append(((sym, t), n))
-        items.sort()
         if children:
             low = lows.get(src.uid)
             if low is None:
@@ -627,7 +550,7 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
 
     new_config = Configuration(tree.freeze(make), config.output_label, later)
     carry_index(new_config, tree)
-    stats = StepStats(consumed, produced_count, expired, delta_consumed, detached_objects)
+    stats = StepStats(consumed, produced, expired, delta_consumed, detached_objects)
     return StepResult(new_config, tuple(detached), stats)
 
 
@@ -819,7 +742,7 @@ def residual_instances(
     objects and membrane roles. Empty on every saturated choice; with
     ``forced_only`` empty on every legal choice."""
     found = find_instances(config, rules)
-    avail = availability(config, found, _reader(config))
+    avail = availability(config, found)
     usage: dict = {}
     actives: set = set()
     passives: set = set()

@@ -46,6 +46,7 @@ from .compiler import (
     _label_timers,
 )
 from . import ambient as amb
+from .tree import drop_index
 from .translate import (
     check_preimage_reordering,
     generate_rules as _generate_rules,
@@ -117,7 +118,10 @@ class ReachGraph:
 
 
 def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, max_nodes: int) -> ReachGraph:
-    """``succ_fn(state)`` lists ``(edge label, successor, its key)``."""
+    """``succ_fn(state)`` lists ``(edge label, successor, its key)``. A
+    membrane state drops its index once expanded
+    (``engine.distinct_successors``); the last level's states, never
+    expanded, drop here the work tree their step left them."""
     graph = ReachGraph(root=root_key, depth=depth)
     graph.nodes[root_key] = meta_fn(root, root_key, 0)
     graph.objects[root_key] = root
@@ -143,6 +147,10 @@ def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, 
             if succ and all(k == key for k in dst_keys):
                 graph.nodes[key].halted = True
         frontier = next_frontier
+    for key in frontier:  # never expanded, so still holding its step's work tree
+        state = graph.objects[key]
+        if isinstance(state, (Configuration, UConfig)):
+            drop_index(state)
     return graph
 
 

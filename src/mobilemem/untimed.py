@@ -258,7 +258,7 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
                     lhs_p = entry[2] = member.u_bar.union(member.v2)
                 if passive.content.contains(lhs_p):
                     found.append(UInstance(idx, member, active.uid, passive.uid, lhs_a, lhs_p))
-    return sorted(set(found), key=UInstance.sort_key)
+    return sorted(found, key=UInstance.sort_key)
 
 
 def _move_pairs(rule: MoveRule, skin: UNode, kids: dict) -> Iterator[tuple]:

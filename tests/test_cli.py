@@ -167,6 +167,20 @@ def test_cli_runs_as_a_subprocess(tmp_path, s1_file):
     assert json.loads(done.stdout)["verdict"] == "pass"
 
 
+def test_a_closed_pipe_ends_quietly(s1_file):
+    # ``mobilemem check ... | head``: the reader is gone before anything is
+    # written, and the run ends with exit code 1 and nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mobilemem", "check", "prop2", s1_file, "--depth", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["sim", "{s1}", "--steps", "-1"], "--steps"),
     (["output", "{s1}", "--steps", "-1"], "--steps"),

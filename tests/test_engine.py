@@ -15,7 +15,7 @@ import reference as ref
 from mobilemem import engine
 from mobilemem.choices import availability
 from mobilemem.cli import main
-from mobilemem.compiler import embed_infinite
+from mobilemem.compiler import eliminate_timers, embed_infinite
 from mobilemem.core import (
     INF,
     Carry,
@@ -32,7 +32,6 @@ from mobilemem.core import (
     canonicalize,
     mem,
     rebuild_tree,
-    slot_plan,
 )
 from mobilemem.engine import (
     StaleChoiceError,
@@ -56,7 +55,7 @@ from mobilemem.explore import explore_membranes
 from mobilemem.translate import generate_rules, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.tree import drop_index, index_of
-from mobilemem.untimed import erase_timers, u_apply, u_maximal_choices, u_run, u_successors
+from mobilemem.untimed import erase_timers, u_apply, u_find_instances, u_maximal_choices, u_run, u_successors
 from conftest import count_calls
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
@@ -305,8 +304,8 @@ def test_stale_choice_rejected():
     with pytest.raises(StaleChoiceError):
         apply_step(other, choice)
     aged = apply_step(cfg, [ch for ch in step_choices(cfg, [E1]) if not ch][0])
-    with pytest.raises(StaleChoiceError):
-        apply_step(aged, choice)  # bindings name timers that moved on
+    with pytest.raises(StaleChoiceError, match=r"\(Symbol\(name='a', is_co=False\), 2\) x1 unavailable"):
+        apply_step(aged, choice)  # bindings name timers that moved on; so does the message
 
 
 # ---------------------------------------------------------------------------
@@ -784,14 +783,13 @@ def test_independent_instances_cost_per_instance(monkeypatch):
 
 
 def test_matching_independent_pairs_derives_nothing_twice(monkeypatch):
-    # the slot plan is worked out once per rule, an instance hashes its
-    # bindings and not its rule, and a step reads each instance's needs once
+    # an instance hashes its bindings and not its rule, and a step reads
+    # each instance's needs once
     n = 40
     cfg, rules = _pairs(n, False), _pair_rules(n)
     hashes = [count_calls(monkeypatch, f"mobilemem.core.{kind.__name__}.__hash__") for kind in (EndoRule, ExoRule)]
-    grouped = count_calls(monkeypatch, "mobilemem.engine._grouped_bindings")
     assert len(find_instances(cfg, rules)) == n
-    assert [h.n for h in hashes] == [0, 0] and grouped.n == 0
+    assert [h.n for h in hashes] == [0, 0]
     needs = count_calls(monkeypatch, "mobilemem.engine.Instance.needs")
     for state in (cfg, _pairs(n, True)):
         needs.n = 0
@@ -812,8 +810,8 @@ def test_wide_input_has_one_choice_and_simulates(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Wide trees (ROADMAP W2): one busy pair among many bystanders that no rule
 # names, with rewrites on labels that do not occur. An untouched bystander
-# costs one tick per distinct content, and matching and availability read
-# only the membranes rules can bind.
+# is never loaded into a step's work tree, and matching and availability
+# read only the membranes rules can bind.
 
 def _wide(bystanders, contents, ticks=0):
     """W1's pair after ``ticks`` steps beside ``bystanders`` membranes over
@@ -827,19 +825,22 @@ def _wide(bystanders, contents, ticks=0):
     return Configuration(mem("skin", INF, [], [*pair, *kids])), rules
 
 
-def test_untouched_bystanders_tick_once_per_distinct_content(monkeypatch):
+def test_untouched_bystanders_are_never_loaded(monkeypatch):
+    # a step loads the busy pair below the skin and no bystander, however
+    # many there are and whatever their contents
     contents = [[(x, 40)] * 5, [(x, 41)] * 5, [(x, 40), (y, 30)], [(y, INF), (x, 45)], [(x, 42), (x, 43)]]
-    classes = sum(len(Multiset(objects).items()) for objects in contents)
-    calls = count_calls(monkeypatch, "mobilemem.engine._older")
-    config, rules = _wide(200, contents)
-    for _ in range(10):
-        found = find_instances(config, rules)
-        bound = {i.active_uid for i in found} | {i.passive_uid for i in found if i.is_move}
-        assert len(bound) == 2 and {uid for uid, _cls in availability(config, found)} <= bound
-        calls.n = 0
-        config = step(config, maximal_choices(config, rules)[0]).config
-        assert calls.n <= classes, f"{calls.n} ticks for {classes} distinct content classes"
-    assert canonicalize(config) == canonicalize(_wide(200, contents, ticks=10)[0])
+    for width in (200, 800):
+        loads = count_calls(monkeypatch, "mobilemem.tree.Tree._load")
+        config, rules = _wide(width, contents)
+        for _ in range(10):
+            found = find_instances(config, rules)
+            bound = {i.active_uid for i in found} | {i.passive_uid for i in found if i.is_move}
+            assert len(bound) == 2 and {uid for uid, _cls in availability(config, found)} <= bound
+            loads.n = 0
+            config = step(config, maximal_choices(config, rules)[0]).config
+            assert loads.n <= 2, f"{loads.n} membranes loaded beside {width} bystanders"
+        monkeypatch.undo()
+        assert canonicalize(config) == canonicalize(_wide(width, contents, ticks=10)[0])
 
 
 _CONTENTS = [[(x, 40)] * 5, [(x, 41)] * 5, [(x, 40), (y, 30)], [(y, INF), (x, 45)]]
@@ -989,34 +990,24 @@ def test_matcher_equals_reference_beside_bystanders(system):
 
 @st.composite
 def slots_and_contents(draw):
-    """Slot symbols, repeats and co-symbols included, and a content over
-    the same symbols with timer-0 and INF classes, stored at a drawn clock
-    as deadlines and read back through the matcher's ``_reader``."""
+    """Slot symbols, repeats and co-symbols included, a content over the
+    same symbols with timer-0 and INF classes, and a drawn clock at which
+    the content is stored as deadlines."""
     symbols = st.sampled_from((a, a.dual(), b, b.dual()))
     slots = tuple(draw(st.lists(symbols, max_size=4)))
     classes = st.tuples(symbols, st.sampled_from((0, 1, 2, INF)))
     objects = draw(st.dictionaries(classes, st.integers(1, 3), max_size=6))
     clock = draw(st.integers(0, 3))
-    stored = Multiset({(sym, t + clock): n for (sym, t), n in objects.items()})
-    read = engine._reader(Configuration(mem("skin", INF), clock=clock))
-    return slots, stored if read is None else read(stored)
+    return slots, objects, clock
 
 
 @given(slots_and_contents())
-def test_slot_bindings_equal_the_reference_on_both_paths(case):
-    slots, content = case
-    objs = {(sym.name, sym.is_co, t): n for (sym, t), n in content.items()}
-    want = ref.assignments(slots, objs)
-
-    def rows(bindings):
-        return [tuple((sym.name, sym.is_co, t) for sym, t in binding) for binding in bindings]
-
-    plan = slot_plan(slots)
-    assert (plan[1] is None) == (len(set(slots)) == len(slots))
-    assert rows(engine._slot_bindings(plan, content)) == want
-    # the general path on any slots, one group per slot where none repeats
-    groups = plan[1] or tuple((sym, (pos,)) for pos, sym in enumerate(slots))
-    assert rows(engine._grouped_bindings(slots, groups, content)) == want
+def test_slot_bindings_equal_the_reference_at_any_clock(case):
+    slots, objects, clock = case
+    stored = Multiset({(sym, t + clock): n for (sym, t), n in objects.items()})
+    want = ref.assignments(slots, {(sym.name, sym.is_co, t): n for (sym, t), n in objects.items()})
+    got = engine._slot_bindings(slots, stored, clock)
+    assert [tuple((sym.name, sym.is_co, t) for sym, t in binding) for binding in got] == want
 
 
 def test_matcher_equals_reference_on_independent_pairs_and_wide_trees():
@@ -1026,6 +1017,67 @@ def test_matcher_equals_reference_on_independent_pairs_and_wide_trees():
         for _ in range(3):  # clocked states too
             assert _engine_instances(config, rules) == _ref_instances(config, rules)
             config = step(config, maximal_choices(config, rules)[0]).config
+
+
+def _untimed_rows(found):
+    """Untimed instances in the reference's tuple form, each side's
+    classes sorted: an untimed side binds a multiset, not slots."""
+    def binds(lhs):
+        return tuple(sorted((s.name, s.is_co, INF) for s in lhs))
+
+    return sorted(
+        (i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid,
+         binds(i.lhs_active), binds(i.lhs_passive))
+        for i in found
+    )
+
+
+def _ref_untimed_rows(state, rules):
+    timed, lifted = embed_infinite(state, rules)
+    return sorted((r, act, pas, tuple(sorted(ab)), tuple(sorted(pb))) for r, act, pas, ab, pb in _ref_instances(timed, lifted))
+
+
+def test_each_matcher_returns_every_instance_once():
+    # each instance is built once, so the matchers sort what they find and
+    # deduplicate nothing: the timed matcher on every state after 0-3
+    # steps, the untimed one on each state's erased twin and on the
+    # compiled twin system's states after 0-3 steps
+    for seed in range(120):
+        config, rules = random_timed_system(seed)
+        rng = random.Random(seed)
+        ucfg, compiled = eliminate_timers(config, rules)
+        for _ in range(4):
+            found = find_instances(config, rules)
+            assert len(found) == len(set(found)), f"seed {seed}"
+            assert sorted(map(_engine_row, found)) == _ref_instances(config, rules), f"seed {seed}"
+            erased = erase_timers(config)
+            for state, side in ((erased, rules), (ucfg, compiled)):
+                found = u_find_instances(state, side)
+                assert len(found) == len(set(found)), f"seed {seed}"
+                assert _untimed_rows(found) == _ref_untimed_rows(state, side), f"seed {seed}"
+            config = step(config, rng.choice(maximal_choices(config, rules))).config
+            ucfg = u_apply(ucfg, rng.choice(u_maximal_choices(ucfg, compiled)))[0]
+
+
+def test_an_exo_through_the_skin_archives_phase_one_at_a_later_clock():
+    # the archive holds the active's objects at their remaining timers and
+    # the products at their own, after a step that changed the clock; a
+    # rewrite on the leaving membrane adds its product, before or after
+    # the exo in rule order
+    head = "mms 1 timed\noutput skin\nskin:inf[ ~a:5 ; h:4[ a:3, x:1, x:2 ] ]\n"
+    exo = "exo h skin : a | , ~a | => y:+2 a:- |\n"
+    rw = "rw h : x => z:+3\n"
+    cases = [(exo, "h:2{a:1,x:0,x:1,y:2}[]", 4), (exo + rw, "h:2{a:1,x:0,y:2,z:3}[]", 4), (rw + exo, "h:2{a:1,x:0,y:2,z:3}[]", 4)]
+    for text, archived, objects in cases:
+        sf = parse_system(head + text)
+        config = step(sf.config, ()).config
+        assert config.clock == 1
+        choices = maximal_choices(config, sf.rules)
+        assert len(choices) == 1
+        result = step(config, choices[0])
+        assert result.detached == ((2, "h", archived),)
+        assert result.stats.expired == 0 and result.stats.detached_objects == objects
+        assert canonicalize(result.config) == "skin:inf{}[]|out=skin"
 
 
 # The membrane index a clocked step carries to the next configuration.

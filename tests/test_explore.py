@@ -1,5 +1,7 @@
+import gc
 import importlib
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -12,6 +14,7 @@ from mobilemem.core import (
     EndoRule,
     Fresh,
     Multiset,
+    RewriteRule,
     Symbol,
     mem,
 )
@@ -22,8 +25,10 @@ from mobilemem.explore import (
     check_translation,
     explore_ambients,
     explore_membranes,
+    explore_untimed,
 )
 from mobilemem.compiler import embed_infinite
+from mobilemem.tree import drop_index
 from mobilemem.untimed import UConfig, umem
 from mobilemem.ambient import canonical_key, parse_ambient
 from mobilemem.corpus import (
@@ -427,3 +432,33 @@ def test_check_embedding_reports_unequal_edges(monkeypatch):
     assert verdict.ok is False
     (witness,) = verdict.details["witnesses"]
     assert len(witness["missing_edges"]) == 1 and not witness["extra_edges"]
+
+
+def test_an_explored_graph_holds_no_index():
+    """A step's result carries its work tree, which holds its source's
+    whole index, until the result is expanded. The last level is never
+    expanded, so the BFS drops what those states carry: dropping every
+    index of the returned graph frees nothing more. Before the last level
+    was dropped it freed about half of what the graph held (7.8 of 15.9
+    MB untimed, tracemalloc on Python 3.11). 3,000 bystanders beside two
+    counters that step by 1 or 2, untimed and embedded, to depth 4."""
+    n = [Symbol(f"n{i}") for i in range(10)]
+    kids = [umem(f"z{i % 7}", [c] * 5) for i in range(3000)] + [umem("k", [n[0]]), umem("j", [n[0]])]
+    rules = [RewriteRule(at, Multiset([n[i]]), ((n[i + s], Fresh(INF)),)) for at in "kj" for i in range(8) for s in (1, 2)]
+    config = UConfig(umem("skin", [], kids))
+    for explore, system in ((explore_untimed, (config, rules)), (explore_membranes, embed_infinite(config, rules))):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            graph = explore(*system, 4)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+            for state in graph.objects.values():
+                drop_index(state)
+            gc.collect()
+            freed = held - (tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        assert len(graph.nodes) == 41
+        assert freed <= held // 100, f"{explore.__name__}: {freed} of {held} bytes held by indexes"
