@@ -19,7 +19,7 @@ expired capability never fires.
 
 Parallel composition is kept in normal form (flattened, no ``0`` parts,
 parts canonically sorted), which makes structural congruence a syntactic
-equality check. Process nodes are frozen and list their immediate
+equality check. Process nodes are immutable and list their immediate
 subterms as ``children``, so each stores its canonical key on first use
 (``core.stored_render``) and ``par`` sorts by keys computed once.
 
@@ -51,7 +51,7 @@ class Capability:
         return f"{'~' if self.co else ''}{self.kind}:{timer_str(self.timer)} {self.target}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Zero(FrozenTree):
     _render: str | None = memo_slot()
 
@@ -67,7 +67,7 @@ class Zero(FrozenTree):
 ZERO = Zero()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Prefix(FrozenTree):
     cap: Capability
     cont: "Process" = ZERO
@@ -81,7 +81,7 @@ class Prefix(FrozenTree):
         return (self.cont,)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Amb(FrozenTree):
     name: str
     timer: Timer
@@ -97,7 +97,7 @@ class Amb(FrozenTree):
         return (self.body,)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Par(FrozenTree):
     parts: tuple
     _render: str | None = memo_slot()

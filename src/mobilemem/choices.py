@@ -27,6 +27,18 @@ and none of them is a finished choice. Independent instances therefore
 cost one branch each, not a subset each (the pruning used to list
 maximal independent sets, Tsukiyama et al. 1977, here over multisets).
 
+An instance is *isolated* when it blocks, binds some object, and no
+other instance names one of its keys or, if it moves, one of its
+membranes. Nothing else in any choice then reads or takes what it needs,
+so a finished choice holds it exactly as often as it fits on its own:
+the least ``avail // need`` over its keys, at most once for a move; one
+copy fewer would leave it addable, one more would not fit. Its count is
+decided before the search, which never sees it and so spends no branch,
+no frame and no fit test on it; at each leaf it is merged back into
+the instances' order with the rest. Non-blocking instances (the
+finite-timer ones of ``engine.step_choices``, every instance of the
+literal relation) and instances that bind nothing stay in the search.
+
 Moves go first because they are the most constraining (Haralick & Elliott
 1980): a move takes membrane roles as well as objects, and once every
 move is decided a rewrite is displaced only by a later rewrite that binds
@@ -107,24 +119,54 @@ def _settled(table: list, blocking: list) -> list[bool]:
     return out
 
 
+def _isolated(rows: list, blocking: list) -> list[bool]:
+    """Per instance: it blocks, binds something, and no other instance
+    names one of its keys or, if it moves, one of its membranes. One pass
+    finds the keys, and the uids of moved membranes, named more than once
+    (a move's active and passive membranes always differ)."""
+    seen: set = set()
+    shared: set = set()
+    for inst, need in rows:
+        named = [*need, inst.active_uid, inst.passive_uid] if inst.is_move else need
+        for key in named:
+            if key in seen:
+                shared.add(key)
+            else:
+                seen.add(key)
+    return [
+        b and bool(need) and shared.isdisjoint(need)
+        and not (inst.is_move and (inst.active_uid in shared or inst.passive_uid in shared))
+        for (inst, need), b in zip(rows, blocking)
+    ]
+
+
 def enumerate_choices(
     instances: Sequence, needs: Callable, avail: dict, blocks: Callable
 ) -> list[tuple]:
     """Every conflict-free choice after which no blocking instance fits,
     sorted by the instances' sort keys. Moves join at most once; other
     instances as often as their objects allow."""
-    moving = [inst.is_move for inst in instances]
+    rows = [(inst, needs(inst)) for inst in instances]
+    blocking = [bool(blocks(inst)) for inst in instances]
+    chosen: list = []  # positions in ``instances`` of the instances added
+    searched: list = []
+    for i, alone in enumerate(_isolated(rows, blocking)):
+        if alone:  # its count is fixed, and no other instance reads its keys
+            inst, need = rows[i]
+            copies = min([avail.get(key, 0) // n for key, n in need.items()])
+            chosen += [i] * (min(copies, 1) if inst.is_move else copies)
+        else:
+            searched.append(i)
     # positions in ``instances``, in the order the search decides them
-    order = [i for i, move in enumerate(moving) if move]
-    order += [i for i, move in enumerate(moving) if not move]
-    table = [(instances[i], needs(instances[i])) for i in order]
-    blocking = [bool(blocks(inst)) for inst, _need in table]
+    order = [i for i in searched if instances[i].is_move]
+    order += [i for i in searched if not instances[i].is_move]
+    table = [rows[i] for i in order]
+    blocking = [blocking[i] for i in order]
     settled = _settled(table, blocking)
     blockers = [row for row, b in zip(table, blocking) if b]
     usage: dict = {}
     actives: set = set()
     passives: dict = {}  # uid -> number of chosen moves it is passive in
-    chosen: list = []  # positions in ``instances`` of the instances added
     results: list[tuple] = []
 
     def add(inst, need: dict, sign: int) -> None:

@@ -7,7 +7,16 @@ co-object marks the passive side of a movement rule. Rules are mutual
 endocytosis, mutual exocytosis, or local multiset rewrites.
 
 All values here are immutable once constructed and safe to share between
-concurrent workers.
+concurrent workers. Configurations, rules and multisets are frozen. Tree
+nodes (``MembraneNode``, and the untimed and ambient ones) are immutable
+by contract instead: they are plain slotted dataclasses, because a frozen
+dataclass's constructor writes every field through ``object.__setattr__``,
+which makes building a node and filling its memo slots two to three times
+as slow, and a step builds every node it touches. Nobody assigns a field
+of a node that may be shared; each memo slot (``memo_slot``) is written
+once, by plain assignment, with a value worked out from the node alone,
+and ``number_fresh`` numbers a tree just built, before anyone else holds
+it.
 """
 
 from __future__ import annotations
@@ -213,7 +222,7 @@ def rebuild_tree(node, make: Callable, whole: Callable | None = None):
 
 
 class FrozenTree:
-    """Structural equality and hashing for frozen tree nodes, on explicit
+    """Structural equality and hashing for immutable tree nodes, on explicit
     stacks, so nesting depth is not bounded by the recursion limit. Two
     nodes are equal when they have one type, equal ``_fields()`` (every
     compared field but the children) and pairwise equal ``children``; the
@@ -244,9 +253,12 @@ def _hash_one(node, built: tuple) -> int:
 
 
 def memo_slot():
-    """A dataclass field in which a frozen tree node or configuration
-    keeps a value worked out once from it (its render, say), filled on
-    first use or by whoever builds it."""
+    """A dataclass field in which a tree node or configuration keeps a
+    value worked out once from it (its render, say), filled on first use
+    or by whoever builds it. A node's slot is written by plain assignment,
+    at most once, and its value depends on the node alone, so the write
+    keeps the node immutable by contract; a configuration is frozen, and
+    its slot is written through ``object.__setattr__``."""
     return field(default=None, init=False, compare=False, repr=False)
 
 
@@ -254,9 +266,9 @@ def stored_render(node, render_one: Callable) -> str:
     """``node``'s render, computed once: ``render_one(n)`` builds one
     node's render from its own fields and its children's stored renders,
     and is stored in the ``_render`` slot of every node below ``node``
-    that lacks it, children first. Frozen nodes never change, so the
-    stored render stays valid and subtrees shared between configurations
-    are rendered once."""
+    that lacks it, children first, by plain assignment. Nodes never
+    change once built, so the stored render stays valid and subtrees
+    shared between configurations are rendered once."""
     if node._render is None:
         order = []
         stack = [node]
@@ -265,11 +277,11 @@ def stored_render(node, render_one: Callable) -> str:
             order.append(n)
             stack.extend([c for c in n.children if c._render is None])
         for n in reversed(order):
-            object.__setattr__(n, "_render", render_one(n))
+            n._render = render_one(n)
     return node._render
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class MembraneNode(FrozenTree):
     """A membrane: label, lifetime, contents, child membranes. Timers are
     deadlines against the clock of the configuration that holds the node
@@ -345,7 +357,7 @@ def _fill_least(node: MembraneNode, _built: tuple) -> None:
         for child in node.children:
             if child._least < least:
                 least = child._least
-        object.__setattr__(node, "_least", least)
+        node._least = least
 
 
 def _has_least(node: MembraneNode) -> bool:
@@ -377,8 +389,8 @@ def at_rest(config: Configuration) -> Configuration:
             if content is None:
                 content = contents[node.content._items] = shifted(node.content, -clock)
             rest = MembraneNode(node.label, node.timer - clock, content, children, uid=node.uid)
-            object.__setattr__(rest, "_least", node._least - clock)
-            object.__setattr__(rest, "_render", render_one(rest))
+            rest._least = node._least - clock
+            rest._render = render_one(rest)
             return rest
 
         skin = rebuild_tree(skin, make, _timeless)
@@ -641,7 +653,7 @@ def number_fresh(skin):
     """Give the nodes of a tree just built, and not yet shared, uids 1..n
     in pre-order; returns ``skin``."""
     for uid, node in enumerate(walk_tree(skin), 1):
-        object.__setattr__(node, "uid", uid)
+        node.uid = uid
     return skin
 
 

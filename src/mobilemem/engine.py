@@ -543,9 +543,9 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
                     low = min(low, kid.frozen._least)
             least = min(least, low)
         built = MembraneNode(src.label, timer, Multiset._of_sorted(tuple(items)), children, uid=src.uid)
-        object.__setattr__(built, "_least", least)
+        built._least = least
         if least == INF:  # no finite timer below: its render holds at every clock
-            object.__setattr__(built, "_render", render_one(built))
+            built._render = render_one(built)
         return built
 
     new_config = Configuration(tree.freeze(make), config.output_label, later)

@@ -120,8 +120,9 @@ class ReachGraph:
 def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, max_nodes: int) -> ReachGraph:
     """``succ_fn(state)`` lists ``(edge label, successor, its key)``. A
     membrane state drops its index once expanded
-    (``engine.distinct_successors``); the last level's states, never
-    expanded, drop here the work tree their step left them."""
+    (``engine.distinct_successors``); the states never expanded, the last
+    level's or those left when the node cap stops the search, drop here
+    the work tree their step left them."""
     graph = ReachGraph(root=root_key, depth=depth)
     graph.nodes[root_key] = meta_fn(root, root_key, 0)
     graph.objects[root_key] = root
@@ -140,6 +141,7 @@ def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, 
                 if nxt_key not in graph.nodes:
                     if len(graph.nodes) >= max_nodes:
                         graph.truncated = True
+                        _drop_work_trees(graph, [*frontier, *next_frontier])
                         raise BudgetExceeded(graph, level, width)
                     graph.nodes[nxt_key] = meta_fn(nxt, nxt_key, level + 1)
                     graph.objects[nxt_key] = nxt
@@ -147,11 +149,18 @@ def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, 
             if succ and all(k == key for k in dst_keys):
                 graph.nodes[key].halted = True
         frontier = next_frontier
-    for key in frontier:  # never expanded, so still holding its step's work tree
+    _drop_work_trees(graph, frontier)
+    return graph
+
+
+def _drop_work_trees(graph: ReachGraph, keys) -> None:
+    """Drop the index of each membrane state at ``keys``: never expanded,
+    it still holds its step's work tree, and through it its source's
+    whole index."""
+    for key in keys:
         state = graph.objects[key]
         if isinstance(state, (Configuration, UConfig)):
             drop_index(state)
-    return graph
 
 
 def explore_membranes(

@@ -54,7 +54,7 @@ from .engine import distinct_successors, simulate
 from .tree import Tree, carry_index, index_of
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class UNode(FrozenTree):
     """A membrane without timers: label, symbol multiset, children.
     ``_render`` holds ``u_render(node)`` once it has been computed."""

@@ -211,6 +211,17 @@ def choices(root, rules, saturated):
     return results
 
 
+def literal_choices(root, rules):
+    """Every nonempty conflict-free choice of move instances: the literal
+    relation of the ambient translation, in which nothing blocks."""
+    moves = [inst for inst in find_instances(root, rules) if isinstance(rules[inst[0]], (EndoRule, ExoRule))]
+    return [
+        tuple(inst for inst, n in zip(moves, counts) if n)
+        for counts in product((0, 1), repeat=len(moves))
+        if any(counts) and _usage_ok(root, counts, moves, rules) is not None
+    ]
+
+
 def apply_step(root, choice, rules, literal=False):
     """The step's tree, the detached membranes and the step's counts.
     ``literal`` fires the instances and stops: carried timers are not

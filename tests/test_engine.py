@@ -52,7 +52,7 @@ from mobilemem.corpus import (
     random_untimed_system,
 )
 from mobilemem.explore import explore_membranes
-from mobilemem.translate import generate_rules, translate
+from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.tree import drop_index, index_of
 from mobilemem.untimed import erase_timers, u_apply, u_find_instances, u_maximal_choices, u_run, u_successors
@@ -437,6 +437,11 @@ def _engine_choice_set(choices):
     return sorted(sorted(_engine_row(i) for i in ch) for ch in choices)
 
 
+def _untimed_choice_set(choices):
+    return sorted(sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid, (), ())
+                         for i in ch) for ch in choices)
+
+
 def _shared_passive_behind_a_rewrite():
     """p and r both enter q, which may itself enter s; two rewrites share
     w's objects, so the search backtracks over the first one between the
@@ -458,14 +463,60 @@ def _shared_passive_behind_a_rewrite():
     return cfg, rules
 
 
+def _isolation_boundaries():
+    """Hand-made systems at the edges of the choice search's isolated path
+    (see ``choices.py``); no instance shares a key or a membrane with
+    another unless said."""
+    def system(kids, rules):
+        return Configuration(mem("skin", INF, [], kids)), rules
+
+    return [
+        # a rewrite binding only finite-timer objects, which fits twice: a
+        # saturated choice holds it twice, a legal one 0, 1 or 2 times
+        system([mem("h", INF, [(x, 2), (x, 2)])], [RewriteRule("h", Multiset([x]), ((y, Fresh(1)),))]),
+        # a rewrite binding only INF objects, which fits twice: it blocks
+        # in every mode, so every choice holds it twice
+        system([mem("h", INF, [(x, INF), (x, INF)])], [RewriteRule("h", Multiset([x]), ((y, Fresh(1)),))]),
+        # two moves sharing a passive membrane but no key: not isolated
+        system(
+            [mem("p", INF, [(a, INF)]), mem("r", INF, [(b, INF)]), mem("q", INF, [(a.dual(), INF), (b.dual(), INF)])],
+            [EndoRule("p", "q", Multiset([a])), EndoRule("r", "q", Multiset([b]))],
+        ),
+        # a move that does not fit, its trigger needing two a where h holds
+        # one, beside an isolated move that does
+        system(
+            [mem("h", INF, [(a, INF)]), mem("m", INF, [(a.dual(), INF)] * 2),
+             mem("k", 3, [(b, INF)]), mem("n", INF, [(b.dual(), INF)])],
+            [EndoRule("h", "m", Multiset([a, a])), EndoRule("k", "n", Multiset([b]))],
+        ),
+    ]
+
+
 def test_choice_sets_match_reference_interpreter():
+    # every choice relation: saturated and legal timed choices, untimed
+    # saturated ones on the erased system against its embedding, and the
+    # literal relation's successors, each reached by a conflict-free choice
     systems = [random_timed_system(seed) for seed in range(40)] + [_shared_passive_behind_a_rewrite()]
+    systems += _isolation_boundaries()
     for i, (cfg, rules) in enumerate(systems):
         root = ref.from_config(cfg)
         assert _engine_choice_set(maximal_choices(cfg, rules)) == _ref_choice_set(
             ref.choices(root, rules, saturated=True)), f"maximal, system {i}"
         assert _engine_choice_set(step_choices(cfg, rules)) == _ref_choice_set(
             ref.choices(root, rules, saturated=False)), f"step, system {i}"
+        ucfg = erase_timers(cfg)
+        timed_cfg, timed_rules = embed_infinite(ucfg, rules)
+        assert _untimed_choice_set(u_maximal_choices(ucfg, rules)) == _ref_choice_set(
+            [[row[:3] + ((), ()) for row in ch] for ch in ref.choices(ref.from_config(timed_cfg), timed_rules, True)]
+        ), f"untimed, system {i}"
+        reached = {
+            tuple(_ref_choice_set([ch])[0]): ref.render(ref.apply_step(root, ch, rules, literal=True)[0])
+            for ch in ref.literal_choices(root, rules)
+        }
+        literal = literal_successors(cfg, rules)
+        for ch, nxt, _key in literal:
+            assert reached[tuple(_engine_choice_set([ch])[0])] == ref.render(ref.from_config(nxt)), f"literal, system {i}"
+        assert {ref.render(ref.from_config(nxt)) for _ch, nxt, _key in literal} == set(reached.values())
 
 
 def test_reference_agrees_on_worked_example():
@@ -780,6 +831,18 @@ def test_independent_instances_cost_per_instance(monkeypatch):
     assert tests.n <= 4 * n * steps, f"{tests.n} conflict tests"
     keys = [canonicalize(cfg), canonicalize(_pairs(n, True))]
     assert [r.key for r in trace.records] == [keys[i % 2] for i in range(1, steps + 1)]
+
+
+def test_isolated_instances_are_decided_without_a_fit_test(monkeypatch):
+    # no instance shares a key or a membrane with another, so each count
+    # is fixed before the search, which then tests nothing
+    n, steps = 40, 20
+    tests = count_calls(monkeypatch, "mobilemem.choices.addable")
+    cfg, rules = _pairs(n, False), _pair_rules(n)
+    (choice,) = maximal_choices(cfg, rules)
+    assert len(choice) == n and tests.n == 0, f"{tests.n} conflict tests"
+    trace = run(cfg, rules, steps)
+    assert len(trace.records) == steps and tests.n == 0, f"{tests.n} conflict tests"
 
 
 def test_matching_independent_pairs_derives_nothing_twice(monkeypatch):
