@@ -20,12 +20,16 @@ then the other instances, each group in table order. Instance *j* can
 displace instance *k* when it binds a ``(uid, class)`` key that *k*
 binds, or when both are moves and *j*'s active membrane is *k*'s active
 or passive one, or *j*'s passive membrane is *k*'s active one. When a
-blocking instance *k* still fits and no later instance can displace it,
-the search does not stop adding *k*: later instances only take objects
-and roles *k* does not need, so *k* would still fit at every leaf below,
-and none of them is a finished choice. Independent instances therefore
-cost one branch each, not a subset each (the pruning used to list
-maximal independent sets, Tsukiyama et al. 1977, here over multisets).
+blocking instance *k* still fits and no later instance can displace it
+(*k* is *settled*), the search does not stop adding *k*: later instances
+only take objects and roles *k* does not need, so *k* would still fit at
+every leaf below, and none of them is a finished choice. Independent
+instances therefore cost one branch each, not a subset each (the pruning
+used to list maximal independent sets, Tsukiyama et al. 1977, here over
+multisets). For the same reason a settled blocker is not tested at the
+leaves: it is added until it no longer fits, and since nothing decided
+after it takes its keys or roles, it fits at no leaf below. Only the
+unsettled blockers are tested there.
 
 An instance is *isolated* when it blocks, binds some object, and no
 other instance names one of its keys or, if it moves, one of its
@@ -47,15 +51,21 @@ moves in table order and share objects with them: decided first, each
 tick doubles the leaves; decided after the moves, each settles in one
 branch. The order changes which branches are walked, not which count
 vectors are finished choices: each finished choice is put back into table
-order, and the list is sorted, so the result is the same in any order. The search keeps one mutable state
-and an explicit stack, so its depth is not bounded by Python's recursion
-limit.
+order, and the list is sorted, so the result is the same in any order.
+The search keeps one mutable state and an explicit stack, so its depth
+is not bounded by Python's recursion limit.
+
+The instances must come sorted, by distinct keys, as both matchers
+return them (rule index, uids, then bound classes). A finished choice is
+kept as the sorted positions of its instances, and the list of choices
+is sorted by those position tuples: position order is key order, so
+this is the order of the choices' key tuples, without building one.
 
 Instances are seen only through ``active_uid``, ``passive_uid``,
-``is_move`` (stored on the instance), ``sort_key`` (only to sort two or
-more finished choices) and the needs map ``(uid, class) -> count`` that
-the caller computes, once per instance, so the timed and untimed
-interpreters share no matching or application code through this module.
+``is_move`` (stored on the instance) and the needs map ``(uid, class) ->
+count`` that the caller computes, once per instance, so the timed and
+untimed interpreters share no matching or application code through this
+module.
 """
 
 from __future__ import annotations
@@ -144,8 +154,9 @@ def enumerate_choices(
     instances: Sequence, needs: Callable, avail: dict, blocks: Callable
 ) -> list[tuple]:
     """Every conflict-free choice after which no blocking instance fits,
-    sorted by the instances' sort keys. Moves join at most once; other
-    instances as often as their objects allow."""
+    in the order of the instances' sort keys, given ``instances`` sorted
+    by them. Moves join at most once; other instances as often as their
+    objects allow."""
     rows = [(inst, needs(inst)) for inst in instances]
     blocking = [bool(blocks(inst)) for inst in instances]
     chosen: list = []  # positions in ``instances`` of the instances added
@@ -163,7 +174,9 @@ def enumerate_choices(
     table = [rows[i] for i in order]
     blocking = [blocking[i] for i in order]
     settled = _settled(table, blocking)
-    blockers = [row for row, b in zip(table, blocking) if b]
+    # a settled blocker no longer fits once the search has decided it, so
+    # only the unsettled ones are tested at the leaves
+    blockers = [row for row, b, s in zip(table, blocking, settled) if b and not s]
     usage: dict = {}
     actives: set = set()
     passives: dict = {}  # uid -> number of chosen moves it is passive in
@@ -192,7 +205,7 @@ def enumerate_choices(
         k, copies, fits = frame
         if k == len(table):
             if not any(addable(i, n, avail, usage, actives, passives) for i, n in blockers):
-                results.append(tuple([instances[i] for i in sorted(chosen)]))
+                results.append(tuple(sorted(chosen)))
             stack.pop()
             continue
         inst, need = table[k]
@@ -210,6 +223,5 @@ def enumerate_choices(
             add(inst, need, -1)
             chosen.pop()
         stack.pop()
-    if len(results) > 1:
-        results.sort(key=lambda ch: tuple([i.sort_key() for i in ch]))
-    return results
+    results.sort()
+    return [tuple([instances[i] for i in positions]) for positions in results]

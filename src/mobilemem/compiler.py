@@ -28,6 +28,7 @@ import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Iterator
@@ -73,6 +74,14 @@ def parse_counter(sym: Symbol) -> tuple[str, int] | None:
         return None
     base = ("~" if sym.is_co else "") + m.group(1)
     return base, int(m.group(2))
+
+
+@lru_cache(maxsize=1 << 12)
+def _counter_of(sym: Symbol) -> tuple[str, int] | None:
+    """``parse_counter(sym)``, worked out once per symbol: the lens below
+    reads every symbol of every explored state, and a check's states
+    hold a few dozen distinct symbols between them."""
+    return parse_counter(sym)
 
 
 def _rule_products(rules: Sequence[Rule]):
@@ -432,7 +441,7 @@ def project(config) -> UConfig:
         counts: dict[Symbol, int] = {}
         for entry, n in node.content.items():
             sym = entry[0] if timed else entry
-            if parse_counter(sym) is None:
+            if _counter_of(sym) is None:
                 counts[sym] = counts.get(sym, 0) + n
         return UNode(node.label, Multiset(counts), kids, uid=node.uid)
 
@@ -449,7 +458,7 @@ def counter_soundness_violations(config: UConfig, counter_labels: set[str]) -> l
         counter_counts: dict[str, int] = {}
         label_counters = 0
         for sym, n in node.content.items():
-            parsed = parse_counter(sym)
+            parsed = _counter_of(sym)
             if parsed is None:
                 object_counts[str(sym)] = object_counts.get(str(sym), 0) + n
             elif parsed[0] == node.label and parsed[0] in counter_labels:

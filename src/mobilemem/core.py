@@ -498,6 +498,45 @@ class RewriteRule:
 Rule = Union[EndoRule, ExoRule, RewriteRule]
 
 
+def _fixed(rules) -> bool:
+    """Whether ``rules`` cannot change: a tuple, or a sequence that lists
+    its ``parts`` (``compiler.CompiledRules``)."""
+    return isinstance(rules, tuple) or hasattr(rules, "parts")
+
+
+def fixed_rules(rules):
+    """``rules`` as a container a matcher keeps its table for: kept as it
+    is when it cannot change, copied into a tuple otherwise. A run or an
+    exploration calls it once, so its matcher builds one table."""
+    return rules if _fixed(rules) else tuple(rules)
+
+
+class LastTable:
+    """A matcher's rule table, kept for the last rule container that cannot
+    change (``_fixed``). Containers are compared by identity and only the
+    last is kept, with the table, so a table outlives its container by at
+    most one entry: a caller that makes a fresh rule container for each
+    check keeps one table alive, not one per check. Any other container,
+    a list, may change between calls and gets a fresh table on every
+    call. The pair is read and written as one value, so a reader never
+    sees one container with another's table."""
+
+    __slots__ = ("last",)
+
+    def __init__(self):
+        self.last = (None, None)
+
+    def of(self, rules, build: Callable):
+        """``build(rules)``, built once while ``rules`` is the last one."""
+        last = self.last
+        if last[0] is rules:
+            return last[1]
+        table = build(rules)
+        if _fixed(rules):
+            self.last = (rules, table)
+        return table
+
+
 # ---------------------------------------------------------------------------
 # Canonicalization and readings
 

@@ -55,13 +55,22 @@ where it can be (``_kept_lows``), so a step reads no membrane it does
 not touch. ``simulate`` drops the index of each state it steps to once
 the next one has its own, so a run's records keep none. Work nodes keep
 deadlines from load to freeze. An instance binds remaining timers, and
-its bindings are turned into deadline keys once; a product is stored at
-its remaining timer plus the next clock; phases 2 and 3 only drop the
+the choice's bindings are turned into deadline keys in one pass over
+each instance's bound classes (``_deadline_usage``); a product is stored
+at its remaining timer plus the next clock; phases 2 and 3 only drop the
 objects whose deadline is the clock, since a tick leaves every other
 deadline as it was. The one remaining-timer form inside a step is the
 archive of a membrane that exits the skin. Keys and traces read
 remaining timers (``core.render_at``); readers of raw timers read
 ``core.at_rest``, as ``Trace.final`` does.
+
+The matcher's rule table (moves by active label, rewrites by host label)
+depends on the rules alone, so it is built once per rule container, not
+once per state: it is kept for the last tuple seen, compared by
+identity, so no table outlives its container by more than one entry; a
+list may change between calls and gets a fresh table on every call
+(``core.LastTable``). ``run`` and the explorers read a list of rules as
+a tuple, so each builds one table.
 
 A run renders a key only where it is read. The trace's initial key is
 rendered at once; each ``StepRecord`` holds its configuration and renders
@@ -92,6 +101,7 @@ from .core import (
     EndoRule,
     ExoRule,
     Fresh,
+    LastTable,
     MembraneNode,
     MoveRule,
     Multiset,
@@ -102,6 +112,7 @@ from .core import (
     canonicalize,
     canonical_render,
     decrement,
+    fixed_rules,
     least_timer,
     render_one,
     timer_str,
@@ -178,12 +189,16 @@ class Instance:
         return all(t == INF for (_s, t) in classes)
 
     def sort_key(self):
+        """Rule index, uids, then the bound classes. The instances of one
+        rule index bind the same symbol in each slot, so among those with
+        equal uids only the timers decide the order, and the classes are
+        compared as they are."""
         return (
             self.rule_index,
             self.active_uid,
             -1 if self.passive_uid is None else self.passive_uid,
-            tuple([(str(s), t) for s, t in self.active_classes]),
-            tuple([(str(s), t) for s, t in self.passive_classes]),
+            self.active_classes,
+            self.passive_classes,
         )
 
     def describe(self) -> str:
@@ -237,37 +252,50 @@ def _slot_bindings(slots: tuple, content: Multiset, clock: int) -> list[tuple]:
 _NONE: dict = {}  # an empty bucket, never written
 
 
+def _timed_table(rules: Sequence[Rule]) -> tuple:
+    """``find_instances``' rule table: (moves by active label, rewrites by
+    host label with the ``rw *`` rewrites merged into every label's list,
+    the ``rw *`` rewrites alone). A move is kept as (index, rule, whether
+    it is an exo rule); a rewrite as (index, rule)."""
+    moves: dict = {}
+    rewrites: dict = {}
+    for idx, rule in enumerate(rules):
+        if isinstance(rule, MoveRule):
+            moves.setdefault(rule.h, []).append((idx, rule, isinstance(rule, ExoRule)))
+        elif isinstance(rule, RewriteRule):
+            rewrites.setdefault(rule.at, []).append((idx, rule))
+    everywhere = rewrites.pop(None, [])
+    for at in rewrites.values():
+        at.extend(everywhere)
+    return moves, rewrites, everywhere
+
+
+_TABLES = LastTable()
+
+
 def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instance]:
     """Every applicable rule instance, exhaustive up to binding equivalence.
 
     Moves need an elementary active membrane in the stated position, and
     every bound timer (objects and both membranes) greater than 0. The
-    rules are indexed once by the label they dispatch on: moves by their
-    active label, rewrites by their host label (``rw *`` rewrites under
-    every label, and alone for labels no rewrite names). Membranes are
-    read from the configuration's index (``tree.index_of``): actives,
-    their passive siblings and rewrite hosts from the buckets of the
-    labels rules name, so a membrane no rule can bind is not visited,
-    unless an ``rw *`` rule makes every membrane a host. Contents hold
-    deadlines, and bindings name remaining timers at any clock
-    (``_slot_bindings``). Each instance is built once, so the list is
-    sorted, not deduplicated.
+    rules are indexed by the label they dispatch on (``_timed_table``):
+    moves by their active label, rewrites by their host label (``rw *``
+    rewrites under every label, and alone for labels no rewrite names).
+    That table is built once per rule container: it is kept for the last
+    tuple seen, compared by identity, and a list gets a fresh one per call
+    (``core.LastTable``). Membranes are read from the configuration's
+    index (``tree.index_of``): actives, their passive siblings and
+    rewrite hosts from the buckets of the labels rules name, so a
+    membrane no rule can bind is not visited, unless an ``rw *`` rule
+    makes every membrane a host. Contents hold deadlines, and bindings
+    name remaining timers at any clock (``_slot_bindings``). Each
+    instance is built once, so the list is sorted, not deduplicated.
     """
     clock = config.clock
     skin = config.skin
     index = index_of(config)
     kids = index.kids
-    moves: dict = {}
-    rewrites: dict = {}
-    for idx, rule in enumerate(rules):
-        if isinstance(rule, MoveRule):
-            moves.setdefault(rule.h, []).append((idx, rule))
-        elif isinstance(rule, RewriteRule):
-            rewrites.setdefault(rule.at, []).append((idx, rule))
-    everywhere = rewrites.pop(None, [])
-    if everywhere:
-        for at in rewrites.values():
-            at.extend(everywhere)
+    moves, rewrites, everywhere = _TABLES.of(rules, _timed_table)
     found: list[Instance] = []
 
     def pair(idx, rule, active, passive):
@@ -297,8 +325,8 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
             for active in actives.values():
                 if active.children or not active.timer > clock:
                     continue
-                for idx, rule in movers:
-                    if isinstance(rule, ExoRule):
+                for idx, rule, exo in movers:
+                    if exo:
                         if parent.label == rule.m and parent.timer > clock:
                             pair(idx, rule, active, parent)
                         continue
@@ -353,13 +381,25 @@ def _is_delta(cls: tuple) -> bool:
     return sym.name == DELTA_NAME and not sym.is_co
 
 
-def _validate_choice(choice: StepChoice, needs: list, nodes: dict, clock: int) -> None:
-    """Raise ``StaleChoiceError`` unless ``choice``, whose instances bind
-    ``needs`` (deadline keys at ``clock``), fits the loaded work nodes."""
+def _deadline_usage(choice: StepChoice, clock: int) -> dict:
+    """``(uid, deadline class) -> count`` of the objects ``choice`` binds,
+    at ``clock``: one pass over each instance's bound classes, which name
+    remaining timers."""
     usage: dict = {}
+    for inst in choice:
+        for uid, classes in ((inst.active_uid, inst.active_classes), (inst.passive_uid, inst.passive_classes)):
+            for sym, t in classes:
+                key = (uid, (sym, t + clock))
+                usage[key] = usage.get(key, 0) + 1
+    return usage
+
+
+def _validate_choice(choice: StepChoice, usage: dict, nodes: dict, clock: int) -> None:
+    """Raise ``StaleChoiceError`` unless ``choice``, whose instances bind
+    ``usage`` (``_deadline_usage``), fits the loaded work nodes."""
     actives: set = set()
     passives: set = set()
-    for inst, need in zip(choice, needs):
+    for inst in choice:
         active = nodes.get(inst.active_uid)
         if active is None:
             raise StaleChoiceError(f"no membrane with uid {inst.active_uid}")
@@ -376,8 +416,6 @@ def _validate_choice(choice: StepChoice, needs: list, nodes: dict, clock: int) -
                 raise StaleChoiceError("conflicting membrane roles in choice")
             actives.add(inst.active_uid)
             passives.add(inst.passive_uid)
-        for key, n in need.items():
-            usage[key] = usage.get(key, 0) + n
     for (uid, cls), n in usage.items():
         node = nodes.get(uid)
         if node is None or node.content.get(cls, 0) < n:
@@ -435,20 +473,19 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     tree = Tree(config, choice, partial(_unexpired, clock))
     nodes = tree.nodes
     lows = _kept_lows(nodes)
-    needs = [{(uid, (sym, t + clock)): n for (uid, (sym, t)), n in inst.needs().items()} for inst in choice]
-    _validate_choice(choice, needs, nodes, clock)
+    usage = _deadline_usage(choice, clock)
+    _validate_choice(choice, usage, nodes, clock)
 
     consumed = produced = 0
     timers: dict = {}  # active uid -> its remaining timer after the step
 
     # Phase 1: consume, produce, move, decrement actives.
-    for need in needs:
-        for (uid, cls), n in need.items():
-            content = nodes[uid].content
-            content[cls] -= n
-            if not content[cls]:
-                del content[cls]
-            consumed += n
+    for (uid, cls), n in usage.items():
+        content = nodes[uid].content
+        content[cls] -= n
+        if not content[cls]:
+            del content[cls]
+        consumed += n
     # A membrane that exits the skin (the only passive that is the skin)
     # is archived as phase 1 leaves it: its objects at their remaining
     # timers, its products at their own.
@@ -674,8 +711,10 @@ def run(
     run steps from ``config`` at its clock; records and keys read
     remaining timers, and ``Trace.final`` is at rest.
     Record keys are rendered on first read, through ``canonicalize`` as
-    this module holds it when ``run`` is called.
+    this module holds it when ``run`` is called. A list of rules is read
+    as a tuple (``core.fixed_rules``), so the run builds one rule table.
     """
+    rules = fixed_rules(rules)
 
     def apply(current, choice):
         result = step(current, choice)

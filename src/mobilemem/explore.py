@@ -29,13 +29,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import Configuration, Rule, at_rest, canonicalize, per_membrane_readings, output_reading
+from .core import Configuration, Rule, canonicalize, fixed_rules
 from .engine import choice_describe, successors
 from .untimed import (
     UConfig,
     erase_timers,
     u_canonicalize,
-    u_output_reading,
     u_successors,
 )
 from .compiler import (
@@ -163,24 +162,40 @@ def _drop_work_trees(graph: ReachGraph, keys) -> None:
             drop_index(state)
 
 
+def _node_record(state, key: str, depth: int, timed: bool) -> NodeRecord:
+    """A membrane state's record, from one walk of its tree: the membrane
+    count, the output reading (the symbols of every output-labelled
+    membrane, timers erased, sorted by render, as ``core.output_reading``
+    gives them) and, for a timed state, the reading of each output
+    membrane in walk order (``core.per_membrane_readings``)."""
+    label = state.output_label
+    count = 0
+    per_mem = []
+    for node in state.skin.walk():
+        count += 1
+        if node.label == label:
+            syms = [str(entry[0] if timed else entry) for entry, n in node.content.items() for _ in range(n)]
+            per_mem.append((node.uid, tuple(sorted(syms))))
+    reading = tuple(sorted([sym for _uid, syms in per_mem for sym in syms]))
+    return NodeRecord(key, depth, False, count, reading, tuple(per_mem) if timed else ())
+
+
 def explore_membranes(
     config: Configuration,
     rules: Sequence[Rule],
     depth: int,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ReachGraph:
-    """BFS over the timed engine's legal step choices, on clocked states."""
+    """BFS over the timed engine's legal step choices, on clocked states.
+    A list of rules is read as a tuple, so the matcher builds one rule
+    table for the whole exploration (``core.fixed_rules``)."""
+    rules = fixed_rules(rules)
 
     def succ(state):
         return [(choice_describe(choice), cfg, key) for choice, cfg, key in successors(state, rules)]
 
     def meta(state, key, d):
-        reading = tuple(sorted(str(s) for s in output_reading(state)))
-        per_mem = tuple(
-            (uid, tuple(sorted(str(s) for s in syms)))
-            for uid, syms in per_membrane_readings(state)
-        )
-        return NodeRecord(key, d, False, sum(1 for _ in state.skin.walk()), reading, per_mem)
+        return _node_record(state, key, d, True)
 
     return _bfs(config, canonicalize(config), succ, meta, depth, max_nodes)
 
@@ -191,14 +206,15 @@ def explore_untimed(
     depth: int,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ReachGraph:
-    """BFS over the untimed engine's maximal choices."""
+    """BFS over the untimed engine's maximal choices, with one rule table,
+    as ``explore_membranes``."""
+    rules = fixed_rules(rules)
 
     def succ(state):
         return [(choice_describe(choice), cfg, key) for choice, cfg, key in u_successors(state, rules)]
 
     def meta(state, key, d):
-        reading = tuple(sorted(str(s) for s in u_output_reading(state)))
-        return NodeRecord(key, d, False, sum(1 for _ in state.skin.walk()), reading)
+        return _node_record(state, key, d, False)
 
     return _bfs(config, u_canonicalize(config), succ, meta, depth, max_nodes)
 
@@ -402,7 +418,7 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     mn_misses = []
     preimage_notes = []
     for key in membrane_graph.nodes:
-        candidate = some_preimage(at_rest(membrane_graph.objects[key]))
+        candidate = some_preimage(membrane_graph.objects[key])
         if candidate is None:
             mn_misses.append({"state": key})
             continue

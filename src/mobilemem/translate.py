@@ -307,16 +307,19 @@ def _preimages(config: Configuration, arrange) -> Preimages:
     (children stay parallel, never nested under a prefix): ``arrange``
     turns one membrane's capability ``Counter`` into lists of prefix
     chains, and each child takes every body found for it. Empty when
-    some object is not capability-shaped."""
+    some object is not capability-shaped. A configuration at a step
+    clock is read as it stands: each timer is its deadline less the
+    clock, so no copy at rest is made."""
+    clock = config.clock
 
     def bodies(node: MembraneNode, built: tuple) -> Preimages:
         caps: Counter = Counter()
         for (sym, t), count in node.content.items():
-            caps[cap_from_symbol(sym, t)] += count
+            caps[cap_from_symbol(sym, t - clock)] += count
         if None in caps or not all(built):
             return Preimages([], False)
         kids = [
-            [Amb(child.label, child.timer, body) for body in b]
+            [Amb(child.label, child.timer - clock, body) for body in b]
             for child, b in zip(node.children, built)
         ]
         found: dict[str, Process] = {}

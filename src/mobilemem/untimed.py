@@ -13,18 +13,23 @@ each other, which only means something where they are independent code.
 Instance matching and the consuming and producing of rule sides are
 written here. Shared with the timed engine are the conflict rule
 (``choices.py``, which sees nothing of an instance but its membranes, the
-objects it binds and its sort key), the structural edit of a step
-(``tree.py``: the membrane index, membrane moves, bottom-up dissolution,
-rebuilding), and the run loop and successor deduplication of ``engine``.
+objects it binds and its position in the sorted list of instances), the
+structural edit of a step (``tree.py``: the membrane index, membrane
+moves, bottom-up dissolution, rebuilding), and the run loop and
+successor deduplication of ``engine``.
 What is shared is checked against ``tests/reference.py`` rather than by
 the embedding.
 
-The matcher indexes the rewrites once per call by one left-side symbol,
-the largest; a membrane tests only the rewrites keyed by a symbol it
-holds. In a compiled system the key of a tick or kill rule is its
-counter, so a state costs per counter present rather than per generated
-rewrite, and move families are read through their schemas (see
-``u_find_instances``).
+The matcher indexes the rewrites by one left-side symbol, the largest; a
+membrane tests only the rewrites keyed by a symbol it holds. That index
+and the rest of the matcher's rule table are built once per rule
+container, not per state: the table is kept for the last tuple or
+``CompiledRules`` seen, compared by identity, so it outlives its
+container by at most one entry, and a list gets a fresh table per call
+(``core.LastTable``); ``u_run`` and the explorer read a list as a tuple.
+In a compiled system the key of a tick or kill rule is its counter, so a
+state costs per counter present rather than per generated rewrite, and
+move families are read through their schemas (see ``u_find_instances``).
 """
 
 from __future__ import annotations
@@ -39,11 +44,13 @@ from .core import (
     EndoRule,
     ExoRule,
     FrozenTree,
+    LastTable,
     MoveRule,
     Multiset,
     RewriteRule,
     Rule,
     Symbol,
+    fixed_rules,
     fresh_uid,
     memo_slot,
     rebuild_tree,
@@ -206,21 +213,12 @@ def _parts(rules: Sequence) -> Iterable[tuple]:
     return enumerate(rules) if parts is None else parts
 
 
-def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
-    """Every rule instance that fits the configuration, in (rule index,
-    active uid, passive uid) order.
-
-    Rewrites are indexed once per call by one left-side symbol, the
-    largest (in a compiled system, the counter: it tells apart the ticks
-    of one object), so a host tests only the rewrites whose key symbol it
-    holds, each then checked against ``at`` and its whole left side; a
-    rewrite with an empty left side is tested on every host. A schema is
-    a candidate filter: for each active/passive pair whose labels fit,
-    only the members whose counters the two membranes hold are tested,
-    each exactly as the flat rule at its index would be. Hosts and move
-    partners are read from the configuration's index (``tree.index_of``),
-    which the choice search and the step read too."""
-    index = index_of(config)
+def _untimed_table(rules: Sequence) -> tuple:
+    """``u_find_instances``' rule table: (rewrites by key symbol, the
+    rewrites with an empty left side, the move parts as (flat index, rule
+    or schema, the move rule whose labels and nesting its members share),
+    and the members read so far). A member is kept on first use under its
+    flat index, as [member, lhs active, lhs passive once needed]."""
     rewrites: dict = {}  # key symbol (None: empty left side) -> [(flat index, rewrite)]
     moves = []
     for base, item in _parts(rules):
@@ -228,8 +226,34 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
             key = item.lhs.items()[-1][0] if item.lhs else None
             rewrites.setdefault(key, []).append((base, item))
         else:
-            moves.append((base, item))
+            moves.append((base, item, item if isinstance(item, MoveRule) else item.rule))
     everywhere = rewrites.pop(None, ())
+    return rewrites, everywhere, moves, {}
+
+
+_TABLES = LastTable()
+
+
+def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
+    """Every rule instance that fits the configuration, in (rule index,
+    active uid, passive uid) order.
+
+    Rewrites are indexed by one left-side symbol, the largest (in a
+    compiled system, the counter: it tells apart the ticks of one
+    object), so a host tests only the rewrites whose key symbol it holds,
+    each then checked against ``at`` and its whole left side; a rewrite
+    with an empty left side is tested on every host. A schema is a
+    candidate filter: for each active/passive pair whose labels fit, only
+    the members whose counters the two membranes hold are tested, each
+    exactly as the flat rule at its index would be. That index, the move
+    parts and each member read with its two consumed sides form the rule
+    table (``_untimed_table``), built once per rule container: it is kept
+    for the last tuple or ``CompiledRules`` seen, compared by identity,
+    and a list gets a fresh one per call (``core.LastTable``). Hosts and
+    move partners are read from the configuration's index
+    (``tree.index_of``), which the choice search and the step read too."""
+    index = index_of(config)
+    rewrites, everywhere, moves, sides = _TABLES.of(rules, _untimed_table)
     found = []
     for host in (config.skin, *index.node.values()):
         content = host.content
@@ -240,9 +264,7 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
         for base, rule in everywhere:
             if rule.at is None or rule.at == host.label:
                 found.append(UInstance(base, rule, host.uid, None, rule.lhs))
-    sides: dict[int, list] = {}  # flat index -> [rule, lhs active, lhs passive once needed]
-    for base, item in moves:
-        rule = item if isinstance(item, MoveRule) else item.rule
+    for base, item, rule in moves:
         for active, passive in _move_pairs(rule, config.skin, index.kids):
             offsets = (0,) if item is rule else item.present(active.content, passive.content)
             for offset in offsets:
@@ -366,6 +388,7 @@ def u_successors(config: UConfig, rules: Sequence[Rule]) -> list[tuple[tuple, UC
 
 def u_run(config: UConfig, rules: Sequence[Rule], steps: int, selector: str = "first", seed=None):
     """Untimed simulation loop with the same trace schema as the timed one."""
+    rules = fixed_rules(rules)
     return simulate(
         config, steps, selector, seed, lambda c: u_maximal_choices(c, rules), u_apply, u_canonicalize
     )

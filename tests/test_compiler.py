@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,9 +26,11 @@ from mobilemem.compiler import (
     parse_counter,
     project,
 )
+import mobilemem.compiler as compiler
 from mobilemem.core import renumber
-from mobilemem.corpus import random_timed_system
-from mobilemem.explore import explore_untimed
+from mobilemem.corpus import random_timed_system, random_untimed_system
+from mobilemem.engine import find_instances, maximal_choices, step_choices
+from mobilemem.explore import check_timer_elimination, explore_membranes, explore_untimed
 from mobilemem.sysfile import parse_system
 from mobilemem.untimed import UConfig, u_canonicalize, u_find_instances, u_maximal_choices, umem
 
@@ -284,3 +288,110 @@ def test_choice_search_costs_per_instance_and_result(monkeypatch):
         returned = u_maximal_choices(state, compiled)
         worst = max(worst, fits.n / (len(found) + len(returned)))
     assert worst <= 5, worst  # 3.6 with moves first; 20.4 decided in table order
+
+
+def _string_key(inst):
+    """Rule index, uids, then each bound class as (symbol render, timer):
+    a key built from renders, so it does not depend on how symbols
+    compare. The oracle for the order of the matchers' instances and of
+    the choice search's lists, which it sorts by instance position."""
+    def rendered(classes):
+        return tuple([(str(s), t) for s, t in classes])
+
+    return (inst.rule_index, inst.active_uid, -1 if inst.passive_uid is None else inst.passive_uid,
+            rendered(getattr(inst, "active_classes", ())), rendered(getattr(inst, "passive_classes", ())))
+
+
+def _in_key_order(items, key) -> bool:
+    return list(items) == sorted(items, key=key)
+
+
+def _choices_in_key_order(choices) -> bool:
+    return all(_in_key_order(ch, _string_key) for ch in choices) and _in_key_order(
+        choices, lambda ch: [_string_key(i) for i in ch]
+    )
+
+
+def _row_sets(choices, timed: bool) -> list:
+    """Choices as sorted lists of (rule, active, passive, bound classes),
+    in the reference's form; an untimed instance binds no classes."""
+    def row(i):
+        binds = [tuple((s.name, s.is_co, t) for s, t in side) if timed else ()
+                 for side in (getattr(i, "active_classes", ()), getattr(i, "passive_classes", ()))]
+        return (i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid, *binds)
+
+    return sorted(sorted(row(i) for i in ch) for ch in choices)
+
+
+def _ref_row_sets(choices, timed: bool) -> list:
+    return sorted(sorted((r, act, -1 if pas is None else pas, *((ab, pb) if timed else ((), ())))
+                         for r, act, pas, ab, pb in ch) for ch in choices)
+
+
+def test_choice_lists_keep_the_order_of_rendered_sort_keys():
+    # the choice search sorts finished choices by instance position, and
+    # the matchers sort instances without rendering symbols: on every
+    # state explored, the lists equal those sorted by the rendered key,
+    # and on each root they equal the reference's choices as multisets
+    for seed in range(120):
+        config, rules = random_timed_system(seed)
+        for state in explore_membranes(config, rules, 3).objects.values():
+            assert _in_key_order(find_instances(state, rules), _string_key), seed
+            assert _choices_in_key_order(maximal_choices(state, rules)), seed
+            assert _choices_in_key_order(step_choices(state, rules)), seed
+        root = ref.from_config(config)
+        for saturated, choose in ((True, maximal_choices), (False, step_choices)):
+            assert _row_sets(choose(config, rules), True) == _ref_row_sets(ref.choices(root, rules, saturated), True), seed
+
+        config, rules = random_untimed_system(seed)
+        for state in explore_untimed(config, rules, 3).objects.values():
+            assert _in_key_order(u_find_instances(state, rules), _string_key), seed
+            assert _choices_in_key_order(u_maximal_choices(state, rules)), seed
+        timed, lifted = embed_infinite(config, rules)
+        want = ref.choices(ref.from_config(timed), lifted, True)
+        assert _row_sets(u_maximal_choices(config, rules), False) == _ref_row_sets(want, False), seed
+
+    for T in (2, 3, 4, 5):
+        sf = w3(T)
+        compiled, states = _compiled_states(sf.config, sf.rules, T + 2)
+        _cfg, lifted = embed_infinite(states[0], compiled)
+        for state in states:
+            assert _in_key_order(u_find_instances(state, compiled), _string_key), T
+            choices = u_maximal_choices(state, compiled)
+            assert _choices_in_key_order(choices), T
+            timed, _rules = embed_infinite(state, ())
+            assert _row_sets(choices, False) == _ref_row_sets(ref.choices(ref.from_config(timed), lifted, True), False), T
+
+
+def test_a_check_parses_each_counter_symbol_once(monkeypatch):
+    # the projection and the soundness check read every symbol of every
+    # explored state; each distinct one goes through the counter regex once
+    compiler._counter_of.cache_clear()
+    parsed = []
+    real = compiler.parse_counter
+    monkeypatch.setattr(compiler, "parse_counter", lambda sym: parsed.append(sym) or real(sym))
+    sf = w3(3)
+    verdict = check_timer_elimination(sf.config, sf.rules, 5)
+    assert verdict.ok and verdict.details["compiled_nodes"] > 10
+    assert parsed and len(parsed) == len(set(parsed)), f"{len(parsed)} parses of {len(set(parsed))} symbols"
+
+
+def test_checks_on_fresh_compiles_hold_no_more_memory_per_call():
+    """Each check compiles a fresh rule container, and the matcher keeps
+    its table for the last one only. Bytes held after each of 40 checks of
+    W3 at T=4, measured with tracemalloc on Python 3.11: they grew by
+    under 1.1 kB from the 10th call to the 40th, while a table kept per
+    container held about 54 kB more per call."""
+    sf = w3(4)
+    assert check_timer_elimination(sf.config, sf.rules, 6).ok
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(40):
+            assert check_timer_elimination(sf.config, sf.rules, 6).ok
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[-1] - held[9] <= 16_000, [h - held[0] for h in held]

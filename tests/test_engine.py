@@ -846,8 +846,9 @@ def test_isolated_instances_are_decided_without_a_fit_test(monkeypatch):
 
 
 def test_matching_independent_pairs_derives_nothing_twice(monkeypatch):
-    # an instance hashes its bindings and not its rule, and a step reads
-    # each instance's needs once
+    # an instance hashes its bindings and not its rule; the choice search
+    # builds each instance's needs map once, and the step none: it reads
+    # the bound classes
     n = 40
     cfg, rules = _pairs(n, False), _pair_rules(n)
     hashes = [count_calls(monkeypatch, f"mobilemem.core.{kind.__name__}.__hash__") for kind in (EndoRule, ExoRule)]
@@ -857,7 +858,27 @@ def test_matching_independent_pairs_derives_nothing_twice(monkeypatch):
     for state in (cfg, _pairs(n, True)):
         needs.n = 0
         assert len(run(state, rules, 1).records[0].choice) == n
-        assert needs.n <= 2 * n, f"{needs.n} needs maps for {n} instances"
+        assert needs.n <= n, f"{needs.n} needs maps for {n} instances"
+
+
+def test_a_run_and_an_exploration_build_one_rule_table(monkeypatch):
+    # the matcher's dispatch by label is built once per rule container,
+    # not once per state; a list is read as a tuple for the whole run
+    tables = count_calls(monkeypatch, "mobilemem.engine._timed_table")
+    cfg, rules = _pairs(6, False), _pair_rules(6)
+    for fresh in (list(rules), tuple(rules)):
+        tables.n = 0
+        assert len(run(cfg, fresh, 12).records) == 12
+        assert tables.n == 1
+    cfg, rules = random_timed_system(3)
+    tables.n = 0
+    graph = explore_membranes(cfg, list(rules), 4)
+    assert len(graph.nodes) > 4 and tables.n == 1
+    # a list handed to the matcher itself may change between calls
+    tables.n = 0
+    for _ in range(3):
+        find_instances(cfg, list(rules))
+    assert tables.n == 3
 
 
 def test_wide_input_has_one_choice_and_simulates(tmp_path, capsys):

@@ -6,8 +6,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 from conftest import count_calls
 
-from mobilemem.compiler import embed_infinite
-from mobilemem.corpus import random_untimed_system
+from mobilemem.compiler import eliminate_timers, embed_infinite
+from mobilemem.corpus import random_timed_system, random_untimed_system
 from mobilemem.explore import explore_untimed
 from mobilemem.core import EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol
 from mobilemem.untimed import (
@@ -253,3 +253,19 @@ def test_untimed_successors_derive_their_index_from_their_source(monkeypatch):
     assert len(graph.objects) == 6
     # the nodes at depths 1-4 are expanded; depth 5 ends the search
     assert built.n - derived.n == 1 and derived.n == 4, (built.n, derived.n)
+
+
+def test_an_untimed_exploration_builds_one_rule_table(monkeypatch):
+    # the rewrite index, the move parts and the schema members read are
+    # built once per rule container, a compiled one included, not once
+    # per state
+    tables = count_calls(monkeypatch, "mobilemem.untimed._untimed_table")
+    compiled_cfg, compiled = eliminate_timers(*random_timed_system(5))
+    cfg, rules = random_untimed_system(5)
+    for state, fresh in ((compiled_cfg, compiled), (cfg, list(rules)), (cfg, tuple(rules))):
+        tables.n = 0
+        graph = explore_untimed(state, fresh, 4)
+        assert len(graph.nodes) > 3 and tables.n == 1
+    tables.n = 0
+    assert len(u_run(handshake(), [RULE], 3).records) == 2  # the move, then the halting empty step
+    assert tables.n == 1
