@@ -80,8 +80,9 @@ def availability(config, instances: Sequence) -> dict:
     active and passive: the only keys ``addable`` reads for them, each
     membrane read by uid from the configuration's index. A configuration
     at a clock (a timed one past clock 0) stores deadlines, and its
-    classes are named here by remaining timers, as instances bind them."""
-    clock = getattr(config, "clock", 0)
+    classes are named here by remaining timers, as instances bind them;
+    an untimed one is always at clock 0."""
+    clock = config.clock
     wanted = {inst.active_uid for inst in instances}
     wanted.update([inst.passive_uid for inst in instances])
     skin = config.skin
@@ -168,6 +169,8 @@ def enumerate_choices(
             chosen += [i] * (min(copies, 1) if inst.is_move else copies)
         else:
             searched.append(i)
+    if not searched:  # nothing contested: one choice, already in position order
+        return [tuple([instances[i] for i in chosen])]
     # positions in ``instances``, in the order the search decides them
     order = [i for i in searched if instances[i].is_move]
     order += [i for i in searched if not instances[i].is_move]

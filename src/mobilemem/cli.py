@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .engine import run
-from .untimed import u_output_reading, u_run
+from .untimed import u_run
 from .compiler import CompileError, eliminate_timers, embed_infinite
 from .explore import (
     DEFAULT_NODE_CAP,
@@ -66,16 +66,18 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_system(path: str) -> SystemFile:
-    return parse_system(_read(path))
+def _load_system(path: str, timed: bool | None = None, command: str = "") -> SystemFile:
+    """The system in ``path``; with ``timed`` given, one of that kind, or a
+    usage error naming ``command``."""
+    sf = parse_system(_read(path))
+    if timed is not None and sf.timed != timed:
+        raise UsageError(f"{command} expects {'a timed' if timed else 'an untimed'} system")
+    return sf
 
 
 def _cmd_sim(args) -> int:
     sf = _load_system(args.file)
-    if sf.timed:
-        trace = run(sf.config, sf.rules, args.steps, args.selector, args.seed)
-    else:
-        trace = u_run(sf.config, sf.rules, args.steps, args.selector, args.seed)
+    trace = (run if sf.timed else u_run)(sf.config, sf.rules, args.steps, args.selector, args.seed)
     if args.trace:
         Path(args.trace).write_text(trace.to_jsonl(), encoding="utf-8")
     _emit({
@@ -87,9 +89,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    sf = _load_system(args.file)
-    if not sf.timed:
-        raise UsageError("compile expects a timed system")
+    sf = _load_system(args.file, True, "compile")
     uconfig, urules = eliminate_timers(sf.config, sf.rules)
     if len(urules) > MAX_COMPILED_RULES:
         message = f"the compiled system has {len(urules):,} rules, over the {MAX_COMPILED_RULES:,} compile writes"
@@ -104,9 +104,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    sf = _load_system(args.file)
-    if sf.timed:
-        raise UsageError("embed expects an untimed system")
+    sf = _load_system(args.file, False, "embed")
     config, rules = embed_infinite(sf.config, sf.rules)
     out = SystemFile(True, config.output_label, config, rules)
     _write_out(render_system(out), args.output)
@@ -130,10 +128,8 @@ def _cmd_explore(args) -> int:
             graph = explore_ambients(parse_ambient(_read(args.file)), args.depth, args.max_nodes)
         else:
             sf = _load_system(args.file)
-            if sf.timed:
-                graph = explore_membranes(sf.config, sf.rules, args.depth, args.max_nodes)
-            else:
-                graph = explore_untimed(sf.config, sf.rules, args.depth, args.max_nodes)
+            explore = explore_membranes if sf.timed else explore_untimed
+            graph = explore(sf.config, sf.rules, args.depth, args.max_nodes)
         over = None
     except BudgetExceeded as err:
         graph, over = err.graph, err
@@ -173,35 +169,24 @@ def _corpus_arg(text: str) -> tuple[int, int]:
 
 
 def _cmd_check(args) -> int:
-    verdicts = []
+    # per property: the check, the corpus generator of its inputs, and the
+    # kind of system file it reads (None: an ambient process)
+    check, generate, timed = {
+        "prop1": (check_embedding, corpus.random_untimed_system, False),
+        "prop2": (check_timer_elimination, corpus.random_timed_system, True),
+        "prop45": (check_translation, lambda seed: (corpus.random_reducible_process(seed),), None),
+    }[args.prop]
     if args.corpus:
         seed, count = args.corpus
-        for i in range(count):
-            if args.prop == "prop1":
-                config, rules = corpus.random_untimed_system(seed + i)
-                verdicts.append(check_embedding(config, rules, args.depth, args.max_nodes))
-            elif args.prop == "prop2":
-                config, rules = corpus.random_timed_system(seed + i)
-                verdicts.append(check_timer_elimination(config, rules, args.depth, args.max_nodes))
-            else:
-                process = corpus.random_reducible_process(seed + i)
-                verdicts.append(check_translation(process, args.depth, args.max_nodes))
-    elif args.file:
-        if args.prop == "prop45":
-            process = parse_ambient(_read(args.file))
-            verdicts.append(check_translation(process, args.depth, args.max_nodes))
-        else:
-            sf = _load_system(args.file)
-            if args.prop == "prop1":
-                if sf.timed:
-                    raise UsageError("check prop1 expects an untimed system")
-                verdicts.append(check_embedding(sf.config, sf.rules, args.depth, args.max_nodes))
-            else:
-                if not sf.timed:
-                    raise UsageError("check prop2 expects a timed system")
-                verdicts.append(check_timer_elimination(sf.config, sf.rules, args.depth, args.max_nodes))
-    else:
+        inputs = (generate(seed + i) for i in range(count))
+    elif not args.file:
         raise UsageError("check needs a file or --corpus seed,count")
+    elif timed is None:
+        inputs = [(parse_ambient(_read(args.file)),)]
+    else:
+        sf = _load_system(args.file, timed, f"check {args.prop}")
+        inputs = [(sf.config, sf.rules)]
+    verdicts = [check(*system, args.depth, args.max_nodes) for system in inputs]
     _emit([v.to_json() for v in verdicts] if len(verdicts) > 1 else verdicts[0].to_json())
     codes = {v.exit_code for v in verdicts}  # a failure outranks an inconclusive verdict
     return 1 if 1 in codes else max(codes)
@@ -209,12 +194,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_output(args) -> int:
     sf = _load_system(args.file)
-    if sf.timed:
-        trace = run(sf.config, sf.rules, args.steps, "random", args.seed)
-        reading = output_reading(trace.final)
-    else:
-        trace = u_run(sf.config, sf.rules, args.steps, "random", args.seed)
-        reading = u_output_reading(trace.final)
+    trace = (run if sf.timed else u_run)(sf.config, sf.rules, args.steps, "random", args.seed)
+    reading = output_reading(trace.final)
     _emit({
         "halted": trace.halted,
         "steps": len(trace.records),

@@ -613,25 +613,24 @@ def canonicalize(config: Configuration) -> str:
     return render_at(config.skin, config.clock) + "|out=" + config.output_label
 
 
-def output_reading(config: Configuration) -> Multiset:
-    """Multiset of symbols (timers erased) held by output-labelled membranes.
+def output_reading(config) -> Multiset:
+    """Multiset of symbols (timers erased) held by output-labelled membranes,
+    of a timed or an untimed configuration.
 
     Sums over all membranes carrying the output label; empty if none exists.
     """
-    out = Multiset()
-    for node in config.skin.walk():
-        if node.label == config.output_label:
-            out = out.union(Multiset([sym for (sym, _t) in node.content]))
-    return out
+    return Multiset([sym for _uid, syms in per_membrane_readings(config) for sym in syms])
 
 
-def per_membrane_readings(config: Configuration) -> tuple:
-    """One (uid, symbol multiset) pair per output-labelled membrane."""
-    readings = []
-    for node in config.skin.walk():
-        if node.label == config.output_label:
-            readings.append((node.uid, Multiset([sym for (sym, _t) in node.content])))
-    return tuple(readings)
+def per_membrane_readings(config) -> tuple:
+    """One (uid, symbol multiset) pair per output-labelled membrane, in walk
+    order. A timed membrane holds ``(symbol, timer)`` pairs, an untimed one
+    bare ``Symbol``s."""
+    return tuple(
+        (node.uid, Multiset([entry if isinstance(entry, Symbol) else entry[0] for entry in node.content]))
+        for node in config.skin.walk()
+        if node.label == config.output_label
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +648,8 @@ def _check_prods(side: str, prods: tuple, slots_of: Callable[[], tuple], out: li
             out.append(f"rule {rule_name}: carry slot {slot} binds {slots[slot]}, not {sym}, in {side}")
 
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_$]+$")
+#: A plain name, as the ``.mms`` lexer reads an identifier.
+_NAME_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 
 
 def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
@@ -698,8 +698,8 @@ def number_fresh(skin):
 
 def renumber(config):
     """A copy of a timed or untimed configuration with uids 1..n in
-    pre-order. The parser canonicalizes uids this way, and the translator
-    numbers the tree it builds the same way, so that equal sources give
-    byte-equal traces and graph labels within one process."""
+    pre-order, the uids the parser and the translator give the trees they
+    build (``number_fresh``), so that equal sources give byte-equal traces
+    and graph labels within one process."""
     skin = rebuild_tree(config.skin, type(config.skin).with_children)
     return type(config)(number_fresh(skin), config.output_label)

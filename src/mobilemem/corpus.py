@@ -44,22 +44,16 @@ def _random_tree(rng: random.Random, labels: Sequence[str]) -> list[tuple[str, i
     return nodes
 
 
-def _assemble_untimed(nodes, contents) -> UConfig:
-    built: dict[int, UNode] = {}
+def _assemble(nodes, contents, timers=None) -> Configuration | UConfig:
+    """The configuration of ``nodes`` holding ``contents``: timed, each
+    membrane with its timer from ``timers``, or untimed without them."""
+    built: dict = {}
     for idx in range(len(nodes) - 1, -1, -1):
         label, _parent = nodes[idx]
         kids = tuple(built[j] for j in range(len(nodes)) if nodes[j][1] == idx)
-        built[idx] = UNode(label, Multiset(contents[idx]), kids)
-    return UConfig(number_fresh(built[0]), "skin")
-
-
-def _assemble_timed(nodes, timers, contents) -> Configuration:
-    built: dict[int, MembraneNode] = {}
-    for idx in range(len(nodes) - 1, -1, -1):
-        label, _parent = nodes[idx]
-        kids = tuple(built[j] for j in range(len(nodes)) if nodes[j][1] == idx)
-        built[idx] = MembraneNode(label, timers[idx], Multiset(contents[idx]), kids)
-    return Configuration(number_fresh(built[0]), "skin")
+        content = Multiset(contents[idx])
+        built[idx] = UNode(label, content, kids) if timers is None else MembraneNode(label, timers[idx], content, kids)
+    return (UConfig if timers is None else Configuration)(number_fresh(built[0]), "skin")
 
 
 def _structure_slots(nodes):
@@ -118,7 +112,7 @@ def random_untimed_system(seed: int) -> tuple[UConfig, tuple[Rule, ...]]:
     while budget > 0 and rng.random() < 0.4:
         contents[rng.randrange(len(nodes))].append(rng.choice(_SYMBOLS))
         budget -= 1
-    return _assemble_untimed(nodes, contents), tuple(rules)
+    return _assemble(nodes, contents), tuple(rules)
 
 
 def random_timed_system(seed: int) -> tuple[Configuration, tuple[Rule, ...]]:
@@ -181,7 +175,7 @@ def random_timed_system(seed: int) -> tuple[Configuration, tuple[Rule, ...]]:
         sym = rng.choice(_SYMBOLS)
         contents[rng.randrange(len(nodes))].append((sym, char[sym]))
         budget -= 1
-    return _assemble_timed(nodes, timers, contents), tuple(rules)
+    return _assemble(nodes, contents, timers), tuple(rules)
 
 
 def random_soak_system(seed: int) -> tuple[Configuration, tuple[Rule, ...]]:

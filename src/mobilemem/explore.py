@@ -17,7 +17,8 @@ Three checks constitute the toolkit's oracle:
 * ``check_translation`` (CLI token ``prop45``): every non-time ambient
   reduction is matched by a membrane reduction with the same translated
   image (timer-erased against full engine steps, exact against the literal
-  one-rule relation), and every reachable membrane state has some ambient
+  relation, which fires any nonempty conflict-free set of movement
+  instances), and every reachable membrane state has some ambient
   preimage. Preimages the ambient side cannot reach are reported as
   informative, not failing. The ambient side is explored once, within the
   node cap; both forward passes walk that graph's ``move`` edges.
@@ -180,24 +181,31 @@ def _node_record(state, key: str, depth: int, timed: bool) -> NodeRecord:
     return NodeRecord(key, depth, False, count, reading, tuple(per_mem) if timed else ())
 
 
+def _explore_system(config, rules: Sequence[Rule], depth: int, max_nodes: int,
+                    successors_of: Callable, key_of: Callable, timed: bool) -> ReachGraph:
+    """BFS over ``successors_of(state, rules)``, keyed by ``key_of``, with
+    one rule table (``core.fixed_rules``). The explorers pass what their
+    module names hold when called, so a wrapper bound to those names
+    (``bench/tracing.py``) sees every call."""
+    rules = fixed_rules(rules)
+
+    def succ(state):
+        return [(choice_describe(choice), cfg, key) for choice, cfg, key in successors_of(state, rules)]
+
+    def meta(state, key, d):
+        return _node_record(state, key, d, timed)
+
+    return _bfs(config, key_of(config), succ, meta, depth, max_nodes)
+
+
 def explore_membranes(
     config: Configuration,
     rules: Sequence[Rule],
     depth: int,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ReachGraph:
-    """BFS over the timed engine's legal step choices, on clocked states.
-    A list of rules is read as a tuple, so the matcher builds one rule
-    table for the whole exploration (``core.fixed_rules``)."""
-    rules = fixed_rules(rules)
-
-    def succ(state):
-        return [(choice_describe(choice), cfg, key) for choice, cfg, key in successors(state, rules)]
-
-    def meta(state, key, d):
-        return _node_record(state, key, d, True)
-
-    return _bfs(config, canonicalize(config), succ, meta, depth, max_nodes)
+    """BFS over the timed engine's legal step choices, on clocked states."""
+    return _explore_system(config, rules, depth, max_nodes, successors, canonicalize, True)
 
 
 def explore_untimed(
@@ -206,17 +214,8 @@ def explore_untimed(
     depth: int,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ReachGraph:
-    """BFS over the untimed engine's maximal choices, with one rule table,
-    as ``explore_membranes``."""
-    rules = fixed_rules(rules)
-
-    def succ(state):
-        return [(choice_describe(choice), cfg, key) for choice, cfg, key in u_successors(state, rules)]
-
-    def meta(state, key, d):
-        return _node_record(state, key, d, False)
-
-    return _bfs(config, u_canonicalize(config), succ, meta, depth, max_nodes)
+    """BFS over the untimed engine's maximal choices."""
+    return _explore_system(config, rules, depth, max_nodes, u_successors, u_canonicalize, False)
 
 
 def explore_ambients(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> ReachGraph:
@@ -307,11 +306,10 @@ def check_embedding(
             "extra_edges": sorted(edges_t - edges_u)[:3],
         })
     outputs_u: dict[int, set] = {}
-    for key, record in untimed_graph.nodes.items():
-        outputs_u.setdefault(record.depth, set()).add(record.output)
     outputs_t: dict[int, set] = {}
-    for key, record in timed_graph.nodes.items():
-        outputs_t.setdefault(record.depth, set()).add(record.output)
+    for graph, outputs in ((untimed_graph, outputs_u), (timed_graph, outputs_t)):
+        for record in graph.nodes.values():
+            outputs.setdefault(record.depth, set()).add(record.output)
     if outputs_u != outputs_t:
         witnesses.append({"output_mismatch_depths": sorted(
             d for d in set(outputs_u) | set(outputs_t) if outputs_u.get(d) != outputs_t.get(d)

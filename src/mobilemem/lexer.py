@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+from string import ascii_letters, digits
 from typing import Callable, Collection, NoReturn
 
 from .core import INF, Timer
@@ -27,12 +28,13 @@ def tokenize(
     """Tokens ``(kind, value, line, col)``, ending with an ``eof`` token.
 
     A punctuation character or an operator is its own kind; the other kinds
-    are ``int`` and ``ident``. Identifiers start with a letter or a
-    character of ``ident_extra`` and go on with letters, digits and
-    ``ident_extra``. ``#`` starts a comment that runs to the end of the
-    line. Any other character raises ``error(message, line, col)``.
+    are ``int`` and ``ident``. Digits and letters are ASCII. Identifiers
+    start with a letter or a character of ``ident_extra`` and go on with
+    letters, digits and ``ident_extra``. ``#`` starts a comment that runs
+    to the end of the line. Any other character raises ``error(message, line, col)``.
     """
     op_starts = {op[0] for op in operators}
+    word = ascii_letters + digits + ident_extra
     tokens = []
     line, col = 1, 1
     i = 0
@@ -61,17 +63,17 @@ def tokenize(
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in digits:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in digits:
                 j += 1
             tokens.append(("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch in ident_extra:
+        if ch in ascii_letters or ch in ident_extra:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in ident_extra):
+            while j < len(text) and text[j] in word:
                 j += 1
             tokens.append(("ident", text[i:j], line, col))
             col += j - i

@@ -43,8 +43,8 @@ from .core import (
     Rule,
     Symbol,
     dual,
+    number_fresh,
     rebuild_tree,
-    renumber,
     timer_str,
     validate,
 )
@@ -263,7 +263,7 @@ class _Parser(Cursor):
                 replace(r, keep_active_timer=True) if isinstance(r, MoveRule) else r
                 for r in rules
             )
-        config = renumber((Configuration if timed else UConfig)(skin, output))
+        config = (Configuration if timed else UConfig)(number_fresh(skin), output)
         return SystemFile(timed, output, config, rules, compiled, strict)
 
 
@@ -280,19 +280,12 @@ def parse_system(text: str) -> SystemFile:
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _render_obj(entry, timed: bool) -> str:
-    if timed:
-        sym, t = entry
-        return f"{sym}:{timer_str(t)}"
-    return str(entry)
-
-
 def _render_membrane(node, timed: bool) -> str:
     def render(n, kids: tuple) -> str:
         head = f"{n.label}:{timer_str(n.timer)}" if timed else n.label
         objs = []
         for entry, count in n.content.items():
-            objs.extend([_render_obj(entry, timed)] * count)
+            objs.extend([f"{entry[0]}:{timer_str(entry[1])}" if timed else str(entry)] * count)
         if not objs and not kids:
             return head + "[]"
         inner = ", ".join(sorted(objs))

@@ -23,12 +23,14 @@ arranged into prefix chains: in every way, each multiset of chains once
 most ``PREIMAGE_CAP`` bodies; the list says ``truncated`` when more exist.
 
 Two membrane-side transition relations are used by the correspondence
-checks. The literal relation applies exactly one generated rule and
-changes nothing else (no timer decrements, no clock phases), mirroring the
-generated rules' right-hand sides; against it the translation commutes
-with reduction on the nose. The default engine relation (full steps)
-matches only after erasing timers, since the engine ticks bystanders and
-decrements the moving membrane.
+checks. The literal relation fires any nonempty conflict-free set of
+generated movement instances at once (``literal_successors``), as an
+ambient step may compose independent movements, and changes nothing else
+(no timer decrements, no clock phases), mirroring the generated rules'
+right-hand sides; against it the translation commutes with reduction on
+the nose. The default engine relation (full steps) matches only after
+erasing timers, since the engine ticks bystanders and decrements the
+moving membrane.
 
 ``check_correspondence_PQ`` does not explore: it walks the movement edges
 of an ambient reach graph built by ``explore.explore_ambients``, the same

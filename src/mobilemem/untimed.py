@@ -92,11 +92,14 @@ def umem(label: str, objects=(), children=()) -> UNode:
 
 @dataclass(frozen=True)
 class UConfig:
-    """An untimed membrane tree, its output label and its ``tree.Index``."""
+    """An untimed membrane tree, its output label and its ``tree.Index``.
+    Its ``clock`` is always 0, as a timed ``Configuration`` at rest."""
 
     skin: UNode
     output_label: str = "skin"
     _index: object = memo_slot()
+
+    clock = 0  # a class attribute, not a field
 
 
 def _u_render_one(node: UNode) -> str:
@@ -114,14 +117,6 @@ def u_render(node: UNode) -> str:
 
 def u_canonicalize(config: UConfig) -> str:
     return u_render(config.skin) + "|out=" + config.output_label
-
-
-def u_output_reading(config: UConfig) -> Multiset:
-    out = Multiset()
-    for node in config.skin.walk():
-        if node.label == config.output_label:
-            out = out.union(node.content)
-    return out
 
 
 def erase_timers(config: Configuration) -> UConfig:

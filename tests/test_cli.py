@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -124,6 +125,50 @@ def test_check_prop45(tmp_path, capsys):
     assert verdict["details"]["reordering"]["reordering_found"]
 
 
+U_TEXT = """mms 1 untimed
+output m
+skin[ ; h[ a, b ] m[ ~a, c ] ]
+endo h m : a | , ~a | => c |
+exo h m : c | , ~c | => a | ~a
+rw m : c => d d
+"""
+
+
+def test_untimed_files_run_through_sim_output_and_explore(tmp_path, capsys):
+    path = tmp_path / "u.mms"
+    path.write_text(U_TEXT)
+    moved = "skin{}[m{d,d}[h{b,c}[]]]|out=m"
+    assert main(["sim", str(path), "--steps", "4", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"final": moved, "halted": True, "steps": 2}
+    assert main(["output", str(path), "--steps", "5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"halted": True, "reading": {"d": 2}, "steps": 2}
+    graph_file = tmp_path / "u.json"
+    assert main(["explore", str(path), "--depth", "3", "--graph", str(graph_file)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"edges": 2, "nodes": 2, "truncated": False}
+    graph = json.loads(graph_file.read_text())
+    assert [(n["key"], n["output"], n["per_membrane"]) for n in graph["nodes"]] == [
+        ("skin{}[h{a,b}[] m{~a,c}[]]|out=m", ["c", "~a"], []),
+        (moved, ["d", "d"], []),
+    ]
+    assert [e["label"] for e in graph["edges"]] == ["r0@2->3 + r2@3", "(empty)"]
+    assert main(["check", "prop2", str(path), "--depth", "2"]) == 3
+    assert capsys.readouterr().err == "error: check prop2 expects a timed system\n"
+    assert main(["compile", str(path)]) == 3
+    assert capsys.readouterr().err == "error: compile expects a timed system\n"
+
+
+@pytest.mark.parametrize("prop, digest", [
+    ("prop1", "a67bd21eb44abd4bb827c9bfa0c7efd63c419d201a3f7e521de66c2b3409e3c3"),
+    ("prop45", "5c552846d5d10693d129e628196b816c881221aa3685ef8cfc2e76d68ac3bbdb"),
+])
+def test_corpus_checks_print_the_same_report(capsys, prop, digest):
+    # the SHA-256 of the whole report as printed, two passing verdicts each
+    assert main(["check", prop, "--depth", "2", "--corpus", "0,2"]) == 0
+    out = capsys.readouterr().out
+    assert [v["verdict"] for v in json.loads(out)] == ["pass", "pass"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_corpus(capsys):
     assert main(["check", "prop2", "--depth", "3", "--corpus", "0,3"]) == 0
     verdicts = json.loads(capsys.readouterr().out)
@@ -147,6 +192,21 @@ def test_usage_and_parse_errors_exit_3(tmp_path, capsys):
     assert main(["frobnicate"]) == 3  # unknown subcommand
 
 
+@pytest.mark.parametrize("command, name, text, where", [
+    (["sim", "{path}", "--steps", "1"], "sup.mms", "mms 1 timed\noutput skin\nskin:inf[ a:\u00b2 ]\n", "3:13"),
+    (["explore", "{path}", "--depth", "1"], "sup.amb", "n:\u00b2[]\n", "1:3"),
+    (["check", "prop45", "{path}", "--depth", "1"], "sup.amb", "n:\u00b2[]\n", "1:3"),
+    (["translate", "{path}"], "sup.amb", "n:\u00b2[]\n", "1:3"),
+    (["translate", "{path}"], "accent.amb", "n\u00e9:2[] | m:3[ ~in:1 m ]\n", "1:2"),
+], ids=["sim", "explore", "check", "translate", "translate-name"])
+def test_non_ascii_digits_and_letters_exit_3_at_their_position(tmp_path, capsys, command, name, text, where):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main([arg.format(path=path) for arg in command]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {where}: unexpected character ")
+
+
 def test_invalid_system_exits_3_naming_the_violation(tmp_path, capsys):
     resting = tmp_path / "resting.mms"
     resting.write_text("mms 1 timed\noutput skin\nskin:inf[ delta:1 ; h:3[ a:2 ] ]\n")
@@ -154,8 +214,11 @@ def test_invalid_system_exits_3_naming_the_violation(tmp_path, capsys):
     assert "dissolution marker at rest inside skin" in capsys.readouterr().err
 
 
-def test_check_prop1_rejects_timed_input(s1_file):
+def test_check_prop1_rejects_timed_input(s1_file, capsys):
     assert main(["check", "prop1", s1_file, "--depth", "2"]) == 3
+    assert capsys.readouterr().err == "error: check prop1 expects an untimed system\n"
+    assert main(["embed", s1_file]) == 3
+    assert capsys.readouterr().err == "error: embed expects an untimed system\n"
 
 
 def test_cli_runs_as_a_subprocess(tmp_path, s1_file):

@@ -115,6 +115,10 @@ def test_output_reading_sums_over_output_membranes():
                       key=lambda ms: ms.items())
     assert readings == [Multiset([a]), Multiset([a, b])]
 
+    untimed = UConfig(umem("skin", [], [umem("out", [a]), umem("out", [a, b])]), output_label="out")
+    assert output_reading(untimed) == Multiset([a, a, b])
+    assert [ms for _uid, ms in per_membrane_readings(untimed)] == [Multiset([a]), Multiset([a, b])]
+
 
 def test_validate_flags_violations():
     bad_skin = Configuration(mem("skin", 4))

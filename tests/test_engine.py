@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 
 from mobilemem import engine
-from mobilemem.choices import availability
+from mobilemem.choices import availability, enumerate_choices
 from mobilemem.cli import main
 from mobilemem.compiler import eliminate_timers, embed_infinite
 from mobilemem.core import (
@@ -34,6 +34,7 @@ from mobilemem.core import (
     rebuild_tree,
 )
 from mobilemem.engine import (
+    Instance,
     StaleChoiceError,
     apply_step,
     choice_describe,
@@ -835,14 +836,18 @@ def test_independent_instances_cost_per_instance(monkeypatch):
 
 def test_isolated_instances_are_decided_without_a_fit_test(monkeypatch):
     # no instance shares a key or a membrane with another, so each count
-    # is fixed before the search, which then tests nothing
+    # is fixed before the search, which then tests nothing and, with
+    # nothing left contested, is not set up at all
     n, steps = 40, 20
     tests = count_calls(monkeypatch, "mobilemem.choices.addable")
+    searches = count_calls(monkeypatch, "mobilemem.choices._settled")
     cfg, rules = _pairs(n, False), _pair_rules(n)
     (choice,) = maximal_choices(cfg, rules)
     assert len(choice) == n and tests.n == 0, f"{tests.n} conflict tests"
     trace = run(cfg, rules, steps)
     assert len(trace.records) == steps and tests.n == 0, f"{tests.n} conflict tests"
+    assert enumerate_choices([], Instance.needs, {}, lambda inst: True) == [()]
+    assert searches.n == 0, f"{searches.n} searches set up"
 
 
 def test_matching_independent_pairs_derives_nothing_twice(monkeypatch):

@@ -24,8 +24,9 @@ AMB_TEXTS = [render_process(corpus.random_reducible_process(i)) for i in range(1
     render_process(p) for p in corpus.hand_processes()
 ]
 # every punctuation mark and operator of both languages, a stray character,
-# digits, letters and the characters that end or comment out a line
-_ALPHABET = "[]();,|:+-*~.=>#@$_ \n0123456789abmnsx"
+# digits, letters, a digit and a letter outside ASCII, and the characters
+# that end or comment out a line
+_ALPHABET = "[]();,|:+-*~.=>#@$_ \n0123456789abmnsx\u00b2\u00e9"
 
 
 @st.composite

@@ -2,6 +2,7 @@ import pytest
 
 from mobilemem.core import (
     Carry,
+    Configuration,
     EndoRule,
     ExoRule,
     Fresh,
@@ -10,10 +11,13 @@ from mobilemem.core import (
     RewriteRule,
     Symbol,
     canonicalize,
+    mem,
+    validate,
 )
 from mobilemem.untimed import u_canonicalize
 from mobilemem.sysfile import InvalidSystemError, ParseError, SystemFile, parse_system, render_system
 from mobilemem.corpus import random_timed_system, random_untimed_system
+from conftest import count_calls
 
 a, b = Symbol("a"), Symbol("b")
 
@@ -149,3 +153,29 @@ def test_load_lists_every_violation():
     untimed = "mms 1 untimed\noutput skin\nskin[ ; h[ delta ] ]\n"
     with pytest.raises(InvalidSystemError, match="marker at rest inside h"):
         parse_system(untimed)
+
+
+def test_a_parse_numbers_the_tree_it_built_in_place(monkeypatch):
+    copies = [count_calls(monkeypatch, f"mobilemem.{kind}.with_children")
+              for kind in ("core.MembraneNode", "untimed.UNode")]
+    for config, rules in (random_timed_system(3), random_untimed_system(3)):
+        text = render_system(SystemFile(isinstance(config, Configuration), "skin", config, rules))
+        parsed = parse_system(text).config
+        assert [node.uid for node in parsed.skin.walk()] == list(range(1, len(list(config.skin.walk())) + 1))
+        assert render_system(SystemFile(isinstance(config, Configuration), "skin", parsed, rules)) == text
+    assert [c.n for c in copies] == [0, 0]
+
+
+@pytest.mark.parametrize("name", ["a9", "_9", "$c", "9a", "n\u00e9", "\u00b2"])
+def test_validate_accepts_exactly_the_names_the_parser_reads(name):
+    # a membrane label and an object named ``name``, rendered to a file
+    config = Configuration(mem("skin", INF, [], [mem(name, 3, [(Symbol(name), 2)])]))
+    text = render_system(SystemFile(True, "skin", config, ()))
+    violations = validate(config)
+    if violations:
+        assert len(violations) == 2 and all(repr(name) in v for v in violations)
+        with pytest.raises(ParseError):
+            parse_system(text)
+    else:
+        assert name[0] not in "0123456789" and name.isascii()
+        assert canonicalize(parse_system(text).config) == canonicalize(config)

@@ -9,7 +9,7 @@ from conftest import count_calls
 from mobilemem.compiler import eliminate_timers, embed_infinite
 from mobilemem.corpus import random_timed_system, random_untimed_system
 from mobilemem.explore import explore_untimed
-from mobilemem.core import EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol
+from mobilemem.core import EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol, output_reading
 from mobilemem.untimed import (
     UConfig,
     UInstance,
@@ -17,7 +17,6 @@ from mobilemem.untimed import (
     u_canonicalize,
     u_find_instances,
     u_maximal_choices,
-    u_output_reading,
     u_render,
     u_run,
     u_successors,
@@ -99,7 +98,7 @@ def test_output_reading_and_run():
     trace = u_run(cfg, [RULE], 5, selector="random", seed=1)
     assert trace.records[0].key == "skin{}[m{}[h{c}[]]]|out=skin"
     assert trace.halted  # nothing applies afterwards
-    assert u_output_reading(trace.final) == Multiset()
+    assert output_reading(trace.final) == Multiset()
 
 
 def test_successors_dedup():
