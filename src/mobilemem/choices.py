@@ -62,10 +62,12 @@ is sorted by those position tuples: position order is key order, so
 this is the order of the choices' key tuples, without building one.
 
 Instances are seen only through ``active_uid``, ``passive_uid``,
-``is_move`` (stored on the instance) and the needs map ``(uid, class) ->
-count`` that the caller computes, once per instance, so the timed and
-untimed interpreters share no matching or application code through this
-module.
+``is_move`` (stored on the instance) and each instance's ``needs()``, the
+map ``(uid, class) -> count`` of the objects it binds, read once per
+instance. ``enumerate_choices(config, instances, blocks)`` reads the
+objects ``config`` holds for them itself (``availability``), so the timed
+and untimed interpreters share no matching or application code through
+this module.
 """
 
 from __future__ import annotations
@@ -151,14 +153,13 @@ def _isolated(rows: list, blocking: list) -> list[bool]:
     ]
 
 
-def enumerate_choices(
-    instances: Sequence, needs: Callable, avail: dict, blocks: Callable
-) -> list[tuple]:
-    """Every conflict-free choice after which no blocking instance fits,
-    in the order of the instances' sort keys, given ``instances`` sorted
-    by them. Moves join at most once; other instances as often as their
-    objects allow."""
-    rows = [(inst, needs(inst)) for inst in instances]
+def enumerate_choices(config, instances: Sequence, blocks: Callable) -> list[tuple]:
+    """Every conflict-free choice of ``instances``, found in ``config``,
+    after which no blocking instance fits, in the order of the instances'
+    sort keys, given ``instances`` sorted by them. Moves join at most
+    once; other instances as often as their objects allow."""
+    avail = availability(config, instances)
+    rows = [(inst, inst.needs()) for inst in instances]
     blocking = [bool(blocks(inst)) for inst in instances]
     chosen: list = []  # positions in ``instances`` of the instances added
     searched: list = []

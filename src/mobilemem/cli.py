@@ -57,13 +57,19 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"cannot read {path}: not UTF-8 at byte {err.start}")
 
 
 def _write_out(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout if ``out`` is None."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise UsageError(f"cannot write {out}: {err}")
 
 
 def _load_system(path: str, timed: bool | None = None, command: str = "") -> SystemFile:
@@ -79,7 +85,7 @@ def _cmd_sim(args) -> int:
     sf = _load_system(args.file)
     trace = (run if sf.timed else u_run)(sf.config, sf.rules, args.steps, args.selector, args.seed)
     if args.trace:
-        Path(args.trace).write_text(trace.to_jsonl(), encoding="utf-8")
+        _write_out(trace.to_jsonl(), args.trace)
     _emit({
         "steps": len(trace.records),
         "halted": trace.halted,
@@ -134,9 +140,7 @@ def _cmd_explore(args) -> int:
     except BudgetExceeded as err:
         graph, over = err.graph, err
     if args.graph:
-        Path(args.graph).write_text(
-            json.dumps(graph.to_json(), indent=2, sort_keys=True), encoding="utf-8"
-        )
+        _write_out(json.dumps(graph.to_json(), indent=2, sort_keys=True), args.graph)
     _emit({"nodes": len(graph.nodes), "edges": len(graph.edges), "truncated": graph.truncated})
     if over is not None:
         raise over
@@ -178,6 +182,8 @@ def _cmd_check(args) -> int:
     }[args.prop]
     if args.corpus:
         seed, count = args.corpus
+        if args.file:
+            raise UsageError(f"check takes a file or --corpus, not both: {args.file} and --corpus {seed},{count}")
         inputs = (generate(seed + i) for i in range(count))
     elif not args.file:
         raise UsageError("check needs a file or --corpus seed,count")

@@ -133,12 +133,12 @@ class Instance:
     side (their host membrane) and have no passive membrane. ``is_move`` is
     worked out once, when the instance is made.
 
-    Two instances are equal when their rule indexes, rules, uids and
-    classes are. The hash covers the binding fields only: rule index, uids
-    and classes. Within one rule list the index names the rule, so leaving
-    the rule out makes only instances of different rule lists collide, and
-    it spares every set of instances a hash of the rule, a dataclass whose
-    fields are multisets and product tuples.
+    Two instances of one class are equal when their rule indexes, rules,
+    uids and classes are. The hash covers the binding fields only: rule
+    index, uids and classes. Within one rule list the index names the rule,
+    so leaving the rule out makes only instances of different rule lists
+    collide, and it spares every set of instances a hash of the rule, a
+    dataclass whose fields are multisets and product tuples.
     """
 
     __slots__ = ("rule_index", "rule", "active_uid", "passive_uid", "active_classes", "passive_classes", "is_move")
@@ -164,7 +164,7 @@ class Instance:
         return (self.rule_index, self.active_uid, self.passive_uid, self.active_classes, self.passive_classes)
 
     def __eq__(self, other) -> bool:
-        if type(other) is not Instance:
+        if type(other) is not type(self):
             return NotImplemented
         return self._binding() == other._binding() and self.rule == other.rule
 
@@ -172,7 +172,7 @@ class Instance:
         return hash(self._binding())
 
     def __repr__(self) -> str:
-        return f"Instance({self.describe()})"
+        return f"{type(self).__name__}({self.describe()})"
 
     def needs(self) -> dict:
         """``(uid, class) -> count`` of the objects this instance binds."""
@@ -342,9 +342,7 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
 def maximal_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
     """Saturated choices: conflict-free and no further instance applies to
     the unused residue. When nothing applies, the single empty choice."""
-    found = find_instances(config, rules)
-    avail = availability(config, found)
-    return enumerate_choices(found, Instance.needs, avail, lambda inst: True)
+    return enumerate_choices(config, find_instances(config, rules), lambda inst: True)
 
 
 def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
@@ -352,9 +350,7 @@ def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoic
     residue admits no instance binding only INF-timer objects. Superset of
     ``maximal_choices``; the difference is finite-timer objects ticking
     instead of joining an enabled move."""
-    found = find_instances(config, rules)
-    avail = availability(config, found)
-    return enumerate_choices(found, Instance.needs, avail, Instance.forced)
+    return enumerate_choices(config, find_instances(config, rules), Instance.forced)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from .core import (
 )
 from . import ambient as amb
 from .ambient import Amb, Capability, Prefix, Process
-from .choices import availability, enumerate_choices
+from .choices import enumerate_choices
 from .engine import Instance, distinct_successors, find_instances
 from .tree import Tree
 
@@ -183,7 +183,7 @@ def literal_successors(
     composes independent movements), with no clock. Deduplicated by
     canonical key."""
     instances = [i for i in find_instances(config, rules) if i.is_move]
-    choices = enumerate_choices(instances, Instance.needs, availability(config, instances), lambda inst: False)
+    choices = enumerate_choices(config, instances, lambda inst: False)
     return distinct_successors(config, [ch for ch in choices if ch], _literal_apply, canonicalize)
 
 

@@ -11,7 +11,9 @@ This module is intentionally not a wrapper over the timed engine: the
 embedding and timer-elimination checks compare the two interpreters against
 each other, which only means something where they are independent code.
 Instance matching and the consuming and producing of rule sides are
-written here. Shared with the timed engine are the conflict rule
+written here. Shared with the timed engine are the instance record
+(``UInstance`` is an ``engine.Instance`` whose bound classes are bare
+symbols, and differs from it only in how it prints), the conflict rule
 (``choices.py``, which sees nothing of an instance but its membranes, the
 objects it binds and its position in the sorted list of instances), the
 structural edit of a step (``tree.py``: the membrane index, membrane
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .choices import availability, enumerate_choices
+from .choices import enumerate_choices
 from .core import (
     DELTA_NAME,
     Configuration,
@@ -57,7 +59,7 @@ from .core import (
     stored_render,
     walk_tree,
 )
-from .engine import distinct_successors, simulate
+from .engine import Instance, distinct_successors, simulate
 from .tree import Tree, carry_index, index_of
 
 
@@ -131,57 +133,13 @@ def erase_timers(config: Configuration) -> UConfig:
 # ---------------------------------------------------------------------------
 # Instances and choices
 
-_NOTHING = Multiset()
+class UInstance(Instance):
+    """An untimed rule occurrence: an ``engine.Instance`` whose
+    ``active_classes``/``passive_classes`` are the multisets the rule
+    consumes on each side, as sorted tuples of bare symbols. It differs
+    from a timed instance only in how it prints, without timers."""
 
-
-class UInstance:
-    """One applicable untimed rule occurrence, never changed once made:
-    the rule, its index, its active and passive membranes, and the
-    multisets the rule consumes in them (``lhs_active``/``lhs_passive``),
-    worked out once per rule by the matcher. ``is_move`` is worked out
-    when the instance is made.
-
-    Two instances are equal when their rule indexes, rules and uids are;
-    the consumed multisets follow from the rule. The hash covers the
-    binding fields only, rule index and uids: within one rule list the
-    index names the rule, and leaving the rule out spares every set of
-    instances a hash of the rule's dataclass."""
-
-    __slots__ = ("rule_index", "rule", "active_uid", "passive_uid", "lhs_active", "lhs_passive", "is_move")
-
-    def __init__(
-        self,
-        rule_index: int,
-        rule: Rule,
-        active_uid: int,
-        passive_uid: int | None,
-        lhs_active: Multiset = _NOTHING,
-        lhs_passive: Multiset = _NOTHING,
-    ):
-        self.rule_index = rule_index
-        self.rule = rule
-        self.active_uid = active_uid
-        self.passive_uid = passive_uid
-        self.lhs_active = lhs_active
-        self.lhs_passive = lhs_passive
-        self.is_move = isinstance(rule, MoveRule)
-
-    def _binding(self) -> tuple:
-        return (self.rule_index, self.active_uid, self.passive_uid)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not UInstance:
-            return NotImplemented
-        return self._binding() == other._binding() and self.rule == other.rule
-
-    def __hash__(self) -> int:
-        return hash(self._binding())
-
-    def __repr__(self) -> str:
-        return f"UInstance({self.describe()})"
-
-    def sort_key(self):
-        return (self.rule_index, self.active_uid, -1 if self.passive_uid is None else self.passive_uid)
+    __slots__ = ()
 
     def describe(self) -> str:
         name = self.rule.name or f"r{self.rule_index}"
@@ -194,8 +152,8 @@ class UInstance:
             "rule": self.rule.name or f"r{self.rule_index}",
             "active": self.active_uid,
             "passive": self.passive_uid,
-            "active_bindings": [[str(s), None] for s in self.lhs_active],
-            "passive_bindings": [[str(s), None] for s in self.lhs_passive],
+            "active_bindings": [[str(s), None] for s in self.active_classes],
+            "passive_bindings": [[str(s), None] for s in self.passive_classes],
         }
 
 
@@ -213,7 +171,8 @@ def _untimed_table(rules: Sequence) -> tuple:
     rewrites with an empty left side, the move parts as (flat index, rule
     or schema, the move rule whose labels and nesting its members share),
     and the members read so far). A member is kept on first use under its
-    flat index, as [member, lhs active, lhs passive once needed]."""
+    flat index, as [member, lhs active, its sorted symbols, then lhs
+    passive and its sorted symbols once needed]."""
     rewrites: dict = {}  # key symbol (None: empty left side) -> [(flat index, rewrite)]
     moves = []
     for base, item in _parts(rules):
@@ -255,10 +214,10 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
         for sym, _n in content.items():
             for base, rule in rewrites.get(sym, ()):
                 if (rule.at is None or rule.at == host.label) and content.contains(rule.lhs):
-                    found.append(UInstance(base, rule, host.uid, None, rule.lhs))
+                    found.append(UInstance(base, rule, host.uid, None, rule.active_slots))
         for base, rule in everywhere:
             if rule.at is None or rule.at == host.label:
-                found.append(UInstance(base, rule, host.uid, None, rule.lhs))
+                found.append(UInstance(base, rule, host.uid, None, rule.active_slots))
     for base, item, rule in moves:
         for active, passive in _move_pairs(rule, config.skin, index.kids):
             offsets = (0,) if item is rule else item.present(active.content, passive.content)
@@ -267,14 +226,16 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
                 entry = sides.get(idx)
                 if entry is None:
                     member = rule if item is rule else item[offset]
-                    entry = sides[idx] = [member, member.u.union(member.v), None]
-                member, lhs_a, lhs_p = entry
+                    lhs_a = member.u.union(member.v)
+                    entry = sides[idx] = [member, lhs_a, tuple(lhs_a), None, None]
+                member, lhs_a, taken_a, lhs_p, taken_p = entry
                 if not active.content.contains(lhs_a):
                     continue
                 if lhs_p is None:
-                    lhs_p = entry[2] = member.u_bar.union(member.v2)
+                    lhs_p = entry[3] = member.u_bar.union(member.v2)
+                    taken_p = entry[4] = tuple(lhs_p)
                 if passive.content.contains(lhs_p):
-                    found.append(UInstance(idx, member, active.uid, passive.uid, lhs_a, lhs_p))
+                    found.append(UInstance(idx, member, active.uid, passive.uid, taken_a, taken_p))
     return sorted(found, key=UInstance.sort_key)
 
 
@@ -302,19 +263,9 @@ def _move_pairs(rule: MoveRule, skin: UNode, kids: dict) -> Iterator[tuple]:
                     yield active, passive
 
 
-def _u_needs(inst: UInstance) -> dict:
-    need: dict = {}
-    for sym in inst.lhs_active:
-        need[(inst.active_uid, sym)] = need.get((inst.active_uid, sym), 0) + 1
-    for sym in inst.lhs_passive:
-        need[(inst.passive_uid, sym)] = need.get((inst.passive_uid, sym), 0) + 1
-    return need
-
-
 def u_maximal_choices(config: UConfig, rules: Sequence[Rule]) -> list[tuple]:
     """All maximal conflict-free instance multisets (classic parallelism)."""
-    found = u_find_instances(config, rules)
-    return enumerate_choices(found, _u_needs, availability(config, found), lambda inst: True)
+    return enumerate_choices(config, u_find_instances(config, rules), lambda inst: True)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +283,12 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     is derived from ``config``'s by the step's edits (``carry_index``)."""
     tree = Tree(config, choice)
 
-    def consume(uid, syms: Multiset):
+    def consume(uid, syms: tuple):
         content = tree.nodes[uid].content
-        for sym, n in syms.items():
-            if content.get(sym, 0) < n:
-                raise ValueError(f"stale untimed choice: {sym} x{n} missing in {uid}")
-            content[sym] -= n
+        for sym in syms:
+            if not content.get(sym):
+                raise ValueError(f"stale untimed choice: {sym} missing in {uid}")
+            content[sym] -= 1
             if not content[sym]:
                 del content[sym]
 
@@ -348,11 +299,11 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
 
     for inst in choice:
         rule = inst.rule
-        consume(inst.active_uid, inst.lhs_active)
+        consume(inst.active_uid, inst.active_classes)
         if isinstance(rule, RewriteRule):
             produce(inst.active_uid, rule.rhs)
         else:
-            consume(inst.passive_uid, inst.lhs_passive)
+            consume(inst.passive_uid, inst.passive_classes)
             produce(inst.active_uid, rule.w)
             produce(inst.passive_uid, rule.w2)
 

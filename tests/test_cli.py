@@ -207,6 +207,42 @@ def test_non_ascii_digits_and_letters_exit_3_at_their_position(tmp_path, capsys,
     assert out == "" and err.startswith(f"error: {where}: unexpected character ")
 
 
+@pytest.mark.parametrize("command, name, data, where", [
+    (["sim", "{path}", "--steps", "1"], "bad.mms", b"mms 1 timed\noutput skin\nskin:inf[ a:\xff ]\n", 36),
+    (["explore", "{path}", "--depth", "1"], "bad.amb", b"n\xe9:2[]\n", 1),
+    (["check", "prop45", "{path}", "--depth", "1"], "bad.amb", b"n\xe9:2[]\n", 1),
+    (["translate", "{path}"], "bad.amb", b"n\xe9:2[]\n", 1),
+], ids=["sim", "explore", "check", "translate"])
+def test_an_input_that_is_not_utf8_exits_3_at_its_byte(tmp_path, capsys, command, name, data, where):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main([arg.format(path=path) for arg in command]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot read {path}: not UTF-8 at byte {where}\n"
+
+
+@pytest.mark.parametrize("command, name, text, flag", [
+    (["sim", "{path}", "--steps", "1"], "s1.mms", S1_TEXT, "--trace"),
+    (["compile", "{path}"], "s1.mms", S1_TEXT, "-o"),
+    (["explore", "{path}", "--depth", "1"], "s1.mms", S1_TEXT, "--graph"),
+    (["embed", "{path}"], "u.mms", U_TEXT, "-o"),
+    (["translate", "{path}"], "demo.amb", DEMO_AMB, "-o"),
+], ids=["sim", "compile", "explore", "embed", "translate"])
+def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys, command, name, text, flag):
+    path = tmp_path / name
+    path.write_text(text)
+    target = tmp_path / "missing" / "out"
+    assert main([arg.format(path=path) for arg in command] + [flag, str(target)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_check_given_a_file_and_a_corpus_exits_3_naming_both(s1_file, capsys):
+    assert main(["check", "prop2", s1_file, "--depth", "2", "--corpus", "0,1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: check takes a file or --corpus, not both: {s1_file} and --corpus 0,1\n"
+
+
 def test_invalid_system_exits_3_naming_the_violation(tmp_path, capsys):
     resting = tmp_path / "resting.mms"
     resting.write_text("mms 1 timed\noutput skin\nskin:inf[ delta:1 ; h:3[ a:2 ] ]\n")

@@ -205,8 +205,8 @@ def test_schema_matcher_equals_the_expanded_family():
             got = u_find_instances(state, compiled)
             want = u_find_instances(state, flat)
             assert got == want
-            assert [(i.lhs_active, i.lhs_passive) for i in got] == [
-                (i.lhs_active, i.lhs_passive) for i in want
+            assert [(i.active_classes, i.passive_classes) for i in got] == [
+                (i.active_classes, i.passive_classes) for i in want
             ]
 
 

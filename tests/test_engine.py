@@ -34,7 +34,6 @@ from mobilemem.core import (
     rebuild_tree,
 )
 from mobilemem.engine import (
-    Instance,
     StaleChoiceError,
     apply_step,
     choice_describe,
@@ -307,6 +306,44 @@ def test_stale_choice_rejected():
     aged = apply_step(cfg, [ch for ch in step_choices(cfg, [E1]) if not ch][0])
     with pytest.raises(StaleChoiceError, match=r"\(Symbol\(name='a', is_co=False\), 2\) x1 unavailable"):
         apply_step(aged, choice)  # bindings name timers that moved on; so does the message
+
+
+def test_a_move_choice_replayed_on_its_own_result_is_stale():
+    # the endo active now sits inside its passive; the exo active has left
+    # its passive and is its sibling
+    exo = ExoRule("h", "m", Multiset([b]), name="X")
+    cfg = Configuration(mem("skin", INF, [], [mem("h", INF, [(a, INF)]), mem("m", INF, [(a.dual(), INF)])]))
+    endo = EndoRule("h", "m", Multiset([a]), w=((b, Fresh(INF)),), w2=((b.dual(), Fresh(INF)),), name="E")
+    for rules, message in (([endo], "endo participants are not siblings here"),
+                           ([exo], "exo active is not a child of its passive")):
+        (choice,) = maximal_choices(cfg, rules)
+        moved = apply_step(cfg, choice)
+        with pytest.raises(StaleChoiceError, match=message):
+            apply_step(moved, choice)
+        cfg = moved
+
+
+def test_a_hand_built_choice_may_not_move_one_active_twice():
+    cfg = Configuration(mem("skin", INF, [], [
+        mem("h", INF, [(a, INF), (a, INF)]), mem("m", INF, [(a.dual(), INF)]), mem("m", INF, [(a.dual(), INF)]),
+    ]))
+    rule = EndoRule("h", "m", Multiset([a]), name="E")
+    found = find_instances(cfg, [rule])
+    assert len(found) == 2 and found[0].active_uid == found[1].active_uid
+    assert all(len(choice) == 1 for choice in maximal_choices(cfg, [rule]))
+    with pytest.raises(StaleChoiceError, match="conflicting membrane roles in choice"):
+        step(cfg, tuple(found))
+
+
+def test_a_move_whose_active_gained_a_child_or_ran_out_is_stale():
+    cfg = s1()
+    (choice,) = maximal_choices(cfg, [E1])
+    h, m = cfg.skin.children
+    for changed in (replace(h, children=(mem("k", INF),)), replace(h, timer=0)):
+        assert changed.uid == h.uid
+        other = Configuration(replace(cfg.skin, children=(changed, m)))
+        with pytest.raises(StaleChoiceError, match="move structural precondition fails"):
+            apply_step(other, choice)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +883,7 @@ def test_isolated_instances_are_decided_without_a_fit_test(monkeypatch):
     assert len(choice) == n and tests.n == 0, f"{tests.n} conflict tests"
     trace = run(cfg, rules, steps)
     assert len(trace.records) == steps and tests.n == 0, f"{tests.n} conflict tests"
-    assert enumerate_choices([], Instance.needs, {}, lambda inst: True) == [()]
+    assert enumerate_choices(cfg, [], lambda inst: True) == [()]
     assert searches.n == 0, f"{searches.n} searches set up"
 
 
@@ -1116,7 +1153,7 @@ def _untimed_rows(found):
 
     return sorted(
         (i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid,
-         binds(i.lhs_active), binds(i.lhs_passive))
+         binds(i.active_classes), binds(i.passive_classes))
         for i in found
     )
 

@@ -9,9 +9,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 
-from mobilemem.choices import availability, enumerate_choices
+from mobilemem.choices import enumerate_choices
 from mobilemem.core import INF, Configuration, Symbol, canonicalize, mem
-from mobilemem.engine import Instance, find_instances
+from mobilemem.engine import find_instances
 from mobilemem.ambient import (
     Amb,
     Capability,
@@ -292,7 +292,7 @@ def test_literal_apply_matches_reference_per_membrane():
         config, rules = translate(p), generate_rules(p, strict=True)
         root = ref.from_config(config)
         moves = [i for i in find_instances(config, rules) if i.is_move]
-        for choice in enumerate_choices(moves, Instance.needs, availability(config, moves), lambda i: False):
+        for choice in enumerate_choices(config, moves, lambda i: False):
             if choice:
                 want, _detached, _stats = ref.apply_step(root, ref.from_choice(choice), rules, literal=True)
                 assert ref.membranes(ref.from_config(_literal_apply(config, choice))) == ref.membranes(want)

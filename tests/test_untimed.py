@@ -2,6 +2,8 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 from conftest import count_calls
@@ -74,6 +76,16 @@ def test_rewrite_multiplicity():
     assert len(choice) == 3  # maximality forces every copy to rewrite
     nxt, _det = u_apply(cfg, choice)
     assert u_canonicalize(nxt) == "skin{}[h{b,b,b}[]]|out=skin"
+
+
+def test_an_untimed_choice_applied_twice_is_stale():
+    rewrite = RewriteRule(None, Multiset([a]), ((b, Fresh(INF)),), name="w")
+    for cfg, rules in ((UConfig(umem("skin", [], [umem("h", [a, a])])), [rewrite]), (handshake(), [RULE])):
+        (choice,) = u_maximal_choices(cfg, rules)
+        nxt, _det = u_apply(cfg, choice)
+        h = choice[0].active_uid
+        with pytest.raises(ValueError, match=f"stale untimed choice: a missing in {h}$"):
+            u_apply(nxt, choice)
 
 
 def test_marker_dissolves_membrane():
@@ -226,7 +238,7 @@ def test_rewrite_index_equals_the_rule_by_rule_loop():
         configs.append(UConfig(umem("skin", [rng.choice([a, c, x])], kids)))
     for config in configs:
         want = sorted(
-            (UInstance(idx, rule, host.uid, None, rule.lhs)
+            (UInstance(idx, rule, host.uid, None, rule.active_slots)
              for idx, rule in enumerate(rules) if isinstance(rule, RewriteRule)
              for host in config.skin.walk()
              if rule.at in (None, host.label) and host.content.contains(rule.lhs)),
@@ -234,7 +246,7 @@ def test_rewrite_index_equals_the_rule_by_rule_loop():
         )
         got = [inst for inst in u_find_instances(config, rules) if not inst.is_move]
         assert got == want
-        assert [i.lhs_active for i in got] == [i.lhs_active for i in want]
+        assert [i.active_classes for i in got] == [i.active_classes for i in want]
     assert not [i for i in u_find_instances(configs[0], rules) if i.rule.name != "empty"]
 
 
