@@ -72,6 +72,12 @@ def _write_out(text: str, out: str | None) -> None:
         raise UsageError(f"cannot write {out}: {err}")
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an output path in a missing directory."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"cannot write {out}: no such directory")
+
+
 def _load_system(path: str, timed: bool | None = None, command: str = "") -> SystemFile:
     """The system in ``path``; with ``timed`` given, one of that kind, or a
     usage error naming ``command``."""
@@ -268,6 +274,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for out in ("trace", "graph", "output"):  # the commands that write a file
+            _check_out(getattr(args, out, None))
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

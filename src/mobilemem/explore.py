@@ -16,12 +16,14 @@ Three checks constitute the toolkit's oracle:
   states keep counters sound.
 * ``check_translation`` (CLI token ``prop45``): every non-time ambient
   reduction is matched by a membrane reduction with the same translated
-  image (timer-erased against full engine steps, exact against the literal
-  relation, which fires any nonempty conflict-free set of movement
-  instances), and every reachable membrane state has some ambient
-  preimage. Preimages the ambient side cannot reach are reported as
-  informative, not failing. The ambient side is explored once, within the
-  node cap; both forward passes walk that graph's ``move`` edges.
+  image (timer-erased against full engine steps, by erased keys of the
+  stepped states, exact against the literal relation, which fires any
+  nonempty conflict-free set of movement instances), and every reachable
+  membrane state has some ambient preimage. Preimages the ambient side
+  cannot reach are reported as informative, not failing; preimage terms
+  are built only until the listed ones are found. The ambient side is
+  explored once, within the node cap; both forward passes walk that
+  graph's ``move`` edges.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import Configuration, Rule, canonicalize, fixed_rules
-from .engine import choice_describe, successors
+from .engine import choice_describe, distinct_successors, step, step_choices, successors
 from .untimed import (
     UConfig,
-    erase_timers,
+    erased_key,
     u_canonicalize,
     u_successors,
 )
@@ -42,7 +44,7 @@ from .compiler import (
     counter_soundness_violations,
     eliminate_timers,
     embed_infinite,
-    project,
+    _counter_of,
     _label_timers,
 )
 from . import ambient as amb
@@ -50,12 +52,16 @@ from .tree import drop_index
 from .translate import (
     check_preimage_reordering,
     generate_rules as _generate_rules,
+    has_preimage,
     some_preimage,
     _correspondence,
     _Images,
 )
 
 DEFAULT_NODE_CAP = 100_000
+
+#: Most membrane states without a reachable preimage that prop45 lists.
+PREIMAGE_NOTES = 5
 
 
 class BudgetExceeded(Exception):
@@ -274,10 +280,7 @@ def check_embedding(
     except BudgetExceeded as err:
         return Verdict("prop1", None, {"reason": str(err)})
 
-    def erased(key: str) -> str:
-        return u_canonicalize(erase_timers(timed_graph.objects[key]))
-
-    mapping = {key: erased(key) for key in timed_graph.nodes}
+    mapping = {key: erased_key(timed_graph.objects[key]) for key in timed_graph.nodes}
     nodes_u = set(untimed_graph.nodes)
     nodes_t = set(mapping.values())
     details: dict = {
@@ -327,7 +330,8 @@ def check_timer_elimination(
 ) -> Verdict:
     """Timed system vs its compiled untimed twin: equal projected reachable
     sets within every k <= depth, preserved membrane counts, sound
-    counters."""
+    counters. A projection is keyed by ``erased_key`` less counters and
+    drops no membrane, so its count is the state's ``NodeRecord``'s."""
     compiled_config, compiled_rules = eliminate_timers(config, rules)
     counter_labels = {
         label for label, t in _label_timers(config).items() if t != float("inf")
@@ -354,15 +358,10 @@ def check_timer_elimination(
     if soundness:
         witnesses.append({"counter_soundness": soundness[:3]})
 
-    def proj_info(graph):
-        per_state = {}
-        for key, record in graph.nodes.items():
-            p = project(graph.objects[key])
-            per_state[key] = (u_canonicalize(p), record.depth, sum(1 for _ in p.skin.walk()))
-        return per_state
-
-    timed_proj = proj_info(timed_graph)
-    compiled_proj = proj_info(compiled_graph)
+    timed_proj, compiled_proj = (
+        {key: (erased_key(g.objects[key], _counter_of), r.depth, r.membranes) for key, r in g.nodes.items()}
+        for g in (timed_graph, compiled_graph)
+    )
     for k in range(depth + 1):
         timed_set = {pk for pk, d, _m in timed_proj.values() if d <= k}
         compiled_set = {pk for pk, d, _m in compiled_proj.values() if d <= k}
@@ -388,7 +387,8 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     reordered-preimage phenomenon as an informative note. One ambient graph
     serves both forward passes, which walk its ``move`` edges: those from
     states at depth below ``depth`` (the root alone at depth 0 for the
-    exact pass, none for the erased one)."""
+    exact pass, none for the erased one). Preimage terms are built until
+    the ``PREIMAGE_NOTES`` listed notes are found, then ``has_preimage`` decides."""
     p = amb.normalize(p)
     default_rules = _generate_rules(p)
     try:
@@ -406,25 +406,26 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
         if label != "move":
             continue  # only movement reductions are matched
         if state_key not in erased_successors:
-            erased_successors[state_key] = {
-                u_canonicalize(erase_timers(cfg)) for _c, cfg, _k in successors(images[state_key], default_rules)
-            }
+            image = images[state_key]
+            erased_successors[state_key] = {key for _c, _cfg, key in distinct_successors(
+                image, step_choices(image, default_rules), lambda c, ch: step(c, ch).config, erased_key,
+            )}
         pq_edges += 1
-        if u_canonicalize(erase_timers(images[reduct_key])) not in erased_successors[state_key]:
+        if erased_key(images[reduct_key]) not in erased_successors[state_key]:
             pq_misses.append({"state": state_key, "reduct": reduct_key})
 
     mn_misses = []
     preimage_notes = []
-    for key in membrane_graph.nodes:
-        candidate = some_preimage(membrane_graph.objects[key])
-        if candidate is None:
+    for key, state in membrane_graph.objects.items():
+        if len(preimage_notes) < PREIMAGE_NOTES:
+            candidate = some_preimage(state)
+            found = candidate is not None
+            if found and (preimage := amb.canonical_key(candidate)) not in ambient_graph.nodes:
+                preimage_notes.append({"state": key, "preimage": preimage})
+        else:
+            found = has_preimage(state)
+        if not found:
             mn_misses.append({"state": key})
-            continue
-        if amb.canonical_key(candidate) not in ambient_graph.nodes:
-            preimage_notes.append({
-                "state": key,
-                "preimage": amb.canonical_key(candidate),
-            })
 
     root = ambient_graph.root
     reordering = check_preimage_reordering(
@@ -435,7 +436,7 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
         "pq_exact": strict_report,
         "pq_erased": {"edges": pq_edges, "misses": pq_misses},
         "mn": {"nodes": len(membrane_graph.nodes), "misses": mn_misses},
-        "preimages_not_in_ambient_graph": preimage_notes[:5],
+        "preimages_not_in_ambient_graph": preimage_notes,
         "reordering": reordering,
     }
     return Verdict("prop45", ok, details)

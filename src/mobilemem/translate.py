@@ -351,6 +351,12 @@ def some_preimage(config: Configuration) -> Process | None:
     return found[0] if found else None
 
 
+def has_preimage(config: Configuration) -> bool:
+    """``some_preimage(config) is not None``: every object is a capability."""
+    objects = (sym for node in config.skin.walk() for (sym, _t), _n in node.content.items())
+    return all(cap_from_symbol(sym, 0) is not None for sym in objects)
+
+
 def check_preimage_reordering(
     p: Process, *, targets: list | None = None, moves: list | None = None
 ) -> dict:

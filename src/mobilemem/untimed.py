@@ -32,12 +32,16 @@ container by at most one entry, and a list gets a fresh table per call
 In a compiled system the key of a tick or kill rule is its counter, so a
 state costs per counter present rather than per generated rewrite, and
 move families are read through their schemas (see ``u_find_instances``).
+
+The checks compare timer-erased and projected states by ``erased_key``,
+``u_canonicalize`` of the erased tree rendered in one fold over a timed
+or untimed tree, without building the erased tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .choices import enumerate_choices
 from .core import (
@@ -104,12 +108,16 @@ class UConfig:
     clock = 0  # a class attribute, not a field
 
 
+def _u_layout(label: str, objs: list, kids: Iterable[str]) -> str:
+    """One membrane's render from its objects' and children's renders."""
+    return label + "{" + ",".join(objs) + "}[" + " ".join(sorted(kids)) + "]"
+
+
 def _u_render_one(node: UNode) -> str:
     objs = []
     for sym, n in node.content.items():
         objs.extend([str(sym)] * n)
-    kids = sorted([c._render for c in node.children])
-    return node.label + "{" + ",".join(objs) + "}[" + " ".join(kids) + "]"
+    return _u_layout(node.label, objs, [c._render for c in node.children])
 
 
 def u_render(node: UNode) -> str:
@@ -119,6 +127,23 @@ def u_render(node: UNode) -> str:
 
 def u_canonicalize(config: UConfig) -> str:
     return u_render(config.skin) + "|out=" + config.output_label
+
+
+def erased_key(config, drop: Callable | None = None) -> str:
+    """``u_canonicalize(erase_timers(config))``, or ``u_canonicalize(config)``
+    if untimed, less each symbol ``drop`` selects; no node is built. A timed
+    content sorts by (symbol, timer), so its symbols come out in order."""
+    timed = isinstance(config, Configuration)
+
+    def render(node, kids: tuple) -> str:
+        objs = []
+        for entry, n in node.content.items():
+            sym = entry[0] if timed else entry
+            if drop is None or not drop(sym):
+                objs.extend([str(sym)] * n)
+        return _u_layout(node.label, objs, kids)
+
+    return rebuild_tree(config.skin, render) + "|out=" + config.output_label
 
 
 def erase_timers(config: Configuration) -> UConfig:

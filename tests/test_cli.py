@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import count_calls
 from mobilemem import cli
 from mobilemem.cli import main
 from mobilemem.explore import Verdict
@@ -221,20 +222,26 @@ def test_an_input_that_is_not_utf8_exits_3_at_its_byte(tmp_path, capsys, command
     assert out == "" and err == f"error: cannot read {path}: not UTF-8 at byte {where}\n"
 
 
-@pytest.mark.parametrize("command, name, text, flag", [
-    (["sim", "{path}", "--steps", "1"], "s1.mms", S1_TEXT, "--trace"),
-    (["compile", "{path}"], "s1.mms", S1_TEXT, "-o"),
-    (["explore", "{path}", "--depth", "1"], "s1.mms", S1_TEXT, "--graph"),
-    (["embed", "{path}"], "u.mms", U_TEXT, "-o"),
-    (["translate", "{path}"], "demo.amb", DEMO_AMB, "-o"),
-], ids=["sim", "compile", "explore", "embed", "translate"])
-def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys, command, name, text, flag):
+@pytest.mark.parametrize("command, name, text, flag, work", [
+    (["sim", "{path}", "--steps", "1"], "s1.mms", S1_TEXT, "--trace", ("engine.run", "untimed.u_run")),
+    (["compile", "{path}"], "s1.mms", S1_TEXT, "-o", ("compiler.eliminate_timers",)),
+    (["explore", "{path}", "--depth", "1"], "s1.mms", S1_TEXT, "--graph",
+     ("explore.explore_membranes", "explore.explore_untimed")),
+    (["explore", "{path}", "--depth", "1"], "u.mms", U_TEXT, "--graph",
+     ("explore.explore_membranes", "explore.explore_untimed")),
+    (["embed", "{path}"], "u.mms", U_TEXT, "-o", ("compiler.embed_infinite",)),
+    (["translate", "{path}"], "demo.amb", DEMO_AMB, "-o", ("translate.translate",)),
+], ids=["sim", "compile", "explore", "explore-untimed", "embed", "translate"])
+def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys, monkeypatch, command, name, text, flag, work):
+    # a missing directory is found before the command's work starts
     path = tmp_path / name
     path.write_text(text)
     target = tmp_path / "missing" / "out"
+    calls = [count_calls(monkeypatch, f"mobilemem.{function}") for function in work]
     assert main([arg.format(path=path) for arg in command] + [flag, str(target)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert [c.n for c in calls] == [0] * len(work)
 
 
 def test_check_given_a_file_and_a_corpus_exits_3_naming_both(s1_file, capsys):

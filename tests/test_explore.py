@@ -4,7 +4,6 @@ import json
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -321,6 +320,27 @@ def test_check_translation_translates_each_state_once(monkeypatch):
     assert calls == 42  # the distinct states of the ten graphs' move edges
 
 
+def test_check_translation_builds_preimages_only_for_the_notes_it_lists(monkeypatch):
+    # seed 3's membrane graph has 29 states, and its fifth unreachable
+    # preimage is found at the sixth; the erased pass keys stepped states
+    # without building erased trees
+    preimages = count_calls(monkeypatch, "mobilemem.translate.some_preimage")
+    erased = count_calls(monkeypatch, "mobilemem.untimed.erase_timers")
+    verdict = check_translation(random_reducible_process(3), 4)
+    assert verdict.ok and verdict.details["mn"]["nodes"] == 29
+    assert len(verdict.details["preimages_not_in_ambient_graph"]) == 5
+    assert (preimages.n, erased.n) == (6, 0)
+
+
+def test_prop1_and_prop2_build_no_erased_or_projected_tree(monkeypatch):
+    erased = count_calls(monkeypatch, "mobilemem.untimed.erase_timers")
+    projected = count_calls(monkeypatch, "mobilemem.compiler.project")
+    for seed in range(10):
+        assert check_embedding(*random_untimed_system(seed), 4).ok, seed
+        assert check_timer_elimination(*random_timed_system(seed), 4).ok, seed
+    assert (erased.n, projected.n) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Each check's failure branches, reached through test-side fakes
 
@@ -337,7 +357,7 @@ def test_check_translation_reports_a_missed_exact_reduction(monkeypatch):
 def test_check_translation_reports_a_missed_erased_reduction(monkeypatch):
     import mobilemem.explore as explore
 
-    monkeypatch.setattr(explore, "successors", lambda state, rules: [])
+    monkeypatch.setattr(explore, "step_choices", lambda state, rules: [])
     verdict = check_translation(reorder_demo_process(), 2)
     assert verdict.ok is False
     (miss,) = verdict.details["pq_erased"]["misses"]
@@ -367,19 +387,19 @@ def test_check_timer_elimination_reports_unsound_counters(monkeypatch):
 
 
 def test_check_timer_elimination_reports_a_membrane_count_mismatch(monkeypatch):
-    # projections keep their keys, but each compiled one claims one
-    # membrane fewer than its timed twin
+    # projections keep their keys, but each compiled state's record
+    # claims one membrane fewer than its timed twin
     import mobilemem.explore as explore
 
-    project, key = explore.project, explore.u_canonicalize
+    record = explore._node_record
 
-    def counted(config):
-        proj = project(config)
-        walk = list(proj.skin.walk())[isinstance(config, UConfig):]
-        return SimpleNamespace(key=key(proj), skin=SimpleNamespace(walk=lambda: iter(walk)))
+    def fewer(state, key, depth, timed):
+        found = record(state, key, depth, timed)
+        if not timed:
+            found.membranes -= 1
+        return found
 
-    monkeypatch.setattr(explore, "project", counted)
-    monkeypatch.setattr(explore, "u_canonicalize", lambda x: x.key if isinstance(x, SimpleNamespace) else key(x))
+    monkeypatch.setattr(explore, "_node_record", fewer)
     verdict = check_timer_elimination(s1(), [E1], 2)
     assert verdict.ok is False
     (witness,) = verdict.details["witnesses"]

@@ -31,6 +31,7 @@ from mobilemem.translate import (
     check_correspondence_PQ,
     check_preimage_reordering,
     generate_rules,
+    has_preimage,
     literal_successors,
     preimage_processes,
     some_preimage,
@@ -39,7 +40,7 @@ from mobilemem.translate import (
     _literal_apply,
 )
 from mobilemem.corpus import hand_processes, random_process, random_reducible_process, reorder_demo_process
-from mobilemem.explore import explore_ambients
+from mobilemem.explore import explore_ambients, explore_membranes
 
 
 def _capabilities(p):
@@ -177,6 +178,23 @@ def test_some_preimage_exists_for_translated_reachables():
     q = some_preimage(config)
     assert q is not None
     assert canonicalize(translate(q)) == canonicalize(config)
+
+
+def test_has_preimage_equals_some_preimage_being_found():
+    states = 0
+    for seed in range(100):
+        p = random_reducible_process(seed)
+        graph = explore_membranes(translate(p), generate_rules(p), 4)
+        for state in graph.objects.values():
+            assert has_preimage(state) == (some_preimage(state) is not None), seed
+        states += len(graph.objects)
+    assert states > 1000
+    # a plain object in the skin, or two levels down, has no capability
+    # to stand for; next to it, capabilities of every kind
+    plain, caps = (Symbol("plain"), 3), [(Symbol("in_m"), 2), (Symbol("out_n", True), INF)]
+    for objects, inner in (([plain], caps), (caps, [plain, *caps]), (caps, caps)):
+        config = Configuration(mem("skin", INF, objects, [mem("m", 9, caps, [mem("n", 4, inner)])]), clock=1)
+        assert has_preimage(config) == (some_preimage(config) is not None) == (plain not in objects + inner)
 
 
 def test_preimage_reordering_demo():

@@ -3,18 +3,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 from conftest import count_calls
 
-from mobilemem.compiler import eliminate_timers, embed_infinite
+from mobilemem.compiler import _counter_of, eliminate_timers, embed_infinite, project
 from mobilemem.corpus import random_timed_system, random_untimed_system
-from mobilemem.explore import explore_untimed
-from mobilemem.core import EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol, output_reading
+from mobilemem.explore import explore_membranes, explore_untimed
+from mobilemem.core import (
+    Configuration, EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol, mem, output_reading,
+)
 from mobilemem.untimed import (
     UConfig,
     UInstance,
+    erase_timers,
+    erased_key,
     u_apply,
     u_canonicalize,
     u_find_instances,
@@ -280,3 +285,60 @@ def test_an_untimed_exploration_builds_one_rule_table(monkeypatch):
     tables.n = 0
     assert len(u_run(handshake(), [RULE], 3).records) == 2  # the move, then the halting empty step
     assert tables.n == 1
+
+
+# ---------------------------------------------------------------------------
+# The erased-key fold against the trees it stands for
+
+def _fold_agrees(config, timed: bool) -> None:
+    """``erased_key`` of ``config`` equals the render of the untimed tree
+    it stands for: timers erased, and counters dropped as ``project``
+    drops them."""
+    erased = erase_timers(config) if timed else config
+    assert erased_key(config) == u_canonicalize(erased)
+    assert erased_key(config, _counter_of) == u_canonicalize(project(config))
+
+
+def test_erased_keys_equal_the_renders_of_erased_and_projected_trees_on_the_corpus():
+    states = 0
+    for seed in range(40):
+        for timed_config, timed_rules in (random_timed_system(seed), embed_infinite(*random_untimed_system(seed))):
+            graph = explore_membranes(timed_config, timed_rules, 4)
+            for state in graph.objects.values():
+                _fold_agrees(state, True)
+            states += len(graph.objects)
+        for config, rules in (eliminate_timers(*random_timed_system(seed)), random_untimed_system(seed)):
+            graph = explore_untimed(config, rules, 4)
+            for state in graph.objects.values():
+                _fold_agrees(state, False)
+            states += len(graph.objects)
+    assert states == 860
+
+
+# objects that repeat, co-forms, and names with ``$``: counters of
+# objects and of labels, and two that only look like them
+_FOLD_SYMBOLS = (a, a.dual(), b, Symbol("b$a$1"), Symbol("b$a$1", True), Symbol("b$p$2"), Symbol("b$$3"), Symbol("a$1"))
+
+
+@st.composite
+def timed_trees(draw):
+    """Timed configurations at clocks 0 to 3, up to three levels below the
+    skin, whose membranes repeat labels and objects."""
+    clock = draw(st.integers(0, 3))
+
+    def node(level: int):
+        objects = draw(st.lists(
+            st.tuples(st.sampled_from(_FOLD_SYMBOLS), st.sampled_from((clock, clock + 1, clock + 2, INF))), max_size=6,
+        ))
+        kids = [node(level + 1) for _ in range(draw(st.integers(0, 2 if level < 3 else 0)))]
+        return mem(draw(st.sampled_from(("p", "q"))), draw(st.sampled_from((clock + 1, INF))), objects, kids)
+
+    skin = node(0)
+    return Configuration(mem("skin", INF, skin.content, skin.children), draw(st.sampled_from(("skin", "p"))), clock)
+
+
+@settings(max_examples=150)
+@given(timed_trees())
+def test_erased_keys_equal_the_renders_of_erased_and_projected_trees_on_drawn_trees(config):
+    _fold_agrees(config, True)
+    _fold_agrees(erase_timers(config), False)
