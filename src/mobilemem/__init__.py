@@ -17,6 +17,7 @@ from .core import (
     MembraneNode,
     Multiset,
     RewriteRule,
+    RuleSet,
     Symbol,
     canonicalize,
     dual,

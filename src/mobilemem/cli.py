@@ -73,9 +73,14 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse, before any work, an output path in a missing directory."""
-    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+    """Refuse, before any work, an output path in a missing directory or
+    naming a directory."""
+    if out is None:
+        return
+    if not os.path.isdir(os.path.dirname(out) or "."):
         raise UsageError(f"cannot write {out}: no such directory")
+    if os.path.isdir(out):
+        raise UsageError(f"cannot write {out}: is a directory")
 
 
 def _load_system(path: str, timed: bool | None = None, command: str = "") -> SystemFile:

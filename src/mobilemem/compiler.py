@@ -25,7 +25,6 @@ timed counterpart.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -46,6 +45,8 @@ from .core import (
     Multiset,
     RewriteRule,
     Rule,
+    RuleSet,
+    RuleTables,
     Symbol,
     Timer,
     rebuild_tree,
@@ -115,7 +116,7 @@ def _creation_timers(config: Configuration, rules: Sequence[Rule]) -> dict[Symbo
     return top
 
 
-def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuration, tuple]:
+def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuration, RuleSet]:
     """Timed twin of an untimed system: INF on every membrane, object, and
     fresh right-hand side; left sides match any timer."""
 
@@ -126,7 +127,7 @@ def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuratio
     def lift_prods(prods) -> tuple:
         return tuple((sym, Fresh(INF) if isinstance(spec, Fresh) else spec) for sym, spec in prods)
 
-    lifted_rules = tuple(
+    lifted_rules = RuleSet(
         replace(rule, rhs=lift_prods(rule.rhs)) if isinstance(rule, RewriteRule)
         else replace(rule, w=lift_prods(rule.w), w2=lift_prods(rule.w2))
         for rule in rules
@@ -186,8 +187,8 @@ def _check_input(config: Configuration, rules: Sequence[Rule], label_timers: dic
 def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UConfig, CompiledRules]:
     """Untimed system with the same evolution and output, per the counter
     construction. The skin and any INF-timer membrane get no counter and no
-    kill family. The rules come back as a ``CompiledRules`` sequence: each
-    move family stays a schema until a member is read."""
+    kill family. The rules come back as a ``CompiledRules`` container:
+    each move family stays a schema until a member is read."""
     label_timers = _label_timers(config)
     _check_input(config, rules, label_timers)
 
@@ -363,14 +364,15 @@ class MoveSchema(Sequence):
         return cls(rule.h, rule.m, rule.u, v, v2, tuple(w), tuple(w2), name=name)
 
 
-class CompiledRules(Sequence):
+class CompiledRules(RuleTables):
     """The rules of a compiled system: tick and kill rewrites as they are,
-    and one ``MoveSchema`` per timed move rule. It reads as the flat
-    expanded list (length, indexing, iteration), while ``parts`` gives each
+    and one ``MoveSchema`` per timed move rule. Its length and iteration
+    are those of the flat expanded list, while ``parts`` gives each
     rewrite or schema with the flat index of its first rule, so a matcher
-    can walk the schemas without expanding them."""
+    can walk the schemas without expanding them. It keeps the matcher
+    tables derived from it (``core.RuleTables``)."""
 
-    __slots__ = ("_parts", "_starts", "_len")
+    __slots__ = ("_parts", "_len", "_tables")
 
     def __init__(self, items):
         parts, start = [], 0
@@ -378,8 +380,8 @@ class CompiledRules(Sequence):
             parts.append((start, item))
             start += len(item) if isinstance(item, MoveSchema) else 1
         self._parts = tuple(parts)
-        self._starts = tuple(s for s, _item in parts)
         self._len = start
+        self._tables = {}
 
     @property
     def parts(self) -> tuple:
@@ -390,16 +392,6 @@ class CompiledRules(Sequence):
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(self._len)))
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("compiled rule index out of range")
-        start, item = self._parts[bisect_right(self._starts, i) - 1]
-        return item[i - start] if isinstance(item, MoveSchema) else item
 
     def __iter__(self) -> Iterator[Rule]:
         for _start, item in self._parts:

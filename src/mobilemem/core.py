@@ -16,7 +16,9 @@ as slow, and a step builds every node it touches. Nobody assigns a field
 of a node that may be shared; each memo slot (``memo_slot``) is written
 once, by plain assignment, with a value worked out from the node alone,
 and ``number_fresh`` numbers a tree just built, before anyone else holds
-it.
+it. Rule containers cannot change either, and each owns the matcher
+tables derived from it (``RuleTables``): a table lives exactly as long
+as its rules.
 """
 
 from __future__ import annotations
@@ -498,43 +500,45 @@ class RewriteRule:
 Rule = Union[EndoRule, ExoRule, RewriteRule]
 
 
-def _fixed(rules) -> bool:
-    """Whether ``rules`` cannot change: a tuple, or a sequence that lists
-    its ``parts`` (``compiler.CompiledRules``)."""
-    return isinstance(rules, tuple) or hasattr(rules, "parts")
+class RuleTables:
+    """A rule container that cannot change and owns the matcher tables
+    derived from it: ``table(build)`` is ``build(self)``, worked out on
+    first use and kept on the container, keyed by the builder. A table
+    so lives exactly as long as its rules. Threads that race on a first
+    use may each build the table; every reader gets the one stored first.
+    Subclasses list their rules as ``parts``, (flat index, rule) pairs,
+    and hold the tables in ``_tables``."""
+
+    __slots__ = ()
+
+    def table(self, build: Callable):
+        found = self._tables.get(build)
+        if found is None:
+            found = self._tables.setdefault(build, build(self))
+        return found
 
 
-def fixed_rules(rules):
-    """``rules`` as a container a matcher keeps its table for: kept as it
-    is when it cannot change, copied into a tuple otherwise. A run or an
-    exploration calls it once, so its matcher builds one table."""
-    return rules if _fixed(rules) else tuple(rules)
+class RuleSet(tuple, RuleTables):
+    """A tuple of rules that keeps its matcher tables (``RuleTables``).
+    Equality, hashing, indexing and iteration are the tuple's; two equal
+    rule sets each build their own tables."""
+
+    def __new__(cls, rules=()):
+        self = super().__new__(cls, rules)
+        self._tables = {}
+        return self
+
+    @property
+    def parts(self) -> tuple:
+        return tuple(enumerate(self))
 
 
-class LastTable:
-    """A matcher's rule table, kept for the last rule container that cannot
-    change (``_fixed``). Containers are compared by identity and only the
-    last is kept, with the table, so a table outlives its container by at
-    most one entry: a caller that makes a fresh rule container for each
-    check keeps one table alive, not one per check. Any other container,
-    a list, may change between calls and gets a fresh table on every
-    call. The pair is read and written as one value, so a reader never
-    sees one container with another's table."""
-
-    __slots__ = ("last",)
-
-    def __init__(self):
-        self.last = (None, None)
-
-    def of(self, rules, build: Callable):
-        """``build(rules)``, built once while ``rules`` is the last one."""
-        last = self.last
-        if last[0] is rules:
-            return last[1]
-        table = build(rules)
-        if _fixed(rules):
-            self.last = (rules, table)
-        return table
+def rule_set(rules) -> RuleTables:
+    """``rules`` as a container that keeps its tables: as it is when it
+    already does, a fresh ``RuleSet`` otherwise. A run or an exploration
+    wraps its rules once, so its matcher builds one table; a library
+    caller that hands a matcher a list or tuple gets a table per call."""
+    return rules if isinstance(rules, RuleTables) else RuleSet(rules)
 
 
 # ---------------------------------------------------------------------------

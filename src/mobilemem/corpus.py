@@ -24,6 +24,7 @@ from .core import (
     Multiset,
     RewriteRule,
     Rule,
+    RuleSet,
     Symbol,
     number_fresh,
 )
@@ -71,7 +72,7 @@ def _structure_slots(nodes):
     return endo, exo
 
 
-def random_untimed_system(seed: int) -> tuple[UConfig, tuple[Rule, ...]]:
+def random_untimed_system(seed: int) -> tuple[UConfig, RuleSet]:
     """Small untimed system: at most 4 membranes, 6 objects, 4 rules."""
     rng = random.Random(("untimed", seed).__repr__())
     labels = rng.sample(_LABELS, rng.randint(1, 3))
@@ -112,10 +113,10 @@ def random_untimed_system(seed: int) -> tuple[UConfig, tuple[Rule, ...]]:
     while budget > 0 and rng.random() < 0.4:
         contents[rng.randrange(len(nodes))].append(rng.choice(_SYMBOLS))
         budget -= 1
-    return _assemble(nodes, contents), tuple(rules)
+    return _assemble(nodes, contents), RuleSet(rules)
 
 
-def random_timed_system(seed: int) -> tuple[Configuration, tuple[Rule, ...]]:
+def random_timed_system(seed: int) -> tuple[Configuration, RuleSet]:
     """Small timed endo/exo system inside the compiler's exactness domain:
     unique labels, one characteristic timer per symbol, one rule per
     passive label. Small timers exercise expiry and dissolution."""
@@ -175,10 +176,10 @@ def random_timed_system(seed: int) -> tuple[Configuration, tuple[Rule, ...]]:
         sym = rng.choice(_SYMBOLS)
         contents[rng.randrange(len(nodes))].append((sym, char[sym]))
         budget -= 1
-    return _assemble(nodes, contents, timers), tuple(rules)
+    return _assemble(nodes, contents, timers), RuleSet(rules)
 
 
-def random_soak_system(seed: int) -> tuple[Configuration, tuple[Rule, ...]]:
+def random_soak_system(seed: int) -> tuple[Configuration, RuleSet]:
     """A system that stays busy: endo/exo rule pairs over INF-timer objects
     cycle forever, with some mortal bystanders mixed in."""
     rng = random.Random(("soak", seed).__repr__())
@@ -206,7 +207,7 @@ def random_soak_system(seed: int) -> tuple[Configuration, tuple[Rule, ...]]:
     if rng.random() < 0.5:
         children.append(MembraneNode("spare", rng.randint(2, 6), Multiset([(Symbol("z"), 3)])))
     skin = MembraneNode("skin", INF, Multiset(), tuple(children))
-    return Configuration(number_fresh(skin), "skin"), tuple(rules)
+    return Configuration(number_fresh(skin), "skin"), RuleSet(rules)
 
 
 # ---------------------------------------------------------------------------

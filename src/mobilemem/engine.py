@@ -66,11 +66,10 @@ remaining timers (``core.render_at``); readers of raw timers read
 
 The matcher's rule table (moves by active label, rewrites by host label)
 depends on the rules alone, so it is built once per rule container, not
-once per state: it is kept for the last tuple seen, compared by
-identity, so no table outlives its container by more than one entry; a
-list may change between calls and gets a fresh table on every call
-(``core.LastTable``). ``run`` and the explorers read a list of rules as
-a tuple, so each builds one table.
+once per state, and the container owns it (``core.RuleSet``): it lives
+exactly as long as its rules. A plain list or tuple handed to the
+matcher gets a fresh table per call; ``run`` and the explorers wrap
+their rules once (``core.rule_set``), so each builds at most one table.
 
 A run renders a key only where it is read. The trace's initial key is
 rendered at once; each ``StepRecord`` holds its configuration and renders
@@ -101,7 +100,6 @@ from .core import (
     EndoRule,
     ExoRule,
     Fresh,
-    LastTable,
     MembraneNode,
     MoveRule,
     Multiset,
@@ -112,9 +110,9 @@ from .core import (
     canonicalize,
     canonical_render,
     decrement,
-    fixed_rules,
     least_timer,
     render_one,
+    rule_set,
     timer_str,
 )
 from .tree import Tree, carry_index, drop_index, index_of
@@ -270,9 +268,6 @@ def _timed_table(rules: Sequence[Rule]) -> tuple:
     return moves, rewrites, everywhere
 
 
-_TABLES = LastTable()
-
-
 def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instance]:
     """Every applicable rule instance, exhaustive up to binding equivalence.
 
@@ -281,13 +276,12 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     rules are indexed by the label they dispatch on (``_timed_table``):
     moves by their active label, rewrites by their host label (``rw *``
     rewrites under every label, and alone for labels no rewrite names).
-    That table is built once per rule container: it is kept for the last
-    tuple seen, compared by identity, and a list gets a fresh one per call
-    (``core.LastTable``). Membranes are read from the configuration's
-    index (``tree.index_of``): actives, their passive siblings and
-    rewrite hosts from the buckets of the labels rules name, so a
-    membrane no rule can bind is not visited, unless an ``rw *`` rule
-    makes every membrane a host. Contents hold deadlines, and bindings
+    That table is built once per rule container, which keeps it
+    (``core.RuleSet``); a plain list or tuple gets a fresh one per call.
+    Membranes are read from the configuration's index (``tree.index_of``):
+    actives, their passive siblings and rewrite hosts from the buckets of
+    the labels rules name, so a membrane no rule can bind is not visited,
+    unless an ``rw *`` rule makes every membrane a host. Contents hold deadlines, and bindings
     name remaining timers at any clock (``_slot_bindings``). Each
     instance is built once, so the list is sorted, not deduplicated.
     """
@@ -295,7 +289,7 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
     skin = config.skin
     index = index_of(config)
     kids = index.kids
-    moves, rewrites, everywhere = _TABLES.of(rules, _timed_table)
+    moves, rewrites, everywhere = rule_set(rules).table(_timed_table)
     found: list[Instance] = []
 
     def pair(idx, rule, active, passive):
@@ -707,10 +701,10 @@ def run(
     run steps from ``config`` at its clock; records and keys read
     remaining timers, and ``Trace.final`` is at rest.
     Record keys are rendered on first read, through ``canonicalize`` as
-    this module holds it when ``run`` is called. A list of rules is read
-    as a tuple (``core.fixed_rules``), so the run builds one rule table.
+    this module holds it when ``run`` is called. The rules are wrapped
+    once (``core.rule_set``), so the run builds at most one rule table.
     """
-    rules = fixed_rules(rules)
+    rules = rule_set(rules)
 
     def apply(current, choice):
         result = step(current, choice)

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import Configuration, Rule, canonicalize, fixed_rules
+from .core import Configuration, Rule, canonicalize, rule_set
 from .engine import choice_describe, distinct_successors, step, step_choices, successors
 from .untimed import (
     UConfig,
@@ -190,10 +190,11 @@ def _node_record(state, key: str, depth: int, timed: bool) -> NodeRecord:
 def _explore_system(config, rules: Sequence[Rule], depth: int, max_nodes: int,
                     successors_of: Callable, key_of: Callable, timed: bool) -> ReachGraph:
     """BFS over ``successors_of(state, rules)``, keyed by ``key_of``, with
-    one rule table (``core.fixed_rules``). The explorers pass what their
-    module names hold when called, so a wrapper bound to those names
-    (``bench/tracing.py``) sees every call."""
-    rules = fixed_rules(rules)
+    the rules wrapped once (``core.rule_set``), so the search builds at
+    most one rule table, which the rules keep. The explorers pass what
+    their module names hold when called, so a wrapper bound to those
+    names (``bench/tracing.py``) sees every call."""
+    rules = rule_set(rules)
 
     def succ(state):
         return [(choice_describe(choice), cfg, key) for choice, cfg, key in successors_of(state, rules)]

@@ -41,6 +41,7 @@ from .core import (
     Multiset,
     RewriteRule,
     Rule,
+    RuleSet,
     Symbol,
     dual,
     number_fresh,
@@ -236,7 +237,7 @@ class _Parser(Cursor):
         rhs = self.products_until(set(), timed, tuple(lhs))
         return RewriteRule(at, lhs, rhs, name=f"r{index}")
 
-    def rules(self, timed: bool) -> tuple:
+    def rules(self, timed: bool) -> RuleSet:
         out = []
         while self.peek()[0] != "eof":
             tok = self.expect("ident", "rule keyword")
@@ -246,7 +247,7 @@ class _Parser(Cursor):
                 out.append(self.rw_rule(timed, len(out)))
             else:
                 self.fail(f"expected a rule keyword, found {tok[1]!r}", tok)
-        return tuple(out)
+        return RuleSet(out)
 
     def system(self) -> SystemFile:
         timed, compiled, strict = self.header()
@@ -259,7 +260,7 @@ class _Parser(Cursor):
             self.fail("the outermost membrane must have timer inf")
         rules = self.rules(timed)
         if strict:
-            rules = tuple(
+            rules = RuleSet(
                 replace(r, keep_active_timer=True) if isinstance(r, MoveRule) else r
                 for r in rules
             )

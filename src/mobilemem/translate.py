@@ -53,6 +53,7 @@ from .core import (
     MembraneNode,
     Multiset,
     Rule,
+    RuleSet,
     Symbol,
     Timer,
     canonicalize,
@@ -114,7 +115,7 @@ def _image(p: Process) -> Configuration:
     return Configuration(number_fresh(skin), SKIN_LABEL)
 
 
-def generate_rules(p: Process, strict: bool = False) -> tuple[Rule, ...]:
+def generate_rules(p: Process, strict: bool = False) -> RuleSet:
     """Movement rules for every (mover, target) name pair with a positive
     capability aimed at the target. ``strict`` keeps the moving membrane's
     timer unchanged, matching the generated rules' literal right sides."""
@@ -135,7 +136,7 @@ def generate_rules(p: Process, strict: bool = False) -> tuple[Rule, ...]:
             rules.append(ExoRule(
                 n, m, Multiset([out_sym]), name=f"out:{n}<{m}", keep_active_timer=strict,
             ))
-    return tuple(rules)
+    return RuleSet(rules)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ the embedding.
 The matcher indexes the rewrites by one left-side symbol, the largest; a
 membrane tests only the rewrites keyed by a symbol it holds. That index
 and the rest of the matcher's rule table are built once per rule
-container, not per state: the table is kept for the last tuple or
-``CompiledRules`` seen, compared by identity, so it outlives its
-container by at most one entry, and a list gets a fresh table per call
-(``core.LastTable``); ``u_run`` and the explorer read a list as a tuple.
+container, not per state, and the container owns it (``core.RuleSet``,
+``compiler.CompiledRules``), so it lives exactly as long as its rules;
+a plain list or tuple gets a fresh table per call, and ``u_run`` and the
+explorer wrap their rules once (``core.rule_set``).
 In a compiled system the key of a tick or kill rule is its counter, so a
 state costs per counter present rather than per generated rewrite, and
 move families are read through their schemas (see ``u_find_instances``).
@@ -50,16 +50,15 @@ from .core import (
     EndoRule,
     ExoRule,
     FrozenTree,
-    LastTable,
     MoveRule,
     Multiset,
     RewriteRule,
     Rule,
     Symbol,
-    fixed_rules,
     fresh_uid,
     memo_slot,
     rebuild_tree,
+    rule_set,
     stored_render,
     walk_tree,
 )
@@ -182,25 +181,20 @@ class UInstance(Instance):
         }
 
 
-def _parts(rules: Sequence) -> Iterable[tuple]:
-    """(flat index, rule or schema) pairs. A compiled rule sequence
+def _untimed_table(rules) -> tuple:
+    """``u_find_instances``' rule table, from the ``parts`` of a
+    ``core.RuleTables`` container: (rewrites by key symbol, the rewrites
+    with an empty left side, the move parts as (flat index, rule or
+    schema, the move rule whose labels and nesting its members share),
+    and the members read so far). A compiled container
     (``compiler.CompiledRules``) lists each move family as one schema
     whose ``present(active, passive)`` proposes member offsets and whose
-    ``[offset]`` builds a member; any other sequence lists its rules."""
-    parts = getattr(rules, "parts", None)
-    return enumerate(rules) if parts is None else parts
-
-
-def _untimed_table(rules: Sequence) -> tuple:
-    """``u_find_instances``' rule table: (rewrites by key symbol, the
-    rewrites with an empty left side, the move parts as (flat index, rule
-    or schema, the move rule whose labels and nesting its members share),
-    and the members read so far). A member is kept on first use under its
+    ``[offset]`` builds a member. A member is kept on first use under its
     flat index, as [member, lhs active, its sorted symbols, then lhs
     passive and its sorted symbols once needed]."""
     rewrites: dict = {}  # key symbol (None: empty left side) -> [(flat index, rewrite)]
     moves = []
-    for base, item in _parts(rules):
+    for base, item in rules.parts:
         if isinstance(item, RewriteRule):
             key = item.lhs.items()[-1][0] if item.lhs else None
             rewrites.setdefault(key, []).append((base, item))
@@ -208,9 +202,6 @@ def _untimed_table(rules: Sequence) -> tuple:
             moves.append((base, item, item if isinstance(item, MoveRule) else item.rule))
     everywhere = rewrites.pop(None, ())
     return rewrites, everywhere, moves, {}
-
-
-_TABLES = LastTable()
 
 
 def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
@@ -226,13 +217,13 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
     the members whose counters the two membranes hold are tested, each
     exactly as the flat rule at its index would be. That index, the move
     parts and each member read with its two consumed sides form the rule
-    table (``_untimed_table``), built once per rule container: it is kept
-    for the last tuple or ``CompiledRules`` seen, compared by identity,
-    and a list gets a fresh one per call (``core.LastTable``). Hosts and
-    move partners are read from the configuration's index
-    (``tree.index_of``), which the choice search and the step read too."""
+    table (``_untimed_table``), built once per rule container, which
+    keeps it (``core.RuleSet``, ``compiler.CompiledRules``); a plain list
+    or tuple gets a fresh one per call. Hosts and move partners are read
+    from the configuration's index (``tree.index_of``), which the choice
+    search and the step read too."""
     index = index_of(config)
-    rewrites, everywhere, moves, sides = _TABLES.of(rules, _untimed_table)
+    rewrites, everywhere, moves, sides = rule_set(rules).table(_untimed_table)
     found = []
     for host in (config.skin, *index.node.values()):
         content = host.content
@@ -358,8 +349,9 @@ def u_successors(config: UConfig, rules: Sequence[Rule]) -> list[tuple[tuple, UC
 
 
 def u_run(config: UConfig, rules: Sequence[Rule], steps: int, selector: str = "first", seed=None):
-    """Untimed simulation loop with the same trace schema as the timed one."""
-    rules = fixed_rules(rules)
+    """Untimed simulation loop with the same trace schema as the timed one;
+    the rules are wrapped once (``core.rule_set``), as ``run`` does."""
+    rules = rule_set(rules)
     return simulate(
         config, steps, selector, seed, lambda c: u_maximal_choices(c, rules), u_apply, u_canonicalize
     )

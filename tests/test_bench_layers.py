@@ -50,3 +50,20 @@ def test_a_traced_wide_run_records_one_step_span_per_step():
     names = [span[0] for span in tracer.spans]
     assert names.count("engine.step") == names.count("engine.find_instances") == steps > 0
     assert names.count("core.canonicalize") == 2 * len(ops)
+
+
+def test_runs_that_alternate_two_parsed_systems_build_two_tables(monkeypatch):
+    # each parsed system keeps its own rule table, so a caller that
+    # alternates systems, as the sim-dense workload does, builds each once
+    from conftest import count_calls
+    from mobilemem.engine import run
+    from mobilemem.sysfile import parse_system
+
+    dense = WORKLOADS["sim-dense"]
+    inputs = dense.make_inputs(random.Random(f"{dense.name}:1"))
+    systems = [parse_system(item.text) for item in inputs[:2]]
+    tables = count_calls(monkeypatch, "mobilemem.engine._timed_table")
+    for i in range(8):
+        sf = systems[i % 2]
+        assert len(run(sf.config, sf.rules, 1).records) == 1
+    assert tables.n == 2

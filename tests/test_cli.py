@@ -233,15 +233,17 @@ def test_an_input_that_is_not_utf8_exits_3_at_its_byte(tmp_path, capsys, command
     (["translate", "{path}"], "demo.amb", DEMO_AMB, "-o", ("translate.translate",)),
 ], ids=["sim", "compile", "explore", "explore-untimed", "embed", "translate"])
 def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys, monkeypatch, command, name, text, flag, work):
-    # a missing directory is found before the command's work starts
+    # a missing directory, or a target that is a directory, is found
+    # before the command's work starts
     path = tmp_path / name
     path.write_text(text)
-    target = tmp_path / "missing" / "out"
+    (tmp_path / "outdir").mkdir()
     calls = [count_calls(monkeypatch, f"mobilemem.{function}") for function in work]
-    assert main([arg.format(path=path) for arg in command] + [flag, str(target)]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
-    assert [c.n for c in calls] == [0] * len(work)
+    for target, reason in ((tmp_path / "missing" / "out", "no such directory"), (tmp_path / "outdir", "is a directory")):
+        assert main([arg.format(path=path) for arg in command] + [flag, str(target)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write {target}: {reason}\n"
+        assert [c.n for c in calls] == [0] * len(work)
 
 
 def test_check_given_a_file_and_a_corpus_exits_3_naming_both(s1_file, capsys):

@@ -18,6 +18,7 @@ from mobilemem.core import (
 )
 from mobilemem.compiler import (
     CompileError,
+    MoveSchema,
     counter_soundness_violations,
     eliminate_timers,
     embed_infinite,
@@ -27,6 +28,7 @@ from mobilemem.compiler import (
     project,
 )
 import mobilemem.compiler as compiler
+from mobilemem.cli import main
 from mobilemem.core import renumber
 from mobilemem.corpus import random_timed_system, random_untimed_system
 from mobilemem.engine import find_instances, maximal_choices, step_choices
@@ -170,27 +172,43 @@ def test_counter_soundness_checker():
     assert counter_soundness_violations(missing_label, {"h"})
 
 
-def w3(T):
+def w3_text(T):
     """ROADMAP W3: one two-slot endo rule whose family has T^5 members."""
-    return parse_system(
+    return (
         f"mms 1 timed\noutput skin\nskin:inf[ ; h:{T}[ a:{T}, c:{T} ] m:{T}[ ~a:{T} ] ]\n"
         f"endo h m : a | c , ~a | => c:+{T} |\n"
     )
 
 
+def w3(T):
+    return parse_system(w3_text(T))
+
+
 def test_compiled_rules_read_as_the_expanded_family():
+    # members are read as ``u_find_instances`` reads them, through
+    # ``parts``: a rewrite at its flat index, a schema's member at the
+    # schema's first index plus the member's offset
     rng = random.Random(5)
     for T, size in [(2, 47), (3, 263), (4, 1049), (5, 3155)]:
         sf = w3(T)
         _ucfg, compiled = eliminate_timers(sf.config, sf.rules)
         flat = list(compiled)
         assert len(compiled) == len(flat) == T ** 5 + 5 * (T + 1) == size
-        for i in [0, len(flat) - 1] + rng.sample(range(len(flat)), 40):
-            assert compiled[i] == flat[i]
-            assert compiled[i - len(flat)] == flat[i]
-        assert compiled[3:9] == tuple(flat[3:9])
-        with pytest.raises(IndexError):
-            compiled[len(flat)]
+        start = 0
+        for base, item in compiled.parts:
+            assert base == start
+            if isinstance(item, MoveSchema):
+                offsets = [0, len(item) - 1] + rng.sample(range(len(item)), min(40, len(item)))
+                for offset in offsets:
+                    assert item[offset] == flat[base + offset]
+                    assert item[offset - len(item)] == flat[base + offset]
+                with pytest.raises(IndexError):
+                    item[len(item)]
+                start += len(item)
+            else:
+                assert item == flat[base]
+                start += 1
+        assert start == len(flat)
 
 
 def test_schema_matcher_equals_the_expanded_family():
@@ -208,6 +226,44 @@ def test_schema_matcher_equals_the_expanded_family():
             assert [(i.active_classes, i.passive_classes) for i in got] == [
                 (i.active_classes, i.passive_classes) for i in want
             ]
+
+
+def _same_for_a_plain_list(states, rules, matchers) -> int:
+    """Check each matcher on ``states`` against a plain list of ``rules``;
+    the number of instances the first matcher found."""
+    plain, found = list(rules), 0
+    for state in states:
+        for matcher in matchers:
+            got = matcher(state, plain)
+            assert got == matcher(state, rules), matcher.__name__
+            found += len(got) if matcher is matchers[0] else 0
+    return found
+
+
+def test_a_plain_rule_list_matches_as_its_rule_container(tmp_path):
+    # a list keeps no table and gets one per call; it matches the same
+    # instances, in the same order, with the same choice lists, as the
+    # container that keeps its table: corpus rule sets, compiled rules,
+    # and the flat rule set ``compile -o`` writes
+    timed = (find_instances, maximal_choices, step_choices)
+    untimed = (u_find_instances, u_maximal_choices)
+    found = [0, 0]
+    for seed in range(40):
+        cfg, rules = random_timed_system(seed)
+        found[0] += _same_for_a_plain_list(explore_membranes(cfg, rules, 3).objects.values(), rules, timed)
+        cfg, rules = random_untimed_system(seed)
+        found[1] += _same_for_a_plain_list(explore_untimed(cfg, rules, 3).objects.values(), rules, untimed)
+    assert min(found) > 50, found
+    for T in range(2, 6):
+        source, target = tmp_path / f"w3-{T}.mms", tmp_path / f"w3-{T}.compiled.mms"
+        source.write_text(w3_text(T))
+        assert main(["compile", str(source), "-o", str(target)]) == 0
+        flat = parse_system(target.read_text())
+        sf = w3(T)
+        for config, rules in (eliminate_timers(sf.config, sf.rules), (flat.config, flat.rules)):
+            assert len(rules) == T ** 5 + 5 * (T + 1)
+            states = explore_untimed(config, rules, T + 2).objects.values()
+            assert _same_for_a_plain_list(states, rules, untimed) > T
 
 
 def test_schema_matcher_on_crowded_counters():
@@ -377,11 +433,12 @@ def test_a_check_parses_each_counter_symbol_once(monkeypatch):
 
 
 def test_checks_on_fresh_compiles_hold_no_more_memory_per_call():
-    """Each check compiles a fresh rule container, and the matcher keeps
-    its table for the last one only. Bytes held after each of 40 checks of
-    W3 at T=4, measured with tracemalloc on Python 3.11: they grew by
-    under 1.1 kB from the 10th call to the 40th, while a table kept per
-    container held about 54 kB more per call."""
+    """Each check compiles a fresh rule container, which owns its matcher
+    table, so the table is freed with the container. Bytes held after
+    each of 40 checks of W3 at T=4, measured with tracemalloc on Python
+    3.11: they grew by under 1 kB from the 10th call to the 40th, while a
+    cache that kept a table for every container it met held about 54 kB
+    more per call."""
     sf = w3(4)
     assert check_timer_elimination(sf.config, sf.rules, 6).ok
     gc.collect()

@@ -26,6 +26,7 @@ from mobilemem.core import (
     MembraneNode,
     Multiset,
     RewriteRule,
+    RuleSet,
     Symbol,
     at_rest,
     canonical_render,
@@ -921,6 +922,22 @@ def test_a_run_and_an_exploration_build_one_rule_table(monkeypatch):
     for _ in range(3):
         find_instances(cfg, list(rules))
     assert tables.n == 3
+
+
+def test_a_rule_set_owns_its_table(monkeypatch):
+    # two equal rule sets each build their own table; one rule set read
+    # by two runs and an exploration builds it once
+    tables = count_calls(monkeypatch, "mobilemem.engine._timed_table")
+    cfg, rules = _pairs(6, False), _pair_rules(6)
+    first, second = RuleSet(rules), RuleSet(rules)
+    assert first == second == tuple(rules)
+    assert find_instances(cfg, first) == find_instances(cfg, second)
+    assert tables.n == 2
+    shared = RuleSet(rules)
+    tables.n = 0
+    assert len(run(cfg, shared, 3).records) == len(run(_pairs(6, True), shared, 3).records) == 3
+    assert len(explore_membranes(cfg, shared, 3).nodes) == 2
+    assert tables.n == 1
 
 
 def test_wide_input_has_one_choice_and_simulates(tmp_path, capsys):

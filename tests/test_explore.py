@@ -332,6 +332,14 @@ def test_check_translation_builds_preimages_only_for_the_notes_it_lists(monkeypa
     assert (preimages.n, erased.n) == (6, 0)
 
 
+def test_check_translation_builds_one_table_per_rule_set(monkeypatch):
+    # the default rules and the strict ones each build their table once,
+    # though the passes alternate between them
+    tables = count_calls(monkeypatch, "mobilemem.engine._timed_table")
+    assert check_translation(random_reducible_process(3), 4).ok
+    assert tables.n == 2
+
+
 def test_prop1_and_prop2_build_no_erased_or_projected_tree(monkeypatch):
     erased = count_calls(monkeypatch, "mobilemem.untimed.erase_timers")
     projected = count_calls(monkeypatch, "mobilemem.compiler.project")
