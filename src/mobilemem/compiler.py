@@ -6,13 +6,16 @@ evolution and output.
 
 ``eliminate_timers`` replaces timers by counter objects ``b$base$count``
 (one per object occurrence, one per finite-timer membrane) together with
-generated rule families: counter ticks, kill rules that remove an object
-when its counter reaches the symbol's lifetime, membrane kill rules that
-emit the dissolution marker, and for every endo/exo rule one untimed rule
-per admissible counter vector. Each such family grows as the product of
-the lifetimes involved, so it is kept as a ``MoveSchema`` whose members
-are built only when read. ``lifetime(a)`` is the maximum timer with which
-``a`` is ever created (initial configuration or fresh right-hand sides).
+generated rule families. Each object symbol and each finite-timer label
+gets one tick/kill family: its counter ticks every step, and a kill rule
+removes the counter's owner when the counter reaches the lifetime (an
+object's kill consumes the object and produces nothing; a label's, hosted
+at that label, produces the dissolution marker). Every endo/exo rule gets
+one untimed rule per admissible counter vector. Such a family grows as
+the product of the lifetimes involved, so it is kept as a ``MoveSchema``
+whose members are built only when read. ``lifetime(a)`` is the maximum
+timer with which ``a`` is ever created (initial configuration or fresh
+right-hand sides).
 
 The construction is exact when every creation site of a symbol uses that
 one characteristic timer, and when no two moves share a passive membrane in
@@ -210,38 +213,26 @@ def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UCon
     uconfig = UConfig(rebuild_tree(config.skin, strip), config.output_label)
 
     out: list[Rule] = []
-    for sym, life in sorted(lifetimes.items(), key=lambda kv: str(kv[0])):
+
+    def family(base: str, life: int, kept: tuple, at: str | None, killed: tuple) -> None:
+        """Ticks ``tick:{base}:{t}`` advance ``base``'s counter for t < life;
+        at ``life``, ``kill:{base}``, hosted at ``at``, consumes it and
+        produces ``killed``. Every rule also consumes and gives back ``kept``."""
+        keep = tuple((sym, Fresh(INF)) for sym in kept)
         for t in range(life):
             out.append(RewriteRule(
                 None,
-                Multiset([sym, make_counter(str(sym), t)]),
-                ((sym, Fresh(INF)), (make_counter(str(sym), t + 1), Fresh(INF))),
-                name=f"tick:{sym}:{t}",
+                Multiset([*kept, make_counter(base, t)]),
+                (*keep, (make_counter(base, t + 1), Fresh(INF))),
+                name=f"tick:{base}:{t}",
             ))
-        out.append(RewriteRule(
-            None,
-            Multiset([sym, make_counter(str(sym), life)]),
-            (),
-            name=f"kill:{sym}",
-        ))
+        out.append(RewriteRule(at, Multiset([*kept, make_counter(base, life)]), killed, name=f"kill:{base}"))
+
+    for sym, life in sorted(lifetimes.items(), key=lambda kv: str(kv[0])):
+        family(str(sym), life, (sym,), None, ())
     for label in sorted(label_timers):
-        t_mem = label_timers[label]
-        if t_mem == INF:
-            continue
-        t_mem = int(t_mem)
-        for t in range(t_mem):
-            out.append(RewriteRule(
-                None,
-                Multiset([make_counter(label, t)]),
-                ((make_counter(label, t + 1), Fresh(INF)),),
-                name=f"tick:{label}:{t}",
-            ))
-        out.append(RewriteRule(
-            label,
-            Multiset([make_counter(label, t_mem)]),
-            ((DELTA, Fresh(INF)),),
-            name=f"kill:{label}",
-        ))
+        if label_timers[label] != INF:
+            family(label, int(label_timers[label]), (), label, ((DELTA, Fresh(INF)),))
 
     for rule in rules:
         schema = _move_schema(rule, lifetimes, label_timers)

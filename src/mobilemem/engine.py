@@ -115,11 +115,7 @@ from .core import (
     rule_set,
     timer_str,
 )
-from .tree import Tree, carry_index, drop_index, index_of
-
-
-class StaleChoiceError(ValueError):
-    """The choice refers to membranes or objects this configuration lacks."""
+from .tree import StaleChoiceError, Tree, carry_index, drop_index, index_of
 
 
 class Instance:
@@ -384,28 +380,15 @@ def _deadline_usage(choice: StepChoice, clock: int) -> dict:
     return usage
 
 
-def _validate_choice(choice: StepChoice, usage: dict, nodes: dict, clock: int) -> None:
+def _validate_choice(choice: StepChoice, usage: dict, tree: Tree, clock: int) -> None:
     """Raise ``StaleChoiceError`` unless ``choice``, whose instances bind
-    ``usage`` (``_deadline_usage``), fits the loaded work nodes."""
-    actives: set = set()
-    passives: set = set()
+    ``usage`` (``_deadline_usage``), fits the loaded work tree: its
+    structure (``Tree.check``), then its movers' timers and its bindings."""
+    tree.check(choice)
+    nodes = tree.nodes
     for inst in choice:
-        active = nodes.get(inst.active_uid)
-        if active is None:
-            raise StaleChoiceError(f"no membrane with uid {inst.active_uid}")
-        if inst.is_move:
-            passive = nodes.get(inst.passive_uid)
-            if isinstance(inst.rule, EndoRule):
-                if passive is None or active.parent != passive.parent or active.parent is None:
-                    raise StaleChoiceError("endo participants are not siblings here")
-            elif passive is None or active.parent != inst.passive_uid:
-                raise StaleChoiceError("exo active is not a child of its passive")
-            if active.children or not active.src.timer > clock or not passive.src.timer > clock:
-                raise StaleChoiceError("move structural precondition fails")
-            if inst.active_uid in actives or inst.active_uid in passives or inst.passive_uid in actives:
-                raise StaleChoiceError("conflicting membrane roles in choice")
-            actives.add(inst.active_uid)
-            passives.add(inst.passive_uid)
+        if inst.is_move and min(nodes[inst.active_uid].src.timer, nodes[inst.passive_uid].src.timer) <= clock:
+            raise StaleChoiceError("move structural precondition fails")
     for (uid, cls), n in usage.items():
         node = nodes.get(uid)
         if node is None or node.content.get(cls, 0) < n:
@@ -464,7 +447,7 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     nodes = tree.nodes
     lows = _kept_lows(nodes)
     usage = _deadline_usage(choice, clock)
-    _validate_choice(choice, usage, nodes, clock)
+    _validate_choice(choice, usage, tree, clock)
 
     consumed = produced = 0
     timers: dict = {}  # active uid -> its remaining timer after the step

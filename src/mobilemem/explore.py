@@ -388,13 +388,14 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     reordered-preimage phenomenon as an informative note. One ambient graph
     serves both forward passes, which walk its ``move`` edges: those from
     states at depth below ``depth`` (the root alone at depth 0 for the
-    exact pass, none for the erased one). Preimage terms are built until
-    the ``PREIMAGE_NOTES`` listed notes are found, then ``has_preimage`` decides."""
+    exact pass, none for the erased one). ``has_preimage`` decides for
+    every state; a preimage term is built only while fewer than
+    ``PREIMAGE_NOTES`` notes are listed. Every pass reads the default rules."""
     p = amb.normalize(p)
     default_rules = _generate_rules(p)
     try:
         ambient_graph = explore_ambients(p, depth, max_nodes)
-        images = _Images(ambient_graph)  # each state translated once, for every pass
+        images = _Images(ambient_graph, default_rules)  # each state translated once, for every pass
         membrane_graph = explore_membranes(images[ambient_graph.root], default_rules, depth, max_nodes)
     except BudgetExceeded as err:
         return Verdict("prop45", None, {"reason": str(err)})
@@ -418,15 +419,12 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     mn_misses = []
     preimage_notes = []
     for key, state in membrane_graph.objects.items():
-        if len(preimage_notes) < PREIMAGE_NOTES:
-            candidate = some_preimage(state)
-            found = candidate is not None
-            if found and (preimage := amb.canonical_key(candidate)) not in ambient_graph.nodes:
-                preimage_notes.append({"state": key, "preimage": preimage})
-        else:
-            found = has_preimage(state)
-        if not found:
+        if not has_preimage(state):
             mn_misses.append({"state": key})
+        elif len(preimage_notes) < PREIMAGE_NOTES:
+            preimage = amb.canonical_key(some_preimage(state))
+            if preimage not in ambient_graph.nodes:
+                preimage_notes.append({"state": key, "preimage": preimage})
 
     root = ambient_graph.root
     reordering = check_preimage_reordering(

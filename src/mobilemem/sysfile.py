@@ -19,13 +19,14 @@ carries the timer of the matching left occurrence (the k-th ``sym:-``
 carries the k-th left occurrence of ``sym``), and bare ``delta`` marks the
 host for dissolution. Untimed files omit every ``:timer`` and write bare
 symbols on both rule sides. ``inf`` is the only spelling of infinity.
-``strict`` in the header makes movement rules keep the moving membrane's
-timer. Rule names are positional (``r0``, ``r1``, ...) and not serialized.
+``strict`` in the header sets ``keep_active_timer`` on each movement rule
+as it is read: the moving membrane keeps its timer. Rule names are
+positional (``r0``, ``r1``, ...) and not serialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .core import (
@@ -37,7 +38,6 @@ from .core import (
     ExoRule,
     Fresh,
     MembraneNode,
-    MoveRule,
     Multiset,
     RewriteRule,
     Rule,
@@ -86,7 +86,8 @@ class _Parser(Cursor):
         return self.expect("ident", what)[1]
 
     # -- header ------------------------------------------------------------
-    def header(self) -> tuple[bool, bool, bool]:
+    def header(self) -> None:
+        """Read the header and keep its flags: ``timed``, ``compiled``, ``strict``."""
         tok = self.expect("ident", "mms header")
         if tok[1] != "mms":
             self.fail("file must start with 'mms'", tok)
@@ -96,12 +97,10 @@ class _Parser(Cursor):
         mode = self.ident("'timed' or 'untimed'")
         if mode not in ("timed", "untimed"):
             self.fail("expected 'timed' or 'untimed'")
-        compiled = strict = False
+        self.timed = mode == "timed"
+        self.compiled = self.strict = False
         while self.peek()[0] == "ident" and self.peek()[1] in ("compiled", "strict"):
-            flag = self.next()[1]
-            compiled = compiled or flag == "compiled"
-            strict = strict or flag == "strict"
-        return mode == "timed", compiled, strict
+            setattr(self, self.next()[1], True)
 
     def symbol(self) -> Symbol:
         co = False
@@ -111,7 +110,7 @@ class _Parser(Cursor):
         return Symbol(self.ident("object name"), co)
 
     # -- membranes ----------------------------------------------------------
-    def membrane(self, timed: bool):
+    def membrane(self):
         """One membrane and all it holds. Open membranes wait on an
         explicit stack, so nesting depth is not bounded by the recursion
         limit."""
@@ -119,23 +118,23 @@ class _Parser(Cursor):
         while True:
             label = self.ident("membrane label")
             timer = INF
-            if timed:
+            if self.timed:
                 self.expect(":", "':timer'")
                 timer = self.timer()
             self.expect("[")
             objects = []
             if self.peek()[0] in ("~", "ident"):
-                objects.append(self.obj(timed))
+                objects.append(self.obj())
                 while self.peek()[0] == ",":
                     self.next()
-                    objects.append(self.obj(timed))
+                    objects.append(self.obj())
             if self.peek()[0] == ";":
                 self.next()
             stack.append((label, timer, objects, []))
             while self.peek()[0] == "]":
                 self.next()
                 label, timer, objects, children = stack.pop()
-                if timed:
+                if self.timed:
                     node = MembraneNode(label, timer, Multiset(objects), tuple(children))
                 else:
                     node = UNode(label, Multiset(objects), tuple(children))
@@ -143,35 +142,34 @@ class _Parser(Cursor):
                     return node
                 stack[-1][3].append(node)
 
-    def obj(self, timed: bool):
+    def obj(self):
         sym = self.symbol()
-        if not timed:
+        if not self.timed:
             return sym
         self.expect(":", "':timer'")
         return (sym, self.timer())
 
     # -- rules --------------------------------------------------------------
+    def at_stop(self, stops: set) -> bool:
+        """The next token ends a rule side: a stop, eof or a rule keyword."""
+        kind, val, _line, _col = self.peek()
+        return kind in stops or kind == "eof" or (kind == "ident" and val in ("endo", "exo", "rw"))
+
     def symbols_until(self, stops: set) -> list[Symbol]:
         out = []
-        while True:
-            kind, val, _l, _c = self.peek()
-            if kind in stops or kind == "eof":
-                return out
-            if kind == "ident" and val in ("endo", "exo", "rw"):
-                return out
+        while not self.at_stop(stops):
             out.append(self.symbol())
+        return out
 
-    def products_until(self, stops: set, timed: bool, slots: tuple) -> tuple:
-        used: dict[Symbol, int] = {}
+    def products_until(self, stops: set, slots: tuple) -> tuple:
+        """A right side; the k-th ``sym:-`` carries the k-th slot of ``sym``."""
+        free: dict[Symbol, list[int]] = {}  # symbol -> its slots not yet carried
+        for idx, sym in enumerate(slots):
+            free.setdefault(sym, []).append(idx)
         prods = []
-        while True:
-            kind, val, line, col = self.peek()
-            if kind in stops or kind == "eof":
-                return tuple(prods)
-            if kind == "ident" and val in ("endo", "exo", "rw"):
-                return tuple(prods)
+        while not self.at_stop(stops):
             sym = self.symbol()
-            if not timed:
+            if not self.timed:
                 prods.append((sym, Fresh(INF)))
                 continue
             if self.peek()[0] != ":":
@@ -186,23 +184,14 @@ class _Parser(Cursor):
                 prods.append((sym, Fresh(self.timer())))
             elif tok[0] == "-":
                 self.next()
-                skip = used.get(sym, 0)
-                slot = None
-                seen = 0
-                for idx, slot_sym in enumerate(slots):
-                    if slot_sym == sym:
-                        if seen == skip:
-                            slot = idx
-                            break
-                        seen += 1
-                if slot is None:
+                if not free.get(sym):
                     self.fail(f"no left occurrence of {sym} left to carry", tok)
-                used[sym] = skip + 1
-                prods.append((sym, Carry(slot)))
+                prods.append((sym, Carry(free[sym].pop(0))))
             else:
                 self.fail("expected '+timer' or '-' after ':'")
+        return tuple(prods)
 
-    def move_rule(self, keyword: str, timed: bool, index: int) -> Rule:
+    def move_rule(self, keyword: str, index: int) -> Rule:
         h = self.ident("active label")
         m = self.ident("passive label")
         self.expect(":")
@@ -217,15 +206,15 @@ class _Parser(Cursor):
         cls = EndoRule if keyword == "endo" else ExoRule
         active_slots = tuple(u) + tuple(v)
         passive_slots = tuple(Multiset([dual(s) for s in u])) + tuple(v2)
-        w = self.products_until({"|"}, timed, active_slots)
+        w = self.products_until({"|"}, active_slots)
         self.expect("|")
-        w2 = self.products_until(set(), timed, passive_slots)
-        rule = cls(h, m, u, v, v2, w, w2, name=f"r{index}")
+        w2 = self.products_until(set(), passive_slots)
+        rule = cls(h, m, u, v, v2, w, w2, name=f"r{index}", keep_active_timer=self.strict)
         if u_bar_listed != rule.u_bar:
             self.fail(f"passive trigger must be the duals of u ({'/'.join(map(str, rule.u_bar))})")
         return rule
 
-    def rw_rule(self, timed: bool, index: int) -> Rule:
+    def rw_rule(self, index: int) -> Rule:
         if self.peek()[0] == "*":
             self.next()
             at = None
@@ -234,38 +223,33 @@ class _Parser(Cursor):
         self.expect(":")
         lhs = Multiset(self.symbols_until({"=>"}))
         self.expect("=>")
-        rhs = self.products_until(set(), timed, tuple(lhs))
+        rhs = self.products_until(set(), tuple(lhs))
         return RewriteRule(at, lhs, rhs, name=f"r{index}")
 
-    def rules(self, timed: bool) -> RuleSet:
+    def rules(self) -> RuleSet:
         out = []
         while self.peek()[0] != "eof":
             tok = self.expect("ident", "rule keyword")
             if tok[1] == "endo" or tok[1] == "exo":
-                out.append(self.move_rule(tok[1], timed, len(out)))
+                out.append(self.move_rule(tok[1], len(out)))
             elif tok[1] == "rw":
-                out.append(self.rw_rule(timed, len(out)))
+                out.append(self.rw_rule(len(out)))
             else:
                 self.fail(f"expected a rule keyword, found {tok[1]!r}", tok)
         return RuleSet(out)
 
     def system(self) -> SystemFile:
-        timed, compiled, strict = self.header()
+        self.header()
         tok = self.expect("ident", "'output'")
         if tok[1] != "output":
             self.fail("expected 'output <label>'", tok)
         output = self.ident("output label")
-        skin = self.membrane(timed)
-        if timed and skin.timer != INF:
+        skin = self.membrane()
+        if self.timed and skin.timer != INF:
             self.fail("the outermost membrane must have timer inf")
-        rules = self.rules(timed)
-        if strict:
-            rules = RuleSet(
-                replace(r, keep_active_timer=True) if isinstance(r, MoveRule) else r
-                for r in rules
-            )
-        config = (Configuration if timed else UConfig)(number_fresh(skin), output)
-        return SystemFile(timed, output, config, rules, compiled, strict)
+        rules = self.rules()
+        config = (Configuration if self.timed else UConfig)(number_fresh(skin), output)
+        return SystemFile(self.timed, output, config, rules, self.compiled, self.strict)
 
 
 def parse_system(text: str) -> SystemFile:

@@ -194,16 +194,18 @@ def literal_successors(
 class _Images(dict):
     """Canonical key -> ``_image`` of that state of an ambient reach graph,
     each state translated on first lookup only; shared by the passes of
-    one check over the graph, with what they all read: the strict rules
-    of the root, the movement edges (``moves``: state key -> reduct keys)
-    and each image's literal successors, worked out once. A depth-0 graph
-    has no edges, so its root is reduced here."""
+    one check over the graph, with what they all read: the movement edges
+    (``moves``: state key -> reduct keys) and each image's literal
+    successors under ``rules``, the root's generated rules, worked out
+    once. The literal relation reads no rule's ``keep_active_timer``, so
+    either mode of ``generate_rules`` serves. A depth-0 graph has no
+    edges, so its root is reduced here."""
 
-    def __init__(self, graph):
+    def __init__(self, graph, rules: RuleSet):
         super().__init__()
         self.states = graph.objects  # key -> process
         root = self.states[graph.root]
-        self.rules = generate_rules(root, strict=True)
+        self.rules = rules
         self.moves: dict[str, list[str]] = {}
         for src, label, dst in graph.edges:
             if label == "move":
@@ -236,7 +238,7 @@ def check_correspondence_PQ(graph) -> dict:
     translate(Q'). The graph's recorded ``move`` edges are the reductions;
     a depth-0 graph has none, so its root is reduced here. Each state is
     translated once."""
-    return _correspondence(_Images(graph))
+    return _correspondence(_Images(graph, generate_rules(graph.objects[graph.root])))
 
 
 def _correspondence(images: _Images) -> dict:
@@ -365,11 +367,11 @@ def check_preimage_reordering(
     membrane reduct N of translate(p) has a preimage Q (capabilities
     reordered) that is not among p's one-step reducts. A caller that
     holds them may hand over ``targets``, the literal successors of
-    translate(p) under its strict rules, and ``moves``, p's movement
+    translate(p) under its generated rules, and ``moves``, p's movement
     reducts (none when p can only tick)."""
     p = amb.normalize(p)
     if targets is None:
-        targets = literal_successors(_image(p), generate_rules(p, strict=True))
+        targets = literal_successors(_image(p), generate_rules(p))
     if moves is None:
         reducts = amb.reduce_step(p)
         moves = reducts if reducts.moved else []

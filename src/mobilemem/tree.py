@@ -23,6 +23,9 @@ the literal relation of the ambient translation all edit the tree here:
   tested. A work node's contents become a dict, its children an
   insertion-ordered dict of work nodes and kept frozen nodes, built in C,
   and ``src`` keeps the frozen node it was loaded from;
+* ``check`` raises ``StaleChoiceError`` on a choice whose membranes are
+  missing or placed so that its moves cannot fire; the timed and untimed
+  steps run it before they consume anything;
 * ``endo`` and ``exo`` re-parent one membrane (exo through the skin
   removes it and hands it back to be archived);
 * ``dissolve`` empties every marker-holding work node into its parent,
@@ -42,7 +45,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+from .core import EndoRule
+
 _NONE: dict = {}  # no children, never written
+
+
+class StaleChoiceError(ValueError):
+    """The choice refers to membranes or objects this configuration lacks."""
 
 
 class Index:
@@ -159,6 +168,34 @@ class Tree:
             for kid in work.children.values():
                 if type(kid) is not Work and not keep(kid):
                     stack.append(self._load(kid, work))
+
+    def check(self, choice: Iterable) -> None:
+        """Raise ``StaleChoiceError`` unless each instance's membranes are
+        loaded here and placed as its rule needs: an endo's active and
+        passive are siblings below the skin, an exo's active is a child of
+        its passive, a moving membrane is elementary, and no membrane moves
+        twice or both moves and is a passive."""
+        nodes = self.nodes
+        actives: set = set()
+        passives: set = set()
+        for inst in choice:
+            active = nodes.get(inst.active_uid)
+            if active is None:
+                raise StaleChoiceError(f"no membrane with uid {inst.active_uid}")
+            if not inst.is_move:
+                continue
+            passive = nodes.get(inst.passive_uid)
+            if isinstance(inst.rule, EndoRule):
+                if passive is None or active.parent != passive.parent or active.parent is None:
+                    raise StaleChoiceError("endo participants are not siblings here")
+            elif passive is None or active.parent != inst.passive_uid:
+                raise StaleChoiceError("exo active is not a child of its passive")
+            if active.children:
+                raise StaleChoiceError("move structural precondition fails")
+            if inst.active_uid in actives or inst.active_uid in passives or inst.passive_uid in actives:
+                raise StaleChoiceError("conflicting membrane roles in choice")
+            actives.add(inst.active_uid)
+            passives.add(inst.passive_uid)
 
     def _load(self, src, parent: Work) -> Work:
         uid = src.uid

@@ -296,8 +296,11 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     membranes bottom-up. Returns (configuration, detached archive).
     Subtrees no instance touches stay as they are and are shared with
     ``config``: without a clock they cannot change. The result's index
-    is derived from ``config``'s by the step's edits (``carry_index``)."""
+    is derived from ``config``'s by the step's edits (``carry_index``).
+    A choice whose membranes are gone or moved raises ``StaleChoiceError``
+    (``Tree.check``) before anything is consumed."""
     tree = Tree(config, choice)
+    tree.check(choice)
 
     def consume(uid, syms: tuple):
         content = tree.nodes[uid].content

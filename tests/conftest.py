@@ -7,6 +7,9 @@ more of them; choose it before changing the engines with::
 
     HYPOTHESIS_PROFILE=deep PYTHONPATH=src python -m pytest -q tests/test_engine.py
 
+The ``deep`` workflow runs it weekly over ``tests/test_engine.py`` and
+``tests/test_untimed.py``.
+
 A test's own ``@settings`` still overrides the profile it names.
 
 ``count_calls`` counts the calls of a package function, for tests that

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -33,7 +34,7 @@ from mobilemem.core import renumber
 from mobilemem.corpus import random_timed_system, random_untimed_system
 from mobilemem.engine import find_instances, maximal_choices, step_choices
 from mobilemem.explore import check_timer_elimination, explore_membranes, explore_untimed
-from mobilemem.sysfile import parse_system
+from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.untimed import UConfig, u_canonicalize, u_find_instances, u_maximal_choices, umem
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -226,6 +227,21 @@ def test_schema_matcher_equals_the_expanded_family():
             assert [(i.active_classes, i.passive_classes) for i in got] == [
                 (i.active_classes, i.passive_classes) for i in want
             ]
+
+
+def test_compiled_output_is_pinned():
+    # what ``compile`` writes, with the rule names the file leaves out, for
+    # timed corpus seeds 0-299 and W3 at T=1..5: counters, tick and kill
+    # families and move families, in order
+    systems = [random_timed_system(seed) for seed in range(300)]
+    systems += [(sf.config, sf.rules) for sf in map(w3, range(1, 6))]
+    outcomes = []
+    for config, rules in systems:
+        uconfig, urules = eliminate_timers(config, rules)
+        text = render_system(SystemFile(False, uconfig.output_label, uconfig, urules, compiled=True))
+        outcomes.append(text + " ".join(rule.name for rule in urules))
+    digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+    assert digest == "ae1ca03307ef1b75566ec60de01e08bfee9e6b5eac97a296ebcf5ecb9572e5e7"
 
 
 def _same_for_a_plain_list(states, rules, matchers) -> int:

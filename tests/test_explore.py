@@ -333,11 +333,11 @@ def test_check_translation_builds_preimages_only_for_the_notes_it_lists(monkeypa
 
 
 def test_check_translation_builds_one_table_per_rule_set(monkeypatch):
-    # the default rules and the strict ones each build their table once,
-    # though the passes alternate between them
+    # every pass, the literal one included, reads the default rules, whose
+    # table is built once
     tables = count_calls(monkeypatch, "mobilemem.engine._timed_table")
     assert check_translation(random_reducible_process(3), 4).ok
-    assert tables.n == 2
+    assert tables.n == 1
 
 
 def test_prop1_and_prop2_build_no_erased_or_projected_tree(monkeypatch):
@@ -376,7 +376,7 @@ def test_check_translation_reports_a_missed_erased_reduction(monkeypatch):
 def test_check_translation_reports_a_membrane_state_without_preimage(monkeypatch):
     import mobilemem.explore as explore
 
-    monkeypatch.setattr(explore, "some_preimage", lambda state: None)
+    monkeypatch.setattr(explore, "has_preimage", lambda state: False)
     verdict = check_translation(reorder_demo_process(), 2)
     assert verdict.ok is False
     misses = verdict.details["mn"]["misses"]

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from mobilemem.core import (
@@ -179,3 +182,72 @@ def test_validate_accepts_exactly_the_names_the_parser_reads(name):
     else:
         assert name[0] not in "0123456789" and name.isascii()
         assert canonicalize(parse_system(text).config) == canonicalize(config)
+
+
+STRICT_TEXT = """mms 1 timed strict
+output skin
+skin:inf[ ; h:4[ a:2, a:3, b:1 ; k:2[ c:1 ] ] m:inf[ ~a:4, b:2 ] ]
+endo h m : a | a b , ~a | b => a:- a:- b:- c:+2 | b:- delta
+exo h m : a | , ~a | => a:- | ~a:-
+rw k : c c => c:- c:- delta
+rw * : b => b:- a:+1
+"""
+
+# tokens a mutation may insert: every punctuation mark and keyword of the
+# format, a few names and timers, and characters outside it
+_INSERTS = [
+    ":", "-", "+", "~", "|", ",", ";", "[", "]", "=>", "=", "*", " ", "\n", "#", "@",
+    "0", "3", "inf", "a", "~a", "delta", "skin", "h", "endo", "exo", "rw", "mms", "output",
+    "timed", "untimed", "compiled", "strict", "a:-", "a:+2", "b:-",
+]
+
+
+def _mutants(n: int, seed: int = 0):
+    """``n`` seeded mutants of ``STRICT_TEXT`` and of rendered timed and
+    untimed corpus systems: one or two edits each on the text's
+    space-separated words, which delete, insert, duplicate or swap a word,
+    or drop one character of it."""
+    bases = [STRICT_TEXT] * 8
+    for s in range(12):
+        bases.append(render_system(SystemFile(True, "skin", *random_timed_system(s))))
+        bases.append(render_system(SystemFile(False, "skin", *random_untimed_system(s))))
+    rng = random.Random(seed)
+    for _ in range(n):
+        words = rng.choice(bases).split(" ")
+        for _edit in range(rng.randint(1, 2)):
+            i, k = rng.randrange(len(words)), rng.randrange(len(words))
+            op = rng.randrange(5)
+            if op == 0:
+                del words[i]
+            elif op == 1:
+                words.insert(i, rng.choice(_INSERTS))
+            elif op == 2:
+                words.insert(i, words[i])
+            elif op == 3:
+                words[i], words[k] = words[k], words[i]
+            elif words[i]:
+                j = rng.randrange(len(words[i]))
+                words[i] = words[i][:j] + words[i][j + 1:]
+        yield " ".join(words)
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        sf = parse_system(text)
+    except ParseError as err:
+        return f"ParseError {err.line}:{err.col} {err}"
+    except InvalidSystemError as err:
+        return "InvalidSystemError " + " | ".join(err.violations)
+    flags = (sf.timed, sf.compiled, sf.strict)
+    return f"{render_system(sf)}{list(sf.rules)!r}{flags}"
+
+
+def test_parse_outcomes_of_mutated_files_are_pinned():
+    # the rendered system, rules and flags, or the positioned error, of
+    # 5,000 seeded mutants; any change to what the reader accepts, builds
+    # or reports moves the digest
+    outcomes = [_parse_outcome(text) for text in _mutants(5000)]
+    kinds = {outcome.split(" ", 1)[0] for outcome in outcomes}
+    assert {"ParseError", "InvalidSystemError", "mms"} <= kinds
+    digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+    assert digest == "125783b6e54e2c25e04ddeca4fd4689385a201fd9f408574cca7adf1a1e58263"

@@ -11,6 +11,7 @@ from conftest import count_calls
 
 from mobilemem.compiler import _counter_of, eliminate_timers, embed_infinite, project
 from mobilemem.corpus import random_timed_system, random_untimed_system
+from mobilemem.engine import StaleChoiceError
 from mobilemem.explore import explore_membranes, explore_untimed
 from mobilemem.core import (
     Configuration, EndoRule, ExoRule, Fresh, INF, Multiset, RewriteRule, Symbol, mem, output_reading,
@@ -84,13 +85,40 @@ def test_rewrite_multiplicity():
 
 
 def test_an_untimed_choice_applied_twice_is_stale():
+    # a replayed handshake fails on structure first, as a timed replay does
     rewrite = RewriteRule(None, Multiset([a]), ((b, Fresh(INF)),), name="w")
-    for cfg, rules in ((UConfig(umem("skin", [], [umem("h", [a, a])])), [rewrite]), (handshake(), [RULE])):
+    for cfg, rules, message in (
+        (UConfig(umem("skin", [], [umem("h", [a, a])])), [rewrite], "stale untimed choice: a missing in {h}$"),
+        (handshake(), [RULE], "endo participants are not siblings here"),
+    ):
         (choice,) = u_maximal_choices(cfg, rules)
         nxt, _det = u_apply(cfg, choice)
-        h = choice[0].active_uid
-        with pytest.raises(ValueError, match=f"stale untimed choice: a missing in {h}$"):
+        with pytest.raises(ValueError, match=message.format(h=choice[0].active_uid)):
             u_apply(nxt, choice)
+
+
+@pytest.mark.parametrize("rule, skin, message", [
+    (EndoRule("h", "m", Multiset([a]), name="E"),
+     lambda: umem("skin", [], [umem("h", [a, a]), umem("m", [a.dual(), a.dual()])]),
+     "endo participants are not siblings here"),
+    (ExoRule("h", "m", Multiset([a]), name="X"),
+     lambda: umem("skin", [], [umem("m", [a.dual(), a.dual()], [umem("h", [a, a])])]),
+     "exo active is not a child of its passive"),
+], ids=["endo", "exo"])
+def test_an_untimed_move_replayed_on_its_own_result_is_stale(rule, skin, message):
+    # the objects to fire again are there, but the endo active now sits in
+    # its passive and the exo active beside it
+    cfg = UConfig(skin())
+    (choice,) = u_maximal_choices(cfg, [rule])
+    moved, _det = u_apply(cfg, choice)
+    with pytest.raises(StaleChoiceError, match=message):
+        u_apply(moved, choice)
+
+
+def test_an_untimed_choice_naming_a_missing_membrane_is_stale():
+    (choice,) = u_maximal_choices(handshake(), [RULE])
+    with pytest.raises(StaleChoiceError, match=f"no membrane with uid {choice[0].active_uid}$"):
+        u_apply(handshake(), choice)
 
 
 def test_marker_dissolves_membrane():
