@@ -32,7 +32,10 @@ makes the timer-elimination equivalence checkable. Both come from
 ``choices.enumerate_choices``, which holds the one conflict rule and its
 three modes (saturated, forced-only, any) for every relation. Moves,
 dissolution and the rebuilt tree come from ``tree.Tree``, which the
-untimed step and the literal relation use too.
+untimed step and the literal relation use too. Where a state's skin
+splits into parts that no instance relates, ``successors`` steps each
+part on its own through ``step`` and composes the successors from the
+parts' outcomes (see its docstring).
 
 Every configuration carries a step clock (``core.Configuration``): a
 finite timer is stored as a deadline, its remaining timer plus the
@@ -88,7 +91,8 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from operator import attrgetter
+from math import prod
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .choices import addable, availability, enumerate_choices
@@ -111,11 +115,14 @@ from .core import (
     canonical_render,
     decrement,
     least_timer,
+    render_at,
+    render_node,
+    render_objects,
     render_one,
     rule_set,
     timer_str,
 )
-from .tree import StaleChoiceError, Tree, carry_index, drop_index, index_of
+from .tree import StaleChoiceError, Tree, carry_index, drop_index, index_of, skin_arrivals
 
 
 class Instance:
@@ -335,12 +342,17 @@ def maximal_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepCh
     return enumerate_choices(config, find_instances(config, rules), lambda inst: True)
 
 
-def step_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
+def step_choices(config: Configuration, rules: Sequence[Rule], instances: list | None = None) -> list[StepChoice]:
     """All legal choices of the timed semantics: conflict-free sets whose
     residue admits no instance binding only INF-timer objects. Superset of
     ``maximal_choices``; the difference is finite-timer objects ticking
-    instead of joining an enabled move."""
-    return enumerate_choices(config, find_instances(config, rules), Instance.forced)
+    instead of joining an enabled move. The choices are made of
+    ``instances`` when given (a caller that has matched them already,
+    or one part of them that shares nothing with the rest), else of every
+    instance ``find_instances`` finds."""
+    if instances is None:
+        instances = find_instances(config, rules)
+    return enumerate_choices(config, instances, Instance.forced)
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +581,69 @@ def apply_step(config: Configuration, choice: StepChoice) -> Configuration:
     return step(config, choice).config
 
 
-def successors(config: Configuration, rules: Sequence[Rule]) -> list[tuple[StepChoice, Configuration, str]]:
+def _stepped(config: Configuration, choice: StepChoice) -> Configuration:
+    return step(config, choice).config
+
+
+def successors(
+    config: Configuration, rules: Sequence[Rule], parts: dict | None = None
+) -> list[tuple[StepChoice, Configuration, str]]:
     """Distinct next configurations over all legal choices, deduplicated by
-    canonical key (one representative choice per key), as ``(choice,
-    configuration, key)``."""
-    return distinct_successors(
-        config, step_choices(config, rules), lambda c, ch: step(c, ch).config, canonicalize
-    )
+    canonical key (one representative choice, the first in choice order,
+    per key), as ``(choice, configuration, key)`` in key order.
+
+    The skin is split into parts (``_split``): its top-level children and
+    its own contents, two of them joined when one instance binds
+    membranes or skin objects in both. Parts share no membrane and no
+    object, so a legal choice is one legal choice per part, and a step of
+    the whole tree is its parts' steps side by side. With two or more
+    parts holding instances, each part is stepped once per choice of its
+    own, by ``step`` on a sub-configuration whose skin holds only that
+    part's children (and the skin's contents if the part binds them); the
+    children and contents no instance binds form one more part, stepped
+    with the empty choice where a timer in it reaches the clock and kept
+    as it is elsewhere (``_Plan``). Every combination of part outcomes is
+    then composed into a successor and its key (``_composed_key``,
+    ``_compose``), which equal what ``step`` and ``canonicalize`` give
+    for the merged choice; of combinations with one key, the first in
+    choice order wins. ``parts`` is a memo of part outcomes, keyed by the
+    identity of a part's members and the clock and holding them alive,
+    which an exploration keeps for its whole search, so that a part
+    shared by many states is stepped once. The whole tree is stepped per
+    choice on states with fewer than two parts holding instances, and
+    where the parts would take no fewer steps than the whole: always
+    without a memo, and with one only when every part has one choice,
+    since a part stepped for one state may serve later ones."""
+    found = find_instances(config, rules)
+    split = _split(config, found)
+    if split is None:
+        return distinct_successors(config, step_choices(config, rules, found), _stepped, canonicalize)
+    memo = {} if parts is None else parts
+    plans = [_Plan(config, rules, members, with_skin, insts, memo) for members, with_skin, insts in split]
+    combos = prod([len(plan.choices) for plan in plans])
+    if sum([plan.steps for plan in plans]) >= combos and (parts is None or combos == 1):
+        # stepping the parts would take no fewer steps than the whole
+        merged = _merged_choices([plan.choices for plan in plans])
+        return distinct_successors(config, merged, _stepped, canonicalize)
+    outcomes = [plan.stepped(config, memo) for plan in plans]
+    seen: dict = {}  # key -> the combination first in choice order
+    for combo in product(*outcomes):
+        key = _composed_key(config, combo)
+        first = seen.get(key)
+        if first is None or _choice_order(combo) < _choice_order(first):
+            seen[key] = combo
+    place = {child.uid: i for i, child in enumerate(config.skin.children)}
+    placed = {  # id of an outcome -> its children with their sort keys among the skin's
+        id(part): [(_place(arrival, place), child) for arrival, child in zip(part.places, part.children)]
+        for outs in outcomes for part in outs
+    }
+    found = []
+    for key in sorted(seen):
+        combo = seen[key]
+        choice = tuple([inst for _k, inst in sorted([pair for part in combo for pair in part.keyed], key=_first)])
+        found.append((choice, _compose(config, combo, placed), key))
+    drop_index(config)  # an explored state is expanded once
+    return found
 
 
 def distinct_successors(config, choices: Iterable, apply: Callable, key: Callable) -> list[tuple]:
@@ -590,6 +658,246 @@ def distinct_successors(config, choices: Iterable, apply: Callable, key: Callabl
             seen[k] = (choice, result, k)
     drop_index(config)  # an explored state is expanded once
     return [seen[k] for k in sorted(seen)]
+
+
+# ---------------------------------------------------------------------------
+# Successors by parts of the skin
+
+def _split(config: Configuration, instances: list) -> list | None:
+    """The parts of ``config``'s skin under ``instances``, as ``(members,
+    with_skin, instances)``: the part's top-level children in child
+    order, whether it holds the skin's contents, and its instances in
+    their order. A top-level child and the skin's contents (named by the
+    skin's uid) start alone; an instance joins the parts of its two
+    membranes, each read as its top-level ancestor, the skin as itself.
+    The parts holding instances come first, then, unless empty, the part
+    of the children and contents no instance binds. ``None`` when fewer
+    than two parts hold instances."""
+    if len(instances) < 2:
+        return None
+    skin = config.skin
+    skin_uid = skin.uid
+    up = index_of(config).up
+    tops = {skin_uid: skin_uid}
+    link: dict = {}  # a part's uid -> the part it was joined to
+
+    def part(uid):
+        top = tops.get(uid)
+        if top is None:
+            top = uid
+            while up[top] != skin_uid:
+                top = up[top]
+            tops[uid] = top
+        while top in link:
+            top = link[top]
+        return top
+
+    for inst in instances:
+        if inst.passive_uid is not None:
+            active, passive = part(inst.active_uid), part(inst.passive_uid)
+            if active != passive:
+                link[passive] = active
+    groups: dict = {}
+    for inst in instances:
+        groups.setdefault(part(inst.active_uid), []).append(inst)
+    if len(groups) < 2:
+        return None
+    members: dict = {top: [] for top in groups}
+    inert = []
+    for child in skin.children:
+        members.get(part(child.uid), inert).append(child)
+    skin_part = part(skin_uid)
+    split = [(tuple(members[top]), top == skin_part, insts) for top, insts in groups.items()]
+    unbound = skin_part not in groups
+    if inert or (unbound and skin.content):
+        split.append((tuple(inert), unbound, []))
+    return split
+
+
+_EMPTY = Multiset()
+_first = itemgetter(0)
+
+
+class _Outcome:
+    """One part stepped by one of its choices: its instances paired with
+    their sort keys, in choice order; the skin's children after the
+    step, their places (``_place``) and their renders at the next clock;
+    the skin's contents after the step (``None`` when empty) and their
+    objects part at that clock; the least timer among those children
+    and contents."""
+
+    __slots__ = ("keyed", "children", "places", "renders", "content", "objects", "low")
+
+
+class _Plan:
+    """One part of a state: its memo key, members and whether it holds
+    the skin's contents; its legal choices; its outcomes when the memo
+    holds them, else ``None``; and the steps that stepping it would take.
+    The memo key is the clock, the skin's contents when the part holds
+    them, and the members' identities. A part without instances in which
+    no timer reaches the clock takes no step: ``step`` would keep it as
+    it is (``tree.Tree``'s keep test), objects and all."""
+
+    __slots__ = ("key", "members", "with_skin", "choices", "outcomes", "steps")
+
+    def __init__(self, config: Configuration, rules: Sequence[Rule], members: tuple, with_skin: bool,
+                 instances: list, memo: dict):
+        skin = config.skin
+        clock = config.clock
+        self.key = (clock, skin.content._items if with_skin else None, tuple(map(id, members)))
+        self.members, self.with_skin = members, with_skin
+        got = memo.get(self.key)
+        if got is not None:
+            self.outcomes = got[1]
+            self.choices = [tuple([inst for _k, inst in out.keyed]) for out in self.outcomes]
+            self.steps = 0
+            return
+        self.outcomes = None
+        if instances:
+            self.choices = step_choices(config, rules, instances)
+            self.steps = len(self.choices)
+        else:
+            self.choices = [()]
+            kept = all(least_timer(m) > clock for m in members) and (
+                not with_skin or all(t > clock for (_sym, t), _n in skin.content.items()))
+            self.steps = 0 if kept else 1
+
+    def stepped(self, config: Configuration, memo: dict) -> list:
+        """The part's outcomes, one per choice, in choice order: each
+        choice stepped by ``step`` on the skin holding only the members,
+        and the skin's contents when the part holds them, unless the
+        memo has them. A part without steps to take is one outcome, the
+        part as it is. Kept in ``memo`` with the members, so that the
+        identities in the key stay theirs."""
+        if self.outcomes is None:
+            skin = config.skin
+            later = config.clock + 1
+            content = skin.content if self.with_skin else _EMPTY
+            if not self.steps:
+                self.outcomes = [_outcome((), self.members, {}, content, later)]
+            else:
+                sub = Configuration(MembraneNode(skin.label, skin.timer, content, self.members, uid=skin.uid),
+                                    config.output_label, config.clock)
+                self.outcomes = []
+                for choice in self.choices:
+                    made = step(sub, choice).config
+                    self.outcomes.append(
+                        _outcome(choice, made.skin.children, skin_arrivals(made), made.skin.content, later))
+                    drop_index(made)
+                drop_index(sub)
+            memo[self.key] = (self.members, self.outcomes)
+        return self.outcomes
+
+
+def _merged_choices(per_part: list) -> list:
+    """The legal choices of the whole tree, in ``step_choices`` order,
+    from each part's own: one choice per part, merged by sort key."""
+    merged = []
+    for combo in product(*per_part):
+        keyed = sorted([(inst.sort_key(), inst) for choice in combo for inst in choice], key=_first)
+        merged.append(([k for k, _inst in keyed], tuple([inst for _k, inst in keyed])))
+    merged.sort(key=_first)
+    return [choice for _order, choice in merged]
+
+
+def _outcome(choice: StepChoice, children: tuple, arrived: dict, content: Multiset, later: int) -> _Outcome:
+    """A part's outcome (``_Outcome``) from its skin's children and
+    contents after ``choice``, and the arrivals among those children
+    (``tree.skin_arrivals``)."""
+    movers = [inst for inst in choice if inst.is_move]
+    out = _Outcome()
+    out.keyed = [(inst.sort_key(), inst) for inst in choice]
+    out.children = children
+    out.places = [_arrival(child.uid, arrived, movers) for child in children]
+    out.renders = [render_at(child, later) for child in children]
+    out.content = content if content else None
+    out.objects = render_objects(content, later)
+    out.low = min([child._least for child in children] + [t for (_sym, t), _n in content.items()], default=INF)
+    return out
+
+
+def _arrival(uid: int, arrived: dict, movers: list) -> tuple:
+    """Where the skin child ``uid`` stands after a part's step, in a form
+    that holds in every state the part occurs in (``_place`` reads it
+    against one state's child order). The edit rule (``tree.Tree``) keeps
+    the children that stay in their order and appends the others in the
+    order of the edits: first the moves of phase 1, in choice order, then
+    the children released by each dissolving child, the dissolving
+    children taken in the skin's order after phase 1. So a child that
+    stayed is ``(0, uid)``, one moved in by a move instance is ``(1, its
+    sort key, 0)``, and one released from child ``u`` by the ``i``-th
+    edit is ``(2, the place of u, i)``."""
+    edit = arrived.get(uid)
+    if edit is None:
+        return (0, uid, 0)
+    was, i = edit
+    if i < len(movers):
+        return (1, movers[i].sort_key(), 0)
+    return (2, _arrival(was, arrived, movers), i)
+
+
+def _place(arrival: tuple, place: dict) -> tuple:
+    """An ``_arrival`` as a sort key among the skin's children after the
+    step: ``place`` gives each child's position before it."""
+    kind, of, i = arrival
+    if kind == 0:
+        return (0, place[of])
+    if kind == 1:
+        return arrival
+    return (2, _place(of, place), i)
+
+
+def _choice_order(combo: tuple) -> list:
+    """The merged choice of a combination of part outcomes as its
+    instances' sort keys, in order: ``step_choices`` lists choices in this
+    order, since instance order is sort key order."""
+    return sorted([k for part in combo for k, _inst in part.keyed])
+
+
+def _summed(contents: list) -> Multiset:
+    counts: dict = {}
+    for content in contents:
+        for cls, n in content.items():
+            counts[cls] = counts.get(cls, 0) + n
+    return Multiset._of_sorted(tuple(sorted(counts.items())))
+
+
+def _composed_key(config: Configuration, combo: tuple) -> str:
+    """``canonicalize`` of ``_compose(config, combo, ...)``, from the
+    parts' child renders and objects: the children's renders are sorted
+    together, and the skin's contents are the sum of the parts'."""
+    kids = []
+    held = []
+    for part in combo:
+        kids += part.renders
+        if part.content is not None:
+            held.append(part)
+    skin = config.skin
+    if len(held) == 1:
+        objects = held[0].objects
+    else:
+        objects = render_objects(_summed([part.content for part in held]), config.clock + 1) if held else ""
+    return render_node(skin.label, skin.timer - config.clock, objects, kids) + "|out=" + config.output_label
+
+
+def _compose(config: Configuration, combo: tuple, placed: dict) -> Configuration:
+    """The successor of ``config`` whose parts stepped as ``combo`` says,
+    as ``step`` builds it for the merged choice: the skin's contents are
+    the sum of the parts', its children are placed by the edit rule
+    (``placed`` holds each outcome's children with their sort keys, from
+    ``_place``), and its timer, ``_least`` and ``_render`` are filled as
+    ``step``'s ``make`` fills them."""
+    skin = config.skin
+    children = sorted([entry for part in combo for entry in placed[id(part)]], key=_first)
+    held = [part.content for part in combo if part.content is not None]
+    content = held[0] if len(held) == 1 else _summed(held) if held else _EMPTY
+    timer = skin.timer + 1  # the skin does not tick
+    least = min(timer, *[part.low for part in combo])
+    built = MembraneNode(skin.label, timer, content, tuple([child for _key, child in children]), uid=skin.uid)
+    built._least = least
+    if least == INF:
+        built._render = render_one(built)
+    return Configuration(built, config.output_label, config.clock + 1)
 
 
 # ---------------------------------------------------------------------------

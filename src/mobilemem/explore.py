@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .core import Configuration, Rule, canonicalize, rule_set
-from .engine import choice_describe, distinct_successors, step, step_choices, successors
+from .engine import choice_describe, successors
 from .untimed import (
     UConfig,
     erased_key,
@@ -211,8 +212,10 @@ def explore_membranes(
     depth: int,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ReachGraph:
-    """BFS over the timed engine's legal step choices, on clocked states."""
-    return _explore_system(config, rules, depth, max_nodes, successors, canonicalize, True)
+    """BFS over the timed engine's legal step choices, on clocked states.
+    The search keeps one memo of part outcomes (``engine.successors``),
+    dropped with it, so a part shared by many states is stepped once."""
+    return _explore_system(config, rules, depth, max_nodes, partial(successors, parts={}), canonicalize, True)
 
 
 def explore_untimed(
@@ -388,9 +391,11 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
     reordered-preimage phenomenon as an informative note. One ambient graph
     serves both forward passes, which walk its ``move`` edges: those from
     states at depth below ``depth`` (the root alone at depth 0 for the
-    exact pass, none for the erased one). ``has_preimage`` decides for
-    every state; a preimage term is built only while fewer than
-    ``PREIMAGE_NOTES`` notes are listed. Every pass reads the default rules."""
+    exact pass, none for the erased one). The erased pass erases the keys
+    of each image's ``successors``, the root's read from the membrane
+    graph, which has stepped it. ``has_preimage`` decides for every state;
+    a preimage term is built only while fewer than ``PREIMAGE_NOTES``
+    notes are listed. Every pass reads the default rules."""
     p = amb.normalize(p)
     default_rules = _generate_rules(p)
     try:
@@ -403,15 +408,17 @@ def check_translation(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> Verdi
 
     pq_misses = []
     pq_edges = 0
-    erased_successors: dict[str, set] = {}
+    # the membrane graph has stepped the root's image already (no edge is
+    # checked at depth 0, where it has not)
+    stepped = [membrane_graph.objects[dst] for src, _l, dst in membrane_graph.edges if src == membrane_graph.root]
+    erased_successors = {ambient_graph.root: {erased_key(cfg) for cfg in stepped}}
     for state_key, label, reduct_key in ambient_graph.edges:
         if label != "move":
             continue  # only movement reductions are matched
         if state_key not in erased_successors:
-            image = images[state_key]
-            erased_successors[state_key] = {key for _c, _cfg, key in distinct_successors(
-                image, step_choices(image, default_rules), lambda c, ch: step(c, ch).config, erased_key,
-            )}
+            erased_successors[state_key] = {
+                erased_key(cfg) for _c, cfg, _key in successors(images[state_key], default_rules)
+            }
         pq_edges += 1
         if erased_key(images[reduct_key]) not in erased_successors[state_key]:
             pq_misses.append({"state": state_key, "reduct": reduct_key})

@@ -32,7 +32,11 @@ the literal relation of the ambient translation all edit the tree here:
   bottom-up; a kept subtree holds no marker;
 * ``freeze`` rebuilds the work nodes through the caller's node
   constructor, with kept subtrees in place. It, ``dissolve`` and the
-  work-node order behind both visit work nodes only.
+  work-node order behind both visit work nodes only;
+* ``skin_arrivals`` reads, from a step's result, which children of the
+  skin the edits appended and from where, so that the timed relation can
+  place the children of parts of the skin stepped apart
+  (``engine.successors``).
 
 A moved or released membrane goes to the end of its new parent's
 children, so child order, which reach graphs show, is the order of edits.
@@ -118,6 +122,18 @@ def carry_index(config, tree: "Tree") -> None:
 def drop_index(config) -> None:
     """Forget the index kept in ``config``; it is built again if needed."""
     object.__setattr__(config, "_index", None)
+
+
+def skin_arrivals(config) -> dict:
+    """For a configuration a step has just made, whose slot still holds
+    the work tree that froze it (``carry_index``): uid -> (uid of the
+    membrane it came from, number of the edit in ``Tree.moves``) for each
+    membrane whose last edit placed it in the skin. Those are the skin's
+    children that the edit rule appended, in that order; every other child
+    of the skin was there before the step and kept its place."""
+    tree = config._index
+    root = tree.root.src.uid
+    return {uid: (was, i) for i, (uid, _label, _kid, was, to) in enumerate(tree.moves) if to == root}
 
 
 class Work:

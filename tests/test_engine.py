@@ -38,6 +38,7 @@ from mobilemem.engine import (
     StaleChoiceError,
     apply_step,
     choice_describe,
+    distinct_successors,
     find_instances,
     maximal_choices,
     residual_instances,
@@ -47,12 +48,14 @@ from mobilemem.engine import (
     successors,
 )
 from mobilemem.corpus import (
+    hand_processes,
     random_reducible_process,
     random_soak_system,
     random_timed_system,
     random_untimed_system,
 )
-from mobilemem.explore import explore_membranes
+from mobilemem.ambient import parse_ambient
+from mobilemem.explore import _bfs, _node_record, explore_membranes
 from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.tree import drop_index, index_of
@@ -450,12 +453,21 @@ def test_tree_shape_and_skin_preserved():
 # ---------------------------------------------------------------------------
 # Independent oracle
 
+def _w4(k):
+    """ROADMAP W4: k independent enter handshakes."""
+    return parse_ambient(" | ".join(f"n{i}:9[ in:5 m{i} ] | m{i}:9[ ~in:5 m{i} ]" for i in range(k)))
+
+
 def test_against_reference_interpreter():
-    for seed in range(15):
-        cfg, rules = random_timed_system(seed)
+    systems = {f"seed {seed}": random_timed_system(seed) for seed in range(15)}
+    # independent pairs side by side, whose successors are composed from parts
+    for name, p in (("W4 k=3", _w4(3)), ("reducible 3", random_reducible_process(3)),
+                    ("reducible 6", random_reducible_process(6))):
+        systems[name] = (translate(p), generate_rules(p))
+    for name, (cfg, rules) in systems.items():
         want = ref.successor_renders(ref.from_config(cfg), rules)
         got = {ref.render(ref.from_config(nxt)) for _ch, nxt, _key in successors(cfg, rules)}
-        assert want == got, f"seed {seed}"
+        assert want == got, name
 
 
 def _ref_choice_set(choices):
@@ -829,6 +841,147 @@ def test_steps_match_reference_on_nested_systems(system):
     cfg, rules = system
     assume(_reference_size(ref.from_config(cfg), rules) <= 64)
     _assert_steps_match_reference(cfg, rules)
+
+
+# ---------------------------------------------------------------------------
+# Successors by parts of the skin: on a state with two or more parts that
+# hold instances, ``successors`` steps each part on its own and composes
+# the successors; it must give exactly what stepping the whole tree per
+# choice gives.
+
+def _whole_tree_successors(config, rules):
+    return distinct_successors(config, step_choices(config, rules), lambda c, ch: step(c, ch).config, canonicalize)
+
+
+def _walk(config):
+    return [(n.uid, n.label, n.timer, n.content.items(), n._least) for n in config.skin.walk()]
+
+
+def _whole_tree_graph(config, rules, depth):
+    """The reach graph ``explore_membranes`` builds, from the whole-tree
+    relation."""
+    rules = RuleSet(rules)
+
+    def succ(state):
+        return [(choice_describe(ch), nxt, key) for ch, nxt, key in _whole_tree_successors(state, rules)]
+
+    return _bfs(config, canonicalize(config), succ, lambda s, key, d: _node_record(s, key, d, True), depth, 10**6)
+
+
+def _assert_parts_match_the_whole_tree(config, rules, depth) -> int:
+    """Every expanded state of ``explore_membranes(config, rules, depth)``:
+    its successors, with one memo for all states and without one, their
+    choices, keys and trees (uid, label, timer, content and least timer
+    of every membrane, in walk order) equal the whole tree's, and so does
+    the graph. Returns how many of those states had two or more parts
+    holding instances."""
+    rules = RuleSet(rules)
+    graph = explore_membranes(config, rules, depth)
+    parts: dict = {}
+    factored = 0
+    for key, record in graph.nodes.items():
+        if record.depth == depth:
+            continue
+        state = graph.objects[key]
+        factored += engine._split(state, find_instances(state, rules)) is not None
+        want = _whole_tree_successors(state, rules)
+        for got in (successors(state, rules, parts), successors(state, rules)):
+            assert [(choice_describe(ch), k) for ch, _n, k in got] == [
+                (choice_describe(ch), k) for ch, _n, k in want], key
+            for (_c, mine, k), (_c2, theirs, _k2) in zip(got, want):
+                assert mine.clock == theirs.clock and _walk(mine) == _walk(theirs), k
+                assert canonicalize(mine) == k
+    mine = json.dumps(graph.to_json(), sort_keys=True)
+    assert mine == json.dumps(_whole_tree_graph(config, rules, depth).to_json(), sort_keys=True)
+    return factored
+
+
+def test_successors_by_parts_match_the_whole_tree_on_the_corpus():
+    factored = 0
+    for seed in range(100):
+        p = random_reducible_process(seed)
+        factored += _assert_parts_match_the_whole_tree(translate(p), generate_rules(p), 4)
+    for p in hand_processes():
+        factored += _assert_parts_match_the_whole_tree(translate(p), generate_rules(p), 4)
+    for k in range(2, 6):
+        factored += _assert_parts_match_the_whole_tree(translate(_w4(k)), generate_rules(_w4(k)), 3)
+    for seed in range(120):
+        factored += _assert_parts_match_the_whole_tree(*random_timed_system(seed), 4)
+    assert factored > 300, factored
+
+
+def _build(spec):
+    label, timer, objects, kids = spec
+    return mem(label, timer, objects, [_build(kid) for kid in kids])
+
+
+@st.composite
+def side_by_side_systems(draw):
+    """Two or three kinds of independent sub-system beside each other
+    under the skin, each placed once or twice (twins: equal labels,
+    contents and timers), at finite and infinite timers:
+
+    * ``box``: a box holding a mover and its partner; the mover may enter
+      the partner, carrying a timer, or leave the box for the skin, and
+      the box may dissolve into the skin when its timer runs out;
+    * ``flat``: a top-level membrane that may dissolve itself into the
+      skin by a rule that emits the marker and, if drawn, leave through
+      the skin, which holds the co-objects for it;
+    * ``skin``: an ``rw skin`` rewrite on objects the skin holds.
+
+    Twin boxes, and twin flat membranes that do not leave, are separate
+    parts that compose equal keys from different combinations."""
+    timers = st.sampled_from((0, 1, 2, 3, INF))
+    lives = st.sampled_from((1, 2, INF))
+    skin_objects = []
+    kids = []
+    rules = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(("box", "flat", "skin")), min_size=2, max_size=3))):
+        ai, bi, ci, ei = (Symbol(f"{s}{i}") for s in "abce")
+        copies = draw(st.integers(1, 2))
+        if kind == "box":
+            life_a, life_b = draw(lives), draw(lives)
+            spec = (f"box{i}", draw(timers), [(bi.dual(), life_b)], [
+                (f"p{i}", draw(timers), [(ai, life_a), (bi, life_b)], []),
+                (f"q{i}", draw(timers), [(ai.dual(), life_a)], []),
+            ])
+            kids += [_build(spec) for _ in range(copies)]
+            rules += [EndoRule(f"p{i}", f"q{i}", Multiset([ai]), w=((ci, Carry(0)),)),
+                      ExoRule(f"p{i}", f"box{i}", Multiset([bi]))]
+        elif kind == "flat":
+            life_e, life_x = draw(lives), draw(lives)
+            spec = (f"f{i}", draw(timers), [(ei, life_e), (x, life_x)], [])
+            kids += [_build(spec) for _ in range(copies)]
+            rules.append(RewriteRule(f"f{i}", Multiset([x]), ((DELTA, Fresh(INF)),)))
+            if draw(st.booleans()):
+                skin_objects += [(ei.dual(), draw(lives))] * copies
+                rules.append(ExoRule(f"f{i}", "skin", Multiset([ei]), w2=((ci, Fresh(2)),)))
+        else:
+            skin_objects += [(ai, draw(lives))] * copies
+            rules.append(RewriteRule("skin", Multiset([ai]), ((y, Fresh(2)),)))
+    order = draw(st.permutations(range(len(kids))))
+    return Configuration(mem("skin", INF, skin_objects, [kids[j] for j in order])), rules
+
+
+@given(side_by_side_systems())
+def test_successors_by_parts_match_the_whole_tree_side_by_side(system):
+    _assert_parts_match_the_whole_tree(*system, 3)
+
+
+def test_twin_parts_keep_the_first_choice_per_key(monkeypatch):
+    # two twin membranes that may each dissolve by a finite-timer rewrite,
+    # beside a third that must: dissolving either twin alone gives one key,
+    # reached first by the choice that fires the earlier twin's instance
+    rules = [RewriteRule("f", Multiset([x]), ((DELTA, Fresh(INF)),)), RewriteRule("g", Multiset([y]), ((d, Fresh(1)),))]
+    twins = [mem("f", 5, [(x, 2), (a, 3)]), mem("f", 5, [(x, 2), (a, 3)])]
+    config = Configuration(mem("skin", INF, [(b, 4)], [twins[0], mem("g", INF, [(y, INF)]), twins[1]]))
+    assert len(engine._split(config, find_instances(config, rules))) == 4  # three parts and the skin's objects
+    composed = count_calls(monkeypatch, "mobilemem.engine._composed_key")
+    got = successors(config, rules, {})
+    assert composed.n == len(step_choices(config, rules)) == 4 and len(got) == 3
+    assert [(choice_describe(ch), k) for ch, _n, k in got] == [
+        (choice_describe(ch), k) for ch, _n, k in _whole_tree_successors(config, rules)]
+    assert _assert_parts_match_the_whole_tree(config, rules, 3) >= 1
 
 
 # ---------------------------------------------------------------------------

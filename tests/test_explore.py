@@ -97,17 +97,20 @@ def test_exploration_is_deterministic():
 
 
 def test_explorer_reuses_the_successor_key(monkeypatch):
-    # the successor relation already keys every configuration it steps to;
-    # the explorer keys only the root itself
+    # the successor relation already keys every configuration it steps
+    # the whole tree to, and composes the key of every one it builds from
+    # parts (engine.successors); the explorer keys only the root itself
     from mobilemem.core import renumber
 
     keys = count_calls(monkeypatch, "mobilemem.core.canonicalize")
-    steps = count_calls(monkeypatch, "mobilemem.engine.step")
+    whole = count_calls(monkeypatch, "mobilemem.engine._stepped")
+    composed = count_calls(monkeypatch, "mobilemem.engine._compose")
     roots = 40
     for seed in range(roots):
         config, rules = random_timed_system(seed)
         explore_membranes(renumber(config), rules, 4)
-    assert keys.n == roots + steps.n
+    assert composed.n > 0
+    assert keys.n == roots + whole.n
 
 
 def test_budget_exceeded_carries_partial_graph():
@@ -257,6 +260,22 @@ def test_explored_states_stay_at_their_step_clock(monkeypatch):
     assert verdict.ok and rests.n == 0
 
 
+def test_independent_pairs_are_stepped_per_part(monkeypatch):
+    # a state whose skin splits into parts steps each part once per choice
+    # of its own, and an exploration steps a part that many states share
+    # once (engine.successors); the graphs are those of the whole tree
+    from mobilemem.translate import generate_rules, translate
+
+    steps = count_calls(monkeypatch, "mobilemem.engine.step")
+    p = _w4(5)
+    graph = explore_membranes(translate(p), generate_rules(p), 3)
+    assert (len(graph.nodes), len(graph.edges)) == (97, 518)
+    assert steps.n <= 120, steps.n  # 518 when every choice stepped the whole tree
+    steps.n = 0
+    assert check_translation(random_reducible_process(3), 4).ok
+    assert steps.n == 62  # 100 when every choice stepped the whole tree
+
+
 def test_check_translation_explores_the_ambient_side_once(monkeypatch):
     import mobilemem.explore as explore
 
@@ -365,7 +384,9 @@ def test_check_translation_reports_a_missed_exact_reduction(monkeypatch):
 def test_check_translation_reports_a_missed_erased_reduction(monkeypatch):
     import mobilemem.explore as explore
 
-    monkeypatch.setattr(explore, "step_choices", lambda state, rules: [])
+    # the erased pass reads the timed successor relation, here one without
+    # successors, which leaves the membrane graph its root alone
+    monkeypatch.setattr(explore, "successors", lambda state, rules, parts=None: [])
     verdict = check_translation(reorder_demo_process(), 2)
     assert verdict.ok is False
     (miss,) = verdict.details["pq_erased"]["misses"]
