@@ -31,20 +31,17 @@ leaves: it is added until it no longer fits, and since nothing decided
 after it takes its keys or roles, it fits at no leaf below. Only the
 unsettled blockers are tested there.
 
-An instance is *isolated* when it binds some object and no other
-instance names one of its keys or, if it moves, one of its membranes.
-Nothing else in any choice then reads or takes what it needs, so it fits
-beside any choice of the others exactly as often as it fits on its own:
-the least ``avail // need`` over its keys, at most once for a move. A
-blocking isolated instance is held that often in every finished choice
-(one copy fewer would leave it addable, one more would not fit); a
-non-blocking one (the finite-timer instances of ``engine.step_choices``,
-every instance of the literal relation) any number of times up to that,
-each count beside each finished choice of the rest. Their counts are
-decided outside the search, which never sees them and so spends no
-branch, no frame and no fit test on them; each finished choice is then
-merged back into the instances' order. Instances that bind nothing stay
-in the search, which is not set up at all when nothing is left to it.
+An instance is *isolated* when it blocks, binds some object, and no
+other instance names one of its keys or, if it moves, one of its
+membranes. Nothing else in any choice then reads or takes what it needs,
+so a finished choice holds it exactly as often as it fits on its own:
+the least ``avail // need`` over its keys, at most once for a move; one
+copy fewer would leave it addable, one more would not fit. Its count is
+decided before the search, which never sees it and so spends no branch,
+no frame and no fit test on it; at each leaf it is merged back into
+the instances' order with the rest. Non-blocking instances (the
+finite-timer ones of ``engine.step_choices``, every instance of the
+literal relation) and instances that bind nothing stay in the search.
 
 Moves go first because they are the most constraining (Haralick & Elliott
 1980): a move takes membrane roles as well as objects, and once every
@@ -135,11 +132,11 @@ def _settled(table: list, blocking: list) -> list[bool]:
     return out
 
 
-def _isolated(rows: list) -> list[bool]:
-    """Per instance: it binds something, and no other instance names one
-    of its keys or, if it moves, one of its membranes. One pass finds the
-    keys, and the uids of moved membranes, named more than once (a move's
-    active and passive membranes always differ)."""
+def _isolated(rows: list, blocking: list) -> list[bool]:
+    """Per instance: it blocks, binds something, and no other instance
+    names one of its keys or, if it moves, one of its membranes. One pass
+    finds the keys, and the uids of moved membranes, named more than once
+    (a move's active and passive membranes always differ)."""
     seen: set = set()
     shared: set = set()
     for inst, need in rows:
@@ -150,9 +147,9 @@ def _isolated(rows: list) -> list[bool]:
             else:
                 seen.add(key)
     return [
-        bool(need) and shared.isdisjoint(need)
+        b and bool(need) and shared.isdisjoint(need)
         and not (inst.is_move and (inst.active_uid in shared or inst.passive_uid in shared))
-        for inst, need in rows
+        for (inst, need), b in zip(rows, blocking)
     ]
 
 
@@ -166,31 +163,15 @@ def enumerate_choices(config, instances: Sequence, blocks: Callable) -> list[tup
     blocking = [bool(blocks(inst)) for inst in instances]
     chosen: list = []  # positions in ``instances`` of the instances added
     searched: list = []
-    free: list = []  # (position, most copies) of isolated instances that do not block
-    for i, alone in enumerate(_isolated(rows)):
-        if alone:  # no other instance reads its keys: it fits this often whatever else is chosen
+    for i, alone in enumerate(_isolated(rows, blocking)):
+        if alone:  # its count is fixed, and no other instance reads its keys
             inst, need = rows[i]
             copies = min([avail.get(key, 0) // n for key, n in need.items()])
-            copies = min(copies, 1) if inst.is_move else copies
-            if blocking[i]:  # its count is fixed
-                chosen += [i] * copies
-            else:  # any count up to that
-                free.append((i, copies))
+            chosen += [i] * (min(copies, 1) if inst.is_move else copies)
         else:
             searched.append(i)
-    if not searched and not free:  # nothing contested: one choice, already in position order
+    if not searched:  # nothing contested: one choice, already in position order
         return [tuple([instances[i] for i in chosen])]
-    results = _search(rows, blocking, searched, avail, chosen) if searched else [tuple(chosen)]
-    for i, copies in free:
-        results = [tuple(sorted(positions + (i,) * k)) for positions in results for k in range(copies + 1)]
-    results.sort()
-    return [tuple([instances[i] for i in positions]) for positions in results]
-
-
-def _search(rows: list, blocking: list, searched: list, avail: dict, chosen: list) -> list[tuple]:
-    """The finished choices over the ``searched`` positions, as sorted
-    position tuples that hold the fixed ``chosen`` ones too."""
-    instances = [inst for inst, _need in rows]
     # positions in ``instances``, in the order the search decides them
     order = [i for i in searched if instances[i].is_move]
     order += [i for i in searched if not instances[i].is_move]
@@ -246,4 +227,5 @@ def _search(rows: list, blocking: list, searched: list, avail: dict, chosen: lis
             add(inst, need, -1)
             chosen.pop()
         stack.pop()
-    return results
+    results.sort()
+    return [tuple([instances[i] for i in positions]) for positions in results]

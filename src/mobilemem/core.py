@@ -609,12 +609,18 @@ def render_at(node: MembraneNode, clock: int) -> str:
     return done[id(node)]
 
 
+def state_key(skin_render: str, output_label: str) -> str:
+    """A configuration's key, timed or untimed, from its skin's canonical
+    render and its output label."""
+    return skin_render + "|out=" + output_label
+
+
 def canonicalize(config: Configuration) -> str:
     """Canonical key: equal keys iff configurations are equal up to sibling
     membrane order and multiset entry order. uids are excluded, and
     timers print as remaining timers, so a configuration's key is the key
     of its ``at_rest`` form."""
-    return render_at(config.skin, config.clock) + "|out=" + config.output_label
+    return state_key(render_at(config.skin, config.clock), config.output_label)
 
 
 def output_reading(config) -> Multiset:

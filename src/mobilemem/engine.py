@@ -120,6 +120,7 @@ from .core import (
     render_objects,
     render_one,
     rule_set,
+    state_key,
     timer_str,
 )
 from .tree import StaleChoiceError, Tree, carry_index, drop_index, index_of, skin_arrivals
@@ -543,7 +544,7 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
         if src.uid in timers:
             timer = timers[src.uid] + later
         elif node.parent is None:
-            timer = src.timer + 1  # the skin does not tick
+            timer = _skin_timer(src)
         elif src.timer > clock:
             timer = src.timer
         else:  # pragma: no cover - timer-0 non-actives dissolved in phase 4
@@ -564,16 +565,29 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
                 for kid in node.sub.values():
                     low = min(low, kid.frozen._least)
             least = min(least, low)
-        built = MembraneNode(src.label, timer, Multiset._of_sorted(tuple(items)), children, uid=src.uid)
-        built._least = least
-        if least == INF:  # no finite timer below: its render holds at every clock
-            built._render = render_one(built)
-        return built
+        return _frozen(src, timer, Multiset._of_sorted(tuple(items)), children, least)
 
     new_config = Configuration(tree.freeze(make), config.output_label, later)
     carry_index(new_config, tree)
     stats = StepStats(consumed, produced, expired, delta_consumed, detached_objects)
     return StepResult(new_config, tuple(detached), stats)
+
+
+def _skin_timer(skin: MembraneNode) -> int:
+    """The skin's timer, a deadline, after a step: the skin does not tick."""
+    return skin.timer + 1
+
+
+def _frozen(src: MembraneNode, timer, content: Multiset, children: tuple, least) -> MembraneNode:
+    """``src`` as a step freezes it, with its new ``timer``, ``content``
+    and ``children``, and ``least`` its ``core.least_timer``. A node with
+    no finite timer below gets its render at once: it holds at every
+    clock."""
+    built = MembraneNode(src.label, timer, content, children, uid=src.uid)
+    built._least = least
+    if least == INF:
+        built._render = render_one(built)
+    return built
 
 
 def apply_step(config: Configuration, choice: StepChoice) -> Configuration:
@@ -586,7 +600,7 @@ def _stepped(config: Configuration, choice: StepChoice) -> Configuration:
 
 
 def successors(
-    config: Configuration, rules: Sequence[Rule], parts: dict | None = None
+    config: Configuration, rules: Sequence[Rule], memo: dict | None = None
 ) -> list[tuple[StepChoice, Configuration, str]]:
     """Distinct next configurations over all legal choices, deduplicated by
     canonical key (one representative choice, the first in choice order,
@@ -606,9 +620,11 @@ def successors(
     then composed into a successor and its key (``_composed_key``,
     ``_compose``), which equal what ``step`` and ``canonicalize`` give
     for the merged choice; of combinations with one key, the first in
-    choice order wins. ``parts`` is a memo of part outcomes, keyed by the
-    identity of a part's members and the clock and holding them alive,
-    which an exploration keeps for its whole search, so that a part
+    choice order wins. ``memo`` holds part outcomes, keyed by all they
+    depend on: the rules, the skin's label and uid, the clock, the skin's
+    contents when the part holds them and the identity of the part's
+    members; it holds the rules and members alive, so the identities stay
+    theirs. An exploration keeps one for its whole search, so that a part
     shared by many states is stepped once. The whole tree is stepped per
     choice on states with fewer than two parts holding instances, and
     where the parts would take no fewer steps than the whole: always
@@ -618,14 +634,13 @@ def successors(
     split = _split(config, found)
     if split is None:
         return distinct_successors(config, step_choices(config, rules, found), _stepped, canonicalize)
-    memo = {} if parts is None else parts
-    plans = [_Plan(config, rules, members, with_skin, insts, memo) for members, with_skin, insts in split]
+    kept = {} if memo is None else memo
+    plans = [_Plan(config, rules, members, with_skin, insts, kept) for members, with_skin, insts in split]
     combos = prod([len(plan.choices) for plan in plans])
-    if sum([plan.steps for plan in plans]) >= combos and (parts is None or combos == 1):
+    if sum([plan.steps for plan in plans]) >= combos and (memo is None or combos == 1):
         # stepping the parts would take no fewer steps than the whole
-        merged = _merged_choices([plan.choices for plan in plans])
-        return distinct_successors(config, merged, _stepped, canonicalize)
-    outcomes = [plan.stepped(config, memo) for plan in plans]
+        return distinct_successors(config, step_choices(config, rules, found), _stepped, canonicalize)
+    outcomes = [plan.stepped(config, rules, kept) for plan in plans]
     seen: dict = {}  # key -> the combination first in choice order
     for combo in product(*outcomes):
         key = _composed_key(config, combo)
@@ -733,10 +748,11 @@ class _Plan:
     """One part of a state: its memo key, members and whether it holds
     the skin's contents; its legal choices; its outcomes when the memo
     holds them, else ``None``; and the steps that stepping it would take.
-    The memo key is the clock, the skin's contents when the part holds
-    them, and the members' identities. A part without instances in which
-    no timer reaches the clock takes no step: ``step`` would keep it as
-    it is (``tree.Tree``'s keep test), objects and all."""
+    The memo key is the rules' identity, the skin's label and uid, the
+    clock, the skin's contents when the part holds them, and the members'
+    identities. A part without instances in which no timer reaches the
+    clock takes no step: ``step`` would keep it as it is (``tree.Tree``'s
+    keep test), objects and all."""
 
     __slots__ = ("key", "members", "with_skin", "choices", "outcomes", "steps")
 
@@ -744,11 +760,12 @@ class _Plan:
                  instances: list, memo: dict):
         skin = config.skin
         clock = config.clock
-        self.key = (clock, skin.content._items if with_skin else None, tuple(map(id, members)))
+        self.key = (id(rules), skin.label, skin.uid, clock, skin.content._items if with_skin else None,
+                    tuple(map(id, members)))
         self.members, self.with_skin = members, with_skin
         got = memo.get(self.key)
         if got is not None:
-            self.outcomes = got[1]
+            self.outcomes = got[2]
             self.choices = [tuple([inst for _k, inst in out.keyed]) for out in self.outcomes]
             self.steps = 0
             return
@@ -762,13 +779,13 @@ class _Plan:
                 not with_skin or all(t > clock for (_sym, t), _n in skin.content.items()))
             self.steps = 0 if kept else 1
 
-    def stepped(self, config: Configuration, memo: dict) -> list:
+    def stepped(self, config: Configuration, rules: Sequence[Rule], memo: dict) -> list:
         """The part's outcomes, one per choice, in choice order: each
         choice stepped by ``step`` on the skin holding only the members,
         and the skin's contents when the part holds them, unless the
         memo has them. A part without steps to take is one outcome, the
-        part as it is. Kept in ``memo`` with the members, so that the
-        identities in the key stay theirs."""
+        part as it is. Kept in ``memo`` with the rules and members, so
+        that the identities in the key stay theirs."""
         if self.outcomes is None:
             skin = config.skin
             later = config.clock + 1
@@ -785,19 +802,8 @@ class _Plan:
                         _outcome(choice, made.skin.children, skin_arrivals(made), made.skin.content, later))
                     drop_index(made)
                 drop_index(sub)
-            memo[self.key] = (self.members, self.outcomes)
+            memo[self.key] = (rules, self.members, self.outcomes)
         return self.outcomes
-
-
-def _merged_choices(per_part: list) -> list:
-    """The legal choices of the whole tree, in ``step_choices`` order,
-    from each part's own: one choice per part, merged by sort key."""
-    merged = []
-    for combo in product(*per_part):
-        keyed = sorted([(inst.sort_key(), inst) for choice in combo for inst in choice], key=_first)
-        merged.append(([k for k, _inst in keyed], tuple([inst for _k, inst in keyed])))
-    merged.sort(key=_first)
-    return [choice for _order, choice in merged]
 
 
 def _outcome(choice: StepChoice, children: tuple, arrived: dict, content: Multiset, later: int) -> _Outcome:
@@ -877,7 +883,7 @@ def _composed_key(config: Configuration, combo: tuple) -> str:
         objects = held[0].objects
     else:
         objects = render_objects(_summed([part.content for part in held]), config.clock + 1) if held else ""
-    return render_node(skin.label, skin.timer - config.clock, objects, kids) + "|out=" + config.output_label
+    return state_key(render_node(skin.label, skin.timer - config.clock, objects, kids), config.output_label)
 
 
 def _compose(config: Configuration, combo: tuple, placed: dict) -> Configuration:
@@ -891,12 +897,9 @@ def _compose(config: Configuration, combo: tuple, placed: dict) -> Configuration
     children = sorted([entry for part in combo for entry in placed[id(part)]], key=_first)
     held = [part.content for part in combo if part.content is not None]
     content = held[0] if len(held) == 1 else _summed(held) if held else _EMPTY
-    timer = skin.timer + 1  # the skin does not tick
+    timer = _skin_timer(skin)
     least = min(timer, *[part.low for part in combo])
-    built = MembraneNode(skin.label, timer, content, tuple([child for _key, child in children]), uid=skin.uid)
-    built._least = least
-    if least == INF:
-        built._render = render_one(built)
+    built = _frozen(skin, timer, content, tuple([child for _key, child in children]), least)
     return Configuration(built, config.output_label, config.clock + 1)
 
 

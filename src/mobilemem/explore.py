@@ -215,7 +215,7 @@ def explore_membranes(
     """BFS over the timed engine's legal step choices, on clocked states.
     The search keeps one memo of part outcomes (``engine.successors``),
     dropped with it, so a part shared by many states is stepped once."""
-    return _explore_system(config, rules, depth, max_nodes, partial(successors, parts={}), canonicalize, True)
+    return _explore_system(config, rules, depth, max_nodes, partial(successors, memo={}), canonicalize, True)
 
 
 def explore_untimed(

@@ -59,6 +59,7 @@ from .core import (
     memo_slot,
     rebuild_tree,
     rule_set,
+    state_key,
     stored_render,
     walk_tree,
 )
@@ -125,7 +126,7 @@ def u_render(node: UNode) -> str:
 
 
 def u_canonicalize(config: UConfig) -> str:
-    return u_render(config.skin) + "|out=" + config.output_label
+    return state_key(u_render(config.skin), config.output_label)
 
 
 def erased_key(config, drop: Callable | None = None) -> str:
@@ -142,7 +143,7 @@ def erased_key(config, drop: Callable | None = None) -> str:
                 objs.extend([str(sym)] * n)
         return _u_layout(node.label, objs, kids)
 
-    return rebuild_tree(config.skin, render) + "|out=" + config.output_label
+    return state_key(rebuild_tree(config.skin, render), config.output_label)
 
 
 def erase_timers(config: Configuration) -> UConfig:

@@ -877,7 +877,7 @@ def _assert_parts_match_the_whole_tree(config, rules, depth) -> int:
     holding instances."""
     rules = RuleSet(rules)
     graph = explore_membranes(config, rules, depth)
-    parts: dict = {}
+    memo: dict = {}
     factored = 0
     for key, record in graph.nodes.items():
         if record.depth == depth:
@@ -885,7 +885,7 @@ def _assert_parts_match_the_whole_tree(config, rules, depth) -> int:
         state = graph.objects[key]
         factored += engine._split(state, find_instances(state, rules)) is not None
         want = _whole_tree_successors(state, rules)
-        for got in (successors(state, rules, parts), successors(state, rules)):
+        for got in (successors(state, rules, memo), successors(state, rules)):
             assert [(choice_describe(ch), k) for ch, _n, k in got] == [
                 (choice_describe(ch), k) for ch, _n, k in want], key
             for (_c, mine, k), (_c2, theirs, _k2) in zip(got, want):
@@ -982,6 +982,21 @@ def test_twin_parts_keep_the_first_choice_per_key(monkeypatch):
     assert [(choice_describe(ch), k) for ch, _n, k in got] == [
         (choice_describe(ch), k) for ch, _n, k in _whole_tree_successors(config, rules)]
     assert _assert_parts_match_the_whole_tree(config, rules, 3) >= 1
+
+
+def test_a_memo_shared_by_two_rule_sets_keeps_their_outcomes_apart():
+    # one configuration under two rule sets that differ in one part's
+    # rewrite: the second call must not read the first one's outcomes
+    f_rule = RewriteRule("f", Multiset([x]), ((DELTA, Fresh(INF)),))
+    config = Configuration(mem("skin", INF, [], [
+        mem("f", 5, [(x, 2)]), mem("g", INF, [(y, INF)]), mem("f", 5, [(x, 2)])]))
+    memo: dict = {}
+    for product_of_g in (d, b):
+        rules = [f_rule, RewriteRule("g", Multiset([y]), ((product_of_g, Fresh(1)),))]
+        got = successors(config, rules, memo)
+        assert [(choice_describe(ch), k) for ch, _n, k in got] == [
+            (choice_describe(ch), k) for ch, _n, k in _whole_tree_successors(config, rules)]
+    assert len(memo) == 6  # three parts under each rule set
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,7 @@ def test_check_translation_reports_a_missed_erased_reduction(monkeypatch):
 
     # the erased pass reads the timed successor relation, here one without
     # successors, which leaves the membrane graph its root alone
-    monkeypatch.setattr(explore, "successors", lambda state, rules, parts=None: [])
+    monkeypatch.setattr(explore, "successors", lambda state, rules, memo=None: [])
     verdict = check_translation(reorder_demo_process(), 2)
     assert verdict.ok is False
     (miss,) = verdict.details["pq_erased"]["misses"]
