@@ -89,14 +89,14 @@ class Multiset:
     def __init__(self, items: Iterable = ()):
         counts: dict = {}
         if isinstance(items, dict):
-            pairs = items.items()
+            for item, n in items.items():
+                if n < 0:
+                    raise ValueError("negative multiplicity")
+                if n:
+                    counts[item] = n
         else:
-            pairs = ((x, 1) for x in items)
-        for item, n in pairs:
-            if n < 0:
-                raise ValueError("negative multiplicity")
-            if n:
-                counts[item] = counts.get(item, 0) + n
+            for item in items:
+                counts[item] = counts.get(item, 0) + 1
         self._counts = counts
         self._items = tuple(sorted(counts.items()))
         self._hash = None  # computed on first use
@@ -670,16 +670,23 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
     if getattr(config.skin, "timer", INF) != INF:
         violations.append("skin membrane must have timer inf")
     seen_uids: set[int] = set()
+    plain: set[str] = set()  # names seen to be plain
     for node in config.skin.walk():
         if node.uid in seen_uids:
             violations.append(f"duplicate membrane uid {node.uid}")
         seen_uids.add(node.uid)
-        if not node.label or not _NAME_RE.match(node.label):
-            violations.append(f"membrane label {node.label!r} is not a plain name")
+        if node.label not in plain:
+            if not node.label or not _NAME_RE.match(node.label):
+                violations.append(f"membrane label {node.label!r} is not a plain name")
+            else:
+                plain.add(node.label)
         for entry, _n in node.content.items():
             sym, t = (entry, INF) if isinstance(entry, Symbol) else entry
-            if not _NAME_RE.match(sym.name):
-                violations.append(f"object name {sym.name!r} is not a plain name")
+            if sym.name not in plain:
+                if not _NAME_RE.match(sym.name):
+                    violations.append(f"object name {sym.name!r} is not a plain name")
+                else:
+                    plain.add(sym.name)
             if sym.name == DELTA_NAME:
                 violations.append(f"dissolution marker at rest inside {node.label}")
             if t != INF and (not isinstance(t, int) or t < 0):

@@ -629,7 +629,9 @@ def successors(
     choice on states with fewer than two parts holding instances, and
     where the parts would take no fewer steps than the whole: always
     without a memo, and with one only when every part has one choice,
-    since a part stepped for one state may serve later ones."""
+    since a part stepped for one state may serve later ones. There the
+    whole tree's choices are merged from the parts' (``_merged_choices``),
+    which are not listed again."""
     found = find_instances(config, rules)
     split = _split(config, found)
     if split is None:
@@ -639,7 +641,7 @@ def successors(
     combos = prod([len(plan.choices) for plan in plans])
     if sum([plan.steps for plan in plans]) >= combos and (memo is None or combos == 1):
         # stepping the parts would take no fewer steps than the whole
-        return distinct_successors(config, step_choices(config, rules, found), _stepped, canonicalize)
+        return distinct_successors(config, _merged_choices(plans), _stepped, canonicalize)
     outcomes = [plan.stepped(config, rules, kept) for plan in plans]
     seen: dict = {}  # key -> the combination first in choice order
     for combo in product(*outcomes):
@@ -851,6 +853,17 @@ def _place(arrival: tuple, place: dict) -> tuple:
     if kind == 1:
         return arrival
     return (2, _place(of, place), i)
+
+
+def _merged_choices(plans: list) -> list[StepChoice]:
+    """The whole tree's legal choices, from its parts' (``_Plan.choices``):
+    one per combination of one choice per part, its instances in sort key
+    order, listed in ``step_choices``' order. Parts share no object and no
+    membrane, so these are the choices ``step_choices`` lists."""
+    keyed = [[[(inst.sort_key(), inst) for inst in choice] for choice in plan.choices] for plan in plans]
+    merged = [sorted([pair for choice in combo for pair in choice], key=_first) for combo in product(*keyed)]
+    merged.sort(key=lambda pairs: [k for k, _inst in pairs])
+    return [tuple([inst for _k, inst in pairs]) for pairs in merged]
 
 
 def _choice_order(combo: tuple) -> list:

@@ -43,7 +43,6 @@ from .core import (
     Rule,
     RuleSet,
     Symbol,
-    dual,
     number_fresh,
     rebuild_tree,
     timer_str,
@@ -77,10 +76,46 @@ class SystemFile:
 
 
 _PUNCT = {"[", "]", ";", ",", "|", ":", "+", "-", "*", "~"}
+_KEYWORDS = frozenset(("endo", "exo", "rw"))
+
+
+class _Made(dict):
+    """Values made once per parse: ``self[key]`` is ``make(key)``, made
+    on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make, *args):
+        super().__init__(*args)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _timer_value(value: str):
+    """The timer a token's text spells, ``None`` if it spells none; the
+    text of an ``int`` token is ASCII digits and no other token's is."""
+    return int(value) if value.isdigit() else None
 
 
 class _Parser(Cursor):
+    """The ``.mms`` reader. Membrane headers, objects and the symbols of
+    rule sides are read straight off the token lists, and each symbol,
+    timer and ``Fresh`` spec is made once per parse (``_Made``). Where a
+    piece is anything but its usual form, the reader goes back to the
+    piece's first token and reads it through ``expect``, ``symbol`` and
+    ``timer``, which raise the error."""
+
     error = ParseError
+
+    def __init__(self, text: str):
+        super().__init__(text, _PUNCT, ("=>",), "_$")
+        self.plain = _Made(Symbol)
+        self.co = _Made(lambda name: Symbol(name, True))
+        self.timers = _Made(_timer_value, {"inf": INF})
+        self.fresh = _Made(Fresh)
 
     def ident(self, what: str = "identifier") -> str:
         return self.expect("ident", what)[1]
@@ -103,11 +138,11 @@ class _Parser(Cursor):
             setattr(self, self.next()[1], True)
 
     def symbol(self) -> Symbol:
-        co = False
+        names = self.plain
         if self.peek()[0] == "~":
             self.next()
-            co = True
-        return Symbol(self.ident("object name"), co)
+            names = self.co
+        return names[self.ident("object name")]
 
     # -- membranes ----------------------------------------------------------
     def membrane(self):
@@ -115,24 +150,15 @@ class _Parser(Cursor):
         explicit stack, so nesting depth is not bounded by the recursion
         limit."""
         stack: list[tuple] = []  # open membranes: (label, timer, objects, children)
+        kinds = self.kinds
         while True:
-            label = self.ident("membrane label")
-            timer = INF
-            if self.timed:
-                self.expect(":", "':timer'")
-                timer = self.timer()
-            self.expect("[")
-            objects = []
-            if self.peek()[0] in ("~", "ident"):
-                objects.append(self.obj())
-                while self.peek()[0] == ",":
-                    self.next()
-                    objects.append(self.obj())
-            if self.peek()[0] == ";":
-                self.next()
+            label, timer = self.head()
+            objects = self.objects()
+            if kinds[self.pos] == ";":
+                self.pos += 1
             stack.append((label, timer, objects, []))
-            while self.peek()[0] == "]":
-                self.next()
+            while kinds[self.pos] == "]":
+                self.pos += 1
                 label, timer, objects, children = stack.pop()
                 if self.timed:
                     node = MembraneNode(label, timer, Multiset(objects), tuple(children))
@@ -141,6 +167,57 @@ class _Parser(Cursor):
                 if not stack:
                     return node
                 stack[-1][3].append(node)
+
+    def head(self) -> tuple:
+        """A membrane's label and timer, from ``label:timer[``
+        (``label[`` untimed)."""
+        kinds, values, p = self.kinds, self.values, self.pos
+        if kinds[p] == "ident":
+            if not self.timed:
+                if kinds[p + 1] == "[":
+                    self.pos = p + 2
+                    return values[p], INF
+            elif kinds[p + 1] == ":":
+                timer = self.timers[values[p + 2]]
+                if timer is not None and kinds[p + 3] == "[":
+                    self.pos = p + 4
+                    return values[p], timer
+        label = self.ident("membrane label")
+        timer = INF
+        if self.timed:
+            self.expect(":", "':timer'")
+            timer = self.timer()
+        self.expect("[")
+        return label, timer
+
+    def objects(self) -> list:
+        """A membrane's comma-separated objects, each ``[~]name:timer``
+        (``[~]name`` untimed); none unless the next token starts one."""
+        kinds, values, p = self.kinds, self.values, self.pos
+        if kinds[p] not in ("~", "ident"):
+            return []
+        plain, co, timers, timed = self.plain, self.co, self.timers, self.timed
+        out = []
+        while True:
+            names, q = plain, p
+            if kinds[q] == "~":
+                names, q = co, q + 1
+            obj = None
+            if kinds[q] == "ident":
+                if not timed:
+                    obj, q = names[values[q]], q + 1
+                elif kinds[q + 1] == ":":
+                    timer = timers[values[q + 2]]
+                    if timer is not None:
+                        obj, q = (names[values[q]], timer), q + 3
+            if obj is None:
+                self.pos = p
+                obj, q = self.obj(), self.pos
+            out.append(obj)
+            if kinds[q] != ",":
+                self.pos = q
+                return out
+            p = q + 1
 
     def obj(self):
         sym = self.symbol()
@@ -152,13 +229,30 @@ class _Parser(Cursor):
     # -- rules --------------------------------------------------------------
     def at_stop(self, stops: set) -> bool:
         """The next token ends a rule side: a stop, eof or a rule keyword."""
-        kind, val, _line, _col = self.peek()
-        return kind in stops or kind == "eof" or (kind == "ident" and val in ("endo", "exo", "rw"))
+        kind, val, _index = self.peek()
+        return kind in stops or kind == "eof" or (kind == "ident" and val in _KEYWORDS)
+
+    def next_symbol(self, stops: set) -> Symbol | None:
+        """The symbol of a rule side that the next token starts, ``None``
+        at the side's end (``at_stop``)."""
+        kinds, p = self.kinds, self.pos
+        kind = kinds[p]
+        if kind == "ident":
+            name = self.values[p]
+            if name not in _KEYWORDS:
+                self.pos = p + 1
+                return self.plain[name]
+        elif kind == "~" and kinds[p + 1] == "ident":
+            self.pos = p + 2
+            return self.co[self.values[p + 1]]
+        return None if self.at_stop(stops) else self.symbol()
 
     def symbols_until(self, stops: set) -> list[Symbol]:
         out = []
-        while not self.at_stop(stops):
-            out.append(self.symbol())
+        sym = self.next_symbol(stops)
+        while sym is not None:
+            out.append(sym)
+            sym = self.next_symbol(stops)
         return out
 
     def products_until(self, stops: set, slots: tuple) -> tuple:
@@ -167,50 +261,51 @@ class _Parser(Cursor):
         for idx, sym in enumerate(slots):
             free.setdefault(sym, []).append(idx)
         prods = []
-        while not self.at_stop(stops):
-            sym = self.symbol()
-            if not self.timed:
-                prods.append((sym, Fresh(INF)))
-                continue
-            if self.peek()[0] != ":":
-                if sym.name == DELTA_NAME and not sym.is_co:
-                    prods.append((sym, Fresh(INF)))
-                    continue
-                self.fail(f"product {sym} needs ':+timer' or ':-'")
-            self.next()
-            tok = self.peek()
-            if tok[0] == "+":
-                self.next()
-                prods.append((sym, Fresh(self.timer())))
-            elif tok[0] == "-":
-                self.next()
-                if not free.get(sym):
-                    self.fail(f"no left occurrence of {sym} left to carry", tok)
-                prods.append((sym, Carry(free[sym].pop(0))))
-            else:
-                self.fail("expected '+timer' or '-' after ':'")
+        sym = self.next_symbol(stops)
+        while sym is not None:
+            prods.append(self.product(sym, free) if self.timed else (sym, self.fresh[INF]))
+            sym = self.next_symbol(stops)
         return tuple(prods)
+
+    def product(self, sym: Symbol, free: dict) -> tuple:
+        """A timed product of ``sym``, read: ``:+timer``, ``:-``, or
+        nothing after a bare ``delta``."""
+        if self.peek()[0] != ":":
+            if sym.name == DELTA_NAME and not sym.is_co:
+                return (sym, self.fresh[INF])
+            self.fail(f"product {sym} needs ':+timer' or ':-'")
+        self.next()
+        tok = self.peek()
+        if tok[0] == "+":
+            self.next()
+            return (sym, self.fresh[self.timer()])
+        if tok[0] == "-":
+            self.next()
+            if not free.get(sym):
+                self.fail(f"no left occurrence of {sym} left to carry", tok)
+            return (sym, Carry(free[sym].pop(0)))
+        self.fail("expected '+timer' or '-' after ':'")
 
     def move_rule(self, keyword: str, index: int) -> Rule:
         h = self.ident("active label")
         m = self.ident("passive label")
         self.expect(":")
-        u = Multiset(self.symbols_until({"|"}))
+        u = self.symbols_until({"|"})
         self.expect("|")
-        v = Multiset(self.symbols_until({","}))
+        v = self.symbols_until({","})
         self.expect(",")
         u_bar_listed = Multiset(self.symbols_until({"|"}))
         self.expect("|")
-        v2 = Multiset(self.symbols_until({"=>"}))
+        v2 = self.symbols_until({"=>"})
         self.expect("=>")
         cls = EndoRule if keyword == "endo" else ExoRule
-        active_slots = tuple(u) + tuple(v)
-        passive_slots = tuple(Multiset([dual(s) for s in u])) + tuple(v2)
-        w = self.products_until({"|"}, active_slots)
+        u_bar = [(self.plain if sym.is_co else self.co)[sym.name] for sym in u]
+        # a multiset's items in order are its members sorted
+        w = self.products_until({"|"}, tuple(sorted(u) + sorted(v)))
         self.expect("|")
-        w2 = self.products_until(set(), passive_slots)
-        rule = cls(h, m, u, v, v2, w, w2, name=f"r{index}", keep_active_timer=self.strict)
-        if u_bar_listed != rule.u_bar:
+        w2 = self.products_until(set(), tuple(sorted(u_bar) + sorted(v2)))
+        rule = cls(h, m, Multiset(u), Multiset(v), Multiset(v2), w, w2, name=f"r{index}", keep_active_timer=self.strict)
+        if u_bar_listed != Multiset(u_bar):
             self.fail(f"passive trigger must be the duals of u ({'/'.join(map(str, rule.u_bar))})")
         return rule
 
@@ -255,7 +350,7 @@ class _Parser(Cursor):
 def parse_system(text: str) -> SystemFile:
     """Parse an .mms file; positioned ParseError on bad syntax,
     InvalidSystemError listing every violation of ``core.validate``."""
-    sf = _Parser(text, _PUNCT, ("=>",), "_$").system()
+    sf = _Parser(text).system()
     violations = validate(sf.config, sf.rules)
     if violations:
         raise InvalidSystemError(violations)

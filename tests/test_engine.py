@@ -883,7 +883,7 @@ def _assert_parts_match_the_whole_tree(config, rules, depth) -> int:
         if record.depth == depth:
             continue
         state = graph.objects[key]
-        factored += engine._split(state, find_instances(state, rules)) is not None
+        split = engine._split(state, find_instances(state, rules))
         want = _whole_tree_successors(state, rules)
         for got in (successors(state, rules, memo), successors(state, rules)):
             assert [(choice_describe(ch), k) for ch, _n, k in got] == [
@@ -891,6 +891,13 @@ def _assert_parts_match_the_whole_tree(config, rules, depth) -> int:
             for (_c, mine, k), (_c2, theirs, _k2) in zip(got, want):
                 assert mine.clock == theirs.clock and _walk(mine) == _walk(theirs), k
                 assert canonicalize(mine) == k
+        if split is not None:
+            factored += 1
+            # the parts' choices, listed afresh or read from the memo,
+            # merge into the whole tree's
+            for kept in ({}, memo):
+                plans = [engine._Plan(state, rules, *part, kept) for part in split]
+                assert engine._merged_choices(plans) == step_choices(state, rules), key
     mine = json.dumps(graph.to_json(), sort_keys=True)
     assert mine == json.dumps(_whole_tree_graph(config, rules, depth).to_json(), sort_keys=True)
     return factored
@@ -982,6 +989,20 @@ def test_twin_parts_keep_the_first_choice_per_key(monkeypatch):
     assert [(choice_describe(ch), k) for ch, _n, k in got] == [
         (choice_describe(ch), k) for ch, _n, k in _whole_tree_successors(config, rules)]
     assert _assert_parts_match_the_whole_tree(config, rules, 3) >= 1
+
+
+def test_a_state_stepped_whole_lists_its_choices_once_per_part(monkeypatch):
+    # independent pairs of one forced choice each: without a memo the
+    # parts would take more steps than the whole tree, which is stepped by
+    # the parts' choices merged, not by a second enumeration over it
+    cfg, rules = _pairs(3, False), RuleSet(_pair_rules(3))
+    assert len(engine._split(cfg, find_instances(cfg, rules))) == 3
+    enumerations = count_calls(monkeypatch, "mobilemem.engine.step_choices")
+    got = successors(cfg, rules)
+    assert enumerations.n == 3
+    assert [(choice_describe(ch), k) for ch, _n, k in got] == [
+        (choice_describe(ch), k) for ch, _n, k in _whole_tree_successors(cfg, rules)]
+    assert got[0][2] == canonicalize(_pairs(3, True))
 
 
 def test_a_memo_shared_by_two_rule_sets_keeps_their_outcomes_apart():
