@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .engine import run
 from .untimed import u_run
-from .compiler import CompileError, eliminate_timers, embed_infinite
+from .compiler import CompileError, embed_infinite, plan_elimination
 from .explore import (
     DEFAULT_NODE_CAP,
     BudgetExceeded,
@@ -35,7 +35,8 @@ from .core import output_reading
 #: Most rules ``compile`` writes out. Every timed move rule expands to one
 #: untimed rule per counter vector, about T^5 for a two-slot rule with
 #: lifetimes T (ROADMAP W3: 248,897 rules at T=12). ``check prop2`` matches
-#: the compact families directly and has no such limit.
+#: the compact families directly and has no such limit. ``compile`` counts
+#: the rules from the lifetimes and refuses before it builds any of them.
 MAX_COMPILED_RULES = 100_000
 
 
@@ -107,14 +108,14 @@ def _cmd_sim(args) -> int:
 
 def _cmd_compile(args) -> int:
     sf = _load_system(args.file, True, "compile")
-    uconfig, urules = eliminate_timers(sf.config, sf.rules)
-    if len(urules) > MAX_COMPILED_RULES:
-        message = f"the compiled system has {len(urules):,} rules, over the {MAX_COMPILED_RULES:,} compile writes"
-        schemas = urules.schemas()
-        if schemas:
-            widest = max(schemas, key=len)
+    plan = plan_elimination(sf.config, sf.rules)
+    if len(plan) > MAX_COMPILED_RULES:
+        message = f"the compiled system has {len(plan):,} rules, over the {MAX_COMPILED_RULES:,} compile writes"
+        if plan.schemas:
+            widest = max(plan.schemas, key=len)
             message += f"; timed rule {widest.rule.name} alone expands to {len(widest):,}"
         raise UsageError(message)
+    uconfig, urules = plan.build()
     out = SystemFile(False, uconfig.output_label, uconfig, urules, compiled=True)
     _write_out(render_system(out), args.output)
     return 0

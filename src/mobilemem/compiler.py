@@ -15,7 +15,9 @@ one untimed rule per admissible counter vector. Such a family grows as
 the product of the lifetimes involved, so it is kept as a ``MoveSchema``
 whose members are built only when read. ``lifetime(a)`` is the maximum
 timer with which ``a`` is ever created (initial configuration or fresh
-right-hand sides).
+right-hand sides). ``plan_elimination`` counts the compiled rules from the
+lifetimes and label timers before it builds any, so a caller can refuse a
+system too large to write without building it.
 
 The construction is exact when every creation site of a symbol uses that
 one characteristic timer, and when no two moves share a passive membrane in
@@ -30,7 +32,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 from typing import Iterator
@@ -192,53 +194,80 @@ def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UCon
     construction. The skin and any INF-timer membrane get no counter and no
     kill family. The rules come back as a ``CompiledRules`` container:
     each move family stays a schema until a member is read."""
+    return plan_elimination(config, rules).build()
+
+
+def plan_elimination(config: Configuration, rules: Sequence[Rule]) -> Elimination:
+    """What ``eliminate_timers`` builds for ``config`` and ``rules``, sized
+    before any rule is built (``Elimination``). Raises ``CompileError`` on
+    a system outside the construction's domain."""
     label_timers = _label_timers(config)
     _check_input(config, rules, label_timers)
-
     # _check_input has rejected every infinite creation timer; a symbol
     # that is consumed but never created has no lifetime, and the rules
     # that need it can never fire
     lifetimes = {sym: int(t) for sym, t in _creation_timers(config, rules).items()}
+    families = [(str(sym), life, (sym,), None, ())
+                for sym, life in sorted(lifetimes.items(), key=lambda kv: str(kv[0]))]
+    families += [(label, int(timer), (), label, ((DELTA, Fresh(INF)),))
+                 for label, timer in sorted(label_timers.items()) if timer != INF]
+    schemas = [_move_schema(rule, lifetimes, label_timers) for rule in rules]
+    return Elimination(config, tuple(families), tuple(schema for schema in schemas if schema is not None))
 
-    def strip(node: MembraneNode, kids: tuple) -> UNode:
-        counts: dict[Symbol, int] = {}
-        for (sym, _t), n in node.content.items():
-            counts[sym] = counts.get(sym, 0) + n
-            counter = make_counter(str(sym), 0)
-            counts[counter] = counts.get(counter, 0) + n
-        if node.timer != INF:
-            counts[make_counter(node.label, 0)] = 1
-        return UNode(node.label, Multiset(counts), kids, uid=node.uid)
 
-    uconfig = UConfig(rebuild_tree(config.skin, strip), config.output_label)
+@dataclass(frozen=True)
+class Elimination:
+    """The compiled system of one timed system, before it is built: one
+    tick/kill family per object symbol and per finite-timer label, as
+    ``(base, lifetime, kept, host, killed)`` (``_tick_family``), and the
+    move schemas, whose members are built only when read. Its length is
+    the number of rules ``build`` gives, worked out from the lifetimes and
+    label timers alone, so a caller can refuse a system too large to
+    write before building any of it."""
 
-    out: list[Rule] = []
+    config: Configuration
+    families: tuple
+    schemas: tuple
 
-    def family(base: str, life: int, kept: tuple, at: str | None, killed: tuple) -> None:
-        """Ticks ``tick:{base}:{t}`` advance ``base``'s counter for t < life;
-        at ``life``, ``kill:{base}``, hosted at ``at``, consumes it and
-        produces ``killed``. Every rule also consumes and gives back ``kept``."""
-        keep = tuple((sym, Fresh(INF)) for sym in kept)
-        for t in range(life):
-            out.append(RewriteRule(
-                None,
-                Multiset([*kept, make_counter(base, t)]),
-                (*keep, (make_counter(base, t + 1), Fresh(INF))),
-                name=f"tick:{base}:{t}",
-            ))
-        out.append(RewriteRule(at, Multiset([*kept, make_counter(base, life)]), killed, name=f"kill:{base}"))
+    def __len__(self) -> int:
+        return sum(life + 1 for _base, life, *_rest in self.families) + sum(map(len, self.schemas))
 
-    for sym, life in sorted(lifetimes.items(), key=lambda kv: str(kv[0])):
-        family(str(sym), life, (sym,), None, ())
-    for label in sorted(label_timers):
-        if label_timers[label] != INF:
-            family(label, int(label_timers[label]), (), label, ((DELTA, Fresh(INF)),))
+    def build(self) -> tuple[UConfig, CompiledRules]:
+        """The untimed configuration, each object paired with its counter
+        at 0 and each finite-timer membrane holding its own, and the
+        rules: the tick/kill families, then the schemas."""
 
-    for rule in rules:
-        schema = _move_schema(rule, lifetimes, label_timers)
-        if schema is not None:
-            out.append(schema)
-    return uconfig, CompiledRules(out)
+        def strip(node: MembraneNode, kids: tuple) -> UNode:
+            counts: dict[Symbol, int] = {}
+            for (sym, _t), n in node.content.items():
+                counts[sym] = counts.get(sym, 0) + n
+                counter = make_counter(str(sym), 0)
+                counts[counter] = counts.get(counter, 0) + n
+            if node.timer != INF:
+                counts[make_counter(node.label, 0)] = 1
+            return UNode(node.label, Multiset(counts), kids, uid=node.uid)
+
+        config = self.config
+        out = [rule for family in self.families for rule in _tick_family(*family)]
+        return UConfig(rebuild_tree(config.skin, strip), config.output_label), CompiledRules(out + list(self.schemas))
+
+
+def _tick_family(base: str, life: int, kept: tuple, at: str | None, killed: tuple) -> list[RewriteRule]:
+    """Ticks ``tick:{base}:{t}`` advance ``base``'s counter for t < life;
+    at ``life``, ``kill:{base}``, hosted at ``at``, consumes it and
+    produces ``killed``. Every rule also consumes and gives back ``kept``."""
+    keep = tuple((sym, Fresh(INF)) for sym in kept)
+    family = [
+        RewriteRule(
+            None,
+            Multiset([*kept, make_counter(base, t)]),
+            (*keep, (make_counter(base, t + 1), Fresh(INF))),
+            name=f"tick:{base}:{t}",
+        )
+        for t in range(life)
+    ]
+    family.append(RewriteRule(at, Multiset([*kept, make_counter(base, life)]), killed, name=f"kill:{base}"))
+    return family
 
 
 @dataclass(frozen=True)
@@ -260,12 +289,17 @@ class MoveSchema(Sequence):
     passive_lives: tuple
     h_timer: int | None
     m_timer: int | None
-    # (side, counter for each value) per axis; side 0 reads the active
-    # membrane, side 1 the passive one
-    _axes: tuple = field(init=False, repr=False, compare=False)
     _len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        timers = tuple(t for t in (self.h_timer, self.m_timer) if t is not None)
+        object.__setattr__(self, "_len", prod(self.active_lives + self.passive_lives + timers))
+
+    @cached_property
+    def _axes(self) -> tuple:
+        """(side, counter for each value) per axis; side 0 reads the
+        active membrane, side 1 the passive one. Built on first read, so
+        that a schema's length costs no counter."""
         rule = self.rule
         axes = [(0, str(s), life) for s, life in zip(rule.active_slots, self.active_lives)]
         axes += [(1, str(s), life) for s, life in zip(rule.passive_slots, self.passive_lives)]
@@ -273,9 +307,7 @@ class MoveSchema(Sequence):
             axes.append((0, rule.h, self.h_timer))
         if self.m_timer is not None:
             axes.append((1, rule.m, self.m_timer))
-        axes = tuple((side, tuple(make_counter(base, j) for j in range(life))) for side, base, life in axes)
-        object.__setattr__(self, "_axes", axes)
-        object.__setattr__(self, "_len", prod(len(counters) for _side, counters in axes))
+        return tuple((side, tuple(make_counter(base, j) for j in range(life))) for side, base, life in axes)
 
     def __len__(self) -> int:
         return self._len
@@ -377,9 +409,6 @@ class CompiledRules(RuleTables):
     @property
     def parts(self) -> tuple:
         return self._parts
-
-    def schemas(self) -> list[MoveSchema]:
-        return [item for _start, item in self._parts if isinstance(item, MoveSchema)]
 
     def __len__(self) -> int:
         return self._len

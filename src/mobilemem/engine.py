@@ -33,9 +33,9 @@ makes the timer-elimination equivalence checkable. Both come from
 three modes (saturated, forced-only, any) for every relation. Moves,
 dissolution and the rebuilt tree come from ``tree.Tree``, which the
 untimed step and the literal relation use too. Where a state's skin
-splits into parts that no instance relates, ``successors`` steps each
-part on its own through ``step`` and composes the successors from the
-parts' outcomes (see its docstring).
+splits into two or more parts that no instance relates, ``successors``
+steps each part on its own through ``step`` and composes every successor
+from the parts' outcomes (see its docstring).
 
 Every configuration carries a step clock (``core.Configuration``): a
 finite timer is stored as a deadline, its remaining timer plus the
@@ -91,7 +91,6 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from math import prod
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -595,10 +594,6 @@ def apply_step(config: Configuration, choice: StepChoice) -> Configuration:
     return step(config, choice).config
 
 
-def _stepped(config: Configuration, choice: StepChoice) -> Configuration:
-    return step(config, choice).config
-
-
 def successors(
     config: Configuration, rules: Sequence[Rule], memo: dict | None = None
 ) -> list[tuple[StepChoice, Configuration, str]]:
@@ -616,33 +611,24 @@ def successors(
     part's children (and the skin's contents if the part binds them); the
     children and contents no instance binds form one more part, stepped
     with the empty choice where a timer in it reaches the clock and kept
-    as it is elsewhere (``_Plan``). Every combination of part outcomes is
-    then composed into a successor and its key (``_composed_key``,
-    ``_compose``), which equal what ``step`` and ``canonicalize`` give
-    for the merged choice; of combinations with one key, the first in
-    choice order wins. ``memo`` holds part outcomes, keyed by all they
-    depend on: the rules, the skin's label and uid, the clock, the skin's
-    contents when the part holds them and the identity of the part's
-    members; it holds the rules and members alive, so the identities stay
-    theirs. An exploration keeps one for its whole search, so that a part
-    shared by many states is stepped once. The whole tree is stepped per
-    choice on states with fewer than two parts holding instances, and
-    where the parts would take no fewer steps than the whole: always
-    without a memo, and with one only when every part has one choice,
-    since a part stepped for one state may serve later ones. There the
-    whole tree's choices are merged from the parts' (``_merged_choices``),
-    which are not listed again."""
+    as it is elsewhere (``_part_outcomes``). Every combination of part
+    outcomes is then composed into a successor and its key
+    (``_composed_key``, ``_compose``), which equal what ``step`` and
+    ``canonicalize`` give for the merged choice; of combinations with one
+    key, the first in choice order wins. ``memo`` holds part outcomes,
+    keyed by all they depend on: the rules, the skin's label and uid, the
+    clock, the skin's contents when the part holds them and the identity
+    of the part's members; it holds the rules and members alive, so the
+    identities stay theirs. An exploration keeps one for its whole search,
+    so that a part shared by many states is stepped once. A state with
+    fewer than two parts holding instances is stepped whole, once per
+    choice."""
     found = find_instances(config, rules)
     split = _split(config, found)
     if split is None:
-        return distinct_successors(config, step_choices(config, rules, found), _stepped, canonicalize)
-    kept = {} if memo is None else memo
-    plans = [_Plan(config, rules, members, with_skin, insts, kept) for members, with_skin, insts in split]
-    combos = prod([len(plan.choices) for plan in plans])
-    if sum([plan.steps for plan in plans]) >= combos and (memo is None or combos == 1):
-        # stepping the parts would take no fewer steps than the whole
-        return distinct_successors(config, _merged_choices(plans), _stepped, canonicalize)
-    outcomes = [plan.stepped(config, rules, kept) for plan in plans]
+        return distinct_successors(config, step_choices(config, rules, found), apply_step, canonicalize)
+    memo = {} if memo is None else memo
+    outcomes = [_part_outcomes(config, rules, *part, memo) for part in split]
     seen: dict = {}  # key -> the combination first in choice order
     for combo in product(*outcomes):
         key = _composed_key(config, combo)
@@ -746,66 +732,41 @@ class _Outcome:
     __slots__ = ("keyed", "children", "places", "renders", "content", "objects", "low")
 
 
-class _Plan:
-    """One part of a state: its memo key, members and whether it holds
-    the skin's contents; its legal choices; its outcomes when the memo
-    holds them, else ``None``; and the steps that stepping it would take.
-    The memo key is the rules' identity, the skin's label and uid, the
-    clock, the skin's contents when the part holds them, and the members'
-    identities. A part without instances in which no timer reaches the
-    clock takes no step: ``step`` would keep it as it is (``tree.Tree``'s
-    keep test), objects and all."""
-
-    __slots__ = ("key", "members", "with_skin", "choices", "outcomes", "steps")
-
-    def __init__(self, config: Configuration, rules: Sequence[Rule], members: tuple, with_skin: bool,
-                 instances: list, memo: dict):
-        skin = config.skin
-        clock = config.clock
-        self.key = (id(rules), skin.label, skin.uid, clock, skin.content._items if with_skin else None,
-                    tuple(map(id, members)))
-        self.members, self.with_skin = members, with_skin
-        got = memo.get(self.key)
-        if got is not None:
-            self.outcomes = got[2]
-            self.choices = [tuple([inst for _k, inst in out.keyed]) for out in self.outcomes]
-            self.steps = 0
-            return
-        self.outcomes = None
-        if instances:
-            self.choices = step_choices(config, rules, instances)
-            self.steps = len(self.choices)
-        else:
-            self.choices = [()]
-            kept = all(least_timer(m) > clock for m in members) and (
-                not with_skin or all(t > clock for (_sym, t), _n in skin.content.items()))
-            self.steps = 0 if kept else 1
-
-    def stepped(self, config: Configuration, rules: Sequence[Rule], memo: dict) -> list:
-        """The part's outcomes, one per choice, in choice order: each
-        choice stepped by ``step`` on the skin holding only the members,
-        and the skin's contents when the part holds them, unless the
-        memo has them. A part without steps to take is one outcome, the
-        part as it is. Kept in ``memo`` with the rules and members, so
-        that the identities in the key stay theirs."""
-        if self.outcomes is None:
-            skin = config.skin
-            later = config.clock + 1
-            content = skin.content if self.with_skin else _EMPTY
-            if not self.steps:
-                self.outcomes = [_outcome((), self.members, {}, content, later)]
-            else:
-                sub = Configuration(MembraneNode(skin.label, skin.timer, content, self.members, uid=skin.uid),
-                                    config.output_label, config.clock)
-                self.outcomes = []
-                for choice in self.choices:
-                    made = step(sub, choice).config
-                    self.outcomes.append(
-                        _outcome(choice, made.skin.children, skin_arrivals(made), made.skin.content, later))
-                    drop_index(made)
-                drop_index(sub)
-            memo[self.key] = (rules, self.members, self.outcomes)
-        return self.outcomes
+def _part_outcomes(config: Configuration, rules: Sequence[Rule], members: tuple, with_skin: bool,
+                   instances: list, memo: dict) -> list:
+    """The outcomes of one part of ``config`` (``_split``), one per legal
+    choice of its ``instances``, in choice order, read from ``memo`` or
+    else made and kept there. Each choice is stepped by ``step`` on the
+    skin holding only the part's ``members``, and the skin's contents when
+    the part holds them (``with_skin``). A part without instances in which
+    no timer reaches the clock is one outcome, the part as it is: ``step``
+    would keep it so (``tree.Tree``'s keep test), objects and all. The
+    memo key is the rules' identity, the skin's label and uid, the clock,
+    the skin's contents when the part holds them, and the members'
+    identities; the memo keeps the rules and members with the outcomes,
+    so that those identities stay theirs."""
+    skin = config.skin
+    clock = config.clock
+    content = skin.content if with_skin else _EMPTY
+    key = (id(rules), skin.label, skin.uid, clock, content._items if with_skin else None, tuple(map(id, members)))
+    got = memo.get(key)
+    if got is not None:
+        return got[2]
+    later = clock + 1
+    if not instances and all(least_timer(m) > clock for m in members) and all(
+            t > clock for (_sym, t), _n in content.items()):
+        outcomes = [_outcome((), members, {}, content, later)]
+    else:
+        sub = Configuration(MembraneNode(skin.label, skin.timer, content, members, uid=skin.uid),
+                            config.output_label, clock)
+        outcomes = []
+        for choice in step_choices(config, rules, instances) if instances else [()]:
+            made = step(sub, choice).config
+            outcomes.append(_outcome(choice, made.skin.children, skin_arrivals(made), made.skin.content, later))
+            drop_index(made)
+        drop_index(sub)
+    memo[key] = (rules, members, outcomes)
+    return outcomes
 
 
 def _outcome(choice: StepChoice, children: tuple, arrived: dict, content: Multiset, later: int) -> _Outcome:
@@ -853,17 +814,6 @@ def _place(arrival: tuple, place: dict) -> tuple:
     if kind == 1:
         return arrival
     return (2, _place(of, place), i)
-
-
-def _merged_choices(plans: list) -> list[StepChoice]:
-    """The whole tree's legal choices, from its parts' (``_Plan.choices``):
-    one per combination of one choice per part, its instances in sort key
-    order, listed in ``step_choices``' order. Parts share no object and no
-    membrane, so these are the choices ``step_choices`` lists."""
-    keyed = [[[(inst.sort_key(), inst) for inst in choice] for choice in plan.choices] for plan in plans]
-    merged = [sorted([pair for choice in combo for pair in choice], key=_first) for combo in product(*keyed)]
-    merged.sort(key=lambda pairs: [k for k, _inst in pairs])
-    return [tuple([inst for _k, inst in pairs]) for pairs in merged]
 
 
 def _choice_order(combo: tuple) -> list:

@@ -64,7 +64,7 @@ from .core import (
     walk_tree,
 )
 from .engine import Instance, distinct_successors, simulate
-from .tree import Tree, carry_index, index_of
+from .tree import StaleChoiceError, Tree, carry_index, index_of
 
 
 @dataclass(slots=True, eq=False)
@@ -299,7 +299,9 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     ``config``: without a clock they cannot change. The result's index
     is derived from ``config``'s by the step's edits (``carry_index``).
     A choice whose membranes are gone or moved raises ``StaleChoiceError``
-    (``Tree.check``) before anything is consumed."""
+    (``Tree.check``) before anything is consumed, and so does one that
+    binds objects this configuration lacks, as it consumes them; neither
+    changes ``config``."""
     tree = Tree(config, choice)
     tree.check(choice)
 
@@ -307,7 +309,7 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
         content = tree.nodes[uid].content
         for sym in syms:
             if not content.get(sym):
-                raise ValueError(f"stale untimed choice: {sym} missing in {uid}")
+                raise StaleChoiceError(f"stale untimed choice: {sym} missing in {uid}")
             content[sym] -= 1
             if not content[sym]:
                 del content[sym]

@@ -13,7 +13,7 @@ The ``deep`` workflow runs it weekly over ``tests/test_engine.py`` and
 A test's own ``@settings`` still overrides the profile it names.
 
 ``count_calls`` counts the calls of a package function, for tests that
-pin work counts.
+pin work counts. ``w4`` builds the ROADMAP's W4 process.
 """
 
 import importlib
@@ -22,6 +22,8 @@ import sys
 from types import SimpleNamespace
 
 from hypothesis import settings
+
+from mobilemem.ambient import parse_ambient
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=100)
 settings.register_profile("deep", deadline=None, max_examples=5_000)
@@ -71,3 +73,8 @@ def count_calls(monkeypatch, target: str, items: bool = False) -> SimpleNamespac
                     if cls_value is original:
                         monkeypatch.setattr(value, cls_key, counted)
     return calls
+
+
+def w4(k: int):
+    """ROADMAP W4: k independent enter handshakes."""
+    return parse_ambient(" | ".join(f"n{i}:9[ in:5 m{i} ] | m{i}:9[ ~in:5 m{i} ]" for i in range(k)))

@@ -84,6 +84,17 @@ def test_compile_refuses_an_oversized_family_that_check_still_covers(tmp_path, c
     assert verdict["details"]["timed_nodes"] == verdict["details"]["compiled_nodes"] == 104
 
 
+def test_compile_refuses_a_huge_tick_family_before_building_it(tmp_path, capsys, monkeypatch):
+    # one object of lifetime 10^8 would need 10^8 tick rules and a kill
+    path = tmp_path / "huge.mms"
+    path.write_text("mms 1 timed\noutput skin\nskin:inf[ a:100000000 ]\n")
+    families = count_calls(monkeypatch, "mobilemem.compiler._tick_family")
+    assert main(["compile", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "the compiled system has 100,000,001 rules, over the 100,000 compile writes" in err
+    assert families.n == 0
+
+
 def test_embed_then_check(tmp_path, capsys):
     path = tmp_path / "u.mms"
     path.write_text(

@@ -54,13 +54,12 @@ from mobilemem.corpus import (
     random_timed_system,
     random_untimed_system,
 )
-from mobilemem.ambient import parse_ambient
 from mobilemem.explore import _bfs, _node_record, explore_membranes
 from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.tree import drop_index, index_of
 from mobilemem.untimed import erase_timers, u_apply, u_find_instances, u_maximal_choices, u_run, u_successors
-from conftest import count_calls
+from conftest import count_calls, w4
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
 DELTA = Symbol("delta")
@@ -453,15 +452,10 @@ def test_tree_shape_and_skin_preserved():
 # ---------------------------------------------------------------------------
 # Independent oracle
 
-def _w4(k):
-    """ROADMAP W4: k independent enter handshakes."""
-    return parse_ambient(" | ".join(f"n{i}:9[ in:5 m{i} ] | m{i}:9[ ~in:5 m{i} ]" for i in range(k)))
-
-
 def test_against_reference_interpreter():
     systems = {f"seed {seed}": random_timed_system(seed) for seed in range(15)}
     # independent pairs side by side, whose successors are composed from parts
-    for name, p in (("W4 k=3", _w4(3)), ("reducible 3", random_reducible_process(3)),
+    for name, p in (("W4 k=3", w4(3)), ("reducible 3", random_reducible_process(3)),
                     ("reducible 6", random_reducible_process(6))):
         systems[name] = (translate(p), generate_rules(p))
     for name, (cfg, rules) in systems.items():
@@ -893,11 +887,6 @@ def _assert_parts_match_the_whole_tree(config, rules, depth) -> int:
                 assert canonicalize(mine) == k
         if split is not None:
             factored += 1
-            # the parts' choices, listed afresh or read from the memo,
-            # merge into the whole tree's
-            for kept in ({}, memo):
-                plans = [engine._Plan(state, rules, *part, kept) for part in split]
-                assert engine._merged_choices(plans) == step_choices(state, rules), key
     mine = json.dumps(graph.to_json(), sort_keys=True)
     assert mine == json.dumps(_whole_tree_graph(config, rules, depth).to_json(), sort_keys=True)
     return factored
@@ -911,7 +900,7 @@ def test_successors_by_parts_match_the_whole_tree_on_the_corpus():
     for p in hand_processes():
         factored += _assert_parts_match_the_whole_tree(translate(p), generate_rules(p), 4)
     for k in range(2, 6):
-        factored += _assert_parts_match_the_whole_tree(translate(_w4(k)), generate_rules(_w4(k)), 3)
+        factored += _assert_parts_match_the_whole_tree(translate(w4(k)), generate_rules(w4(k)), 3)
     for seed in range(120):
         factored += _assert_parts_match_the_whole_tree(*random_timed_system(seed), 4)
     assert factored > 300, factored
@@ -991,15 +980,16 @@ def test_twin_parts_keep_the_first_choice_per_key(monkeypatch):
     assert _assert_parts_match_the_whole_tree(config, rules, 3) >= 1
 
 
-def test_a_state_stepped_whole_lists_its_choices_once_per_part(monkeypatch):
-    # independent pairs of one forced choice each: without a memo the
-    # parts would take more steps than the whole tree, which is stepped by
-    # the parts' choices merged, not by a second enumeration over it
+def test_a_split_state_is_composed_from_one_enumeration_and_one_step_per_part(monkeypatch):
+    # independent pairs of one forced choice each, with no memo: each part
+    # lists its choices and steps its one choice once, and the successor
+    # is composed from the parts' outcomes, never stepped whole
     cfg, rules = _pairs(3, False), RuleSet(_pair_rules(3))
     assert len(engine._split(cfg, find_instances(cfg, rules))) == 3
     enumerations = count_calls(monkeypatch, "mobilemem.engine.step_choices")
+    steps = count_calls(monkeypatch, "mobilemem.engine.step")
     got = successors(cfg, rules)
-    assert enumerations.n == 3
+    assert (enumerations.n, steps.n) == (3, 3)
     assert [(choice_describe(ch), k) for ch, _n, k in got] == [
         (choice_describe(ch), k) for ch, _n, k in _whole_tree_successors(cfg, rules)]
     assert got[0][2] == canonicalize(_pairs(3, True))

@@ -36,7 +36,7 @@ from mobilemem.corpus import (
     random_untimed_system,
     reorder_demo_process,
 )
-from conftest import count_calls
+from conftest import count_calls, w4
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 E1 = EndoRule("h", "m", Multiset([a]), w=((c, Fresh(7)),), name="E1")
@@ -103,7 +103,7 @@ def test_explorer_reuses_the_successor_key(monkeypatch):
     from mobilemem.core import renumber
 
     keys = count_calls(monkeypatch, "mobilemem.core.canonicalize")
-    whole = count_calls(monkeypatch, "mobilemem.engine._stepped")
+    whole = count_calls(monkeypatch, "mobilemem.engine.apply_step")
     composed = count_calls(monkeypatch, "mobilemem.engine._compose")
     roots = 40
     for seed in range(roots):
@@ -240,11 +240,6 @@ def test_check_translation_demo():
     assert verdict.details["mn"]["misses"] == []
 
 
-def _w4(k):
-    """ROADMAP W4: k independent enter handshakes."""
-    return parse_ambient(" | ".join(f"n{i}:9[ in:5 m{i} ] | m{i}:9[ ~in:5 m{i} ]" for i in range(k)))
-
-
 def test_explored_states_stay_at_their_step_clock(monkeypatch):
     # the state at BFS level d sits at clock d, so exploring turns no
     # state back to clock 0; nor does prop45, whose preimage search reads
@@ -252,7 +247,7 @@ def test_explored_states_stay_at_their_step_clock(monkeypatch):
     from mobilemem.translate import generate_rules, translate
 
     rests = count_calls(monkeypatch, "mobilemem.core.at_rest")
-    p = _w4(3)
+    p = w4(3)
     graph = explore_membranes(translate(p), generate_rules(p), 3)
     assert rests.n == 0
     assert all(graph.objects[key].clock == record.depth for key, record in graph.nodes.items())
@@ -267,10 +262,10 @@ def test_independent_pairs_are_stepped_per_part(monkeypatch):
     from mobilemem.translate import generate_rules, translate
 
     steps = count_calls(monkeypatch, "mobilemem.engine.step")
-    p = _w4(5)
+    p = w4(5)
     graph = explore_membranes(translate(p), generate_rules(p), 3)
     assert (len(graph.nodes), len(graph.edges)) == (97, 518)
-    assert steps.n <= 120, steps.n  # 518 when every choice stepped the whole tree
+    assert steps.n == 52  # 518 when every choice stepped the whole tree
     steps.n = 0
     assert check_translation(random_reducible_process(3), 4).ok
     assert steps.n == 62  # 100 when every choice stepped the whole tree
@@ -284,7 +279,7 @@ def test_check_translation_explores_the_ambient_side_once(monkeypatch):
     monkeypatch.setattr(explore, "explore_ambients", lambda *args: calls.append(args) or real(*args))
     for depth in range(4):
         calls.clear()
-        assert check_translation(_w4(2), depth).ok
+        assert check_translation(w4(2), depth).ok
         assert len(calls) == 1, depth
 
 
@@ -297,7 +292,7 @@ def test_check_translation_keeps_the_node_budget(monkeypatch):
     real = ambient.reduce_step
     monkeypatch.setattr(ambient, "reduce_step", lambda p: calls.append(p) or real(p))
     max_nodes = 3
-    verdict = check_translation(_w4(4), 3, max_nodes)
+    verdict = check_translation(w4(4), 3, max_nodes)
     assert verdict.ok is None
     assert len(calls) <= max_nodes
 
@@ -305,7 +300,7 @@ def test_check_translation_keeps_the_node_budget(monkeypatch):
 def test_correspondence_translates_each_state_once(monkeypatch):
     # the package's ``translate`` function shadows the module of that name
     translate = importlib.import_module("mobilemem.translate")
-    graph = explore_ambients(_w4(3), 3)
+    graph = explore_ambients(w4(3), 3)
     seen = []
     real = translate._image
     monkeypatch.setattr(translate, "_image", lambda p: seen.append(canonical_key(p)) or real(p))

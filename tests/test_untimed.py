@@ -93,7 +93,7 @@ def test_an_untimed_choice_applied_twice_is_stale():
     ):
         (choice,) = u_maximal_choices(cfg, rules)
         nxt, _det = u_apply(cfg, choice)
-        with pytest.raises(ValueError, match=message.format(h=choice[0].active_uid)):
+        with pytest.raises(StaleChoiceError, match=message.format(h=choice[0].active_uid)):
             u_apply(nxt, choice)
 
 
