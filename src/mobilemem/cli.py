@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .engine import run
@@ -109,11 +110,11 @@ def _cmd_sim(args) -> int:
 def _cmd_compile(args) -> int:
     sf = _load_system(args.file, True, "compile")
     plan = plan_elimination(sf.config, sf.rules)
-    if len(plan) > MAX_COMPILED_RULES:
-        message = f"the compiled system has {len(plan):,} rules, over the {MAX_COMPILED_RULES:,} compile writes"
+    if plan.size > MAX_COMPILED_RULES:
+        message = f"the compiled system has {plan.size:,} rules, over the {MAX_COMPILED_RULES:,} compile writes"
         if plan.schemas:
-            widest = max(plan.schemas, key=len)
-            message += f"; timed rule {widest.rule.name} alone expands to {len(widest):,}"
+            widest = max(plan.schemas, key=attrgetter("size"))
+            message += f"; timed rule {widest.rule.name} alone expands to {widest.size:,}"
         raise UsageError(message)
     uconfig, urules = plan.build()
     out = SystemFile(False, uconfig.output_label, uconfig, urules, compiled=True)

@@ -30,6 +30,7 @@ timed counterpart.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -212,7 +213,10 @@ def plan_elimination(config: Configuration, rules: Sequence[Rule]) -> Eliminatio
     families += [(label, int(timer), (), label, ((DELTA, Fresh(INF)),))
                  for label, timer in sorted(label_timers.items()) if timer != INF]
     schemas = [_move_schema(rule, lifetimes, label_timers) for rule in rules]
-    return Elimination(config, tuple(families), tuple(schema for schema in schemas if schema is not None))
+    plan = Elimination(config, tuple(families), tuple(schema for schema in schemas if schema is not None))
+    if plan.size > sys.maxsize:
+        raise CompileError(f"the compiled system would have {plan.size:,} rules, more than a sequence can index")
+    return plan
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,7 @@ class Elimination:
     """The compiled system of one timed system, before it is built: one
     tick/kill family per object symbol and per finite-timer label, as
     ``(base, lifetime, kept, host, killed)`` (``_tick_family``), and the
-    move schemas, whose members are built only when read. Its length is
+    move schemas, whose members are built only when read. Its ``size`` is
     the number of rules ``build`` gives, worked out from the lifetimes and
     label timers alone, so a caller can refuse a system too large to
     write before building any of it."""
@@ -228,9 +232,11 @@ class Elimination:
     config: Configuration
     families: tuple
     schemas: tuple
+    size: int = field(init=False, repr=False, compare=False)
 
-    def __len__(self) -> int:
-        return sum(life + 1 for _base, life, *_rest in self.families) + sum(map(len, self.schemas))
+    def __post_init__(self):
+        size = sum(life + 1 for _base, life, *_rest in self.families) + sum(s.size for s in self.schemas)
+        object.__setattr__(self, "size", size)
 
     def build(self) -> tuple[UConfig, CompiledRules]:
         """The untimed configuration, each object paired with its counter
@@ -279,21 +285,23 @@ class MoveSchema(Sequence):
     It reads as the sequence of its members, one per counter vector over
     the axes (active slots, passive slots, ``h``, ``m``), last axis
     fastest. Member ``i`` is built on demand by mixed-radix decoding of
-    ``i``. In a member, carried objects advance their counter by one, fresh
-    objects start at 0, the active membrane's counter advances, and the
-    passive membrane's counter is bound and advanced, which also enforces
-    the "passive timer greater than 0" precondition."""
+    ``i``; ``size`` is their number, a plain int that may exceed what
+    ``len`` can return. In a member, carried objects advance their
+    counter by one, fresh objects start at 0, the active membrane's
+    counter advances, and the passive membrane's counter is bound and
+    advanced, which also enforces the "passive timer greater than 0"
+    precondition."""
 
     rule: MoveRule
     active_lives: tuple
     passive_lives: tuple
     h_timer: int | None
     m_timer: int | None
-    _len: int = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         timers = tuple(t for t in (self.h_timer, self.m_timer) if t is not None)
-        object.__setattr__(self, "_len", prod(self.active_lives + self.passive_lives + timers))
+        object.__setattr__(self, "size", prod(self.active_lives + self.passive_lives + timers))
 
     @cached_property
     def _axes(self) -> tuple:
@@ -310,12 +318,12 @@ class MoveSchema(Sequence):
         return tuple((side, tuple(make_counter(base, j) for j in range(life))) for side, base, life in axes)
 
     def __len__(self) -> int:
-        return self._len
+        return self.size
 
     def __getitem__(self, i: int) -> MoveRule:
         if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
+            i += self.size
+        if not 0 <= i < self.size:
             raise IndexError("move schema index out of range")
         vector = []
         for _side, counters in reversed(self._axes):
@@ -401,7 +409,7 @@ class CompiledRules(RuleTables):
         parts, start = [], 0
         for item in items:
             parts.append((start, item))
-            start += len(item) if isinstance(item, MoveSchema) else 1
+            start += item.size if isinstance(item, MoveSchema) else 1
         self._parts = tuple(parts)
         self._len = start
         self._tables = {}
@@ -437,7 +445,7 @@ def _move_schema(rule, lifetimes, label_timers) -> MoveSchema | None:
     if active_lives is None or passive_lives is None:
         return None
     schema = MoveSchema(rule, active_lives, passive_lives, mem_timer(rule.h), mem_timer(rule.m))
-    return schema if len(schema) else None
+    return schema if schema.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,13 @@ refusable, so on systems with only infinite timers the two notions agree.
 ``successors`` and the explorer enumerate ``step_choices``; this is what
 makes the timer-elimination equivalence checkable. Both come from
 ``choices.enumerate_choices``, which holds the one conflict rule and its
-three modes (saturated, forced-only, any) for every relation. Moves,
-dissolution and the rebuilt tree come from ``tree.Tree``, which the
-untimed step and the literal relation use too. Where a state's skin
-splits into two or more parts that no instance relates, ``successors``
-steps each part on its own through ``step`` and composes every successor
-from the parts' outcomes (see its docstring).
+three modes (saturated, forced-only, any) for every relation. The
+choice's structural check, the moves, dissolution and the rebuilt tree
+come from ``tree.Tree``, which the untimed step and the literal relation
+use too. Where a state's skin splits into two or more parts that no
+instance relates, ``successors`` steps each part on its own through
+``step`` and composes every successor from the parts' outcomes (see its
+docstring).
 
 Every configuration carries a step clock (``core.Configuration``): a
 finite timer is stored as a deadline, its remaining timer plus the
@@ -56,15 +57,17 @@ step's own edits, on first read (``tree.carry_index``). The least timer
 of the children a loaded membrane keeps is read from its source's slot
 where it can be (``_kept_lows``), so a step reads no membrane it does
 not touch. ``simulate`` drops the index of each state it steps to once
-the next one has its own, so a run's records keep none. Work nodes keep
+the next one has its own, so a run's records keep none; the successor
+relations leave their argument's index in place, and the explorer drops
+it once the state is expanded. Work nodes keep
 deadlines from load to freeze. An instance binds remaining timers, and
 the choice's bindings are turned into deadline keys in one pass over
 each instance's bound classes (``_deadline_usage``); a product is stored
-at its remaining timer plus the next clock; phases 2 and 3 only drop the
-objects whose deadline is the clock, since a tick leaves every other
-deadline as it was. The one remaining-timer form inside a step is the
-archive of a membrane that exits the skin. Keys and traces read
-remaining timers (``core.render_at``); readers of raw timers read
+at its remaining timer plus the next clock, or plus this clock in a
+membrane that exits the skin, which is archived as phase 1 leaves it;
+phases 2 and 3 only drop the objects whose deadline is the clock, since
+a tick leaves every other deadline as it was. Keys, traces and archives
+read remaining timers (``core.render_at``); readers of raw timers read
 ``core.at_rest``, as ``Trace.final`` does.
 
 The matcher's rule table (moves by active label, rewrites by host label)
@@ -100,7 +103,6 @@ from .core import (
     DELTA_NAME,
     INF,
     Configuration,
-    EndoRule,
     ExoRule,
     Fresh,
     MembraneNode,
@@ -111,7 +113,6 @@ from .core import (
     Timer,
     at_rest,
     canonicalize,
-    canonical_render,
     decrement,
     least_timer,
     render_at,
@@ -394,9 +395,8 @@ def _deadline_usage(choice: StepChoice, clock: int) -> dict:
 
 def _validate_choice(choice: StepChoice, usage: dict, tree: Tree, clock: int) -> None:
     """Raise ``StaleChoiceError`` unless ``choice``, whose instances bind
-    ``usage`` (``_deadline_usage``), fits the loaded work tree: its
-    structure (``Tree.check``), then its movers' timers and its bindings."""
-    tree.check(choice)
+    ``usage`` (``_deadline_usage``), fits the loaded work tree, which has
+    checked its structure: its movers' timers and its bindings."""
     nodes = tree.nodes
     for inst in choice:
         if inst.is_move and min(nodes[inst.active_uid].src.timer, nodes[inst.passive_uid].src.timer) <= clock:
@@ -472,17 +472,14 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
             del content[cls]
         consumed += n
     # A membrane that exits the skin (the only passive that is the skin)
-    # is archived as phase 1 leaves it: its objects at their remaining
-    # timers, its products at their own.
+    # is archived as phase 1 leaves it, read at this clock: its products
+    # are stored at their remaining timer plus the clock.
     leaving = {inst.active_uid for inst in choice if inst.passive_uid == config.skin.uid}
-    for uid in leaving:
-        work = nodes[uid]
-        work.content = {(sym, t - clock): n for (sym, t), n in work.content.items()}
 
     def give(uid: int, prods: tuple, slot_classes: tuple) -> None:
         nonlocal produced
         content = nodes[uid].content
-        at = 0 if uid in leaving else later
+        at = clock if uid in leaving else later
         for sym, spec in prods:
             t = spec.timer if isinstance(spec, Fresh) else decrement(slot_classes[spec.slot][1])
             cls = (sym, t + at)
@@ -501,18 +498,11 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
 
     detached: list[tuple[int, str, str]] = []
     detached_objects = 0
-    for inst in choice:
-        if isinstance(inst.rule, EndoRule):
-            tree.endo(inst.active_uid, inst.passive_uid)
-        elif isinstance(inst.rule, ExoRule):
-            gone = tree.exo(inst.active_uid)
-            if gone is not None:
-                label = gone.src.label
-                frozen = MembraneNode(
-                    label, timers[inst.active_uid], Multiset(gone.content), (), uid=inst.active_uid
-                )
-                detached.append((inst.active_uid, label, canonical_render(frozen)))
-                detached_objects += sum(gone.content.values())
+    for inst, gone in tree.move(choice):
+        uid, label = inst.active_uid, gone.src.label
+        frozen = MembraneNode(label, timers[uid] + clock, Multiset(gone.content), (), uid=uid)
+        detached.append((uid, label, render_at(frozen, clock)))
+        detached_objects += sum(gone.content.values())
 
     # Phases 2 and 3: an unbound pre-existing object whose deadline is the
     # clock expires, and every other one ticks, which keeps its deadline;
@@ -645,7 +635,6 @@ def successors(
         combo = seen[key]
         choice = tuple([inst for _k, inst in sorted([pair for part in combo for pair in part.keyed], key=_first)])
         found.append((choice, _compose(config, combo, placed), key))
-    drop_index(config)  # an explored state is expanded once
     return found
 
 
@@ -659,7 +648,6 @@ def distinct_successors(config, choices: Iterable, apply: Callable, key: Callabl
         k = key(result)
         if k not in seen:
             seen[k] = (choice, result, k)
-    drop_index(config)  # an explored state is expanded once
     return [seen[k] for k in sorted(seen)]
 
 
@@ -763,8 +751,6 @@ def _part_outcomes(config: Configuration, rules: Sequence[Rule], members: tuple,
         for choice in step_choices(config, rules, instances) if instances else [()]:
             made = step(sub, choice).config
             outcomes.append(_outcome(choice, made.skin.children, skin_arrivals(made), made.skin.content, later))
-            drop_index(made)
-        drop_index(sub)
     memo[key] = (rules, members, outcomes)
     return outcomes
 
@@ -772,12 +758,11 @@ def _part_outcomes(config: Configuration, rules: Sequence[Rule], members: tuple,
 def _outcome(choice: StepChoice, children: tuple, arrived: dict, content: Multiset, later: int) -> _Outcome:
     """A part's outcome (``_Outcome``) from its skin's children and
     contents after ``choice``, and the arrivals among those children
-    (``tree.skin_arrivals``)."""
-    movers = [inst for inst in choice if inst.is_move]
+    (``tree.skin_arrivals``); a child that stayed is ``(0, its uid, 0)``."""
     out = _Outcome()
     out.keyed = [(inst.sort_key(), inst) for inst in choice]
     out.children = children
-    out.places = [_arrival(child.uid, arrived, movers) for child in children]
+    out.places = [arrived.get(child.uid, (0, child.uid, 0)) for child in children]
     out.renders = [render_at(child, later) for child in children]
     out.content = content if content else None
     out.objects = render_objects(content, later)
@@ -785,29 +770,10 @@ def _outcome(choice: StepChoice, children: tuple, arrived: dict, content: Multis
     return out
 
 
-def _arrival(uid: int, arrived: dict, movers: list) -> tuple:
-    """Where the skin child ``uid`` stands after a part's step, in a form
-    that holds in every state the part occurs in (``_place`` reads it
-    against one state's child order). The edit rule (``tree.Tree``) keeps
-    the children that stay in their order and appends the others in the
-    order of the edits: first the moves of phase 1, in choice order, then
-    the children released by each dissolving child, the dissolving
-    children taken in the skin's order after phase 1. So a child that
-    stayed is ``(0, uid)``, one moved in by a move instance is ``(1, its
-    sort key, 0)``, and one released from child ``u`` by the ``i``-th
-    edit is ``(2, the place of u, i)``."""
-    edit = arrived.get(uid)
-    if edit is None:
-        return (0, uid, 0)
-    was, i = edit
-    if i < len(movers):
-        return (1, movers[i].sort_key(), 0)
-    return (2, _arrival(was, arrived, movers), i)
-
-
 def _place(arrival: tuple, place: dict) -> tuple:
-    """An ``_arrival`` as a sort key among the skin's children after the
-    step: ``place`` gives each child's position before it."""
+    """An arrival (``tree.skin_arrivals``) as a sort key among the skin's
+    children after the step: ``place`` gives each child's position before
+    it."""
     kind, of, i = arrival
     if kind == 0:
         return (0, place[of])

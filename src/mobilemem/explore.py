@@ -126,10 +126,10 @@ class ReachGraph:
 
 def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, max_nodes: int) -> ReachGraph:
     """``succ_fn(state)`` lists ``(edge label, successor, its key)``. A
-    membrane state drops its index once expanded
-    (``engine.distinct_successors``); the states never expanded, the last
-    level's or those left when the node cap stops the search, drop here
-    the work tree their step left them."""
+    membrane state drops its index as soon as it is expanded, once each;
+    the states never expanded, the last level's or those left when the
+    node cap stops the search, drop the work tree their step left them
+    (``_drop_indexes``)."""
     graph = ReachGraph(root=root_key, depth=depth)
     graph.nodes[root_key] = meta_fn(root, root_key, 0)
     graph.objects[root_key] = root
@@ -141,6 +141,7 @@ def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, 
             key = frontier.popleft()
             state = graph.objects[key]
             succ = succ_fn(state)
+            _drop_indexes(graph, (key,))
             dst_keys = []
             for label, nxt, nxt_key in succ:
                 dst_keys.append(nxt_key)
@@ -148,7 +149,7 @@ def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, 
                 if nxt_key not in graph.nodes:
                     if len(graph.nodes) >= max_nodes:
                         graph.truncated = True
-                        _drop_work_trees(graph, [*frontier, *next_frontier])
+                        _drop_indexes(graph, [*frontier, *next_frontier])
                         raise BudgetExceeded(graph, level, width)
                     graph.nodes[nxt_key] = meta_fn(nxt, nxt_key, level + 1)
                     graph.objects[nxt_key] = nxt
@@ -156,14 +157,14 @@ def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, 
             if succ and all(k == key for k in dst_keys):
                 graph.nodes[key].halted = True
         frontier = next_frontier
-    _drop_work_trees(graph, frontier)
+    _drop_indexes(graph, frontier)
     return graph
 
 
-def _drop_work_trees(graph: ReachGraph, keys) -> None:
-    """Drop the index of each membrane state at ``keys``: never expanded,
-    it still holds its step's work tree, and through it its source's
-    whole index."""
+def _drop_indexes(graph: ReachGraph, keys) -> None:
+    """Drop the index of each membrane state at ``keys``: an expanded
+    state is not read again, and one never expanded still holds its
+    step's work tree, and through it its source's whole index."""
     for key in keys:
         state = graph.objects[key]
         if isinstance(state, (Configuration, UConfig)):

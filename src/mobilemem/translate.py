@@ -8,9 +8,11 @@ immediately next to the guarding capability. Tags are dropped. The result
 is wrapped in a synthetic ``skin`` membrane with timer ``inf``, which is
 also the default output membrane.
 
-Rule generation pairs every two distinct ambient names (n, m) such that a
-positive capability targeting m occurs: one endo rule consuming
-``in_m``/``~in_m`` and one exo rule consuming ``out_m``/``~out_m``.
+Rule generation pairs every ambient name n with every ambient name m that
+a positive capability targets: one endo rule consuming ``in_m``/``~in_m``
+and one exo rule consuming ``out_m``/``~out_m``. n is m only where two or
+more ambients are named m, since an ambient moves into or out of another
+one, never itself.
 
 Because prefix order is erased the translation is not injective: a
 membrane configuration reached by one movement step can be the image of a
@@ -117,16 +119,18 @@ def _image(p: Process) -> Configuration:
 
 def generate_rules(p: Process, strict: bool = False) -> RuleSet:
     """Movement rules for every (mover, target) name pair with a positive
-    capability aimed at the target. ``strict`` keeps the moving membrane's
+    capability aimed at the target; a name is paired with itself only when
+    two or more ambients bear it. ``strict`` keeps the moving membrane's
     timer unchanged, matching the generated rules' literal right sides."""
-    names = sorted({q.name for q in amb.subterms(p) if isinstance(q, Amb)})
+    named = Counter(q.name for q in amb.subterms(p) if isinstance(q, Amb))
+    names = sorted(named)
     targets = sorted({q.cap.target for q in amb.subterms(p) if isinstance(q, Prefix) and not q.cap.co})
     rules: list[Rule] = []
     for m in targets:
-        if m not in names:
+        if m not in named:
             continue
         for n in names:
-            if n == m:
+            if n == m and named[m] < 2:
                 continue
             in_sym = Symbol(f"in_{m}")
             out_sym = Symbol(f"out_{m}")
@@ -163,11 +167,7 @@ def _literal_apply(config: Configuration, instances: Sequence[Instance]) -> Conf
     for inst in instances:
         swap(inst.active_uid, inst.active_classes, inst.rule.w)
         swap(inst.passive_uid, inst.passive_classes, inst.rule.w2)
-    for inst in instances:
-        if isinstance(inst.rule, EndoRule):
-            tree.endo(inst.active_uid, inst.passive_uid)
-        else:
-            tree.exo(inst.active_uid)  # out of the skin: detached and dropped
+    tree.move(instances)  # a membrane out of the skin is dropped
 
     def make(node, children):
         src = node.src

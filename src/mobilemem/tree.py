@@ -13,36 +13,34 @@ the literal relation of the ambient translation all edit the tree here:
   its source's by that tree's edits when first read (``Tree.next_index``);
 * ``Tree(config, choice, keep)`` loads the work tree. Work nodes are made
   only for the skin, the membranes the choice names (active, passive or
-  rewrite host; an instance is seen only through ``active_uid`` and
-  ``passive_uid``) and their ancestors, which the index's parent map
-  gives without a walk. Every other child subtree is kept as the frozen
-  node it is, unless the caller's ``keep(node)`` says no: then that
+  rewrite host) and their ancestors, which the index's parent map gives
+  without a walk; a choice whose membranes are missing or placed so that
+  its moves cannot fire raises ``StaleChoiceError`` there, before any
+  relation consumes anything. Every other child subtree is kept as the
+  frozen node it is, unless the caller's ``keep(node)`` says no: then that
   membrane is loaded as a work node too, and its children are tested in
   turn. ``keep`` must be monotone (a child of a node it keeps is kept),
   so the children of a loaded node that ``keep`` itself keeps are not
   tested. A work node's contents become a dict, its children an
   insertion-ordered dict of work nodes and kept frozen nodes, built in C,
   and ``src`` keeps the frozen node it was loaded from;
-* ``check`` raises ``StaleChoiceError`` on a choice whose membranes are
-  missing or placed so that its moves cannot fire; the timed and untimed
-  steps run it before they consume anything;
-* ``endo`` and ``exo`` re-parent one membrane (exo through the skin
-  removes it and hands it back to be archived);
+* ``move(choice)`` re-parents every move's active membrane, in choice
+  order; one moved out of the skin is handed back to be archived;
 * ``dissolve`` empties every marker-holding work node into its parent,
   bottom-up; a kept subtree holds no marker;
 * ``freeze`` rebuilds the work nodes through the caller's node
   constructor, with kept subtrees in place. It, ``dissolve`` and the
   work-node order behind both visit work nodes only;
-* ``skin_arrivals`` reads, from a step's result, which children of the
-  skin the edits appended and from where, so that the timed relation can
-  place the children of parts of the skin stepped apart
+* ``skin_arrivals`` reads, from a step's result, how each child the
+  edits appended to the skin arrived, so that the timed relation places
+  the children of parts of the skin stepped apart as a whole step would
   (``engine.successors``).
 
 A moved or released membrane goes to the end of its new parent's
-children, so child order, which reach graphs show, is the order of edits.
-Consuming and producing objects, timers and rendering stay with the
-caller, which sees a work node only through ``src``, ``content``,
-``parent`` and ``children``.
+children, so child order, which reach graphs show, is the order of edits;
+``skin_arrivals`` is its one reader. Consuming and producing objects,
+timers and rendering stay with the caller, which sees a work node only
+through ``src``, ``content``, ``parent`` and ``children``.
 """
 
 from __future__ import annotations
@@ -126,14 +124,19 @@ def drop_index(config) -> None:
 
 def skin_arrivals(config) -> dict:
     """For a configuration a step has just made, whose slot still holds
-    the work tree that froze it (``carry_index``): uid -> (uid of the
-    membrane it came from, number of the edit in ``Tree.moves``) for each
-    membrane whose last edit placed it in the skin. Those are the skin's
-    children that the edit rule appended, in that order; every other child
-    of the skin was there before the step and kept its place."""
+    the work tree that froze it (``carry_index``): uid -> arrival for each
+    skin child the edits appended (moves in choice order, then releases),
+    in a form that holds in every state the same membranes occur in:
+    ``(1, the move's sort key, 0)`` for one moved in, ``(2, the arrival
+    of u, i)`` for one released from child ``u`` by edit ``i``, where a
+    ``u`` that stayed is ``(0, u, 0)``. Every other child kept its place."""
     tree = config._index
     root = tree.root.src.uid
-    return {uid: (was, i) for i, (uid, _label, _kid, was, to) in enumerate(tree.moves) if to == root}
+    arrived: dict = {}
+    for i, (uid, _label, _kid, was, to, inst) in enumerate(tree.moves):
+        if to == root:
+            arrived[uid] = (1, inst.sort_key(), 0) if inst is not None else (2, arrived.get(was, (0, was, 0)), i)
+    return arrived
 
 
 class Work:
@@ -159,8 +162,9 @@ class Tree:
         skin = config.skin
         self.root = Work(skin, None, index.children.get(skin.uid, _NONE))
         self.nodes = {skin.uid: self.root}  # uid -> work node, skin included
-        # (uid, label, membrane, old parent uid, new parent uid or None)
-        # per re-parenting or removal, in the order made
+        # (uid, label, membrane, old parent uid, new parent uid or None,
+        # the moving instance or None) per re-parenting or removal, in the
+        # order made
         self.moves: list = []
         touched = {inst.active_uid for inst in choice}
         touched.update([inst.passive_uid for inst in choice])
@@ -176,6 +180,7 @@ class Tree:
             for child in reversed(path):
                 self._load(node_of[child], nodes[uid])
                 uid = child
+        self._check(choice)
         if keep is None:
             return
         stack = [work for work in nodes.values() if work.children and not keep(work.src)]
@@ -185,7 +190,7 @@ class Tree:
                 if type(kid) is not Work and not keep(kid):
                     stack.append(self._load(kid, work))
 
-    def check(self, choice: Iterable) -> None:
+    def _check(self, choice: Iterable) -> None:
         """Raise ``StaleChoiceError`` unless each instance's membranes are
         loaded here and placed as its rule needs: an endo's active and
         passive are siblings below the skin, an exo's active is a child of
@@ -219,11 +224,11 @@ class Tree:
         self.nodes[uid] = parent.children[uid] = parent.sub[uid] = work
         return work
 
-    def _move(self, work: Work, to: int | None) -> None:
+    def _move(self, work: Work, to: int | None, inst=None) -> None:
         uid = work.src.uid
         old = self.nodes[work.parent]
         del old.children[uid], old.sub[uid]
-        self.moves.append((uid, work.src.label, work, work.parent, to))
+        self.moves.append((uid, work.src.label, work, work.parent, to, inst))
         work.parent = to
         if to is None:
             del self.nodes[uid]
@@ -231,16 +236,21 @@ class Tree:
             new = self.nodes[to]
             new.children[uid] = new.sub[uid] = work
 
-    def endo(self, uid: int, into: int) -> None:
-        """Move membrane ``uid`` into membrane ``into``."""
-        self._move(self.nodes[uid], into)
-
-    def exo(self, uid: int) -> Work | None:
-        """Move membrane ``uid`` out of its parent. Out of the skin it
-        leaves the tree, and its work node is returned."""
-        work = self.nodes[uid]
-        self._move(work, self.nodes[work.parent].parent)
-        return work if work.parent is None else None
+    def move(self, choice: Iterable) -> list:
+        """Re-parent the active membrane of every move in ``choice``, in
+        choice order: an endo's into its passive, an exo's out of its
+        passive. Returns ``(instance, work node)`` for each membrane that
+        left the skin, and so the tree."""
+        nodes = self.nodes
+        gone = []
+        for inst in choice:
+            if inst.is_move:
+                to = inst.passive_uid if isinstance(inst.rule, EndoRule) else nodes[inst.passive_uid].parent
+                work = nodes[inst.active_uid]
+                self._move(work, to, inst)
+                if to is None:
+                    gone.append((inst, work))
+        return gone
 
     def _order(self) -> list[Work]:
         """Every work node, the root first, in pre-order (work children
@@ -285,7 +295,7 @@ class Tree:
                 else:
                     label = kid.label
                 parent.children[kid_uid] = kid
-                self.moves.append((kid_uid, label, kid, uid, work.parent))
+                self.moves.append((kid_uid, label, kid, uid, work.parent, None))
             self._move(work, None)
         return dropped
 
@@ -321,7 +331,7 @@ class Tree:
                 got = copied[label, parent] = by_parent[parent] = dict(by_parent.get(parent, ()))
             return got
 
-        for uid, label, kid, was, to in self.moves:
+        for uid, label, kid, was, to, _inst in self.moves:
             del entry(label, was)[uid]
             if to is None:
                 del node[uid], up[uid]

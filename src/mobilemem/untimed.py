@@ -48,7 +48,6 @@ from .core import (
     DELTA_NAME,
     Configuration,
     EndoRule,
-    ExoRule,
     FrozenTree,
     MoveRule,
     Multiset,
@@ -299,11 +298,10 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     ``config``: without a clock they cannot change. The result's index
     is derived from ``config``'s by the step's edits (``carry_index``).
     A choice whose membranes are gone or moved raises ``StaleChoiceError``
-    (``Tree.check``) before anything is consumed, and so does one that
+    (``tree.Tree``) before anything is consumed, and so does one that
     binds objects this configuration lacks, as it consumes them; neither
     changes ``config``."""
     tree = Tree(config, choice)
-    tree.check(choice)
 
     def consume(uid, syms: tuple):
         content = tree.nodes[uid].content
@@ -330,14 +328,9 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
             produce(inst.passive_uid, rule.w2)
 
     detached = []
-    for inst in choice:
-        if isinstance(inst.rule, EndoRule):
-            tree.endo(inst.active_uid, inst.passive_uid)
-        elif isinstance(inst.rule, ExoRule):
-            gone = tree.exo(inst.active_uid)
-            if gone is not None:
-                frozen = UNode(gone.src.label, Multiset(gone.content), (), uid=inst.active_uid)
-                detached.append((inst.active_uid, gone.src.label, u_render(frozen)))
+    for inst, gone in tree.move(choice):
+        frozen = UNode(gone.src.label, Multiset(gone.content), (), uid=inst.active_uid)
+        detached.append((inst.active_uid, gone.src.label, u_render(frozen)))
 
     tree.dissolve(_is_marker)
     skin = tree.freeze(

@@ -95,6 +95,33 @@ def test_compile_refuses_a_huge_tick_family_before_building_it(tmp_path, capsys,
     assert families.n == 0
 
 
+HUGE_LIFETIME = "mms 1 timed\noutput skin\nskin:inf[ a:99999999999999999999999 ]\n"
+HUGE_LABEL = (
+    "mms 1 timed\noutput skin\nskin:inf[ ; h:99999999999999999999[ a:2 ] m:3[ ~a:2 ] ]\n"
+    "endo h m : a | , ~a | => |\n"
+)
+
+
+@pytest.mark.parametrize("command, text", [
+    (["compile", "{path}"], HUGE_LIFETIME),
+    (["check", "prop2", "{path}", "--depth", "1"], HUGE_LIFETIME),
+    (["compile", "{path}"], HUGE_LABEL),
+    (["check", "prop2", "{path}", "--depth", "1"], HUGE_LABEL),
+], ids=["compile-lifetime", "check-lifetime", "compile-label", "check-label"])
+def test_a_compiled_size_past_what_len_can_return_exits_3(tmp_path, command, text):
+    # ``len`` cannot return more than ``sys.maxsize``: the size is a plain
+    # int, refused before a rule is built, and no traceback is printed
+    path = tmp_path / "huge.mms"
+    path.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "mobilemem", *[str(path) if arg == "{path}" else arg for arg in command]],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert "rules, more than a sequence can index" in done.stderr
+
+
 def test_embed_then_check(tmp_path, capsys):
     path = tmp_path / "u.mms"
     path.write_text(

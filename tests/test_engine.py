@@ -244,6 +244,19 @@ def test_exo_through_skin_detaches_and_archives():
     assert result.detached[0][1] == "h"
 
 
+def test_a_membrane_leaving_the_skin_at_clock_1_is_archived_at_remaining_timers():
+    # at clock 1 h carries b and y (bound, each a tick less), keeps e
+    # (unbound, not ticked) and gets c:+2; its archive prints remaining
+    # timers, as one at clock 0 does
+    sf = parse_system(
+        "mms 1 timed\noutput skin\nskin:inf[ ~t:inf ; h:5[ t:9, x:3, b:4, e:6 ] ]\n"
+        "rw h : x => y:+3\nexo h skin : t | y b , ~t | => y:- c:+2 b:- |\n"
+    )
+    first, second = run(sf.config, sf.rules, 2).records
+    assert first.detached == ()
+    assert second.detached == ((2, "h", "h:3{b:2,c:2,e:5,y:2}[]"),)
+
+
 def test_endo_between_same_labelled_siblings():
     # labels need not be unique: one h-membrane may enter another
     rule = EndoRule("h", "h", Multiset([a]), name="self")

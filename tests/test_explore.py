@@ -27,8 +27,10 @@ from mobilemem.explore import (
     explore_untimed,
 )
 from mobilemem.compiler import embed_infinite
-from mobilemem.tree import drop_index
-from mobilemem.untimed import UConfig, umem
+from mobilemem.engine import successors
+from mobilemem.translate import generate_rules, literal_successors, translate
+from mobilemem.tree import drop_index, index_of
+from mobilemem.untimed import UConfig, u_successors, umem
 from mobilemem.ambient import canonical_key, parse_ambient
 from mobilemem.corpus import (
     random_reducible_process,
@@ -522,6 +524,24 @@ def test_an_explored_graph_holds_no_index():
         graph, held, freed = _held_by_indexes(explore, system, 4)
         assert len(graph.nodes) == 41
         assert freed <= held // 100, f"{explore.__name__}: {freed} of {held} bytes held by indexes"
+
+
+def test_successor_relations_leave_their_arguments_index_in_place():
+    """Dropping an expanded state's index is the explorer's (``_bfs``):
+    ``successors``, on a whole state and on one composed from its parts,
+    ``u_successors`` and ``literal_successors`` leave their argument's
+    index in place."""
+    p = w4(2)
+    image, generated = translate(p), generate_rules(p)
+    for relation, state, rules in [
+        (successors, *random_timed_system(0)),
+        (successors, image, generated),
+        (u_successors, *random_untimed_system(0)),
+        (literal_successors, image, generated),
+    ]:
+        index = index_of(state)
+        assert relation(state, rules)
+        assert state._index is index, relation.__name__
 
 
 def test_a_partial_graph_holds_no_index():

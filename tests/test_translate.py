@@ -40,7 +40,7 @@ from mobilemem.translate import (
     _literal_apply,
 )
 from mobilemem.corpus import hand_processes, random_process, random_reducible_process, reorder_demo_process
-from mobilemem.explore import explore_ambients, explore_membranes
+from mobilemem.explore import check_translation, explore_ambients, explore_membranes
 
 
 def _capabilities(p):
@@ -79,6 +79,22 @@ def test_generate_rules_demo():
     assert generate_rules(ZERO) == ()
     co_only = parse_ambient("n:4[ ~in:2 m ] | m:3[]")
     assert generate_rules(co_only) == ()
+
+
+def test_an_ambient_moves_into_and_out_of_a_same_named_one():
+    # an ambient may enter or leave another of its own name, which the
+    # ambient side reduces; one ambient alone has no such partner
+    p = parse_ambient("n:3[ in:2 n ] | n:3[ ~in:2 n ]")
+    for strict in (False, True):
+        assert [r.name for r in generate_rules(p, strict)] == ["in:n>n", "out:n<n"]
+    assert generate_rules(parse_ambient("n:3[ in:2 n ]")) == ()
+    for text, depth in [
+        ("n:3[ in:2 n ] | n:3[ ~in:2 n ]", 3),
+        ("m:8[ m:6[ out:3 m ] | ~out:4 m ]", 2),
+        ("n:3[ in:2 n ] | n:3[ ~in:2 n ] | n:4[ ~in:1 n ]", 3),
+    ]:
+        verdict = check_translation(parse_ambient(text), depth)
+        assert verdict.ok, (text, verdict.details)
 
 
 def test_generated_rules_strict_flag():
