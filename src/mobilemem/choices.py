@@ -8,8 +8,9 @@ step and the literal relation of the ambient translation all use this one
 condition. They differ only in which instances must no longer fit beside
 a finished choice, the ``blocks`` predicate of ``enumerate_choices``:
 
-* every instance: saturated choices (``engine.maximal_choices`` and
-  ``untimed.u_maximal_choices``);
+* every instance (``every``): saturated choices (``engine.maximal_choices``
+  and ``untimed.u_maximal_choices``), the least of which ``least_choice``
+  finds in one greedy pass;
 * the ``forced`` instances, whose bound objects all have timer INF: the
   legal timed choices (``engine.step_choices``);
 * none: every conflict-free choice (``translate.literal_successors``,
@@ -153,11 +154,55 @@ def _isolated(rows: list, blocking: list) -> list[bool]:
     ]
 
 
-def enumerate_choices(config, instances: Sequence, blocks: Callable) -> list[tuple]:
+def every(inst) -> bool:
+    """The ``blocks`` predicate of saturated choices: every instance."""
+    return True
+
+
+def least_choice(config, instances: Sequence) -> tuple:
+    """``enumerate_choices(config, instances, every)[0]``, the least
+    saturated choice, in one greedy pass: each instance in sort-key order
+    joins as often as it still fits beside those already taken, a move at
+    most once. Greedy takes as many copies of the earliest instance as any
+    saturated choice holds, and then of each next one given those, and a
+    saturated choice is no proper sub-multiset of another; so the first
+    position at which another saturated choice differs holds a later
+    instance there, and its position tuple sorts after this one (the
+    lexicographically first maximal independent set, Cook 1985, here over
+    multisets). The copies that fit are counted as for an isolated
+    instance, so no ``addable`` test is made; a move that binds no object
+    fits once where its membranes are free."""
+    avail = availability(config, instances)
+    usage: dict = {}
+    actives: set = set()
+    passives: set = set()
+    chosen: list = []
+    for inst in instances:
+        move = inst.is_move
+        if move and (inst.active_uid in actives or inst.active_uid in passives or inst.passive_uid in actives):
+            continue
+        need = inst.needs()
+        copies = min([(avail.get(key, 0) - usage.get(key, 0)) // n for key, n in need.items()], default=1)
+        if copies <= 0:
+            continue
+        if move:
+            copies = 1
+            actives.add(inst.active_uid)
+            passives.add(inst.passive_uid)
+        for key, n in need.items():
+            usage[key] = usage.get(key, 0) + copies * n
+        chosen += [inst] * copies
+    return tuple(chosen)
+
+
+def enumerate_choices(config, instances: Sequence, blocks: Callable, limit: int | None = None) -> list[tuple]:
     """Every conflict-free choice of ``instances``, found in ``config``,
     after which no blocking instance fits, in the order of the instances'
     sort keys, given ``instances`` sorted by them. Moves join at most
-    once; other instances as often as their objects allow."""
+    once; other instances as often as their objects allow. With
+    ``limit``, the search stops at that many finished choices, which are
+    then the first it found, not the least: ``simulate`` asks so whether
+    a step had a second choice."""
     avail = availability(config, instances)
     rows = [(inst, inst.needs()) for inst in instances]
     blocking = [bool(blocks(inst)) for inst in instances]
@@ -210,6 +255,8 @@ def enumerate_choices(config, instances: Sequence, blocks: Callable) -> list[tup
         if k == len(table):
             if not any(addable(i, n, avail, usage, actives, passives) for i, n in blockers):
                 results.append(tuple(sorted(chosen)))
+                if len(results) == limit:
+                    break
             stack.pop()
             continue
         inst, need = table[k]

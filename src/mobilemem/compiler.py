@@ -225,18 +225,22 @@ class Elimination:
     tick/kill family per object symbol and per finite-timer label, as
     ``(base, lifetime, kept, host, killed)`` (``_tick_family``), and the
     move schemas, whose members are built only when read. Its ``size`` is
-    the number of rules ``build`` gives, worked out from the lifetimes and
-    label timers alone, so a caller can refuse a system too large to
-    write before building any of it."""
+    the number of rules ``build`` gives, and ``family_size`` the number of
+    tick and kill rules among them, which ``build`` makes at once; both
+    are worked out from the lifetimes and label timers alone, so a caller
+    can refuse a system too large to write, or to check, before building
+    any of it."""
 
     config: Configuration
     families: tuple
     schemas: tuple
     size: int = field(init=False, repr=False, compare=False)
+    family_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = sum(life + 1 for _base, life, *_rest in self.families) + sum(s.size for s in self.schemas)
-        object.__setattr__(self, "size", size)
+        family_size = sum(life + 1 for _base, life, *_rest in self.families)
+        object.__setattr__(self, "family_size", family_size)
+        object.__setattr__(self, "size", family_size + sum(s.size for s in self.schemas))
 
     def build(self) -> tuple[UConfig, CompiledRules]:
         """The untimed configuration, each object paired with its counter

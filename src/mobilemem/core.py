@@ -110,12 +110,13 @@ class Multiset:
         return ms
 
     @classmethod
-    def _of_sorted(cls, items: tuple) -> "Multiset":
+    def _of_sorted(cls, items: tuple, counts: dict | None = None) -> "Multiset":
         """From ``(item, count)`` pairs already sorted, with distinct items
-        and positive counts."""
+        and positive counts, and ``counts``, a dict of the same pairs in any
+        order that no one changes afterwards, where the caller has one."""
         ms = cls.__new__(cls)
         ms._items = items
-        ms._counts = dict(items)
+        ms._counts = dict(items) if counts is None else counts
         ms._hash = None
         return ms
 
@@ -544,12 +545,19 @@ def rule_set(rules) -> RuleTables:
 # ---------------------------------------------------------------------------
 # Canonicalization and readings
 
+_SYMBOL_TEXT: dict = {}  # Symbol -> str(symbol), one entry per distinct symbol
+
+
 def render_objects(content: Multiset, clock: int = 0) -> str:
     """The objects part of a node's canonical render, timers less
-    ``clock``."""
+    ``clock``. Each symbol's text is read from a table that grows with
+    the number of distinct symbols only."""
     objs = []
     for (sym, t), n in content.items():
-        objs.extend([f"{sym}:{timer_str(t - clock)}"] * n)
+        text = _SYMBOL_TEXT.get(sym)
+        if text is None:
+            text = _SYMBOL_TEXT[sym] = str(sym)
+        objs.extend([f"{text}:{timer_str(t - clock)}"] * n)
     return ",".join(objs)
 
 

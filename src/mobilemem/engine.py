@@ -21,12 +21,15 @@ clock phases, in this order:
 
 Choice selection comes in two strengths. ``maximal_choices`` returns the
 saturated choices: no applicable instance can be added at all. This is what
-``run`` executes. ``step_choices`` additionally admits choices in which an
-object with a *finite* timer sits out an enabled move and simply ticks —
-objects are chosen nondeterministically with no priority among rules, and a
-finite-timer object always has the tick to fall back on. An instance all of
-whose bound objects carry timer ``INF`` has no such fallback and is never
-refusable, so on systems with only infinite timers the two notions agree.
+``run`` executes: it draws one of them with ``selector="random"``, and
+takes the least with ``selector="first"``, found without listing them
+(``choices.least_choice``). ``step_choices`` additionally admits choices
+in which an object with a *finite* timer sits out an enabled move and
+simply ticks — objects are chosen nondeterministically with no priority
+among rules, and a finite-timer object always has the tick to fall back
+on. An instance all of whose bound objects carry timer ``INF`` has no such
+fallback and is never refusable, so on systems with only infinite timers
+the two notions agree.
 ``successors`` and the explorer enumerate ``step_choices``; this is what
 makes the timer-elimination equivalence checkable. Both come from
 ``choices.enumerate_choices``, which holds the one conflict rule and its
@@ -84,7 +87,10 @@ and reproduced the configuration before it. Equal configurations have
 equal least remaining timers, and a timed configuration keeps its least
 timer in the skin's slot, so ``simulate`` compares those first: when they
 differ the step does not halt and no key is rendered; when they agree,
-as they always do when every timer is ``INF``, the two keys decide.
+as they always do when every timer is ``INF``, the two keys decide. A
+``first`` step has listed no choices, so only where the keys are equal
+does it ask whether a second choice exists, by a search that stops at its
+second finished choice.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ from itertools import product
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .choices import addable, availability, enumerate_choices
+from .choices import addable, availability, enumerate_choices, every, least_choice
 from .core import (
     DELTA,
     DELTA_NAME,
@@ -238,6 +244,9 @@ def _slot_bindings(slots: tuple, content: Multiset, clock: int) -> list[tuple]:
     classes. Where a symbol fills two slots, only the bindings that
     ``content`` holds enough objects for are kept."""
     items = content.items()
+    if len(slots) == 1:
+        sym = slots[0]
+        return [((s, t - clock),) for (s, t), _n in items if s == sym and t > clock]
     per_slot = []
     for sym in slots:
         classes = [(s, t - clock) for (s, t), _n in items if s == sym and t > clock]
@@ -340,7 +349,7 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
 def maximal_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
     """Saturated choices: conflict-free and no further instance applies to
     the unused residue. When nothing applies, the single empty choice."""
-    return enumerate_choices(config, find_instances(config, rules), lambda inst: True)
+    return enumerate_choices(config, find_instances(config, rules), every)
 
 
 def step_choices(config: Configuration, rules: Sequence[Rule], instances: list | None = None) -> list[StepChoice]:
@@ -475,15 +484,18 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     # is archived as phase 1 leaves it, read at this clock: its products
     # are stored at their remaining timer plus the clock.
     leaving = {inst.active_uid for inst in choice if inst.passive_uid == config.skin.uid}
+    marked = False  # whether some work node got a dissolution marker
 
     def give(uid: int, prods: tuple, slot_classes: tuple) -> None:
-        nonlocal produced
+        nonlocal produced, marked
         content = nodes[uid].content
         at = clock if uid in leaving else later
         for sym, spec in prods:
             t = spec.timer if isinstance(spec, Fresh) else decrement(slot_classes[spec.slot][1])
             cls = (sym, t + at)
             content[cls] = content.get(cls, 0) + 1
+            if sym == DELTA:
+                marked = True
         produced += len(prods)
 
     for inst in choice:
@@ -519,9 +531,11 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
             expired += content.pop(cls)
         if node.parent is not None and uid not in timers and node.src.timer == clock:
             content[marker] = content.get(marker, 0) + 1
+            marked = True
 
-    # Phase 4: bottom-up dissolution.
-    delta_consumed = tree.dissolve(_is_delta)
+    # Phase 4: bottom-up dissolution, where a marker was placed: none rests
+    # in a configuration (``core.validate``).
+    delta_consumed = tree.dissolve(_is_delta) if marked else 0
     if delta_consumed:  # released children are read where they land
         lows.clear()
 
@@ -554,7 +568,7 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
                 for kid in node.sub.values():
                     low = min(low, kid.frozen._least)
             least = min(least, low)
-        return _frozen(src, timer, Multiset._of_sorted(tuple(items)), children, least)
+        return _frozen(src, timer, Multiset._of_sorted(tuple(items), node.content), children, least)
 
     new_config = Configuration(tree.freeze(make), config.output_label, later)
     carry_index(new_config, tree)
@@ -794,7 +808,7 @@ def _summed(contents: list) -> Multiset:
     for content in contents:
         for cls, n in content.items():
             counts[cls] = counts.get(cls, 0) + n
-    return Multiset._of_sorted(tuple(sorted(counts.items())))
+    return Multiset._of_sorted(tuple(sorted(counts.items())), counts)
 
 
 def _composed_key(config: Configuration, combo: tuple) -> str:
@@ -918,8 +932,9 @@ def run(
 ) -> Trace:
     """Repeatedly pick one saturated choice and apply it.
 
-    ``selector`` is ``first`` (canonically least choice) or ``random``
-    (seeded); identical seeds give identical traces. Stops early, flagging
+    ``selector`` is ``first`` (canonically least choice, found greedily by
+    ``choices.least_choice``) or ``random`` (seeded, over every saturated
+    choice); identical seeds give identical traces. Stops early, flagging
     halt, when the only choice reproduces the current configuration. The
     run steps from ``config`` at its clock; records and keys read
     remaining timers, and ``Trace.final`` is at rest.
@@ -933,20 +948,23 @@ def run(
         result = step(current, choice)
         return result.config, result.detached
 
-    return simulate(
-        config, steps, selector, seed, lambda c: maximal_choices(c, rules), apply, canonicalize
-    )
+    return simulate(config, steps, selector, seed, lambda c: find_instances(c, rules), apply, canonicalize)
 
 
-def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: Callable, key: Callable) -> Trace:
-    """The simulation loop of ``run`` and ``untimed.u_run``: ``choices(c)``
-    lists the choices, ``apply(c, choice)`` gives (next configuration,
-    detached archive) and ``key(c)`` the canonical key. The initial key is
+def simulate(config, steps: int, selector: str, seed, instances: Callable, apply: Callable, key: Callable) -> Trace:
+    """The simulation loop of ``run`` and ``untimed.u_run``:
+    ``instances(c)`` lists the rule instances of ``c`` in sort-key order,
+    ``apply(c, choice)`` gives (next configuration, detached archive) and
+    ``key(c)`` the canonical key. ``first`` takes ``least_choice``;
+    ``random`` draws from every saturated choice. The initial key is
     rendered at once, each record's key when it is read. A step halts the
     run when it had the only choice and its key equals the one before;
     keys are compared only when the two least remaining timers agree
-    (``_least_remaining``), as those of equal configurations do. Every
-    state's index but ``config``'s is dropped once the next state exists."""
+    (``_least_remaining``), as those of equal configurations do. A
+    ``first`` step lists no choices, so only a step whose key equals the
+    one before asks whether it had a second choice: a search that stops
+    at its second finished choice. Every state's index but ``config``'s is
+    dropped once the next state exists and the step is decided."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if selector not in ("first", "random"):
@@ -955,16 +973,22 @@ def simulate(config, steps: int, selector: str, seed, choices: Callable, apply: 
     trace = Trace(key(config), selector, seed, steps)
     current, least = config, _least_remaining(config)
     for index in range(1, steps + 1):
-        options = choices(current)
-        choice = options[0] if rng is None else rng.choice(options)
+        found = instances(current)
+        if rng is None:
+            options, choice = None, least_choice(current, found)
+        else:
+            options = enumerate_choices(current, found, every)
+            choice = rng.choice(options)
         previous = current
         current, detached = apply(current, choice)
-        if previous is not config:
-            drop_index(previous)  # records keep no index
         record = StepRecord.unread(index, choice, current, key, detached)
         before, least = least, _least_remaining(current)
-        if len(options) == 1 and least == before:
-            record.halted = record.key == (trace.records[-1].key if trace.records else trace.initial_key)
+        if least == before and (options is None or len(options) == 1):
+            record.halted = record.key == (trace.records[-1].key if trace.records else trace.initial_key) and (
+                options is not None or len(enumerate_choices(previous, found, every, limit=2)) == 1
+            )
+        if previous is not config:
+            drop_index(previous)  # records keep no index
         trace.records.append(record)
         if record.halted:
             break

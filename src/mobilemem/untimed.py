@@ -43,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .choices import enumerate_choices
+from .choices import enumerate_choices, every
 from .core import (
+    DELTA,
     DELTA_NAME,
     Configuration,
     EndoRule,
@@ -281,7 +282,7 @@ def _move_pairs(rule: MoveRule, skin: UNode, kids: dict) -> Iterator[tuple]:
 
 def u_maximal_choices(config: UConfig, rules: Sequence[Rule]) -> list[tuple]:
     """All maximal conflict-free instance multisets (classic parallelism)."""
-    return enumerate_choices(config, u_find_instances(config, rules), lambda inst: True)
+    return enumerate_choices(config, u_find_instances(config, rules), every)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +313,15 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
             if not content[sym]:
                 del content[sym]
 
+    marked = False  # whether some rule produced the dissolution marker
+
     def produce(uid, prods):
+        nonlocal marked
         content = tree.nodes[uid].content
         for sym, _spec in prods:
             content[sym] = content.get(sym, 0) + 1
+            if sym == DELTA:
+                marked = True
 
     for inst in choice:
         rule = inst.rule
@@ -332,7 +338,8 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
         frozen = UNode(gone.src.label, Multiset(gone.content), (), uid=inst.active_uid)
         detached.append((inst.active_uid, gone.src.label, u_render(frozen)))
 
-    tree.dissolve(_is_marker)
+    if marked:  # no marker rests in a configuration
+        tree.dissolve(_is_marker)
     skin = tree.freeze(
         lambda node, children: UNode(node.src.label, Multiset(node.content), children, uid=node.src.uid)
     )
@@ -351,6 +358,4 @@ def u_run(config: UConfig, rules: Sequence[Rule], steps: int, selector: str = "f
     """Untimed simulation loop with the same trace schema as the timed one;
     the rules are wrapped once (``core.rule_set``), as ``run`` does."""
     rules = rule_set(rules)
-    return simulate(
-        config, steps, selector, seed, lambda c: u_maximal_choices(c, rules), u_apply, u_canonicalize
-    )
+    return simulate(config, steps, selector, seed, lambda c: u_find_instances(c, rules), u_apply, u_canonicalize)

@@ -29,9 +29,11 @@ def test_compile_deep_output_expands_to_the_known_family():
 
 
 def test_a_traced_wide_run_records_one_step_span_per_step():
-    # ``run`` keeps calling ``engine.step``, ``engine.maximal_choices`` and
+    # ``run`` keeps calling ``engine.step``, ``engine.find_instances`` and
     # ``core.canonicalize`` by module-global lookup, so the tracer's
-    # wrappers see every step of a clocked run. Record keys are rendered
+    # wrappers see every step of a clocked run. A ``first`` run takes
+    # ``choices.least_choice``, which no layer wraps, and lists no choices
+    # unless a step reproduced its configuration. Record keys are rendered
     # when read and no step can halt (the least remaining timer falls each
     # step), so an op renders two keys: the initial one and the final one
     # it reads.
@@ -50,6 +52,7 @@ def test_a_traced_wide_run_records_one_step_span_per_step():
     names = [span[0] for span in tracer.spans]
     assert names.count("engine.step") == names.count("engine.find_instances") == steps > 0
     assert names.count("core.canonicalize") == 2 * len(ops)
+    assert "engine.choices" not in names
 
 
 def test_runs_that_alternate_two_parsed_systems_build_two_tables(monkeypatch):

@@ -95,6 +95,30 @@ def test_compile_refuses_a_huge_tick_family_before_building_it(tmp_path, capsys,
     assert families.n == 0
 
 
+@pytest.mark.parametrize("lifetime, built", [("100000", "100,001"), ("100000000", "100,000,001")])
+def test_check_prop2_refuses_a_huge_tick_family_before_building_it(tmp_path, lifetime, built):
+    # the tick and kill rules prop2 would build are counted from the
+    # lifetimes: over MAX_COMPILED_RULES the verdict is inconclusive, exit 2
+    path = tmp_path / "huge.mms"
+    path.write_text(f"mms 1 timed\noutput skin\nskin:inf[ a:{lifetime} ]\n")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "mobilemem", "check", "prop2", str(path), "--depth", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout) == {"check": "prop2", "verdict": "inconclusive", "details": {
+        "reason": f"the compiled system needs {built} tick and kill rules, over the 100,000 check prop2 builds"}}
+
+
+def test_check_prop2_on_the_corpus_prints_the_same_report(capsys):
+    # SHA-256 of the report as printed before prop2 sized its systems
+    assert main(["check", "prop2", "--corpus", "0,40", "--depth", "6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "f75f7c988b4cb19beb4b4db82f0e4eccee6412de99f65b5998ed988399e7a8ce"
+
+
 HUGE_LIFETIME = "mms 1 timed\noutput skin\nskin:inf[ a:99999999999999999999999 ]\n"
 HUGE_LABEL = (
     "mms 1 timed\noutput skin\nskin:inf[ ; h:99999999999999999999[ a:2 ] m:3[ ~a:2 ] ]\n"

@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import json
 import random
 import sys
+import time
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -13,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 
 from mobilemem import engine
-from mobilemem.choices import availability, enumerate_choices
+from mobilemem.choices import availability, enumerate_choices, least_choice
 from mobilemem.cli import main
 from mobilemem.compiler import eliminate_timers, embed_infinite
 from mobilemem.core import (
@@ -1678,3 +1680,199 @@ def test_deep_chains_run_and_explore_without_recursion():
     assert canonicalize(trace.final) == trace.records[-1].key
     graph = explore_membranes(config, rules, 1)
     assert set(graph.nodes) == {canonicalize(config), trace.records[0].key}
+
+
+# ---------------------------------------------------------------------------
+# The least saturated choice (ROADMAP item 14): a ``first`` run takes
+# ``choices.least_choice``, found in one greedy pass, and asks whether a
+# step had a second choice only when the step reproduced its configuration.
+
+@st.composite
+def contested_systems(draw):
+    """Systems whose instances compete, so that a state has several
+    saturated choices: two to four of these gadgets side by side under the
+    skin, whose membranes hold one or two objects of each symbol they
+    need, each at timer 1, 2 or INF:
+
+    * ``pairs``: one or two identical sibling pairs ``h[a] m[~a]`` under
+      one endo rule, each ``h`` able to enter either ``m``;
+    * ``shared``: one to three identical ``p[b]`` entering one ``q[~b]``,
+      a passive membrane they share, while ``q`` may itself enter
+      ``s[~d]``: a membrane active in one move and passive in others;
+    * ``rewrites``: two or three rewrites at ``r`` competing for one class
+      of ``c``, one of them binding two copies;
+    * ``exit``: one or two ``e[g]`` leaving through the skin, which holds
+      ``~g``, beside a rewrite at ``e`` that takes the same ``g``.
+    """
+    lives = st.sampled_from((1, 2, INF))
+    sa, sb, sc, sd, sg = (Symbol(f"{s}9") for s in "abcdg")
+
+    def objects(sym, copies=(1, 2)):
+        return [(sym, draw(lives)) for _ in range(draw(st.integers(*copies)))]
+
+    kids, skin_objects, rules = [], [], []
+    for gadget in draw(st.lists(st.sampled_from(("pairs", "shared", "rewrites", "exit")), min_size=2, max_size=4, unique=True)):
+        if gadget == "pairs":
+            timer, k = draw(lives), draw(st.integers(1, 2))
+            mine, theirs = objects(sa, (1, 1)), objects(sa.dual(), (1, 1))
+            for _ in range(k):
+                kids += [mem("h", timer, mine), mem("m", timer, theirs)]
+            rules.append(EndoRule("h", "m", Multiset([sa]), w=((sa, Carry(0)),), w2=((sa.dual(), Carry(0)),)))
+        elif gadget == "shared":
+            mine = objects(sb, (1, 1))
+            kids += [mem("p", draw(lives), mine) for _ in range(draw(st.integers(1, 3)))]
+            kids += [mem("q", INF, objects(sb.dual()) + objects(sd, (1, 1))), mem("s", INF, objects(sd.dual(), (1, 1)))]
+            rules += [EndoRule("p", "q", Multiset([sb])), EndoRule("q", "s", Multiset([sd]))]
+        elif gadget == "rewrites":
+            kids.append(mem("r", INF, objects(sc, (1, 3))))
+            rules += [RewriteRule("r", Multiset([sc]), ((x, Fresh(1)),)), RewriteRule("r", Multiset([sc, sc]), ((y, Fresh(2)),))]
+            if draw(st.booleans()):
+                rules.append(RewriteRule("r", Multiset([sc]), ((y, Fresh(INF)),)))
+        else:
+            kids += [mem("e", INF, objects(sg, (1, 1))) for _ in range(draw(st.integers(1, 2)))]
+            skin_objects += objects(sg.dual())
+            rules += [ExoRule("e", "skin", Multiset([sg])), RewriteRule("e", Multiset([sg]), ((x, Fresh(1)),))]
+    order = draw(st.permutations(range(len(kids))))
+    return Configuration(mem("skin", INF, skin_objects, [kids[j] for j in order])), draw(st.permutations(rules))
+
+
+def _least_reference_choice(root, rules):
+    """The reference's saturated choice whose sorted instance rows sort
+    first: rows sort as the engine's instance sort keys do."""
+    return min(sorted(_ref_choice_set([ch])[0]) for ch in ref.choices(root, rules, saturated=True))
+
+
+@settings(max_examples=200)
+@given(contested_systems())
+def test_the_greedy_choice_is_the_least_saturated_choice(system):
+    cfg, rules = system
+    found = find_instances(cfg, rules)
+    options = maximal_choices(cfg, rules)
+    least = least_choice(cfg, found)
+    assert least == options[0]
+    ucfg = erase_timers(cfg)
+    u_options = u_maximal_choices(ucfg, rules)
+    u_least = least_choice(ucfg, u_find_instances(ucfg, rules))
+    assert u_least == u_options[0]
+    root = ref.from_config(cfg)
+    if _reference_size(root, rules) <= 1024:
+        assert sorted(_engine_row(i) for i in least) == _least_reference_choice(root, rules)
+        timed_cfg, timed_rules = embed_infinite(ucfg, rules)
+        want = _least_reference_choice(ref.from_config(timed_cfg), timed_rules)
+        assert [(i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in u_least] == [
+            row[:3] for row in want]
+
+
+def test_contested_systems_have_several_saturated_choices():
+    # the strategy's point: most drawn states are contested, some heavily
+    counts = []
+
+    @settings(max_examples=100, database=None, derandomize=True)
+    @given(contested_systems())
+    def record(system):
+        counts.append(len(maximal_choices(*system)))
+
+    record()
+    assert sum(n > 1 for n in counts) >= 0.8 * len(counts) and max(counts) >= 8, counts
+
+
+def _bench_systems(name):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[name]
+    return [parse_system(item.text) for item in workload.make_inputs(random.Random(f"{name}:1"))]
+
+
+# SHA-256 of the concatenated ``to_jsonl()`` of each group of runs, as
+# computed before runs took the greedy choice: 12 steps, seeded by the
+# corpus seed; sim-dense (ROADMAP W1) for 4 steps and sim-wide (W2) for 11,
+# seeded by their position among seed 1's bench inputs.
+_TRACE_DIGESTS = {
+    "timed first": "52db8031cca51ba94b05ae3b6bc0ed6a285a7e44fbc8f9c2e26f416a8745ce87",
+    "timed random": "c929d391a036b3a2d5124e8c2c3f3a113bc736bf0f56ccdaf680db2c073d550a",
+    "soak first": "9b4adc349960accde7f9cb0476bbb72efd5e467d6cd000fed7704ba4bf1fc101",
+    "soak random": "2f9f8af3def3a7615d5c8bccf71ca2e7355ed96d0120fc162e760ee54bc1a513",
+    "untimed first": "ea186804b0443ea448be6a627351c2aa0a878f6234c2078f01c58a1e961edd5f",
+    "untimed random": "7286befe5b7da93f68b30cb95e336c70d9c2ffe92209addc7cee109d42957764",
+    "sim-dense first": "24aa6c41412f42ebccdaca92b3dbf70d7ff9031f7311e28653d434b23a6b4fe4",
+    "sim-dense random": "89377876fd0b196761321dbe6baa558e0773d85705fdc5d6ec8de371267fdb16",
+    "sim-wide first": "07f140b3672f183f86f99a3a35b526f011870454954567b4200a39187b174cb7",
+    "sim-wide random": "ea569679f31498099a7705ba345974c551b2d30e131a98e7f968eceaf6743eaf",
+}
+
+
+@pytest.mark.parametrize("selector", ["first", "random"])
+def test_traces_are_byte_identical_to_the_full_choice_list(selector):
+    def digest(traces):
+        return hashlib.sha256("".join(t.to_jsonl() for t in traces).encode()).hexdigest()
+
+    got = {
+        "timed": digest(run(*random_timed_system(s), 12, selector, s) for s in range(120)),
+        "soak": digest(run(*random_soak_system(s), 12, selector, s) for s in range(120)),
+        "untimed": digest(u_run(*random_untimed_system(s), 12, selector, s) for s in range(120)),
+        "sim-dense": digest(run(sf.config, sf.rules, 4, selector, i) for i, sf in enumerate(_bench_systems("sim-dense"))),
+        "sim-wide": digest(run(sf.config, sf.rules, 11, selector, i) for i, sf in enumerate(_bench_systems("sim-wide"))),
+    }
+    assert got == {group: _TRACE_DIGESTS[f"{group} {selector}"] for group in got}
+
+
+def _recording_enumerations(monkeypatch) -> list:
+    """Patch ``engine.enumerate_choices`` to record ``(limit, number of
+    choices returned)`` per call."""
+    calls = []
+    original = engine.enumerate_choices
+
+    def recorded(config, instances, blocks, limit=None):
+        got = original(config, instances, blocks, limit)
+        calls.append((limit, len(got)))
+        return got
+
+    monkeypatch.setattr(engine, "enumerate_choices", recorded)
+    return calls
+
+
+def test_a_first_step_that_reproduces_its_configuration_halts_only_on_its_only_choice(monkeypatch):
+    # one ``c`` under k rewrites that each give it back: every step
+    # reproduces the configuration, with k saturated choices
+    cfg = Configuration(mem("skin", INF, [], [mem("r", INF, [(c, INF)])]))
+    calls = _recording_enumerations(monkeypatch)
+    for k, halted in ((1, [True]), (2, [False] * 3), (6, [False] * 3)):
+        rules = [RewriteRule("r", Multiset([c]), ((c, Carry(0)),)) for _ in range(k)]
+        assert len(maximal_choices(cfg, rules)) == k
+        calls.clear()
+        for selector in ("first", "random"):
+            trace = run(cfg, rules, 3, selector, 0)
+            assert [r.halted for r in trace.records] == halted
+            assert [r.key for r in trace.records] == [canonicalize(cfg)] * len(halted)
+        # ``first`` asks once per reproducing step and stops at two
+        # choices; ``random`` lists them all
+        steps = len(halted)
+        assert calls == [(2, min(k, 2))] * steps + [(None, k)] * steps
+
+
+def _w8(n: int) -> str:
+    """ROADMAP W8: n identical pairs whose one step has n! saturated choices."""
+    pairs = " ".join(["h:inf[ a:inf ] m:inf[ ~a:inf ]"] * n)
+    return f"mms 1 timed\noutput skin\nskin:inf[ ; {pairs} ]\nendo h m : a | , ~a | => a:- | ~a:-\n"
+
+
+def test_a_first_run_of_w8_lists_no_choices_until_it_halts(monkeypatch):
+    sf = parse_system(_w8(12))
+    calls = _recording_enumerations(monkeypatch)
+    trace = run(sf.config, sf.rules, 1, "first")
+    assert len(trace.records[0].choice) == 12 and not trace.halted
+    assert calls == []
+    trace = run(sf.config, sf.rules, 2, "first")
+    assert [r.halted for r in trace.records] == [False, True]
+    assert calls == [(2, 1)]  # the halting step, whose only choice is empty
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_a_first_sim_step_of_w8_is_fast(tmp_path, capsys, n):
+    path = tmp_path / f"w8_{n}.mms"
+    path.write_text(_w8(n))
+    start = time.perf_counter()
+    assert main(["sim", str(path), "--steps", "1", "--selector", "first"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert json.loads(capsys.readouterr().out)["halted"] is False
