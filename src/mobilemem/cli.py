@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / check passed, 1 check failed, 2 check
 inconclusive (node budget exceeded, or a prop2 tick family over
-``MAX_COMPILED_RULES``), 3 usage or input errors.
+``compiler.MAX_COMPILED_RULES``), 3 usage or input errors.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from pathlib import Path
 
 from .engine import run
 from .untimed import u_run
-from .compiler import CompileError, embed_infinite, plan_elimination
+from .compiler import MAX_COMPILED_RULES, CompileError, embed_infinite, plan_elimination
 from .explore import (
     DEFAULT_NODE_CAP,
     BudgetExceeded,
-    Verdict,
     check_embedding,
     check_timer_elimination,
     check_translation,
@@ -33,17 +32,6 @@ from .translate import TranslateError, generate_rules, translate
 from .sysfile import InvalidSystemError, ParseError, SystemFile, parse_system, render_system
 from . import corpus
 from .core import output_reading
-
-
-#: Most rules ``compile`` writes out, and most tick and kill rules ``check
-#: prop2`` builds. Every timed move rule expands to one untimed rule per
-#: counter vector, about T^5 for a two-slot rule with lifetimes T (ROADMAP
-#: W3: 248,897 rules at T=12); ``check prop2`` matches those compact
-#: families directly and counts only the tick and kill rules, one per
-#: unit of each lifetime and label timer. Both commands count the rules
-#: from the lifetimes and refuse before they build any of them: ``compile``
-#: with exit 3, ``check prop2`` with an inconclusive verdict and exit 2.
-MAX_COMPILED_RULES = 100_000
 
 
 class UsageError(Exception):
@@ -190,23 +178,12 @@ def _corpus_arg(text: str) -> tuple[int, int]:
     return seed, count
 
 
-def _check_prop2(config, rules, depth: int, max_nodes: int) -> Verdict:
-    """``check_timer_elimination``, or an inconclusive verdict, before any
-    rule is built, where the tick and kill rules the compiled system needs
-    are over ``MAX_COMPILED_RULES``."""
-    built = plan_elimination(config, rules).family_size
-    if built > MAX_COMPILED_RULES:
-        reason = f"the compiled system needs {built:,} tick and kill rules, over the {MAX_COMPILED_RULES:,} check prop2 builds"
-        return Verdict("prop2", None, {"reason": reason})
-    return check_timer_elimination(config, rules, depth, max_nodes)
-
-
 def _cmd_check(args) -> int:
     # per property: the check, the corpus generator of its inputs, and the
     # kind of system file it reads (None: an ambient process)
     check, generate, timed = {
         "prop1": (check_embedding, corpus.random_untimed_system, False),
-        "prop2": (_check_prop2, corpus.random_timed_system, True),
+        "prop2": (check_timer_elimination, corpus.random_timed_system, True),
         "prop45": (check_translation, lambda seed: (corpus.random_reducible_process(seed),), None),
     }[args.prop]
     if args.corpus:

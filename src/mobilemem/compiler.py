@@ -17,7 +17,9 @@ whose members are built only when read. ``lifetime(a)`` is the maximum
 timer with which ``a`` is ever created (initial configuration or fresh
 right-hand sides). ``plan_elimination`` counts the compiled rules from the
 lifetimes and label timers before it builds any, so a caller can refuse a
-system too large to write without building it.
+system too large to write without building it; ``eliminate_timers``
+itself refuses one whose tick and kill rules, which it builds at once,
+are over ``MAX_COMPILED_RULES``.
 
 The construction is exact when every creation site of a symbol uses that
 one characteristic timer, and when no two moves share a passive membrane in
@@ -60,8 +62,28 @@ from .core import (
 from .untimed import UConfig, UNode
 
 
+#: Most rules ``compile`` writes out, and most tick and kill rules
+#: ``eliminate_timers`` builds. Every timed move rule expands to one untimed
+#: rule per counter vector, about T^5 for a two-slot rule with lifetimes T
+#: (ROADMAP W3: 248,897 rules at T=12); ``eliminate_timers`` keeps those
+#: families compact and builds only the tick and kill rules, one per unit
+#: of each lifetime and label timer. Both count the rules from the
+#: lifetimes and refuse before they build any of them.
+MAX_COMPILED_RULES = 100_000
+
+
 class CompileError(ValueError):
     """The system is outside the timer-elimination construction's domain."""
+
+
+class OversizedError(CompileError):
+    """The tick and kill rules of a compiled system, ``needed`` of them,
+    are over ``MAX_COMPILED_RULES``."""
+
+    def __init__(self, needed: int):
+        super().__init__(f"the compiled system needs {needed:,} tick and kill rules, over the {MAX_COMPILED_RULES:,} "
+                         "eliminate_timers builds")
+        self.needed = needed
 
 
 _COUNTER_RE = re.compile(r"^b\$(.+)\$(\d+)$")
@@ -194,8 +216,13 @@ def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UCon
     """Untimed system with the same evolution and output, per the counter
     construction. The skin and any INF-timer membrane get no counter and no
     kill family. The rules come back as a ``CompiledRules`` container:
-    each move family stays a schema until a member is read."""
-    return plan_elimination(config, rules).build()
+    each move family stays a schema until a member is read. Raises
+    ``OversizedError``, before building any rule, where the tick and kill
+    rules are over ``MAX_COMPILED_RULES``."""
+    plan = plan_elimination(config, rules)
+    if plan.family_size > MAX_COMPILED_RULES:
+        raise OversizedError(plan.family_size)
+    return plan.build()
 
 
 def plan_elimination(config: Configuration, rules: Sequence[Rule]) -> Elimination:

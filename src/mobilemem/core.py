@@ -27,6 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 INF = float("inf")
@@ -641,13 +642,13 @@ def output_reading(config) -> Multiset:
 
 
 def per_membrane_readings(config) -> tuple:
-    """One (uid, symbol multiset) pair per output-labelled membrane, in walk
-    order. A timed membrane holds ``(symbol, timer)`` pairs, an untimed one
-    bare ``Symbol``s."""
+    """One (uid, symbol multiset) pair per output-labelled membrane, in uid
+    order, which does not depend on sibling order. A timed membrane holds
+    ``(symbol, timer)`` pairs, an untimed one bare ``Symbol``s."""
+    outputs = sorted((node for node in config.skin.walk() if node.label == config.output_label), key=attrgetter("uid"))
     return tuple(
         (node.uid, Multiset([entry if isinstance(entry, Symbol) else entry[0] for entry in node.content]))
-        for node in config.skin.walk()
-        if node.label == config.output_label
+        for node in outputs
     )
 
 

@@ -129,7 +129,7 @@ from .core import (
     state_key,
     timer_str,
 )
-from .tree import StaleChoiceError, Tree, carry_index, drop_index, index_of, skin_arrivals
+from .tree import StaleChoiceError, Tree, carry_index, drop_index, index_of
 
 
 class Instance:
@@ -617,9 +617,11 @@ def successors(
     with the empty choice where a timer in it reaches the clock and kept
     as it is elsewhere (``_part_outcomes``). Every combination of part
     outcomes is then composed into a successor and its key
-    (``_composed_key``, ``_compose``), which equal what ``step`` and
-    ``canonicalize`` give for the merged choice; of combinations with one
-    key, the first in choice order wins. ``memo`` holds part outcomes,
+    (``_composed_key``, ``_compose``). The key is the one ``canonicalize``
+    gives for the merged choice's step, and the successor is that step's
+    up to sibling order, which is not part of a state: it lists the skin's
+    children part by part. Of combinations with one key, the first in
+    choice order wins. ``memo`` holds part outcomes,
     keyed by all they depend on: the rules, the skin's label and uid, the
     clock, the skin's contents when the part holds them and the identity
     of the part's members; it holds the rules and members alive, so the
@@ -639,16 +641,11 @@ def successors(
         first = seen.get(key)
         if first is None or _choice_order(combo) < _choice_order(first):
             seen[key] = combo
-    place = {child.uid: i for i, child in enumerate(config.skin.children)}
-    placed = {  # id of an outcome -> its children with their sort keys among the skin's
-        id(part): [(_place(arrival, place), child) for arrival, child in zip(part.places, part.children)]
-        for outs in outcomes for part in outs
-    }
     found = []
     for key in sorted(seen):
         combo = seen[key]
         choice = tuple([inst for _k, inst in sorted([pair for part in combo for pair in part.keyed], key=_first)])
-        found.append((choice, _compose(config, combo, placed), key))
+        found.append((choice, _compose(config, combo), key))
     return found
 
 
@@ -726,12 +723,12 @@ _first = itemgetter(0)
 class _Outcome:
     """One part stepped by one of its choices: its instances paired with
     their sort keys, in choice order; the skin's children after the
-    step, their places (``_place``) and their renders at the next clock;
+    step and their renders at the next clock;
     the skin's contents after the step (``None`` when empty) and their
     objects part at that clock; the least timer among those children
     and contents."""
 
-    __slots__ = ("keyed", "children", "places", "renders", "content", "objects", "low")
+    __slots__ = ("keyed", "children", "renders", "content", "objects", "low")
 
 
 def _part_outcomes(config: Configuration, rules: Sequence[Rule], members: tuple, with_skin: bool,
@@ -757,43 +754,29 @@ def _part_outcomes(config: Configuration, rules: Sequence[Rule], members: tuple,
     later = clock + 1
     if not instances and all(least_timer(m) > clock for m in members) and all(
             t > clock for (_sym, t), _n in content.items()):
-        outcomes = [_outcome((), members, {}, content, later)]
+        outcomes = [_outcome((), members, content, later)]
     else:
         sub = Configuration(MembraneNode(skin.label, skin.timer, content, members, uid=skin.uid),
                             config.output_label, clock)
         outcomes = []
         for choice in step_choices(config, rules, instances) if instances else [()]:
             made = step(sub, choice).config
-            outcomes.append(_outcome(choice, made.skin.children, skin_arrivals(made), made.skin.content, later))
+            outcomes.append(_outcome(choice, made.skin.children, made.skin.content, later))
     memo[key] = (rules, members, outcomes)
     return outcomes
 
 
-def _outcome(choice: StepChoice, children: tuple, arrived: dict, content: Multiset, later: int) -> _Outcome:
+def _outcome(choice: StepChoice, children: tuple, content: Multiset, later: int) -> _Outcome:
     """A part's outcome (``_Outcome``) from its skin's children and
-    contents after ``choice``, and the arrivals among those children
-    (``tree.skin_arrivals``); a child that stayed is ``(0, its uid, 0)``."""
+    contents after ``choice``."""
     out = _Outcome()
     out.keyed = [(inst.sort_key(), inst) for inst in choice]
     out.children = children
-    out.places = [arrived.get(child.uid, (0, child.uid, 0)) for child in children]
     out.renders = [render_at(child, later) for child in children]
     out.content = content if content else None
     out.objects = render_objects(content, later)
     out.low = min([child._least for child in children] + [t for (_sym, t), _n in content.items()], default=INF)
     return out
-
-
-def _place(arrival: tuple, place: dict) -> tuple:
-    """An arrival (``tree.skin_arrivals``) as a sort key among the skin's
-    children after the step: ``place`` gives each child's position before
-    it."""
-    kind, of, i = arrival
-    if kind == 0:
-        return (0, place[of])
-    if kind == 1:
-        return arrival
-    return (2, _place(of, place), i)
 
 
 def _choice_order(combo: tuple) -> list:
@@ -829,20 +812,18 @@ def _composed_key(config: Configuration, combo: tuple) -> str:
     return state_key(render_node(skin.label, skin.timer - config.clock, objects, kids), config.output_label)
 
 
-def _compose(config: Configuration, combo: tuple, placed: dict) -> Configuration:
-    """The successor of ``config`` whose parts stepped as ``combo`` says,
-    as ``step`` builds it for the merged choice: the skin's contents are
-    the sum of the parts', its children are placed by the edit rule
-    (``placed`` holds each outcome's children with their sort keys, from
-    ``_place``), and its timer, ``_least`` and ``_render`` are filled as
-    ``step``'s ``make`` fills them."""
+def _compose(config: Configuration, combo: tuple) -> Configuration:
+    """The successor of ``config`` whose parts stepped as ``combo`` says:
+    what ``step`` builds for the merged choice, up to the order of the
+    skin's children, which are listed part by part. The skin's contents
+    are the sum of the parts', and its timer, ``_least`` and ``_render``
+    are filled as ``step``'s ``make`` fills them."""
     skin = config.skin
-    children = sorted([entry for part in combo for entry in placed[id(part)]], key=_first)
     held = [part.content for part in combo if part.content is not None]
     content = held[0] if len(held) == 1 else _summed(held) if held else _EMPTY
     timer = _skin_timer(skin)
     least = min(timer, *[part.low for part in combo])
-    built = _frozen(skin, timer, content, tuple([child for _key, child in children]), least)
+    built = _frozen(skin, timer, content, tuple([child for part in combo for child in part.children]), least)
     return Configuration(built, config.output_label, config.clock + 1)
 
 

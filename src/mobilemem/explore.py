@@ -42,6 +42,8 @@ from .untimed import (
     u_successors,
 )
 from .compiler import (
+    MAX_COMPILED_RULES,
+    OversizedError,
     counter_soundness_violations,
     eliminate_timers,
     embed_infinite,
@@ -176,7 +178,8 @@ def _node_record(state, key: str, depth: int, timed: bool) -> NodeRecord:
     count, the output reading (the symbols of every output-labelled
     membrane, timers erased, sorted by render, as ``core.output_reading``
     gives them) and, for a timed state, the reading of each output
-    membrane in walk order (``core.per_membrane_readings``)."""
+    membrane in uid order (``core.per_membrane_readings``), so that a
+    record does not depend on sibling order."""
     label = state.output_label
     count = 0
     per_mem = []
@@ -186,7 +189,7 @@ def _node_record(state, key: str, depth: int, timed: bool) -> NodeRecord:
             syms = [str(entry[0] if timed else entry) for entry, n in node.content.items() for _ in range(n)]
             per_mem.append((node.uid, tuple(sorted(syms))))
     reading = tuple(sorted([sym for _uid, syms in per_mem for sym in syms]))
-    return NodeRecord(key, depth, False, count, reading, tuple(per_mem) if timed else ())
+    return NodeRecord(key, depth, False, count, reading, tuple(sorted(per_mem)) if timed else ())
 
 
 def _explore_system(config, rules: Sequence[Rule], depth: int, max_nodes: int,
@@ -336,8 +339,15 @@ def check_timer_elimination(
     """Timed system vs its compiled untimed twin: equal projected reachable
     sets within every k <= depth, preserved membrane counts, sound
     counters. A projection is keyed by ``erased_key`` less counters and
-    drops no membrane, so its count is the state's ``NodeRecord``'s."""
-    compiled_config, compiled_rules = eliminate_timers(config, rules)
+    drops no membrane, so its count is the state's ``NodeRecord``'s.
+    Inconclusive, before any rule is built, where the compiled system's
+    tick and kill rules are over ``compiler.MAX_COMPILED_RULES``."""
+    try:
+        compiled_config, compiled_rules = eliminate_timers(config, rules)
+    except OversizedError as err:
+        reason = (f"the compiled system needs {err.needed:,} tick and kill rules, "
+                  f"over the {MAX_COMPILED_RULES:,} check prop2 builds")
+        return Verdict("prop2", None, {"reason": reason})
     counter_labels = {
         label for label, t in _label_timers(config).items() if t != float("inf")
     }

@@ -30,17 +30,14 @@ the literal relation of the ambient translation all edit the tree here:
   bottom-up; a kept subtree holds no marker;
 * ``freeze`` rebuilds the work nodes through the caller's node
   constructor, with kept subtrees in place. It, ``dissolve`` and the
-  work-node order behind both visit work nodes only;
-* ``skin_arrivals`` reads, from a step's result, how each child the
-  edits appended to the skin arrived, so that the timed relation places
-  the children of parts of the skin stepped apart as a whole step would
-  (``engine.successors``).
+  work-node order behind both visit work nodes only.
 
 A moved or released membrane goes to the end of its new parent's
-children, so child order, which reach graphs show, is the order of edits;
-``skin_arrivals`` is its one reader. Consuming and producing objects,
-timers and rendering stay with the caller, which sees a work node only
-through ``src``, ``content``, ``parent`` and ``children``.
+children. Sibling order is not part of a state: keys sort siblings, and
+reach graphs list output membranes by uid, so no reader depends on the
+order in which edits or dissolutions append children. Consuming and producing
+objects, timers and rendering stay with the caller, which sees a work
+node only through ``src``, ``content``, ``parent`` and ``children``.
 """
 
 from __future__ import annotations
@@ -122,23 +119,6 @@ def drop_index(config) -> None:
     object.__setattr__(config, "_index", None)
 
 
-def skin_arrivals(config) -> dict:
-    """For a configuration a step has just made, whose slot still holds
-    the work tree that froze it (``carry_index``): uid -> arrival for each
-    skin child the edits appended (moves in choice order, then releases),
-    in a form that holds in every state the same membranes occur in:
-    ``(1, the move's sort key, 0)`` for one moved in, ``(2, the arrival
-    of u, i)`` for one released from child ``u`` by edit ``i``, where a
-    ``u`` that stayed is ``(0, u, 0)``. Every other child kept its place."""
-    tree = config._index
-    root = tree.root.src.uid
-    arrived: dict = {}
-    for i, (uid, _label, _kid, was, to, inst) in enumerate(tree.moves):
-        if to == root:
-            arrived[uid] = (1, inst.sort_key(), 0) if inst is not None else (2, arrived.get(was, (0, was, 0)), i)
-    return arrived
-
-
 class Work:
     """``parent`` is the parent's uid, ``None`` for the skin and for a
     membrane gone out of the skin; no work node refers back up, so a work
@@ -162,9 +142,8 @@ class Tree:
         skin = config.skin
         self.root = Work(skin, None, index.children.get(skin.uid, _NONE))
         self.nodes = {skin.uid: self.root}  # uid -> work node, skin included
-        # (uid, label, membrane, old parent uid, new parent uid or None,
-        # the moving instance or None) per re-parenting or removal, in the
-        # order made
+        # (uid, label, membrane, old parent uid, new parent uid or None)
+        # per re-parenting or removal, in the order made
         self.moves: list = []
         touched = {inst.active_uid for inst in choice}
         touched.update([inst.passive_uid for inst in choice])
@@ -224,11 +203,11 @@ class Tree:
         self.nodes[uid] = parent.children[uid] = parent.sub[uid] = work
         return work
 
-    def _move(self, work: Work, to: int | None, inst=None) -> None:
+    def _move(self, work: Work, to: int | None) -> None:
         uid = work.src.uid
         old = self.nodes[work.parent]
         del old.children[uid], old.sub[uid]
-        self.moves.append((uid, work.src.label, work, work.parent, to, inst))
+        self.moves.append((uid, work.src.label, work, work.parent, to))
         work.parent = to
         if to is None:
             del self.nodes[uid]
@@ -247,15 +226,14 @@ class Tree:
             if inst.is_move:
                 to = inst.passive_uid if isinstance(inst.rule, EndoRule) else nodes[inst.passive_uid].parent
                 work = nodes[inst.active_uid]
-                self._move(work, to, inst)
+                self._move(work, to)
                 if to is None:
                     gone.append((inst, work))
         return gone
 
     def _order(self) -> list[Work]:
-        """Every work node, the root first, in pre-order (work children
-        right to left), on an explicit stack; reversed, each node follows
-        all of its children."""
+        """Every work node, the root first, in pre-order, on an explicit
+        stack; reversed, each node follows all of its children."""
         order = []
         stack = [self.root]
         while stack:
@@ -268,14 +246,11 @@ class Tree:
     def dissolve(self, is_marker: Callable) -> int:
         """Bottom-up, drop the markers of every work node that holds one and
         release its contents and children into its parent; the skin keeps
-        everything but its markers. Returns the number of markers dropped."""
-        if not any([any(map(is_marker, work.content)) for work in self.nodes.values()]):
-            return 0
-        for work in self.nodes.values():
-            if len(work.sub) > 1:  # siblings dissolve left to right
-                work.sub = {uid: kid for uid, kid in work.children.items() if type(kid) is Work}
+        everything but its markers. Returns the number of markers dropped.
+        It visits every work node, so a step calls it only where it placed
+        or produced a marker."""
         dropped = 0
-        for work in reversed(self._order()):  # post-order, children left to right
+        for work in reversed(self._order()):  # every node after its children
             markers = [key for key in work.content if is_marker(key)]
             if not markers:
                 continue
@@ -295,7 +270,7 @@ class Tree:
                 else:
                     label = kid.label
                 parent.children[kid_uid] = kid
-                self.moves.append((kid_uid, label, kid, uid, work.parent, None))
+                self.moves.append((kid_uid, label, kid, uid, work.parent))
             self._move(work, None)
         return dropped
 
@@ -331,7 +306,7 @@ class Tree:
                 got = copied[label, parent] = by_parent[parent] = dict(by_parent.get(parent, ()))
             return got
 
-        for uid, label, kid, was, to, _inst in self.moves:
+        for uid, label, kid, was, to in self.moves:
             del entry(label, was)[uid]
             if to is None:
                 del node[uid], up[uid]

@@ -448,6 +448,21 @@ def test_a_check_parses_each_counter_symbol_once(monkeypatch):
     assert parsed and len(parsed) == len(set(parsed)), f"{len(parsed)} parses of {len(set(parsed))} symbols"
 
 
+def test_check_timer_elimination_refuses_a_huge_tick_family_before_building_it(monkeypatch):
+    # a library caller gets the size guard too: eliminate_timers counts the
+    # tick and kill rules from the lifetimes, and the check turns its
+    # refusal into an inconclusive verdict
+    sf = parse_system("mms 1 timed\noutput skin\nskin:inf[ a:100000 ]\n")
+    families = count_calls(monkeypatch, "mobilemem.compiler._tick_family")
+    verdict = check_timer_elimination(sf.config, sf.rules, 1)
+    assert families.n == 0
+    assert verdict.ok is None and verdict.details == {
+        "reason": "the compiled system needs 100,001 tick and kill rules, over the 100,000 check prop2 builds"}
+    with pytest.raises(compiler.OversizedError, match="100,001 tick and kill rules"):
+        eliminate_timers(sf.config, sf.rules)
+    assert families.n == 0
+
+
 def test_checks_on_fresh_compiles_hold_no_more_memory_per_call():
     """Each check compiles a fresh rule container, which owns its matcher
     table, so the table is freed with the container. Bytes held after

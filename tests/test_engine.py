@@ -60,7 +60,9 @@ from mobilemem.explore import _bfs, _node_record, explore_membranes
 from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.tree import drop_index, index_of
-from mobilemem.untimed import erase_timers, u_apply, u_find_instances, u_maximal_choices, u_run, u_successors
+from mobilemem.untimed import (
+    erase_timers, u_apply, u_canonicalize, u_find_instances, u_maximal_choices, u_run, u_successors,
+)
 from conftest import count_calls, w4
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
@@ -674,18 +676,24 @@ def test_settle_below_a_rewrite_that_dissolves_its_host():
     assert sorted(kid.label for kid in after.config.skin.children) == ["j", "z"]
 
 
-def test_siblings_dissolve_in_child_order():
+def test_dissolving_siblings_release_their_children():
     # h1 is made first, so its uid is the lower, but h2 comes first among
-    # the skin's children: h2's child is released first
+    # the skin's children; sibling order is not part of a state, so the
+    # released children are compared as a multiset, by uid and by key
     h1 = mem("h", INF, [(p, INF)], [mem("c1", INF)])
     h2 = mem("h", INF, [(p, INF)], [mem("c2", INF)])
     config = Configuration(mem("skin", INF, [], [mem("k", INF), h2, h1]))
+    kept = {node.uid for node in config.skin.walk() if node.label != "h"}
     rules = [RewriteRule("h", Multiset([p]), ((DELTA, Fresh(INF)),))]
     after = step(config, maximal_choices(config, rules)[0]).config
-    assert [kid.label for kid in after.skin.children] == ["k", "c2", "c1"]
+    assert Multiset([kid.label for kid in after.skin.children]) == Multiset(["k", "c1", "c2"])
+    assert {node.uid for node in after.skin.walk()} == kept
+    assert canonicalize(after) == "skin:inf{}[c1:inf{}[] c2:inf{}[] k:inf{}[]]|out=skin"
     untimed = erase_timers(config)
     after, _detached = u_apply(untimed, u_maximal_choices(untimed, rules)[0])
-    assert [kid.label for kid in after.skin.children] == ["k", "c2", "c1"]
+    assert Multiset([kid.label for kid in after.skin.children]) == Multiset(["k", "c1", "c2"])
+    assert {node.uid for node in after.skin.walk()} == kept
+    assert u_canonicalize(after) == "skin{}[c1{}[] c2{}[] k{}[]]|out=skin"
 
 
 def test_the_skin_drops_its_own_marker_and_keeps_the_rest():
@@ -863,7 +871,15 @@ def _whole_tree_successors(config, rules):
 
 
 def _walk(config):
-    return [(n.uid, n.label, n.timer, n.content.items(), n._least) for n in config.skin.walk()]
+    """Every membrane as (uid, parent uid, label, timer, contents, least
+    timer), in uid order: the tree up to sibling order."""
+    rows = []
+    stack = [(config.skin, None)]
+    while stack:
+        node, up = stack.pop()
+        rows.append((node.uid, up, node.label, node.timer, node.content.items(), node._least))
+        stack.extend((kid, node.uid) for kid in node.children)
+    return sorted(rows, key=lambda row: row[0])
 
 
 def _whole_tree_graph(config, rules, depth):
@@ -880,9 +896,9 @@ def _whole_tree_graph(config, rules, depth):
 def _assert_parts_match_the_whole_tree(config, rules, depth) -> int:
     """Every expanded state of ``explore_membranes(config, rules, depth)``:
     its successors, with one memo for all states and without one, their
-    choices, keys and trees (uid, label, timer, content and least timer
-    of every membrane, in walk order) equal the whole tree's, and so does
-    the graph. Returns how many of those states had two or more parts
+    choices, keys and trees (uid, parent uid, label, timer, content and
+    least timer of every membrane, up to sibling order: ``_walk``) equal
+    the whole tree's, and so does the graph. Returns how many of those states had two or more parts
     holding instances."""
     rules = RuleSet(rules)
     graph = explore_membranes(config, rules, depth)
@@ -993,6 +1009,47 @@ def test_twin_parts_keep_the_first_choice_per_key(monkeypatch):
     assert [(choice_describe(ch), k) for ch, _n, k in got] == [
         (choice_describe(ch), k) for ch, _n, k in _whole_tree_successors(config, rules)]
     assert _assert_parts_match_the_whole_tree(config, rules, 3) >= 1
+
+
+def test_a_composed_successor_holds_every_kind_of_skin_arrival():
+    # one state, two parts holding instances and an inert one: b stays in
+    # the skin while p leaves it by an exo, f dissolves and releases c1
+    # and c2, and k stays; the composed skin lists its children part by
+    # part, the whole step in edit order, and both hold the same tree up
+    # to sibling order
+    e = Symbol("e")
+    rules = [ExoRule("p", "b", Multiset([e])), RewriteRule("f", Multiset([x]), ((DELTA, Fresh(INF)),))]
+    box = mem("b", INF, [(e.dual(), INF)], [mem("p", INF, [(e, INF)])])
+    config = Configuration(mem("skin", INF, [], [
+        mem("k", INF), box, mem("f", INF, [(x, INF)], [mem("c1", INF), mem("c2", INF)])]))
+    split = engine._split(config, find_instances(config, rules))
+    assert [len(insts) for _members, _skin, insts in split] == [1, 1, 0]
+    [(choice, composed, key)] = successors(config, rules)
+    whole = step(config, choice).config
+    labels = [kid.label for kid in composed.skin.children]
+    assert Multiset(labels) == Multiset(["k", "b", "p", "c1", "c2"])
+    assert labels != [kid.label for kid in whole.skin.children]
+    assert _walk(composed) == _walk(whole) and key == canonicalize(whole)
+    assert _assert_parts_match_the_whole_tree(config, rules, 2) == 1
+
+
+def test_graphs_list_output_membranes_in_uid_order():
+    # two output membranes: o1 leaves its box by an exo and lands after o3
+    # in a whole step, while o3's own part comes first when composed; the
+    # graph lists each state's output membranes by uid either way
+    e = Symbol("e")
+    rules = [RewriteRule("o", Multiset([x]), ((y, Fresh(INF)),)), ExoRule("o", "b", Multiset([e]))]
+    inner = mem("o", INF, [(e, INF)])
+    box = mem("b", INF, [(e.dual(), INF)], [inner])
+    late = mem("o", INF, [(x, INF)])
+    config = Configuration(mem("skin", INF, [], [box, late]), "o")
+    assert inner.uid < late.uid
+    assert [members[0].label for members, _skin, _insts in engine._split(config, find_instances(config, rules))] == [
+        "o", "b"]
+    _assert_parts_match_the_whole_tree(config, rules, 2)
+    nodes = explore_membranes(config, rules, 2).to_json()["nodes"]
+    assert [node["per_membrane"] for node in nodes] == [
+        [[inner.uid, []], [late.uid, ["y"]]], [[inner.uid, ["e"]], [late.uid, ["x"]]]]
 
 
 def test_a_split_state_is_composed_from_one_enumeration_and_one_step_per_part(monkeypatch):
