@@ -27,7 +27,6 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 INF = float("inf")
@@ -103,14 +102,6 @@ class Multiset:
         self._hash = None  # computed on first use
 
     @classmethod
-    def _from_counts(cls, counts: dict) -> "Multiset":
-        ms = cls.__new__(cls)
-        ms._counts = clean = {k: n for k, n in counts.items() if n}
-        ms._items = tuple(sorted(clean.items()))
-        ms._hash = None
-        return ms
-
-    @classmethod
     def _of_sorted(cls, items: tuple, counts: dict | None = None) -> "Multiset":
         """From ``(item, count)`` pairs already sorted, with distinct items
         and positive counts, and ``counts``, a dict of the same pairs in any
@@ -156,14 +147,14 @@ class Multiset:
     def add(self, item, n: int = 1) -> "Multiset":
         counts = dict(self._counts)
         counts[item] = counts.get(item, 0) + n
-        return Multiset._from_counts(counts)
+        return Multiset(counts)
 
     def union(self, other: "Multiset") -> "Multiset":
         """Additive union (multiset sum)."""
         counts = dict(self._counts)
         for item, n in other._counts.items():
             counts[item] = counts.get(item, 0) + n
-        return Multiset._from_counts(counts)
+        return Multiset(counts)
 
     def contains(self, other: "Multiset") -> bool:
         return all(self.count(i) >= n for i, n in other._counts.items())
@@ -175,7 +166,7 @@ class Multiset:
         counts = dict(self._counts)
         for item, n in other._counts.items():
             counts[item] -= n
-        return Multiset._from_counts(counts)
+        return Multiset(counts)
 
 
 _uid_counter = itertools.count(1)
@@ -506,16 +497,21 @@ class RuleTables:
     """A rule container that cannot change and owns the matcher tables
     derived from it: ``table(build)`` is ``build(self)``, worked out on
     first use and kept on the container, keyed by the builder. A table
-    so lives exactly as long as its rules. Threads that race on a first
-    use may each build the table; every reader gets the one stored first.
-    Subclasses list their rules as ``parts``, (flat index, rule) pairs,
-    and hold the tables in ``_tables``."""
+    so lives exactly as long as its rules. A rewrite with an empty left
+    side, which a choice could take without end, gets no table: ``table``
+    raises ``validate``'s message as a ``ValueError``. Threads that race
+    on a first use may each build the table; every reader gets the one
+    stored first. Subclasses list their rules as ``parts``, (flat index,
+    rule) pairs, and hold the tables in ``_tables``."""
 
     __slots__ = ()
 
     def table(self, build: Callable):
         found = self._tables.get(build)
         if found is None:
+            for base, rule in self.parts:
+                if isinstance(rule, RewriteRule) and not rule.lhs:
+                    raise ValueError(f"rule {rule.name or f'r{base}'}: rewrite left side is empty")
             found = self._tables.setdefault(build, build(self))
         return found
 
@@ -638,18 +634,25 @@ def output_reading(config) -> Multiset:
 
     Sums over all membranes carrying the output label; empty if none exists.
     """
-    return Multiset([sym for _uid, syms in per_membrane_readings(config) for sym in syms])
+    return Multiset([sym for _uid, syms in output_membranes(config)[1] for sym in syms])
 
 
-def per_membrane_readings(config) -> tuple:
-    """One (uid, symbol multiset) pair per output-labelled membrane, in uid
-    order, which does not depend on sibling order. A timed membrane holds
-    ``(symbol, timer)`` pairs, an untimed one bare ``Symbol``s."""
-    outputs = sorted((node for node in config.skin.walk() if node.label == config.output_label), key=attrgetter("uid"))
-    return tuple(
-        (node.uid, Multiset([entry if isinstance(entry, Symbol) else entry[0] for entry in node.content]))
-        for node in outputs
-    )
+def output_membranes(config) -> tuple:
+    """``(membrane count, readings)`` of a timed or an untimed
+    configuration, from one walk of its tree. ``readings`` holds one
+    ``(uid, symbols)`` pair per output-labelled membrane, in uid order,
+    which does not depend on sibling order; ``symbols`` lists the
+    membrane's objects in symbol order, one per copy, timers erased."""
+    label = config.output_label
+    timed = isinstance(config, Configuration)
+    count = 0
+    outputs = []
+    for node in config.skin.walk():
+        count += 1
+        if node.label == label:
+            outputs.append((node.uid, tuple([e[0] if timed else e for e, n in node.content.items() for _ in range(n)])))
+    outputs.sort()  # by uid, which no two membranes share
+    return count, tuple(outputs)
 
 
 # ---------------------------------------------------------------------------

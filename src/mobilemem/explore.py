@@ -2,8 +2,10 @@
 
 Reach graphs are built breadth-first with canonical-key deduplication, so
 recorded depths are minimal and the graph is deterministic for a given
-system and bound. A configurable node cap aborts exploration with the
-partial graph; checks over truncated graphs report ``inconclusive``.
+system and bound; a search also ends at the first level that adds no
+state, so a bound past the last new state costs nothing. A configurable
+node cap aborts exploration with the partial graph; checks over
+truncated graphs report ``inconclusive``.
 
 Three checks constitute the toolkit's oracle:
 
@@ -12,8 +14,8 @@ Three checks constitute the toolkit's oracle:
   timers) and equal per-depth output readings.
 * ``check_timer_elimination`` (CLI token ``prop2``): the timed system and
   its compiled untimed twin reach the same projected configuration sets
-  within every depth bound, preserve membrane counts, and the compiled
-  states keep counters sound.
+  within every depth bound, as read from each projection's least depths,
+  preserve membrane counts, and the compiled states keep counters sound.
 * ``check_translation`` (CLI token ``prop45``): every non-time ambient
   reduction is matched by a membrane reduction with the same translated
   image (timer-erased against full engine steps, by erased keys of the
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import Configuration, Rule, canonicalize, rule_set
+from .core import Configuration, Rule, canonicalize, output_membranes, rule_set
 from .engine import choice_describe, successors
 from .untimed import (
     UConfig,
@@ -127,16 +129,19 @@ class ReachGraph:
 
 
 def _bfs(root, root_key: str, succ_fn: Callable, meta_fn: Callable, depth: int, max_nodes: int) -> ReachGraph:
-    """``succ_fn(state)`` lists ``(edge label, successor, its key)``. A
-    membrane state drops its index as soon as it is expanded, once each;
-    the states never expanded, the last level's or those left when the
-    node cap stops the search, drop the work tree their step left them
-    (``_drop_indexes``)."""
+    """``succ_fn(state)`` lists ``(edge label, successor, its key)``. The
+    search stops at ``depth`` or at the first level that adds no state,
+    and lists nodes by depth, level by level. A membrane state drops its
+    index as soon as it is expanded, once each; the states never
+    expanded, the last level's or those left when the node cap stops the
+    search, drop the work tree their step left them (``_drop_indexes``)."""
     graph = ReachGraph(root=root_key, depth=depth)
     graph.nodes[root_key] = meta_fn(root, root_key, 0)
     graph.objects[root_key] = root
     frontier = deque([root_key])
     for level in range(depth):
+        if not frontier:
+            break
         width = len(frontier)
         next_frontier: deque = deque()
         while frontier:
@@ -173,27 +178,30 @@ def _drop_indexes(graph: ReachGraph, keys) -> None:
             drop_index(state)
 
 
-def _node_record(state, key: str, depth: int, timed: bool) -> NodeRecord:
-    """A membrane state's record, from one walk of its tree: the membrane
-    count, the output reading (the symbols of every output-labelled
-    membrane, timers erased, sorted by render, as ``core.output_reading``
-    gives them) and, for a timed state, the reading of each output
-    membrane in uid order (``core.per_membrane_readings``), so that a
-    record does not depend on sibling order."""
-    label = state.output_label
-    count = 0
-    per_mem = []
-    for node in state.skin.walk():
-        count += 1
-        if node.label == label:
-            syms = [str(entry[0] if timed else entry) for entry, n in node.content.items() for _ in range(n)]
-            per_mem.append((node.uid, tuple(sorted(syms))))
+def _node_record(state, key: str, depth: int) -> NodeRecord:
+    """A membrane state's record, read from ``core.output_membranes``: the
+    membrane count, the output reading (the symbols of every
+    output-labelled membrane, sorted by render) and, for a timed state,
+    the rendered symbols of each output membrane in uid order."""
+    count, outputs = output_membranes(state)
+    per_mem = tuple((uid, tuple(sorted(map(str, syms)))) for uid, syms in outputs)
     reading = tuple(sorted([sym for _uid, syms in per_mem for sym in syms]))
-    return NodeRecord(key, depth, False, count, reading, tuple(sorted(per_mem)) if timed else ())
+    return NodeRecord(key, depth, False, count, reading, per_mem if isinstance(state, Configuration) else ())
+
+
+def _view(graph: ReachGraph, lens: Callable) -> tuple[dict, dict]:
+    """``graph`` through ``lens``: each key's projection ``lens(state)``, and
+    each projection's least depth, its first node's (``_bfs`` lists by depth)."""
+    projection: dict = {}
+    least: dict = {}
+    for key, record in graph.nodes.items():
+        projection[key] = seen = lens(graph.objects[key])
+        least.setdefault(seen, record.depth)
+    return projection, least
 
 
 def _explore_system(config, rules: Sequence[Rule], depth: int, max_nodes: int,
-                    successors_of: Callable, key_of: Callable, timed: bool) -> ReachGraph:
+                    successors_of: Callable, key_of: Callable) -> ReachGraph:
     """BFS over ``successors_of(state, rules)``, keyed by ``key_of``, with
     the rules wrapped once (``core.rule_set``), so the search builds at
     most one rule table, which the rules keep. The explorers pass what
@@ -204,10 +212,7 @@ def _explore_system(config, rules: Sequence[Rule], depth: int, max_nodes: int,
     def succ(state):
         return [(choice_describe(choice), cfg, key) for choice, cfg, key in successors_of(state, rules)]
 
-    def meta(state, key, d):
-        return _node_record(state, key, d, timed)
-
-    return _bfs(config, key_of(config), succ, meta, depth, max_nodes)
+    return _bfs(config, key_of(config), succ, _node_record, depth, max_nodes)
 
 
 def explore_membranes(
@@ -219,7 +224,7 @@ def explore_membranes(
     """BFS over the timed engine's legal step choices, on clocked states.
     The search keeps one memo of part outcomes (``engine.successors``),
     dropped with it, so a part shared by many states is stepped once."""
-    return _explore_system(config, rules, depth, max_nodes, partial(successors, memo={}), canonicalize, True)
+    return _explore_system(config, rules, depth, max_nodes, partial(successors, memo={}), canonicalize)
 
 
 def explore_untimed(
@@ -229,7 +234,7 @@ def explore_untimed(
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> ReachGraph:
     """BFS over the untimed engine's maximal choices."""
-    return _explore_system(config, rules, depth, max_nodes, u_successors, u_canonicalize, False)
+    return _explore_system(config, rules, depth, max_nodes, u_successors, u_canonicalize)
 
 
 def explore_ambients(p, depth: int, max_nodes: int = DEFAULT_NODE_CAP) -> ReachGraph:
@@ -288,9 +293,9 @@ def check_embedding(
     except BudgetExceeded as err:
         return Verdict("prop1", None, {"reason": str(err)})
 
-    mapping = {key: erased_key(timed_graph.objects[key]) for key in timed_graph.nodes}
+    mapping, depths_t = _view(timed_graph, erased_key)
     nodes_u = set(untimed_graph.nodes)
-    nodes_t = set(mapping.values())
+    nodes_t = set(depths_t)
     details: dict = {
         "untimed_nodes": len(nodes_u),
         "embedded_nodes": len(timed_graph.nodes),
@@ -302,10 +307,6 @@ def check_embedding(
             "extra_in_embedding": sorted(nodes_t - nodes_u)[:3],
         })
     depths_u = {k: r.depth for k, r in untimed_graph.nodes.items()}
-    depths_t: dict[str, int] = {}
-    for key, record in timed_graph.nodes.items():
-        e = mapping[key]
-        depths_t[e] = min(depths_t.get(e, record.depth), record.depth)
     if not witnesses and depths_u != depths_t:
         diff = [k for k in depths_u if depths_u[k] != depths_t.get(k)]
         witnesses.append({"depth_mismatch": sorted(diff)[:3]})
@@ -339,9 +340,11 @@ def check_timer_elimination(
     """Timed system vs its compiled untimed twin: equal projected reachable
     sets within every k <= depth, preserved membrane counts, sound
     counters. A projection is keyed by ``erased_key`` less counters and
-    drops no membrane, so its count is the state's ``NodeRecord``'s.
-    Inconclusive, before any rule is built, where the compiled system's
-    tick and kill rules are over ``compiler.MAX_COMPILED_RULES``."""
+    drops no membrane, so its count is the state's ``NodeRecord``'s. The
+    sets within bound k first differ at the least depth one side gives a
+    projection and the other does not. Inconclusive, before any rule is
+    built, where the compiled system's tick and kill rules are over
+    ``compiler.MAX_COMPILED_RULES``."""
     try:
         compiled_config, compiled_rules = eliminate_timers(config, rules)
     except OversizedError as err:
@@ -361,7 +364,7 @@ def check_timer_elimination(
         "timed_nodes": len(timed_graph.nodes),
         "compiled_nodes": len(compiled_graph.nodes),
         "initial_membranes_equal":
-            sum(1 for _ in config.skin.walk()) == sum(1 for _ in compiled_config.skin.walk()),
+            timed_graph.nodes[timed_graph.root].membranes == compiled_graph.nodes[compiled_graph.root].membranes,
     }
     witnesses = []
 
@@ -373,25 +376,23 @@ def check_timer_elimination(
     if soundness:
         witnesses.append({"counter_soundness": soundness[:3]})
 
-    timed_proj, compiled_proj = (
-        {key: (erased_key(g.objects[key], _counter_of), r.depth, r.membranes) for key, r in g.nodes.items()}
-        for g in (timed_graph, compiled_graph)
+    (timed_proj, timed_least), (compiled_proj, compiled_least) = (
+        _view(g, partial(erased_key, drop=_counter_of)) for g in (timed_graph, compiled_graph)
     )
-    for k in range(depth + 1):
-        timed_set = {pk for pk, d, _m in timed_proj.values() if d <= k}
-        compiled_set = {pk for pk, d, _m in compiled_proj.values() if d <= k}
-        if timed_set != compiled_set:
-            witnesses.append({
-                "depth": k,
-                "only_timed": sorted(timed_set - compiled_set)[:3],
-                "only_compiled": sorted(compiled_set - timed_set)[:3],
-            })
-            break
-    counts_timed = {pk: m for pk, _d, m in timed_proj.values()}
-    counts_compiled = {pk: m for pk, _d, m in compiled_proj.values()}
-    for pk in set(counts_timed) & set(counts_compiled):
-        if counts_timed[pk] != counts_compiled[pk]:
-            witnesses.append({"membrane_count_mismatch": pk})
+    split = timed_least.items() ^ compiled_least.items()  # (projection, least depth) on one side only
+    if split:
+        k = min(d for _pk, d in split)
+        timed_set = {pk for pk, d in timed_least.items() if d <= k}
+        compiled_set = {pk for pk, d in compiled_least.items() if d <= k}
+        witnesses.append({
+            "depth": k,
+            "only_timed": sorted(timed_set - compiled_set)[:3],
+            "only_compiled": sorted(compiled_set - timed_set)[:3],
+        })
+    counts_timed = {timed_proj[key]: r.membranes for key, r in timed_graph.nodes.items()}
+    for key, record in compiled_graph.nodes.items():  # in graph order, so the witness is deterministic
+        if counts_timed.get(compiled_proj[key], record.membranes) != record.membranes:
+            witnesses.append({"membrane_count_mismatch": compiled_proj[key]})
             break
     details["witnesses"] = witnesses
     return Verdict("prop2", not witnesses, details)

@@ -184,25 +184,24 @@ class UInstance(Instance):
 
 def _untimed_table(rules) -> tuple:
     """``u_find_instances``' rule table, from the ``parts`` of a
-    ``core.RuleTables`` container: (rewrites by key symbol, the rewrites
-    with an empty left side, the move parts as (flat index, rule or
-    schema, the move rule whose labels and nesting its members share),
-    and the members read so far). A compiled container
-    (``compiler.CompiledRules``) lists each move family as one schema
-    whose ``present(active, passive)`` proposes member offsets and whose
-    ``[offset]`` builds a member. A member is kept on first use under its
-    flat index, as [member, lhs active, its sorted symbols, then lhs
-    passive and its sorted symbols once needed]."""
-    rewrites: dict = {}  # key symbol (None: empty left side) -> [(flat index, rewrite)]
+    ``core.RuleTables`` container: (rewrites by key symbol, the move
+    parts as (flat index, rule or schema, the move rule whose labels and
+    nesting its members share), and the members read so far). Every
+    rewrite has a key: the container refuses an empty left side. A
+    compiled container (``compiler.CompiledRules``) lists each move
+    family as one schema whose ``present(active, passive)`` proposes
+    member offsets and whose ``[offset]`` builds a member. A member is
+    kept on first use under its flat index, as [member, lhs active, its
+    sorted symbols, then lhs passive and its sorted symbols once
+    needed]."""
+    rewrites: dict = {}  # key symbol -> [(flat index, rewrite)]
     moves = []
     for base, item in rules.parts:
         if isinstance(item, RewriteRule):
-            key = item.lhs.items()[-1][0] if item.lhs else None
-            rewrites.setdefault(key, []).append((base, item))
+            rewrites.setdefault(item.lhs.items()[-1][0], []).append((base, item))
         else:
             moves.append((base, item, item if isinstance(item, MoveRule) else item.rule))
-    everywhere = rewrites.pop(None, ())
-    return rewrites, everywhere, moves, {}
+    return rewrites, moves, {}
 
 
 def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
@@ -212,9 +211,8 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
     Rewrites are indexed by one left-side symbol, the largest (in a
     compiled system, the counter: it tells apart the ticks of one
     object), so a host tests only the rewrites whose key symbol it holds,
-    each then checked against ``at`` and its whole left side; a rewrite
-    with an empty left side is tested on every host. A schema is a
-    candidate filter: for each active/passive pair whose labels fit, only
+    each then checked against ``at`` and its whole left side. A schema
+    is a candidate filter: for each active/passive pair whose labels fit, only
     the members whose counters the two membranes hold are tested, each
     exactly as the flat rule at its index would be. That index, the move
     parts and each member read with its two consumed sides form the rule
@@ -224,7 +222,7 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
     from the configuration's index (``tree.index_of``), which the choice
     search and the step read too."""
     index = index_of(config)
-    rewrites, everywhere, moves, sides = rule_set(rules).table(_untimed_table)
+    rewrites, moves, sides = rule_set(rules).table(_untimed_table)
     found = []
     for host in (config.skin, *index.node.values()):
         content = host.content
@@ -232,9 +230,6 @@ def u_find_instances(config: UConfig, rules: Sequence[Rule]) -> list[UInstance]:
             for base, rule in rewrites.get(sym, ()):
                 if (rule.at is None or rule.at == host.label) and content.contains(rule.lhs):
                     found.append(UInstance(base, rule, host.uid, None, rule.active_slots))
-        for base, rule in everywhere:
-            if rule.at is None or rule.at == host.label:
-                found.append(UInstance(base, rule, host.uid, None, rule.active_slots))
     for base, item, rule in moves:
         for active, passive in _move_pairs(rule, config.skin, index.kids):
             offsets = (0,) if item is rule else item.present(active.content, passive.content)

@@ -112,6 +112,27 @@ def test_check_prop2_refuses_a_huge_tick_family_before_building_it(tmp_path, lif
         "reason": f"the compiled system needs {built} tick and kill rules, over the 100,000 check prop2 builds"}}
 
 
+@pytest.mark.parametrize("command, name, text", [
+    (["explore"], "a.mms", "mms 1 timed\noutput skin\nskin:inf[ a:3 ]\n"),
+    (["check", "prop1"], "p1.mms", "mms 1 untimed\noutput skin\nskin[ a ; p[ b ] ]\nrw * : a => delta\n"),
+    (["check", "prop2"], "p2.mms", "mms 1 timed\noutput skin\nskin:inf[ ; h:3[ a:2 ] ]\nexo h skin : a | , ~a | => |\n"),
+    (["check", "prop45"], "p45.amb", "n:3[ in:2 m ] | m:3[ ~in:2 m ]\n"),
+], ids=["explore", "prop1", "prop2", "prop45"])
+def test_a_bound_past_the_last_new_state_costs_nothing(tmp_path, capsys, command, name, text):
+    # every state of these systems is found within depth 6: a bound of 10^12
+    # prints what depth 6 prints, well inside the timeout (all four ran past
+    # it when every level up to the bound was walked)
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([*command, str(path), "--depth", "6"]) == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "mobilemem", *command, str(path), "--depth", "1000000000000"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert done.stdout == capsys.readouterr().out
+
+
 def test_check_prop2_on_the_corpus_prints_the_same_report(capsys):
     # SHA-256 of the report as printed before prop2 sized its systems
     assert main(["check", "prop2", "--corpus", "0,40", "--depth", "6"]) == 0

@@ -15,8 +15,8 @@ from mobilemem.core import (
     decrement,
     dual,
     mem,
+    output_membranes,
     output_reading,
-    per_membrane_readings,
     validate,
 )
 from mobilemem.untimed import UConfig, umem
@@ -58,6 +58,14 @@ def test_multiset_no_zero_entries():
     m = Multiset({a: 2}).difference(Multiset([a, a]))
     assert a not in m
     assert list(m.items()) == []
+
+
+def test_adding_a_negative_count_is_refused_as_in_the_constructor():
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        Multiset([a]).add(a, -5)
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        Multiset({a: -4})
+    assert Multiset([a]).add(a, -1) == Multiset() and Multiset([a]).add(b, 0) == Multiset([a])
 
 
 def _tree(rng, depth=3):
@@ -111,13 +119,17 @@ def test_output_reading_sums_over_output_membranes():
         output_label="out",
     )
     assert output_reading(two) == Multiset([a, a, b])
-    readings = sorted((ms for _uid, ms in per_membrane_readings(two)),
-                      key=lambda ms: ms.items())
-    assert readings == [Multiset([a]), Multiset([a, b])]
+    # the membrane count and one (uid, symbols) pair per output membrane, in
+    # uid order, not sibling order; symbols in order, timers erased
+    first, second = two.skin.children
+    assert output_membranes(two) == (3, ((first.uid, (a,)), (second.uid, (a, b))))
+    swapped = Configuration(two.skin.with_children((second, first)), output_label="out")
+    assert output_membranes(swapped) == output_membranes(two)
 
-    untimed = UConfig(umem("skin", [], [umem("out", [a]), umem("out", [a, b])]), output_label="out")
-    assert output_reading(untimed) == Multiset([a, a, b])
-    assert [ms for _uid, ms in per_membrane_readings(untimed)] == [Multiset([a]), Multiset([a, b])]
+    untimed = UConfig(umem("skin", [], [umem("out", [a]), umem("out", [b, a, a])]), output_label="out")
+    assert output_reading(untimed) == Multiset([a, a, a, b])
+    first, second = untimed.skin.children
+    assert output_membranes(untimed) == (3, ((first.uid, (a,)), (second.uid, (a, a, b))))
 
 
 def test_validate_flags_violations():

@@ -890,7 +890,7 @@ def _whole_tree_graph(config, rules, depth):
     def succ(state):
         return [(choice_describe(ch), nxt, key) for ch, nxt, key in _whole_tree_successors(state, rules)]
 
-    return _bfs(config, canonicalize(config), succ, lambda s, key, d: _node_record(s, key, d, True), depth, 10**6)
+    return _bfs(config, canonicalize(config), succ, _node_record, depth, 10**6)
 
 
 def _assert_parts_match_the_whole_tree(config, rules, depth) -> int:

@@ -1,6 +1,9 @@
 import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -26,11 +29,12 @@ from mobilemem.explore import (
     explore_membranes,
     explore_untimed,
 )
-from mobilemem.compiler import embed_infinite
-from mobilemem.engine import successors
+from mobilemem import compiler
+from mobilemem.compiler import _counter_of, _label_timers, counter_soundness_violations, eliminate_timers, embed_infinite
+from mobilemem.engine import find_instances, successors
 from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.tree import drop_index, index_of
-from mobilemem.untimed import UConfig, u_successors, umem
+from mobilemem.untimed import UConfig, erased_key, u_find_instances, u_successors, umem
 from mobilemem.ambient import canonical_key, parse_ambient
 from mobilemem.corpus import (
     random_reducible_process,
@@ -419,9 +423,9 @@ def test_check_timer_elimination_reports_a_membrane_count_mismatch(monkeypatch):
 
     record = explore._node_record
 
-    def fewer(state, key, depth, timed):
-        found = record(state, key, depth, timed)
-        if not timed:
+    def fewer(state, key, depth):
+        found = record(state, key, depth)
+        if not isinstance(state, Configuration):
             found.membranes -= 1
         return found
 
@@ -554,3 +558,148 @@ def test_a_partial_graph_holds_no_index():
         graph, held, freed = _held_by_indexes(explore, system, 4, 30)
         assert graph.truncated and len(graph.nodes) == 30
         assert freed <= held // 100, f"{explore.__name__}: {freed} of {held} bytes held by indexes"
+
+
+def test_a_rewrite_with_an_empty_left_side_is_refused_where_its_table_is_built():
+    # it binds nothing, so a choice could take it without end; the matchers
+    # are asked first, as they listed its instances before it was refused
+    rule = RewriteRule("p", Multiset(), ((a, Fresh(3)),))
+    config = Configuration(mem("skin", INF, [], [mem("p", 5)]))
+    calls = [
+        lambda: find_instances(config, [rule]),
+        lambda: u_find_instances(UConfig(umem("skin", [], [umem("p", [])])), [rule]),
+        lambda: explore_membranes(config, [rule], 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^rule r0: rewrite left side is empty$"):
+            call()
+
+
+_FEWER_MEMBRANES = """
+import json, sys
+import mobilemem.explore as explore
+from mobilemem.core import Configuration
+from mobilemem.sysfile import parse_system
+
+record = explore._node_record
+
+def fewer(state, key, depth):
+    found = record(state, key, depth)
+    if not isinstance(state, Configuration):
+        found.membranes -= 1
+    return found
+
+explore._node_record = fewer
+sf = parse_system(sys.stdin.read())
+print(json.dumps(explore.check_timer_elimination(sf.config, sf.rules, 3).to_json()))
+"""
+
+
+def test_the_membrane_count_witness_does_not_depend_on_hash_order():
+    # the fault of test_check_timer_elimination_reports_a_membrane_count_mismatch
+    # on a system with many projections, every one mismatched: the witness
+    # names the first compiled node's, whatever order strings hash in
+    text = "mms 1 timed\noutput skin\nskin:inf[ ; h:3[ a:2, b:5 ] m:inf[ ~a:4 ] k:4[ c:3 ] ]\n" \
+        "endo h m : a |  , ~a |  => c:+7 |\n"
+    outs = [
+        subprocess.run([sys.executable, "-c", _FEWER_MEMBRANES], input=text, capture_output=True, text=True,
+                       timeout=60, env={**os.environ, "PYTHONHASHSEED": seed}, check=True).stdout
+        for seed in ("0", "1", "2")
+    ]
+    assert outs[0] == outs[1] == outs[2]
+    verdict = json.loads(outs[0])
+    assert verdict["verdict"] == "fail" and verdict["details"]["timed_nodes"] > 2
+    assert [set(w) for w in verdict["details"]["witnesses"]] == [{"membrane_count_mismatch"}]
+
+
+def _naive_record(state, timed: bool) -> tuple:
+    """(membranes, output, per_membrane) of a state, by a walk of its own."""
+    count, per = 0, []
+    stack = [state.skin]
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack.extend(node.children)
+        if node.label == state.output_label:
+            syms = [str(entry[0] if timed else entry) for entry, n in node.content.items() for _ in range(n)]
+            per.append((node.uid, tuple(sorted(syms))))
+    per.sort()
+    return count, tuple(sorted(sym for _uid, syms in per for sym in syms)), tuple(per) if timed else ()
+
+
+def test_every_record_reads_its_state_as_a_naive_walk_does():
+    for explore, generate, timed in ((explore_membranes, random_timed_system, True),
+                                     (explore_untimed, random_untimed_system, False)):
+        for seed in range(40):
+            graph = explore(*generate(seed), 4)
+            for key, record in graph.nodes.items():
+                got = (record.membranes, record.output, record.per_membrane)
+                assert got == _naive_record(graph.objects[key], timed), (timed, seed, key)
+
+
+def _prop2_by_depth(config, rules, depth) -> dict:
+    """prop2's verdict JSON as it was computed before least depths: both
+    cumulative projected sets rebuilt for every bound k <= depth."""
+    compiled_config, compiled_rules = eliminate_timers(config, rules)
+    counter_labels = {label for label, t in _label_timers(config).items() if t != INF}
+    timed_graph = explore_membranes(config, rules, depth)
+    compiled_graph = explore_untimed(compiled_config, compiled_rules, depth)
+    details = {
+        "timed_nodes": len(timed_graph.nodes),
+        "compiled_nodes": len(compiled_graph.nodes),
+        "initial_membranes_equal":
+            sum(1 for _ in config.skin.walk()) == sum(1 for _ in compiled_config.skin.walk()),
+    }
+    witnesses = []
+    soundness = []
+    for key in compiled_graph.nodes:
+        problems = counter_soundness_violations(compiled_graph.objects[key], counter_labels)
+        if problems:
+            soundness.append({"state": key, "problems": problems})
+    if soundness:
+        witnesses.append({"counter_soundness": soundness[:3]})
+    timed_proj, compiled_proj = (
+        {key: (erased_key(g.objects[key], _counter_of), r.depth, r.membranes) for key, r in g.nodes.items()}
+        for g in (timed_graph, compiled_graph)
+    )
+    for k in range(depth + 1):
+        timed_set = {pk for pk, d, _m in timed_proj.values() if d <= k}
+        compiled_set = {pk for pk, d, _m in compiled_proj.values() if d <= k}
+        if timed_set != compiled_set:
+            witnesses.append({
+                "depth": k,
+                "only_timed": sorted(timed_set - compiled_set)[:3],
+                "only_compiled": sorted(compiled_set - timed_set)[:3],
+            })
+            break
+    counts_timed = {pk: m for pk, _d, m in timed_proj.values()}
+    for pk, _d, m in compiled_proj.values():
+        if counts_timed.get(pk, m) != m:
+            witnesses.append({"membrane_count_mismatch": pk})
+            break
+    details["witnesses"] = witnesses
+    return {"check": "prop2", "verdict": "fail" if witnesses else "pass", "details": details}
+
+
+def _assert_prop2_reads_least_depths_as_the_per_depth_loop(seeds) -> int:
+    """The verdicts of seeds' timed systems at depths 0-6; returns how many
+    name a depth."""
+    named = 0
+    for seed in seeds:
+        for depth in range(7):
+            want = _prop2_by_depth(*random_timed_system(seed), depth)
+            assert check_timer_elimination(*random_timed_system(seed), depth).to_json() == want, (seed, depth)
+            named += any("depth" in w for w in want["details"]["witnesses"])
+    return named
+
+
+def test_prop2_reads_least_depths_as_the_per_depth_loop_reads_its_sets():
+    assert _assert_prop2_reads_least_depths_as_the_per_depth_loop(range(120)) == 0
+
+
+def test_prop2_names_the_per_depth_loop_s_depth_for_lifetimes_one_short(monkeypatch):
+    # a planted fault: every compiled object and membrane dies a tick early
+    tick_family = compiler._tick_family
+    monkeypatch.setattr(compiler, "_tick_family",
+                        lambda base, life, *rest: tick_family(base, max(life - 1, 0), *rest))
+    assert _assert_prop2_reads_least_depths_as_the_per_depth_loop(range(120)) > 600
