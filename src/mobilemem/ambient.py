@@ -21,7 +21,8 @@ Parallel composition is kept in normal form (flattened, no ``0`` parts,
 parts canonically sorted), which makes structural congruence a syntactic
 equality check. Process nodes are immutable and list their immediate
 subterms as ``children``, so each stores its canonical key on first use
-(``core.stored_render``) and ``par`` sorts by keys computed once.
+(``canonical_key``) and ``par`` sorts by keys computed once; key memory
+so grows with the square of the nesting depth.
 
 No function here recurses, so nesting depth is not bounded by the
 recursion limit. The tick is a ``core.rebuild_tree`` fold that enters no
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
 
-from .core import FrozenTree, Timer, decrement, memo_slot, rebuild_tree, stored_render, timer_str, walk_tree
+from .core import FrozenTree, Timer, decrement, memo_slot, rebuild_tree, timer_str, walk_tree
 from .lexer import Cursor, PositionedError
 
 
@@ -124,9 +125,20 @@ def _key_one(p: Process) -> str:
 
 
 def canonical_key(p: Process) -> str:
-    """Deterministic rendering with tags; equal keys iff congruent. Stored
-    in each node on first use."""
-    return stored_render(p, _key_one)
+    """Deterministic rendering with tags; equal keys iff congruent. Kept
+    in the ``_render`` slot of ``p`` and of every subterm below it that
+    lacks one, children first, by plain assignment: terms never change
+    once built, so a subterm shared between processes is rendered once."""
+    if p._render is None:
+        order = []
+        stack = [p]
+        while stack:
+            n = stack.pop()
+            order.append(n)
+            stack.extend([c for c in n.children if c._render is None])
+        for n in reversed(order):
+            n._render = _key_one(n)
+    return p._render
 
 
 def par(*parts: Process) -> Process:

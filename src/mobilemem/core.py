@@ -11,12 +11,14 @@ concurrent workers. Configurations, rules and multisets are frozen. Tree
 nodes (``MembraneNode``, and the untimed and ambient ones) are immutable
 by contract instead: they are plain slotted dataclasses, because a frozen
 dataclass's constructor writes every field through ``object.__setattr__``,
-which makes building a node and filling its memo slots two to three times
+which makes building a node and filling its memo slot two to three times
 as slow, and a step builds every node it touches. Nobody assigns a field
-of a node that may be shared; each memo slot (``memo_slot``) is written
-once, by plain assignment, with a value worked out from the node alone,
-and ``number_fresh`` numbers a tree just built, before anyone else holds
-it. Rule containers cannot change either, and each owns the matcher
+of a node that may be shared; a membrane node's one memo slot
+(``memo_slot``), its least timer, is written once, by plain assignment,
+with a value worked out from the node alone, and ``number_fresh``
+numbers a tree just built, before anyone else holds it. A key is one
+fold when read (``render_at``), kept by the configuration, not its
+nodes. Rule containers cannot change either, and each owns the matcher
 tables derived from it (``RuleTables``): a table lives exactly as long
 as its rules.
 """
@@ -249,31 +251,12 @@ def _hash_one(node, built: tuple) -> int:
 
 def memo_slot():
     """A dataclass field in which a tree node or configuration keeps a
-    value worked out once from it (its render, say), filled on first use
-    or by whoever builds it. A node's slot is written by plain assignment,
-    at most once, and its value depends on the node alone, so the write
-    keeps the node immutable by contract; a configuration is frozen, and
-    its slot is written through ``object.__setattr__``."""
+    value worked out once from it (its least timer, say), filled on first
+    use or by whoever builds it. A node's slot is written by plain
+    assignment, at most once, and its value depends on the node alone, so
+    the write keeps the node immutable by contract; a configuration is
+    frozen, and its slot is written through ``object.__setattr__``."""
     return field(default=None, init=False, compare=False, repr=False)
-
-
-def stored_render(node, render_one: Callable) -> str:
-    """``node``'s render, computed once: ``render_one(n)`` builds one
-    node's render from its own fields and its children's stored renders,
-    and is stored in the ``_render`` slot of every node below ``node``
-    that lacks it, children first, by plain assignment. Nodes never
-    change once built, so the stored render stays valid and subtrees
-    shared between configurations are rendered once."""
-    if node._render is None:
-        order = []
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            order.append(n)
-            stack.extend([c for c in n.children if c._render is None])
-        for n in reversed(order):
-            n._render = render_one(n)
-    return node._render
 
 
 @dataclass(slots=True, eq=False)
@@ -284,9 +267,9 @@ class MembraneNode(FrozenTree):
 
     ``uid`` is an engine-assigned identity used by traces and rule
     instances; it is excluded from canonical keys. Labels need not be
-    unique, and a node is elementary iff it has no children. ``_render``
-    holds ``canonical_render(node)`` and ``_least`` holds
-    ``least_timer(node)`` once they have been computed.
+    unique, and a node is elementary iff it has no children. ``_least``
+    holds ``least_timer(node)`` once it has been computed; a node keeps
+    no render (see ``render_at``).
     """
 
     label: str
@@ -294,7 +277,6 @@ class MembraneNode(FrozenTree):
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
-    _render: str | None = memo_slot()
     _least: Timer | None = memo_slot()
 
     def _fields(self) -> tuple:
@@ -325,13 +307,15 @@ class Configuration:
     ``engine.step``). A configuration at rest is one at clock 0, where
     deadlines are remaining timers; ``at_rest`` turns any configuration
     into that form, and every key and every output reads remaining
-    timers. ``_index`` holds the configuration's ``tree.Index``.
+    timers. ``_index`` holds the configuration's ``tree.Index`` and
+    ``_key`` its ``canonicalize`` key, each filled on first read.
     """
 
     skin: MembraneNode
     output_label: str = "skin"
     clock: int = 0
     _index: object = memo_slot()
+    _key: str | None = memo_slot()
 
 
 def least_timer(node: MembraneNode) -> Timer:
@@ -368,8 +352,8 @@ def shifted(content: Multiset, by: int) -> Multiset:
 def at_rest(config: Configuration) -> Configuration:
     """``config`` at clock 0: each finite timer less its clock. Subtrees
     with no finite timer are shared, uids are kept, equal contents are
-    shifted once, and every node built gets its render, as the step's
-    nodes do."""
+    shifted once, and every node built gets its least timer, as the
+    step's nodes do."""
     clock = config.clock
     if not clock:
         return config
@@ -385,7 +369,6 @@ def at_rest(config: Configuration) -> Configuration:
                 content = contents[node.content._items] = shifted(node.content, -clock)
             rest = MembraneNode(node.label, node.timer - clock, content, children, uid=node.uid)
             rest._least = node._least - clock
-            rest._render = render_one(rest)
             return rest
 
         skin = rebuild_tree(skin, make, _timeless)
@@ -564,54 +547,47 @@ def render_node(label: str, timer: Timer, objects: str, kids: Iterable[str]) -> 
     return f"{label}:{timer_str(timer)}{{{objects}}}[{' '.join(sorted(kids)) if kids else ''}]"
 
 
-def render_one(node: MembraneNode) -> str:
-    """One node's canonical render from its fields and the stored renders
-    of its children, stored first where missing."""
-    return render_node(node.label, node.timer, render_objects(node.content), [
-        c._render or canonical_render(c) for c in node.children
-    ])
-
-
 def canonical_render(node: MembraneNode) -> str:
-    """Deterministic rendering, invariant under sibling and entry order;
-    stored in each node on first use (see ``stored_render``). Timers are
-    printed as stored: remaining timers at clock 0."""
-    return stored_render(node, render_one)
+    """Deterministic rendering, invariant under sibling and entry order.
+    Timers are printed as stored: remaining timers at clock 0."""
+    return render_at(node, 0)
 
 
 def render_at(node: MembraneNode, clock: int) -> str:
     """``canonical_render`` of ``node`` read at ``clock``: each finite
-    timer printed as its deadline less the clock. A subtree with no finite
-    timer prints the same at every clock and keeps its stored render; the
-    others are rendered afresh, each distinct content's objects once."""
-    if not clock or least_timer(node) == INF:
-        return canonical_render(node)
-    order = []  # the membranes with children to render afresh, parents first
+    timer printed as its deadline less the clock. One fold, children
+    first, on an explicit stack, with leaves rendered in their parent's
+    pass, each distinct leaf content's objects once. A child's render is
+    dropped once its parent has read it, so memory stays linear in depth;
+    nothing is stored on the nodes."""
+    order = []  # the membranes with children, parents first, children right to left
     stack = [node]
     while stack:
         n = stack.pop()
         order.append(n)
-        stack.extend([c for c in n.children if c.children and c._least != INF])
+        stack.extend([c for c in n.children if c.children])
     # sorted (class, count) pairs -> their objects part at this clock; the
     # pairs hash and compare in C, unlike the multisets that hold them
     objects: dict = {}
-    done: dict = {}  # id of a node in ``order`` -> its render
-    for n in reversed(order):
+    done: list = []  # renders of the inner membranes not yet read, in post-order
+    for n in reversed(order):  # a post-order, children left to right
         kids = []
+        inner = 0
         for c in n.children:
-            if c._least == INF:
-                kids.append(c._render or canonical_render(c))
-            elif c.children:
-                kids.append(done[id(c)])
-            else:
-                items = c.content._items
-                objs = objects.get(items)
-                if objs is None:
-                    objs = objects[items] = render_objects(c.content, clock)
-                t = c.timer  # ``render_node`` of a leaf, inlined on the hot path
-                kids.append(f"{c.label}:{'inf' if t == INF else int(t - clock)}{{{objs}}}[]")
-        done[id(n)] = render_node(n.label, n.timer - clock, render_objects(n.content, clock), kids)
-    return done[id(node)]
+            if c.children:
+                inner += 1
+                continue
+            items = c.content._items
+            objs = objects.get(items)
+            if objs is None:
+                objs = objects[items] = render_objects(c.content, clock)
+            t = c.timer  # ``render_node`` of a leaf, inlined on the hot path
+            kids.append(f"{c.label}:{'inf' if t == INF else int(t - clock)}{{{objs}}}[]")
+        if inner:  # the inner children's renders, the last ``inner`` made
+            kids += done[-inner:]
+            del done[-inner:]
+        done.append(render_node(n.label, n.timer - clock, render_objects(n.content, clock), kids))
+    return done[0]
 
 
 def state_key(skin_render: str, output_label: str) -> str:
@@ -624,8 +600,11 @@ def canonicalize(config: Configuration) -> str:
     """Canonical key: equal keys iff configurations are equal up to sibling
     membrane order and multiset entry order. uids are excluded, and
     timers print as remaining timers, so a configuration's key is the key
-    of its ``at_rest`` form."""
-    return state_key(render_at(config.skin, config.clock), config.output_label)
+    of its ``at_rest`` form. Rendered on first read and kept in the
+    configuration's ``_key`` slot."""
+    if config._key is None:
+        object.__setattr__(config, "_key", state_key(render_at(config.skin, config.clock), config.output_label))
+    return config._key
 
 
 def output_reading(config) -> Multiset:
@@ -703,8 +682,8 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
                 violations.append(f"dissolution marker at rest inside {node.label}")
             if t != INF and (not isinstance(t, int) or t < 0):
                 violations.append(f"object {sym} has invalid timer {t!r}")
-    for rule in rules:
-        name = rule.name or type(rule).__name__
+    for base, rule in enumerate(rules):
+        name = rule.name or f"r{base}"
         if isinstance(rule, MoveRule):
             if not rule.u:
                 violations.append(f"rule {name}: trigger multiset u is empty")

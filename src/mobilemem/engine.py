@@ -80,9 +80,11 @@ exactly as long as its rules. A plain list or tuple handed to the
 matcher gets a fresh table per call; ``run`` and the explorers wrap
 their rules once (``core.rule_set``), so each builds at most one table.
 
-A run renders a key only where it is read. The trace's initial key is
-rendered at once; each ``StepRecord`` holds its configuration and renders
-its key on first read. A step halts the run when it had the only choice
+A run renders a key only where it is read, and a configuration keeps
+its key once rendered (``core.canonicalize``). The trace's initial key
+is read at once, so a run started again from one configuration renders
+it once; each ``StepRecord`` holds its configuration and renders its key
+on first read. A step halts the run when it had the only choice
 and reproduced the configuration before it. Equal configurations have
 equal least remaining timers, and a timed configuration keeps its least
 timer in the skin's slot, so ``simulate`` compares those first: when they
@@ -124,7 +126,6 @@ from .core import (
     render_at,
     render_node,
     render_objects,
-    render_one,
     rule_set,
     state_key,
     timer_str,
@@ -583,13 +584,10 @@ def _skin_timer(skin: MembraneNode) -> int:
 
 def _frozen(src: MembraneNode, timer, content: Multiset, children: tuple, least) -> MembraneNode:
     """``src`` as a step freezes it, with its new ``timer``, ``content``
-    and ``children``, and ``least`` its ``core.least_timer``. A node with
-    no finite timer below gets its render at once: it holds at every
-    clock."""
+    and ``children``, and ``least`` its ``core.least_timer``. It keeps no
+    render: keys are folded when read (``core.canonicalize``)."""
     built = MembraneNode(src.label, timer, content, children, uid=src.uid)
     built._least = least
-    if least == INF:
-        built._render = render_one(built)
     return built
 
 
@@ -816,8 +814,8 @@ def _compose(config: Configuration, combo: tuple) -> Configuration:
     """The successor of ``config`` whose parts stepped as ``combo`` says:
     what ``step`` builds for the merged choice, up to the order of the
     skin's children, which are listed part by part. The skin's contents
-    are the sum of the parts', and its timer, ``_least`` and ``_render``
-    are filled as ``step``'s ``make`` fills them."""
+    are the sum of the parts', and its timer and ``_least`` are filled as
+    ``step``'s ``make`` fills them."""
     skin = config.skin
     held = [part.content for part in combo if part.content is not None]
     content = held[0] if len(held) == 1 else _summed(held) if held else _EMPTY

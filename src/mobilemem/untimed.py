@@ -33,15 +33,16 @@ In a compiled system the key of a tick or kill rule is its counter, so a
 state costs per counter present rather than per generated rewrite, and
 move families are read through their schemas (see ``u_find_instances``).
 
-The checks compare timer-erased and projected states by ``erased_key``,
-``u_canonicalize`` of the erased tree rendered in one fold over a timed
-or untimed tree, without building the erased tree.
+No node keeps a render: ``u_render`` is the one fold of the untimed
+layout, and ``u_canonicalize`` keeps its key on the configuration. The
+checks compare timer-erased and projected states by ``erased_key``, the
+same fold over a timed or untimed tree, without building the erased tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .choices import enumerate_choices, every
 from .core import (
@@ -50,6 +51,7 @@ from .core import (
     Configuration,
     EndoRule,
     FrozenTree,
+    MembraneNode,
     MoveRule,
     Multiset,
     RewriteRule,
@@ -60,7 +62,6 @@ from .core import (
     rebuild_tree,
     rule_set,
     state_key,
-    stored_render,
     walk_tree,
 )
 from .engine import Instance, distinct_successors, simulate
@@ -69,14 +70,12 @@ from .tree import StaleChoiceError, Tree, carry_index, index_of
 
 @dataclass(slots=True, eq=False)
 class UNode(FrozenTree):
-    """A membrane without timers: label, symbol multiset, children.
-    ``_render`` holds ``u_render(node)`` once it has been computed."""
+    """A membrane without timers: label, symbol multiset, children."""
 
     label: str
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
-    _render: str | None = memo_slot()
 
     def _fields(self) -> tuple:
         return (self.label, self.content, self.uid)
@@ -98,52 +97,56 @@ def umem(label: str, objects=(), children=()) -> UNode:
 
 @dataclass(frozen=True)
 class UConfig:
-    """An untimed membrane tree, its output label and its ``tree.Index``.
-    Its ``clock`` is always 0, as a timed ``Configuration`` at rest."""
+    """An untimed membrane tree, its output label, and its ``tree.Index``
+    and ``u_canonicalize`` key, each kept on first read. Its ``clock`` is
+    always 0, as a timed ``Configuration`` at rest."""
 
     skin: UNode
     output_label: str = "skin"
     _index: object = memo_slot()
+    _key: str | None = memo_slot()
 
     clock = 0  # a class attribute, not a field
 
 
-def _u_layout(label: str, objs: list, kids: Iterable[str]) -> str:
-    """One membrane's render from its objects' and children's renders."""
-    return label + "{" + ",".join(objs) + "}[" + " ".join(sorted(kids)) + "]"
-
-
-def _u_render_one(node: UNode) -> str:
-    objs = []
-    for sym, n in node.content.items():
-        objs.extend([str(sym)] * n)
-    return _u_layout(node.label, objs, [c._render for c in node.children])
-
-
-def u_render(node: UNode) -> str:
-    """Canonical render of an untimed membrane, stored once computed."""
-    return stored_render(node, _u_render_one)
+def u_render(node, drop: Callable | None = None) -> str:
+    """Canonical render of a membrane in the untimed layout, timers erased
+    from a timed one, less each symbol ``drop`` selects: one fold, children
+    first, on an explicit stack. A timed content sorts by (symbol, timer),
+    so its symbols come out in order."""
+    timed = isinstance(node, MembraneNode)
+    order = []  # every membrane, parents first, children right to left
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        stack += n.children
+    done: list = []  # renders not yet read, in post-order
+    for n in reversed(order):  # a post-order, children left to right
+        objs = []
+        for entry, k in n.content._items:
+            sym = entry[0] if timed else entry
+            if drop is None or not drop(sym):
+                objs += ["~" + sym.name if sym.is_co else sym.name] * k  # ``str(sym)``, inlined
+        k = len(n.children)  # the children's renders are the last ``k`` made
+        kids = " ".join(sorted(done[-k:])) if k else ""
+        del done[len(done) - k:]
+        done.append(f"{n.label}{{{','.join(objs)}}}[{kids}]")
+    return done[0]
 
 
 def u_canonicalize(config: UConfig) -> str:
-    return state_key(u_render(config.skin), config.output_label)
+    """The key of an untimed configuration, rendered on first read and
+    kept in its ``_key`` slot."""
+    if config._key is None:
+        object.__setattr__(config, "_key", erased_key(config))
+    return config._key
 
 
 def erased_key(config, drop: Callable | None = None) -> str:
     """``u_canonicalize(erase_timers(config))``, or ``u_canonicalize(config)``
-    if untimed, less each symbol ``drop`` selects; no node is built. A timed
-    content sorts by (symbol, timer), so its symbols come out in order."""
-    timed = isinstance(config, Configuration)
-
-    def render(node, kids: tuple) -> str:
-        objs = []
-        for entry, n in node.content.items():
-            sym = entry[0] if timed else entry
-            if drop is None or not drop(sym):
-                objs.extend([str(sym)] * n)
-        return _u_layout(node.label, objs, kids)
-
-    return state_key(rebuild_tree(config.skin, render), config.output_label)
+    if untimed, less each symbol ``drop`` selects (``u_render``)."""
+    return state_key(u_render(config.skin, drop), config.output_label)
 
 
 def erase_timers(config: Configuration) -> UConfig:

@@ -177,6 +177,17 @@ def test_move_rule_slots_are_built_once_and_stay_out_of_equality():
     assert rule != EndoRule("h", "m", Multiset([a, b]), v=Multiset([b]))
 
 
+def test_validate_names_an_unnamed_rule_by_its_position():
+    from mobilemem.engine import find_instances
+
+    ok = Configuration(mem("skin", INF))
+    rules = [RewriteRule("p", Multiset())]
+    want = "rule r0: rewrite left side is empty"
+    assert want in validate(ok, rules)
+    with pytest.raises(ValueError, match=want):
+        find_instances(ok, rules)
+
+
 def test_validate_tells_bare_symbols_from_timed_pairs():
     # an untimed membrane holds bare symbols, which are tuples too: they
     # must not be read as (symbol, timer) pairs
