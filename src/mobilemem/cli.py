@@ -277,10 +277,7 @@ def main(argv=None) -> int:
         for out in ("trace", "graph", "output"):  # the commands that write a file
             _check_out(getattr(args, out, None))
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (ParseError, InvalidSystemError, AmbientSyntaxError, TranslateError, CompileError) as err:
+    except (UsageError, ParseError, InvalidSystemError, AmbientSyntaxError, TranslateError, CompileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except BudgetExceeded as err:

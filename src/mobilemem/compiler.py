@@ -86,6 +86,9 @@ class OversizedError(CompileError):
         self.needed = needed
 
 
+#: The spec of every compiled product: untimed rules create all they make at ``INF``.
+_FRESH = Fresh(INF)
+
 _COUNTER_RE = re.compile(r"^b\$(.+)\$(\d+)$")
 
 
@@ -317,11 +320,13 @@ class MoveSchema(Sequence):
     the axes (active slots, passive slots, ``h``, ``m``), last axis
     fastest. Member ``i`` is built on demand by mixed-radix decoding of
     ``i``; ``size`` is their number, a plain int that may exceed what
-    ``len`` can return. In a member, carried objects advance their
-    counter by one, fresh objects start at 0, the active membrane's
-    counter advances, and the passive membrane's counter is bound and
-    advanced, which also enforces the "passive timer greater than 0"
-    precondition."""
+    ``len`` can return. A member's two sides are built alike: a side
+    consumes the rule's ``v`` (or ``v2``) with the counter of each of its
+    slots and of its membrane at the vector's values, and produces each
+    of the rule's products followed by its counter, at 0 when fresh and
+    at its slot's value plus one when carried, then its membrane's next
+    counter. Binding the passive membrane's counter also enforces the
+    "passive timer greater than 0" precondition."""
 
     rule: MoveRule
     active_lives: tuple
@@ -386,44 +391,25 @@ class MoveSchema(Sequence):
 
     def _member(self, vector) -> MoveRule:
         rule = self.rule
-        n_active, n_passive = len(self.active_lives), len(self.passive_lives)
-        a_vec = vector[:n_active]
-        p_vec = vector[n_active:n_active + n_passive]
-        rest = list(vector[n_active + n_passive:])
-        t3 = rest.pop(0) if self.h_timer is not None else None
-        t6 = rest.pop(0) if self.m_timer is not None else None
-
-        v = rule.v
-        for sym, j in zip(rule.active_slots, a_vec):
-            v = v.add(make_counter(str(sym), j))
-        if t3 is not None:
-            v = v.add(make_counter(rule.h, t3))
-        v2 = rule.v2
-        for sym, j in zip(rule.passive_slots, p_vec):
-            v2 = v2.add(make_counter(str(sym), j))
-        if t6 is not None:
-            v2 = v2.add(make_counter(rule.m, t6))
-
-        def compile_prods(prods, vec):
-            compiled = []
+        axes = ([], [])  # per side: (counter, value) of its slots in order, then of its membrane
+        for (side, counters), j in zip(self._axes, vector):
+            axes[side].append((counters[j], j))
+        sides = []  # consumed, produced; active side first
+        for kept, prods, label, timer, held in (
+            (rule.v, rule.w, rule.h, self.h_timer, axes[0]),
+            (rule.v2, rule.w2, rule.m, self.m_timer, axes[1]),
+        ):
+            made = []
             for sym, spec in prods:
-                compiled.append((sym, Fresh(INF)))
-                if isinstance(spec, Fresh):
-                    compiled.append((make_counter(str(sym), 0), Fresh(INF)))
-                else:
-                    compiled.append((make_counter(str(sym), vec[spec.slot] + 1), Fresh(INF)))
-            return compiled
-
-        w = compile_prods(rule.w, a_vec)
-        if t3 is not None:
-            w.append((make_counter(rule.h, t3 + 1), Fresh(INF)))
-        w2 = compile_prods(rule.w2, p_vec)
-        if t6 is not None:
-            w2.append((make_counter(rule.m, t6 + 1), Fresh(INF)))
-
+                count = 0 if isinstance(spec, Fresh) else held[spec.slot][1] + 1
+                made += ((sym, _FRESH), (make_counter(str(sym), count), _FRESH))
+            if timer is not None:
+                made.append((make_counter(label, held[-1][1] + 1), _FRESH))
+            sides += (Multiset([*kept, *[counter for counter, _j in held]]), tuple(made))
+        v, w, v2, w2 = sides
         name = f"{rule.name or 'move'}:{','.join(map(str, vector))}"
         cls = EndoRule if isinstance(rule, EndoRule) else ExoRule
-        return cls(rule.h, rule.m, rule.u, v, v2, tuple(w), tuple(w2), name=name)
+        return cls(rule.h, rule.m, rule.u, v, v2, w, w2, name=name)
 
 
 class CompiledRules(RuleTables):

@@ -353,7 +353,7 @@ def at_rest(config: Configuration) -> Configuration:
     """``config`` at clock 0: each finite timer less its clock. Subtrees
     with no finite timer are shared, uids are kept, equal contents are
     shifted once, and every node built gets its least timer, as the
-    step's nodes do."""
+    step's nodes do. The key ``config`` holds, if any, is kept."""
     clock = config.clock
     if not clock:
         return config
@@ -372,7 +372,9 @@ def at_rest(config: Configuration) -> Configuration:
             return rest
 
         skin = rebuild_tree(skin, make, _timeless)
-    return Configuration(skin, config.output_label)
+    rest = Configuration(skin, config.output_label)
+    object.__setattr__(rest, "_key", config._key)  # a key reads remaining timers
+    return rest
 
 
 def _timeless(node: MembraneNode) -> bool:
@@ -405,7 +407,9 @@ class Carry:
 Prod = tuple  # (Symbol, Fresh | Carry)
 
 
-def _slot_tuple(u: Multiset, v: Multiset) -> tuple:
+def slot_tuple(u: Multiset, v: Multiset) -> tuple:
+    """A side's slots, which a ``Carry`` indexes: ``u``'s members in
+    order, one per copy, then ``v``'s."""
     return tuple(u) + tuple(v)
 
 
@@ -438,11 +442,11 @@ class MoveRule:
 
     @cached_property
     def active_slots(self) -> tuple:
-        return _slot_tuple(self.u, self.v)
+        return slot_tuple(self.u, self.v)
 
     @cached_property
     def passive_slots(self) -> tuple:
-        return _slot_tuple(self.u_bar, self.v2)
+        return slot_tuple(self.u_bar, self.v2)
 
 
 @dataclass(frozen=True)
@@ -476,6 +480,11 @@ class RewriteRule:
 Rule = Union[EndoRule, ExoRule, RewriteRule]
 
 
+def rule_name(rule: Rule, index: int) -> str:
+    """``rule``'s name; an unnamed rule is ``r<index>``, its place in its rules."""
+    return rule.name or f"r{index}"
+
+
 class RuleTables:
     """A rule container that cannot change and owns the matcher tables
     derived from it: ``table(build)`` is ``build(self)``, worked out on
@@ -494,7 +503,7 @@ class RuleTables:
         if found is None:
             for base, rule in self.parts:
                 if isinstance(rule, RewriteRule) and not rule.lhs:
-                    raise ValueError(f"rule {rule.name or f'r{base}'}: rewrite left side is empty")
+                    raise ValueError(f"rule {rule_name(rule, base)}: rewrite left side is empty")
             found = self._tables.setdefault(build, build(self))
         return found
 
@@ -637,16 +646,16 @@ def output_membranes(config) -> tuple:
 # ---------------------------------------------------------------------------
 # Validation
 
-def _check_prods(side: str, prods: tuple, slots_of: Callable[[], tuple], out: list, rule_name: str) -> None:
+def _check_prods(side: str, prods: tuple, slots_of: Callable[[], tuple], out: list, name: str) -> None:
     """``slots_of`` builds the side's slot tuple, which sorts a multiset, so
     it is called only when a product carries a timer."""
     carried = [(sym, spec.slot) for sym, spec in prods if isinstance(spec, Carry)]
     slots = slots_of() if carried else ()
     for sym, slot in carried:
         if not 0 <= slot < len(slots):
-            out.append(f"rule {rule_name}: carry slot {slot} out of range in {side}")
+            out.append(f"rule {name}: carry slot {slot} out of range in {side}")
         elif slots[slot] != sym:
-            out.append(f"rule {rule_name}: carry slot {slot} binds {slots[slot]}, not {sym}, in {side}")
+            out.append(f"rule {name}: carry slot {slot} binds {slots[slot]}, not {sym}, in {side}")
 
 
 #: A plain name, as the ``.mms`` lexer reads an identifier.
@@ -683,7 +692,7 @@ def validate(config: Configuration, rules: Iterable[Rule] = ()) -> list[str]:
             if t != INF and (not isinstance(t, int) or t < 0):
                 violations.append(f"object {sym} has invalid timer {t!r}")
     for base, rule in enumerate(rules):
-        name = rule.name or f"r{base}"
+        name = rule_name(rule, base)
         if isinstance(rule, MoveRule):
             if not rule.u:
                 violations.append(f"rule {name}: trigger multiset u is empty")

@@ -126,6 +126,7 @@ from .core import (
     render_at,
     render_node,
     render_objects,
+    rule_name,
     rule_set,
     state_key,
     timer_str,
@@ -211,7 +212,7 @@ class Instance:
         )
 
     def describe(self) -> str:
-        name = self.rule.name or f"r{self.rule_index}"
+        name = rule_name(self.rule, self.rule_index)
         binds = ",".join(f"{s}:{timer_str(t)}" for s, t in self.active_classes)
         if self.passive_uid is None:
             return f"{name}@{self.active_uid}{{{binds}}}"
@@ -220,7 +221,7 @@ class Instance:
 
     def to_json(self) -> dict:
         return {
-            "rule": self.rule.name or f"r{self.rule_index}",
+            "rule": rule_name(self.rule, self.rule_index),
             "active": self.active_uid,
             "passive": self.passive_uid,
             "active_bindings": [[str(s), timer_str(t)] for s, t in self.active_classes],
@@ -618,8 +619,8 @@ def successors(
     (``_composed_key``, ``_compose``). The key is the one ``canonicalize``
     gives for the merged choice's step, and the successor is that step's
     up to sibling order, which is not part of a state: it lists the skin's
-    children part by part. Of combinations with one key, the first in
-    choice order wins. ``memo`` holds part outcomes,
+    children part by part, and keeps the key. Of combinations with one
+    key, the first in choice order wins. ``memo`` holds part outcomes,
     keyed by all they depend on: the rules, the skin's label and uid, the
     clock, the skin's contents when the part holds them and the identity
     of the part's members; it holds the rules and members alive, so the
@@ -643,7 +644,9 @@ def successors(
     for key in sorted(seen):
         combo = seen[key]
         choice = tuple([inst for _k, inst in sorted([pair for part in combo for pair in part.keyed], key=_first)])
-        found.append((choice, _compose(config, combo), key))
+        successor = _compose(config, combo)
+        object.__setattr__(successor, "_key", key)
+        found.append((choice, successor, key))
     return found
 
 

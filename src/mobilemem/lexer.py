@@ -125,8 +125,13 @@ class Cursor:
     def expect(self, kind: str, what: str = "") -> tuple:
         tok = self.next()
         if tok[0] != kind:
-            self.fail(f"expected {what or kind!r}, found {tok[1]!r}", tok)
+            self.refuse(tok[2], what or kind)
         return tok
+
+    def refuse(self, p: int, what: str) -> NoReturn:
+        """Raise ``expect``'s error at token ``p``, which is not ``what``."""
+        self.pos = p
+        self.fail(f"expected {what!r}, found {self.values[p]!r}")
 
     def timer(self) -> Timer:
         tok = self.next()

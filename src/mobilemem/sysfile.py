@@ -27,7 +27,7 @@ positional (``r0``, ``r1``, ...) and not serialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NoReturn, Union
 
 from .core import (
     DELTA_NAME,
@@ -45,6 +45,7 @@ from .core import (
     Symbol,
     number_fresh,
     rebuild_tree,
+    slot_tuple,
     timer_str,
     validate,
 )
@@ -101,12 +102,11 @@ def _timer_value(value: str):
 
 
 class _Parser(Cursor):
-    """The ``.mms`` reader. Membrane headers, objects and the symbols of
-    rule sides are read straight off the token lists, and each symbol,
-    timer and ``Fresh`` spec is made once per parse (``_Made``). Where a
-    piece is anything but its usual form, the reader goes back to the
-    piece's first token and reads it through ``expect``, ``symbol`` and
-    ``timer``, which raise the error."""
+    """The ``.mms`` reader. Membrane heads, objects and the symbols of
+    rule sides are read straight off the token lists in one pass, and each
+    symbol, timer and ``Fresh`` spec is made once per parse (``_Made``).
+    The first token the grammar refuses raises the error ``expect`` or
+    ``timer`` would raise there (``refuse``, ``refuse_timer``)."""
 
     error = ParseError
 
@@ -119,6 +119,11 @@ class _Parser(Cursor):
 
     def ident(self, what: str = "identifier") -> str:
         return self.expect("ident", what)[1]
+
+    def refuse_timer(self, p: int) -> NoReturn:
+        """Raise ``timer``'s error at token ``p``, which spells no timer."""
+        self.pos = p
+        self.timer()
 
     # -- header ------------------------------------------------------------
     def header(self) -> None:
@@ -136,13 +141,6 @@ class _Parser(Cursor):
         self.compiled = self.strict = False
         while self.peek()[0] == "ident" and self.peek()[1] in ("compiled", "strict"):
             setattr(self, self.next()[1], True)
-
-    def symbol(self) -> Symbol:
-        names = self.plain
-        if self.peek()[0] == "~":
-            self.next()
-            names = self.co
-        return names[self.ident("object name")]
 
     # -- membranes ----------------------------------------------------------
     def membrane(self):
@@ -172,23 +170,20 @@ class _Parser(Cursor):
         """A membrane's label and timer, from ``label:timer[``
         (``label[`` untimed)."""
         kinds, values, p = self.kinds, self.values, self.pos
-        if kinds[p] == "ident":
-            if not self.timed:
-                if kinds[p + 1] == "[":
-                    self.pos = p + 2
-                    return values[p], INF
-            elif kinds[p + 1] == ":":
-                timer = self.timers[values[p + 2]]
-                if timer is not None and kinds[p + 3] == "[":
-                    self.pos = p + 4
-                    return values[p], timer
-        label = self.ident("membrane label")
-        timer = INF
+        if kinds[p] != "ident":
+            self.refuse(p, "membrane label")
+        q, timer = p + 1, INF
         if self.timed:
-            self.expect(":", "':timer'")
-            timer = self.timer()
-        self.expect("[")
-        return label, timer
+            if kinds[q] != ":":
+                self.refuse(q, "':timer'")
+            timer = self.timers[values[q + 1]]
+            if timer is None:
+                self.refuse_timer(q + 1)
+            q += 2
+        if kinds[q] != "[":
+            self.refuse(q, "[")
+        self.pos = q + 1
+        return values[p], timer
 
     def objects(self) -> list:
         """A membrane's comma-separated objects, each ``[~]name:timer``
@@ -199,53 +194,47 @@ class _Parser(Cursor):
         plain, co, timers, timed = self.plain, self.co, self.timers, self.timed
         out = []
         while True:
-            names, q = plain, p
-            if kinds[q] == "~":
-                names, q = co, q + 1
-            obj = None
-            if kinds[q] == "ident":
-                if not timed:
-                    obj, q = names[values[q]], q + 1
-                elif kinds[q + 1] == ":":
-                    timer = timers[values[q + 2]]
-                    if timer is not None:
-                        obj, q = (names[values[q]], timer), q + 3
-            if obj is None:
+            names = plain
+            if kinds[p] == "~":
+                names, p = co, p + 1
+            if kinds[p] != "ident":
+                self.refuse(p, "object name")
+            if timed:
+                if kinds[p + 1] != ":":
+                    self.refuse(p + 1, "':timer'")
+                timer = timers[values[p + 2]]
+                if timer is None:
+                    self.refuse_timer(p + 2)
+                out.append((names[values[p]], timer))
+                p += 3
+            else:
+                out.append(names[values[p]])
+                p += 1
+            if kinds[p] != ",":
                 self.pos = p
-                obj, q = self.obj(), self.pos
-            out.append(obj)
-            if kinds[q] != ",":
-                self.pos = q
                 return out
-            p = q + 1
-
-    def obj(self):
-        sym = self.symbol()
-        if not self.timed:
-            return sym
-        self.expect(":", "':timer'")
-        return (sym, self.timer())
+            p += 1
 
     # -- rules --------------------------------------------------------------
-    def at_stop(self, stops: set) -> bool:
-        """The next token ends a rule side: a stop, eof or a rule keyword."""
-        kind, val, _index = self.peek()
-        return kind in stops or kind == "eof" or (kind == "ident" and val in _KEYWORDS)
-
     def next_symbol(self, stops: set) -> Symbol | None:
         """The symbol of a rule side that the next token starts, ``None``
-        at the side's end (``at_stop``)."""
+        at the side's end: a stop, eof or a rule keyword."""
         kinds, p = self.kinds, self.pos
         kind = kinds[p]
         if kind == "ident":
             name = self.values[p]
-            if name not in _KEYWORDS:
-                self.pos = p + 1
-                return self.plain[name]
-        elif kind == "~" and kinds[p + 1] == "ident":
+            if name in _KEYWORDS:
+                return None
+            self.pos = p + 1
+            return self.plain[name]
+        if kind == "~":
+            if kinds[p + 1] != "ident":
+                self.refuse(p + 1, "object name")
             self.pos = p + 2
             return self.co[self.values[p + 1]]
-        return None if self.at_stop(stops) else self.symbol()
+        if kind in stops or kind == "eof":
+            return None
+        self.refuse(p, "object name")
 
     def symbols_until(self, stops: set) -> list[Symbol]:
         out = []
@@ -290,22 +279,21 @@ class _Parser(Cursor):
         h = self.ident("active label")
         m = self.ident("passive label")
         self.expect(":")
-        u = self.symbols_until({"|"})
+        u = Multiset(self.symbols_until({"|"}))
         self.expect("|")
-        v = self.symbols_until({","})
+        v = Multiset(self.symbols_until({","}))
         self.expect(",")
         u_bar_listed = Multiset(self.symbols_until({"|"}))
         self.expect("|")
-        v2 = self.symbols_until({"=>"})
+        v2 = Multiset(self.symbols_until({"=>"}))
         self.expect("=>")
         cls = EndoRule if keyword == "endo" else ExoRule
-        u_bar = [(self.plain if sym.is_co else self.co)[sym.name] for sym in u]
-        # a multiset's items in order are its members sorted
-        w = self.products_until({"|"}, tuple(sorted(u) + sorted(v)))
+        u_bar = Multiset([(self.plain if sym.is_co else self.co)[sym.name] for sym in u])
+        w = self.products_until({"|"}, slot_tuple(u, v))
         self.expect("|")
-        w2 = self.products_until(set(), tuple(sorted(u_bar) + sorted(v2)))
-        rule = cls(h, m, Multiset(u), Multiset(v), Multiset(v2), w, w2, name=f"r{index}", keep_active_timer=self.strict)
-        if u_bar_listed != Multiset(u_bar):
+        w2 = self.products_until(set(), slot_tuple(u_bar, v2))
+        rule = cls(h, m, u, v, v2, w, w2, name=f"r{index}", keep_active_timer=self.strict)
+        if u_bar_listed != u_bar:
             self.fail(f"passive trigger must be the duals of u ({'/'.join(map(str, rule.u_bar))})")
         return rule
 

@@ -60,6 +60,7 @@ from .core import (
     fresh_uid,
     memo_slot,
     rebuild_tree,
+    rule_name,
     rule_set,
     state_key,
     walk_tree,
@@ -170,14 +171,14 @@ class UInstance(Instance):
     __slots__ = ()
 
     def describe(self) -> str:
-        name = self.rule.name or f"r{self.rule_index}"
+        name = rule_name(self.rule, self.rule_index)
         if self.passive_uid is None:
             return f"{name}@{self.active_uid}"
         return f"{name}@{self.active_uid}->{self.passive_uid}"
 
     def to_json(self) -> dict:
         return {
-            "rule": self.rule.name or f"r{self.rule_index}",
+            "rule": rule_name(self.rule, self.rule_index),
             "active": self.active_uid,
             "passive": self.passive_uid,
             "active_bindings": [[str(s), None] for s in self.active_classes],

@@ -7,8 +7,8 @@ more of them; choose it before changing the engines with::
 
     HYPOTHESIS_PROFILE=deep PYTHONPATH=src python -m pytest -q tests/test_engine.py
 
-The ``deep`` workflow runs it weekly over ``tests/test_engine.py`` and
-``tests/test_untimed.py``.
+The ``deep`` workflow runs it weekly over ``tests/test_engine.py``,
+``tests/test_untimed.py`` and ``tests/test_lexer.py``.
 
 A test's own ``@settings`` still overrides the profile it names.
 

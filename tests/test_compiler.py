@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import random
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from mobilemem.core import (
     INF,
     Configuration,
     EndoRule,
+    ExoRule,
     Fresh,
     Multiset,
     RewriteRule,
@@ -227,6 +229,75 @@ def test_schema_matcher_equals_the_expanded_family():
             assert [(i.active_classes, i.passive_classes) for i in got] == [
                 (i.active_classes, i.passive_classes) for i in want
             ]
+
+
+def _reference_member(schema, vector):
+    """``MoveSchema._member`` as it was written before its two sides were
+    built in one loop: each side by hand, its consumed counters added one
+    by one, its products compiled by a nested function."""
+    rule = schema.rule
+    n_active, n_passive = len(schema.active_lives), len(schema.passive_lives)
+    a_vec = vector[:n_active]
+    p_vec = vector[n_active:n_active + n_passive]
+    rest = list(vector[n_active + n_passive:])
+    t3 = rest.pop(0) if schema.h_timer is not None else None
+    t6 = rest.pop(0) if schema.m_timer is not None else None
+
+    v = rule.v
+    for sym, j in zip(rule.active_slots, a_vec):
+        v = v.add(make_counter(str(sym), j))
+    if t3 is not None:
+        v = v.add(make_counter(rule.h, t3))
+    v2 = rule.v2
+    for sym, j in zip(rule.passive_slots, p_vec):
+        v2 = v2.add(make_counter(str(sym), j))
+    if t6 is not None:
+        v2 = v2.add(make_counter(rule.m, t6))
+
+    def compile_prods(prods, vec):
+        compiled = []
+        for sym, spec in prods:
+            compiled.append((sym, Fresh(INF)))
+            if isinstance(spec, Fresh):
+                compiled.append((make_counter(str(sym), 0), Fresh(INF)))
+            else:
+                compiled.append((make_counter(str(sym), vec[spec.slot] + 1), Fresh(INF)))
+        return compiled
+
+    w = compile_prods(rule.w, a_vec)
+    if t3 is not None:
+        w.append((make_counter(rule.h, t3 + 1), Fresh(INF)))
+    w2 = compile_prods(rule.w2, p_vec)
+    if t6 is not None:
+        w2.append((make_counter(rule.m, t6 + 1), Fresh(INF)))
+
+    name = f"{rule.name or 'move'}:{','.join(map(str, vector))}"
+    cls = EndoRule if isinstance(rule, EndoRule) else ExoRule
+    return cls(rule.h, rule.m, rule.u, v, v2, tuple(w), tuple(w2), name=name)
+
+
+def test_schema_members_equal_the_reference_builder():
+    # every member of W3 at T=1..5 and of every schema of timed corpus
+    # seeds 0-119, read by index and by iteration
+    systems = [(sf.config, sf.rules) for sf in map(w3, range(1, 6))]
+    systems += [random_timed_system(seed) for seed in range(120)]
+    schemas = []
+    for config, rules in systems:
+        try:
+            _ucfg, compiled = eliminate_timers(config, rules)
+        except CompileError:
+            continue
+        schemas += [item for _base, item in compiled.parts if isinstance(item, MoveSchema)]
+    assert len(schemas) > 100
+    for schema in schemas:
+        radices = [range(len(counters)) for _side, counters in schema._axes]
+        members = list(schema)
+        assert len(members) == schema.size
+        for i, vector in enumerate(itertools.product(*radices)):
+            want = _reference_member(schema, vector)
+            for got in (schema[i], members[i]):
+                assert type(got) is type(want) and got == want
+                assert (got.name, got.u, got.v, got.v2, got.w, got.w2) == (want.name, want.u, want.v, want.v2, want.w, want.w2)
 
 
 def test_compiled_output_is_pinned():

@@ -1791,6 +1791,33 @@ def test_a_configuration_renders_its_key_once(monkeypatch):
     assert traces[0].records[-1].key == traces[0].records[-1].key and renders.n == 2
 
 
+def test_the_final_state_at_rest_keeps_the_key_of_the_last_record(monkeypatch):
+    # ``Trace.final`` is the last state turned back to clock 0, whose key
+    # is the one its last record read: reading it folds the tree no more
+    sf = parse_system("mms 1 timed\noutput skin\nskin:inf[ ; p:inf[ a:inf ] z:50[ x:40 ] ]\nrw * : a => a:+3\n")
+    trace = run(sf.config, sf.rules, 3)
+    assert trace.reached.clock == 3
+    last = trace.records[-1].key
+    renders = count_calls(monkeypatch, "mobilemem.core.render_at")
+    assert canonicalize(trace.final) == last and renders.n == 0
+    assert canonical_render(trace.final.skin) + "|out=skin" == last
+
+
+def test_a_composed_successor_keeps_the_key_it_was_composed_with(monkeypatch):
+    # two parts of the skin with two outcomes each: four successors are
+    # composed from their parts, each with its key
+    sf = parse_system(
+        "mms 1 timed\noutput skin\nskin:inf[ ; p:inf[ a:inf ] q:inf[ a:inf ] ]\n"
+        "rw * : a => b:+3\nrw * : a => c:+3\n"
+    )
+    found = successors(sf.config, sf.rules)
+    assert len(found) == 4
+    renders = count_calls(monkeypatch, "mobilemem.core.render_at")
+    assert [canonicalize(config) for _choice, config, _key in found] == [key for _c, _s, key in found]
+    assert renders.n == 0
+    assert [canonical_render(at_rest(config).skin) + "|out=skin" for _c, config, _k in found] == [key for _c, _s, key in found]
+
+
 # ---------------------------------------------------------------------------
 # The least saturated choice (ROADMAP item 14): a ``first`` run takes
 # ``choices.least_choice``, found in one greedy pass, and asks whether a

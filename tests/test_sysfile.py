@@ -133,6 +133,20 @@ def test_bad_inputs_have_positions():
         parse_system("mms 1 timed\noutput skin\nskin:inf[]\nrw h : @ => b:+1\n")
 
 
+@pytest.mark.parametrize("mode, line, message", [
+    ("untimed", "skin ]", "3:6: expected '[', found ']'"),
+    ("timed", "skin:inf[ a ]", "3:13: expected \"':timer'\", found ']'"),
+    ("timed", "skin:inf[]\nendo h m : ~ | , | => |", "4:14: expected 'object name', found '|'"),
+    ("timed", "skin:x[ ]", "3:6: expected a timer (natural number or inf)"),
+    ("timed", "skin:inf[ a:2, ~ ]", "3:18: expected 'object name', found ']'"),
+    ("untimed", "skin[ a, : ]", "3:10: expected 'object name', found ':'"),
+])
+def test_a_head_an_object_or_a_rule_side_is_refused_at_its_first_bad_token(mode, line, message):
+    with pytest.raises(ParseError) as caught:
+        parse_system(f"mms 1 {mode}\noutput skin\n{line}\n")
+    assert str(caught.value) == message
+
+
 def test_products_require_timer_spec_in_timed_mode():
     with pytest.raises(ParseError, match="needs"):
         parse_system(
