@@ -273,7 +273,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra and args.file is None and not extra[0].startswith("-"):
+            # older Pythons (3.11, say) bind check's optional file to
+            # nothing when an option stands after prop: it is left over
+            args.file, extra = extra[0], extra[1:]
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         for out in ("trace", "graph", "output"):  # the commands that write a file
             _check_out(getattr(args, out, None))
         return args.func(args)

@@ -15,9 +15,12 @@ one untimed rule per admissible counter vector. Such a family grows as
 the product of the lifetimes involved, so it is kept as a ``MoveSchema``
 whose members are built only when read. ``lifetime(a)`` is the maximum
 timer with which ``a`` is ever created (initial configuration or fresh
-right-hand sides). ``plan_elimination`` counts the compiled rules from the
-lifetimes and label timers before it builds any, so a caller can refuse a
-system too large to write without building it; ``eliminate_timers``
+right-hand sides). ``plan_elimination`` learns the lifetimes, the label
+timers and every fault that puts a system outside the construction's
+domain from one walk of the tree and one pass over the rules, and refuses
+such a system naming its first fault in a fixed order. It counts the
+compiled rules before it builds any, so a caller can refuse a system too
+large to write without building it; ``eliminate_timers``
 itself refuses one whose tick and kill rules, which it builds at once,
 are over ``MAX_COMPILED_RULES``.
 
@@ -116,35 +119,51 @@ def _counter_of(sym: Symbol) -> tuple[str, int] | None:
     return parse_counter(sym)
 
 
-def _rule_products(rules: Sequence[Rule]):
+def _survey(config: Configuration, rules: Sequence[Rule]) -> tuple:
+    """What timer elimination reads of a timed system, from one walk of its
+    tree and one pass over its rules: each label's timer; the first label
+    met again with another timer; whether a rule is a rewrite; the first
+    object held with timer INF and the first fresh product with timer INF;
+    every symbol, as the keys of a dict in the order first met; and each
+    created symbol's largest creation timer."""
+    labels: dict[str, Timer] = {}
+    symbols: dict[Symbol, None] = {}
+    top: dict[Symbol, Timer] = {}
+    clash = inf_object = inf_product = None
+    for node in config.skin.walk():
+        if labels.setdefault(node.label, node.timer) != node.timer and clash is None:
+            clash = node.label
+        for (s, t), _n in node.content.items():
+            symbols[s] = None
+            top[s] = max(t, top.get(s, t))
+            if t == INF and inf_object is None:
+                inf_object = s
+    rewrites = False
     for rule in rules:
         if isinstance(rule, RewriteRule):
-            yield from rule.rhs
+            rewrites, sides, prods = True, (rule.lhs,), rule.rhs
         else:
-            yield from rule.w
-            yield from rule.w2
+            sides, prods = (rule.u, rule.v, rule.u_bar, rule.v2), rule.w + rule.w2
+        for side in sides:
+            symbols.update(dict.fromkeys(side))
+        for s, spec in prods:
+            symbols[s] = None
+            if isinstance(spec, Fresh):
+                top[s] = max(spec.timer, top.get(s, spec.timer))
+                if spec.timer == INF and inf_product is None:
+                    inf_product = s
+    return labels, clash, rewrites, inf_object, inf_product, symbols, top
 
 
 def lifetime(sym: Symbol, config: Configuration, rules: Sequence[Rule]) -> int:
     """Maximum timer with which ``sym`` is ever created; errors when the
     maximum is infinite or the symbol is never created."""
-    top = _creation_timers(config, rules).get(sym)
+    top = _survey(config, rules)[-1].get(sym)
     if top is None:
         raise CompileError(f"lifetime({sym}) undefined: the symbol is never created")
     if top == INF:
         raise CompileError(f"infinite lifetime: {sym} is created with timer inf")
     return int(top)
-
-
-def _creation_timers(config: Configuration, rules: Sequence[Rule]) -> dict[Symbol, Timer]:
-    """Every created symbol's largest creation timer, over the initial
-    contents and the rules' fresh products, in one pass."""
-    top: dict[Symbol, Timer] = {}
-    created = [key for node in config.skin.walk() for key, _n in node.content.items()]
-    created += [(s, spec.timer) for s, spec in _rule_products(rules) if isinstance(spec, Fresh)]
-    for s, t in created:
-        top[s] = max(t, top.get(s, t))
-    return top
 
 
 def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuration, RuleSet]:
@@ -169,52 +188,6 @@ def embed_infinite(config: UConfig, rules: Sequence[Rule]) -> tuple[Configuratio
 # ---------------------------------------------------------------------------
 # Timer elimination
 
-def _alphabet(config: Configuration, rules: Sequence[Rule]) -> set[Symbol]:
-    syms: set[Symbol] = set()
-    for node in config.skin.walk():
-        for (s, _t), _n in node.content.items():
-            syms.add(s)
-    for rule in rules:
-        for side in (rule.u, rule.v, rule.u_bar, rule.v2):
-            syms.update(side)
-        for s, _spec in rule.w + rule.w2:
-            syms.add(s)
-    return syms
-
-
-def _label_timers(config: Configuration) -> dict[str, Timer]:
-    timers: dict[str, Timer] = {}
-    for node in config.skin.walk():
-        if node.label in timers and timers[node.label] != node.timer:
-            raise CompileError(
-                f"label {node.label} is shared by membranes with different timers"
-            )
-        timers[node.label] = node.timer
-    return timers
-
-
-def _check_input(config: Configuration, rules: Sequence[Rule], label_timers: dict) -> None:
-    for rule in rules:
-        if isinstance(rule, RewriteRule):
-            raise CompileError("timer elimination covers endo/exo systems only")
-    for node in config.skin.walk():
-        for (s, t), _n in node.content.items():
-            if t == INF:
-                raise CompileError(f"object {s} has timer inf; only membranes may be untimed")
-    for sym in _alphabet(config, rules):
-        if "$" in sym.name:
-            raise CompileError(f"symbol {sym} collides with the counter spelling")
-        if sym.name == DELTA_NAME:
-            raise CompileError("the dissolution marker cannot be compiled")
-        if not sym.is_co and sym.name in label_timers and label_timers[sym.name] != INF:
-            raise CompileError(
-                f"object name {sym.name} collides with a finite-timer membrane label"
-            )
-    for s, spec in _rule_products(rules):
-        if isinstance(spec, Fresh) and spec.timer == INF:
-            raise CompileError(f"rule creates {s} with timer inf")
-
-
 def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UConfig, CompiledRules]:
     """Untimed system with the same evolution and output, per the counter
     construction. The skin and any INF-timer membrane get no counter and no
@@ -230,14 +203,34 @@ def eliminate_timers(config: Configuration, rules: Sequence[Rule]) -> tuple[UCon
 
 def plan_elimination(config: Configuration, rules: Sequence[Rule]) -> Elimination:
     """What ``eliminate_timers`` builds for ``config`` and ``rules``, sized
-    before any rule is built (``Elimination``). Raises ``CompileError`` on
-    a system outside the construction's domain."""
-    label_timers = _label_timers(config)
-    _check_input(config, rules, label_timers)
-    # _check_input has rejected every infinite creation timer; a symbol
-    # that is consumed but never created has no lifetime, and the rules
-    # that need it can never fire
-    lifetimes = {sym: int(t) for sym, t in _creation_timers(config, rules).items()}
+    before any rule is built (``Elimination``), from one walk of the tree
+    and one pass over the rules (``_survey``). Raises ``CompileError`` on a
+    system outside the construction's domain, naming the first fault in
+    this order: a label shared by membranes with different timers; a
+    rewrite rule; an object with timer INF; then, for each symbol in the
+    order first met (tree before rules), the counter spelling ``$``, the
+    dissolution marker, a plain name equal to a finite-timer label; last,
+    a fresh product with timer INF."""
+    label_timers, clash, rewrites, inf_object, inf_product, symbols, top = _survey(config, rules)
+    if clash is not None:
+        raise CompileError(f"label {clash} is shared by membranes with different timers")
+    if rewrites:
+        raise CompileError("timer elimination covers endo/exo systems only")
+    if inf_object is not None:
+        raise CompileError(f"object {inf_object} has timer inf; only membranes may be untimed")
+    for sym in symbols:
+        if "$" in sym.name:
+            raise CompileError(f"symbol {sym} collides with the counter spelling")
+        if sym.name == DELTA_NAME:
+            raise CompileError("the dissolution marker cannot be compiled")
+        if not sym.is_co and label_timers.get(sym.name, INF) != INF:
+            raise CompileError(f"object name {sym.name} collides with a finite-timer membrane label")
+    if inf_product is not None:
+        raise CompileError(f"rule creates {inf_product} with timer inf")
+    # every creation timer is finite now; a symbol that is consumed but
+    # never created has no lifetime, and the rules that need it can never
+    # fire
+    lifetimes = {sym: int(t) for sym, t in top.items()}
     families = [(str(sym), life, (sym,), None, ())
                 for sym, life in sorted(lifetimes.items(), key=lambda kv: str(kv[0]))]
     families += [(label, int(timer), (), label, ((DELTA, Fresh(INF)),))

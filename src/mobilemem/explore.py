@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import Configuration, Rule, canonicalize, output_membranes, rule_set
+from .core import Configuration, RewriteRule, Rule, canonicalize, output_membranes, rule_set
 from .engine import choice_describe, successors
 from .untimed import (
     UConfig,
@@ -50,7 +50,6 @@ from .compiler import (
     eliminate_timers,
     embed_infinite,
     _counter_of,
-    _label_timers,
 )
 from . import ambient as amb
 from .tree import drop_index
@@ -351,9 +350,9 @@ def check_timer_elimination(
         reason = (f"the compiled system needs {err.needed:,} tick and kill rules, "
                   f"over the {MAX_COMPILED_RULES:,} check prop2 builds")
         return Verdict("prop2", None, {"reason": reason})
-    counter_labels = {
-        label for label, t in _label_timers(config).items() if t != float("inf")
-    }
+    # a finite-timer label is one that a kill rule is hosted at
+    counter_labels = {rule.at for _start, rule in compiled_rules.parts
+                      if isinstance(rule, RewriteRule) and rule.at is not None}
     try:
         timed_graph = explore_membranes(config, rules, depth, max_nodes)
         compiled_graph = explore_untimed(compiled_config, compiled_rules, depth, max_nodes)

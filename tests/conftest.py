@@ -10,7 +10,9 @@ more of them; choose it before changing the engines with::
 The ``deep`` workflow runs it weekly over ``tests/test_engine.py``,
 ``tests/test_untimed.py`` and ``tests/test_lexer.py``.
 
-A test's own ``@settings`` still overrides the profile it names.
+A test's own ``@settings`` still overrides the profile it names, so a
+test that asks for more examples than ``tier1`` gives passes
+``examples(n)``: a floor of ``n`` that the profile's count raises.
 
 ``count_calls`` counts the calls of a package function, for tests that
 pin work counts. ``w4`` builds the ROADMAP's W4 process.
@@ -28,6 +30,12 @@ from mobilemem.ambient import parse_ambient
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=100)
 settings.register_profile("deep", deadline=None, max_examples=5_000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+
+def examples(floor: int) -> int:
+    """A property's example count: ``floor``, or the loaded profile's
+    count where that is larger."""
+    return max(floor, settings.default.max_examples)
 
 
 def count_calls(monkeypatch, target: str, items: bool = False) -> SimpleNamespace:

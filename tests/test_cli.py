@@ -329,6 +329,24 @@ def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys, monkeyp
         assert [c.n for c in calls] == [0] * len(work)
 
 
+@pytest.mark.parametrize("prop, name, text", [
+    ("prop45", "same.amb", "n:3[ in:2 n ] | n:3[ ~in:2 n ]\n"),
+    ("prop2", "s1.mms", S1_TEXT),
+], ids=["prop45", "prop2"])
+def test_check_reads_its_file_before_or_after_its_options(tmp_path, capsys, prop, name, text):
+    # an optional positional after an option is left unbound by argparse
+    # on some Pythons: the file must be read there too
+    path = tmp_path / name
+    path.write_text(text)
+    outs = []
+    for argv in (["check", prop, str(path), "--depth", "2"], ["check", prop, "--depth", "2", str(path)]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and json.loads(outs[0].out)["verdict"] == "pass"
+    assert main(["check", prop, "--depth", "2", str(path), "extra"]) == 3
+    assert capsys.readouterr().err == "error: unrecognized arguments: extra\n"
+
+
 def test_check_given_a_file_and_a_corpus_exits_3_naming_both(s1_file, capsys):
     assert main(["check", "prop2", s1_file, "--depth", "2", "--corpus", "0,1"]) == 3
     out, err = capsys.readouterr()
@@ -407,6 +425,11 @@ def test_failing_and_inconclusive_checks_exit_1_and_2(tmp_path, s1_file, capsys)
     assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
     assert main(["check", "prop2", s1_file, "--depth", "3", "--max-nodes", "1"]) == 2
     assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+    untimed = tmp_path / "u.mms"
+    untimed.write_text(U_TEXT)
+    assert main(["check", "prop1", str(untimed), "--depth", "3", "--max-nodes", "1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"check": "prop1", "verdict": "inconclusive", "details": {
+        "reason": "exploration exceeded 1 nodes while expanding depth 0 (frontier of 1 states)"}}
     # an explore over budget still prints and writes the graph it reached
     graph_file = tmp_path / "partial.json"
     assert main(["explore", s1_file, "--depth", "3", "--max-nodes", "1", "--graph", str(graph_file)]) == 2

@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -28,6 +30,7 @@ from mobilemem.compiler import (
     lifetime,
     make_counter,
     parse_counter,
+    plan_elimination,
     project,
 )
 import mobilemem.compiler as compiler
@@ -53,6 +56,10 @@ def test_lifetime_is_max_over_creation_sites():
 
     cfg2 = Configuration(mem("skin", INF, [], [mem("h", 2, [(a, 7)])]))
     assert lifetime(a, cfg2, []) == 7
+
+    # lifetime reads what a rewrite creates, though timer elimination refuses rewrites
+    rewrite = RewriteRule("h", Multiset([a]), ((b, Fresh(4)),))
+    assert lifetime(b, cfg, [rewrite, EndoRule("h", "m", Multiset([a]), w=((b, Fresh(2)),))]) == 4
 
 
 def test_lifetime_rejects_infinity_and_absence():
@@ -144,6 +151,52 @@ def test_eliminate_rejections():
     shared = Configuration(mem("skin", INF, [], [mem("h", 2), mem("h", 3)]))
     with pytest.raises(CompileError, match="shared"):
         eliminate_timers(shared, [])
+
+
+# One system with a fault of every kind timer elimination refuses, and,
+# in the order they are refused, each fault's message and the edit that
+# mends it.
+ALL_FAULTS = """mms 1 timed
+output skin
+skin:inf[ ; h:2[ a$1:inf, a1:2, z:1 ] m:3[ ~a1:2 ] z:2[ ] h:3[ ] ]
+rw h : a1 => a1:+1
+endo h m : a1 | delta , ~a1 | => b:+inf |
+"""
+FAULTS = [
+    ("label h is shared by membranes with different timers", "h:3[ ] ", ""),
+    ("timer elimination covers endo/exo systems only", "rw h : a1 => a1:+1\n", ""),
+    ("object a$1 has timer inf; only membranes may be untimed", "a$1:inf", "a$1:2"),
+    ("symbol a$1 collides with the counter spelling", "a$1:2, ", ""),
+    ("object name z collides with a finite-timer membrane label", "z:2[ ] ", ""),
+    ("the dissolution marker cannot be compiled", "| delta ,", "| ,"),
+    ("rule creates b with timer inf", "b:+inf", "b:+2"),
+]
+
+
+def test_a_system_is_refused_at_its_first_fault_in_a_fixed_order():
+    # the first message is the label clash's, though every fault is
+    # present; each mended fault hands the refusal to the next
+    text = ALL_FAULTS
+    for message, fault, mended in FAULTS:
+        sf = parse_system(text)
+        with pytest.raises(CompileError) as err:
+            plan_elimination(sf.config, sf.rules)
+        assert str(err.value) == message
+        text = text.replace(fault, mended)
+    sf = parse_system(text)
+    assert plan_elimination(sf.config, sf.rules).size > 0
+
+
+def test_the_refusal_does_not_depend_on_hash_order(tmp_path):
+    # three symbols with the counter spelling: the first met is named,
+    # whatever order strings hash in
+    path = tmp_path / "dollars.mms"
+    path.write_text("mms 1 timed\noutput skin\nskin:inf[ ; h:3[ a$1:2, b$2:2, c$3:2 ] ]\n")
+    for seed in ("0", "1", "2"):
+        done = subprocess.run([sys.executable, "-m", "mobilemem", "compile", str(path)], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "error: symbol a$1 collides with the counter spelling\n"), seed
 
 
 def test_inf_membranes_get_no_counter():

@@ -155,6 +155,10 @@ def test_validate_flags_violations():
     good_rule = EndoRule("h", "m", Multiset([a]), w=((a, Carry(0)),))
     assert validate(ok, [good_rule]) == []
 
+    h = mem("h", 3)
+    twins = Configuration(mem("skin", INF, [], [h, MembraneNode("k", 2, Multiset(), uid=h.uid)]))
+    assert validate(twins) == [f"duplicate membrane uid {h.uid}"]
+
 
 def test_symbol_reads_and_orders_as_its_name_and_co_bit():
     co_a = Symbol("a", True)

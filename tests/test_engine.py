@@ -63,7 +63,7 @@ from mobilemem.tree import drop_index, index_of
 from mobilemem.untimed import (
     erase_timers, u_apply, u_canonicalize, u_find_instances, u_maximal_choices, u_run, u_successors,
 )
-from conftest import count_calls, w4
+from conftest import count_calls, examples, w4
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
 DELTA = Symbol("delta")
@@ -398,6 +398,16 @@ def test_run_zero_steps():
     trace = run(cfg, [E1], 0)
     assert trace.records == []
     assert trace.final == cfg
+
+
+def test_a_run_refuses_negative_steps_and_an_unknown_selector():
+    for simulate, cfg in ((run, s1()), (u_run, erase_timers(s1()))):
+        with pytest.raises(ValueError) as err:
+            simulate(cfg, [E1], -1)
+        assert str(err.value) == "steps must be >= 0"
+        with pytest.raises(ValueError) as err:
+            simulate(cfg, [E1], 1, "last")
+        assert str(err.value) == "unknown selector 'last'"
 
 
 def test_run_executes_the_forced_endo():
@@ -799,7 +809,7 @@ def _reference_size(root, rules):
     return size
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(crowded_systems())
 def test_choice_sets_match_reference_on_crowded_systems(system):
     cfg, rules = system
@@ -811,9 +821,15 @@ def test_choice_sets_match_reference_on_crowded_systems(system):
         ref.choices(root, rules, saturated=False))
     ucfg = erase_timers(cfg)
     timed_cfg, timed_rules = embed_infinite(ucfg, rules)
+    timed_root = ref.from_config(timed_cfg)
+    # with every timer INF the reference may list millions of count
+    # vectors (4,194,304 for a drawn system whose own count is 16: 45 s on
+    # a 2-core x86-64 host); every tier-1 example is compared (12,288 at most)
+    if _reference_size(timed_root, timed_rules) > 1 << 14:
+        return
     want = sorted(
         sorted((r, act, -1 if pas is None else pas) for r, act, pas, _ab, _pb in ch)
-        for ch in ref.choices(ref.from_config(timed_cfg), timed_rules, True)
+        for ch in ref.choices(timed_root, timed_rules, True)
     )
     got = sorted(
         sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ch)
@@ -1878,7 +1894,7 @@ def _least_reference_choice(root, rules):
     return min(sorted(_ref_choice_set([ch])[0]) for ch in ref.choices(root, rules, saturated=True))
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(contested_systems())
 def test_the_greedy_choice_is_the_least_saturated_choice(system):
     cfg, rules = system

@@ -30,7 +30,7 @@ from mobilemem.explore import (
     explore_untimed,
 )
 from mobilemem import compiler
-from mobilemem.compiler import _counter_of, _label_timers, counter_soundness_violations, eliminate_timers, embed_infinite
+from mobilemem.compiler import _counter_of, counter_soundness_violations, eliminate_timers, embed_infinite
 from mobilemem.engine import find_instances, successors
 from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.tree import drop_index, index_of
@@ -641,7 +641,7 @@ def _prop2_by_depth(config, rules, depth) -> dict:
     """prop2's verdict JSON as it was computed before least depths: both
     cumulative projected sets rebuilt for every bound k <= depth."""
     compiled_config, compiled_rules = eliminate_timers(config, rules)
-    counter_labels = {label for label, t in _label_timers(config).items() if t != INF}
+    counter_labels = {node.label for node in config.skin.walk() if node.timer != INF}
     timed_graph = explore_membranes(config, rules, depth)
     compiled_graph = explore_untimed(compiled_config, compiled_rules, depth)
     details = {

@@ -19,6 +19,7 @@ from mobilemem import corpus
 from mobilemem.ambient import AmbientSyntaxError, canonical_key, parse_ambient, render_process
 from mobilemem.lexer import Cursor, PositionedError, scanner
 from mobilemem.sysfile import InvalidSystemError, ParseError, SystemFile, parse_system, render_system
+from conftest import examples
 from test_sysfile import _parse_outcome
 
 
@@ -98,7 +99,7 @@ def test_the_scanner_skips_what_str_isspace_calls_white_space():
     assert Cursor(spaces + "a" + spaces, set()).kinds == ["ident", "eof"]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(_mutated(MMS_TEXTS))
 def test_mms_parser_parses_or_points_at_the_fault(text):
     try:
@@ -116,7 +117,7 @@ def test_mms_parser_parses_or_points_at_the_fault(text):
     assert render_system(parse_system(rendered)) == rendered
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(_mutated(AMB_TEXTS))
 def test_ambient_parser_parses_or_points_at_the_fault(text):
     try:

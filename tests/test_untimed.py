@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
-from conftest import count_calls
+from conftest import count_calls, examples
 
 from mobilemem.compiler import _counter_of, eliminate_timers, embed_infinite, project
 from mobilemem.corpus import random_timed_system, random_untimed_system
@@ -364,7 +364,7 @@ def timed_trees(draw):
     return Configuration(mem("skin", INF, skin.content, skin.children), draw(st.sampled_from(("skin", "p"))), clock)
 
 
-@settings(max_examples=150)
+@settings(max_examples=examples(150))
 @given(timed_trees())
 def test_erased_keys_equal_the_renders_of_erased_and_projected_trees_on_drawn_trees(config):
     _fold_agrees(config, True)
