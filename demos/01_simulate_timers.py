@@ -21,6 +21,7 @@ from mobilemem import (
     run,
     step_choices,
 )
+from mobilemem.engine import choice_describe
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 
@@ -39,11 +40,11 @@ for inst in find_instances(system, [enter]):
 
 print("\nsaturated choices (what a greedy run executes):")
 for choice in maximal_choices(system, [enter]):
-    print(" ", " + ".join(i.describe() for i in choice) or "(empty)")
+    print(" ", choice_describe(choice))
 
 print("\nall legal choices (a finite-timer object may tick instead of moving):")
 for choice in step_choices(system, [enter]):
-    print(" ", " + ".join(i.describe() for i in choice) or "(empty)")
+    print(" ", choice_describe(choice))
 
 print("\na 6-step run (seed 1); watch h's timer drain after it moves:")
 trace = run(system, [enter], 6, selector="random", seed=1)

@@ -1,12 +1,17 @@
 """Conflict-free choices of rule instances, shared by every relation.
 
-A choice is a multiset of instances that fire together. It is
-conflict-free when its bound objects fit the membranes that hold them,
-each active membrane moves at most once, and no membrane is both active
-and passive; passive membranes may be shared. The timed step, the untimed
-step and the literal relation of the ambient translation all use this one
-condition. They differ only in which instances must no longer fit beside
-a finished choice, the ``blocks`` predicate of ``enumerate_choices``:
+A choice is a multiset of instances that fire together, held as a tuple
+of ``(instance, count)`` pairs, one per distinct instance, in the
+instances' order; a move's count is always 1. Copies are written out
+only where text leaves the program (``engine.choice_describe``,
+``engine.StepRecord.to_json``) and in the order of choices
+(``expanded``). A choice is conflict-free when its bound objects fit the
+membranes that hold them, each active membrane moves at most once, and
+no membrane is both active and passive; passive membranes may be shared.
+The timed step, the untimed step and the literal relation of the ambient
+translation all use this one condition. They differ only in which
+instances must no longer fit beside a finished choice, the ``blocks``
+predicate of ``enumerate_choices``:
 
 * every instance (``every``): saturated choices (``engine.maximal_choices``
   and ``untimed.u_maximal_choices``), the least of which ``least_choice``
@@ -16,21 +21,24 @@ a finished choice, the ``blocks`` predicate of ``enumerate_choices``:
 * none: every conflict-free choice (``translate.literal_successors``,
   which drops the empty one).
 
-The search decides the count of each instance in turn: the moves first,
-then the other instances, each group in table order. Instance *j* can
-displace instance *k* when it binds a ``(uid, class)`` key that *k*
-binds, or when both are moves and *j*'s active membrane is *k*'s active
-or passive one, or *j*'s passive membrane is *k*'s active one. When a
-blocking instance *k* still fits and no later instance can displace it
-(*k* is *settled*), the search does not stop adding *k*: later instances
-only take objects and roles *k* does not need, so *k* would still fit at
-every leaf below, and none of them is a finished choice. Independent
-instances therefore cost one branch each, not a subset each (the pruning
-used to list maximal independent sets, Tsukiyama et al. 1977, here over
+The search decides the count of each instance in turn, the moves first,
+then the other instances, each group in table order: it works out once
+how many copies still fit (``addable``) and tries each count from 0 up
+to that many, adding and taking away copies in one step each. Instance
+*j* can displace instance *k* when it binds a ``(uid, class)`` key that
+*k* binds, or when both are moves and *j*'s active membrane is *k*'s
+active or passive one, or *j*'s passive membrane is *k*'s active one.
+When a blocking instance *k* still fits and no later instance can
+displace it (*k* is *settled*), the search tries *k* only at the most
+copies that fit: later instances only take objects and roles *k* does
+not need, so with fewer copies *k* would still fit at every leaf below,
+and none of them would be a finished choice. Independent instances
+therefore cost one branch each, not a subset each (the pruning used to
+list maximal independent sets, Tsukiyama et al. 1977, here over
 multisets). For the same reason a settled blocker is not tested at the
-leaves: it is added until it no longer fits, and since nothing decided
-after it takes its keys or roles, it fits at no leaf below. Only the
-unsettled blockers are tested there.
+leaves: it is added as often as it fits, and since nothing decided after
+it takes its keys or roles, it fits at no leaf below. Only the unsettled
+blockers are tested there.
 
 An instance is *isolated* when it blocks, binds some object, and no
 other instance names one of its keys or, if it moves, one of its
@@ -57,10 +65,12 @@ The search keeps one mutable state and an explicit stack, so its depth
 is not bounded by Python's recursion limit.
 
 The instances must come sorted, by distinct keys, as both matchers
-return them (rule index, uids, then bound classes). A finished choice is
-kept as the sorted positions of its instances, and the list of choices
-is sorted by those position tuples: position order is key order, so
-this is the order of the choices' key tuples, without building one.
+return them (rule index, uids, then bound classes). The search decides a
+count per instance, and a finished choice is kept as ``(position,
+count)`` pairs in position order. The list of choices is sorted by
+those positions written out once per copy (``expanded``): position order
+is key order, so this is the order of the choices' key tuples, copy by
+copy, without building one.
 
 Instances are seen only through ``active_uid``, ``passive_uid``,
 ``is_move`` (stored on the instance) and each instance's ``needs()``, the
@@ -101,14 +111,16 @@ def availability(config, instances: Sequence) -> dict:
     return avail
 
 
-def addable(inst, need: dict, avail: dict, usage: dict, actives, passives) -> bool:
-    """Whether ``inst``, binding ``need``, still fits beside a choice that
-    binds ``usage`` and holds the membrane roles ``actives``/``passives``."""
-    if inst.is_move and (
-        inst.active_uid in actives or inst.active_uid in passives or inst.passive_uid in actives
-    ):
-        return False
-    return all(avail.get(key, 0) - usage.get(key, 0) >= n for key, n in need.items())
+def addable(inst, need: dict, avail: dict, usage: dict, actives, passives) -> int:
+    """How many more copies of ``inst``, binding ``need``, still fit beside
+    a choice that binds ``usage`` and holds the membrane roles
+    ``actives``/``passives``: at most one of a move, which alone may bind
+    nothing."""
+    move = inst.is_move
+    if move and (inst.active_uid in actives or inst.active_uid in passives or inst.passive_uid in actives):
+        return 0
+    copies = min([(avail.get(key, 0) - usage.get(key, 0)) // n for key, n in need.items()], default=1)
+    return min(copies, 1) if move else copies
 
 
 def _settled(table: list, blocking: list) -> list[bool]:
@@ -159,19 +171,28 @@ def every(inst) -> bool:
     return True
 
 
+def expanded(pairs) -> list:
+    """The keys of ``(key, count)`` pairs, in order, each written out
+    ``count`` times: the order of choices is that of these lists, for
+    positions or sort keys alike. No key per pair gives it: one copy of
+    an instance is a prefix of two and sorts first, yet two copies of it
+    sort before one copy followed by a later instance."""
+    return [key for key, n in pairs for _ in range(n)]
+
+
 def least_choice(config, instances: Sequence) -> tuple:
     """``enumerate_choices(config, instances, every)[0]``, the least
     saturated choice, in one greedy pass: each instance in sort-key order
-    joins as often as it still fits beside those already taken, a move at
-    most once. Greedy takes as many copies of the earliest instance as any
-    saturated choice holds, and then of each next one given those, and a
-    saturated choice is no proper sub-multiset of another; so the first
-    position at which another saturated choice differs holds a later
-    instance there, and its position tuple sorts after this one (the
-    lexicographically first maximal independent set, Cook 1985, here over
-    multisets). The copies that fit are counted as for an isolated
-    instance, so no ``addable`` test is made; a move that binds no object
-    fits once where its membranes are free."""
+    joins with the count that still fits beside those already taken, a
+    move at most once. Greedy takes as many copies of the earliest
+    instance as any saturated choice holds, and then of each next one
+    given those, and a saturated choice is no proper sub-multiset of
+    another; so the first position at which another saturated choice
+    differs holds a later instance there, and its expanded positions
+    sort after this one's (the lexicographically first maximal
+    independent set, Cook 1985, here over multisets). The count is worked
+    out as for an isolated instance, so no ``addable`` test is made; a
+    move that binds no object fits once where its membranes are free."""
     avail = availability(config, instances)
     usage: dict = {}
     actives: set = set()
@@ -191,32 +212,34 @@ def least_choice(config, instances: Sequence) -> tuple:
             passives.add(inst.passive_uid)
         for key, n in need.items():
             usage[key] = usage.get(key, 0) + copies * n
-        chosen += [inst] * copies
+        chosen.append((inst, copies))
     return tuple(chosen)
 
 
 def enumerate_choices(config, instances: Sequence, blocks: Callable, limit: int | None = None) -> list[tuple]:
     """Every conflict-free choice of ``instances``, found in ``config``,
-    after which no blocking instance fits, in the order of the instances'
-    sort keys, given ``instances`` sorted by them. Moves join at most
-    once; other instances as often as their objects allow. With
-    ``limit``, the search stops at that many finished choices, which are
-    then the first it found, not the least: ``simulate`` asks so whether
-    a step had a second choice."""
+    after which no blocking instance fits, as ``(instance, count)`` pairs
+    in the instances' order, the list in the order of the choices'
+    expanded sort keys (``expanded``), given ``instances`` sorted by
+    them. Moves join at most once; other instances as often as their
+    objects allow. With ``limit``, the search stops at that many finished
+    choices, which are then the first it found, not the least:
+    ``simulate`` asks so whether a step had a second choice."""
     avail = availability(config, instances)
     rows = [(inst, inst.needs()) for inst in instances]
     blocking = [bool(blocks(inst)) for inst in instances]
-    chosen: list = []  # positions in ``instances`` of the instances added
+    chosen: list = []  # (position in ``instances``, count) per isolated instance
     searched: list = []
     for i, alone in enumerate(_isolated(rows, blocking)):
         if alone:  # its count is fixed, and no other instance reads its keys
             inst, need = rows[i]
             copies = min([avail.get(key, 0) // n for key, n in need.items()])
-            chosen += [i] * (min(copies, 1) if inst.is_move else copies)
+            if copies:
+                chosen.append((i, 1 if inst.is_move else copies))
         else:
             searched.append(i)
     if not searched:  # nothing contested: one choice, already in position order
-        return [tuple([instances[i] for i in chosen])]
+        return [tuple([(instances[i], n) for i, n in chosen])]
     # positions in ``instances``, in the order the search decides them
     order = [i for i in searched if instances[i].is_move]
     order += [i for i in searched if not instances[i].is_move]
@@ -227,52 +250,54 @@ def enumerate_choices(config, instances: Sequence, blocks: Callable, limit: int 
     # only the unsettled ones are tested at the leaves
     blockers = [row for row, b, s in zip(table, blocking, settled) if b and not s]
     usage: dict = {}
-    actives: set = set()
+    actives: dict = {}  # uid -> number of chosen moves it is active in
     passives: dict = {}  # uid -> number of chosen moves it is passive in
     results: list[tuple] = []
 
-    def add(inst, need: dict, sign: int) -> None:
+    def add(inst, need: dict, count: int) -> None:
+        """Add ``count`` copies of ``inst``, or take them away if negative."""
         for key, n in need.items():
-            usage[key] = usage.get(key, 0) + sign * n
+            usage[key] = usage.get(key, 0) + count * n
         if inst.is_move:
-            p = inst.passive_uid
-            if sign > 0:
-                actives.add(inst.active_uid)
-                passives[p] = passives.get(p, 0) + 1
-            else:
-                actives.remove(inst.active_uid)
-                passives[p] -= 1
-                if not passives[p]:
-                    del passives[p]
+            for roles, uid in ((actives, inst.active_uid), (passives, inst.passive_uid)):
+                roles[uid] = roles.get(uid, 0) + count
+                if not roles[uid]:
+                    del roles[uid]
 
-    # A frame is [k, copies of instance k added, whether k fits beside them
-    # or None before that is known]; with k == len(table) every count is
-    # decided and the frame is a leaf.
-    stack = [[0, 0, None]]
+    # A frame is [k, copies of instance k added or None before the first
+    # visit, the most copies that fit]; with k == len(table) every count is
+    # decided and the frame is a leaf. Instance k is tried at 0, 1, ...,
+    # the most copies that fit, or only at the most if settled. ``path``
+    # holds the frames, in search order, of the instances added at all.
+    stack = [[0, None, 0]]
+    path: list = []
     while stack:
         frame = stack[-1]
-        k, copies, fits = frame
+        k, copies, most = frame
         if k == len(table):
             if not any(addable(i, n, avail, usage, actives, passives) for i, n in blockers):
-                results.append(tuple(sorted(chosen)))
+                results.append(tuple(sorted(chosen + [(order[f[0]], f[1]) for f in path])))
                 if len(results) == limit:
                     break
             stack.pop()
             continue
         inst, need = table[k]
-        if fits is None:
-            fits = frame[2] = addable(inst, need, avail, usage, actives, passives)
-            if not (fits and settled[k]):
-                stack.append([k + 1, 0, None])  # stop at this many copies
-                continue
-        if fits:
-            add(inst, need, 1)
-            chosen.append(order[k])
-            frame[1], frame[2] = copies + 1, None
+        if copies is None:
+            most = frame[2] = addable(inst, need, avail, usage, actives, passives)
+            more = copies = most if settled[k] else 0
+        elif copies < most:
+            more, copies = 1, copies + 1
+        else:
+            if copies:
+                add(inst, need, -copies)
+                path.pop()
+            stack.pop()
             continue
-        for _ in range(copies):
-            add(inst, need, -1)
-            chosen.pop()
-        stack.pop()
-    results.sort()
-    return [tuple([instances[i] for i in positions]) for positions in results]
+        if more:
+            add(inst, need, more)
+            if copies == more:
+                path.append(frame)
+        frame[1] = copies
+        stack.append([k + 1, None, 0])
+    results.sort(key=expanded)
+    return [tuple([(instances[i], n) for i, n in pairs]) for pairs in results]

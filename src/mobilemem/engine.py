@@ -105,7 +105,7 @@ from itertools import product
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .choices import addable, availability, enumerate_choices, every, least_choice
+from .choices import addable, availability, enumerate_choices, every, expanded, least_choice
 from .core import (
     DELTA,
     DELTA_NAME,
@@ -229,11 +229,13 @@ class Instance:
         }
 
 
-StepChoice = tuple  # sorted tuple of Instance, repeated for multiplicity
+StepChoice = tuple  # (Instance, count) pairs, one per distinct instance, sorted; a move's count is 1
 
 
 def choice_describe(choice: StepChoice) -> str:
-    return " + ".join(i.describe() for i in choice) if choice else "(empty)"
+    """The instances of ``choice`` joined by `` + ``, each written out
+    once per copy."""
+    return " + ".join([text for inst, n in choice for text in [inst.describe()] * n]) if choice else "(empty)"
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,8 @@ def find_instances(config: Configuration, rules: Sequence[Rule]) -> list[Instanc
 
 def maximal_choices(config: Configuration, rules: Sequence[Rule]) -> list[StepChoice]:
     """Saturated choices: conflict-free and no further instance applies to
-    the unused residue. When nothing applies, the single empty choice."""
+    the unused residue. When nothing applies, the single empty choice.
+    Each is a ``StepChoice``: ``(instance, count)`` pairs."""
     return enumerate_choices(config, find_instances(config, rules), every)
 
 
@@ -393,14 +396,14 @@ def _is_delta(cls: tuple) -> bool:
 
 def _deadline_usage(choice: StepChoice, clock: int) -> dict:
     """``(uid, deadline class) -> count`` of the objects ``choice`` binds,
-    at ``clock``: one pass over each instance's bound classes, which name
-    remaining timers."""
+    at ``clock``: one pass over each distinct instance's bound classes,
+    which name remaining timers, each counted as often as it fires."""
     usage: dict = {}
-    for inst in choice:
+    for inst, n in choice:
         for uid, classes in ((inst.active_uid, inst.active_classes), (inst.passive_uid, inst.passive_classes)):
             for sym, t in classes:
                 key = (uid, (sym, t + clock))
-                usage[key] = usage.get(key, 0) + 1
+                usage[key] = usage.get(key, 0) + n
     return usage
 
 
@@ -409,7 +412,7 @@ def _validate_choice(choice: StepChoice, usage: dict, tree: Tree, clock: int) ->
     ``usage`` (``_deadline_usage``), fits the loaded work tree, which has
     checked its structure: its movers' timers and its bindings."""
     nodes = tree.nodes
-    for inst in choice:
+    for inst, _n in choice:
         if inst.is_move and min(nodes[inst.active_uid].src.timer, nodes[inst.passive_uid].src.timer) <= clock:
             raise StaleChoiceError("move structural precondition fails")
     for (uid, cls), n in usage.items():
@@ -485,28 +488,28 @@ def step(config: Configuration, choice: StepChoice) -> StepResult:
     # A membrane that exits the skin (the only passive that is the skin)
     # is archived as phase 1 leaves it, read at this clock: its products
     # are stored at their remaining timer plus the clock.
-    leaving = {inst.active_uid for inst in choice if inst.passive_uid == config.skin.uid}
+    leaving = {inst.active_uid for inst, _n in choice if inst.passive_uid == config.skin.uid}
     marked = False  # whether some work node got a dissolution marker
 
-    def give(uid: int, prods: tuple, slot_classes: tuple) -> None:
+    def give(uid: int, prods: tuple, slot_classes: tuple, n: int) -> None:
         nonlocal produced, marked
         content = nodes[uid].content
         at = clock if uid in leaving else later
         for sym, spec in prods:
             t = spec.timer if isinstance(spec, Fresh) else decrement(slot_classes[spec.slot][1])
             cls = (sym, t + at)
-            content[cls] = content.get(cls, 0) + 1
+            content[cls] = content.get(cls, 0) + n
             if sym == DELTA:
                 marked = True
-        produced += len(prods)
+        produced += n * len(prods)
 
-    for inst in choice:
+    for inst, n in choice:
         rule = inst.rule
         if isinstance(rule, RewriteRule):
-            give(inst.active_uid, rule.rhs, inst.active_classes)
+            give(inst.active_uid, rule.rhs, inst.active_classes, n)
         else:
-            give(inst.active_uid, rule.w, inst.active_classes)
-            give(inst.passive_uid, rule.w2, inst.passive_classes)
+            give(inst.active_uid, rule.w, inst.active_classes, n)
+            give(inst.passive_uid, rule.w2, inst.passive_classes, n)
             timer = nodes[inst.active_uid].src.timer - clock
             timers[inst.active_uid] = timer if rule.keep_active_timer else decrement(timer)
 
@@ -643,7 +646,7 @@ def successors(
     found = []
     for key in sorted(seen):
         combo = seen[key]
-        choice = tuple([inst for _k, inst in sorted([pair for part in combo for pair in part.keyed], key=_first)])
+        choice = tuple([(inst, n) for _k, inst, n in sorted([t for part in combo for t in part.keyed], key=_first)])
         successor = _compose(config, combo)
         object.__setattr__(successor, "_key", key)
         found.append((choice, successor, key))
@@ -722,8 +725,8 @@ _first = itemgetter(0)
 
 
 class _Outcome:
-    """One part stepped by one of its choices: its instances paired with
-    their sort keys, in choice order; the skin's children after the
+    """One part stepped by one of its choices: its instances as (sort
+    key, instance, count), in choice order; the skin's children after the
     step and their renders at the next clock;
     the skin's contents after the step (``None`` when empty) and their
     objects part at that clock; the least timer among those children
@@ -771,7 +774,7 @@ def _outcome(choice: StepChoice, children: tuple, content: Multiset, later: int)
     """A part's outcome (``_Outcome``) from its skin's children and
     contents after ``choice``."""
     out = _Outcome()
-    out.keyed = [(inst.sort_key(), inst) for inst in choice]
+    out.keyed = [(inst.sort_key(), inst, n) for inst, n in choice]
     out.children = children
     out.renders = [render_at(child, later) for child in children]
     out.content = content if content else None
@@ -782,9 +785,10 @@ def _outcome(choice: StepChoice, children: tuple, content: Multiset, later: int)
 
 def _choice_order(combo: tuple) -> list:
     """The merged choice of a combination of part outcomes as its
-    instances' sort keys, in order: ``step_choices`` lists choices in this
-    order, since instance order is sort key order."""
-    return sorted([k for part in combo for k, _inst in part.keyed])
+    instances' sort keys, in order, each written out once per copy
+    (``choices.expanded``): ``step_choices`` lists choices in this order,
+    since instance order is sort key order."""
+    return expanded(sorted([(k, n) for part in combo for k, _inst, n in part.keyed]))
 
 
 def _summed(contents: list) -> Multiset:
@@ -865,7 +869,7 @@ class StepRecord:
     def to_json(self) -> dict:
         return {
             "step": self.index,
-            "instances": [inst.to_json() for inst in self.choice],
+            "instances": [data for inst, n in self.choice for data in [inst.to_json()] * n],
             "key": self.key,
             "halt": self.halted,
             "detached": [{"uid": u, "label": l, "render": r} for u, l, r in self.detached],
@@ -1001,17 +1005,12 @@ def residual_instances(
     ``forced_only`` empty on every legal choice."""
     found = find_instances(config, rules)
     avail = availability(config, found)
-    usage: dict = {}
-    actives: set = set()
-    passives: set = set()
-    for inst in choice:
-        for key, n in inst.needs().items():
-            usage[key] = usage.get(key, 0) + n
-        if inst.is_move:
-            actives.add(inst.active_uid)
-            passives.add(inst.passive_uid)
+    usage = _deadline_usage(choice, 0)  # keyed by remaining timers, as ``avail`` is
+    moves = [inst for inst, _n in choice if inst.is_move]
+    actives = {inst.active_uid for inst in moves}
+    passives = {inst.passive_uid for inst in moves}
     return [
         inst for inst in found
         if (not forced_only or inst.forced())
-        and addable(inst, inst.needs(), avail, usage, actives, passives)
+        and addable(inst, inst.needs(), avail, usage, actives, passives) > 0
     ]

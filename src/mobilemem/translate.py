@@ -65,7 +65,7 @@ from .core import (
 from . import ambient as amb
 from .ambient import Amb, Capability, Prefix, Process
 from .choices import enumerate_choices
-from .engine import Instance, distinct_successors, find_instances
+from .engine import distinct_successors, find_instances
 from .tree import Tree
 
 SKIN_LABEL = "skin"
@@ -146,13 +146,13 @@ def generate_rules(p: Process, strict: bool = False) -> RuleSet:
 # ---------------------------------------------------------------------------
 # Literal transition relation
 
-def _literal_apply(config: Configuration, instances: Sequence[Instance]) -> Configuration:
-    """Fire the instances simultaneously and change nothing else: consumed
-    objects are replaced by the right-hand sides (carried timers unchanged),
-    active membranes move, and no timer anywhere is touched. No clock
-    phases, no dissolution. Subtrees no instance touches are shared with
-    ``config``."""
-    tree = Tree(config, instances)
+def _literal_apply(config: Configuration, choice: tuple) -> Configuration:
+    """Fire the moves of ``choice``, each once, simultaneously and change
+    nothing else: consumed objects are replaced by the right-hand sides
+    (carried timers unchanged), active membranes move, and no timer
+    anywhere is touched. No clock phases, no dissolution. Subtrees no
+    instance touches are shared with ``config``."""
+    tree = Tree(config, choice)
 
     def swap(uid, classes, prods):
         content = tree.nodes[uid].content
@@ -164,10 +164,10 @@ def _literal_apply(config: Configuration, instances: Sequence[Instance]) -> Conf
             cls = (sym, spec.timer if isinstance(spec, Fresh) else classes[spec.slot][1])
             content[cls] = content.get(cls, 0) + 1
 
-    for inst in instances:
+    for inst, _n in choice:  # a move fires once (``tree.Tree``)
         swap(inst.active_uid, inst.active_classes, inst.rule.w)
         swap(inst.passive_uid, inst.passive_classes, inst.rule.w2)
-    tree.move(instances)  # a membrane out of the skin is dropped
+    tree.move(choice)  # a membrane out of the skin is dropped
 
     def make(node, children):
         src = node.src

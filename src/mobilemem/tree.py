@@ -11,12 +11,14 @@ the literal relation of the ambient translation all edit the tree here:
   one walk where missing; a timed or untimed step instead leaves its
   work tree there (``carry_index``), and the next index is derived from
   its source's by that tree's edits when first read (``Tree.next_index``);
-* ``Tree(config, choice, keep)`` loads the work tree. Work nodes are made
-  only for the skin, the membranes the choice names (active, passive or
+* ``Tree(config, choice, keep)`` loads the work tree for a choice of
+  ``(instance, count)`` pairs (``choices.py``). Work nodes are made only
+  for the skin, the membranes the choice names (active, passive or
   rewrite host) and their ancestors, which the index's parent map gives
-  without a walk; a choice whose membranes are missing or placed so that
-  its moves cannot fire raises ``StaleChoiceError`` there, before any
-  relation consumes anything. Every other child subtree is kept as the
+  without a walk; a choice whose counts are below 1 (above 1 for a
+  move), or whose membranes are missing or placed so that its moves
+  cannot fire, raises ``StaleChoiceError`` there, before any relation
+  consumes anything. Every other child subtree is kept as the
   frozen node it is, unless the caller's ``keep(node)`` says no: then that
   membrane is loaded as a work node too, and its children are tested in
   turn. ``keep`` must be monotone (a child of a node it keeps is kept),
@@ -145,8 +147,8 @@ class Tree:
         # (uid, label, membrane, old parent uid, new parent uid or None)
         # per re-parenting or removal, in the order made
         self.moves: list = []
-        touched = {inst.active_uid for inst in choice}
-        touched.update([inst.passive_uid for inst in choice])
+        touched = {inst.active_uid for inst, _n in choice}
+        touched.update([inst.passive_uid for inst, _n in choice])
         nodes, node_of, up = self.nodes, index.node, index.up
         for uid in touched:
             if uid in nodes or uid not in node_of:  # None, or stale: the caller reports it
@@ -170,15 +172,18 @@ class Tree:
                     stack.append(self._load(kid, work))
 
     def _check(self, choice: Iterable) -> None:
-        """Raise ``StaleChoiceError`` unless each instance's membranes are
-        loaded here and placed as its rule needs: an endo's active and
-        passive are siblings below the skin, an exo's active is a child of
-        its passive, a moving membrane is elementary, and no membrane moves
-        twice or both moves and is a passive."""
+        """Raise ``StaleChoiceError`` unless each instance fires at least
+        once, a move exactly once, and its membranes are loaded here and
+        placed as its rule needs: an endo's active and passive are siblings
+        below the skin, an exo's active is a child of its passive, a moving
+        membrane is elementary, and no membrane moves twice or both moves
+        and is a passive."""
         nodes = self.nodes
         actives: set = set()
         passives: set = set()
-        for inst in choice:
+        for inst, n in choice:
+            if n < 1 or n > 1 and inst.is_move:
+                raise StaleChoiceError(f"{inst.describe()} fires {n} times")
             active = nodes.get(inst.active_uid)
             if active is None:
                 raise StaleChoiceError(f"no membrane with uid {inst.active_uid}")
@@ -222,7 +227,7 @@ class Tree:
         left the skin, and so the tree."""
         nodes = self.nodes
         gone = []
-        for inst in choice:
+        for inst, _n in choice:
             if inst.is_move:
                 to = inst.passive_uid if isinstance(inst.rule, EndoRule) else nodes[inst.passive_uid].parent
                 work = nodes[inst.active_uid]

@@ -292,45 +292,41 @@ def _is_marker(sym: Symbol) -> bool:
 
 
 def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
-    """Fire the instances simultaneously, then dissolve marker-holding
-    membranes bottom-up. Returns (configuration, detached archive).
-    Subtrees no instance touches stay as they are and are shared with
-    ``config``: without a clock they cannot change. The result's index
-    is derived from ``config``'s by the step's edits (``carry_index``).
-    A choice whose membranes are gone or moved raises ``StaleChoiceError``
-    (``tree.Tree``) before anything is consumed, and so does one that
-    binds objects this configuration lacks, as it consumes them; neither
-    changes ``config``."""
+    """Fire the instances simultaneously, each as often as ``choice``
+    counts it, then dissolve marker-holding membranes bottom-up. Returns
+    (configuration, detached archive). Subtrees no instance touches stay
+    as they are and are shared with ``config``: without a clock they
+    cannot change. The result's index is derived from ``config``'s by the
+    step's edits (``carry_index``). A choice whose membranes are gone or
+    moved raises ``StaleChoiceError`` (``tree.Tree``) before anything is
+    consumed, and so does one that binds objects this configuration lacks,
+    as it consumes them; neither changes ``config``."""
     tree = Tree(config, choice)
-
-    def consume(uid, syms: tuple):
-        content = tree.nodes[uid].content
-        for sym in syms:
-            if not content.get(sym):
-                raise StaleChoiceError(f"stale untimed choice: {sym} missing in {uid}")
-            content[sym] -= 1
-            if not content[sym]:
-                del content[sym]
 
     marked = False  # whether some rule produced the dissolution marker
 
-    def produce(uid, prods):
+    def fire(uid, syms: tuple, prods: tuple, n: int):
+        """Consume ``syms`` and produce ``prods`` in membrane ``uid``, ``n`` times."""
         nonlocal marked
         content = tree.nodes[uid].content
+        for sym in syms:
+            if content.get(sym, 0) < n:
+                raise StaleChoiceError(f"stale untimed choice: {sym} missing in {uid}")
+            content[sym] -= n
+            if not content[sym]:
+                del content[sym]
         for sym, _spec in prods:
-            content[sym] = content.get(sym, 0) + 1
+            content[sym] = content.get(sym, 0) + n
             if sym == DELTA:
                 marked = True
 
-    for inst in choice:
+    for inst, n in choice:
         rule = inst.rule
-        consume(inst.active_uid, inst.active_classes)
         if isinstance(rule, RewriteRule):
-            produce(inst.active_uid, rule.rhs)
+            fire(inst.active_uid, inst.active_classes, rule.rhs, n)
         else:
-            consume(inst.passive_uid, inst.passive_classes)
-            produce(inst.active_uid, rule.w)
-            produce(inst.passive_uid, rule.w2)
+            fire(inst.active_uid, inst.active_classes, rule.w, n)
+            fire(inst.passive_uid, inst.passive_classes, rule.w2, n)
 
     detached = []
     for inst, gone in tree.move(choice):

@@ -58,8 +58,23 @@ def membranes(root):
     }
 
 
+def copies(choice) -> list:
+    """An engine choice, ``(instance, count)`` pairs, written out as one
+    instance per copy. Checks the pairs' form on the way: distinct
+    instances in sort-key order, each counted at least once, a move
+    exactly once."""
+    keys = [inst.sort_key() for inst, _n in choice]
+    assert keys == sorted(set(keys)), choice
+    out = []
+    for inst, n in choice:
+        assert n >= 1 and (n == 1 or not inst.is_move), choice
+        out += [inst] * n
+    return out
+
+
 def from_choice(choice):
-    """An engine choice (``Instance`` objects) in this module's form."""
+    """An engine choice (``(Instance, count)`` pairs) in this module's
+    form, one row per copy."""
 
     def binds(classes):
         return tuple((sym.name, sym.is_co, t) for sym, t in classes)
@@ -67,7 +82,7 @@ def from_choice(choice):
     return tuple(
         (inst.rule_index, inst.active_uid, inst.passive_uid,
          binds(inst.active_classes), binds(inst.passive_classes))
-        for inst in choice
+        for inst in copies(choice)
     )
 
 

@@ -446,7 +446,8 @@ def _compiled_states(config, rules, depth):
 
 
 def _rows(choice):
-    return sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in choice)
+    return sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid)
+                  for i in ref.copies(choice))
 
 
 def test_compiled_choices_equal_the_reference():
@@ -468,7 +469,8 @@ def test_compiled_choices_equal_the_reference():
             assert sorted(_rows(ch) for ch in got) == want, n
             # whatever order the search decides them in, a choice lists its
             # instances in table order
-            assert all([i.sort_key() for i in ch] == sorted(i.sort_key() for i in ch) for ch in got), n
+            assert all([i.sort_key() for i in ref.copies(ch)] == sorted(i.sort_key() for i in ref.copies(ch))
+                       for ch in got), n
 
 
 def test_choice_search_costs_per_instance_and_result(monkeypatch):
@@ -503,6 +505,9 @@ def _in_key_order(items, key) -> bool:
 
 
 def _choices_in_key_order(choices) -> bool:
+    """Each choice, written out one instance per copy, and the list of
+    them, in the order of rendered sort keys."""
+    choices = [ref.copies(ch) for ch in choices]
     return all(_in_key_order(ch, _string_key) for ch in choices) and _in_key_order(
         choices, lambda ch: [_string_key(i) for i in ch]
     )
@@ -516,7 +521,7 @@ def _row_sets(choices, timed: bool) -> list:
                  for side in (getattr(i, "active_classes", ()), getattr(i, "passive_classes", ()))]
         return (i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid, *binds)
 
-    return sorted(sorted(row(i) for i in ch) for ch in choices)
+    return sorted(sorted(row(i) for i in ref.copies(ch)) for ch in choices)
 
 
 def _ref_row_sets(choices, timed: bool) -> list:

@@ -352,7 +352,11 @@ def test_a_hand_built_choice_may_not_move_one_active_twice():
     assert len(found) == 2 and found[0].active_uid == found[1].active_uid
     assert all(len(choice) == 1 for choice in maximal_choices(cfg, [rule]))
     with pytest.raises(StaleChoiceError, match="conflicting membrane roles in choice"):
-        step(cfg, tuple(found))
+        step(cfg, tuple([(inst, 1) for inst in found]))
+    # a move fires exactly once, and any instance at least once
+    for count in (2, 0):
+        with pytest.raises(StaleChoiceError, match=f"fires {count} times"):
+            step(cfg, ((found[0], count),))
 
 
 def test_a_move_whose_active_gained_a_child_or_ran_out_is_stale():
@@ -456,10 +460,10 @@ def test_conservation_bookkeeping():
                 sum(1 for sym, _s in inst.rule.w + inst.rule.w2 if sym.name != "delta")
                 if inst.is_move else
                 sum(1 for sym, _s in inst.rule.rhs if sym.name != "delta")
-                for inst in choice
+                for inst in ref.copies(choice)
             )
             consumed = sum(
-                len(inst.active_classes) + len(inst.passive_classes) for inst in choice
+                len(inst.active_classes) + len(inst.passive_classes) for inst in ref.copies(choice)
             )
             expect = (_object_count(cfg) + produced - consumed
                       - result.stats.expired - result.stats.detached_objects)
@@ -506,12 +510,12 @@ def _engine_row(inst):
 
 
 def _engine_choice_set(choices):
-    return sorted(sorted(_engine_row(i) for i in ch) for ch in choices)
+    return sorted(sorted(_engine_row(i) for i in ref.copies(ch)) for ch in choices)
 
 
 def _untimed_choice_set(choices):
     return sorted(sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid, (), ())
-                         for i in ch) for ch in choices)
+                         for i in ref.copies(ch)) for ch in choices)
 
 
 def _shared_passive_behind_a_rewrite():
@@ -832,7 +836,7 @@ def test_choice_sets_match_reference_on_crowded_systems(system):
         for ch in ref.choices(timed_root, timed_rules, True)
     )
     got = sorted(
-        sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ch)
+        sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ref.copies(ch))
         for ch in u_maximal_choices(ucfg, rules)
     )
     assert got == want
@@ -1908,10 +1912,11 @@ def test_the_greedy_choice_is_the_least_saturated_choice(system):
     assert u_least == u_options[0]
     root = ref.from_config(cfg)
     if _reference_size(root, rules) <= 1024:
-        assert sorted(_engine_row(i) for i in least) == _least_reference_choice(root, rules)
+        assert sorted(_engine_row(i) for i in ref.copies(least)) == _least_reference_choice(root, rules)
         timed_cfg, timed_rules = embed_infinite(ucfg, rules)
         want = _least_reference_choice(ref.from_config(timed_cfg), timed_rules)
-        assert [(i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in u_least] == [
+        assert [(i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid)
+                for i in ref.copies(u_least)] == [
             row[:3] for row in want]
 
 
@@ -1939,8 +1944,12 @@ def _bench_systems(name):
 # SHA-256 of the concatenated ``to_jsonl()`` of each group of runs, as
 # computed before runs took the greedy choice: 12 steps, seeded by the
 # corpus seed; sim-dense (ROADMAP W1) for 4 steps and sim-wide (W2) for 11,
-# seeded by their position among seed 1's bench inputs.
+# seeded by their position among seed 1's bench inputs. The population
+# group (``_POPULATIONS``, 8 steps, seeds 0-2) was computed while a choice
+# still held one entry per copy of an instance.
 _TRACE_DIGESTS = {
+    "population first": "232fb92de9b34b13456299dc0f53d5e994ab06793a38506c24d86b8392eeeb42",
+    "population random": "6b277aef897b181421036f42088641cdee127ee39a32b2f0467e8bb655f969e9",
     "timed first": "52db8031cca51ba94b05ae3b6bc0ed6a285a7e44fbc8f9c2e26f416a8745ce87",
     "timed random": "c929d391a036b3a2d5124e8c2c3f3a113bc736bf0f56ccdaf680db2c073d550a",
     "soak first": "9b4adc349960accde7f9cb0476bbb72efd5e467d6cd000fed7704ba4bf1fc101",
@@ -1954,12 +1963,38 @@ _TRACE_DIGESTS = {
 }
 
 
+_POPULATIONS = [
+    # finite objects, fresh products, contested: pairs or singles of a
+    "skin:inf[ a:3, a:3, a:3, a:3, a:3, a:2, a:2 ]\n"
+    "rw skin : a a => b:+2\nrw skin : a => c:+1\nrw skin : c => a:+3\n",
+    # infinite objects and carried finite ones, in two membranes
+    "skin:inf[ a:inf, a:inf, a:inf, a:inf ; h:inf[ x:4, x:4, x:4, y:inf, y:inf, y:inf ] ]\n"
+    "rw skin : a => a:- b:+2\nrw h : x => x:-\nrw h : y y => y:- y:- z:+inf\nrw skin : b b => c:+inf\n",
+    # two moves into one shared passive beside rewrites in the movers
+    "skin:inf[ ; h:5[ a:inf, x:2, x:2, x:2 ] m:inf[ ~a:inf, ~a:inf, y:3, y:3 ] h:5[ a:inf, x:2 ] ]\n"
+    "endo h m : a | , ~a | => a:- | ~a:-\nrw h : x => x:- z:+3\nrw m : y => y:-\n",
+    # exo beside rewrites whose products dissolve the movers later
+    "skin:inf[ p:inf ; m:inf[ ~b:inf, ~b:inf ; k:6[ b:inf, q:2, q:2 ] k:6[ b:inf, q:2, q:2, q:2 ] ] ]\n"
+    "exo k m : b | , ~b | => b:- | ~b:-\nrw k : q => q:- r:+1\nrw k : r r => delta\nrw skin : p => p:-\n",
+    # ROADMAP W12 in small: one instance fires on every copy, each step
+    "skin:inf[ " + ", ".join(["a:inf"] * 12) + " ]\nrw skin : a => b:+inf\nrw skin : b => a:+inf\n",
+]
+
+
+def _population_systems():
+    """Hand-written timed systems whose steps fire one instance on several
+    copies at once (``_POPULATIONS``)."""
+    return [parse_system(f"mms 1 timed\noutput skin\n{text}") for text in _POPULATIONS]
+
+
 @pytest.mark.parametrize("selector", ["first", "random"])
 def test_traces_are_byte_identical_to_the_full_choice_list(selector):
     def digest(traces):
         return hashlib.sha256("".join(t.to_jsonl() for t in traces).encode()).hexdigest()
 
     got = {
+        "population": digest(run(sf.config, sf.rules, 8, selector, seed)
+                             for sf in _population_systems() for seed in range(3)),
         "timed": digest(run(*random_timed_system(s), 12, selector, s) for s in range(120)),
         "soak": digest(run(*random_soak_system(s), 12, selector, s) for s in range(120)),
         "untimed": digest(u_run(*random_untimed_system(s), 12, selector, s) for s in range(120)),
@@ -1967,6 +2002,50 @@ def test_traces_are_byte_identical_to_the_full_choice_list(selector):
         "sim-wide": digest(run(sf.config, sf.rules, 11, selector, i) for i, sf in enumerate(_bench_systems("sim-wide"))),
     }
     assert got == {group: _TRACE_DIGESTS[f"{group} {selector}"] for group in got}
+
+
+def test_choices_of_one_instance_list_fewer_copies_first():
+    # choices are ordered by their instances' positions written out once
+    # per copy: one copy is a prefix of two, so it comes first, and of
+    # two parts' combinations with one key, the one with more copies of
+    # the earlier instance is the first in choice order
+    one = parse_system("mms 1 timed\noutput skin\nskin:inf[ a:3, a:3 ]\nrw skin : a => b:+2\n")
+    family = ["(empty)", "r0@1{a:3}", "r0@1{a:3} + r0@1{a:3}"]
+    assert [choice_describe(ch) for ch in step_choices(one.config, one.rules)] == family
+    assert [choice_describe(ch) for ch, _n, _k in successors(one.config, one.rules)] == family
+    two = parse_system("mms 1 timed\noutput skin\nskin:inf[ ; h:inf[ a:3, a:3 ] h:inf[ a:3, a:3 ] ]\n"
+                       "rw h : a => b:+2\n")
+    h2, h3 = "r0@2{a:3}", "r0@3{a:3}"
+    assert [choice_describe(ch) for ch in step_choices(two.config, two.rules)] == [
+        "(empty)", h2, f"{h2} + {h2}", f"{h2} + {h2} + {h3}", f"{h2} + {h2} + {h3} + {h3}",
+        f"{h2} + {h3}", f"{h2} + {h3} + {h3}", h3, f"{h3} + {h3}"]
+    composed = successors(two.config, two.rules)
+    assert [choice_describe(ch) for ch, _n, _k in composed] == [
+        "(empty)", h2, f"{h2} + {h2}", f"{h2} + {h3}", f"{h2} + {h2} + {h3}", f"{h2} + {h2} + {h3} + {h3}"]
+    assert [(choice_describe(ch), k) for ch, _n, k in composed] == [
+        (choice_describe(ch), k) for ch, _n, k in _whole_tree_successors(two.config, two.rules)]
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000])
+def test_a_population_step_costs_its_distinct_instances(monkeypatch, n):
+    # ROADMAP W12's shape: every step fires one instance on all n copies,
+    # and carries their one timer down once
+    sf = parse_system("mms 1 timed\noutput skin\nskin:inf[ " + ", ".join(["a:50"] * n) + " ]\nrw skin : a => a:-\n")
+    stats = []
+    original = engine.step
+
+    def recorded(config, choice):
+        result = original(config, choice)
+        stats.append(result.stats)
+        return result
+
+    monkeypatch.setattr(engine, "step", recorded)
+    decrements = count_calls(monkeypatch, "mobilemem.core.decrement")
+    trace = run(sf.config, sf.rules, 5, "first")
+    assert [[(inst.describe(), k) for inst, k in r.choice] for r in trace.records] == [
+        [(f"r0@1{{a:{t}}}", n)] for t in range(50, 45, -1)]
+    assert decrements.n == 5
+    assert [(s.consumed, s.produced) for s in stats] == [(n, n)] * 5
 
 
 def _recording_enumerations(monkeypatch) -> list:

@@ -79,7 +79,7 @@ def test_rewrite_multiplicity():
     cfg = UConfig(umem("skin", [], [umem("h", [a, a, a])]))
     rule = RewriteRule(None, Multiset([a]), ((b, Fresh(INF)),), name="w")
     (choice,) = u_maximal_choices(cfg, [rule])
-    assert len(choice) == 3  # maximality forces every copy to rewrite
+    assert [n for _inst, n in choice] == [3]  # maximality forces every copy to rewrite
     nxt, _det = u_apply(cfg, choice)
     assert u_canonicalize(nxt) == "skin{}[h{b,b,b}[]]|out=skin"
 
@@ -93,7 +93,7 @@ def test_an_untimed_choice_applied_twice_is_stale():
     ):
         (choice,) = u_maximal_choices(cfg, rules)
         nxt, _det = u_apply(cfg, choice)
-        with pytest.raises(StaleChoiceError, match=message.format(h=choice[0].active_uid)):
+        with pytest.raises(StaleChoiceError, match=message.format(h=choice[0][0].active_uid)):
             u_apply(nxt, choice)
 
 
@@ -117,7 +117,7 @@ def test_an_untimed_move_replayed_on_its_own_result_is_stale(rule, skin, message
 
 def test_an_untimed_choice_naming_a_missing_membrane_is_stale():
     (choice,) = u_maximal_choices(handshake(), [RULE])
-    with pytest.raises(StaleChoiceError, match=f"no membrane with uid {choice[0].active_uid}$"):
+    with pytest.raises(StaleChoiceError, match=f"no membrane with uid {choice[0][0].active_uid}$"):
         u_apply(handshake(), choice)
 
 
@@ -163,7 +163,7 @@ def test_choice_sets_match_reference_on_the_embedding():
             for ch in ref.choices(ref.from_config(timed_cfg), timed_rules, True)
         )
         got = sorted(
-            sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ch)
+            sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ref.copies(ch))
             for ch in u_maximal_choices(cfg, rules)
         )
         assert got == want, f"seed {seed}"
@@ -234,7 +234,8 @@ def test_u_apply_matches_reference_per_membrane():
         timed_cfg, timed_rules = embed_infinite(cfg, rules)
         root = ref.from_config(timed_cfg)
         by_roles = {
-            tuple(sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid) for i in ch)): ch
+            tuple(sorted((i.rule_index, i.active_uid, -1 if i.passive_uid is None else i.passive_uid)
+                         for i in ref.copies(ch))): ch
             for ch in u_maximal_choices(cfg, rules)
         }
         for ref_choice in ref.choices(root, timed_rules, saturated=True):
