@@ -29,7 +29,9 @@ one characteristic timer, and when no two moves share a passive membrane in
 a single step (each compiled move binds the passive membrane's counter).
 Both caveats are inherited from the counter encoding itself; systems
 outside that envelope still compile but may admit compiled runs with no
-timed counterpart.
+timed counterpart. Strict rules (``keep_active_timer``) are inside it:
+their compiled mover keeps its counter, as the timed step keeps the
+mover's timer.
 """
 
 from __future__ import annotations
@@ -318,8 +320,10 @@ class MoveSchema(Sequence):
     slots and of its membrane at the vector's values, and produces each
     of the rule's products followed by its counter, at 0 when fresh and
     at its slot's value plus one when carried, then its membrane's next
-    counter. Binding the passive membrane's counter also enforces the
-    "passive timer greater than 0" precondition."""
+    counter; the active membrane of a ``keep_active_timer`` rule keeps
+    its counter, as the timed step keeps its timer. Binding the passive
+    membrane's counter also enforces the "passive timer greater than 0"
+    precondition."""
 
     rule: MoveRule
     active_lives: tuple
@@ -388,16 +392,16 @@ class MoveSchema(Sequence):
         for (side, counters), j in zip(self._axes, vector):
             axes[side].append((counters[j], j))
         sides = []  # consumed, produced; active side first
-        for kept, prods, label, timer, held in (
-            (rule.v, rule.w, rule.h, self.h_timer, axes[0]),
-            (rule.v2, rule.w2, rule.m, self.m_timer, axes[1]),
+        for kept, prods, label, timer, held, tick in (
+            (rule.v, rule.w, rule.h, self.h_timer, axes[0], 0 if rule.keep_active_timer else 1),
+            (rule.v2, rule.w2, rule.m, self.m_timer, axes[1], 1),
         ):
             made = []
             for sym, spec in prods:
                 count = 0 if isinstance(spec, Fresh) else held[spec.slot][1] + 1
                 made += ((sym, _FRESH), (make_counter(str(sym), count), _FRESH))
             if timer is not None:
-                made.append((make_counter(label, held[-1][1] + 1), _FRESH))
+                made.append((make_counter(label, held[-1][1] + tick), _FRESH))
             sides += (Multiset([*kept, *[counter for counter, _j in held]]), tuple(made))
         v, w, v2, w2 = sides
         name = f"{rule.name or 'move'}:{','.join(map(str, vector))}"

@@ -146,11 +146,6 @@ class Multiset:
     def __repr__(self) -> str:
         return f"Multiset({list(self)!r})"
 
-    def add(self, item, n: int = 1) -> "Multiset":
-        counts = dict(self._counts)
-        counts[item] = counts.get(item, 0) + n
-        return Multiset(counts)
-
     def union(self, other: "Multiset") -> "Multiset":
         """Additive union (multiset sum)."""
         counts = dict(self._counts)
@@ -160,15 +155,6 @@ class Multiset:
 
     def contains(self, other: "Multiset") -> bool:
         return all(self.count(i) >= n for i, n in other._counts.items())
-
-    def difference(self, other: "Multiset") -> "Multiset":
-        """Multiset difference; ``other`` must be contained in ``self``."""
-        if not self.contains(other):
-            raise ValueError("difference without containment")
-        counts = dict(self._counts)
-        for item, n in other._counts.items():
-            counts[item] -= n
-        return Multiset(counts)
 
 
 _uid_counter = itertools.count(1)
@@ -281,14 +267,6 @@ class MembraneNode(FrozenTree):
 
     def _fields(self) -> tuple:
         return (self.label, self.timer, self.content, self.uid)
-
-    @property
-    def elementary(self) -> bool:
-        return not self.children
-
-    def with_children(self, children: tuple) -> "MembraneNode":
-        """A copy holding ``children``, with a fresh uid."""
-        return MembraneNode(self.label, self.timer, self.content, children)
 
     walk = walk_tree
 
@@ -556,17 +534,12 @@ def render_node(label: str, timer: Timer, objects: str, kids: Iterable[str]) -> 
     return f"{label}:{timer_str(timer)}{{{objects}}}[{' '.join(sorted(kids)) if kids else ''}]"
 
 
-def canonical_render(node: MembraneNode) -> str:
-    """Deterministic rendering, invariant under sibling and entry order.
-    Timers are printed as stored: remaining timers at clock 0."""
-    return render_at(node, 0)
-
-
 def render_at(node: MembraneNode, clock: int) -> str:
-    """``canonical_render`` of ``node`` read at ``clock``: each finite
-    timer printed as its deadline less the clock. One fold, children
-    first, on an explicit stack, with leaves rendered in their parent's
-    pass, each distinct leaf content's objects once. A child's render is
+    """The canonical render of ``node`` read at ``clock``, invariant under
+    sibling and entry order: each finite timer printed as its deadline
+    less the clock, so at clock 0 as stored. One fold, children first,
+    on an explicit stack, with leaves rendered in their parent's pass,
+    each distinct leaf content's objects once. A child's render is
     dropped once its parent has read it, so memory stays linear in depth;
     nothing is stored on the nodes."""
     order = []  # the membranes with children, parents first, children right to left
@@ -712,11 +685,3 @@ def number_fresh(skin):
         node.uid = uid
     return skin
 
-
-def renumber(config):
-    """A copy of a timed or untimed configuration with uids 1..n in
-    pre-order, the uids the parser and the translator give the trees they
-    build (``number_fresh``), so that equal sources give byte-equal traces
-    and graph labels within one process."""
-    skin = rebuild_tree(config.skin, type(config.skin).with_children)
-    return type(config)(number_fresh(skin), config.output_label)

@@ -105,7 +105,7 @@ from itertools import product
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .choices import addable, availability, enumerate_choices, every, expanded, least_choice
+from .choices import enumerate_choices, every, expanded, least_choice
 from .core import (
     DELTA,
     DELTA_NAME,
@@ -990,27 +990,3 @@ def _least_remaining(config) -> Timer | None:
         return least_timer(config.skin) - config.clock
     return None
 
-
-# ---------------------------------------------------------------------------
-# Maximality audit
-
-def residual_instances(
-    config: Configuration,
-    choice: StepChoice,
-    rules: Sequence[Rule],
-    forced_only: bool = False,
-) -> list[Instance]:
-    """Instances still applicable after setting aside the choice's bound
-    objects and membrane roles. Empty on every saturated choice; with
-    ``forced_only`` empty on every legal choice."""
-    found = find_instances(config, rules)
-    avail = availability(config, found)
-    usage = _deadline_usage(choice, 0)  # keyed by remaining timers, as ``avail`` is
-    moves = [inst for inst, _n in choice if inst.is_move]
-    actives = {inst.active_uid for inst in moves}
-    passives = {inst.passive_uid for inst in moves}
-    return [
-        inst for inst in found
-        if (not forced_only or inst.forced())
-        and addable(inst, inst.needs(), avail, usage, actives, passives) > 0
-    ]

@@ -45,6 +45,7 @@ from .core import (
     Symbol,
     number_fresh,
     rebuild_tree,
+    rule_name,
     slot_tuple,
     timer_str,
     validate,
@@ -378,23 +379,29 @@ def _render_prods(prods, timed: bool) -> str:
     return " ".join(parts)
 
 
-def _render_rule(rule: Rule, timed: bool) -> str:
+def _render_rule(rule: Rule, index: int, sf: SystemFile) -> str:
     if isinstance(rule, RewriteRule):
         lhs = " ".join(str(s) for s in rule.lhs)
-        return f"rw {rule.at if rule.at is not None else '*'} : {lhs} => {_render_prods(rule.rhs, timed)}"
+        return f"rw {rule.at if rule.at is not None else '*'} : {lhs} => {_render_prods(rule.rhs, sf.timed)}"
+    if rule.keep_active_timer != sf.strict:
+        raise ValueError(f"rule {rule_name(rule, index)}: keep_active_timer {rule.keep_active_timer},"
+                         f" strict {sf.strict}")
     kw = "endo" if isinstance(rule, EndoRule) else "exo"
     u = " ".join(str(s) for s in rule.u)
     v = " ".join(str(s) for s in rule.v)
     ub = " ".join(str(s) for s in rule.u_bar)
     v2 = " ".join(str(s) for s in rule.v2)
-    w = _render_prods(rule.w, timed)
-    w2 = _render_prods(rule.w2, timed)
+    w = _render_prods(rule.w, sf.timed)
+    w2 = _render_prods(rule.w2, sf.timed)
     return f"{kw} {rule.h} {rule.m} : {u} | {v} , {ub} | {v2} => {w} | {w2}"
 
 
 def render_system(sf: SystemFile) -> str:
     """Canonical source text; parse(render(x)) reproduces x with
-    positional rule names."""
+    positional rule names. The header's ``strict`` sets every movement
+    rule's ``keep_active_timer`` when the text is read, so a movement rule
+    whose flag differs from ``sf.strict`` raises ``ValueError``: its text
+    would read back as another system."""
     flags = ("timed" if sf.timed else "untimed")
     if sf.compiled:
         flags += " compiled"
@@ -404,5 +411,5 @@ def render_system(sf: SystemFile) -> str:
     lines.append(_render_membrane(sf.config.skin, sf.timed))
     if sf.rules:
         lines.append("")
-        lines.extend(_render_rule(r, sf.timed) for r in sf.rules)
+        lines.extend(_render_rule(rule, index, sf) for index, rule in enumerate(sf.rules))
     return "\n".join(lines) + "\n"

@@ -81,14 +81,6 @@ class UNode(FrozenTree):
     def _fields(self) -> tuple:
         return (self.label, self.content, self.uid)
 
-    @property
-    def elementary(self) -> bool:
-        return not self.children
-
-    def with_children(self, children: tuple) -> "UNode":
-        """A copy holding ``children``, with a fresh uid."""
-        return UNode(self.label, self.content, children)
-
     walk = walk_tree
 
 
@@ -267,7 +259,7 @@ def _move_pairs(rule: MoveRule, skin: UNode, kids: dict) -> Iterator[tuple]:
             if not there:
                 continue
             for active in here.values():
-                if active.elementary:
+                if not active.children:
                     for passive in there.values():
                         if passive is not active:
                             yield active, passive
@@ -275,7 +267,7 @@ def _move_pairs(rule: MoveRule, skin: UNode, kids: dict) -> Iterator[tuple]:
         hosts = [passive for members in kids.get(rule.m, {}).values() for passive in members.values()]
         for passive in [skin] * (skin.label == rule.m) + hosts:
             for active in actives.get(passive.uid, {}).values():
-                if active.elementary:
+                if not active.children:
                     yield active, passive
 
 

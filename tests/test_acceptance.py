@@ -18,7 +18,7 @@ from mobilemem.core import (
     canonicalize,
     mem,
 )
-from mobilemem.engine import apply_step, maximal_choices, residual_instances, run
+from mobilemem.engine import apply_step, maximal_choices, run
 from mobilemem.ambient import (
     Amb,
     Capability,
@@ -41,6 +41,7 @@ from mobilemem.explore import check_embedding, check_timer_elimination, check_tr
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.cli import main
 from mobilemem import corpus
+import systems
 
 a, b, c, x = Symbol("a"), Symbol("b"), Symbol("c"), Symbol("x")
 
@@ -121,11 +122,11 @@ def test_criterion_maximality_soak():
     t0 = time.perf_counter()
     total = 0
     for seed in range(20):
-        cfg, rules = corpus.random_soak_system(seed)
+        cfg, rules = systems.random_soak_system(seed)
         trace = run(cfg, rules, 50, selector="random", seed=seed)
         current = cfg
         for record in trace.records:
-            assert residual_instances(current, record.choice, rules) == [], \
+            assert systems.residual_instances(current, record.choice, rules) == [], \
                 f"seed {seed} step {record.index}"
             current = apply_step(current, record.choice)
             assert canonicalize(current) == record.key, f"seed {seed} step {record.index}"
@@ -176,7 +177,7 @@ def test_criterion_timer_elimination():
 
 def test_criterion_translation_shape(tmp_path):
     t0 = time.perf_counter()
-    process = corpus.reorder_demo_process()
+    process = systems.reorder_demo_process()
     config = translate(process)
     assert canonicalize(config) == \
         "skin:inf{}[m:6{~in_m:5}[] n:4{in_k:2,in_m:1,out_s:3}[]]|out=skin"
@@ -196,7 +197,7 @@ def test_criterion_translation_shape(tmp_path):
 
 def test_criterion_correspondence():
     t0 = time.perf_counter()
-    processes = corpus.hand_processes() + [corpus.reorder_demo_process()]
+    processes = systems.hand_processes() + [systems.reorder_demo_process()]
     assert len(processes) == 11
     for i, p in enumerate(processes):
         verdict = check_translation(p, 2)
@@ -209,7 +210,7 @@ def test_criterion_correspondence():
 
 def test_criterion_reordered_preimage():
     t0 = time.perf_counter()
-    process = corpus.reorder_demo_process()
+    process = systems.reorder_demo_process()
     report = check_preimage_reordering(process)
     assert report["reordering_found"]
     (target,) = report["targets"]
@@ -223,7 +224,7 @@ def test_criterion_reordered_preimage():
 
 def test_criterion_determinism_and_roundtrip(tmp_path):
     t0 = time.perf_counter()
-    cfg, rules = corpus.random_soak_system(2)
+    cfg, rules = systems.random_soak_system(2)
     first = run(cfg, rules, 30, selector="random", seed=11).to_jsonl()
     second = run(cfg, rules, 30, selector="random", seed=11).to_jsonl()
     assert first.encode() == second.encode()
@@ -246,6 +247,6 @@ def test_criterion_determinism_and_roundtrip(tmp_path):
         sf = SystemFile(False, "skin", config, rules)
         assert render_system(parse_system(render_system(sf))) == render_system(sf)
     for seed in range(200):
-        p = corpus.random_process(seed)
+        p = systems.random_process(seed)
         assert congruent(parse_ambient(render_process(p)), p)
     _timed("determinism and parse/print round-trips", 30.0, t0)

@@ -27,7 +27,8 @@ from mobilemem.ambient import (
     render_process,
     subterms,
 )
-from mobilemem.corpus import hand_processes, random_process, random_reducible_process, reorder_demo_process
+from mobilemem.corpus import random_reducible_process
+from systems import hand_processes, random_process, reorder_demo_process
 from mobilemem.explore import check_translation, explore_ambients
 from mobilemem.translate import translate
 

@@ -34,17 +34,19 @@ from mobilemem.compiler import (
     project,
 )
 import mobilemem.compiler as compiler
+from mobilemem.ambient import parse_ambient
 from mobilemem.cli import main
-from mobilemem.core import renumber
-from mobilemem.corpus import random_timed_system, random_untimed_system
+from mobilemem.corpus import random_reducible_process, random_timed_system, random_untimed_system
 from mobilemem.engine import find_instances, maximal_choices, step_choices
 from mobilemem.explore import check_timer_elimination, explore_membranes, explore_untimed
 from mobilemem.sysfile import SystemFile, parse_system, render_system
+from mobilemem.translate import generate_rules, translate
 from mobilemem.untimed import UConfig, u_canonicalize, u_find_instances, u_maximal_choices, umem
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref  # noqa: E402
 from conftest import count_calls  # noqa: E402
+from systems import renumber  # noqa: E402
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 
@@ -287,7 +289,8 @@ def test_schema_matcher_equals_the_expanded_family():
 def _reference_member(schema, vector):
     """``MoveSchema._member`` as it was written before its two sides were
     built in one loop: each side by hand, its consumed counters added one
-    by one, its products compiled by a nested function."""
+    by one, its products compiled by a nested function. The active
+    membrane of a ``keep_active_timer`` rule keeps its counter."""
     rule = schema.rule
     n_active, n_passive = len(schema.active_lives), len(schema.passive_lives)
     a_vec = vector[:n_active]
@@ -298,14 +301,14 @@ def _reference_member(schema, vector):
 
     v = rule.v
     for sym, j in zip(rule.active_slots, a_vec):
-        v = v.add(make_counter(str(sym), j))
+        v = v.union(Multiset([make_counter(str(sym), j)]))
     if t3 is not None:
-        v = v.add(make_counter(rule.h, t3))
+        v = v.union(Multiset([make_counter(rule.h, t3)]))
     v2 = rule.v2
     for sym, j in zip(rule.passive_slots, p_vec):
-        v2 = v2.add(make_counter(str(sym), j))
+        v2 = v2.union(Multiset([make_counter(str(sym), j)]))
     if t6 is not None:
-        v2 = v2.add(make_counter(rule.m, t6))
+        v2 = v2.union(Multiset([make_counter(rule.m, t6)]))
 
     def compile_prods(prods, vec):
         compiled = []
@@ -319,7 +322,7 @@ def _reference_member(schema, vector):
 
     w = compile_prods(rule.w, a_vec)
     if t3 is not None:
-        w.append((make_counter(rule.h, t3 + 1), Fresh(INF)))
+        w.append((make_counter(rule.h, t3 + (0 if rule.keep_active_timer else 1)), Fresh(INF)))
     w2 = compile_prods(rule.w2, p_vec)
     if t6 is not None:
         w2.append((make_counter(rule.m, t6 + 1), Fresh(INF)))
@@ -330,10 +333,12 @@ def _reference_member(schema, vector):
 
 
 def test_schema_members_equal_the_reference_builder():
-    # every member of W3 at T=1..5 and of every schema of timed corpus
-    # seeds 0-119, read by index and by iteration
+    # every member of W3 at T=1..5, of every schema of timed corpus seeds
+    # 0-119 and of the strict translations of reducible seeds 0-39, read
+    # by index and by iteration
     systems = [(sf.config, sf.rules) for sf in map(w3, range(1, 6))]
     systems += [random_timed_system(seed) for seed in range(120)]
+    systems += [(translate(p), generate_rules(p, strict=True)) for p in map(random_reducible_process, range(40))]
     schemas = []
     for config, rules in systems:
         try:
@@ -342,6 +347,7 @@ def test_schema_members_equal_the_reference_builder():
             continue
         schemas += [item for _base, item in compiled.parts if isinstance(item, MoveSchema)]
     assert len(schemas) > 100
+    assert any(s.rule.keep_active_timer and s.h_timer is not None for s in schemas)
     for schema in schemas:
         radices = [range(len(counters)) for _side, counters in schema._axes]
         members = list(schema)
@@ -351,6 +357,22 @@ def test_schema_members_equal_the_reference_builder():
             for got in (schema[i], members[i]):
                 assert type(got) is type(want) and got == want
                 assert (got.name, got.u, got.v, got.v2, got.w, got.w2) == (want.name, want.u, want.v, want.v2, want.w, want.w2)
+
+
+def test_prop2_holds_on_strict_translations_where_it_holds_on_default_ones():
+    # a strict rule keeps the mover's timer, and its compiled members keep
+    # the mover's counter; before they did, this mover dissolved one step
+    # early on the compiled side, and 25 of the 40 seeds below failed
+    p = parse_ambient("n:2[ in:5 m ] | m:9[ ~in:5 m ]")
+    assert check_timer_elimination(translate(p), generate_rules(p, strict=True), 6).ok
+    failing = {True: [], False: []}
+    for seed in range(40):
+        p = random_reducible_process(seed)
+        for strict in failing:
+            if not check_timer_elimination(translate(p), generate_rules(p, strict=strict), 5).ok:
+                failing[strict].append(seed)
+    # the failures left are ROADMAP item 17's nonuniform creation timers
+    assert failing[True] == failing[False] == [0, 11, 15, 34]
 
 
 def test_compiled_output_is_pinned():

@@ -20,6 +20,7 @@ from mobilemem.core import (
     validate,
 )
 from mobilemem.untimed import UConfig, umem
+from systems import renumber
 
 a, b = Symbol("a"), Symbol("b")
 
@@ -45,27 +46,21 @@ def test_multiset_laws():
     m = Multiset([a, a, b])
     assert m.count(a) == 2 and len(m) == 3
     n = Multiset([a])
-    assert m.contains(n)
-    # difference then union restores the original when containment held
-    assert m.difference(n).union(n) == m
-    with pytest.raises(ValueError):
-        n.difference(m)
+    assert m.contains(n) and not n.contains(m)
+    assert n.union(Multiset([b, a])) == m
     assert Multiset() == Multiset([])
     assert not Multiset()
 
 
 def test_multiset_no_zero_entries():
-    m = Multiset({a: 2}).difference(Multiset([a, a]))
-    assert a not in m
+    m = Multiset({a: 0})
+    assert a not in m and not m
     assert list(m.items()) == []
 
 
-def test_adding_a_negative_count_is_refused_as_in_the_constructor():
-    with pytest.raises(ValueError, match="negative multiplicity"):
-        Multiset([a]).add(a, -5)
+def test_a_negative_count_is_refused_by_the_constructor():
     with pytest.raises(ValueError, match="negative multiplicity"):
         Multiset({a: -4})
-    assert Multiset([a]).add(a, -1) == Multiset() and Multiset([a]).add(b, 0) == Multiset([a])
 
 
 def _tree(rng, depth=3):
@@ -123,7 +118,7 @@ def test_output_reading_sums_over_output_membranes():
     # uid order, not sibling order; symbols in order, timers erased
     first, second = two.skin.children
     assert output_membranes(two) == (3, ((first.uid, (a,)), (second.uid, (a, b))))
-    swapped = Configuration(two.skin.with_children((second, first)), output_label="out")
+    swapped = Configuration(mem("skin", INF, [], [second, first]), output_label="out")
     assert output_membranes(swapped) == output_membranes(two)
 
     untimed = UConfig(umem("skin", [], [umem("out", [a]), umem("out", [b, a, a])]), output_label="out")
@@ -211,7 +206,6 @@ def test_tree_maps_take_deep_nesting():
     recursion limit of 1,000 goes through each of them."""
     from mobilemem import ambient as amb
     from mobilemem.compiler import eliminate_timers, embed_infinite, project
-    from mobilemem.core import renumber
     from mobilemem.sysfile import SystemFile, parse_system, render_system
     from mobilemem.translate import some_preimage, translate
     from mobilemem.untimed import UConfig, erase_timers, u_canonicalize, umem
@@ -258,7 +252,6 @@ def _tuple_key(node) -> tuple:
 
 
 def test_shallow_nodes_compare_and_hash_as_their_fields():
-    from mobilemem.core import renumber
     from mobilemem.corpus import random_timed_system, random_untimed_system
 
     nodes = []

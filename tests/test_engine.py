@@ -31,10 +31,10 @@ from mobilemem.core import (
     RuleSet,
     Symbol,
     at_rest,
-    canonical_render,
     canonicalize,
     mem,
     rebuild_tree,
+    render_at,
 )
 from mobilemem.engine import (
     StaleChoiceError,
@@ -43,19 +43,12 @@ from mobilemem.engine import (
     distinct_successors,
     find_instances,
     maximal_choices,
-    residual_instances,
     run,
     step,
     step_choices,
     successors,
 )
-from mobilemem.corpus import (
-    hand_processes,
-    random_reducible_process,
-    random_soak_system,
-    random_timed_system,
-    random_untimed_system,
-)
+from mobilemem.corpus import random_reducible_process, random_timed_system, random_untimed_system
 from mobilemem.explore import _bfs, _node_record, explore_membranes
 from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
@@ -64,6 +57,7 @@ from mobilemem.untimed import (
     erase_timers, u_apply, u_canonicalize, u_find_instances, u_maximal_choices, u_run, u_successors,
 )
 from conftest import count_calls, examples, w4
+from systems import hand_processes, random_soak_system, residual_instances
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
 DELTA = Symbol("delta")
@@ -611,7 +605,7 @@ def test_reference_agrees_on_worked_example():
 def _ref_detached(node):
     content = Multiset({(Symbol(name, co), t): n for (name, co, t), n in node["objs"].items()})
     frozen = MembraneNode(node["label"], node["timer"], content, (), uid=node["uid"])
-    return node["uid"], node["label"], canonical_render(frozen)
+    return node["uid"], node["label"], render_at(frozen, 0)
 
 
 def _assert_steps_match_reference(cfg, rules) -> int:
@@ -1820,7 +1814,7 @@ def test_the_final_state_at_rest_keeps_the_key_of_the_last_record(monkeypatch):
     last = trace.records[-1].key
     renders = count_calls(monkeypatch, "mobilemem.core.render_at")
     assert canonicalize(trace.final) == last and renders.n == 0
-    assert canonical_render(trace.final.skin) + "|out=skin" == last
+    assert render_at(trace.final.skin, 0) + "|out=skin" == last
 
 
 def test_a_composed_successor_keeps_the_key_it_was_composed_with(monkeypatch):
@@ -1835,7 +1829,7 @@ def test_a_composed_successor_keeps_the_key_it_was_composed_with(monkeypatch):
     renders = count_calls(monkeypatch, "mobilemem.core.render_at")
     assert [canonicalize(config) for _choice, config, _key in found] == [key for _c, _s, key in found]
     assert renders.n == 0
-    assert [canonical_render(at_rest(config).skin) + "|out=skin" for _c, config, _k in found] == [key for _c, _s, key in found]
+    assert [render_at(at_rest(config).skin, 0) + "|out=skin" for _c, config, _k in found] == [key for _c, _s, key in found]
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ from mobilemem.corpus import (
     random_reducible_process,
     random_timed_system,
     random_untimed_system,
-    reorder_demo_process,
 )
 from conftest import count_calls, w4
+from systems import renumber, reorder_demo_process
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 E1 = EndoRule("h", "m", Multiset([a]), w=((c, Fresh(7)),), name="E1")
@@ -95,8 +95,6 @@ def test_bfs_depths_are_shortest_paths():
 
 
 def test_exploration_is_deterministic():
-    from mobilemem.core import renumber
-
     g1 = explore_membranes(renumber(s1()), [E1], 3)
     g2 = explore_membranes(renumber(s1()), [E1], 3)
     assert json.dumps(g1.to_json(), sort_keys=True) == json.dumps(g2.to_json(), sort_keys=True)
@@ -106,8 +104,6 @@ def test_explorer_reuses_the_successor_key(monkeypatch):
     # the successor relation already keys every configuration it steps
     # the whole tree to, and composes the key of every one it builds from
     # parts (engine.successors); the explorer keys only the root itself
-    from mobilemem.core import renumber
-
     keys = count_calls(monkeypatch, "mobilemem.core.canonicalize")
     whole = count_calls(monkeypatch, "mobilemem.engine.apply_step")
     composed = count_calls(monkeypatch, "mobilemem.engine._compose")

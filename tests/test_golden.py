@@ -4,7 +4,7 @@ Each item is one SHA-256 over a text the toolkit produces: choice sets,
 seeded traces, reach graphs, literal successors, check verdicts, the
 compiled ROADMAP W3 system, and the demos' standard output. The ambient
 items cover both the seeded reducible processes and
-``corpus.hand_processes()``, prop45 at depths 0, 2 and 4. Every corpus
+``systems.hand_processes()``, prop45 at depths 0, 2 and 4. Every corpus
 system is renumbered first, so uids do not depend on which tests ran
 before. A refactor must keep every
 digest. A change meant to alter one rewrites the file with
@@ -21,13 +21,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mobilemem.core import canonicalize, renumber
-from mobilemem.corpus import (
-    hand_processes,
-    random_reducible_process,
-    random_timed_system,
-    random_untimed_system,
-)
+from mobilemem.core import canonicalize
+from mobilemem.corpus import random_reducible_process, random_timed_system, random_untimed_system
 from mobilemem.compiler import eliminate_timers
 from mobilemem.engine import choice_describe, maximal_choices, run, step_choices
 from mobilemem.explore import (
@@ -41,6 +36,7 @@ from mobilemem.explore import (
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.translate import generate_rules, literal_successors, translate
 from mobilemem.untimed import u_maximal_choices, u_run
+from systems import hand_processes, renumber
 
 GOLDEN = Path(__file__).with_name("golden.json")
 ROOT = GOLDEN.parents[1]

@@ -20,6 +20,7 @@ from mobilemem.ambient import AmbientSyntaxError, canonical_key, parse_ambient, 
 from mobilemem.lexer import Cursor, PositionedError, scanner
 from mobilemem.sysfile import InvalidSystemError, ParseError, SystemFile, parse_system, render_system
 from conftest import examples
+from systems import hand_processes
 from test_sysfile import _parse_outcome
 
 
@@ -32,7 +33,7 @@ MMS_TEXTS = [_mms(corpus.random_timed_system(i), True) for i in range(10)] + [
     _mms(corpus.random_untimed_system(i), False) for i in range(10)
 ]
 AMB_TEXTS = [render_process(corpus.random_reducible_process(i)) for i in range(10)] + [
-    render_process(p) for p in corpus.hand_processes()
+    render_process(p) for p in hand_processes()
 ]
 # every punctuation mark and operator of both languages, a stray character,
 # digits, letters, a digit and a letter outside ASCII, and the characters

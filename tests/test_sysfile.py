@@ -19,7 +19,8 @@ from mobilemem.core import (
 )
 from mobilemem.untimed import u_canonicalize
 from mobilemem.sysfile import InvalidSystemError, ParseError, SystemFile, parse_system, render_system
-from mobilemem.corpus import random_timed_system, random_untimed_system
+from mobilemem.corpus import random_reducible_process, random_timed_system, random_untimed_system
+from mobilemem.translate import generate_rules, translate
 from conftest import count_calls
 
 a, b = Symbol("a"), Symbol("b")
@@ -108,6 +109,19 @@ endo h m : a | , ~a | => |
     assert parse_system(text2).compiled
 
 
+def test_rendering_refuses_a_strict_flag_its_rules_do_not_carry():
+    # a reader gives every movement rule the header's ``strict``, so a
+    # file whose flag and rules disagree would read back as another system
+    p = random_reducible_process(1)
+    config = translate(p)
+    for strict in (False, True):
+        rules = generate_rules(p, strict=strict)
+        text = render_system(SystemFile(True, "skin", config, rules, strict=strict))
+        assert [r.keep_active_timer for r in parse_system(text).rules] == [strict] * len(rules)
+        with pytest.raises(ValueError, match=rf"^rule in:n0>m0: keep_active_timer {strict}, strict {not strict}$"):
+            render_system(SystemFile(True, "skin", config, rules, strict=not strict))
+
+
 def test_zero_timer_objects_accepted():
     text = """mms 1 timed
 output skin
@@ -173,14 +187,18 @@ def test_load_lists_every_violation():
 
 
 def test_a_parse_numbers_the_tree_it_built_in_place(monkeypatch):
-    copies = [count_calls(monkeypatch, f"mobilemem.{kind}.with_children")
-              for kind in ("core.MembraneNode", "untimed.UNode")]
+    built = [count_calls(monkeypatch, f"mobilemem.{kind}.__init__")
+             for kind in ("core.MembraneNode", "untimed.UNode")]
     for config, rules in (random_timed_system(3), random_untimed_system(3)):
         text = render_system(SystemFile(isinstance(config, Configuration), "skin", config, rules))
+        for count in built:
+            count.n = 0
         parsed = parse_system(text).config
-        assert [node.uid for node in parsed.skin.walk()] == list(range(1, len(list(config.skin.walk())) + 1))
+        nodes = len(list(config.skin.walk()))
+        # one node built per membrane: no copy of the tree to renumber
+        assert sum(count.n for count in built) == nodes
+        assert [node.uid for node in parsed.skin.walk()] == list(range(1, nodes + 1))
         assert render_system(SystemFile(isinstance(config, Configuration), "skin", parsed, rules)) == text
-    assert [c.n for c in copies] == [0, 0]
 
 
 @pytest.mark.parametrize("name", ["a9", "_9", "$c", "9a", "n\u00e9", "\u00b2"])

@@ -39,7 +39,8 @@ from mobilemem.translate import (
     _arrangements,
     _literal_apply,
 )
-from mobilemem.corpus import hand_processes, random_process, random_reducible_process, reorder_demo_process
+from mobilemem.corpus import random_reducible_process
+from systems import hand_processes, random_process, reorder_demo_process
 from mobilemem.explore import check_translation, explore_ambients, explore_membranes
 
 
