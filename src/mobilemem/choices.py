@@ -94,7 +94,9 @@ def availability(config, instances: Sequence) -> dict:
     membrane read by uid from the configuration's index. A configuration
     at a clock (a timed one past clock 0) stores deadlines, and its
     classes are named here by remaining timers, as instances bind them;
-    an untimed one is always at clock 0."""
+    an untimed one is always at clock 0. The clock is read here, not
+    through ``core.at_rest``, on purpose: the choice search is the hot
+    path, and a copy at rest per search would cost a tree per state."""
     clock = config.clock
     wanted = {inst.active_uid for inst in instances}
     wanted.update([inst.passive_uid for inst in instances])

@@ -62,6 +62,7 @@ from .core import (
     RuleTables,
     Symbol,
     Timer,
+    at_rest,
     rebuild_tree,
 )
 from .untimed import UConfig, UNode
@@ -158,9 +159,10 @@ def _survey(config: Configuration, rules: Sequence[Rule]) -> tuple:
 
 
 def lifetime(sym: Symbol, config: Configuration, rules: Sequence[Rule]) -> int:
-    """Maximum timer with which ``sym`` is ever created; errors when the
-    maximum is infinite or the symbol is never created."""
-    top = _survey(config, rules)[-1].get(sym)
+    """Maximum timer with which ``sym`` is ever created, reading the
+    remaining timers of ``config`` at any clock (``core.at_rest``); errors
+    when the maximum is infinite or the symbol is never created."""
+    top = _survey(at_rest(config), rules)[-1].get(sym)
     if top is None:
         raise CompileError(f"lifetime({sym}) undefined: the symbol is never created")
     if top == INF:
@@ -212,7 +214,9 @@ def plan_elimination(config: Configuration, rules: Sequence[Rule]) -> Eliminatio
     rewrite rule; an object with timer INF; then, for each symbol in the
     order first met (tree before rules), the counter spelling ``$``, the
     dissolution marker, a plain name equal to a finite-timer label; last,
-    a fresh product with timer INF."""
+    a fresh product with timer INF. ``config`` may be at any clock: the
+    plan reads and holds its ``core.at_rest`` form."""
+    config = at_rest(config)
     label_timers, clash, rewrites, inf_object, inf_product, symbols, top = _survey(config, rules)
     if clash is not None:
         raise CompileError(f"label {clash} is shared by membranes with different timers")

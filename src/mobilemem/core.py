@@ -285,8 +285,13 @@ class Configuration:
     ``engine.step``). A configuration at rest is one at clock 0, where
     deadlines are remaining timers; ``at_rest`` turns any configuration
     into that form, and every key and every output reads remaining
-    timers. ``_index`` holds the configuration's ``tree.Index`` and
-    ``_key`` its ``canonicalize`` key, each filled on first read.
+    timers. Every function of the package that takes a configuration
+    takes one at any clock: outside ``core``, ``engine`` and ``choices``,
+    a reader of stored timers reads its argument's ``at_rest`` form, and
+    only ``translate._preimages`` and ``choices.availability``, on hot
+    paths, read the clock themselves. ``_index`` holds the
+    configuration's ``tree.Index`` and ``_key`` its ``canonicalize`` key,
+    each filled on first read.
     """
 
     skin: MembraneNode
@@ -321,44 +326,25 @@ def _has_least(node: MembraneNode) -> bool:
     return node._least is not None
 
 
-def shifted(content: Multiset, by: int) -> Multiset:
-    """``content`` with every finite object timer moved by ``by``; ``INF``
-    stays. Moving every finite timer alike keeps the sorted order."""
-    return Multiset._of_sorted(tuple([((sym, t + by), n) for (sym, t), n in content.items()]))
-
-
 def at_rest(config: Configuration) -> Configuration:
-    """``config`` at clock 0: each finite timer less its clock. Subtrees
-    with no finite timer are shared, uids are kept, equal contents are
-    shifted once, and every node built gets its least timer, as the
-    step's nodes do. The key ``config`` holds, if any, is kept."""
+    """``config`` at clock 0: one fold that rebuilds each node with its
+    timer and each object timer less the clock (``INF`` stays), keeping
+    uids, child order and the key ``config`` holds, if any. A
+    configuration at clock 0, an untimed one included, comes back as it
+    is. A reader of stored timers outside the step reads its argument
+    through this, so it takes a configuration at any clock."""
     clock = config.clock
     if not clock:
         return config
-    skin = config.skin
-    if least_timer(skin) != INF:
-        contents: dict = {}  # a clocked content's sorted pairs -> the content at rest
 
-        def make(node: MembraneNode, children: tuple) -> MembraneNode:
-            if node._least == INF:
-                return node
-            content = contents.get(node.content._items)
-            if content is None:
-                content = contents[node.content._items] = shifted(node.content, -clock)
-            rest = MembraneNode(node.label, node.timer - clock, content, children, uid=node.uid)
-            rest._least = node._least - clock
-            return rest
+    def make(node: MembraneNode, children: tuple) -> MembraneNode:
+        # moving every finite timer alike keeps the sorted order
+        content = Multiset._of_sorted(tuple([((sym, t - clock), n) for (sym, t), n in node.content.items()]))
+        return MembraneNode(node.label, node.timer - clock, content, children, uid=node.uid)
 
-        skin = rebuild_tree(skin, make, _timeless)
-    rest = Configuration(skin, config.output_label)
+    rest = Configuration(rebuild_tree(config.skin, make), config.output_label)
     object.__setattr__(rest, "_key", config._key)  # a key reads remaining timers
     return rest
-
-
-def _timeless(node: MembraneNode) -> bool:
-    """No finite timer in ``node``'s subtree, which reads the same at
-    every clock; ``least_timer`` has been filled in below it."""
-    return node._least == INF
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +366,6 @@ class Carry:
     """
 
     slot: int
-
-
-Prod = tuple  # (Symbol, Fresh | Carry)
 
 
 def slot_tuple(u: Multiset, v: Multiset) -> tuple:

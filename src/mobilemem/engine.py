@@ -887,10 +887,9 @@ class Trace:
 
     @property
     def final(self):
-        """The last configuration reached, at rest: a timed one is turned
-        back to clock 0 (``core.at_rest``) once, on first read."""
-        if getattr(self.reached, "clock", 0):
-            self.reached = at_rest(self.reached)
+        """The last configuration reached, at rest (``core.at_rest``),
+        turned back to clock 0 once, on first read."""
+        self.reached = at_rest(self.reached)
         return self.reached
 
     @property

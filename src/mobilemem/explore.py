@@ -107,7 +107,9 @@ class NodeRecord:
 class ReachGraph:
     """``objects`` maps a node's key to its state. A timed state stays at
     its step clock, the root's plus its depth, so its nodes hold
-    deadlines: a reader of raw timers reads its ``core.at_rest`` form."""
+    deadlines. Each state may be handed as it is to any function of the
+    package, which reads its remaining timers (``core.at_rest``); a
+    caller that reads raw timers itself reads its ``at_rest`` form."""
 
     root: str
     depth: int

@@ -43,6 +43,7 @@ from .core import (
     Rule,
     RuleSet,
     Symbol,
+    at_rest,
     number_fresh,
     rebuild_tree,
     rule_name,
@@ -401,14 +402,15 @@ def render_system(sf: SystemFile) -> str:
     positional rule names. The header's ``strict`` sets every movement
     rule's ``keep_active_timer`` when the text is read, so a movement rule
     whose flag differs from ``sf.strict`` raises ``ValueError``: its text
-    would read back as another system."""
+    would read back as another system. The configuration may be at any
+    clock; its ``core.at_rest`` form is written, remaining timers."""
     flags = ("timed" if sf.timed else "untimed")
     if sf.compiled:
         flags += " compiled"
     if sf.strict:
         flags += " strict"
     lines = [f"mms 1 {flags}", f"output {sf.output}", ""]
-    lines.append(_render_membrane(sf.config.skin, sf.timed))
+    lines.append(_render_membrane(at_rest(sf.config).skin, sf.timed))
     if sf.rules:
         lines.append("")
         lines.extend(_render_rule(rule, index, sf) for index, rule in enumerate(sf.rules))

@@ -58,6 +58,7 @@ from .core import (
     RuleSet,
     Symbol,
     Timer,
+    at_rest,
     canonicalize,
     number_fresh,
     rebuild_tree,
@@ -66,7 +67,7 @@ from . import ambient as amb
 from .ambient import Amb, Capability, Prefix, Process
 from .choices import enumerate_choices
 from .engine import distinct_successors, find_instances
-from .tree import Tree
+from .tree import StaleChoiceError, Tree
 
 SKIN_LABEL = "skin"
 
@@ -151,12 +152,16 @@ def _literal_apply(config: Configuration, choice: tuple) -> Configuration:
     nothing else: consumed objects are replaced by the right-hand sides
     (carried timers unchanged), active membranes move, and no timer
     anywhere is touched. No clock phases, no dissolution. Subtrees no
-    instance touches are shared with ``config``."""
+    instance touches are shared with ``config``. A choice whose
+    membranes or bound objects are gone raises ``StaleChoiceError``, as
+    ``engine.step`` does, and leaves ``config`` as it is."""
     tree = Tree(config, choice)
 
     def swap(uid, classes, prods):
         content = tree.nodes[uid].content
         for cls in classes:
+            if not content.get(cls):
+                raise StaleChoiceError(f"stale literal choice: {cls} missing in {uid}")
             content[cls] -= 1
             if not content[cls]:
                 del content[cls]
@@ -182,7 +187,9 @@ def literal_successors(
     """The translation-level reduction: any nonempty conflict-free set of
     movement instances fires simultaneously (matching a reduction step that
     composes independent movements), with no clock. Deduplicated by
-    canonical key."""
+    canonical key. ``config`` may be at any clock: the relation starts
+    from its ``core.at_rest`` form, so its successors are at rest."""
+    config = at_rest(config)
     instances = [i for i in find_instances(config, rules) if i.is_move]
     choices = enumerate_choices(config, instances, lambda inst: False)
     return distinct_successors(config, [ch for ch in choices if ch], _literal_apply, canonicalize)
@@ -314,7 +321,9 @@ def _preimages(config: Configuration, arrange) -> Preimages:
     chains, and each child takes every body found for it. Empty when
     some object is not capability-shaped. A configuration at a step
     clock is read as it stands: each timer is its deadline less the
-    clock, so no copy at rest is made."""
+    clock, so no copy at rest is made. This reads the clock itself, not
+    through ``core.at_rest``, on purpose: prop45 calls ``some_preimage``
+    on every membrane state while it has fewer than five notes."""
     clock = config.clock
 
     def bodies(node: MembraneNode, built: tuple) -> Preimages:

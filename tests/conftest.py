@@ -8,7 +8,8 @@ more of them; choose it before changing the engines with::
     HYPOTHESIS_PROFILE=deep PYTHONPATH=src python -m pytest -q tests/test_engine.py
 
 The ``deep`` workflow runs it weekly over ``tests/test_engine.py``,
-``tests/test_untimed.py`` and ``tests/test_lexer.py``.
+``tests/test_untimed.py``, ``tests/test_lexer.py`` and
+``tests/test_metamorphic.py``.
 
 A test's own ``@settings`` still overrides the profile it names, so a
 test that asks for more examples than ``tier1`` gives passes
@@ -38,12 +39,13 @@ def examples(floor: int) -> int:
     return max(floor, settings.default.max_examples)
 
 
-def count_calls(monkeypatch, target: str, items: bool = False) -> SimpleNamespace:
+def count_calls(monkeypatch, target: str, items: bool = False, when=None) -> SimpleNamespace:
     """Count the calls of ``target``, given as ``"module.attr"`` or
     ``"module.Class.attr"``, made through any name a ``mobilemem`` module
     or a class defined in one binds it to (``walk_tree`` is also
     ``MembraneNode.walk``, say). With ``items``, count the items its
-    results yield instead. The count is the returned object's ``n``,
+    results yield instead. With ``when``, count only the calls whose
+    arguments ``when`` accepts. The count is the returned object's ``n``,
     which a test may reset."""
     module_name, attr = target.rsplit(".", 1)
     owner, path = module_name, []
@@ -67,7 +69,8 @@ def count_calls(monkeypatch, target: str, items: bool = False) -> SimpleNamespac
     def counted(*args, **kwargs):
         if items:
             return counting(original(*args, **kwargs))
-        calls.n += 1
+        if when is None or when(*args, **kwargs):
+            calls.n += 1
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):

@@ -1,13 +1,13 @@
 """The package holds what its users read.
 
-Every top-level ``def`` and ``class`` in ``src/mobilemem`` must have a
-reader outside the tests: a statement of the package other than its own
-definition, an ``__init__`` export, a name in ``bench/*.py`` (the strings
-of ``tracing.LAYERS`` included, since the harness looks its layers up by
-name), or ``demos/*.py``. Code that only the tests read belongs beside
-them, in ``tests/systems.py``. The scan reads names, not bindings, so a
-definition whose name some other reader uses for something else passes;
-it has no allow-list.
+Every top-level ``def``, ``class`` and assigned name (dunders aside) in
+``src/mobilemem`` must have a reader outside the tests: a statement of
+the package other than its own definition, an ``__init__`` export, a
+name in ``bench/*.py`` (the strings of ``tracing.LAYERS`` included,
+since the harness looks its layers up by name), or ``demos/*.py``. Code
+that only the tests read belongs beside them, in ``tests/systems.py``.
+The scan reads names, not bindings, so a definition whose name some
+other reader uses for something else passes; it has no allow-list.
 """
 
 import ast
@@ -49,6 +49,18 @@ def _external_reads(package: Path) -> set[str]:
     return names
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a ``def``'s or a
+    ``class``'s, or each name an assignment binds, dunders aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return []
+
+
 def unread_definitions(package: Path = PACKAGE) -> list[str]:
     """``module.name`` of each top-level definition in ``package`` that
     nothing in it besides its own definition reads, and that no
@@ -60,12 +72,11 @@ def unread_definitions(package: Path = PACKAGE) -> list[str]:
     external = _external_reads(package)
     unread = []
     for module, stmt, _names in statements:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if stmt.name in external:
-            continue
-        if not any(stmt.name in names for _m, other, names in statements if other is not stmt):
-            unread.append(f"{module}.{stmt.name}")
+        for name in _defined(stmt):
+            if name in external:
+                continue
+            if not any(name in names for _m, other, names in statements if other is not stmt):
+                unread.append(f"{module}.{name}")
     return unread
 
 
@@ -82,3 +93,13 @@ def test_the_scan_sees_a_definition_only_its_own_body_reads(tmp_path):
         "def alone(n):\n    return alone(n - 1) if n else 0\n"
     )
     assert unread_definitions(tmp_path) == ["used.alone"]
+
+
+def test_the_scan_sees_an_assignment_nothing_reads(tmp_path):
+    """An assigned name is a definition too; a dunder is exempt."""
+    (tmp_path / "__init__.py").write_text("from .used import kept\n")
+    (tmp_path / "used.py").write_text(
+        "__all__ = ['kept']\nLIMIT = 3\nAlias = tuple\n_spare_total: int = 0\n\n"
+        "def kept():\n    return LIMIT\n"
+    )
+    assert unread_definitions(tmp_path) == ["used.Alias", "used._spare_total"]

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
@@ -10,8 +11,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 
 from mobilemem.choices import enumerate_choices
-from mobilemem.core import INF, Configuration, Symbol, canonicalize, mem
-from mobilemem.engine import find_instances
+from mobilemem.core import INF, Configuration, Multiset, Symbol, canonicalize, mem
+from mobilemem.engine import StaleChoiceError, find_instances
 from mobilemem.ambient import (
     Amb,
     Capability,
@@ -333,6 +334,20 @@ def test_literal_apply_matches_reference_per_membrane():
                 assert ref.membranes(ref.from_config(_literal_apply(config, choice))) == ref.membranes(want)
                 compared += 1
     assert compared > 60
+
+
+def test_a_literal_choice_whose_capability_is_gone_is_stale():
+    # the image of n, its ``in_m`` removed, keeps n's uid; the choice
+    # found before binds the capability and is refused, not a KeyError
+    p = parse_ambient("n:9[ in:5 m ] | m:9[ ~in:5 m ]")
+    config = translate(p)
+    [(choice, _moved, key)] = literal_successors(config, generate_rules(p))
+    n = next(node for node in config.skin.walk() if node.label == "n")
+    bare = replace(n, content=Multiset())
+    stale = Configuration(replace(config.skin, children=tuple(bare if c is n else c for c in config.skin.children)))
+    with pytest.raises(StaleChoiceError, match=f"in_m.* missing in {n.uid}$"):
+        _literal_apply(stale, choice)
+    assert canonicalize(_literal_apply(config, choice)) == key
 
 
 def test_translation_numbers_uids_in_pre_order_and_normalizes_once(monkeypatch):
