@@ -34,12 +34,13 @@ the two notions agree.
 makes the timer-elimination equivalence checkable. Both come from
 ``choices.enumerate_choices``, which holds the one conflict rule and its
 three modes (saturated, forced-only, any) for every relation. The
-choice's structural check, the moves, dissolution and the rebuilt tree
-come from ``tree.Tree``, which the untimed step and the literal relation
-use too. Where a state's skin splits into two or more parts that no
-instance relates, ``successors`` steps each part on its own through
-``step`` and composes every successor from the parts' outcomes (see its
-docstring).
+choice's structural check, the take of its bound objects, checked as a
+whole before anything is produced, the moves, dissolution and the
+rebuilt tree come from ``tree.Tree``, which the untimed step and the
+literal relation use too. Where a state's skin splits into two or more
+parts that no instance relates, ``successors`` steps each part on its
+own through ``step`` and composes every successor from the parts'
+outcomes (see its docstring).
 
 Every configuration carries a step clock (``core.Configuration``): a
 finite timer is stored as a deadline, its remaining timer plus the
@@ -131,7 +132,7 @@ from .core import (
     state_key,
     timer_str,
 )
-from .tree import StaleChoiceError, Tree, carry_index, drop_index, index_of
+from .tree import StaleChoiceError, Tree, carry_index, drop_index, index_of, usage
 
 
 class Instance:
@@ -185,13 +186,9 @@ class Instance:
         return f"{type(self).__name__}({self.describe()})"
 
     def needs(self) -> dict:
-        """``(uid, class) -> count`` of the objects this instance binds."""
-        need: dict = {}
-        for uid, classes in ((self.active_uid, self.active_classes), (self.passive_uid, self.passive_classes)):
-            for cls in classes:
-                key = (uid, cls)
-                need[key] = need.get(key, 0) + 1
-        return need
+        """``(uid, class) -> count`` of the objects this instance binds
+        (``tree.usage`` of it alone)."""
+        return usage(((self, 1),))
 
     def forced(self) -> bool:
         """No bound object could tick instead: all bound timers are INF."""
@@ -407,19 +404,14 @@ def _deadline_usage(choice: StepChoice, clock: int) -> dict:
     return usage
 
 
-def _validate_choice(choice: StepChoice, usage: dict, tree: Tree, clock: int) -> None:
-    """Raise ``StaleChoiceError`` unless ``choice``, whose instances bind
-    ``usage`` (``_deadline_usage``), fits the loaded work tree, which has
-    checked its structure: its movers' timers and its bindings."""
+def _validate_choice(choice: StepChoice, tree: Tree, clock: int) -> None:
+    """Raise ``StaleChoiceError`` unless every move of ``choice`` finds
+    both its membranes' timers above 0 in the loaded work tree, which has
+    checked its structure."""
     nodes = tree.nodes
     for inst, _n in choice:
         if inst.is_move and min(nodes[inst.active_uid].src.timer, nodes[inst.passive_uid].src.timer) <= clock:
             raise StaleChoiceError("move structural precondition fails")
-    for (uid, cls), n in usage.items():
-        node = nodes.get(uid)
-        if node is None or node.content.get(cls, 0) < n:
-            bound = (cls[0], cls[1] - clock)  # as the instance names it
-            raise StaleChoiceError(f"binding {bound} x{n} unavailable in membrane {uid}")
 
 
 _least_of = attrgetter("_least")
@@ -459,32 +451,29 @@ def _kept_lows(nodes: dict) -> dict:
 
 def step(config: Configuration, choice: StepChoice) -> StepResult:
     """Apply one chosen step and the clock phases; see the module docstring
-    for the phase order. Raises StaleChoiceError on a choice that was not
-    produced for this configuration. The result is at the next clock and
-    shares every subtree that the choice does not touch and in which no
-    timer reaches 0; its index is derived from ``config``'s. Work nodes
-    hold deadlines from load to freeze: each instance's bindings are read
-    as deadline keys, products join at their remaining timer plus the
-    next clock, and an object whose deadline is the clock expires."""
+    for the phase order. The objects the choice binds are checked as a
+    whole and taken (``Tree.take``) before any right side is produced, so
+    no instance binds what another one of the choice produces. Raises
+    StaleChoiceError on a choice that was not produced for this
+    configuration, and leaves ``config`` as it is. The result is at the
+    next clock and shares every subtree that the choice does not touch
+    and in which no timer reaches 0; its index is derived from
+    ``config``'s. Work nodes hold deadlines from load to freeze: each
+    instance's bindings are read as deadline keys
+    (``_deadline_usage``), products join at their remaining timer plus
+    the next clock, and an object whose deadline is the clock expires."""
     clock = config.clock
     later = clock + 1
     least_timer(config.skin)  # filled below the skin for the keep test
     tree = Tree(config, choice, partial(_unexpired, clock))
     nodes = tree.nodes
     lows = _kept_lows(nodes)
-    usage = _deadline_usage(choice, clock)
-    _validate_choice(choice, usage, tree, clock)
-
-    consumed = produced = 0
-    timers: dict = {}  # active uid -> its remaining timer after the step
+    _validate_choice(choice, tree, clock)
 
     # Phase 1: consume, produce, move, decrement actives.
-    for (uid, cls), n in usage.items():
-        content = nodes[uid].content
-        content[cls] -= n
-        if not content[cls]:
-            del content[cls]
-        consumed += n
+    consumed = tree.take(_deadline_usage(choice, clock))
+    produced = 0
+    timers: dict = {}  # active uid -> its remaining timer after the step
     # A membrane that exits the skin (the only passive that is the skin)
     # is archived as phase 1 leaves it, read at this clock: its products
     # are stored at their remaining timer plus the clock.

@@ -67,7 +67,7 @@ from . import ambient as amb
 from .ambient import Amb, Capability, Prefix, Process
 from .choices import enumerate_choices
 from .engine import distinct_successors, find_instances
-from .tree import StaleChoiceError, Tree
+from .tree import Tree, usage
 
 SKIN_LABEL = "skin"
 
@@ -149,22 +149,21 @@ def generate_rules(p: Process, strict: bool = False) -> RuleSet:
 
 def _literal_apply(config: Configuration, choice: tuple) -> Configuration:
     """Fire the moves of ``choice``, each once, simultaneously and change
-    nothing else: consumed objects are replaced by the right-hand sides
-    (carried timers unchanged), active membranes move, and no timer
-    anywhere is touched. No clock phases, no dissolution. Subtrees no
-    instance touches are shared with ``config``. A choice whose
-    membranes or bound objects are gone raises ``StaleChoiceError``, as
-    ``engine.step`` does, and leaves ``config`` as it is."""
+    nothing else: the bound objects, as the instances name them
+    (``tree.usage``), are checked as a whole and taken first
+    (``Tree.take``), then replaced by the right-hand sides (carried
+    timers unchanged), active membranes move, and no timer anywhere is
+    touched. No clock phases, no dissolution. Subtrees no instance
+    touches are shared with ``config``. A choice whose membranes or
+    bound objects are gone raises ``StaleChoiceError`` (``tree.Tree``),
+    as ``engine.step`` does, and leaves ``config`` as it is."""
     tree = Tree(config, choice)
+    tree.take(usage(choice))
 
     def swap(uid, classes, prods):
+        """Produce ``prods`` in membrane ``uid``, a carried one at the
+        timer its slot of ``classes`` bound."""
         content = tree.nodes[uid].content
-        for cls in classes:
-            if not content.get(cls):
-                raise StaleChoiceError(f"stale literal choice: {cls} missing in {uid}")
-            content[cls] -= 1
-            if not content[cls]:
-                del content[cls]
         for sym, spec in prods:
             cls = (sym, spec.timer if isinstance(spec, Fresh) else classes[spec.slot][1])
             content[cls] = content.get(cls, 0) + 1

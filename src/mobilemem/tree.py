@@ -18,7 +18,7 @@ the literal relation of the ambient translation all edit the tree here:
   without a walk; a choice whose counts are below 1 (above 1 for a
   move), or whose membranes are missing or placed so that its moves
   cannot fire, raises ``StaleChoiceError`` there, before any relation
-  consumes anything. Every other child subtree is kept as the
+  takes anything. Every other child subtree is kept as the
   frozen node it is, unless the caller's ``keep(node)`` says no: then that
   membrane is loaded as a work node too, and its children are tested in
   turn. ``keep`` must be monotone (a child of a node it keeps is kept),
@@ -26,6 +26,16 @@ the literal relation of the ambient translation all edit the tree here:
   tested. A work node's contents become a dict, its children an
   insertion-ordered dict of work nodes and kept frozen nodes, built in C,
   and ``src`` keeps the frozen node it was loaded from;
+* ``take(usage)`` checks the objects a choice binds as a whole and takes
+  them, in one pass over ``usage``, ``(uid, class) -> count`` with each
+  class as the work nodes hold it (``usage(choice)`` where the instances
+  name classes so, the timed step's deadline keys where they do not). An
+  entry its membrane holds too few of raises ``StaleChoiceError`` before
+  the caller produces anything, in one wording for every relation: the
+  membrane, the symbol and an instance that binds it there, as that
+  instance describes itself. So a step fires its instances against the
+  configuration it starts from, and no instance binds what another one
+  of the same choice produces;
 * ``move(choice)`` re-parents every move's active membrane, in choice
   order; one moved out of the skin is handed back to be archived;
 * ``dissolve`` empties every marker-holding work node into its parent,
@@ -37,22 +47,34 @@ the literal relation of the ambient translation all edit the tree here:
 A moved or released membrane goes to the end of its new parent's
 children. Sibling order is not part of a state: keys sort siblings, and
 reach graphs list output membranes by uid, so no reader depends on the
-order in which edits or dissolutions append children. Consuming and producing
-objects, timers and rendering stay with the caller, which sees a work
-node only through ``src``, ``content``, ``parent`` and ``children``.
+order in which edits or dissolutions append children. Producing objects,
+timers and rendering stay with the caller, which sees a work node only
+through ``src``, ``content``, ``parent`` and ``children``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .core import EndoRule
+from .core import EndoRule, Symbol
 
 _NONE: dict = {}  # no children, never written
 
 
 class StaleChoiceError(ValueError):
     """The choice refers to membranes or objects this configuration lacks."""
+
+
+def usage(choice: Iterable) -> dict:
+    """``(uid, class) -> count`` of the objects ``choice`` binds, each
+    class as its instance names it, counted as often as it fires."""
+    bound: dict = {}
+    for inst, n in choice:
+        for uid, classes in ((inst.active_uid, inst.active_classes), (inst.passive_uid, inst.passive_classes)):
+            for cls in classes:
+                key = (uid, cls)
+                bound[key] = bound.get(key, 0) + n
+    return bound
 
 
 class Index:
@@ -142,6 +164,7 @@ class Tree:
     def __init__(self, config, choice: Iterable, keep: Callable | None = None):
         self.index = index = index_of(config)
         skin = config.skin
+        self.choice = choice
         self.root = Work(skin, None, index.children.get(skin.uid, _NONE))
         self.nodes = {skin.uid: self.root}  # uid -> work node, skin included
         # (uid, label, membrane, old parent uid, new parent uid or None)
@@ -201,6 +224,31 @@ class Tree:
                 raise StaleChoiceError("conflicting membrane roles in choice")
             actives.add(inst.active_uid)
             passives.add(inst.passive_uid)
+
+    def take(self, usage: dict) -> int:
+        """Take the objects ``usage`` counts, ``(uid, class) -> count``
+        with each class as the work nodes hold it, checking each entry
+        as it is taken, and return how many were taken. An entry whose
+        membrane holds fewer raises ``StaleChoiceError``, before the
+        caller produces anything, and the configuration is left as it
+        was. The message names the membrane, the class's symbol and the
+        first instance of the choice that binds that symbol there, as the
+        instance describes itself: a timed one names remaining timers."""
+        nodes = self.nodes
+        taken = 0
+        for (uid, cls), n in usage.items():
+            content = nodes[uid].content
+            left = content.get(cls, 0) - n
+            if left > 0:
+                content[cls] = left
+            elif left == 0:
+                del content[cls]
+            else:
+                sym = cls if isinstance(cls, Symbol) else cls[0]  # untimed classes are bare symbols
+                inst = next(i for i, _n in self.choice for at, c in i.needs() if at == uid and sym in (c, c[0]))
+                raise StaleChoiceError(f"stale choice: membrane {uid} lacks {sym} bound by {inst.describe()}")
+            taken += n
+        return taken
 
     def _load(self, src, parent: Work) -> Work:
         uid = src.uid

@@ -10,15 +10,16 @@ bottom-up. There are no clock phases.
 This module is intentionally not a wrapper over the timed engine: the
 embedding and timer-elimination checks compare the two interpreters against
 each other, which only means something where they are independent code.
-Instance matching and the consuming and producing of rule sides are
-written here. Shared with the timed engine are the instance record
-(``UInstance`` is an ``engine.Instance`` whose bound classes are bare
-symbols, and differs from it only in how it prints), the conflict rule
-(``choices.py``, which sees nothing of an instance but its membranes, the
-objects it binds and its position in the sorted list of instances), the
-structural edit of a step (``tree.py``: the membrane index, membrane
-moves, bottom-up dissolution, rebuilding), and the run loop and
-successor deduplication of ``engine``.
+Instance matching and the producing of rule sides are written here.
+Shared with the timed engine are the instance record (``UInstance`` is
+an ``engine.Instance`` whose bound classes are bare symbols, and differs
+from it only in how it prints), the conflict rule (``choices.py``, which
+sees nothing of an instance but its membranes, the objects it binds and
+its position in the sorted list of instances), the edit of a step's
+tree (``tree.py``: the membrane index, the take of the objects a choice
+binds, checked as a whole, membrane moves, bottom-up dissolution,
+rebuilding), and the run loop and successor deduplication of
+``engine``.
 What is shared is checked against ``tests/reference.py`` rather than by
 the embedding.
 
@@ -66,7 +67,7 @@ from .core import (
     walk_tree,
 )
 from .engine import Instance, distinct_successors, simulate
-from .tree import StaleChoiceError, Tree, carry_index, index_of
+from .tree import Tree, carry_index, index_of, usage
 
 
 @dataclass(slots=True, eq=False)
@@ -289,24 +290,22 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     (configuration, detached archive). Subtrees no instance touches stay
     as they are and are shared with ``config``: without a clock they
     cannot change. The result's index is derived from ``config``'s by the
-    step's edits (``carry_index``). A choice whose membranes are gone or
-    moved raises ``StaleChoiceError`` (``tree.Tree``) before anything is
-    consumed, and so does one that binds objects this configuration lacks,
-    as it consumes them; neither changes ``config``."""
+    step's edits (``carry_index``). The objects the choice binds, as its
+    instances name them (``tree.usage``), are checked as a whole and
+    taken first (``Tree.take``), then the right sides are produced, so no
+    instance binds what another one of the choice produces. A choice
+    whose membranes are gone or moved, or whose bound objects this
+    configuration lacks, raises ``StaleChoiceError`` (``tree.Tree``)
+    before anything is produced, and leaves ``config`` as it is."""
     tree = Tree(config, choice)
+    tree.take(usage(choice))
 
     marked = False  # whether some rule produced the dissolution marker
 
-    def fire(uid, syms: tuple, prods: tuple, n: int):
-        """Consume ``syms`` and produce ``prods`` in membrane ``uid``, ``n`` times."""
+    def fire(uid, prods: tuple, n: int):
+        """Produce ``prods`` in membrane ``uid``, ``n`` times."""
         nonlocal marked
         content = tree.nodes[uid].content
-        for sym in syms:
-            if content.get(sym, 0) < n:
-                raise StaleChoiceError(f"stale untimed choice: {sym} missing in {uid}")
-            content[sym] -= n
-            if not content[sym]:
-                del content[sym]
         for sym, _spec in prods:
             content[sym] = content.get(sym, 0) + n
             if sym == DELTA:
@@ -315,10 +314,10 @@ def u_apply(config: UConfig, choice: tuple) -> tuple[UConfig, tuple]:
     for inst, n in choice:
         rule = inst.rule
         if isinstance(rule, RewriteRule):
-            fire(inst.active_uid, inst.active_classes, rule.rhs, n)
+            fire(inst.active_uid, rule.rhs, n)
         else:
-            fire(inst.active_uid, inst.active_classes, rule.w, n)
-            fire(inst.passive_uid, inst.passive_classes, rule.w2, n)
+            fire(inst.active_uid, rule.w, n)
+            fire(inst.passive_uid, rule.w2, n)
 
     detached = []
     for inst, gone in tree.move(choice):

@@ -29,7 +29,8 @@ from mobilemem.core import (
     number_fresh,
     rebuild_tree,
 )
-from mobilemem.engine import Instance, StepChoice, _deadline_usage, find_instances
+from mobilemem.engine import Instance, StepChoice, find_instances
+from mobilemem.tree import usage as bound
 from mobilemem.untimed import UNode
 
 
@@ -150,7 +151,7 @@ def residual_instances(
     objects and membrane roles. Empty on every saturated choice."""
     found = find_instances(config, rules)
     avail = availability(config, found)
-    usage = _deadline_usage(choice, 0)  # keyed by remaining timers, as ``avail`` is
+    usage = bound(choice)  # named by remaining timers, as ``avail`` is
     moves = [inst for inst, _n in choice if inst.is_move]
     actives = {inst.active_uid for inst in moves}
     passives = {inst.passive_uid for inst in moves}

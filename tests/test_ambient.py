@@ -337,3 +337,12 @@ def test_deep_processes_reduce_translate_and_check_without_recursion(shape, tmp_
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0 and "Traceback" not in done.stderr, (command, done.stderr[-500:])
+
+
+def test_zero_a_redex_and_a_passive_ambient_print_as_their_texts_say():
+    assert str(ZERO) == "0"
+    p = parse_ambient("n:4[ in:1 m ] | m:6[ ~in:5 m ] | k:9[ n:4[ in:1 m ] | m:6[ ~in:5 m ] ]")
+    assert [r.describe() for r in redexes(p)] == ["in:n->m@top", "in:n->m@0"]
+    # only an initial (all-active) process has a source form
+    with pytest.raises(ValueError, match="only initial"):
+        render_process(Amb("n", 3, ZERO, "p"))

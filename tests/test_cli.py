@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -400,6 +402,7 @@ def test_a_closed_pipe_ends_quietly(s1_file):
     (["check", "prop2", "--depth", "1", "--corpus", "0,0"], "--corpus"),
     (["check", "prop2", "--depth", "1", "--corpus", "0,-3"], "--corpus"),
     (["check", "prop2", "--depth", "1", "--corpus", "3"], "--corpus"),
+    (["explore", "{s1}", "--depth", "x"], "--depth"),
 ])
 def test_out_of_range_arguments_exit_3_naming_the_flag(s1_file, capsys, argv, flag):
     assert main([arg.format(s1=s1_file) for arg in argv]) == 3
@@ -481,3 +484,51 @@ def test_prop45_preimage_note_says_when_it_is_cut(tmp_path):
     assert time.perf_counter() - start < 5
     (target,) = json.loads(done.stdout)["details"]["reordering"]["targets"]
     assert target["truncated"] is True and target["preimages"] == 2000
+
+
+def test_compile_embed_and_translate_write_to_stdout_without_o(tmp_path, s1_file, capsys):
+    untimed = tmp_path / "u.mms"
+    untimed.write_text("mms 1 untimed\noutput skin\nskin[ ; h[ a ] m[ ~a ] ]\nendo h m : a | , ~a | => c |\n")
+    process = tmp_path / "p.amb"
+    process.write_text(DEMO_AMB)
+    for argv, timed in ((["compile", s1_file], False), (["embed", str(untimed)], True), (["translate", str(process)], True)):
+        assert main(argv) == 0
+        assert parse_system(capsys.readouterr().out).timed is timed
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+def test_a_write_that_fails_exits_3_naming_the_file(s1_file, capsys):
+    # the path passes the check made before any work; the write itself fails
+    assert main(["compile", s1_file, "-o", "/dev/full"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and "Traceback" not in err
+
+
+def test_entry_ends_quietly_with_exit_1_when_the_reader_is_gone(tmp_path, s1_file, monkeypatch):
+    # ``test_a_closed_pipe_ends_quietly`` in process: the console script
+    # exits with ``main``'s code, and where the first write finds the
+    # pipe closed, it points stdout's descriptor at devnull and exits 1,
+    # with nothing on stderr
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(sys, "argv", ["mobilemem", "check", "prop2", s1_file, "--depth", "3"])
+    with pytest.raises(SystemExit) as done:
+        cli.entry()
+    assert done.value.code == 0 and json.loads(out.getvalue())["verdict"] == "pass"
+    monkeypatch.setattr(sys, "stdout", Closed())
+    try:
+        with pytest.raises(SystemExit) as done:
+            cli.entry()
+    finally:
+        os.close(fd)
+    assert done.value.code == 1 and err.getvalue() == ""

@@ -634,3 +634,16 @@ def test_checks_on_fresh_compiles_hold_no_more_memory_per_call():
     finally:
         tracemalloc.stop()
     assert held[-1] - held[9] <= 16_000, [h - held[0] for h in held]
+
+
+def test_plan_elimination_refuses_a_size_past_what_len_can_return():
+    # in process, as ``compile`` and ``check prop2`` meet it: a plain int
+    # size, refused before a rule is built
+    for text in (
+        "mms 1 timed\noutput skin\nskin:inf[ a:99999999999999999999999 ]\n",
+        "mms 1 timed\noutput skin\nskin:inf[ ; h:99999999999999999999[ a:2 ] m:3[ ~a:2 ] ]\n"
+        "endo h m : a | , ~a | => |\n",
+    ):
+        system = parse_system(text)
+        with pytest.raises(CompileError, match="rules, more than a sequence can index"):
+            plan_elimination(system.config, system.rules)

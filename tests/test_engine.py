@@ -37,6 +37,7 @@ from mobilemem.core import (
     render_at,
 )
 from mobilemem.engine import (
+    Instance,
     StaleChoiceError,
     apply_step,
     choice_describe,
@@ -50,11 +51,12 @@ from mobilemem.engine import (
 )
 from mobilemem.corpus import random_reducible_process, random_timed_system, random_untimed_system
 from mobilemem.explore import _bfs, _node_record, explore_membranes
-from mobilemem.translate import generate_rules, literal_successors, translate
+from mobilemem.translate import _literal_apply, generate_rules, literal_successors, translate
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.tree import drop_index, index_of
 from mobilemem.untimed import (
-    erase_timers, u_apply, u_canonicalize, u_find_instances, u_maximal_choices, u_run, u_successors,
+    UConfig, UInstance, erase_timers, u_apply, u_canonicalize, u_find_instances, u_maximal_choices, u_run,
+    u_successors, umem,
 )
 from conftest import count_calls, examples, w4
 from systems import hand_processes, random_soak_system, residual_instances
@@ -318,8 +320,53 @@ def test_stale_choice_rejected():
     with pytest.raises(StaleChoiceError):
         apply_step(other, choice)
     aged = apply_step(cfg, [ch for ch in step_choices(cfg, [E1]) if not ch][0])
-    with pytest.raises(StaleChoiceError, match=r"\(Symbol\(name='a', is_co=False\), 2\) x1 unavailable"):
+    with pytest.raises(StaleChoiceError, match=r"stale choice: membrane \d+ lacks a bound by E1@\d+->\d+\{a:2\|"):
         apply_step(aged, choice)  # bindings name timers that moved on; so does the message
+
+
+def test_an_instance_equals_only_instances_and_prints_as_it_describes_itself():
+    cfg = s1()
+    (inst,) = find_instances(cfg, [E1])
+    (again,) = find_instances(cfg, [E1])
+    assert inst == again and inst is not again
+    assert inst.__eq__(inst._binding()) is NotImplemented and inst != "E1"
+    assert repr(inst) == f"Instance(E1@{inst.active_uid}->{inst.passive_uid}{{a:2|~a:4}})"
+
+
+def test_no_instance_binds_what_another_of_its_choice_produces():
+    # a step fires its choice against the configuration it starts from:
+    # ``rw h : b => c`` may not take the b that ``rw h : a => b`` makes in
+    # the same step, nor E2 the ~b that E1 puts into m; every relation
+    # refuses such a choice before producing anything, in one wording,
+    # and leaves the configuration, its key and its index as they were
+    ab = RewriteRule("h", Multiset([a]), ((b, Fresh(INF)),), name="ab")
+    bc = RewriteRule("h", Multiset([b]), ((c, Fresh(INF)),), name="bc")
+    e1 = EndoRule("h1", "m", Multiset([a]), w2=((b.dual(), Fresh(5)),), name="E1")
+    e2 = EndoRule("h2", "m", Multiset([b]), name="E2")
+    untimed = UConfig(umem("skin", [], [umem("h", [a])]))
+    timed = Configuration(mem("skin", INF, [], [mem("h", INF, [(a, INF)])]))
+    literal = Configuration(mem("skin", INF, [], [
+        mem("h1", 9, [(a, 9)]), mem("h2", 9, [(b, 9)]), mem("m", 9, [(a.dual(), 9)]),
+    ]))
+    h1, h2, m = (node.uid for node in literal.skin.children)
+    cases = []
+    for cfg, apply, key, instance, bound in (
+        (untimed, u_apply, u_canonicalize, UInstance, b),
+        (timed, step, canonicalize, Instance, (b, INF)),
+    ):
+        (first,) = (u_find_instances if apply is u_apply else find_instances)(cfg, [ab, bc])
+        second = instance(1, bc, first.active_uid, None, (bound,))
+        cases.append((cfg, apply, key, ((first, 1), (second, 1)), f"membrane {first.active_uid} lacks b bound by bc@"))
+    (first,) = find_instances(literal, [e1, e2])
+    second = Instance(1, e2, h2, m, ((b, 9),), ((b.dual(), 5),))
+    for apply in (_literal_apply, step):
+        cases.append((literal, apply, canonicalize, ((first, 1), (second, 1)), f"membrane {m} lacks ~b bound by E2@{h2}->{m}"))
+    for cfg, apply, key, choice, message in cases:
+        before, index = key(cfg), index_of(cfg)
+        with pytest.raises(StaleChoiceError, match=f"^stale choice: {message}"):
+            apply(cfg, choice)
+        assert key(cfg) == before and index_of(cfg) is index
+        assert apply(cfg, choice[:1])  # the first instance alone fires
 
 
 def test_a_move_choice_replayed_on_its_own_result_is_stale():

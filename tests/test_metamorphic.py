@@ -8,6 +8,9 @@ oracle says what either output is.
 - Clock invariance: every function of the package reads a clocked state
   (one that ``run``, ``explore_membranes`` or ``successors`` returns) as
   it reads its ``core.at_rest`` form.
+- Product law: two timed systems side by side under one skin, with no
+  rule relating them, reach in exactly m steps as many states as the
+  product of what each reaches alone in exactly m steps.
 """
 
 import os
@@ -20,14 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobilemem
-from conftest import examples
+from conftest import examples, w4
 from mobilemem.ambient import canonical_key
 from mobilemem.compiler import eliminate_timers, lifetime
-from mobilemem.core import INF, Symbol, at_rest, canonicalize, mem, output_reading, validate
+from mobilemem.core import (
+    INF, Configuration, MembraneNode, Multiset, RuleSet, Symbol, at_rest, canonicalize, mem, output_reading,
+    rebuild_tree, validate,
+)
 from mobilemem.corpus import random_reducible_process, random_timed_system, random_untimed_system
 from mobilemem.engine import run, successors
 from mobilemem.explore import check_embedding, check_timer_elimination, explore_membranes
-from mobilemem.sysfile import SystemFile, render_system
+from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.translate import generate_rules, has_preimage, literal_successors, some_preimage, translate
 from mobilemem.untimed import u_canonicalize, umem
 from systems import renumber
@@ -38,7 +44,7 @@ from pathlib import Path
 from mobilemem.ambient import render_process
 from mobilemem.cli import main
 from mobilemem.corpus import random_reducible_process, random_timed_system, random_untimed_system
-from mobilemem.sysfile import SystemFile, render_system
+from mobilemem.sysfile import SystemFile, parse_system, render_system
 
 os.chdir(sys.argv[1])
 digest = hashlib.sha256()
@@ -181,3 +187,101 @@ def test_a_clocked_state_reads_as_its_form_at_rest_on_timed_systems(seed):
 def test_a_clocked_state_reads_as_its_form_at_rest_on_translations(seed):
     p = random_reducible_process(seed)
     _assert_clock_invariant(translate(p), generate_rules(p), True)
+
+
+def _exact_sizes(graph) -> list[int]:
+    """How many states ``graph`` reaches in exactly m steps, for m from 0
+    to its depth, along its edges: S_0 is the root and S_(m+1) what the
+    states of S_m step to. Not the first-discovery depths, which count a
+    state once, at the first m that reaches it."""
+    assert not graph.truncated
+    after: dict = {}
+    for src, _label, dst in graph.edges:
+        after.setdefault(src, set()).add(dst)
+    level, sizes = {graph.root}, [1]
+    for _ in range(graph.depth):
+        level = {dst for src in level for dst in after.get(src, ())}
+        sizes.append(len(level))
+    return sizes
+
+
+def _product_law(parts, whole, depth: int) -> list[int]:
+    """Explore each of ``parts``, ``(config, rules)`` pairs that no rule
+    relates, and ``whole``, the parts side by side, to ``depth``; assert
+    that ``whole``'s exact-step sizes are the products of the parts',
+    and return them."""
+    want = [1] * (depth + 1)
+    for config, rules in parts:
+        want = [x * y for x, y in zip(want, _exact_sizes(explore_membranes(config, rules, depth)))]
+    got = _exact_sizes(explore_membranes(*whole, depth))
+    assert got == want
+    return got
+
+
+def _clean_timed(seed: int) -> tuple:
+    """The first timed corpus system from ``seed`` on whose skin holds no
+    object and whose rules name no skin, so that two of them side by
+    side share nothing a step reads."""
+    while True:
+        config, rules = random_timed_system(seed)
+        if not config.skin.content and all("skin" not in (rule.h, rule.m) for rule in rules):
+            return config, rules
+        seed += 1
+
+
+def _tagged(config, rules, tag: str) -> tuple:
+    """``config`` and ``rules`` with every label but the skin's and every
+    symbol renamed by appending ``tag``."""
+
+    def sym(s: Symbol) -> Symbol:
+        return Symbol(s.name + tag, s.is_co)
+
+    def label(name: str) -> str:
+        return name if name == "skin" else name + tag
+
+    def node(n, kids) -> MembraneNode:
+        objects = [(sym(s), t) for (s, t), k in n.content.items() for _ in range(k)]
+        return MembraneNode(label(n.label), n.timer, Multiset(objects), kids)
+
+    def side(ms: Multiset) -> Multiset:
+        return Multiset([sym(s) for s in ms])
+
+    renamed = [
+        replace(rule, h=label(rule.h), m=label(rule.m), u=side(rule.u), v=side(rule.v), v2=side(rule.v2),
+                w=tuple((sym(s), spec) for s, spec in rule.w), w2=tuple((sym(s), spec) for s, spec in rule.w2))
+        for rule in rules
+    ]
+    return Configuration(rebuild_tree(config.skin, node), config.output_label), renamed
+
+
+# Each example explores three small systems to depth 5: 100 pairs
+# under ``tier1``, 5,000 under ``deep``.
+@settings(max_examples=examples(100))
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+def test_timed_systems_side_by_side_reach_the_product_of_their_states(i, j):
+    a_config, a_rules = _tagged(*_clean_timed(i), "_a")
+    b_config, b_rules = _tagged(*_clean_timed(j), "_b")
+    both = Configuration(mem("skin", INF, [], a_config.skin.children + b_config.skin.children))
+    _product_law([(a_config, a_rules), (b_config, b_rules)], (both, RuleSet(a_rules + b_rules)), 5)
+
+
+def _w7(k: int):
+    """ROADMAP W7: k disjoint pairs ``h_i:6[a_i:3, c_i:4]`` and
+    ``m_i:7[~a_i:5]`` under an endo and an exo rule each."""
+    body = " ".join(f"h{i}:6[ a{i}:3, c{i}:4 ] m{i}:7[ ~a{i}:5 ]" for i in range(k))
+    rules = "".join(
+        f"{kind} h{i} m{i} : a{i} | , ~a{i} | => a{i}:- | ~a{i}:-\n" for i in range(k) for kind in ("endo", "exo")
+    )
+    system = parse_system(f"mms 1 timed\noutput skin\nskin:inf[ ; {body} ]\n{rules}")
+    return system.config, system.rules
+
+
+def test_the_product_law_on_the_w7_and_w4_cliffs():
+    # the expected sizes come from the law and the one-pair parts
+    pair = _w7(1)
+    assert _exact_sizes(explore_membranes(*pair, 5)) == [1, 2, 2, 2, 2, 2]
+    assert _product_law([pair] * 5, _w7(5), 5) == [1, 32, 32, 32, 32, 32]
+    one = translate(w4(1)), generate_rules(w4(1))
+    for k in (1, 2, 3):
+        whole = translate(w4(k)), generate_rules(w4(k))
+        assert _product_law([one] * k, whole, 3) == [1, 2 ** k, 2 ** k, 2 ** k]

@@ -345,7 +345,7 @@ def test_a_literal_choice_whose_capability_is_gone_is_stale():
     n = next(node for node in config.skin.walk() if node.label == "n")
     bare = replace(n, content=Multiset())
     stale = Configuration(replace(config.skin, children=tuple(bare if c is n else c for c in config.skin.children)))
-    with pytest.raises(StaleChoiceError, match=f"in_m.* missing in {n.uid}$"):
+    with pytest.raises(StaleChoiceError, match=rf"stale choice: membrane {n.uid} lacks in_m bound by in:n>m@{n.uid}->"):
         _literal_apply(stale, choice)
     assert canonicalize(_literal_apply(config, choice)) == key
 

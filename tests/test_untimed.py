@@ -88,7 +88,7 @@ def test_an_untimed_choice_applied_twice_is_stale():
     # a replayed handshake fails on structure first, as a timed replay does
     rewrite = RewriteRule(None, Multiset([a]), ((b, Fresh(INF)),), name="w")
     for cfg, rules, message in (
-        (UConfig(umem("skin", [], [umem("h", [a, a])])), [rewrite], "stale untimed choice: a missing in {h}$"),
+        (UConfig(umem("skin", [], [umem("h", [a, a])])), [rewrite], "stale choice: membrane {h} lacks a bound by w@{h}$"),
         (handshake(), [RULE], "endo participants are not siblings here"),
     ):
         (choice,) = u_maximal_choices(cfg, rules)
