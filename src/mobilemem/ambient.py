@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
 
-from .core import FrozenTree, Timer, decrement, memo_slot, rebuild_tree, timer_str, walk_tree
+from .core import Timer, decrement, memo_slot, rebuild_tree, timer_str, walk_tree
 from .lexer import Cursor, PositionedError
 
 
@@ -53,13 +53,10 @@ class Capability:
 
 
 @dataclass(slots=True, eq=False)
-class Zero(FrozenTree):
+class Zero:
     _render: str | None = memo_slot()
 
     children = ()
-
-    def _fields(self) -> tuple:
-        return ()
 
     def __str__(self) -> str:
         return "0"
@@ -69,13 +66,10 @@ ZERO = Zero()
 
 
 @dataclass(slots=True, eq=False)
-class Prefix(FrozenTree):
+class Prefix:
     cap: Capability
     cont: "Process" = ZERO
     _render: str | None = memo_slot()
-
-    def _fields(self) -> tuple:
-        return (self.cap,)
 
     @property
     def children(self) -> tuple:
@@ -83,15 +77,12 @@ class Prefix(FrozenTree):
 
 
 @dataclass(slots=True, eq=False)
-class Amb(FrozenTree):
+class Amb:
     name: str
     timer: Timer
     body: "Process" = ZERO
     tag: str = "a"  # "a" active, "p" passive
     _render: str | None = memo_slot()
-
-    def _fields(self) -> tuple:
-        return (self.name, self.timer, self.tag)
 
     @property
     def children(self) -> tuple:
@@ -99,12 +90,9 @@ class Amb(FrozenTree):
 
 
 @dataclass(slots=True, eq=False)
-class Par(FrozenTree):
+class Par:
     parts: tuple
     _render: str | None = memo_slot()
-
-    def _fields(self) -> tuple:
-        return ()
 
     @property
     def children(self) -> tuple:

@@ -204,37 +204,6 @@ def rebuild_tree(node, make: Callable, whole: Callable | None = None):
     return done[0]
 
 
-class FrozenTree:
-    """Structural equality and hashing for immutable tree nodes, on explicit
-    stacks, so nesting depth is not bounded by the recursion limit. Two
-    nodes are equal when they have one type, equal ``_fields()`` (every
-    compared field but the children) and pairwise equal ``children``; the
-    hash folds a node's type and fields with its children's hashes. A
-    subclass is a dataclass made with ``eq=False``, which keeps these."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b) or a._fields() != b._fields() or len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
-
-    def __hash__(self) -> int:
-        return rebuild_tree(self, _hash_one)
-
-
-def _hash_one(node, built: tuple) -> int:
-    return hash((type(node), node._fields(), built))
-
-
 def memo_slot():
     """A dataclass field in which a tree node or configuration keeps a
     value worked out once from it (its least timer, say), filled on first
@@ -242,11 +211,11 @@ def memo_slot():
     assignment, at most once, and its value depends on the node alone, so
     the write keeps the node immutable by contract; a configuration is
     frozen, and its slot is written through ``object.__setattr__``."""
-    return field(default=None, init=False, compare=False, repr=False)
+    return field(default=None, init=False, repr=False)
 
 
 @dataclass(slots=True, eq=False)
-class MembraneNode(FrozenTree):
+class MembraneNode:
     """A membrane: label, lifetime, contents, child membranes. Timers are
     deadlines against the clock of the configuration that holds the node
     (see ``Configuration``).
@@ -265,9 +234,6 @@ class MembraneNode(FrozenTree):
     uid: int = field(default_factory=fresh_uid)
     _least: Timer | None = memo_slot()
 
-    def _fields(self) -> tuple:
-        return (self.label, self.timer, self.content, self.uid)
-
     walk = walk_tree
 
 
@@ -276,7 +242,7 @@ def mem(label: str, timer: Timer, objects: Iterable = (), children: Iterable = (
     return MembraneNode(label, timer, Multiset(objects), tuple(children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Configuration:
     """A membrane tree plus the output membrane label, at a step clock.
 
@@ -291,7 +257,8 @@ class Configuration:
     only ``translate._preimages`` and ``choices.availability``, on hot
     paths, read the clock themselves. ``_index`` holds the
     configuration's ``tree.Index`` and ``_key`` its ``canonicalize`` key,
-    each filled on first read.
+    each filled on first read. Like a tree node, a configuration compares
+    by identity; its key names the state.
     """
 
     skin: MembraneNode

@@ -143,13 +143,6 @@ class Instance:
     occurrence class per left-hand-side slot. Rewrites bind only the active
     side (their host membrane) and have no passive membrane. ``is_move`` is
     worked out once, when the instance is made.
-
-    Two instances of one class are equal when their rule indexes, rules,
-    uids and classes are. The hash covers the binding fields only: rule
-    index, uids and classes. Within one rule list the index names the rule,
-    so leaving the rule out makes only instances of different rule lists
-    collide, and it spares every set of instances a hash of the rule, a
-    dataclass whose fields are multisets and product tuples.
     """
 
     __slots__ = ("rule_index", "rule", "active_uid", "passive_uid", "active_classes", "passive_classes", "is_move")
@@ -170,17 +163,6 @@ class Instance:
         self.active_classes = active_classes
         self.passive_classes = passive_classes
         self.is_move = isinstance(rule, MoveRule)
-
-    def _binding(self) -> tuple:
-        return (self.rule_index, self.active_uid, self.passive_uid, self.active_classes, self.passive_classes)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._binding() == other._binding() and self.rule == other.rule
-
-    def __hash__(self) -> int:
-        return hash(self._binding())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"

@@ -51,7 +51,6 @@ from .core import (
     DELTA_NAME,
     Configuration,
     EndoRule,
-    FrozenTree,
     MembraneNode,
     MoveRule,
     Multiset,
@@ -71,16 +70,13 @@ from .tree import Tree, carry_index, index_of, usage
 
 
 @dataclass(slots=True, eq=False)
-class UNode(FrozenTree):
+class UNode:
     """A membrane without timers: label, symbol multiset, children."""
 
     label: str
     content: Multiset
     children: tuple = ()
     uid: int = field(default_factory=fresh_uid)
-
-    def _fields(self) -> tuple:
-        return (self.label, self.content, self.uid)
 
     walk = walk_tree
 
@@ -89,7 +85,7 @@ def umem(label: str, objects=(), children=()) -> UNode:
     return UNode(label, Multiset(objects), tuple(children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class UConfig:
     """An untimed membrane tree, its output label, and its ``tree.Index``
     and ``u_canonicalize`` key, each kept on first read. Its ``clock`` is

@@ -3,8 +3,10 @@
 Seeded and curated inputs (a busy soak system, arbitrary ambient processes,
 the reordering demo and the hand-picked processes the goldens digest), the
 uid renumbering that makes corpus traces independent of what a process
-built before, and the maximality audit of a step's choice. Tests import it
-as they import ``conftest``; pytest does not collect it.
+built before, the maximality audit of a step's choice, and ``exact``, by
+which tests compare the trees, states and instances that compare by
+identity. Tests import it as they import ``conftest``; pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from mobilemem.core import (
     Symbol,
     number_fresh,
     rebuild_tree,
+    walk_tree,
 )
 from mobilemem.engine import Instance, StepChoice, find_instances
 from mobilemem.tree import usage as bound
-from mobilemem.untimed import UNode
+from mobilemem.untimed import UConfig, UNode
 
 
 def random_soak_system(seed: int) -> tuple[Configuration, RuleSet]:
@@ -159,3 +162,31 @@ def residual_instances(
         inst for inst in found
         if addable(inst, inst.needs(), avail, usage, actives, passives) > 0
     ]
+
+
+# ---------------------------------------------------------------------------
+# Comparing what compares by identity
+
+
+def exact(x):
+    """``x`` in the form a test compares it by, since a tree node, a
+    configuration and a rule instance compare by identity. A membrane tree
+    is its pre-order rows ``(type, label, timer, content, uid, child
+    count)``, an untimed node's timer ``None``: an exact ordered tree, uids
+    and sibling order included. A configuration is its output label, its
+    clock and those rows. An ambient term is its ``canonical_key``, which
+    writes names, timers, tags and part order. An instance is ``(type,
+    sort_key(), rule)``. A list or tuple is the list of its items' forms,
+    and any other value is itself."""
+    if isinstance(x, (MembraneNode, UNode)):
+        return tuple((type(n), n.label, getattr(n, "timer", None), n.content, n.uid, len(n.children))
+                     for n in walk_tree(x))
+    if isinstance(x, (Configuration, UConfig)):
+        return (x.output_label, x.clock, exact(x.skin))
+    if isinstance(x, (amb.Zero, amb.Prefix, amb.Amb, amb.Par)):
+        return amb.canonical_key(x)
+    if isinstance(x, Instance):
+        return (type(x), x.sort_key(), x.rule)
+    if isinstance(x, (list, tuple)):
+        return [exact(item) for item in x]
+    return x

@@ -96,24 +96,24 @@ def test_criterion_semantics_unit_suite():
     assert canonicalize(apply_step(cfg, ())) == canonicalize(cfg)
 
     # clock clauses: prefix with positive timer
-    assert phi_delta(Prefix(Capability("in", False, "m", 3))) == \
-        Prefix(Capability("in", False, "m", 2))
+    assert systems.exact(phi_delta(Prefix(Capability("in", False, "m", 3)))) == \
+        systems.exact(Prefix(Capability("in", False, "m", 2)))
     # prefix at 0 releases the continuation unticked
-    assert phi_delta(Prefix(Capability("in", False, "m", 0), Amb("n", 1, ZERO))) == \
-        Amb("n", 1, ZERO)
+    assert systems.exact(phi_delta(Prefix(Capability("in", False, "m", 0), Amb("n", 1, ZERO)))) == \
+        systems.exact(Amb("n", 1, ZERO))
     # parallel is componentwise
     assert congruent(
         phi_delta(par(Amb("n", 2, ZERO), Prefix(Capability("out", False, "k", 1)))),
         par(Amb("n", 1, ZERO), Prefix(Capability("out", False, "k", 0))),
     )
     # ambient with positive timer: body recursed, tag reset to active
-    assert phi_delta(Amb("n", 1, Prefix(Capability("in", False, "m", 2)), tag="p")) == \
-        Amb("n", 0, Prefix(Capability("in", False, "m", 1)), tag="a")
+    assert systems.exact(phi_delta(Amb("n", 1, Prefix(Capability("in", False, "m", 2)), tag="p"))) == \
+        systems.exact(Amb("n", 0, Prefix(Capability("in", False, "m", 1)), tag="a"))
     # ambient at 0 releases its body unticked
-    assert phi_delta(Amb("n", 0, Prefix(Capability("in", False, "m", 2)))) == \
-        Prefix(Capability("in", False, "m", 2))
+    assert systems.exact(phi_delta(Amb("n", 0, Prefix(Capability("in", False, "m", 2))))) == \
+        systems.exact(Prefix(Capability("in", False, "m", 2)))
     # inactivity is a fixpoint
-    assert phi_delta(ZERO) == ZERO
+    assert systems.exact(phi_delta(ZERO)) == systems.exact(ZERO)
 
     _timed("semantics unit suite", 1.0, t0)
 

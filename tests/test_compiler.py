@@ -46,7 +46,7 @@ from mobilemem.untimed import UConfig, u_canonicalize, u_find_instances, u_maxim
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref  # noqa: E402
 from conftest import count_calls  # noqa: E402
-from systems import renumber  # noqa: E402
+from systems import exact, renumber  # noqa: E402
 
 a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
 
@@ -280,7 +280,7 @@ def test_schema_matcher_equals_the_expanded_family():
         for state in explore_untimed(ucfg, compiled, depth).objects.values():
             got = u_find_instances(state, compiled)
             want = u_find_instances(state, flat)
-            assert got == want
+            assert exact(got) == exact(want)
             assert [(i.active_classes, i.passive_classes) for i in got] == [
                 (i.active_classes, i.passive_classes) for i in want
             ]
@@ -397,7 +397,7 @@ def _same_for_a_plain_list(states, rules, matchers) -> int:
     for state in states:
         for matcher in matchers:
             got = matcher(state, plain)
-            assert got == matcher(state, rules), matcher.__name__
+            assert exact(got) == exact(matcher(state, rules)), matcher.__name__
             found += len(got) if matcher is matchers[0] else 0
     return found
 
@@ -458,7 +458,7 @@ def test_schema_matcher_on_crowded_counters():
             h = umem("h", membrane("h", "a", "c"))
             m = umem("m", membrane("m", "~a"), [umem("h", membrane("h", "a"))])
             state = UConfig(umem("skin", [], [h, m, umem("h", membrane("h", "a", "c"))]))
-            assert u_find_instances(state, compiled) == u_find_instances(state, flat)
+            assert exact(u_find_instances(state, compiled)) == exact(u_find_instances(state, flat))
 
 
 def _compiled_states(config, rules, depth):

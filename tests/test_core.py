@@ -242,52 +242,3 @@ def test_tree_maps_take_deep_nesting():
     tags = [q.tag for q in amb.subterms(amb.erase_tags(process)) if isinstance(q, amb.Amb)]
     assert tags == ["a"] * depth
 
-
-def _tuple_key(node) -> tuple:
-    """A membrane as nested tuples of its compared fields, which is how the
-    generated dataclass methods compared nodes."""
-    kind = type(node)
-    own = (node.label, node.timer, node.content, node.uid) if kind is MembraneNode else (node.label, node.content, node.uid)
-    return (kind, own, tuple(_tuple_key(child) for child in node.children))
-
-
-def test_shallow_nodes_compare_and_hash_as_their_fields():
-    from mobilemem.corpus import random_timed_system, random_untimed_system
-
-    nodes = []
-    for seed in range(30):  # renumbered, so uids repeat across systems
-        nodes += list(renumber(random_timed_system(seed)[0]).skin.walk())
-        nodes += list(renumber(random_untimed_system(seed)[0]).skin.walk())
-    keys = [_tuple_key(node) for node in nodes]
-    equal_pairs = 0
-    for i, (p, kp) in enumerate(zip(nodes, keys)):
-        for q, kq in zip(nodes[i:], keys[i:]):
-            assert (p == q) == (kp == kq) and (p != q) == (kp != kq)
-            if kp == kq:
-                equal_pairs += 1
-                assert hash(p) == hash(q)
-    assert equal_pairs > len(nodes)  # not only each node with itself
-    x = mem("h", 2, [(a, 1)], [mem("k", INF)])
-    assert x == MembraneNode(x.label, x.timer, x.content, x.children, uid=x.uid)
-    assert {x: 1}[MembraneNode(x.label, x.timer, x.content, x.children, uid=x.uid)] == 1
-    assert x != MembraneNode(x.label, x.timer, x.content, x.children) and x != "h" and x is not None
-
-
-def test_deep_nodes_compare_and_hash_without_recursion():
-    from mobilemem.untimed import UNode
-
-    depth = 3_001
-
-    def chain(bottom="p"):
-        timed = MembraneNode(bottom, 3, Multiset([(a, 2)]), (), uid=0)
-        untimed = UNode(bottom, Multiset([a]), (), uid=0)
-        for uid in range(1, depth):
-            timed = MembraneNode("p", 3, Multiset([(a, 2)]), (timed,), uid=uid)
-            untimed = UNode("p", Multiset([a]), (untimed,), uid=uid)
-        return timed, untimed
-
-    (t1, u1), (t2, u2), (t3, u3) = chain(), chain(), chain("q")
-    for one, two, other in ((t1, t2, t3), (u1, u2, u3)):
-        assert one == two and not one != two and hash(one) == hash(two)
-        assert one != other and not one == other
-    assert Configuration(mem("skin", INF, [], [t1]), "skin") != Configuration(mem("skin", INF, [], [t3]), "skin")

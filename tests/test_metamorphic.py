@@ -11,6 +11,9 @@ oracle says what either output is.
 - Product law: two timed systems side by side under one skin, with no
   rule relating them, reach in exactly m steps as many states as the
   product of what each reaches alone in exactly m steps.
+- Renaming: renaming labels and symbols consistently changes no node
+  count, edge count or verdict, and maps each reach graph onto the
+  renamed system's.
 """
 
 import os
@@ -18,24 +21,30 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from string import ascii_lowercase, digits
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobilemem
 from conftest import examples, w4
+from mobilemem import ambient as amb, engine
 from mobilemem.ambient import canonical_key
 from mobilemem.compiler import eliminate_timers, lifetime
 from mobilemem.core import (
-    INF, Configuration, MembraneNode, Multiset, RuleSet, Symbol, at_rest, canonicalize, mem, output_reading,
-    rebuild_tree, validate,
+    DELTA_NAME, INF, Configuration, MembraneNode, Multiset, RewriteRule, RuleSet, Symbol, at_rest, canonicalize,
+    mem, output_reading, rebuild_tree, validate,
 )
 from mobilemem.corpus import random_reducible_process, random_timed_system, random_untimed_system
 from mobilemem.engine import run, successors
-from mobilemem.explore import check_embedding, check_timer_elimination, explore_membranes
+from mobilemem.explore import (
+    check_embedding, check_timer_elimination, check_translation, explore_ambients, explore_membranes,
+    explore_untimed,
+)
 from mobilemem.sysfile import SystemFile, parse_system, render_system
 from mobilemem.translate import generate_rules, has_preimage, literal_successors, some_preimage, translate
-from mobilemem.untimed import u_canonicalize, umem
+from mobilemem.untimed import UNode, u_canonicalize, umem
 from systems import renumber
 
 _DRIVE = """
@@ -229,29 +238,34 @@ def _clean_timed(seed: int) -> tuple:
         seed += 1
 
 
-def _tagged(config, rules, tag: str) -> tuple:
-    """``config`` and ``rules`` with every label but the skin's and every
-    symbol renamed by appending ``tag``."""
+def _renamed(config, rules, name) -> tuple:
+    """A timed or untimed ``config`` and its ``rules`` with every label but
+    the skin's and every symbol but ``delta`` renamed by ``name``."""
 
     def sym(s: Symbol) -> Symbol:
-        return Symbol(s.name + tag, s.is_co)
+        return s if s.name == DELTA_NAME else Symbol(name(s.name), s.is_co)
 
-    def label(name: str) -> str:
-        return name if name == "skin" else name + tag
+    def label(at: str | None) -> str | None:
+        return at if at in (None, "skin") else name(at)
 
-    def node(n, kids) -> MembraneNode:
-        objects = [(sym(s), t) for (s, t), k in n.content.items() for _ in range(k)]
-        return MembraneNode(label(n.label), n.timer, Multiset(objects), kids)
+    def node(n, kids):
+        if isinstance(n, UNode):
+            return UNode(label(n.label), Multiset({sym(s): k for s, k in n.content.items()}), kids)
+        return MembraneNode(label(n.label), n.timer, Multiset({(sym(s), t): k for (s, t), k in n.content.items()}), kids)
 
     def side(ms: Multiset) -> Multiset:
-        return Multiset([sym(s) for s in ms])
+        return Multiset({sym(s): k for s, k in ms.items()})
+
+    def made(products: tuple) -> tuple:
+        return tuple((sym(s), spec) for s, spec in products)
 
     renamed = [
-        replace(rule, h=label(rule.h), m=label(rule.m), u=side(rule.u), v=side(rule.v), v2=side(rule.v2),
-                w=tuple((sym(s), spec) for s, spec in rule.w), w2=tuple((sym(s), spec) for s, spec in rule.w2))
+        replace(rule, at=label(rule.at), lhs=side(rule.lhs), rhs=made(rule.rhs)) if isinstance(rule, RewriteRule)
+        else replace(rule, h=label(rule.h), m=label(rule.m), u=side(rule.u), v=side(rule.v), v2=side(rule.v2),
+                     w=made(rule.w), w2=made(rule.w2))
         for rule in rules
     ]
-    return Configuration(rebuild_tree(config.skin, node), config.output_label), renamed
+    return replace(config, skin=rebuild_tree(config.skin, node), output_label=label(config.output_label)), renamed
 
 
 # Each example explores three small systems to depth 5: 100 pairs
@@ -259,8 +273,8 @@ def _tagged(config, rules, tag: str) -> tuple:
 @settings(max_examples=examples(100))
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_timed_systems_side_by_side_reach_the_product_of_their_states(i, j):
-    a_config, a_rules = _tagged(*_clean_timed(i), "_a")
-    b_config, b_rules = _tagged(*_clean_timed(j), "_b")
+    a_config, a_rules = _renamed(*_clean_timed(i), lambda name: name + "_a")
+    b_config, b_rules = _renamed(*_clean_timed(j), lambda name: name + "_b")
     both = Configuration(mem("skin", INF, [], a_config.skin.children + b_config.skin.children))
     _product_law([(a_config, a_rules), (b_config, b_rules)], (both, RuleSet(a_rules + b_rules)), 5)
 
@@ -285,3 +299,93 @@ def test_the_product_law_on_the_w7_and_w4_cliffs():
     for k in (1, 2, 3):
         whole = translate(w4(k)), generate_rules(w4(k))
         assert _product_law([one] * k, whole, 3) == [1, 2 ** k, 2 ** k, 2 ** k]
+
+
+_MIRROR = str.maketrans(ascii_lowercase + digits, ascii_lowercase[::-1] + digits[::-1])
+
+
+def _mirrored(name: str) -> str:
+    """``name`` with each letter and digit mirrored (a and z, 0 and 9
+    swap): a consistent renaming under which any two names, neither a
+    prefix of the other, compare the other way round."""
+    return name.translate(_MIRROR)
+
+
+def _renamed_process(p, name):
+    """The ambient process ``p`` with every ambient and capability target
+    renamed by ``name``, in normal form."""
+
+    def make(q, built):
+        if isinstance(q, amb.Amb):
+            return amb.Amb(name(q.name), q.timer, built[0], q.tag)
+        if isinstance(q, amb.Prefix):
+            return amb.Prefix(replace(q.cap, target=name(q.cap.target)), built[0])
+        return amb.Par(built) if isinstance(q, amb.Par) else q
+
+    return amb.normalize(rebuild_tree(p, make))
+
+
+def _skeleton(verdict) -> tuple:
+    """A verdict as a renaming must leave it: its outcome, and its details
+    with every string blanked and every list sorted."""
+
+    def blank(value):
+        if isinstance(value, dict):
+            return {k: blank(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return sorted((blank(v) for v in value), key=repr)
+        return "" if isinstance(value, str) else value
+
+    return verdict.ok, blank(verdict.details)
+
+
+def _assert_renamed_graph(graph, renamed, key_of) -> None:
+    """``renamed`` is ``graph`` renamed: each state of ``graph``, renamed
+    and keyed by ``key_of``, is a node of ``renamed``, one for one, and
+    the (source, target) pairs of their edges map onto each other. Edge
+    labels may differ: the first choice per key follows symbol order."""
+    key = {k: key_of(graph.objects[k]) for k in graph.nodes}
+    assert (len(renamed.nodes), len(renamed.edges)) == (len(graph.nodes), len(graph.edges))
+    assert key[graph.root] == renamed.root and set(key.values()) == set(renamed.nodes)
+    assert {(key[s], key[d]) for s, _label, d in graph.edges} == {(s, d) for s, _label, d in renamed.edges}
+
+
+def _assert_renaming_law(config, rules, explore, check, key_of, depth: int) -> None:
+    """The renaming law on a timed or untimed system: the reach graphs map
+    onto each other and the checks' verdicts agree but for names."""
+    renamed_config, renamed_rules = _renamed(config, rules, _mirrored)
+    _assert_renamed_graph(explore(config, rules, depth), explore(renamed_config, renamed_rules, depth),
+                          lambda state: key_of(_renamed(state, (), _mirrored)[0]))
+    assert _skeleton(check(config, rules, depth)) == _skeleton(check(renamed_config, renamed_rules, depth))
+
+
+def _assert_renaming_law_on_timed_systems(seeds) -> None:
+    for seed in seeds:
+        _assert_renaming_law(*random_timed_system(seed), explore_membranes, check_timer_elimination, canonicalize, 4)
+
+
+def test_renaming_labels_and_symbols_changes_no_count_and_no_verdict():
+    _assert_renaming_law_on_timed_systems(range(10))
+    for seed in range(10):
+        _assert_renaming_law(*random_untimed_system(seed), explore_untimed, check_embedding, u_canonicalize, 4)
+    for seed in range(5):
+        p = random_reducible_process(seed)
+        renamed = _renamed_process(p, _mirrored)
+        _assert_renamed_graph(explore_ambients(p, 3), explore_ambients(renamed, 3),
+                              lambda q: canonical_key(_renamed_process(q, _mirrored)))
+        assert _skeleton(check_translation(p, 3)) == _skeleton(check_translation(renamed, 3))
+
+
+def _without_least(instances: list) -> list:
+    """``instances`` less the one whose bound classes sort least."""
+    least = min(instances, key=lambda inst: inst.active_classes + inst.passive_classes, default=None)
+    return [inst for inst in instances if inst is not least]
+
+
+def test_the_renaming_law_catches_a_matcher_that_reads_names(monkeypatch):
+    # a planted fault: the timed matcher drops the instance whose bound
+    # classes sort least, which a renaming makes another instance
+    found = engine.find_instances
+    monkeypatch.setattr(engine, "find_instances", lambda config, rules: _without_least(found(config, rules)))
+    with pytest.raises(AssertionError):
+        _assert_renaming_law_on_timed_systems(range(10))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 import reference as ref
 from conftest import count_calls, examples
+from systems import exact
 
 from mobilemem.compiler import _counter_of, eliminate_timers, embed_infinite, project
 from mobilemem.corpus import random_timed_system, random_untimed_system
@@ -278,7 +279,7 @@ def test_rewrite_index_equals_the_rule_by_rule_loop():
             key=UInstance.sort_key,
         )
         got = [inst for inst in u_find_instances(config, rules) if not inst.is_move]
-        assert got == want
+        assert exact(got) == exact(want)
         assert [i.active_classes for i in got] == [i.active_classes for i in want]
     assert not u_find_instances(configs[0], rules)
 
